@@ -157,12 +157,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             runtime_ms = (time.perf_counter() - start) * 1000.0
             sw2 = sliced_w2(sample_set, oracle_samples, cfg.sw2_projections, sw2_seed)
             context = float(
-                np.mean(
-                    [
-                        cpsnr(row, cfg.x_star, cfg.mask, cfg.cpsnr_peak)
-                        for row in sample_set.samples
-                    ]
-                )
+                np.mean(cpsnr(sample_set.samples, cfg.x_star, cfg.mask, cfg.cpsnr_peak))
             ) if cfg.mask.observed_count else math.inf
             row = ResultRow(
                 method=method,
@@ -277,7 +272,7 @@ def _cmd_metrics(args) -> int:
         if not args.mask:
             raise ConfigError("cpsnr needs --mask")
         mask = MaskOperator(_read_mask_file(args.mask).grid.reshape(-1))
-        value = float(np.mean([cpsnr(row, b[0], mask, args.peak) for row in a]))
+        value = float(np.mean(cpsnr(a, b[0], mask, args.peak)))
     else:
         raise ConfigError(f"unknown metric {args.metric!r}")
     line = f"{args.metric},{value!r},{a.shape[0]},{args.seed}\n"

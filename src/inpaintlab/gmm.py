@@ -346,8 +346,10 @@ class Denoiser(ABC):
 
     ``denoise`` models E[X0 | X_t = x], ``noise_predict`` models
     E[X1 | X_t = x]; the two are tied for sigma_t > 0 by
-    x1_hat = (x - alpha_t * x0_hat) / sigma_t.  ``jacobian`` is an
-    optional capability advertised through ``has_jacobian``.
+    x1_hat = (x - alpha_t * x0_hat) / sigma_t.  ``predict`` returns both
+    for one state; a denoiser that can share work between them overrides
+    it.  ``jacobian`` is an optional capability advertised through
+    ``has_jacobian``.
     """
 
     @abstractmethod
@@ -355,6 +357,10 @@ class Denoiser(ABC):
 
     @abstractmethod
     def noise_predict(self, x: np.ndarray, t: float) -> np.ndarray: ...
+
+    def predict(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(x0_hat, x1_hat) at the state x."""
+        return self.denoise(x, t), self.noise_predict(x, t)
 
     @property
     def has_jacobian(self) -> bool:
@@ -386,6 +392,16 @@ class GMMDenoiser(Denoiser):
 
     def noise_predict(self, x: np.ndarray, t: float) -> np.ndarray:
         return gmm_noise_predict(self.prior, self.sched, x, t)
+
+    def predict(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Both estimates from one posterior evaluation, each equal to its
+        own method's output."""
+        x = _check_finite(x)
+        xhat0, _ = gmm_denoise(self.prior, self.sched, x, t)
+        alpha, sigma = eval_schedule(self.sched, t)
+        if sigma == 0.0:
+            return xhat0, np.zeros_like(x)
+        return xhat0, (x - alpha * xhat0) / sigma
 
     @property
     def has_jacobian(self) -> bool:

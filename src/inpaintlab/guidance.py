@@ -34,8 +34,10 @@ import numpy as np
 
 from .bridge import (
     BridgeKernel,
+    ChainStreams,
     RngLike,
     TransitionParams,
+    pair_transition,
     sample_transition,
     standard_normal,
     transition_params,
@@ -123,13 +125,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _pair_transition(
-    kernel: BridgeKernel, sched: Schedule, s: float, xhat0: np.ndarray, xhat1: np.ndarray
-) -> TransitionParams:
-    alpha_s, beta_s, eta_s = kernel.coefficients(sched, s)
-    return TransitionParams(alpha_s * xhat0 + beta_s * xhat1, eta_s)
-
-
 def _check_step_times(s: float, t: float) -> None:
     if not 0.0 <= s < t <= 1.0:
         raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
@@ -197,7 +192,7 @@ def dps_transition(
     alpha_eval, sigma_eval = (alpha_t, sigma_t) if alpha_t > 0 else eval_schedule(sched, s)
     xhat0 = xhat0 + cfg.dps_scale * (sigma_eval**2 / alpha_eval) * grad
     xhat1 = (x_t - alpha_t * xhat0) / sigma_t if sigma_t > 0 else np.zeros_like(x_t)
-    return _pair_transition(kernel, sched, s, xhat0, xhat1)
+    return pair_transition(kernel, sched, s, xhat0, xhat1)
 
 
 def step_dps(
@@ -316,7 +311,7 @@ def ddnm_transition(
     m = problem.mask.m
     xhat0 = m * problem.y + (1.0 - m) * xhat0
     xhat1 = (x_t - alpha_t * xhat0) / sigma_t if sigma_t > 0 else np.zeros_like(x_t)
-    return _pair_transition(kernel, sched, s, xhat0, xhat1)
+    return pair_transition(kernel, sched, s, xhat0, xhat1)
 
 
 def step_ddnm(
@@ -365,7 +360,7 @@ def diffpir_transition(
         xhat1 = (x_t - alpha_t * xhat0) / sigma_t
     else:
         xhat1 = np.zeros_like(x_t)
-    return _pair_transition(kernel, sched, s, xhat0, xhat1)
+    return pair_transition(kernel, sched, s, xhat0, xhat1)
 
 
 def step_diffpir(
@@ -389,13 +384,13 @@ def step_diffpir(
 # ---------------------------------------------------------------------------
 
 
-def chain_rngs(seed: int, method: str, chain_indices) -> list[np.random.Generator]:
+def chain_rngs(seed: int, method: str, chain_indices) -> ChainStreams:
     """One substream per chain, a pure function of (seed, method, chain index)."""
     code = METHOD_CODES[method]
-    return [
+    return ChainStreams(
         np.random.default_rng(np.random.SeedSequence((seed, code, int(j))))
         for j in chain_indices
-    ]
+    )
 
 
 def _apply_step(

@@ -42,11 +42,12 @@ def _as_matrix(a) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
-def cpsnr(x: np.ndarray, x_ref: np.ndarray, mask: MaskOperator, peak: float) -> float:
+def cpsnr(x: np.ndarray, x_ref: np.ndarray, mask: MaskOperator, peak: float) -> float | np.ndarray:
     """PSNR over the observed coordinates only; +inf on an exact match.
 
-    The infinity sentinel is deliberate: capping would silently corrupt
-    aggregate tables.
+    A point ``(d,)`` gives one float; a batch ``(n, d)`` gives one PSNR per
+    row, each over that row's observed coordinates.  The infinity sentinel
+    is deliberate: capping would silently corrupt aggregate tables.
     """
     if peak <= 0:
         raise ValueError("peak must be strictly positive")
@@ -55,10 +56,14 @@ def cpsnr(x: np.ndarray, x_ref: np.ndarray, mask: MaskOperator, peak: float) -> 
         raise ValueError("cpsnr needs at least one observed coordinate")
     x = np.asarray(x, dtype=float)
     x_ref = np.asarray(x_ref, dtype=float)
-    mse = float(np.mean((x[..., obs] - x_ref[..., obs]) ** 2))
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(peak**2 / mse)
+    # np.take keeps rows contiguous, so each row sums in its own 1-D order
+    mse = np.mean((np.take(x, obs, axis=-1) - np.take(x_ref, obs, axis=-1)) ** 2, axis=-1)
+    # math.log10 per row: numpy's vectorized log10 may differ in the last bit
+    psnr = [
+        math.inf if m == 0.0 else 10.0 * math.log10(peak**2 / m)
+        for m in np.atleast_1d(mse).tolist()
+    ]
+    return psnr[0] if mse.ndim == 0 else np.array(psnr)
 
 
 def _quantiles(sorted_vals: np.ndarray, qs: np.ndarray) -> np.ndarray:

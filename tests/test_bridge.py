@@ -2,17 +2,25 @@ import numpy as np
 import pytest
 
 from inpaintlab import (
+    METHODS,
     BridgeKernel,
     GaussianMixture,
     GMMDenoiser,
+    MaskOperator,
+    SamplerConfig,
     Schedule,
     TransitionParams,
     gmm_marginal,
     make_grid,
+    make_observation,
+    run_conditional,
     run_unconditional,
     sample_transition,
     transition_params,
 )
+from inpaintlab import guidance
+from inpaintlab.bridge import READ_AHEAD, ChainStreams, standard_normal
+from inpaintlab.guidance import METHOD_CODES
 
 LIN = Schedule("linear-flow")
 
@@ -147,3 +155,58 @@ def test_per_chain_substreams_match_shared_order():
             [np.random.default_rng(np.random.SeedSequence((123, k)))], 1,
         )
         np.testing.assert_array_equal(full[k], solo.samples[0])
+
+
+def _fresh(n, seed=321):
+    return [np.random.default_rng(np.random.SeedSequence((seed, j))) for j in range(n)]
+
+
+def test_chain_streams_match_per_call_draws():
+    # mixed shapes, requests that cross a refill and one wider than the read-ahead
+    n = 5
+    shapes = [(n, 3), (n, 4, 3), (n,), (n, 30), (n, 3 * READ_AHEAD), (n, 2, 7), (n, 40), (n, 3)]
+    streams = ChainStreams(_fresh(n))
+    plain = _fresh(n)
+    got = [standard_normal(streams, shape) for shape in shapes]
+    for shape, draw in zip(shapes, got):
+        want = np.stack([g.standard_normal(shape[1:]) for g in plain])
+        assert draw.shape == shape
+        np.testing.assert_array_equal(draw, want)
+
+
+def test_chain_streams_draws_do_not_alias_the_block():
+    streams = ChainStreams(_fresh(3))
+    first = streams.take((3, 2))
+    kept = first.copy()
+    for _ in range(2 * READ_AHEAD):
+        streams.take((3, 1))
+    np.testing.assert_array_equal(first, kept)
+
+
+def test_chain_streams_check_rows_and_index_generators():
+    gens = _fresh(4)
+    streams = ChainStreams(gens)
+    assert len(streams) == 4 and streams[2] is gens[2]
+    with pytest.raises(ValueError):
+        standard_normal(streams, (3, 2))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_conditional_equals_per_call_reference(method, monkeypatch):
+    # the same run with every draw made chain by chain from plain generator lists
+    prior = GaussianMixture([0.5, 0.5], [[2.0, 2.0, 0.0], [-2.0, -2.0, 1.0]], [[1.0, 0.5, 1.0]] * 2)
+    den = GMMDenoiser(prior, LIN)
+    problem = make_observation(np.array([1.7, -0.4, 0.3]), MaskOperator([1, 0, 1]), 0.2)
+    cfg = SamplerConfig(method=method, grid=make_grid(30), eta=0.8, gamma=0.2, ding_nz=3,
+                        seed=4, n_chains=7, final_replacement=False)
+    got, _ = run_conditional(problem, den, LIN, cfg)
+
+    def plain_rngs(seed, method, chain_indices):
+        return [
+            np.random.default_rng(np.random.SeedSequence((seed, METHOD_CODES[method], int(j))))
+            for j in chain_indices
+        ]
+
+    monkeypatch.setattr(guidance, "chain_rngs", plain_rngs)
+    want, _ = run_conditional(problem, den, LIN, cfg)
+    np.testing.assert_array_equal(got.samples, want.samples)

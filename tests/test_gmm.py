@@ -211,3 +211,15 @@ def test_denoiser_interface_counts_jacobian_calls(three_comp_diag):
     assert den.jacobian_calls == 2
     den.reset_jacobian_counter()
     assert den.jacobian_calls == 0
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+def test_predict_equals_denoise_and_noise_predict(two_comp_full, three_comp_diag, t):
+    # one posterior evaluation, bit-identical to the two separate calls
+    rng = np.random.default_rng(8)
+    for prior in (two_comp_full, three_comp_diag):
+        den = GMMDenoiser(prior, LIN)
+        for x in (rng.standard_normal(prior.dim), rng.standard_normal((5, prior.dim))):
+            xhat0, xhat1 = den.predict(x, t)
+            np.testing.assert_array_equal(xhat0, den.denoise(x, t))
+            np.testing.assert_array_equal(xhat1, den.noise_predict(x, t))

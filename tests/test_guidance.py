@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from inpaintlab import (
+    METHODS,
     BridgeKernel,
     ConfigError,
     Denoiser,
@@ -11,6 +14,7 @@ from inpaintlab import (
     MaskOperator,
     SamplerConfig,
     Schedule,
+    TransitionParams,
     eval_schedule,
     make_grid,
     make_observation,
@@ -21,6 +25,7 @@ from inpaintlab import (
     step_ding,
     transition_params,
 )
+from inpaintlab import bridge
 from inpaintlab.guidance import (
     chain_rngs,
     conjugate_update,
@@ -433,3 +438,23 @@ def test_method_streams_do_not_collide():
     a = chain_rngs(0, "ding", range(2))
     b = chain_rngs(0, "dps", range(2))
     assert a[0].standard_normal() != b[0].standard_normal()
+
+
+def test_kernel_change_reaches_every_method(mixture_setup, monkeypatch):
+    # all five samplers build their transition through bridge.pair_transition,
+    # so a changed kernel there moves each method's output
+    _, den, problem = mixture_setup
+    original = bridge.pair_transition
+
+    def narrower(kernel, sched, s, xhat0, xhat1):
+        params = original(kernel, sched, s, xhat0, xhat1)
+        return TransitionParams(params.mean, 0.5 * params.std)
+
+    cfgs = {method: _cfg(method, n_chains=3, final_replacement=False) for method in METHODS}
+    before = {m: run_conditional(problem, den, LIN, cfg)[0].samples for m, cfg in cfgs.items()}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("inpaintlab") and vars(module).get("pair_transition") is original:
+            monkeypatch.setattr(module, "pair_transition", narrower)
+    for method, cfg in cfgs.items():
+        after = run_conditional(problem, den, LIN, cfg)[0].samples
+        assert not np.array_equal(after, before[method]), method

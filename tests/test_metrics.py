@@ -143,3 +143,18 @@ def test_moment_diff_errors():
         moment_diff(np.zeros((5, 2)), ref)
     with pytest.raises(ValueError):
         moment_diff(np.zeros((1, 1)), ref)
+
+
+def test_cpsnr_batch_equals_per_row(recwarn):
+    # one value per row, equal with == to the row-by-row calls, +inf rows kept
+    rng = np.random.default_rng(4)
+    ref = rng.standard_normal(24)
+    x = rng.standard_normal((50, 24))
+    mask = MaskOperator(rng.permutation([1] * 13 + [0] * 11))
+    x[[3, 17]] = ref
+    x[9, mask.observed_idx] = ref[mask.observed_idx]  # exact on the observed support only
+    got = cpsnr(x, ref, mask, 2.0)
+    assert got.shape == (50,)
+    assert list(got) == [cpsnr(row, ref, mask, 2.0) for row in x]
+    assert np.isinf(got[[3, 9, 17]]).all() and np.isfinite(np.delete(got, [3, 9, 17])).all()
+    assert len(recwarn) == 0
