@@ -115,16 +115,22 @@ def _run_method(problem, denoiser, cfg: ExperimentConfig, method: str):
 
 
 def _write_trajectories(path: Path, trajectories) -> None:
+    """One CSV row per (chain, step, coordinate), in the bytes ``csv.writer``
+    would give: CRLF rows of unquoted ints and float reprs."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain", "k", "t", "coord", "x", "xhat0"])
+        fh.write("chain,k,t,coord,x,xhat0\r\n")
+        key, shared = None, []
         for j, traj in enumerate(trajectories):
-            for k, t in enumerate(traj.times):
-                for i in range(traj.states.shape[1]):
-                    writer.writerow(
-                        [j, k, repr(float(t)), i,
-                         repr(float(traj.states[k, i])), repr(float(traj.denoised[k, i]))]
-                    )
+            d = traj.states.shape[1]
+            # the (k, t, coord) cells are the same for every chain of a run
+            if key != (traj.times.tobytes(), d):
+                key = (traj.times.tobytes(), d)
+                shared = [
+                    f",{k},{t!r},{i}," for k, t in enumerate(traj.times.tolist()) for i in range(d)
+                ]
+            xs = map(repr, traj.states.ravel().tolist())
+            hs = map(repr, traj.denoised.ravel().tolist())
+            fh.write("".join([f"{j}{p}{x},{h}\r\n" for p, x, h in zip(shared, xs, hs)]))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:

@@ -34,12 +34,39 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import NumericError
 from .schedule import Schedule, eval_schedule
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def logsumexp(a, axis=None, keepdims: bool = False):
+    """log(sum(exp(a))) over ``axis``, stable for large magnitudes.
+
+    The entries equal to the max are split out of the sum; the rest are
+    summed shifted by the max, and that sum is divided by the count of
+    maxima, so the result is log1p(s) + log(count) + max.  Where that is
+    not finite, the direct log(sum(exp(a))) is used.  This is the order of
+    operations of the reference implementation that the test suite
+    compares with bit for bit.  No numpy warning is raised.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        is_max = a == a_max
+        m = np.sum(is_max, axis=axis, keepdims=True, dtype=a.dtype)
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+            out = np.where(finite, out, direct)
+    if not keepdims:
+        out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -172,9 +199,12 @@ def _component_logpdf(
     evecs: np.ndarray | None,
 ) -> np.ndarray:
     """log N(x; centers_k, V_k diag(evals_k) V_k^T) for each component k."""
-    d = centers.shape[-1]
-    diff = x[..., None, :] - centers
-    z = _rotate_in(evecs, diff)
+    return _rotated_logpdf(_rotate_in(evecs, x[..., None, :] - centers), evals)
+
+
+def _rotated_logpdf(z: np.ndarray, evals: np.ndarray) -> np.ndarray:
+    """``_component_logpdf`` from the rotated offsets z = V_k^T (x - center_k)."""
+    d = z.shape[-1]
     quad = np.sum(z * z / evals, axis=-1)
     logdet = np.sum(np.log(evals), axis=-1)
     return -0.5 * (quad + logdet + d * _LOG_2PI)
@@ -235,12 +265,11 @@ def component_posterior(
     lam = prior._evals
     noisy_means, c, evecs = noisy_components(prior, sched, t)
 
-    lp = _component_logpdf(x, noisy_means, c, evecs)
-    lr = lp + np.log(prior.weights)
+    # one rotation serves both the responsibilities and the means
+    z = _rotate_in(evecs, x[..., None, :] - noisy_means)
+    lr = _rotated_logpdf(z, c) + np.log(prior.weights)
     log_resp = lr - logsumexp(lr, axis=-1, keepdims=True)
 
-    diff = x[..., None, :] - noisy_means
-    z = _rotate_in(evecs, diff)
     means = prior.means + _rotate_out(evecs, alpha * lam / c * z)
     cov_evals = sigma**2 * lam / c
     return ConditionalMixture(log_resp, means, cov_evals, evecs)

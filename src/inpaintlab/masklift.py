@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,19 @@ def dilate_mask(mask: PixelMask, r: int, r_t: int = 0) -> PixelMask:
         raise ValueError("dilation radii must be non-negative")
     if r == 0 and r_t == 0:
         return mask
-    edited = mask.grid == 0
-    structure = np.ones((2 * r_t + 1, 2 * r + 1, 2 * r + 1), dtype=bool)
-    grown = binary_dilation(edited, structure=structure)
+    grown = mask.grid == 0
+    # a box is separable: dilate one axis at a time, outside the grid is observed
+    for axis, radius in enumerate((r_t, r, r)):
+        if radius == 0:
+            continue
+        size = grown.shape[axis]
+        pad = [(0, 0)] * 3
+        pad[axis] = (radius, radius)
+        padded = np.moveaxis(np.pad(grown, pad), axis, 0)
+        out = np.zeros_like(padded[:size])
+        for shift in range(2 * radius + 1):
+            out |= padded[shift : shift + size]
+        grown = np.moveaxis(out, 0, axis)
     return PixelMask((~grown).astype(np.uint8))
 
 

@@ -93,10 +93,15 @@ def sliced_w2(a, b, n_projections: int = 128, seed: int = 0) -> float:
 def _sliced_w2_projected(xa: np.ndarray, xb: np.ndarray, dirs: np.ndarray) -> float:
     # einsum keeps each row's projection independent of row order, so equal
     # multisets score exactly zero (BLAS matmul varies in the last ulp)
-    pa = np.sort(np.einsum("nd,pd->np", xa, dirs), axis=0)
-    pb = np.sort(np.einsum("nd,pd->np", xb, dirs), axis=0)
+    pa = np.einsum("nd,pd->np", xa, dirs)
+    pa.sort(axis=0)
+    pb = np.einsum("nd,pd->np", xb, dirs)
+    pb.sort(axis=0)
     if pa.shape[0] == pb.shape[0]:
-        w2sq = np.mean((pa - pb) ** 2, axis=0)
+        # in place: these (n, n_projections) arrays set the peak memory of a run
+        pa -= pb
+        pa *= pa
+        w2sq = np.mean(pa, axis=0)
     else:
         m = max(pa.shape[0], pb.shape[0])
         qs = (np.arange(m) + 0.5) / m

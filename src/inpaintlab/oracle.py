@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
 
 from .gmm import (
     GaussianMixture,
@@ -36,6 +34,7 @@ from .gmm import (
     component_posterior,
     gmm_denoise,
     gmm_denoiser_jacobian,
+    logsumexp,
     noisy_components,
 )
 from .problem import InpaintingProblem
@@ -74,15 +73,7 @@ def exact_posterior(problem: InpaintingProblem, prior: GaussianMixture) -> Gauss
     if obs.size == 0:
         weights = prior.weights
     else:
-        log_ev = np.empty(prior.n_components)
-        full_cov = prior.covariance_matrices()
-        for k in range(prior.n_components):
-            s_k = full_cov[k][np.ix_(obs, obs)] + gamma2 * np.eye(obs.size)
-            resid = y[obs] - prior.means[k][obs]
-            factor = cho_factor(s_k, lower=True)
-            quad = resid @ cho_solve(factor, resid)
-            logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
-            log_ev[k] = -0.5 * (quad + logdet + obs.size * _LOG_2PI)
+        log_ev, _ = _observed_evidence(problem, prior.means, prior.covariance_matrices())
         logw = np.log(prior.weights) + log_ev
         weights = np.exp(logw - logsumexp(logw))
         weights = weights / weights.sum()
@@ -104,39 +95,33 @@ class PosteriorOracle:
         return self.posterior.sample(n, rng)
 
 
-def _cho_solve_vec(factor, b: np.ndarray) -> np.ndarray:
-    """cho_solve applied along the last axis of b, any leading batch shape."""
-    shape = b.shape
-    flat = b.reshape(-1, shape[-1]).T
-    return cho_solve(factor, flat).T.reshape(shape)
+def _chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(L_k L_k^T)^{-1} b_k for factors ``chol`` (K, o, o) and b of shape (..., K, o)."""
+    n_comp, o = b.shape[-2:]
+    cols = np.moveaxis(b.reshape(-1, n_comp, o), 0, -1)  # (K, o, batch)
+    half = np.linalg.solve(chol, cols)
+    sol = np.linalg.solve(np.swapaxes(chol, -1, -2), half)
+    return np.moveaxis(sol, -1, 0).reshape(b.shape)
 
 
 def _observed_evidence(
     problem: InpaintingProblem,
     cond_means: np.ndarray,
     cond_cov: np.ndarray,
-) -> tuple[np.ndarray, list]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Log evidence of y_obs under each component N(mean_k_obs, C0_k_obs + gamma^2 I).
 
-    Returns the (..., K) log values and the per-component Cholesky factors
-    of the observed-block matrices for reuse by gradient formulas.
+    Returns the (..., K) log values and the (K, o, o) lower Cholesky
+    factors of the observed-block matrices for reuse by gradient formulas.
     """
     obs = problem.mask.observed_idx
     gamma2 = problem.gamma**2
-    n_comp = cond_cov.shape[0]
-    y_obs = problem.y[obs]
-
-    log_ev = np.empty(cond_means.shape[:-1])
-    factors = []
-    for k in range(n_comp):
-        s_k = cond_cov[k][np.ix_(obs, obs)] + gamma2 * np.eye(obs.size)
-        factor = cho_factor(s_k, lower=True)
-        factors.append(factor)
-        resid = y_obs - cond_means[..., k, obs]
-        quad = np.sum(resid * _cho_solve_vec(factor, resid), axis=-1)
-        logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
-        log_ev[..., k] = -0.5 * (quad + logdet + obs.size * _LOG_2PI)
-    return log_ev, factors
+    s = cond_cov[:, obs[:, None], obs] + gamma2 * np.eye(obs.size)
+    chol = np.linalg.cholesky(s)
+    resid = problem.y[obs] - cond_means[..., obs]
+    quad = np.sum(resid * _chol_solve(chol, resid), axis=-1)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return -0.5 * (quad + logdet + obs.size * _LOG_2PI), chol
 
 
 def exact_intermediate_loglik(
@@ -199,7 +184,7 @@ def exact_guidance_grad(
     noisy_means, c, evecs = noisy_components(prior, sched, t)
     cond = component_posterior(prior, sched, x_t, t)
     resp = cond.resp
-    log_ev, factors = _observed_evidence(problem, cond.means, cond.covariance_matrices())
+    log_ev, chol = _observed_evidence(problem, cond.means, cond.covariance_matrices())
 
     post_logw = cond.log_resp + log_ev
     post_resp = np.exp(post_logw - logsumexp(post_logw, axis=-1, keepdims=True))
@@ -210,11 +195,8 @@ def exact_guidance_grad(
     g_bar = np.einsum("...k,...kd->...d", resp, g)
 
     # gradient of each component's evidence: A_k^T lifted residual
-    y_obs = problem.y[obs]
     lifted = np.zeros(cond.means.shape)
-    for k in range(prior.n_components):
-        resid = y_obs - cond.means[..., k, obs]
-        lifted[..., k, obs] = _cho_solve_vec(factors[k], resid)
+    lifted[..., obs] = _chol_solve(chol, problem.y[obs] - cond.means[..., obs])
     ev_grad = _rotate_out(evecs, alpha * lam / c * _rotate_in(evecs, lifted))
 
     total = (g - g_bar[..., None, :]) + ev_grad

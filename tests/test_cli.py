@@ -201,3 +201,54 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout
+
+
+def _csv_writer_trajectories(path, trajectories):
+    # the csv.writer form of the trajectory dump, one writerow per value row
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["chain", "k", "t", "coord", "x", "xhat0"])
+        for j, traj in enumerate(trajectories):
+            for k, t in enumerate(traj.times):
+                for i in range(traj.states.shape[1]):
+                    writer.writerow(
+                        [j, k, repr(float(t)), i,
+                         repr(float(traj.states[k, i])), repr(float(traj.denoised[k, i]))]
+                    )
+
+
+def test_trajectory_writer_matches_csv_writer_bytes(tmp_path):
+    from inpaintlab.cli import _write_trajectories
+    from inpaintlab.guidance import Trajectory
+
+    rng = np.random.default_rng(3)
+    times = np.array([1.0, 0.75, 0.5, 1e-300, -0.0])
+    states = rng.standard_normal((5, 4, 3)) * 10.0 ** rng.integers(-300, 300, (5, 4, 3))
+    states[1, 0] = [np.inf, -np.inf, -0.0]
+    states[2, 1] = [1e-300, 5e-324, 12.0]
+    denoised = rng.standard_normal((5, 4, 3))
+    denoised[0, 2] = [np.nan, 0.1, -1e300]
+    trajs = [Trajectory(times, states[:, j], denoised[:, j]) for j in range(4)]
+    # a chain with other times and dimension must not reuse the shared cells
+    trajs.append(Trajectory(np.array([0.5, 0.0]), np.ones((2, 2)), np.zeros((2, 2))))
+    trajs.append(Trajectory(times, states[:, 0], denoised[:, 0]))
+    _write_trajectories(tmp_path / "fast.csv", trajs)
+    _csv_writer_trajectories(tmp_path / "ref.csv", trajs)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_run_loads_numpy_only(tmp_path):
+    # scipy is a test-only dependency: neither the import nor a run may load it
+    cfg = _write_cfg(tmp_path, extra="trajectories = on\n")
+    code = (
+        "import sys\n"
+        "import inpaintlab.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        f"assert inpaintlab.cli.main(['run', '--config', {str(cfg)!r}]) == 0\n"
+        "print(loaded())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -223,3 +223,50 @@ def test_predict_equals_denoise_and_noise_predict(two_comp_full, three_comp_diag
             xhat0, xhat1 = den.predict(x, t)
             np.testing.assert_array_equal(xhat0, den.denoise(x, t))
             np.testing.assert_array_equal(xhat1, den.noise_predict(x, t))
+
+
+def _logsumexp_inputs():
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((12, 7)) * 30.0
+    a[1] = a[1, 0]  # every entry tied
+    a[2, [1, 4]] = a[2].max() + 1.0  # two tied maxima
+    a[3, [0, 5]] = -np.inf
+    a[4] = -np.inf  # all -inf: the direct fallback gives -inf
+    a[5] = [700.0, 710.0, -710.0, 1e300, -1e300, 1e300, 0.0]
+    a[6] = [-1e308, -1e308, -745.0, -746.0, -800.0, -1e5, -1e300]
+    a[7, 3] = np.inf
+    a[8] = [-0.0, 0.0, -0.0, 1e-300, -1e-300, 5e-324, 0.0]
+    return a
+
+
+def test_logsumexp_equals_scipy_bit_for_bit(recwarn):
+    special = pytest.importorskip("scipy.special")
+    from inpaintlab.gmm import logsumexp
+
+    a = _logsumexp_inputs()
+    cases = [(a, ax) for ax in (None, -1, 0, 1)]
+    cases += [(row, ax) for row in a for ax in (None, -1, 0)]
+    for x, axis in cases:
+        for keepdims in (False, True):
+            got = logsumexp(x, axis=axis, keepdims=keepdims)
+            want = special.logsumexp(x, axis=axis, keepdims=keepdims)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (x, axis, keepdims)
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
+def test_component_posterior_log_resp_equals_component_logpdf(fixture, request):
+    # the responsibilities come from the rotation shared with the means, and
+    # equal the ones built from _component_logpdf's own rotation bit for bit
+    from inpaintlab.gmm import _component_logpdf, component_posterior, logsumexp, noisy_components
+
+    prior = request.getfixturevalue(fixture)
+    x = np.random.default_rng(5).standard_normal((33, prior.dim)) * 2.0
+    for t in (0.05, 0.4, 0.95):
+        noisy_means, c, evecs = noisy_components(prior, LIN, t)
+        lr = _component_logpdf(x, noisy_means, c, evecs) + np.log(prior.weights)
+        want = lr - logsumexp(lr, axis=-1, keepdims=True)
+        got = component_posterior(prior, LIN, x, t).log_resp
+        assert got.tobytes() == want.tobytes()

@@ -166,3 +166,21 @@ def test_dilation_monotone_and_one_sided(seed):
         up = upsample_mask(latent)
         dil = dilate_mask(m, r)
         assert np.all((up.grid == 0) | (dil.grid == 1))
+
+
+def test_dilate_equals_scipy_binary_dilation():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 10)), int(rng.integers(1, 10)))
+        grid = (rng.random(shape) > rng.random() * 0.3).astype(np.uint8)
+        if rng.random() < 0.3:  # edited pixels on the corners and edges only
+            grid = np.ones(shape, dtype=np.uint8)
+            grid[rng.integers(0, shape[0]), [0, -1], rng.integers(0, shape[2])] = 0
+            grid[:, rng.integers(0, shape[1]), -1] = 0
+        r, r_t = int(rng.integers(0, 4)), int(rng.integers(0, 3))
+        structure = np.ones((2 * r_t + 1, 2 * r + 1, 2 * r + 1), dtype=bool)
+        want = ~ndimage.binary_dilation(grid == 0, structure=structure)
+        got = dilate_mask(PixelMask(grid), r, r_t).grid
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, want.astype(np.uint8), err_msg=f"{shape} r={r} r_t={r_t}")

@@ -158,3 +158,32 @@ def test_cpsnr_batch_equals_per_row(recwarn):
     assert list(got) == [cpsnr(row, ref, mask, 2.0) for row in x]
     assert np.isinf(got[[3, 9, 17]]).all() and np.isfinite(np.delete(got, [3, 9, 17])).all()
     assert len(recwarn) == 0
+
+
+def _sliced_w2_out_of_place(xa, xb, dirs):
+    pa = np.sort(np.einsum("nd,pd->np", xa, dirs), axis=0)
+    pb = np.sort(np.einsum("nd,pd->np", xb, dirs), axis=0)
+    if pa.shape[0] == pb.shape[0]:
+        w2sq = np.mean((pa - pb) ** 2, axis=0)
+    else:
+        m = max(pa.shape[0], pb.shape[0])
+        qs = (np.arange(m) + 0.5) / m
+        w2sq = np.array([
+            np.mean((np.interp(qs, (np.arange(pa.shape[0]) + 0.5) / pa.shape[0], pa[:, j])
+                     - np.interp(qs, (np.arange(pb.shape[0]) + 0.5) / pb.shape[0], pb[:, j])) ** 2)
+            for j in range(dirs.shape[0])
+        ])
+    return float(np.sqrt(np.mean(w2sq)))
+
+
+@pytest.mark.parametrize("n_b", [400, 257])
+def test_sliced_w2_equals_out_of_place_reference(n_b):
+    rng = np.random.default_rng(12)
+    xa = rng.standard_normal((400, 5))
+    xb = rng.standard_normal((n_b, 5)) * 1.3 + 0.2
+    saved = xa.copy(), xb.copy()
+    dirs = rng.standard_normal((64, 5))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    assert _sliced_w2_projected(xa, xb, dirs) == _sliced_w2_out_of_place(xa, xb, dirs)
+    np.testing.assert_array_equal(xa, saved[0])
+    np.testing.assert_array_equal(xb, saved[1])

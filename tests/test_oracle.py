@@ -204,3 +204,32 @@ def test_ding_gap_needs_interior_time(mixed_prior):
     for s in (0.0, 1.0):
         with pytest.raises(ValueError):
             ding_gap(mixed_prior, LIN, x, z, s)
+
+
+def test_posterior_weights_match_scipy_cholesky_evidence():
+    # numpy's Cholesky solves round differently from scipy's LAPACK route,
+    # which moves the posterior weights in the last bits only
+    linalg = pytest.importorskip("scipy.linalg")
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(17)
+    d, k = 6, 12
+    a = rng.standard_normal((k, d, d))
+    full = 0.3 * a @ np.swapaxes(a, 1, 2) / d + 0.2 * np.eye(d)
+    weights = rng.dirichlet(np.ones(k))
+    means = rng.standard_normal((k, d)) * 2.0
+    mask = MaskOperator([1, 0, 1, 1, 0, 1])
+    problem = InpaintingProblem(mask, mask.m * rng.standard_normal(d), 0.1)
+    obs = problem.mask.observed_idx
+    for cov in (full, rng.random((k, d)) + 0.2):
+        prior = GaussianMixture(weights, means, cov)
+        log_ev = []
+        for c, mu in zip(prior.covariance_matrices(), means):
+            factor = linalg.cho_factor(c[np.ix_(obs, obs)] + 0.01 * np.eye(obs.size), lower=True)
+            resid = problem.y[obs] - mu[obs]
+            logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
+            log_ev.append(-0.5 * (resid @ linalg.cho_solve(factor, resid) + logdet
+                                  + obs.size * np.log(2.0 * np.pi)))
+        logw = np.log(weights) + np.array(log_ev)
+        want = np.exp(logw - special.logsumexp(logw))
+        want = want / want.sum()
+        np.testing.assert_allclose(exact_posterior(problem, prior).weights, want, rtol=1e-12, atol=0)
