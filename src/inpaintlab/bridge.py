@@ -135,7 +135,11 @@ class TransitionParams:
         if self.std < 0:
             raise ValueError("transition std must be non-negative")
         if not np.all(np.isfinite(mean)):
-            raise NumericError("transition mean must be finite")
+            finite = np.all(np.isfinite(np.atleast_1d(mean)), axis=-1)  # one entry per chain
+            bad = finite.size - np.count_nonzero(finite)
+            raise NumericError(
+                f"transition mean must be finite: {bad} of {finite.size} chains non-finite"
+            )
 
 
 def standard_normal(rng: RngLike, shape: tuple[int, ...]) -> np.ndarray:
@@ -161,6 +165,12 @@ def pair_transition(
     return TransitionParams(alpha_s * xhat0 + beta_s * xhat1, eta_s)
 
 
+def check_step_times(s: float, t: float) -> None:
+    """Reject a reverse step unless 0 <= s < t <= 1."""
+    if not 0.0 <= s < t <= 1.0:
+        raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
+
+
 def transition_params(
     kernel: BridgeKernel,
     sched: Schedule,
@@ -170,8 +180,7 @@ def transition_params(
     t: float,
 ) -> TransitionParams:
     """Parameters of the reverse transition from x_t at time t to time s < t."""
-    if not 0.0 <= s < t <= 1.0:
-        raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
+    check_step_times(s, t)
     xhat0, xhat1 = denoiser.predict(x_t, t)
     return pair_transition(kernel, sched, s, xhat0, xhat1)
 
@@ -193,9 +202,9 @@ def run_unconditional(
 ):
     """Run the reverse chain from x ~ N(0, I) at t = 1 down the grid.
 
-    Returns a SampleSet of the (n_chains, d) terminal states at t = 0.
-    Chains are advanced as one batch, with per-chain substreams when
-    ``rng`` is a sequence of generators.
+    Returns a SampleSet of the (n_chains, d) terminal states at t = 0, with
+    d read from ``denoiser.dim``.  Chains are advanced as one batch, with
+    per-chain substreams when ``rng`` is a sequence of generators.
     """
     from .metrics import SampleSet
 
@@ -203,19 +212,10 @@ def run_unconditional(
         raise ValueError("n_chains must be positive")
     if not isinstance(rng, (np.random.Generator, ChainStreams)):
         rng = ChainStreams(rng)
-    x = standard_normal(rng, (n_chains, _probe_dim(denoiser)))
+    x = standard_normal(rng, (n_chains, denoiser.dim))
     knots = grid.knots
     for k in range(grid.num_steps, 0, -1):
         params = transition_params(kernel, sched, denoiser, x, knots[k - 1], knots[k])
         x = sample_transition(params, rng)
     return SampleSet(samples=x, provenance=("unconditional", "", 0))
 
-
-def _probe_dim(denoiser: Denoiser) -> int:
-    dim = getattr(denoiser, "dim", None)
-    if dim is not None:
-        return int(dim)
-    prior = getattr(denoiser, "prior", None)
-    if prior is not None:
-        return prior.dim
-    raise ValueError("denoiser does not expose its dimension")

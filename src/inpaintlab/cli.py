@@ -10,9 +10,7 @@ Subcommands:
 - ``metrics``: score two sample files.
 
 Exit codes: 0 success, 2 config error (also argparse usage errors),
-3 I/O error, 4 numeric failure.  ``INPAINTLAB_THREADS`` splits the chains
-of each method across that many worker threads; per-chain substreams make
-the output independent of the scheduling.
+3 I/O error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -20,10 +18,8 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +38,7 @@ from .io import (
     write_samples,
 )
 from .masklift import PixelMask, leakage_report, lift_mask
-from .metrics import SampleSet, cpsnr, sliced_w2
+from .metrics import cpsnr, sliced_w2
 from .oracle import exact_posterior
 from .problem import MaskOperator
 
@@ -80,38 +76,6 @@ RESULT_COLUMNS = [
     "method", "K", "eta", "gamma", "seed", "sw2_to_oracle", "cpsnr",
     "runtime_ms", "n_chains",
 ]
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("INPAINTLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"INPAINTLAB_THREADS must be an integer, got {raw!r}") from None
-
-
-def _run_method(problem, denoiser, cfg: ExperimentConfig, method: str):
-    scfg = cfg.sampler_config(method)
-    threads = _thread_count()
-    if threads == 1 or scfg.n_chains < 2 * threads:
-        return run_conditional(
-            problem, denoiser, cfg.sched, scfg, record_trajectories=cfg.record_trajectories
-        )
-    blocks = np.array_split(np.arange(scfg.n_chains), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(
-                lambda idx: run_conditional(
-                    problem, denoiser, cfg.sched, scfg,
-                    record_trajectories=cfg.record_trajectories,
-                    chain_indices=idx,
-                ),
-                blocks,
-            )
-        )
-    samples = np.concatenate([p[0].samples for p in parts])
-    trajectories = [traj for p in parts for traj in p[1]]
-    return SampleSet(samples, parts[0][0].provenance), trajectories
 
 
 def _write_trajectories(path: Path, trajectories) -> None:
@@ -158,8 +122,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         writer.writerow(RESULT_COLUMNS)
         fh.flush()
         for method in cfg.methods:
+            scfg = cfg.sampler_config(method)
             start = time.perf_counter()
-            sample_set, trajectories = _run_method(problem, denoiser, cfg, method)
+            sample_set, trajectories = run_conditional(
+                problem, denoiser, cfg.sched, scfg, record_trajectories=cfg.record_trajectories
+            )
             runtime_ms = (time.perf_counter() - start) * 1000.0
             sw2 = sliced_w2(sample_set, oracle_samples, cfg.sw2_projections, sw2_seed)
             context = float(
@@ -168,8 +135,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             row = ResultRow(
                 method=method,
                 k=cfg.grid.num_steps,
-                eta=cfg.sampler_config(method).eta,
-                gamma=cfg.sampler_config(method).gamma,
+                eta=scfg.eta,
+                gamma=scfg.gamma,
                 seed=cfg.seed,
                 sw2_to_oracle=sw2,
                 cpsnr=context,

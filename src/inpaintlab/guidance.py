@@ -17,6 +17,11 @@ of the clean sample given the observation:
 - ``diffpir``: proximal blend of the denoised estimate with the data,
   weighted by rho_t = lambda * alpha_t^2 / sigma_t^2.
 
+Every method is one ``step_<method>``, all with the same signature.  dps,
+ddnm and diffpir only correct the denoised estimate inside the shared
+``guided_transition``; blended and ding add a draw after the
+unconditional transition.
+
 Per-step randomness is drawn in a fixed order so that seeds are
 comparable across methods: first the proposal noise (the transition
 sample, or the z draws for ding), then any method-specific draw (the
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,12 +43,13 @@ from .bridge import (
     ChainStreams,
     RngLike,
     TransitionParams,
+    check_step_times,
     pair_transition,
     sample_transition,
     standard_normal,
     transition_params,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .gmm import Denoiser
 from .problem import InpaintingProblem
 from .schedule import Schedule, TimeGrid, eval_schedule
@@ -125,9 +132,26 @@ class Trajectory:
         return self.states[-1]
 
 
-def _check_step_times(s: float, t: float) -> None:
-    if not 0.0 <= s < t <= 1.0:
-        raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
+def guided_transition(
+    x_t: np.ndarray,
+    s: float,
+    t: float,
+    kernel: BridgeKernel,
+    sched: Schedule,
+    denoiser: Denoiser,
+    correct: Callable[[np.ndarray, float, float], np.ndarray],
+) -> TransitionParams:
+    """Reverse transition from x_t at time t to s with a corrected x0 estimate.
+
+    ``correct(xhat0, alpha_t, sigma_t)`` returns the method's x0 estimate;
+    the noise estimate is then the one consistent with it,
+    x1_hat = (x_t - alpha_t * x0_hat) / sigma_t (0 at sigma_t = 0).
+    """
+    check_step_times(s, t)
+    alpha_t, sigma_t = eval_schedule(sched, t)
+    xhat0 = correct(denoiser.denoise(x_t, t), alpha_t, sigma_t)
+    xhat1 = (x_t - alpha_t * xhat0) / sigma_t if sigma_t > 0 else np.zeros_like(x_t)
+    return pair_transition(kernel, sched, s, xhat0, xhat1)
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +167,10 @@ def step_blended(
     kernel: BridgeKernel,
     sched: Schedule,
     denoiser: Denoiser,
+    cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
     """Unconditional step, then the noised reference replayed on the support."""
-    _check_step_times(s, t)
     if problem.x_star is None:
         raise ValueError("blended requires the reference x_star on the problem")
     x_s = sample_transition(transition_params(kernel, sched, denoiser, x_t, s, t), rng)
@@ -180,19 +204,18 @@ def dps_transition(
     (alpha_t = 0) the scale is evaluated one-sidedly at the first interior
     grid point, i.e. at s of that step.
     """
-    _check_step_times(s, t)
     if not denoiser.has_jacobian:
         raise ValueError("dps requires a denoiser that exposes a Jacobian")
-    alpha_t, sigma_t = eval_schedule(sched, t)
-    xhat0 = denoiser.denoise(x_t, t)
-    jac = denoiser.jacobian(x_t, t)
-    m = problem.mask.m
-    resid = m * (problem.y - m * xhat0)
-    grad = np.einsum("...ij,...i->...j", jac, resid) / cfg.gamma**2
-    alpha_eval, sigma_eval = (alpha_t, sigma_t) if alpha_t > 0 else eval_schedule(sched, s)
-    xhat0 = xhat0 + cfg.dps_scale * (sigma_eval**2 / alpha_eval) * grad
-    xhat1 = (x_t - alpha_t * xhat0) / sigma_t if sigma_t > 0 else np.zeros_like(x_t)
-    return pair_transition(kernel, sched, s, xhat0, xhat1)
+
+    def correct(xhat0, alpha_t, sigma_t):
+        jac = denoiser.jacobian(x_t, t)
+        m = problem.mask.m
+        resid = m * (problem.y - m * xhat0)
+        grad = np.einsum("...ij,...i->...j", jac, resid) / cfg.gamma**2
+        alpha_eval, sigma_eval = (alpha_t, sigma_t) if alpha_t > 0 else eval_schedule(sched, s)
+        return xhat0 + cfg.dps_scale * (sigma_eval**2 / alpha_eval) * grad
+
+    return guided_transition(x_t, s, t, kernel, sched, denoiser, correct)
 
 
 def step_dps(
@@ -270,7 +293,6 @@ def step_ding(
     state exactly from prior x likelihood with the likelihood linearized
     through z instead of the model: no differentiation anywhere.
     """
-    _check_step_times(s, t)
     params = transition_params(kernel, sched, denoiser, x_t, s, t)
     nz = cfg.ding_nz
     eps = standard_normal(rng, np.shape(x_t)[:-1] + (nz, np.shape(x_t)[-1]))
@@ -305,13 +327,10 @@ def ddnm_transition(
     from y, unobserved from the denoiser.  Hyperparameter-free; gamma
     never enters.
     """
-    _check_step_times(s, t)
-    alpha_t, sigma_t = eval_schedule(sched, t)
-    xhat0 = denoiser.denoise(x_t, t)
     m = problem.mask.m
-    xhat0 = m * problem.y + (1.0 - m) * xhat0
-    xhat1 = (x_t - alpha_t * xhat0) / sigma_t if sigma_t > 0 else np.zeros_like(x_t)
-    return pair_transition(kernel, sched, s, xhat0, xhat1)
+    return guided_transition(
+        x_t, s, t, kernel, sched, denoiser, lambda xhat0, *_: m * problem.y + (1.0 - m) * xhat0
+    )
 
 
 def step_ddnm(
@@ -322,6 +341,7 @@ def step_ddnm(
     kernel: BridgeKernel,
     sched: Schedule,
     denoiser: Denoiser,
+    cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
     return sample_transition(ddnm_transition(x_t, s, t, problem, kernel, sched, denoiser), rng)
@@ -349,18 +369,15 @@ def diffpir_transition(
     rho -> infinity limit where the pull vanishes.  Hyperparameters are
     this laboratory's calibration, not taken from any reference setup.
     """
-    _check_step_times(s, t)
-    alpha_t, sigma_t = eval_schedule(sched, t)
-    xhat0 = denoiser.denoise(x_t, t)
-    m = problem.mask.m
-    if sigma_t > 0:
+
+    def correct(xhat0, alpha_t, sigma_t):
+        if sigma_t == 0:
+            return xhat0
         rho_t = cfg.diffpir_lambda * alpha_t**2 / sigma_t**2
         pulled = (problem.y / cfg.gamma**2 + rho_t * xhat0) / (1.0 / cfg.gamma**2 + rho_t)
-        xhat0 = np.where(m == 1, pulled, xhat0)
-        xhat1 = (x_t - alpha_t * xhat0) / sigma_t
-    else:
-        xhat1 = np.zeros_like(x_t)
-    return pair_transition(kernel, sched, s, xhat0, xhat1)
+        return np.where(problem.mask.m == 1, pulled, xhat0)
+
+    return guided_transition(x_t, s, t, kernel, sched, denoiser, correct)
 
 
 def step_diffpir(
@@ -384,38 +401,13 @@ def step_diffpir(
 # ---------------------------------------------------------------------------
 
 
-def chain_rngs(seed: int, method: str, chain_indices) -> ChainStreams:
-    """One substream per chain, a pure function of (seed, method, chain index)."""
+def chain_rngs(seed: int, method: str, chains) -> ChainStreams:
+    """One substream per chain index in ``chains``, a pure function of
+    (seed, method, chain index)."""
     code = METHOD_CODES[method]
     return ChainStreams(
-        np.random.default_rng(np.random.SeedSequence((seed, code, int(j))))
-        for j in chain_indices
+        np.random.default_rng(np.random.SeedSequence((seed, code, int(j)))) for j in chains
     )
-
-
-def _apply_step(
-    method: str,
-    x: np.ndarray,
-    s: float,
-    t: float,
-    problem: InpaintingProblem,
-    kernel: BridgeKernel,
-    sched: Schedule,
-    denoiser: Denoiser,
-    cfg: SamplerConfig,
-    rng: RngLike,
-) -> np.ndarray:
-    if method == "blended":
-        return step_blended(x, s, t, problem, kernel, sched, denoiser, rng)
-    if method == "dps":
-        return step_dps(x, s, t, problem, kernel, sched, denoiser, cfg, rng)
-    if method == "ding":
-        return step_ding(x, s, t, problem, kernel, sched, denoiser, cfg, rng)
-    if method == "ddnm":
-        return step_ddnm(x, s, t, problem, kernel, sched, denoiser, rng)
-    if method == "diffpir":
-        return step_diffpir(x, s, t, problem, kernel, sched, denoiser, cfg, rng)
-    raise ConfigError(f"unknown method {method!r}")
 
 
 def run_conditional(
@@ -424,27 +416,25 @@ def run_conditional(
     sched: Schedule,
     cfg: SamplerConfig,
     record_trajectories: bool = False,
-    chain_indices=None,
 ):
     """Run the selected guided sampler over all chains.
 
-    Chains start at x ~ N(0, I), walk the grid backward, and (with
-    final_replacement on) have their observed coordinates overwritten by
-    y at the end.  Deterministic given (seed, config).  Returns a
-    SampleSet and the recorded trajectories (empty list unless requested).
-
-    ``chain_indices`` restricts the run to a subset of chains (used to
-    split a batch across workers); chain j produces the same draw either
-    way because its stream depends only on (seed, method, j).
+    Chains start at x ~ N(0, I), walk the grid backward through
+    ``step_<method>``, and (with final_replacement on) have their observed
+    coordinates overwritten by y at the end.  Deterministic given (seed,
+    config); chain j's draws depend only on (seed, method, j), so the
+    first rows of a larger run equal a smaller one.  Returns a SampleSet
+    and the recorded trajectories (empty list unless requested).  A
+    non-finite transition raises NumericError naming the method and step.
     """
     from .metrics import SampleSet
 
+    # read from the module at each run, so a patched step_<method> is the one called
+    step = globals()[f"step_{cfg.method}"]
     kernel = BridgeKernel(cfg.eta)
     knots = cfg.grid.knots
-    if chain_indices is None:
-        chain_indices = range(cfg.n_chains)
-    n, d = len(chain_indices), problem.mask.dim
-    rngs = chain_rngs(cfg.seed, cfg.method, chain_indices)
+    n, d = cfg.n_chains, problem.mask.dim
+    rngs = chain_rngs(cfg.seed, cfg.method, range(n))
     x = standard_normal(rngs, (n, d))
 
     times, states, denoised = [], [], []
@@ -457,11 +447,14 @@ def run_conditional(
 
     record(knots[-1], x)
     for k in range(cfg.grid.num_steps, 0, -1):
-        x = _apply_step(
-            cfg.method, x, knots[k - 1], knots[k], problem, kernel, sched, denoiser, cfg, rngs
-        )
+        s, t = knots[k - 1], knots[k]
+        try:
+            with np.errstate(all="ignore"):
+                x = step(x, s, t, problem, kernel, sched, denoiser, cfg, rngs)
+        except NumericError as exc:
+            raise NumericError(f"{cfg.method} at step k={k} (t={t:g} -> s={s:g}): {exc}") from None
         if k > 1:
-            record(knots[k - 1], x)
+            record(s, x)
     if cfg.final_replacement:
         x = np.where(problem.mask.m == 1, problem.y, x)
     record(knots[0], x)

@@ -201,10 +201,10 @@ def test_run_conditional_equals_per_call_reference(method, monkeypatch):
                         seed=4, n_chains=7, final_replacement=False)
     got, _ = run_conditional(problem, den, LIN, cfg)
 
-    def plain_rngs(seed, method, chain_indices):
+    def plain_rngs(seed, method, chains):
         return [
             np.random.default_rng(np.random.SeedSequence((seed, METHOD_CODES[method], int(j))))
-            for j in chain_indices
+            for j in chains
         ]
 
     monkeypatch.setattr(guidance, "chain_rngs", plain_rngs)

@@ -87,18 +87,6 @@ def test_run_method_order_does_not_change_samples(tmp_path):
     )
 
 
-def test_run_thread_env_does_not_change_samples(tmp_path, monkeypatch):
-    cfg_a = _write_cfg(tmp_path, out_name="t1", name="a.cfg")
-    main(["run", "--config", str(cfg_a)])
-    monkeypatch.setenv("INPAINTLAB_THREADS", "3")
-    cfg_b = _write_cfg(tmp_path, out_name="t3", name="b.cfg")
-    main(["run", "--config", str(cfg_b)])
-    np.testing.assert_array_equal(
-        read_samples(tmp_path / "t1" / "ding_5.dsmp"),
-        read_samples(tmp_path / "t3" / "ding_5.dsmp"),
-    )
-
-
 def test_trajectory_dump(tmp_path):
     cfg = _write_cfg(tmp_path, extra="trajectories = on\n")
     main(["run", "--config", str(cfg)])
@@ -168,6 +156,32 @@ def test_exit_code_config_error(tmp_path, capsys):
 
 def test_exit_code_io_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 3
+
+
+def test_exit_code_numeric_failure_names_method_and_step(tmp_path):
+    # dps at zeta = 1 diverges on the quickstart problem; the run must say
+    # where, without a raw numpy warning on stderr
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parent.parent / "configs" / "quickstart.cfg").read_text()
+    keep = [
+        line for line in text.splitlines()
+        if not line.startswith(("methods", "method.dps.zeta", "out_dir"))
+    ]
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("\n".join(
+        keep + ["methods = dps", "method.dps.zeta = 1", f"out_dir = {tmp_path / 'out'}"]
+    ) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "inpaintlab.cli", "run", "--config", str(cfg)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "numeric failure: dps at step k=21 (t=0.42 -> s=0.4): "
+        "transition mean must be finite: 634 of 1000 chains non-finite"
+    ]
 
 
 def test_benchmark_config_satisfies_recovery_bound(tmp_path, monkeypatch):

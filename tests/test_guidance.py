@@ -1,3 +1,4 @@
+import inspect
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from inpaintlab import (
     step_ding,
     transition_params,
 )
-from inpaintlab import bridge
+from inpaintlab import bridge, guidance
 from inpaintlab.guidance import (
     chain_rngs,
     conjugate_update,
@@ -97,7 +98,7 @@ def test_config_digest_stable():
 def test_blended_observed_exact_at_s_zero(mixture_setup):
     _, den, problem = mixture_setup
     x_s = step_blended(
-        np.array([0.5, 0.5]), 0.0, 0.1, problem, BridgeKernel(0.8), LIN, den,
+        np.array([0.5, 0.5]), 0.0, 0.1, problem, BridgeKernel(0.8), LIN, den, _cfg("blended"),
         np.random.default_rng(0),
     )
     assert x_s[0] == problem.x_star[0]  # alpha_0 = 1, sigma_0 = 0
@@ -107,7 +108,7 @@ def test_blended_requires_reference(mixture_setup):
     _, den, _ = mixture_setup
     prob = InpaintingProblem(MaskOperator([1, 0]), np.array([1.0, 0.0]), 0.2)
     with pytest.raises(ValueError):
-        step_blended(np.zeros(2), 0.2, 0.5, prob, BridgeKernel(0.8), LIN, den,
+        step_blended(np.zeros(2), 0.2, 0.5, prob, BridgeKernel(0.8), LIN, den, _cfg("blended"),
                      np.random.default_rng(0))
 
 
@@ -118,7 +119,9 @@ def test_blended_empty_mask_is_unconditional_step(mixture_setup):
     )
     kern = BridgeKernel(0.8)
     x_t = np.array([0.3, -0.2])
-    got = step_blended(x_t, 0.2, 0.5, prob, kern, LIN, den, np.random.default_rng(5))
+    got = step_blended(
+        x_t, 0.2, 0.5, prob, kern, LIN, den, _cfg("blended"), np.random.default_rng(5)
+    )
     want = sample_transition(
         transition_params(kern, LIN, den, x_t, 0.2, 0.5), np.random.default_rng(5)
     )
@@ -398,15 +401,42 @@ def test_run_conditional_deterministic(mixture_setup):
     np.testing.assert_array_equal(a.samples, b.samples)
 
 
-def test_chain_results_independent_of_batch_split(mixture_setup):
+@pytest.mark.parametrize("prior", [
+    GaussianMixture([0.5, 0.5], [[2.0, 2.0], [-2.0, -2.0]], [[1.0, 1.0], [1.0, 0.5]]),
+    GaussianMixture([0.5, 0.5], [[2.0, 2.0], [-2.0, -2.0]],
+                    [[[1.0, 0.3], [0.3, 1.0]], [[0.5, -0.2], [-0.2, 1.0]]]),
+], ids=["diagonal", "full"])
+@pytest.mark.parametrize("method", METHODS)
+def test_chain_results_are_a_prefix_of_a_larger_run(method, prior):
+    den = GMMDenoiser(prior, LIN)
+    problem = make_observation(np.array([1.7, -0.4]), MaskOperator([1, 0]), 0.2)
+    few, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=2, ding_nz=2))
+    many, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=6, ding_nz=2))
+    np.testing.assert_array_equal(few.samples, many.samples[:2])
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_conditional_calls_the_module_step(method, mixture_setup, monkeypatch):
+    # run_conditional must look the step up on the module at run time, so
+    # that a patched guidance.step_<method> (as a tracer installs) is called
     _, den, problem = mixture_setup
-    cfg = _cfg("ding", n_chains=6)
-    full, _ = run_conditional(problem, den, LIN, cfg)
-    parts = [
-        run_conditional(problem, den, LIN, cfg, chain_indices=idx)[0].samples
-        for idx in (range(0, 2), range(2, 6))
-    ]
-    np.testing.assert_array_equal(full.samples, np.concatenate(parts))
+    original = getattr(guidance, f"step_{method}")
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:3])
+        return original(*args)
+
+    monkeypatch.setattr(guidance, f"step_{method}", counting)
+    cfg = _cfg(method, grid=make_grid(7))
+    run_conditional(problem, den, LIN, cfg)
+    knots = cfg.grid.knots
+    assert calls == [(knots[k - 1], knots[k]) for k in range(7, 0, -1)]
+
+
+def test_step_functions_share_one_signature():
+    signatures = {inspect.signature(getattr(guidance, f"step_{m}")) for m in METHODS}
+    assert len(signatures) == 1
 
 
 def test_trajectory_records(mixture_setup):
