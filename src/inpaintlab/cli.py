@@ -103,7 +103,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     Writes ``results.csv`` (flushed row by row so partial results survive
     a failure), ``<method>_<seed>.dsmp`` per method, and
     ``oracle_<seed>.dsmp``.  Deterministic given the master seed except
-    for the runtime column.
+    for the runtime column.  A method that fails numerically gets no row
+    and no files; the others still run, and one ``NumericError`` naming
+    every failed method is raised after the last.
     """
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     obs_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 1)))
@@ -117,6 +119,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
     sw2_seed = cfg.seed if cfg.sw2_seed is None else cfg.sw2_seed
     rows: list[ResultRow] = []
+    failures: list[str] = []
     with open(cfg.out_dir / "results.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
@@ -124,9 +127,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         for method in cfg.methods:
             scfg = cfg.sampler_config(method)
             start = time.perf_counter()
-            sample_set, trajectories = run_conditional(
-                problem, denoiser, cfg.sched, scfg, record_trajectories=cfg.record_trajectories
-            )
+            try:
+                sample_set, trajectories = run_conditional(
+                    problem, denoiser, cfg.sched, scfg, record_trajectories=cfg.record_trajectories
+                )
+            except NumericError as exc:
+                failures.append(str(exc))
+                continue
             runtime_ms = (time.perf_counter() - start) * 1000.0
             sw2 = sliced_w2(sample_set, oracle_samples, cfg.sw2_projections, sw2_seed)
             context = float(
@@ -151,6 +158,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 _write_trajectories(
                     cfg.out_dir / f"{method}_{cfg.seed}_trajectories.csv", trajectories
                 )
+    if failures:
+        raise NumericError("; ".join(failures))
     return rows
 
 

@@ -7,7 +7,8 @@ normally asks a neural network for are available exactly:
 - the marginal p_t (``gmm_marginal``),
 - the conditional mean E[X0 | X_t = x] (``gmm_denoise``),
 - the noise prediction E[X1 | X_t = x] (``gmm_noise_predict``), tied to
-  the denoiser by x1_hat = (x - alpha_t * x0_hat) / sigma_t,
+  the denoiser by x1_hat = (x - alpha_t * x0_hat) / sigma_t
+  (``noise_from_x0``),
 - the Jacobian of the denoiser (``gmm_denoiser_jacobian``).
 
 Component k of the corrupted mixture is N(alpha*mu_k, C_k) with
@@ -133,7 +134,7 @@ class GaussianMixture:
     def covariance_matrices(self) -> np.ndarray:
         """Component covariances as full (K, d, d) matrices."""
         if self.is_diagonal:
-            return np.einsum("kd,de->kde", self.covariances, np.eye(self.dim))
+            return _matrices(self.covariances, None)
         return self.covariances
 
     def mean(self) -> np.ndarray:
@@ -152,14 +153,10 @@ class GaussianMixture:
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Gradient of log density at x."""
-        x = np.asarray(x, dtype=float)
-        lp = _component_logpdf(x, self.means, self._evals, self._evecs)
-        lr = lp + np.log(self.weights)
+        z = _rotate_in(self._evecs, np.asarray(x, dtype=float)[..., None, :] - self.means)
+        lr = _rotated_logpdf(z, self._evals) + np.log(self.weights)
         resp = np.exp(lr - logsumexp(lr, axis=-1, keepdims=True))
-        diff = x[..., None, :] - self.means
-        z = _rotate_in(self._evecs, diff)
-        grad_k = -_rotate_out(self._evecs, z / self._evals)
-        return np.einsum("...k,...kd->...d", resp, grad_k)
+        return np.einsum("...k,...kd->...d", resp, _scores(z, self._evals, self._evecs))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n points: component index first, then the Gaussian draw."""
@@ -192,6 +189,19 @@ def _rotate_out(evecs: np.ndarray | None, z: np.ndarray) -> np.ndarray:
     return np.einsum("kde,...ke->...kd", evecs, z)
 
 
+def _matrices(evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
+    """V_k diag(evals_k) V_k^T for each component k, as (K, d, d) matrices."""
+    if evecs is None:
+        return np.einsum("kd,de->kde", evals, np.eye(evals.shape[-1]))
+    return np.einsum("kde,ke,kfe->kdf", evecs, evals, evecs)
+
+
+def _scores(z: np.ndarray, evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
+    """Gradient of log N(x; center_k, V_k diag(evals_k) V_k^T) at x for each
+    component k, from the rotated offsets z = V_k^T (x - center_k)."""
+    return -_rotate_out(evecs, z / evals)
+
+
 def _component_logpdf(
     x: np.ndarray,
     centers: np.ndarray,
@@ -217,24 +227,31 @@ class ConditionalMixture:
     Component k carries responsibility ``exp(log_resp[..., k])``, mean
     ``means[..., k, :]`` and covariance V_k diag(cov_evals[k]) V_k^T.
     The covariances depend on t only, not on x.
+
+    ``z[..., k, :]`` = V_k^T (x - alpha * mu_k) and ``c[k]``, the
+    eigenvalues of C_k, are the inputs of the conditioning, kept for the
+    Jacobian and the guidance gradient.
     """
 
     log_resp: np.ndarray
     means: np.ndarray
     cov_evals: np.ndarray
     cov_evecs: np.ndarray | None
+    z: np.ndarray
+    c: np.ndarray
 
     @property
     def resp(self) -> np.ndarray:
         return np.exp(self.log_resp)
 
     def covariance_matrices(self) -> np.ndarray:
-        if self.cov_evecs is None:
-            k, d = self.cov_evals.shape
-            return np.einsum("kd,de->kde", self.cov_evals, np.eye(d))
-        return np.einsum(
-            "kde,ke,kfe->kdf", self.cov_evecs, self.cov_evals, self.cov_evecs
-        )
+        return _matrices(self.cov_evals, self.cov_evecs)
+
+    def centred_scores(self) -> np.ndarray:
+        """g_k - sum_j r_j g_j, with g_k = -C_k^{-1} (x - alpha * mu_k) the
+        gradient of component k's log-likelihood of x."""
+        g = _scores(self.z, self.c, self.cov_evecs)
+        return g - np.einsum("...k,...kd->...d", self.resp, g)[..., None, :]
 
 
 def _check_finite(x: np.ndarray) -> np.ndarray:
@@ -244,35 +261,23 @@ def _check_finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def noisy_components(
-    prior: GaussianMixture, sched: Schedule, t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Corrupted component parameters at time t.
-
-    Returns (means alpha*mu_k, eigenvalues of alpha^2*Sigma_k + sigma^2*I,
-    shared eigenvectors); the eigenvalues are strictly positive for every t.
-    """
-    alpha, sigma = eval_schedule(sched, t)
-    return alpha * prior.means, alpha**2 * prior._evals + sigma**2, prior._evecs
-
-
 def component_posterior(
     prior: GaussianMixture, sched: Schedule, x: np.ndarray, t: float
 ) -> ConditionalMixture:
     """Exact per-component posterior of X0 given the corrupted state x at time t."""
     x = _check_finite(x)
     alpha, sigma = eval_schedule(sched, t)
-    lam = prior._evals
-    noisy_means, c, evecs = noisy_components(prior, sched, t)
+    lam, evecs = prior._evals, prior._evecs
+    c = alpha**2 * lam + sigma**2  # eigenvalues of C_k, positive for every t
 
     # one rotation serves both the responsibilities and the means
-    z = _rotate_in(evecs, x[..., None, :] - noisy_means)
+    z = _rotate_in(evecs, x[..., None, :] - alpha * prior.means)
     lr = _rotated_logpdf(z, c) + np.log(prior.weights)
     log_resp = lr - logsumexp(lr, axis=-1, keepdims=True)
 
     means = prior.means + _rotate_out(evecs, alpha * lam / c * z)
     cov_evals = sigma**2 * lam / c
-    return ConditionalMixture(log_resp, means, cov_evals, evecs)
+    return ConditionalMixture(log_resp, means, cov_evals, evecs, z, c)
 
 
 def gmm_marginal(prior: GaussianMixture, sched: Schedule, t: float) -> GaussianMixture:
@@ -299,20 +304,21 @@ def gmm_denoise(
     return xhat0, resp
 
 
+def noise_from_x0(x: np.ndarray, xhat0: np.ndarray, alpha: float, sigma: float) -> np.ndarray:
+    """x1_hat = (x - alpha_t * x0_hat) / sigma_t at x_t = x; at t = 0 the
+    interpolant carries no noise information and the exact limit is 0."""
+    if sigma == 0.0:
+        return np.zeros_like(x)
+    return (x - alpha * xhat0) / sigma
+
+
 def gmm_noise_predict(
     prior: GaussianMixture, sched: Schedule, x: np.ndarray, t: float
 ) -> np.ndarray:
-    """Conditional mean of X1 given X_t = x.
-
-    For sigma_t > 0 this is (x - alpha_t * x0_hat) / sigma_t; at t = 0 the
-    interpolant carries no noise information and the exact limit is 0.
-    """
+    """Conditional mean of X1 given X_t = x (``noise_from_x0`` of the denoiser)."""
     x = _check_finite(x)
-    alpha, sigma = eval_schedule(sched, t)
-    if sigma == 0.0:
-        return np.zeros_like(x)
     xhat0, _ = gmm_denoise(prior, sched, x, t)
-    return (x - alpha * xhat0) / sigma
+    return noise_from_x0(x, xhat0, *eval_schedule(sched, t))
 
 
 def gmm_denoiser_jacobian(
@@ -345,23 +351,11 @@ def gmm_denoiser_jacobian(
         eye = np.eye(x.shape[-1])
         return np.broadcast_to(eye, x.shape + (x.shape[-1],)).copy()
 
-    lam = prior._evals
-    noisy_means, c, evecs = noisy_components(prior, sched, t)
     cond = component_posterior(prior, sched, x, t)
     resp = cond.resp
-
-    diff = x[..., None, :] - noisy_means
-    z = _rotate_in(evecs, diff)
-    g = -_rotate_out(evecs, z / c)
-    g_bar = np.einsum("...k,...kd->...d", resp, g)
-    g_centered = g - g_bar[..., None, :]
-
-    if evecs is None:
-        affine = np.einsum("kd,de->kde", alpha * lam / c, np.eye(prior.dim))
-    else:
-        affine = np.einsum("kde,ke,kfe->kdf", evecs, alpha * lam / c, evecs)
+    affine = _matrices(alpha * prior._evals / cond.c, cond.cov_evecs)
     jac = np.einsum("...k,kde->...de", resp, affine)
-    jac += np.einsum("...k,...kd,...ke->...de", resp, cond.means, g_centered)
+    jac += np.einsum("...k,...kd,...ke->...de", resp, cond.means, cond.centred_scores())
     return jac
 
 
@@ -427,10 +421,7 @@ class GMMDenoiser(Denoiser):
         own method's output."""
         x = _check_finite(x)
         xhat0, _ = gmm_denoise(self.prior, self.sched, x, t)
-        alpha, sigma = eval_schedule(self.sched, t)
-        if sigma == 0.0:
-            return xhat0, np.zeros_like(x)
-        return xhat0, (x - alpha * xhat0) / sigma
+        return xhat0, noise_from_x0(x, xhat0, *eval_schedule(self.sched, t))
 
     @property
     def has_jacobian(self) -> bool:

@@ -50,7 +50,7 @@ from .bridge import (
     transition_params,
 )
 from .errors import ConfigError, NumericError
-from .gmm import Denoiser
+from .gmm import Denoiser, noise_from_x0
 from .problem import InpaintingProblem
 from .schedule import Schedule, TimeGrid, eval_schedule
 
@@ -150,8 +150,7 @@ def guided_transition(
     check_step_times(s, t)
     alpha_t, sigma_t = eval_schedule(sched, t)
     xhat0 = correct(denoiser.denoise(x_t, t), alpha_t, sigma_t)
-    xhat1 = (x_t - alpha_t * xhat0) / sigma_t if sigma_t > 0 else np.zeros_like(x_t)
-    return pair_transition(kernel, sched, s, xhat0, xhat1)
+    return pair_transition(kernel, sched, s, xhat0, noise_from_x0(x_t, xhat0, alpha_t, sigma_t))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,14 @@ Gaussian:
   the scaled identity in a first-order expansion, computable either from
   the denoiser Jacobian or from the noise-predictor Jacobian.
 
-All evidence terms are evaluated in the log domain on the observed
-sub-coordinates only, so every factored matrix stays symmetric positive
-definite even at small gamma.
+All of them rest on one evidence routine, ``_observed_evidence``, which
+works in the log domain on the observed sub-coordinates only, so every
+factored S = C[obs, obs] + gamma^2 I stays positive definite even at
+small gamma.  Its Cholesky factors L and solved residuals also give the
+guidance gradient and, in ``_condition_on_observed``, each conditioned
+component in Woodbury form, with no d x d inverse:
+post_mean = m + C[:, obs] S^{-1} (y_obs - m_obs),
+post_cov = C - (L^{-1} C[obs, :])^T (L^{-1} C[obs, :]).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gmm import (
+    _LOG_2PI,
     GaussianMixture,
     _rotate_in,
     _rotate_out,
@@ -35,49 +41,34 @@ from .gmm import (
     gmm_denoise,
     gmm_denoiser_jacobian,
     logsumexp,
-    noisy_components,
 )
 from .problem import InpaintingProblem
 from .schedule import Schedule, eval_schedule
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def exact_posterior(problem: InpaintingProblem, prior: GaussianMixture) -> GaussianMixture:
     """Posterior mixture over clean samples given the masked observation.
 
-    Component k is conjugately updated (precision gains diag(m)/gamma^2)
-    and reweighted by its evidence for the observed coordinates,
-    N(y_obs; mu_k_obs, Sigma_k_obs + gamma^2 I).
+    Component k is conditioned on the observed coordinates, by
+    ``_condition_on_observed`` (Woodbury form) or, for diagonal
+    covariances, coordinatewise (precision gains m/gamma^2), and reweighted
+    by its evidence N(y_obs; mu_k_obs, Sigma_k_obs + gamma^2 I).  An empty
+    mask returns the prior itself.
     """
-    m = problem.mask.m
-    obs = problem.mask.observed_idx
-    gamma2 = problem.gamma**2
-    y = problem.y
-
+    if problem.mask.observed_idx.size == 0:
+        return prior
     if prior.is_diagonal:
-        prec = 1.0 / prior.covariances + m / gamma2
-        post_cov = 1.0 / prec
-        post_means = post_cov * (prior.means / prior.covariances + m * y / gamma2)
+        m = problem.mask.m
+        gamma2 = problem.gamma**2
+        log_ev, _, _ = _observed_evidence(problem, prior.means, prior.covariance_matrices())
+        post_cov = 1.0 / (1.0 / prior.covariances + m / gamma2)
+        post_means = post_cov * (prior.means / prior.covariances + m * problem.y / gamma2)
     else:
-        d = prior.dim
-        post_cov = np.empty_like(prior.covariances)
-        post_means = np.empty_like(prior.means)
-        for k in range(prior.n_components):
-            prec = np.linalg.inv(prior.covariances[k]) + np.diag(m) / gamma2
-            post_cov[k] = np.linalg.inv(prec)
-            post_cov[k] = 0.5 * (post_cov[k] + post_cov[k].T)
-            rhs = np.linalg.solve(prior.covariances[k], prior.means[k]) + m * y / gamma2
-            post_means[k] = post_cov[k] @ rhs
-
-    if obs.size == 0:
-        weights = prior.weights
-    else:
-        log_ev, _ = _observed_evidence(problem, prior.means, prior.covariance_matrices())
-        logw = np.log(prior.weights) + log_ev
-        weights = np.exp(logw - logsumexp(logw))
-        weights = weights / weights.sum()
-    return GaussianMixture(weights, post_means, post_cov)
+        log_ev, post_means, post_cov = _condition_on_observed(
+            problem, prior.means, prior.covariances
+        )
+    weights = _reweight(np.log(prior.weights), log_ev)
+    return GaussianMixture(weights / weights.sum(), post_means, post_cov)
 
 
 @dataclass(frozen=True)
@@ -108,20 +99,48 @@ def _observed_evidence(
     problem: InpaintingProblem,
     cond_means: np.ndarray,
     cond_cov: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log evidence of y_obs under each component N(mean_k_obs, C0_k_obs + gamma^2 I).
 
-    Returns the (..., K) log values and the (K, o, o) lower Cholesky
-    factors of the observed-block matrices for reuse by gradient formulas.
+    Returns the (..., K) log values, the (K, o, o) lower Cholesky factors
+    L_k of the observed-block matrices S_k, and the (..., K, o) solved
+    residuals S_k^{-1} (y_obs - mean_k_obs), for reuse by the gradient and
+    conditioning formulas.
     """
     obs = problem.mask.observed_idx
     gamma2 = problem.gamma**2
     s = cond_cov[:, obs[:, None], obs] + gamma2 * np.eye(obs.size)
     chol = np.linalg.cholesky(s)
     resid = problem.y[obs] - cond_means[..., obs]
-    quad = np.sum(resid * _chol_solve(chol, resid), axis=-1)
+    solved = _chol_solve(chol, resid)
+    quad = np.sum(resid * solved, axis=-1)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return -0.5 * (quad + logdet + obs.size * _LOG_2PI), chol
+    return -0.5 * (quad + logdet + obs.size * _LOG_2PI), chol, solved
+
+
+def _condition_on_observed(
+    problem: InpaintingProblem,
+    means: np.ndarray,
+    cov: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Condition each component N(means_k, cov_k) on the observed coordinates.
+
+    Returns the (..., K) log evidence and the conditioned means (..., K, d)
+    and covariances (K, d, d), in the Woodbury form of the module docstring.
+    """
+    obs = problem.mask.observed_idx
+    log_ev, chol, solved = _observed_evidence(problem, means, cov)
+    cross = cov[:, :, obs]  # C[:, obs], (K, d, o)
+    post_means = means + np.einsum("kdo,...ko->...kd", cross, solved)
+    half = np.linalg.solve(chol, np.swapaxes(cross, -1, -2))  # L^{-1} C[obs, :]
+    post_cov = cov - np.swapaxes(half, -1, -2) @ half
+    return log_ev, post_means, 0.5 * (post_cov + np.swapaxes(post_cov, -1, -2))
+
+
+def _reweight(log_resp: np.ndarray, log_ev: np.ndarray) -> np.ndarray:
+    """Responsibilities proportional to exp(log_resp + log_ev) over the last axis."""
+    logw = log_resp + log_ev
+    return np.exp(logw - logsumexp(logw, axis=-1, keepdims=True))
 
 
 def exact_intermediate_loglik(
@@ -143,7 +162,7 @@ def exact_intermediate_loglik(
     obs = problem.mask.observed_idx
     if obs.size == 0:
         return np.zeros(cond.log_resp.shape[:-1])
-    log_ev, _ = _observed_evidence(problem, cond.means, cond.covariance_matrices())
+    log_ev, _, _ = _observed_evidence(problem, cond.means, cond.covariance_matrices())
     offset = 0.5 * obs.size * (_LOG_2PI + 2.0 * np.log(problem.gamma))
     return logsumexp(cond.log_resp + log_ev, axis=-1) + offset
 
@@ -180,27 +199,17 @@ def exact_guidance_grad(
         return np.zeros_like(x_t)
 
     alpha, _ = eval_schedule(sched, t)
-    lam = prior._evals
-    noisy_means, c, evecs = noisy_components(prior, sched, t)
     cond = component_posterior(prior, sched, x_t, t)
-    resp = cond.resp
-    log_ev, chol = _observed_evidence(problem, cond.means, cond.covariance_matrices())
-
-    post_logw = cond.log_resp + log_ev
-    post_resp = np.exp(post_logw - logsumexp(post_logw, axis=-1, keepdims=True))
-
-    # gradient of each component's x_t log-likelihood, and its resp average
-    diff = x_t[..., None, :] - noisy_means
-    g = -_rotate_out(evecs, _rotate_in(evecs, diff) / c)
-    g_bar = np.einsum("...k,...kd->...d", resp, g)
+    evecs = cond.cov_evecs
+    log_ev, _, solved = _observed_evidence(problem, cond.means, cond.covariance_matrices())
 
     # gradient of each component's evidence: A_k^T lifted residual
     lifted = np.zeros(cond.means.shape)
-    lifted[..., obs] = _chol_solve(chol, problem.y[obs] - cond.means[..., obs])
-    ev_grad = _rotate_out(evecs, alpha * lam / c * _rotate_in(evecs, lifted))
+    lifted[..., obs] = solved
+    ev_grad = _rotate_out(evecs, alpha * prior._evals / cond.c * _rotate_in(evecs, lifted))
 
-    total = (g - g_bar[..., None, :]) + ev_grad
-    return np.einsum("...k,...kd->...d", post_resp, total)
+    total = cond.centred_scores() + ev_grad
+    return np.einsum("...k,...kd->...d", _reweight(cond.log_resp, log_ev), total)
 
 
 def exact_posterior_denoiser(
@@ -214,9 +223,10 @@ def exact_posterior_denoiser(
     """E[X0 | X_t = x_t, observation].
 
     ``route="gradient"`` adds the scaled guidance gradient to the prior
-    denoiser; ``route="conditioning"`` conditions each mixture component
-    jointly on the noisy state and the observation.  The two are
-    algebraically equal and implemented independently.
+    denoiser; ``route="conditioning"`` conditions each component of the
+    mixture of X0 given x_t on the observation with
+    ``_condition_on_observed``.  The two are algebraically equal and share
+    only the evidence routine.
     """
     alpha, sigma = eval_schedule(sched, t)
     if alpha == 0.0:
@@ -233,20 +243,10 @@ def exact_posterior_denoiser(
     if obs.size == 0:
         return np.einsum("...k,...kd->...d", cond.resp, cond.means)
 
-    m = problem.mask.m
-    gamma2 = problem.gamma**2
-    cov = cond.covariance_matrices()
-    log_ev, _ = _observed_evidence(problem, cond.means, cov)
-    post_logw = cond.log_resp + log_ev
-    post_resp = np.exp(post_logw - logsumexp(post_logw, axis=-1, keepdims=True))
-
-    data_term = m * problem.y / gamma2
-    cond_post_means = np.empty_like(cond.means)
-    for k in range(prior.n_components):
-        prec = np.linalg.inv(cov[k]) + np.diag(m) / gamma2
-        rhs = np.linalg.solve(cov[k], cond.means[..., k, :][..., None])[..., 0] + data_term
-        cond_post_means[..., k, :] = np.linalg.solve(prec, rhs[..., None])[..., 0]
-    return np.einsum("...k,...kd->...d", post_resp, cond_post_means)
+    log_ev, post_means, _ = _condition_on_observed(
+        problem, cond.means, cond.covariance_matrices()
+    )
+    return np.einsum("...k,...kd->...d", _reweight(cond.log_resp, log_ev), post_means)
 
 
 def ding_gap(

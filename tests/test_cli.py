@@ -158,9 +158,8 @@ def test_exit_code_io_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 3
 
 
-def test_exit_code_numeric_failure_names_method_and_step(tmp_path):
-    # dps at zeta = 1 diverges on the quickstart problem; the run must say
-    # where, without a raw numpy warning on stderr
+def _run_diverging_quickstart(tmp_path, methods):
+    # dps at zeta = 1 diverges on the quickstart problem
     from pathlib import Path
 
     text = (Path(__file__).resolve().parent.parent / "configs" / "quickstart.cfg").read_text()
@@ -170,14 +169,32 @@ def test_exit_code_numeric_failure_names_method_and_step(tmp_path):
     ]
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text("\n".join(
-        keep + ["methods = dps", "method.dps.zeta = 1", f"out_dir = {tmp_path / 'out'}"]
+        keep + [f"methods = {methods}", "method.dps.zeta = 1", f"out_dir = {tmp_path / 'out'}"]
     ) + "\n")
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-W", "always", "-m", "inpaintlab.cli", "run", "--config", str(cfg)],
         capture_output=True, text=True,
     )
+
+
+def test_exit_code_numeric_failure_names_method_and_step(tmp_path):
+    # the run must say where, without a raw numpy warning on stderr
+    proc = _run_diverging_quickstart(tmp_path, "dps")
     assert proc.returncode == 4, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "numeric failure: dps at step k=21 (t=0.42 -> s=0.4): "
+        "transition mean must be finite: 634 of 1000 chains non-finite"
+    ]
+
+
+def test_numeric_failure_of_one_method_keeps_the_others(tmp_path):
+    proc = _run_diverging_quickstart(tmp_path, "dps, ding")
+    assert proc.returncode == 4, proc.stderr
+    out = tmp_path / "out"
+    assert [r[0] for r in _read_rows(out / "results.csv")[1:]] == ["ding"]
+    assert (out / "ding_0.dsmp").exists()
+    assert not (out / "dps_0.dsmp").exists()
     assert proc.stderr.splitlines() == [
         "numeric failure: dps at step k=21 (t=0.42 -> s=0.4): "
         "transition mean must be finite: 634 of 1000 chains non-finite"

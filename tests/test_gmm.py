@@ -260,13 +260,37 @@ def test_logsumexp_equals_scipy_bit_for_bit(recwarn):
 def test_component_posterior_log_resp_equals_component_logpdf(fixture, request):
     # the responsibilities come from the rotation shared with the means, and
     # equal the ones built from _component_logpdf's own rotation bit for bit
-    from inpaintlab.gmm import _component_logpdf, component_posterior, logsumexp, noisy_components
+    from inpaintlab.gmm import _component_logpdf, component_posterior, logsumexp
 
     prior = request.getfixturevalue(fixture)
     x = np.random.default_rng(5).standard_normal((33, prior.dim)) * 2.0
     for t in (0.05, 0.4, 0.95):
-        noisy_means, c, evecs = noisy_components(prior, LIN, t)
-        lr = _component_logpdf(x, noisy_means, c, evecs) + np.log(prior.weights)
+        alpha, sigma = eval_schedule(LIN, t)
+        c = alpha**2 * prior._evals + sigma**2
+        lr = _component_logpdf(x, alpha * prior.means, c, prior._evecs) + np.log(prior.weights)
         want = lr - logsumexp(lr, axis=-1, keepdims=True)
         got = component_posterior(prior, LIN, x, t).log_resp
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
+@pytest.mark.parametrize("batch", [(), (17,)])
+def test_centred_scores_average_to_the_marginal_score(fixture, batch, request):
+    # the responsibility average of the component scores is the score of
+    # the marginal p_t, and the centred scores average to zero
+    from inpaintlab.gmm import _scores, component_posterior
+
+    prior = request.getfixturevalue(fixture)
+    x = np.random.default_rng(6).standard_normal(batch + (prior.dim,)) * 1.5
+    for t in (0.1, 0.5, 0.9):
+        cond = component_posterior(prior, LIN, x, t)
+        g = _scores(cond.z, cond.c, cond.cov_evecs)
+        g_bar = np.einsum("...k,...kd->...d", cond.resp, g)
+        score = gmm_marginal(prior, LIN, t).score(x)
+        assert g_bar.shape == score.shape == x.shape
+        np.testing.assert_allclose(g_bar, score, rtol=0, atol=1e-10)
+        centred = cond.centred_scores()
+        np.testing.assert_array_equal(centred, g - g_bar[..., None, :])
+        np.testing.assert_allclose(
+            np.einsum("...k,...kd->...d", cond.resp, centred), 0.0, rtol=0, atol=1e-10
+        )

@@ -15,6 +15,8 @@ from inpaintlab import (
     gmm_denoise,
     log_likelihood,
 )
+from inpaintlab.gmm import component_posterior, logsumexp
+from inpaintlab.oracle import _observed_evidence
 
 LIN = Schedule("linear-flow")
 
@@ -48,12 +50,67 @@ def test_posterior_single_gaussian_conjugacy():
     np.testing.assert_allclose(post.covariances, [[0.5]])
 
 
+def _precision_form_posterior(problem, prior):
+    """Reference: per-component conditioning in precision form,
+    (inv(C_k) + diag(m)/gamma^2)^{-1}, with the evidence weights of the oracle."""
+    m, gamma2 = problem.mask.m, problem.gamma**2
+    post_cov = np.empty((prior.n_components, prior.dim, prior.dim))
+    post_means = np.empty_like(prior.means)
+    for k, (mu, cov) in enumerate(zip(prior.means, prior.covariance_matrices())):
+        post_cov[k] = np.linalg.inv(np.linalg.inv(cov) + np.diag(m) / gamma2)
+        post_cov[k] = 0.5 * (post_cov[k] + post_cov[k].T)
+        post_means[k] = post_cov[k] @ (np.linalg.solve(cov, mu) + m * problem.y / gamma2)
+    log_ev, _, _ = _observed_evidence(problem, prior.means, prior.covariance_matrices())
+    logw = np.log(prior.weights) + log_ev
+    weights = np.exp(logw - logsumexp(logw))
+    return weights / weights.sum(), post_means, post_cov
+
+
+def _random_full_prior(rng, k=10, d=7):
+    a = rng.standard_normal((k, d, d))
+    cov = 0.3 * a @ np.swapaxes(a, 1, 2) / d + 0.2 * np.eye(d)
+    return GaussianMixture(rng.dirichlet(np.ones(k)), 2.0 * rng.standard_normal((k, d)), cov)
+
+
 def test_posterior_empty_mask_is_prior(mixed_prior):
     prob = InpaintingProblem(MaskOperator([0, 0, 0]), np.zeros(3), 0.5)
     post = exact_posterior(prob, mixed_prior)
-    np.testing.assert_allclose(post.weights, mixed_prior.weights, atol=1e-14)
-    np.testing.assert_allclose(post.means, mixed_prior.means, atol=1e-14)
-    np.testing.assert_allclose(post.covariances, mixed_prior.covariances, atol=1e-14)
+    np.testing.assert_array_equal(post.weights, mixed_prior.weights)
+    np.testing.assert_array_equal(post.means, mixed_prior.means)
+    np.testing.assert_array_equal(post.covariances, mixed_prior.covariances)
+
+
+@pytest.mark.parametrize("which", ["mixed", "random"])
+def test_posterior_matches_precision_form_reference(mixed_prior, masked_problem, which):
+    if which == "mixed":
+        prior, problem = mixed_prior, masked_problem
+    else:
+        rng = np.random.default_rng(23)
+        prior = _random_full_prior(rng)
+        mask = MaskOperator([1, 0, 1, 1, 0, 0, 1])
+        problem = InpaintingProblem(mask, mask.m * rng.standard_normal(prior.dim), 0.1)
+    weights, means, covs = _precision_form_posterior(problem, prior)
+    post = exact_posterior(problem, prior)
+    np.testing.assert_array_equal(post.weights, weights)
+    np.testing.assert_allclose(post.means, means, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(post.covariances, covs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.7])
+def test_conditioning_route_is_pointwise_reference(t):
+    # E[X0 | x_t, y] is the mean of the exact posterior of the mixture of
+    # X0 given x_t, which the reference conditions one point at a time
+    rng = np.random.default_rng(29)
+    prior = _random_full_prior(rng)
+    mask = MaskOperator([0, 1, 1, 0, 1, 0, 1])
+    problem = InpaintingProblem(mask, mask.m * rng.standard_normal(prior.dim), 0.2)
+    x = rng.standard_normal((5, prior.dim))
+    got = exact_posterior_denoiser(problem, prior, LIN, x, t, route="conditioning")
+    for x_i, got_i in zip(x, got):
+        cond = component_posterior(prior, LIN, x_i, t)
+        given_x = GaussianMixture(cond.resp / cond.resp.sum(), cond.means, cond.covariance_matrices())
+        weights, means, _ = _precision_form_posterior(problem, given_x)
+        np.testing.assert_allclose(got_i, weights @ means, rtol=0, atol=1e-12)
 
 
 def test_posterior_hard_constraint_limit():
@@ -105,8 +162,6 @@ def test_intermediate_loglik_empty_mask(mixed_prior):
 
 def test_intermediate_loglik_monte_carlo(mixed_prior, masked_problem):
     # MC oracle: average exp(log_likelihood) over draws of X0 | X_t = x
-    from inpaintlab.gmm import component_posterior
-
     x = np.array([0.3, -0.5, 0.8])
     t = 0.5
     cond = component_posterior(mixed_prior, LIN, x, t)
