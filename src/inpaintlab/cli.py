@@ -3,7 +3,9 @@
 Subcommands:
 
 - ``run``: execute every method in a config file against the exact
-  posterior, writing one CSV row per method plus ``.dsmp`` sample files.
+  posterior, writing one CSV row per method plus ``.dsmp`` sample files
+  and, with ``trajectories = on``, one ``.dsmp`` trajectory matrix per
+  method (times are the grid knots from 1 down to 0, not stored).
 - ``oracle``: dump the posterior mixture parameters (and optionally
   samples) for a config.
 - ``masklift``: lift a pixel mask to a latent grid and report leakage.
@@ -78,30 +80,19 @@ RESULT_COLUMNS = [
 ]
 
 
-def _write_trajectories(path: Path, trajectories) -> None:
-    """One CSV row per (chain, step, coordinate), in the bytes ``csv.writer``
-    would give: CRLF rows of unquoted ints and float reprs."""
-    with open(path, "w", newline="") as fh:
-        fh.write("chain,k,t,coord,x,xhat0\r\n")
-        key, shared = None, []
-        for j, traj in enumerate(trajectories):
-            d = traj.states.shape[1]
-            # the (k, t, coord) cells are the same for every chain of a run
-            if key != (traj.times.tobytes(), d):
-                key = (traj.times.tobytes(), d)
-                shared = [
-                    f",{k},{t!r},{i}," for k, t in enumerate(traj.times.tolist()) for i in range(d)
-                ]
-            xs = map(repr, traj.states.ravel().tolist())
-            hs = map(repr, traj.denoised.ravel().tolist())
-            fh.write("".join([f"{j}{p}{x},{h}\r\n" for p, x, h in zip(shared, xs, hs)]))
+def _write_trajectories(path: Path, trajectory) -> None:
+    """One ``((K+1)*n, 2d)`` sample matrix, step-major: row ``k*n + j`` is
+    chain j at the k-th recorded time, its ``x`` then its ``xhat0``."""
+    rows = np.concatenate([trajectory.states, trajectory.denoised], axis=-1)
+    write_samples(path, rows.reshape(-1, rows.shape[-1]))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run every configured method and score it against the exact posterior.
 
     Writes ``results.csv`` (flushed row by row so partial results survive
-    a failure), ``<method>_<seed>.dsmp`` per method, and
+    a failure), ``<method>_<seed>.dsmp`` per method (plus
+    ``<method>_<seed>_trajectories.dsmp`` when recording), and
     ``oracle_<seed>.dsmp``.  Deterministic given the master seed except
     for the runtime column.  A method that fails numerically gets no row
     and no files; the others still run, and one ``NumericError`` naming
@@ -128,7 +119,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             scfg = cfg.sampler_config(method)
             start = time.perf_counter()
             try:
-                sample_set, trajectories = run_conditional(
+                sample_set, trajectory = run_conditional(
                     problem, denoiser, cfg.sched, scfg, record_trajectories=cfg.record_trajectories
                 )
             except NumericError as exc:
@@ -154,9 +145,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             writer.writerow(row.values())
             fh.flush()
             write_samples(cfg.out_dir / f"{method}_{cfg.seed}.dsmp", sample_set.samples)
-            if cfg.record_trajectories:
+            if trajectory is not None:
                 _write_trajectories(
-                    cfg.out_dir / f"{method}_{cfg.seed}_trajectories.csv", trajectories
+                    cfg.out_dir / f"{method}_{cfg.seed}_trajectories.dsmp", trajectory
                 )
     if failures:
         raise NumericError("; ".join(failures))

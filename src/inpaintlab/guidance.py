@@ -121,7 +121,13 @@ class SamplerConfig:
 
 @dataclass
 class Trajectory:
-    """Chain diagnostics in simulation order (time 1 down to 0)."""
+    """Every chain's recorded states in simulation order (time 1 down to 0).
+
+    ``times`` has shape (K+1,), the grid knots from 1 down to 0.
+    ``states`` and ``denoised`` have shape (K+1, n, d): ``states[k]`` holds
+    all chains at ``times[k]`` (the last after final replacement) and
+    ``denoised[k]`` is ``denoiser.denoise(states[k], times[k])``.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -423,8 +429,9 @@ def run_conditional(
     coordinates overwritten by y at the end.  Deterministic given (seed,
     config); chain j's draws depend only on (seed, method, j), so the
     first rows of a larger run equal a smaller one.  Returns a SampleSet
-    and the recorded trajectories (empty list unless requested).  A
-    non-finite transition raises NumericError naming the method and step.
+    and one batched ``Trajectory`` of all chains, or None unless
+    ``record_trajectories``.  A non-finite transition raises NumericError
+    naming the method and step.
     """
     from .metrics import SampleSet
 
@@ -436,16 +443,20 @@ def run_conditional(
     rngs = chain_rngs(cfg.seed, cfg.method, range(n))
     x = standard_normal(rngs, (n, d))
 
-    times, states, denoised = [], [], []
+    steps = cfg.grid.num_steps
+    trajectory = None
+    if record_trajectories:
+        shape = (steps + 1, n, d)
+        trajectory = Trajectory(knots[::-1].copy(), np.empty(shape), np.empty(shape))
 
-    def record(tk: float, state: np.ndarray):
-        if record_trajectories:
-            times.append(tk)
-            states.append(state.copy())
-            denoised.append(denoiser.denoise(state, tk))
+    def record(i: int, state: np.ndarray):
+        # the chains at knots[i] fill row steps - i, so time runs from 1 down to 0
+        if trajectory is not None:
+            trajectory.states[steps - i] = state
+            trajectory.denoised[steps - i] = denoiser.denoise(state, knots[i])
 
-    record(knots[-1], x)
-    for k in range(cfg.grid.num_steps, 0, -1):
+    record(steps, x)
+    for k in range(steps, 0, -1):
         s, t = knots[k - 1], knots[k]
         try:
             with np.errstate(all="ignore"):
@@ -453,18 +464,10 @@ def run_conditional(
         except NumericError as exc:
             raise NumericError(f"{cfg.method} at step k={k} (t={t:g} -> s={s:g}): {exc}") from None
         if k > 1:
-            record(s, x)
+            record(k - 1, x)
     if cfg.final_replacement:
         x = np.where(problem.mask.m == 1, problem.y, x)
-    record(knots[0], x)
+    record(0, x)
 
-    trajectories = []
-    if record_trajectories:
-        times_arr = np.array(times)
-        states_arr = np.stack(states)  # (K+1, n, d)
-        den_arr = np.stack(denoised)
-        trajectories = [
-            Trajectory(times_arr, states_arr[:, j], den_arr[:, j]) for j in range(n)
-        ]
     sample_set = SampleSet(samples=x, provenance=(cfg.method, cfg.digest(), cfg.seed))
-    return sample_set, trajectories
+    return sample_set, trajectory

@@ -34,11 +34,11 @@ import numpy as np
 
 from .gmm import (
     _LOG_2PI,
+    ConditionalMixture,
     GaussianMixture,
     _rotate_in,
     _rotate_out,
     component_posterior,
-    gmm_denoise,
     gmm_denoiser_jacobian,
     logsumexp,
 )
@@ -194,12 +194,17 @@ def exact_guidance_grad(
             grad[i] = (hi - lo) / (2.0 * fd_step)
         return grad
 
-    obs = problem.mask.observed_idx
-    if obs.size == 0:
+    if problem.mask.observed_idx.size == 0:
         return np.zeros_like(x_t)
-
     alpha, _ = eval_schedule(sched, t)
-    cond = component_posterior(prior, sched, x_t, t)
+    return _guidance_grad(problem, prior, component_posterior(prior, sched, x_t, t), alpha)
+
+
+def _guidance_grad(
+    problem: InpaintingProblem, prior: GaussianMixture, cond: ConditionalMixture, alpha: float
+) -> np.ndarray:
+    """``exact_guidance_grad`` from the mixture of X0 given x_t (non-empty mask)."""
+    obs = problem.mask.observed_idx
     evecs = cond.cov_evecs
     log_ev, _, solved = _observed_evidence(problem, cond.means, cond.covariance_matrices())
 
@@ -226,22 +231,20 @@ def exact_posterior_denoiser(
     denoiser; ``route="conditioning"`` conditions each component of the
     mixture of X0 given x_t on the observation with
     ``_condition_on_observed``.  The two are algebraically equal and share
-    only the evidence routine.
+    only the evidence routine; each runs ``component_posterior`` once.
     """
     alpha, sigma = eval_schedule(sched, t)
     if alpha == 0.0:
         raise ValueError("posterior denoiser undefined at t = 1 (alpha = 0)")
-    if route == "gradient":
-        xhat0, _ = gmm_denoise(prior, sched, x_t, t)
-        grad = exact_guidance_grad(problem, prior, sched, x_t, t)
-        return xhat0 + (sigma**2 / alpha) * grad
-    if route != "conditioning":
+    if route not in ("gradient", "conditioning"):
         raise ValueError(f"unknown route {route!r}")
 
     cond = component_posterior(prior, sched, x_t, t)
-    obs = problem.mask.observed_idx
-    if obs.size == 0:
-        return np.einsum("...k,...kd->...d", cond.resp, cond.means)
+    xhat0 = np.einsum("...k,...kd->...d", cond.resp, cond.means)
+    if problem.mask.observed_idx.size == 0:
+        return xhat0
+    if route == "gradient":
+        return xhat0 + (sigma**2 / alpha) * _guidance_grad(problem, prior, cond, alpha)
 
     log_ev, post_means, _ = _condition_on_observed(
         problem, cond.means, cond.covariance_matrices()

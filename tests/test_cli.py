@@ -87,12 +87,19 @@ def test_run_method_order_does_not_change_samples(tmp_path):
     )
 
 
-def test_trajectory_dump(tmp_path):
-    cfg = _write_cfg(tmp_path, extra="trajectories = on\n")
-    main(["run", "--config", str(cfg)])
-    rows = _read_rows(tmp_path / "out" / "ding_5_trajectories.csv")
-    assert rows[0] == ["chain", "k", "t", "coord", "x", "xhat0"]
-    assert len(rows) - 1 == 16 * 13 * 2  # chains * (K+1) * d
+def test_trajectory_matrix_reads_back(tmp_path):
+    plain = _write_cfg(tmp_path, out_name="plain", name="plain.cfg")
+    traced = _write_cfg(tmp_path, out_name="traced", name="traced.cfg", extra="trajectories = on\n")
+    assert main(["run", "--config", str(plain)]) == 0
+    assert main(["run", "--config", str(traced)]) == 0
+    out = tmp_path / "traced"
+    rows = read_samples(out / "ding_5_trajectories.dsmp")
+    assert rows.shape == (13 * 16, 4)  # (K+1) * chains, x then xhat0
+    # the last block is every chain at t = 0
+    np.testing.assert_array_equal(rows[-16:, :2], read_samples(out / "ding_5.dsmp"))
+    for name in ("ding_5.dsmp", "ddnm_5.dsmp", "oracle_5.dsmp"):
+        assert (out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert [p.name for p in out.glob("*.csv")] == ["results.csv"]
 
 
 def test_oracle_subcommand(tmp_path, capsys):
@@ -232,40 +239,6 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout
-
-
-def _csv_writer_trajectories(path, trajectories):
-    # the csv.writer form of the trajectory dump, one writerow per value row
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain", "k", "t", "coord", "x", "xhat0"])
-        for j, traj in enumerate(trajectories):
-            for k, t in enumerate(traj.times):
-                for i in range(traj.states.shape[1]):
-                    writer.writerow(
-                        [j, k, repr(float(t)), i,
-                         repr(float(traj.states[k, i])), repr(float(traj.denoised[k, i]))]
-                    )
-
-
-def test_trajectory_writer_matches_csv_writer_bytes(tmp_path):
-    from inpaintlab.cli import _write_trajectories
-    from inpaintlab.guidance import Trajectory
-
-    rng = np.random.default_rng(3)
-    times = np.array([1.0, 0.75, 0.5, 1e-300, -0.0])
-    states = rng.standard_normal((5, 4, 3)) * 10.0 ** rng.integers(-300, 300, (5, 4, 3))
-    states[1, 0] = [np.inf, -np.inf, -0.0]
-    states[2, 1] = [1e-300, 5e-324, 12.0]
-    denoised = rng.standard_normal((5, 4, 3))
-    denoised[0, 2] = [np.nan, 0.1, -1e300]
-    trajs = [Trajectory(times, states[:, j], denoised[:, j]) for j in range(4)]
-    # a chain with other times and dimension must not reuse the shared cells
-    trajs.append(Trajectory(np.array([0.5, 0.0]), np.ones((2, 2)), np.zeros((2, 2))))
-    trajs.append(Trajectory(times, states[:, 0], denoised[:, 0]))
-    _write_trajectories(tmp_path / "fast.csv", trajs)
-    _csv_writer_trajectories(tmp_path / "ref.csv", trajs)
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_run_loads_numpy_only(tmp_path):

@@ -441,13 +441,14 @@ def test_step_functions_share_one_signature():
 
 def test_trajectory_records(mixture_setup):
     _, den, problem = mixture_setup
-    cfg = _cfg("ddnm", grid=make_grid(12), n_chains=2)
-    samples, trajectories = run_conditional(problem, den, LIN, cfg, record_trajectories=True)
-    assert len(trajectories) == 2
-    traj = trajectories[0]
-    assert traj.times.size == 13
-    np.testing.assert_allclose(traj.times, cfg.grid.knots[::-1])
-    np.testing.assert_array_equal(traj.terminal, samples.samples[0])
+    cfg = _cfg("ddnm", grid=make_grid(12), n_chains=3)
+    samples, traj = run_conditional(problem, den, LIN, cfg, record_trajectories=True)
+    assert traj.states.shape == traj.denoised.shape == (13, 3, 2)
+    np.testing.assert_array_equal(traj.times, cfg.grid.knots[::-1])
+    for k, t in enumerate(traj.times):
+        np.testing.assert_array_equal(traj.denoised[k], den.denoise(traj.states[k], t))
+    np.testing.assert_array_equal(traj.terminal, samples.samples)
+    assert run_conditional(problem, den, LIN, cfg)[1] is None
 
 
 def test_mask_off_chains_bit_identical_to_unconditional(mixture_setup):

@@ -15,6 +15,7 @@ from inpaintlab import (
     gmm_denoise,
     log_likelihood,
 )
+from inpaintlab import gmm, oracle
 from inpaintlab.gmm import component_posterior, logsumexp
 from inpaintlab.oracle import _observed_evidence
 
@@ -203,6 +204,24 @@ def test_posterior_denoiser_routes_agree(mixed_prior, masked_problem, t):
     via_grad = exact_posterior_denoiser(masked_problem, mixed_prior, LIN, x, t, route="gradient")
     via_cond = exact_posterior_denoiser(masked_problem, mixed_prior, LIN, x, t, route="conditioning")
     assert np.max(np.abs(via_grad - via_cond)) <= 1e-8
+
+
+@pytest.mark.parametrize("route", ["gradient", "conditioning"])
+def test_posterior_denoiser_runs_one_component_posterior(
+    mixed_prior, masked_problem, monkeypatch, route
+):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return component_posterior(*args, **kwargs)
+
+    # both modules, so a route that goes through gmm_denoise is counted too
+    monkeypatch.setattr(gmm, "component_posterior", counting)
+    monkeypatch.setattr(oracle, "component_posterior", counting)
+    x = np.random.default_rng(6).standard_normal((5, 3))
+    exact_posterior_denoiser(masked_problem, mixed_prior, LIN, x, 0.5, route=route)
+    assert len(calls) == 1
 
 
 def test_posterior_denoiser_empty_mask_is_denoiser(mixed_prior):
