@@ -12,6 +12,11 @@ stochasticity level eta in [0, 1]; the sampler plugs in the conditional
 expectations instead.  eta = 0 gives the deterministic update, eta = 1
 discards the noise estimate entirely.
 
+``transition_params`` takes the x0 estimate from its caller (the
+denoiser's, or a guided correction of it) and ties the noise estimate to
+it, x1_hat = (x_t - alpha_t * x0_hat) / sigma_t, so one denoiser
+evaluation per state serves the whole transition.
+
 ``rng`` arguments accept a single ``numpy.random.Generator``, a
 ``ChainStreams`` or a plain sequence of per-row generators (one per chain
 of a batched state).  The last two keep each chain on its own
@@ -34,7 +39,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import NumericError
-from .gmm import Denoiser
+from .gmm import Denoiser, noise_from_x0
 from .schedule import Schedule, TimeGrid, eval_schedule
 
 # draws per chain held by a ChainStreams block: n_chains * 64 * 8 bytes
@@ -153,36 +158,25 @@ def standard_normal(rng: RngLike, shape: tuple[int, ...]) -> np.ndarray:
     return np.stack([g.standard_normal(shape[1:]) for g in rng])
 
 
-def pair_transition(
-    kernel: BridgeKernel, sched: Schedule, s: float, xhat0: np.ndarray, xhat1: np.ndarray
+def transition_params(
+    kernel: BridgeKernel,
+    sched: Schedule,
+    x_t: np.ndarray,
+    xhat0: np.ndarray,
+    s: float,
+    t: float,
 ) -> TransitionParams:
-    """Transition to time s built from an (x0, x1) estimate pair.
+    """Reverse transition from x_t at time t to time s < t around the x0
+    estimate xhat0, with the noise estimate tied to it (``noise_from_x0``).
 
     Every sampler builds its transition here, so a change to the kernel
     reaches all of them.
     """
-    alpha_s, beta_s, eta_s = kernel.coefficients(sched, s)
-    return TransitionParams(alpha_s * xhat0 + beta_s * xhat1, eta_s)
-
-
-def check_step_times(s: float, t: float) -> None:
-    """Reject a reverse step unless 0 <= s < t <= 1."""
     if not 0.0 <= s < t <= 1.0:
         raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
-
-
-def transition_params(
-    kernel: BridgeKernel,
-    sched: Schedule,
-    denoiser: Denoiser,
-    x_t: np.ndarray,
-    s: float,
-    t: float,
-) -> TransitionParams:
-    """Parameters of the reverse transition from x_t at time t to time s < t."""
-    check_step_times(s, t)
-    xhat0, xhat1 = denoiser.predict(x_t, t)
-    return pair_transition(kernel, sched, s, xhat0, xhat1)
+    xhat1 = noise_from_x0(x_t, xhat0, *eval_schedule(sched, t))
+    alpha_s, beta_s, eta_s = kernel.coefficients(sched, s)
+    return TransitionParams(alpha_s * xhat0 + beta_s * xhat1, eta_s)
 
 
 def sample_transition(params: TransitionParams, rng: RngLike) -> np.ndarray:
@@ -215,7 +209,8 @@ def run_unconditional(
     x = standard_normal(rng, (n_chains, denoiser.dim))
     knots = grid.knots
     for k in range(grid.num_steps, 0, -1):
-        params = transition_params(kernel, sched, denoiser, x, knots[k - 1], knots[k])
+        s, t = knots[k - 1], knots[k]
+        params = transition_params(kernel, sched, x, denoiser.denoise(x, t), s, t)
         x = sample_transition(params, rng)
     return SampleSet(samples=x, provenance=("unconditional", "", 0))
 

@@ -28,6 +28,7 @@ Parse errors report the offending line number.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,6 +52,7 @@ _GLOBAL_KEYS = {
     "trajectories", "oracle.n",
 }
 _METHOD_OVERRIDE_KEYS = {"eta", "gamma", "zeta", "lambda", "ding_nz", "final_replacement"}
+_COMPONENT_KEY = re.compile(r"prior\.component\.(0|[1-9][0-9]*)\.(weight|mean|cov)")
 
 
 def parse_flat(text: str) -> dict[str, str]:
@@ -217,8 +219,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
     base = path.parent
 
     for key in pairs:
-        if key in _GLOBAL_KEYS or key.startswith("prior.component."):
+        if key in _GLOBAL_KEYS or _COMPONENT_KEY.fullmatch(key):
             continue
+        if key.startswith("prior.component."):
+            raise ConfigError(
+                f"unknown config key {key!r}; expected prior.component.<i>.weight, .mean or .cov"
+            )
         parts = key.split(".")
         if len(parts) == 3 and parts[0] == "method":
             if parts[1] not in METHODS:
@@ -310,6 +316,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         oracle_n=_get_int(pairs, "oracle.n", 0) if "oracle.n" in pairs else None,
         overrides=overrides,
     )
+    # these are read only once sampling has started, so they are checked here
+    for key, value in (("sw2.projections", cfg.sw2_projections), ("cpsnr.peak", cfg.cpsnr_peak),
+                       ("oracle.n", cfg.oracle_n)):
+        if value is not None and not value > 0:
+            raise ConfigError(f"{key}: must be strictly positive, got {pairs[key]!r}")
     for m in methods:
         cfg.sampler_config(m)  # validate overrides eagerly
     return cfg

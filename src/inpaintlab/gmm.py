@@ -11,6 +11,10 @@ normally asks a neural network for are available exactly:
   (``noise_from_x0``),
 - the Jacobian of the denoiser (``gmm_denoiser_jacobian``).
 
+The samplers see the prior through the ``Denoiser`` contract only:
+``denoise`` plus the optional ``jacobian`` (``GMMDenoiser``).  They derive
+every noise estimate from ``denoise`` through ``noise_from_x0``.
+
 Component k of the corrupted mixture is N(alpha*mu_k, C_k) with
 C_k = alpha^2 * Sigma_k + sigma^2 * I.  Conditioning on X_t = x gives,
 per component,
@@ -367,23 +371,15 @@ def gmm_denoiser_jacobian(
 class Denoiser(ABC):
     """Behavioral contract every sampler consumes.
 
-    ``denoise`` models E[X0 | X_t = x], ``noise_predict`` models
-    E[X1 | X_t = x]; the two are tied for sigma_t > 0 by
-    x1_hat = (x - alpha_t * x0_hat) / sigma_t.  ``predict`` returns both
-    for one state; a denoiser that can share work between them overrides
-    it.  ``jacobian`` is an optional capability advertised through
-    ``has_jacobian``.
+    ``denoise`` models E[X0 | X_t = x].  It is the only estimate a sampler
+    asks for: every noise estimate is the one tied to it,
+    x1_hat = ``noise_from_x0``(x, x0_hat, alpha_t, sigma_t), which for the
+    mixture prior is E[X1 | X_t = x] exactly.  ``jacobian`` is an optional
+    capability advertised through ``has_jacobian``.
     """
 
     @abstractmethod
     def denoise(self, x: np.ndarray, t: float) -> np.ndarray: ...
-
-    @abstractmethod
-    def noise_predict(self, x: np.ndarray, t: float) -> np.ndarray: ...
-
-    def predict(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(x0_hat, x1_hat) at the state x."""
-        return self.denoise(x, t), self.noise_predict(x, t)
 
     @property
     def has_jacobian(self) -> bool:
@@ -412,16 +408,6 @@ class GMMDenoiser(Denoiser):
     def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
         xhat0, _ = gmm_denoise(self.prior, self.sched, x, t)
         return xhat0
-
-    def noise_predict(self, x: np.ndarray, t: float) -> np.ndarray:
-        return gmm_noise_predict(self.prior, self.sched, x, t)
-
-    def predict(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Both estimates from one posterior evaluation, each equal to its
-        own method's output."""
-        x = _check_finite(x)
-        xhat0, _ = gmm_denoise(self.prior, self.sched, x, t)
-        return xhat0, noise_from_x0(x, xhat0, *eval_schedule(self.sched, t))
 
     @property
     def has_jacobian(self) -> bool:

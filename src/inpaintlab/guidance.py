@@ -17,10 +17,11 @@ of the clean sample given the observation:
 - ``diffpir``: proximal blend of the denoised estimate with the data,
   weighted by rho_t = lambda * alpha_t^2 / sigma_t^2.
 
-Every method is one ``step_<method>``, all with the same signature.  dps,
-ddnm and diffpir only correct the denoised estimate inside the shared
-``guided_transition``; blended and ding add a draw after the
-unconditional transition.
+Every method is one ``step_<method>``, all with the same signature.  The
+driver evaluates the denoiser once per state and hands that estimate
+xhat0 to the step.  dps, ddnm and diffpir correct it and build their
+transition from the corrected estimate with ``bridge.transition_params``;
+blended and ding build it from xhat0 as is and add a draw after it.
 
 Per-step randomness is drawn in a fixed order so that seeds are
 comparable across methods: first the proposal noise (the transition
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -43,8 +43,6 @@ from .bridge import (
     ChainStreams,
     RngLike,
     TransitionParams,
-    check_step_times,
-    pair_transition,
     sample_transition,
     standard_normal,
     transition_params,
@@ -126,7 +124,9 @@ class Trajectory:
     ``times`` has shape (K+1,), the grid knots from 1 down to 0.
     ``states`` and ``denoised`` have shape (K+1, n, d): ``states[k]`` holds
     all chains at ``times[k]`` (the last after final replacement) and
-    ``denoised[k]`` is ``denoiser.denoise(states[k], times[k])``.
+    ``denoised[k]`` is ``denoiser.denoise(states[k], times[k])``, the
+    estimate the step from ``times[k]`` was handed (only the t = 0 row is
+    evaluated for the record alone).
     """
 
     times: np.ndarray
@@ -138,27 +138,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def guided_transition(
-    x_t: np.ndarray,
-    s: float,
-    t: float,
-    kernel: BridgeKernel,
-    sched: Schedule,
-    denoiser: Denoiser,
-    correct: Callable[[np.ndarray, float, float], np.ndarray],
-) -> TransitionParams:
-    """Reverse transition from x_t at time t to s with a corrected x0 estimate.
-
-    ``correct(xhat0, alpha_t, sigma_t)`` returns the method's x0 estimate;
-    the noise estimate is then the one consistent with it,
-    x1_hat = (x_t - alpha_t * x0_hat) / sigma_t (0 at sigma_t = 0).
-    """
-    check_step_times(s, t)
-    alpha_t, sigma_t = eval_schedule(sched, t)
-    xhat0 = correct(denoiser.denoise(x_t, t), alpha_t, sigma_t)
-    return pair_transition(kernel, sched, s, xhat0, noise_from_x0(x_t, xhat0, alpha_t, sigma_t))
-
-
 # ---------------------------------------------------------------------------
 # blended
 # ---------------------------------------------------------------------------
@@ -166,6 +145,7 @@ def guided_transition(
 
 def step_blended(
     x_t: np.ndarray,
+    xhat0: np.ndarray,
     s: float,
     t: float,
     problem: InpaintingProblem,
@@ -178,7 +158,7 @@ def step_blended(
     """Unconditional step, then the noised reference replayed on the support."""
     if problem.x_star is None:
         raise ValueError("blended requires the reference x_star on the problem")
-    x_s = sample_transition(transition_params(kernel, sched, denoiser, x_t, s, t), rng)
+    x_s = sample_transition(transition_params(kernel, sched, x_t, xhat0, s, t), rng)
     if problem.mask.observed_count == 0:
         return x_s
     alpha_s, sigma_s = eval_schedule(sched, s)
@@ -194,6 +174,7 @@ def step_blended(
 
 def dps_transition(
     x_t: np.ndarray,
+    xhat0: np.ndarray,
     s: float,
     t: float,
     problem: InpaintingProblem,
@@ -211,20 +192,19 @@ def dps_transition(
     """
     if not denoiser.has_jacobian:
         raise ValueError("dps requires a denoiser that exposes a Jacobian")
-
-    def correct(xhat0, alpha_t, sigma_t):
-        jac = denoiser.jacobian(x_t, t)
-        m = problem.mask.m
-        resid = m * (problem.y - m * xhat0)
-        grad = np.einsum("...ij,...i->...j", jac, resid) / cfg.gamma**2
-        alpha_eval, sigma_eval = (alpha_t, sigma_t) if alpha_t > 0 else eval_schedule(sched, s)
-        return xhat0 + cfg.dps_scale * (sigma_eval**2 / alpha_eval) * grad
-
-    return guided_transition(x_t, s, t, kernel, sched, denoiser, correct)
+    jac = denoiser.jacobian(x_t, t)
+    m = problem.mask.m
+    resid = m * (problem.y - m * xhat0)
+    grad = np.einsum("...ij,...i->...j", jac, resid) / cfg.gamma**2
+    alpha_t, sigma_t = eval_schedule(sched, t)
+    alpha_eval, sigma_eval = (alpha_t, sigma_t) if alpha_t > 0 else eval_schedule(sched, s)
+    corrected = xhat0 + cfg.dps_scale * (sigma_eval**2 / alpha_eval) * grad
+    return transition_params(kernel, sched, x_t, corrected, s, t)
 
 
 def step_dps(
     x_t: np.ndarray,
+    xhat0: np.ndarray,
     s: float,
     t: float,
     problem: InpaintingProblem,
@@ -234,7 +214,8 @@ def step_dps(
     cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
-    return sample_transition(dps_transition(x_t, s, t, problem, kernel, sched, denoiser, cfg), rng)
+    params = dps_transition(x_t, xhat0, s, t, problem, kernel, sched, denoiser, cfg)
+    return sample_transition(params, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +263,7 @@ def ding_posterior(
 
 def step_ding(
     x_t: np.ndarray,
+    xhat0: np.ndarray,
     s: float,
     t: float,
     problem: InpaintingProblem,
@@ -294,18 +276,19 @@ def step_ding(
     """Jacobian-free conjugate step.
 
     Draw z from the unconditional transition, read the noise prediction
-    e = x1_hat(z, s) (averaged over ding_nz draws), then sample the new
-    state exactly from prior x likelihood with the likelihood linearized
-    through z instead of the model: no differentiation anywhere.
+    e = x1_hat(z, s) tied to the denoiser's x0 estimate at z (averaged
+    over ding_nz draws), then sample the new state exactly from prior x
+    likelihood with the likelihood linearized through z instead of the
+    model: no differentiation anywhere.
     """
-    params = transition_params(kernel, sched, denoiser, x_t, s, t)
+    params = transition_params(kernel, sched, x_t, xhat0, s, t)
     nz = cfg.ding_nz
     eps = standard_normal(rng, np.shape(x_t)[:-1] + (nz, np.shape(x_t)[-1]))
     if params.std == 0.0:
         return params.mean
     z = params.mean[..., None, :] + params.std * eps
-    e = denoiser.noise_predict(z, s).mean(axis=-2)
     alpha_s, sigma_s = eval_schedule(sched, s)
+    e = noise_from_x0(z, denoiser.denoise(z, s), alpha_s, sigma_s).mean(axis=-2)
     post_mean, post_std = ding_posterior(
         params.mean, params.std, e, problem, alpha_s, sigma_s, cfg.gamma
     )
@@ -319,12 +302,12 @@ def step_ding(
 
 def ddnm_transition(
     x_t: np.ndarray,
+    xhat0: np.ndarray,
     s: float,
     t: float,
     problem: InpaintingProblem,
     kernel: BridgeKernel,
     sched: Schedule,
-    denoiser: Denoiser,
 ) -> TransitionParams:
     """Transition with the denoised estimate hard-projected onto the data.
 
@@ -333,13 +316,12 @@ def ddnm_transition(
     never enters.
     """
     m = problem.mask.m
-    return guided_transition(
-        x_t, s, t, kernel, sched, denoiser, lambda xhat0, *_: m * problem.y + (1.0 - m) * xhat0
-    )
+    return transition_params(kernel, sched, x_t, m * problem.y + (1.0 - m) * xhat0, s, t)
 
 
 def step_ddnm(
     x_t: np.ndarray,
+    xhat0: np.ndarray,
     s: float,
     t: float,
     problem: InpaintingProblem,
@@ -349,7 +331,7 @@ def step_ddnm(
     cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
-    return sample_transition(ddnm_transition(x_t, s, t, problem, kernel, sched, denoiser), rng)
+    return sample_transition(ddnm_transition(x_t, xhat0, s, t, problem, kernel, sched), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +341,12 @@ def step_ddnm(
 
 def diffpir_transition(
     x_t: np.ndarray,
+    xhat0: np.ndarray,
     s: float,
     t: float,
     problem: InpaintingProblem,
     kernel: BridgeKernel,
     sched: Schedule,
-    denoiser: Denoiser,
     cfg: SamplerConfig,
 ) -> TransitionParams:
     """Transition with a data-proximal denoiser.
@@ -374,19 +356,17 @@ def diffpir_transition(
     rho -> infinity limit where the pull vanishes.  Hyperparameters are
     this laboratory's calibration, not taken from any reference setup.
     """
-
-    def correct(xhat0, alpha_t, sigma_t):
-        if sigma_t == 0:
-            return xhat0
+    alpha_t, sigma_t = eval_schedule(sched, t)
+    if sigma_t > 0:
         rho_t = cfg.diffpir_lambda * alpha_t**2 / sigma_t**2
         pulled = (problem.y / cfg.gamma**2 + rho_t * xhat0) / (1.0 / cfg.gamma**2 + rho_t)
-        return np.where(problem.mask.m == 1, pulled, xhat0)
-
-    return guided_transition(x_t, s, t, kernel, sched, denoiser, correct)
+        xhat0 = np.where(problem.mask.m == 1, pulled, xhat0)
+    return transition_params(kernel, sched, x_t, xhat0, s, t)
 
 
 def step_diffpir(
     x_t: np.ndarray,
+    xhat0: np.ndarray,
     s: float,
     t: float,
     problem: InpaintingProblem,
@@ -396,9 +376,7 @@ def step_diffpir(
     cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
-    return sample_transition(
-        diffpir_transition(x_t, s, t, problem, kernel, sched, denoiser, cfg), rng
-    )
+    return sample_transition(diffpir_transition(x_t, xhat0, s, t, problem, kernel, sched, cfg), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +403,10 @@ def run_conditional(
     """Run the selected guided sampler over all chains.
 
     Chains start at x ~ N(0, I), walk the grid backward through
-    ``step_<method>``, and (with final_replacement on) have their observed
-    coordinates overwritten by y at the end.  Deterministic given (seed,
+    ``step_<method>``, each step handed xhat0 = ``denoiser.denoise(x, t)``,
+    the one evaluation of its starting state, and (with final_replacement
+    on) have their observed coordinates overwritten by y at the end.
+    The trajectory records that same xhat0.  Deterministic given (seed,
     config); chain j's draws depend only on (seed, method, j), so the
     first rows of a larger run equal a smaller one.  Returns a SampleSet
     and one batched ``Trajectory`` of all chains, or None unless
@@ -449,25 +429,21 @@ def run_conditional(
         shape = (steps + 1, n, d)
         trajectory = Trajectory(knots[::-1].copy(), np.empty(shape), np.empty(shape))
 
-    def record(i: int, state: np.ndarray):
-        # the chains at knots[i] fill row steps - i, so time runs from 1 down to 0
-        if trajectory is not None:
-            trajectory.states[steps - i] = state
-            trajectory.denoised[steps - i] = denoiser.denoise(state, knots[i])
-
-    record(steps, x)
     for k in range(steps, 0, -1):
         s, t = knots[k - 1], knots[k]
         try:
             with np.errstate(all="ignore"):
-                x = step(x, s, t, problem, kernel, sched, denoiser, cfg, rngs)
+                xhat0 = denoiser.denoise(x, t)
+                if trajectory is not None:
+                    # the chains at knots[k] fill row steps - k: time runs from 1 down to 0
+                    trajectory.states[steps - k], trajectory.denoised[steps - k] = x, xhat0
+                x = step(x, xhat0, s, t, problem, kernel, sched, denoiser, cfg, rngs)
         except NumericError as exc:
             raise NumericError(f"{cfg.method} at step k={k} (t={t:g} -> s={s:g}): {exc}") from None
-        if k > 1:
-            record(k - 1, x)
     if cfg.final_replacement:
         x = np.where(problem.mask.m == 1, problem.y, x)
-    record(0, x)
+    if trajectory is not None:
+        trajectory.states[-1], trajectory.denoised[-1] = x, denoiser.denoise(x, knots[0])
 
     sample_set = SampleSet(samples=x, provenance=(cfg.method, cfg.digest(), cfg.seed))
     return sample_set, trajectory

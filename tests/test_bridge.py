@@ -45,7 +45,8 @@ def test_kernel_coefficient_identity(eta):
 def test_transition_example_deterministic():
     # eta=0, single N(0,1), x_t=1 at t=1: x0_hat=0, x1_hat=1, mean=0.5*0+0.5*1
     den = GMMDenoiser(GaussianMixture([1.0], [[0.0]], [[1.0]]), LIN)
-    params = transition_params(BridgeKernel(0.0), LIN, den, np.array([1.0]), 0.5, 1.0)
+    x_t = np.array([1.0])
+    params = transition_params(BridgeKernel(0.0), LIN, x_t, den.denoise(x_t, 1.0), 0.5, 1.0)
     np.testing.assert_allclose(params.mean, [0.5])
     assert params.std == 0.0
 
@@ -53,7 +54,7 @@ def test_transition_example_deterministic():
 def test_transition_eta_one_discards_noise_estimate():
     den = GMMDenoiser(GaussianMixture([1.0], [[0.0]], [[1.0]]), LIN)
     x_t = np.array([1.0])
-    params = transition_params(BridgeKernel(1.0), LIN, den, x_t, 0.5, 1.0)
+    params = transition_params(BridgeKernel(1.0), LIN, x_t, den.denoise(x_t, 1.0), 0.5, 1.0)
     alpha_s, sigma_s = LIN.alpha_sigma(0.5)
     np.testing.assert_allclose(params.mean, alpha_s * den.denoise(x_t, 1.0))
     assert params.std == pytest.approx(sigma_s)
@@ -62,15 +63,14 @@ def test_transition_eta_one_discards_noise_estimate():
 def test_transition_at_s_zero_is_denoiser():
     den = GMMDenoiser(GaussianMixture([1.0], [[0.3]], [[1.0]]), LIN)
     x_t = np.array([0.8])
-    params = transition_params(BridgeKernel(0.9), LIN, den, x_t, 0.0, 0.6)
+    params = transition_params(BridgeKernel(0.9), LIN, x_t, den.denoise(x_t, 0.6), 0.0, 0.6)
     np.testing.assert_allclose(params.mean, den.denoise(x_t, 0.6))
     assert params.std == 0.0
 
 
 def test_transition_ordering_enforced():
-    den = GMMDenoiser(GaussianMixture([1.0], [[0.0]], [[1.0]]), LIN)
     with pytest.raises(ValueError):
-        transition_params(BridgeKernel(0.5), LIN, den, np.array([1.0]), 0.6, 0.5)
+        transition_params(BridgeKernel(0.5), LIN, np.array([1.0]), np.array([0.5]), 0.6, 0.5)
 
 
 def test_sample_transition_degenerate():

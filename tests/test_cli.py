@@ -161,6 +161,13 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("key", ["sw2.projections", "cpsnr.peak"])
+def test_metric_settings_rejected_before_sampling(tmp_path, capsys, key):
+    assert main(["run", "--config", str(_write_cfg(tmp_path, extra=f"{key} = 0\n"))]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_io_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 3
 

@@ -73,6 +73,35 @@ def test_unknown_key_rejected(tmp_path):
         load_config(_write(tmp_path, BASIC + "grid.spacng = uniform\n"))
 
 
+@pytest.mark.parametrize("key", [
+    "prior.component.1.covariance = 9, 9",
+    "prior.component.one.weight = 0.5",
+    "prior.component.1 = 0.5",
+    "prior.component.01.mean = 1, 1",
+])
+def test_unknown_prior_component_key_rejected(tmp_path, key):
+    name = key.split("=")[0].strip()
+    with pytest.raises(ConfigError, match=f"unknown config key '{name}'"):
+        load_config(_write(tmp_path, BASIC + key + "\n"))
+
+
+@pytest.mark.parametrize("line", [
+    "oracle.n = 0", "oracle.n = -5", "sw2.projections = 0", "cpsnr.peak = 0", "cpsnr.peak = -1",
+    "cpsnr.peak = nan",
+])
+def test_run_time_values_checked_at_load(tmp_path, line):
+    key = line.split("=")[0].strip()
+    with pytest.raises(ConfigError, match=f"{key}: must be strictly positive"):
+        load_config(_write(tmp_path, BASIC + line + "\n"))
+
+
+def test_run_time_values_loaded(tmp_path):
+    text = BASIC + "oracle.n = 5\nsw2.projections = 3\ncpsnr.peak = 2.5\n"
+    cfg = load_config(_write(tmp_path, text))
+    assert (cfg.oracle_n, cfg.sw2_projections, cfg.cpsnr_peak) == (5, 3, 2.5)
+    assert load_config(_write(tmp_path, BASIC)).oracle_n is None
+
+
 def test_unknown_method_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown method"):
         load_config(_write(tmp_path, BASIC.replace("ding, ddnm", "ding, dnnm")))

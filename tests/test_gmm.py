@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from inpaintlab import (
+    BridgeKernel,
     GaussianMixture,
     GMMDenoiser,
     NumericError,
@@ -11,6 +12,7 @@ from inpaintlab import (
     gmm_denoiser_jacobian,
     gmm_marginal,
     gmm_noise_predict,
+    transition_params,
 )
 
 LIN = Schedule("linear-flow")
@@ -204,7 +206,6 @@ def test_denoiser_interface_counts_jacobian_calls(three_comp_diag):
     assert den.has_jacobian
     x = np.zeros(4)
     den.denoise(x, 0.5)
-    den.noise_predict(x, 0.5)
     assert den.jacobian_calls == 0
     den.jacobian(x, 0.5)
     den.jacobian(x, 0.3)
@@ -213,16 +214,19 @@ def test_denoiser_interface_counts_jacobian_calls(three_comp_diag):
     assert den.jacobian_calls == 0
 
 
-@pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
-def test_predict_equals_denoise_and_noise_predict(two_comp_full, three_comp_diag, t):
-    # one posterior evaluation, bit-identical to the two separate calls
+@pytest.mark.parametrize("t", [0.3, 1.0])
+def test_transition_mean_equals_denoise_and_noise_predict(two_comp_full, three_comp_diag, t):
+    # the noise estimate tied to one denoiser evaluation is bit-identical to
+    # the closed-form noise prediction
     rng = np.random.default_rng(8)
+    kern, s = BridgeKernel(0.8), 0.5 * t
+    alpha_s, beta_s, _ = kern.coefficients(LIN, s)
     for prior in (two_comp_full, three_comp_diag):
         den = GMMDenoiser(prior, LIN)
         for x in (rng.standard_normal(prior.dim), rng.standard_normal((5, prior.dim))):
-            xhat0, xhat1 = den.predict(x, t)
-            np.testing.assert_array_equal(xhat0, den.denoise(x, t))
-            np.testing.assert_array_equal(xhat1, den.noise_predict(x, t))
+            params = transition_params(kern, LIN, x, den.denoise(x, t), s, t)
+            want = alpha_s * den.denoise(x, t) + beta_s * gmm_noise_predict(prior, LIN, x, t)
+            np.testing.assert_array_equal(params.mean, want)
 
 
 def _logsumexp_inputs():

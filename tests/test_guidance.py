@@ -26,7 +26,7 @@ from inpaintlab import (
     step_ding,
     transition_params,
 )
-from inpaintlab import bridge, guidance
+from inpaintlab import bridge, gmm, guidance
 from inpaintlab.guidance import (
     chain_rngs,
     conjugate_update,
@@ -39,18 +39,13 @@ from inpaintlab.guidance import (
 LIN = Schedule("linear-flow")
 
 
-class ConstantDenoiser(Denoiser):
-    """Fixed outputs; lets tests pin the transition mean and noise estimate."""
-
-    def __init__(self, xhat0, xhat1):
-        self.xhat0 = np.asarray(xhat0, dtype=float)
-        self.xhat1 = np.asarray(xhat1, dtype=float)
+class ZeroNoiseDenoiser(Denoiser):
+    """x0_hat = x / alpha_t (0 at t = 1), so the tied noise estimate is 0
+    everywhere; exposes no Jacobian."""
 
     def denoise(self, x, t):
-        return np.broadcast_to(self.xhat0, np.shape(x)).copy()
-
-    def noise_predict(self, x, t):
-        return np.broadcast_to(self.xhat1, np.shape(x)).copy()
+        alpha_t, _ = eval_schedule(LIN, t)
+        return x / alpha_t if alpha_t > 0 else np.zeros_like(x)
 
 
 @pytest.fixture
@@ -97,9 +92,10 @@ def test_config_digest_stable():
 
 def test_blended_observed_exact_at_s_zero(mixture_setup):
     _, den, problem = mixture_setup
+    x_t = np.array([0.5, 0.5])
     x_s = step_blended(
-        np.array([0.5, 0.5]), 0.0, 0.1, problem, BridgeKernel(0.8), LIN, den, _cfg("blended"),
-        np.random.default_rng(0),
+        x_t, den.denoise(x_t, 0.1), 0.0, 0.1, problem, BridgeKernel(0.8), LIN, den,
+        _cfg("blended"), np.random.default_rng(0),
     )
     assert x_s[0] == problem.x_star[0]  # alpha_0 = 1, sigma_0 = 0
 
@@ -108,8 +104,8 @@ def test_blended_requires_reference(mixture_setup):
     _, den, _ = mixture_setup
     prob = InpaintingProblem(MaskOperator([1, 0]), np.array([1.0, 0.0]), 0.2)
     with pytest.raises(ValueError):
-        step_blended(np.zeros(2), 0.2, 0.5, prob, BridgeKernel(0.8), LIN, den, _cfg("blended"),
-                     np.random.default_rng(0))
+        step_blended(np.zeros(2), den.denoise(np.zeros(2), 0.5), 0.2, 0.5, prob, BridgeKernel(0.8),
+                     LIN, den, _cfg("blended"), np.random.default_rng(0))
 
 
 def test_blended_empty_mask_is_unconditional_step(mixture_setup):
@@ -119,11 +115,12 @@ def test_blended_empty_mask_is_unconditional_step(mixture_setup):
     )
     kern = BridgeKernel(0.8)
     x_t = np.array([0.3, -0.2])
+    xhat0 = den.denoise(x_t, 0.5)
     got = step_blended(
-        x_t, 0.2, 0.5, prob, kern, LIN, den, _cfg("blended"), np.random.default_rng(5)
+        x_t, xhat0, 0.2, 0.5, prob, kern, LIN, den, _cfg("blended"), np.random.default_rng(5)
     )
     want = sample_transition(
-        transition_params(kern, LIN, den, x_t, 0.2, 0.5), np.random.default_rng(5)
+        transition_params(kern, LIN, x_t, xhat0, 0.2, 0.5), np.random.default_rng(5)
     )
     np.testing.assert_array_equal(got, want)
 
@@ -149,8 +146,9 @@ def test_dps_flat_likelihood_reduces_to_unconditional(mixture_setup):
     kern = BridgeKernel(0.8)
     x_t = np.array([0.4, -1.0])
     cfg = _cfg("dps", gamma=1e6)
-    guided = dps_transition(x_t, 0.3, 0.6, problem, kern, LIN, den, cfg)
-    plain = transition_params(kern, LIN, den, x_t, 0.3, 0.6)
+    xhat0 = den.denoise(x_t, 0.6)
+    guided = dps_transition(x_t, xhat0, 0.3, 0.6, problem, kern, LIN, den, cfg)
+    plain = transition_params(kern, LIN, x_t, xhat0, 0.3, 0.6)
     assert np.max(np.abs(guided.mean - plain.mean)) <= 1e-6 * np.linalg.norm(plain.mean) + 1e-9
     assert guided.std == plain.std
 
@@ -160,8 +158,10 @@ def test_dps_zero_residual_leaves_denoiser(gaussian_denoiser):
     problem = InpaintingProblem(MaskOperator([1]), np.array([1.0]), 1.0)
     kern = BridgeKernel(0.8)
     cfg = _cfg("dps", gamma=1.0, dps_scale=1.0)
-    guided = dps_transition(np.array([1.0]), 0.25, 0.5, problem, kern, LIN, gaussian_denoiser, cfg)
-    plain = transition_params(kern, LIN, gaussian_denoiser, np.array([1.0]), 0.25, 0.5)
+    x_t = np.array([1.0])
+    xhat0 = gaussian_denoiser.denoise(x_t, 0.5)
+    guided = dps_transition(x_t, xhat0, 0.25, 0.5, problem, kern, LIN, gaussian_denoiser, cfg)
+    plain = transition_params(kern, LIN, x_t, xhat0, 0.25, 0.5)
     np.testing.assert_allclose(guided.mean, plain.mean, atol=1e-14)
 
 
@@ -172,7 +172,9 @@ def test_dps_correction_matches_closed_form(gaussian_denoiser):
     cfg = _cfg("dps", gamma=1.0, dps_scale=0.5)
     x_t = np.array([1.0])
     s, t = 0.25, 0.5
-    guided = dps_transition(x_t, s, t, problem, kern, LIN, gaussian_denoiser, cfg)
+    guided = dps_transition(
+        x_t, gaussian_denoiser.denoise(x_t, t), s, t, problem, kern, LIN, gaussian_denoiser, cfg
+    )
     alpha_t, sigma_t = eval_schedule(LIN, t)
     xhat0 = 1.0  # alpha x/(alpha^2+sigma^2)
     corrected = xhat0 + 0.5 * (sigma_t**2 / alpha_t) * 1.0 * (2.0 - xhat0)
@@ -183,16 +185,19 @@ def test_dps_correction_matches_closed_form(gaussian_denoiser):
 
 def test_dps_requires_jacobian(mixture_setup):
     _, _, problem = mixture_setup
-    den = ConstantDenoiser([0.0, 0.0], [0.0, 0.0])
+    den = ZeroNoiseDenoiser()
     with pytest.raises(ValueError):
-        dps_transition(np.zeros(2), 0.2, 0.5, problem, BridgeKernel(0.8), LIN, den, _cfg("dps"))
+        dps_transition(np.zeros(2), np.zeros(2), 0.2, 0.5, problem, BridgeKernel(0.8), LIN, den,
+                       _cfg("dps"))
 
 
 def test_dps_t1_uses_interior_scale(mixture_setup):
     # at t = 1 exactly, the sigma^2/alpha factor comes from the first interior knot
     _, den, problem = mixture_setup
     cfg = _cfg("dps")
-    out = dps_transition(np.array([0.2, 0.1]), 0.9, 1.0, problem, BridgeKernel(0.8), LIN, den, cfg)
+    x_t = np.array([0.2, 0.1])
+    out = dps_transition(x_t, den.denoise(x_t, 1.0), 0.9, 1.0, problem, BridgeKernel(0.8), LIN,
+                         den, cfg)
     assert np.all(np.isfinite(out.mean))
 
 
@@ -247,15 +252,16 @@ def test_ding_gamma_monotonicity():
 
 
 def test_ding_step_conjugacy_monte_carlo():
-    # fixed (mu, eta_s, e) via a constant denoiser: the step's observed-coordinate
-    # law must match the closed-form product of prior and pseudo-observation
+    # fixed (mu, eta_s, e) = (0, 0.5, 0) via a denoiser whose tied noise is 0:
+    # the step's observed-coordinate law must match the closed-form product of
+    # prior and pseudo-observation
     problem = InpaintingProblem(MaskOperator([1]), np.array([1.0]), 0.5)
-    den = ConstantDenoiser([0.0], [0.0])
+    den = ZeroNoiseDenoiser()
     cfg = _cfg("ding", eta=1.0, gamma=0.5, n_chains=1)
     n = 200_000
     x_t = np.ones((n, 1))
-    draws = step_ding(x_t, 0.5, 1.0, problem, BridgeKernel(1.0), LIN, den, cfg,
-                      np.random.default_rng(3))
+    draws = step_ding(x_t, den.denoise(x_t, 1.0), 0.5, 1.0, problem, BridgeKernel(1.0), LIN, den,
+                      cfg, np.random.default_rng(3))
     assert abs(draws.mean() - 0.4) < 4 * np.sqrt(0.05 / n)
     assert abs(draws.var() - 0.05) < 4 * 0.05 * np.sqrt(2.0 / n)
 
@@ -264,9 +270,10 @@ def test_ding_deterministic_when_eta_zero(mixture_setup):
     _, den, problem = mixture_setup
     kern = BridgeKernel(0.0)
     x_t = np.array([0.4, -0.1])
-    got = step_ding(x_t, 0.3, 0.6, problem, kern, LIN, den, _cfg("ding", eta=0.0),
+    xhat0 = den.denoise(x_t, 0.6)
+    got = step_ding(x_t, xhat0, 0.3, 0.6, problem, kern, LIN, den, _cfg("ding", eta=0.0),
                     np.random.default_rng(0))
-    want = transition_params(kern, LIN, den, x_t, 0.3, 0.6).mean
+    want = transition_params(kern, LIN, x_t, xhat0, 0.3, 0.6).mean
     np.testing.assert_array_equal(got, want)
 
 
@@ -281,8 +288,8 @@ def test_ding_never_touches_jacobian(mixture_setup):
 def test_ding_nz_averaging_runs(mixture_setup):
     _, den, problem = mixture_setup
     cfg = _cfg("ding", ding_nz=4)
-    out = step_ding(np.zeros(2), 0.3, 0.6, problem, BridgeKernel(0.8), LIN, den, cfg,
-                    np.random.default_rng(1))
+    out = step_ding(np.zeros(2), den.denoise(np.zeros(2), 0.6), 0.3, 0.6, problem,
+                    BridgeKernel(0.8), LIN, den, cfg, np.random.default_rng(1))
     assert out.shape == (2,)
     assert np.all(np.isfinite(out))
 
@@ -296,11 +303,11 @@ def test_ddnm_projects_observed_coordinates(mixture_setup):
     _, den, problem = mixture_setup
     x_t = np.array([0.7, 0.7])
     s, t = 0.25, 0.5
-    params = ddnm_transition(x_t, s, t, problem, BridgeKernel(0.0), LIN, den)
+    xhat0 = den.denoise(x_t, t)
+    params = ddnm_transition(x_t, xhat0, s, t, problem, BridgeKernel(0.0), LIN)
     # reconstruct x0_hat' from the transition mean and check the observed entry
     alpha_t, sigma_t = eval_schedule(LIN, t)
     alpha_s, beta_s, _ = BridgeKernel(0.0).coefficients(LIN, s)
-    xhat0 = den.denoise(x_t, t)
     projected = problem.mask.m * problem.y + (1 - problem.mask.m) * xhat0
     xhat1 = (x_t - alpha_t * projected) / sigma_t
     np.testing.assert_allclose(params.mean, alpha_s * projected + beta_s * xhat1)
@@ -312,18 +319,20 @@ def test_ddnm_empty_mask_is_unconditional(mixture_setup):
     prob = InpaintingProblem(MaskOperator([0, 0]), np.zeros(2), 0.2)
     kern = BridgeKernel(0.8)
     x_t = np.array([0.3, -0.2])
-    got = ddnm_transition(x_t, 0.2, 0.5, prob, kern, LIN, den)
-    want = transition_params(kern, LIN, den, x_t, 0.2, 0.5)
+    xhat0 = den.denoise(x_t, 0.5)
+    got = ddnm_transition(x_t, xhat0, 0.2, 0.5, prob, kern, LIN)
+    want = transition_params(kern, LIN, x_t, xhat0, 0.2, 0.5)
     np.testing.assert_array_equal(got.mean, want.mean)
 
 
 def test_ddnm_ignores_gamma(mixture_setup):
     _, den, _ = mixture_setup
     x_t = np.array([0.3, -0.2])
+    xhat0 = den.denoise(x_t, 0.5)
     outs = []
     for gamma in (0.01, 1.0, 100.0):
         prob = InpaintingProblem(MaskOperator([1, 0]), np.array([1.7, 0.0]), gamma)
-        outs.append(ddnm_transition(x_t, 0.2, 0.5, prob, BridgeKernel(0.8), LIN, den).mean)
+        outs.append(ddnm_transition(x_t, xhat0, 0.2, 0.5, prob, BridgeKernel(0.8), LIN).mean)
     np.testing.assert_array_equal(outs[0], outs[1])
     np.testing.assert_array_equal(outs[1], outs[2])
 
@@ -335,11 +344,11 @@ def test_ddnm_ignores_gamma(mixture_setup):
 
 def test_diffpir_proximal_worked_example():
     # y=2, x0_hat=0, gamma=1, rho_t=1 (lambda=1, t=0.5): pulled value 1.0
-    den = ConstantDenoiser([0.0], [0.0])
     problem = InpaintingProblem(MaskOperator([1]), np.array([2.0]), 1.0)
     kern = BridgeKernel(1.0)
     cfg = _cfg("diffpir", gamma=1.0, diffpir_lambda=1.0)
-    params = diffpir_transition(np.array([1.0]), 0.25, 0.5, problem, kern, LIN, den, cfg)
+    params = diffpir_transition(np.array([1.0]), np.array([0.0]), 0.25, 0.5, problem, kern, LIN,
+                                cfg)
     alpha_s, _, _ = kern.coefficients(LIN, 0.25)
     np.testing.assert_allclose(params.mean, [alpha_s * 1.0])
 
@@ -349,8 +358,9 @@ def test_diffpir_infinite_lambda_keeps_denoiser(mixture_setup):
     kern = BridgeKernel(0.8)
     x_t = np.array([0.4, -1.0])
     cfg = _cfg("diffpir", diffpir_lambda=1e12)
-    guided = diffpir_transition(x_t, 0.3, 0.6, problem, kern, LIN, den, cfg)
-    plain = transition_params(kern, LIN, den, x_t, 0.3, 0.6)
+    xhat0 = den.denoise(x_t, 0.6)
+    guided = diffpir_transition(x_t, xhat0, 0.3, 0.6, problem, kern, LIN, cfg)
+    plain = transition_params(kern, LIN, x_t, xhat0, 0.3, 0.6)
     np.testing.assert_allclose(guided.mean, plain.mean, atol=1e-9)
 
 
@@ -359,10 +369,11 @@ def test_diffpir_small_gamma_pins_observed(mixture_setup):
     x_t = np.array([0.4, -1.0])
     s, t = 0.3, 0.6
     cfg = _cfg("diffpir", gamma=1e-6)
-    guided = diffpir_transition(x_t, s, t, problem, BridgeKernel(0.0), LIN, den, cfg)
+    xhat0 = den.denoise(x_t, t)
+    guided = diffpir_transition(x_t, xhat0, s, t, problem, BridgeKernel(0.0), LIN, cfg)
     alpha_t, sigma_t = eval_schedule(LIN, t)
     alpha_s, beta_s, _ = BridgeKernel(0.0).coefficients(LIN, s)
-    xhat0 = den.denoise(x_t, t).copy()
+    xhat0 = xhat0.copy()
     xhat0[0] = problem.y[0]  # hard data pull on the observed coordinate
     xhat1 = (x_t - alpha_t * xhat0) / sigma_t
     np.testing.assert_allclose(guided.mean, alpha_s * xhat0 + beta_s * xhat1, atol=1e-5)
@@ -373,8 +384,9 @@ def test_diffpir_flat_likelihood_reduces_to_unconditional(mixture_setup):
     kern = BridgeKernel(0.8)
     x_t = np.array([0.4, -1.0])
     cfg = _cfg("diffpir", gamma=1e6)
-    guided = diffpir_transition(x_t, 0.3, 0.6, problem, kern, LIN, den, cfg)
-    plain = transition_params(kern, LIN, den, x_t, 0.3, 0.6)
+    xhat0 = den.denoise(x_t, 0.6)
+    guided = diffpir_transition(x_t, xhat0, 0.3, 0.6, problem, kern, LIN, cfg)
+    plain = transition_params(kern, LIN, x_t, xhat0, 0.3, 0.6)
     assert np.max(np.abs(guided.mean - plain.mean)) <= 1e-6 * np.linalg.norm(plain.mean) + 1e-9
     assert guided.std == plain.std
 
@@ -424,7 +436,7 @@ def test_run_conditional_calls_the_module_step(method, mixture_setup, monkeypatc
     calls = []
 
     def counting(*args):
-        calls.append(args[1:3])
+        calls.append(args[2:4])
         return original(*args)
 
     monkeypatch.setattr(guidance, f"step_{method}", counting)
@@ -451,6 +463,28 @@ def test_trajectory_records(mixture_setup):
     assert run_conditional(problem, den, LIN, cfg)[1] is None
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_trajectory_record_reuses_the_step_evaluation(method, mixture_setup, monkeypatch):
+    # the record takes each state's estimate from the step that starts there;
+    # only the final t = 0 row evaluates the posterior on its own
+    _, den, problem = mixture_setup
+    original = gmm.component_posterior
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(gmm, "component_posterior", counting)
+    cfg = _cfg(method, grid=make_grid(9), n_chains=3)
+    counts = []
+    for record in (False, True):
+        calls[0] = 0
+        run_conditional(problem, den, LIN, cfg, record_trajectories=record)
+        counts.append(calls[0])
+    assert counts[1] == counts[0] + 1
+
+
 def test_mask_off_chains_bit_identical_to_unconditional(mixture_setup):
     prior, den, _ = mixture_setup
     prob = InpaintingProblem(
@@ -472,20 +506,20 @@ def test_method_streams_do_not_collide():
 
 
 def test_kernel_change_reaches_every_method(mixture_setup, monkeypatch):
-    # all five samplers build their transition through bridge.pair_transition,
+    # all five samplers build their transition through bridge.transition_params,
     # so a changed kernel there moves each method's output
     _, den, problem = mixture_setup
-    original = bridge.pair_transition
+    original = bridge.transition_params
 
-    def narrower(kernel, sched, s, xhat0, xhat1):
-        params = original(kernel, sched, s, xhat0, xhat1)
+    def narrower(kernel, sched, x_t, xhat0, s, t):
+        params = original(kernel, sched, x_t, xhat0, s, t)
         return TransitionParams(params.mean, 0.5 * params.std)
 
     cfgs = {method: _cfg(method, n_chains=3, final_replacement=False) for method in METHODS}
     before = {m: run_conditional(problem, den, LIN, cfg)[0].samples for m, cfg in cfgs.items()}
     for name, module in list(sys.modules.items()):
-        if name.startswith("inpaintlab") and vars(module).get("pair_transition") is original:
-            monkeypatch.setattr(module, "pair_transition", narrower)
+        if name.startswith("inpaintlab") and vars(module).get("transition_params") is original:
+            monkeypatch.setattr(module, "transition_params", narrower)
     for method, cfg in cfgs.items():
         after = run_conditional(problem, den, LIN, cfg)[0].samples
         assert not np.array_equal(after, before[method]), method
