@@ -73,11 +73,12 @@ def parse_flat(text: str) -> dict[str, str]:
     return out
 
 
-def _floats(value: str) -> np.ndarray:
+def _floats(key: str, value: str) -> np.ndarray:
+    """The numbers of a comma- or space-separated list; ``key`` names it in errors."""
     try:
         return np.array([float(v) for v in value.replace(",", " ").split()])
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse number list {value!r}: {exc}") from None
+    except ValueError:
+        raise ConfigError(f"{key}: expected a list of numbers, got {value!r}") from None
 
 
 def _get_float(pairs: dict[str, str], key: str, default: float) -> float:
@@ -109,8 +110,8 @@ def _get_bool(pairs: dict[str, str], key: str, default: bool) -> bool:
 
 def _load_prior_csv(path: Path) -> GaussianMixture:
     rows = [
-        _floats(line.split("#", 1)[0])
-        for line in path.read_text().splitlines()
+        _floats(f"{path} line {lineno}", line.split("#", 1)[0])
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
         if line.split("#", 1)[0].strip()
     ]
     if not rows:
@@ -143,9 +144,9 @@ def _load_prior_inline(pairs: dict[str, str]) -> GaussianMixture:
         for suffix in ("weight", "mean", "cov"):
             if f"{base}.{suffix}" not in pairs:
                 raise ConfigError(f"missing key {base}.{suffix}")
-        weights.append(float(pairs[f"{base}.weight"]))
-        means.append(_floats(pairs[f"{base}.mean"]))
-        covs.append(_floats(pairs[f"{base}.cov"]))
+        weights.append(_get_float(pairs, f"{base}.weight", 0.0))
+        means.append(_floats(f"{base}.mean", pairs[f"{base}.mean"]))
+        covs.append(_floats(f"{base}.cov", pairs[f"{base}.cov"]))
     d = means[0].size
     if any(m.size != d for m in means):
         raise ConfigError("prior component means have inconsistent dimensions")
@@ -248,7 +249,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
     if "mask.inline" in pairs:
-        mask_vals = _floats(pairs["mask.inline"])
+        mask_vals = _floats("mask.inline", pairs["mask.inline"])
     elif "mask.pgm" in pairs:
         mask_vals = read_pgm_mask(base / pairs["mask.pgm"]).grid.reshape(-1)
     else:
@@ -261,7 +262,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
     if "xstar.inline" in pairs:
-        x_star = _floats(pairs["xstar.inline"])
+        x_star = _floats("xstar.inline", pairs["xstar.inline"])
     elif "xstar.dsmp" in pairs:
         x_star = read_samples(base / pairs["xstar.dsmp"])[0]
     else:

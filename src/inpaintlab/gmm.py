@@ -12,24 +12,35 @@ normally asks a neural network for are available exactly:
 - the Jacobian of the denoiser (``gmm_denoiser_jacobian``).
 
 The samplers see the prior through the ``Denoiser`` contract only:
-``denoise`` plus the optional ``jacobian`` (``GMMDenoiser``).  They derive
-every noise estimate from ``denoise`` through ``noise_from_x0``.
+``denoise``, ``evaluate`` (the estimate plus what differentiating it
+needs) and the optional ``jacobian`` of an evaluation (``GMMDenoiser``).
+They derive every noise estimate from the x0 estimate through
+``noise_from_x0``.
 
 Component k of the corrupted mixture is N(alpha*mu_k, C_k) with
 C_k = alpha^2 * Sigma_k + sigma^2 * I.  Conditioning on X_t = x gives,
 per component,
 
-    m_k(x) = mu_k + alpha * Sigma_k C_k^{-1} (x - alpha * mu_k)
+    m_k(x) = mu_k + A_k (x - alpha * mu_k),   A_k = alpha * Sigma_k C_k^{-1}
     C0_k   = sigma^2 * Sigma_k C_k^{-1}              (x-independent)
     r_k(x) \\propto w_k N(x; alpha * mu_k, C_k)       (responsibilities)
 
 and the denoiser is the responsibility-weighted average of the m_k.
-All component matrices share the eigenbasis of Sigma_k, which is cached
-at construction; everything is evaluated in that basis.  Responsibilities
-are computed in the log domain (component likelihoods underflow at small
-sigma_t).
+All component matrices of component k share the eigenbasis V_k of
+Sigma_k, cached at construction, so A_k, C0_k and C_k^{-1} are diagonal in
+it: a full covariance costs one rotation into the basis and one out.
 
-Points may be passed as a single vector ``(d,)`` or as a batch ``(n, d)``;
+Per-component arrays are component-major.  For points x of shape
+(..., d), the offsets, conditional means and scores are (K, ..., d) and
+the responsibilities (K, ...); per-component constants are (K, d) and the
+bases (K, d, d).  A rotation is then one batched matmul, one GEMM per
+component, and every responsibility-weighted sum contracts the leading
+axis, with no (..., K, d, d) array.  A diagonal prior runs the same code
+with an identity basis (``evecs`` None), where a rotation is a no-op.
+Responsibilities are computed in the log domain (component likelihoods
+underflow at small sigma_t).
+
+Points may be passed as a single vector ``(d,)`` or as a batch ``(..., d)``;
 outputs follow the input shape.
 """
 
@@ -153,14 +164,15 @@ class GaussianMixture:
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         lp = _component_logpdf(np.asarray(x, dtype=float), self.means, self._evals, self._evecs)
-        return logsumexp(lp + np.log(self.weights), axis=-1)
+        return logsumexp(lp + _lift(np.log(self.weights), lp.ndim), axis=0)
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Gradient of log density at x."""
-        z = _rotate_in(self._evecs, np.asarray(x, dtype=float)[..., None, :] - self.means)
-        lr = _rotated_logpdf(z, self._evals) + np.log(self.weights)
-        resp = np.exp(lr - logsumexp(lr, axis=-1, keepdims=True))
-        return np.einsum("...k,...kd->...d", resp, _scores(z, self._evals, self._evecs))
+        x = np.asarray(x, dtype=float)
+        z = _rotate_in(self._evecs, x - _lift(self.means, x.ndim + 1))
+        lr = _rotated_logpdf(z, self._evals) + _lift(np.log(self.weights), x.ndim)
+        resp = np.exp(lr - logsumexp(lr, axis=0, keepdims=True))
+        return _weighted_sum(resp, _scores(z, self._evals, self._evecs))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n points: component index first, then the Gaussian draw."""
@@ -175,22 +187,34 @@ class GaussianMixture:
 
 
 # ---------------------------------------------------------------------------
-# eigenbasis helpers: evecs is None for the diagonal layout (identity basis)
+# component-major helpers: evecs is None for the diagonal layout (identity basis)
 # ---------------------------------------------------------------------------
 
 
+def _lift(a: np.ndarray, ndim: int) -> np.ndarray:
+    """Per-component values of shape (K,) or (K, d) reshaped to broadcast
+    against component-major arrays of ``ndim`` axes, (K, ...) or (K, ..., d)."""
+    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
+
+
+def _weighted_sum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_k w[k] v[k]: weights (K, ...) against vectors (K, ..., d)."""
+    return np.einsum("k...,k...d->...d", w, v)
+
+
 def _rotate_in(evecs: np.ndarray | None, v: np.ndarray) -> np.ndarray:
-    """V_k^T v for per-component vectors v of shape (..., K, d)."""
+    """V_k^T v_k for component-major vectors v of shape (K, ..., d): one
+    GEMM per component, (K, n, d) @ (K, d, d)."""
     if evecs is None:
         return v
-    return np.einsum("kde,...kd->...ke", evecs, v)
+    return (v.reshape(v.shape[0], -1, v.shape[-1]) @ evecs).reshape(v.shape)
 
 
 def _rotate_out(evecs: np.ndarray | None, z: np.ndarray) -> np.ndarray:
-    """V_k z for per-component vectors z of shape (..., K, d)."""
+    """V_k z_k for component-major vectors z of shape (K, ..., d)."""
     if evecs is None:
         return z
-    return np.einsum("kde,...ke->...kd", evecs, z)
+    return (z.reshape(z.shape[0], -1, z.shape[-1]) @ np.swapaxes(evecs, -1, -2)).reshape(z.shape)
 
 
 def _matrices(evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
@@ -202,8 +226,8 @@ def _matrices(evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
 
 def _scores(z: np.ndarray, evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
     """Gradient of log N(x; center_k, V_k diag(evals_k) V_k^T) at x for each
-    component k, from the rotated offsets z = V_k^T (x - center_k)."""
-    return -_rotate_out(evecs, z / evals)
+    component k, from the rotated offsets z = V_k^T (x - center_k), (K, ..., d)."""
+    return -_rotate_out(evecs, z / _lift(evals, z.ndim))
 
 
 def _component_logpdf(
@@ -212,29 +236,33 @@ def _component_logpdf(
     evals: np.ndarray,
     evecs: np.ndarray | None,
 ) -> np.ndarray:
-    """log N(x; centers_k, V_k diag(evals_k) V_k^T) for each component k."""
-    return _rotated_logpdf(_rotate_in(evecs, x[..., None, :] - centers), evals)
+    """log N(x; centers_k, V_k diag(evals_k) V_k^T) for each component k, (K, ...)."""
+    return _rotated_logpdf(_rotate_in(evecs, x - _lift(centers, x.ndim + 1)), evals)
 
 
 def _rotated_logpdf(z: np.ndarray, evals: np.ndarray) -> np.ndarray:
     """``_component_logpdf`` from the rotated offsets z = V_k^T (x - center_k)."""
     d = z.shape[-1]
-    quad = np.sum(z * z / evals, axis=-1)
+    quad = np.sum(z * z / _lift(evals, z.ndim), axis=-1)
     logdet = np.sum(np.log(evals), axis=-1)
-    return -0.5 * (quad + logdet + d * _LOG_2PI)
+    return -0.5 * (quad + _lift(logdet, quad.ndim) + d * _LOG_2PI)
 
 
 @dataclass(frozen=True)
 class ConditionalMixture:
-    """Mixture representation of X0 given X_t = x.
+    """Mixture representation of X0 given X_t = x, component-major.
 
-    Component k carries responsibility ``exp(log_resp[..., k])``, mean
-    ``means[..., k, :]`` and covariance V_k diag(cov_evals[k]) V_k^T.
-    The covariances depend on t only, not on x.
+    For x of shape (..., d), component k carries responsibility
+    ``exp(log_resp[k])`` with ``log_resp`` of shape (K, ...), mean
+    ``means[k]`` with ``means`` of shape (K, ..., d), and covariance
+    V_k diag(cov_evals[k]) V_k^T.  ``cov_evals`` is (K, d) and depends on t
+    only, not on x; ``cov_evecs`` is the (K, d, d) basis V, or None for a
+    diagonal prior.
 
-    ``z[..., k, :]`` = V_k^T (x - alpha * mu_k) and ``c[k]``, the
-    eigenvalues of C_k, are the inputs of the conditioning, kept for the
-    Jacobian and the guidance gradient.
+    The inputs of the conditioning are kept for the Jacobian and the
+    guidance gradient: ``z[k]`` = V_k^T (x - alpha * mu_k), (K, ..., d);
+    ``c[k]``, the eigenvalues of C_k, and ``slope[k]``, those of the slope
+    A_k = alpha * Sigma_k C_k^{-1} of m_k in x, both (K, d).
     """
 
     log_resp: np.ndarray
@@ -243,6 +271,7 @@ class ConditionalMixture:
     cov_evecs: np.ndarray | None
     z: np.ndarray
     c: np.ndarray
+    slope: np.ndarray
 
     @property
     def resp(self) -> np.ndarray:
@@ -251,11 +280,26 @@ class ConditionalMixture:
     def covariance_matrices(self) -> np.ndarray:
         return _matrices(self.cov_evals, self.cov_evecs)
 
+    def mean(self) -> np.ndarray:
+        """E[X0 | X_t = x] = sum_k r_k m_k, the denoiser, shaped like x."""
+        return _weighted_sum(self.resp, self.means)
+
     def centred_scores(self) -> np.ndarray:
         """g_k - sum_j r_j g_j, with g_k = -C_k^{-1} (x - alpha * mu_k) the
-        gradient of component k's log-likelihood of x."""
+        gradient of component k's log-likelihood of x, (K, ..., d)."""
         g = _scores(self.z, self.c, self.cov_evecs)
-        return g - np.einsum("...k,...kd->...d", self.resp, g)[..., None, :]
+        return g - _weighted_sum(self.resp, g)
+
+    def jacobian(self) -> np.ndarray:
+        """d mean / dx = sum_k r_k [A_k + m_k (g_k - g_bar)^T], as (..., d, d).
+
+        Both sums contract the component axis straight into the (..., d, d)
+        result.
+        """
+        resp = self.resp
+        jac = np.einsum("k...,kde->...de", resp, _matrices(self.slope, self.cov_evecs))
+        jac += np.einsum("k...,k...d,k...e->...de", resp, self.means, self.centred_scores())
+        return jac
 
 
 def _check_finite(x: np.ndarray) -> np.ndarray:
@@ -273,15 +317,16 @@ def component_posterior(
     alpha, sigma = eval_schedule(sched, t)
     lam, evecs = prior._evals, prior._evecs
     c = alpha**2 * lam + sigma**2  # eigenvalues of C_k, positive for every t
+    slope = alpha * lam / c
 
     # one rotation serves both the responsibilities and the means
-    z = _rotate_in(evecs, x[..., None, :] - alpha * prior.means)
-    lr = _rotated_logpdf(z, c) + np.log(prior.weights)
-    log_resp = lr - logsumexp(lr, axis=-1, keepdims=True)
+    z = _rotate_in(evecs, x - alpha * _lift(prior.means, x.ndim + 1))
+    lr = _rotated_logpdf(z, c) + _lift(np.log(prior.weights), x.ndim)
+    log_resp = lr - logsumexp(lr, axis=0, keepdims=True)
 
-    means = prior.means + _rotate_out(evecs, alpha * lam / c * z)
+    means = _lift(prior.means, z.ndim) + _rotate_out(evecs, _lift(slope, z.ndim) * z)
     cov_evals = sigma**2 * lam / c
-    return ConditionalMixture(log_resp, means, cov_evals, evecs, z, c)
+    return ConditionalMixture(log_resp, means, cov_evals, evecs, z, c, slope)
 
 
 def gmm_marginal(prior: GaussianMixture, sched: Schedule, t: float) -> GaussianMixture:
@@ -297,15 +342,14 @@ def gmm_marginal(prior: GaussianMixture, sched: Schedule, t: float) -> GaussianM
 def gmm_denoise(
     prior: GaussianMixture, sched: Schedule, x: np.ndarray, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional mean of X0 given X_t = x, with component responsibilities.
+    """Conditional mean of X0 given X_t = x, with the (K, ...) component
+    responsibilities.
 
     At t = 0 the conditional collapses onto x itself; the closed form
     realizes this limit exactly (every component mean equals x there).
     """
     cond = component_posterior(prior, sched, x, t)
-    resp = cond.resp
-    xhat0 = np.einsum("...k,...kd->...d", resp, cond.means)
-    return xhat0, resp
+    return cond.mean(), cond.resp
 
 
 def noise_from_x0(x: np.ndarray, xhat0: np.ndarray, alpha: float, sigma: float) -> np.ndarray:
@@ -325,6 +369,12 @@ def gmm_noise_predict(
     return noise_from_x0(x, xhat0, *eval_schedule(sched, t))
 
 
+_JACOBIAN_AT_ZERO = (
+    "denoiser Jacobian at t=0 is an exact-limit identity; "
+    "pass identity_at_zero=True to request it"
+)
+
+
 def gmm_denoiser_jacobian(
     prior: GaussianMixture,
     sched: Schedule,
@@ -340,32 +390,34 @@ def gmm_denoiser_jacobian(
 
     with A_k = alpha * Sigma_k C_k^{-1} the per-component affine slope and
     g_k the gradient of the component log-likelihood of x (g_bar its
-    responsibility average).  At t = 0 the denoiser is the identity but
-    the quotient form is degenerate; the identity matrix is returned only
-    on explicit request.
+    responsibility average); see ``ConditionalMixture.jacobian``.  At t = 0
+    the denoiser is the identity but the quotient form is degenerate; the
+    identity matrix is returned only on explicit request.
     """
     x = _check_finite(x)
-    alpha, sigma = eval_schedule(sched, t)
-    if sigma == 0.0:
+    if eval_schedule(sched, t)[1] == 0.0:
         if not identity_at_zero:
-            raise ValueError(
-                "denoiser Jacobian at t=0 is an exact-limit identity; "
-                "pass identity_at_zero=True to request it"
-            )
+            raise ValueError(_JACOBIAN_AT_ZERO)
         eye = np.eye(x.shape[-1])
         return np.broadcast_to(eye, x.shape + (x.shape[-1],)).copy()
-
-    cond = component_posterior(prior, sched, x, t)
-    resp = cond.resp
-    affine = _matrices(alpha * prior._evals / cond.c, cond.cov_evecs)
-    jac = np.einsum("...k,kde->...de", resp, affine)
-    jac += np.einsum("...k,...kd,...ke->...de", resp, cond.means, cond.centred_scores())
-    return jac
+    return component_posterior(prior, sched, x, t).jacobian()
 
 
 # ---------------------------------------------------------------------------
 # denoiser interface consumed by the samplers
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """One denoiser evaluation at time t: the estimate ``xhat0`` of
+    E[X0 | X_t = x], plus ``state``, what the denoiser keeps of the
+    evaluation so that ``Denoiser.jacobian`` can differentiate it without
+    evaluating again (the ``ConditionalMixture`` for ``GMMDenoiser``)."""
+
+    t: float
+    xhat0: np.ndarray
+    state: object = None
 
 
 class Denoiser(ABC):
@@ -374,26 +426,33 @@ class Denoiser(ABC):
     ``denoise`` models E[X0 | X_t = x].  It is the only estimate a sampler
     asks for: every noise estimate is the one tied to it,
     x1_hat = ``noise_from_x0``(x, x0_hat, alpha_t, sigma_t), which for the
-    mixture prior is E[X1 | X_t = x] exactly.  ``jacobian`` is an optional
-    capability advertised through ``has_jacobian``.
+    mixture prior is E[X1 | X_t = x] exactly.  ``evaluate`` returns the
+    same estimate as an ``Evaluation``; ``jacobian`` of an evaluation is an
+    optional capability advertised through ``has_jacobian``.
     """
 
     @abstractmethod
     def denoise(self, x: np.ndarray, t: float) -> np.ndarray: ...
 
+    def evaluate(self, x: np.ndarray, t: float) -> Evaluation:
+        return Evaluation(t, self.denoise(x, t))
+
     @property
     def has_jacobian(self) -> bool:
         return False
 
-    def jacobian(self, x: np.ndarray, t: float) -> np.ndarray:
+    def jacobian(self, ev: Evaluation) -> np.ndarray:
+        """d xhat0 / dx at the point and time of the evaluation."""
         raise NotImplementedError("this denoiser does not expose a Jacobian")
 
 
 class GMMDenoiser(Denoiser):
     """Exact denoiser backed by a Gaussian-mixture prior.
 
-    ``jacobian_calls`` counts Jacobian evaluations; methods that advertise
-    themselves as Jacobian-free can be audited against it.
+    ``evaluate`` keeps the ``ConditionalMixture`` behind its estimate, and
+    ``jacobian`` builds the Jacobian from it: no second posterior
+    evaluation.  ``jacobian_calls`` counts Jacobian evaluations; methods
+    that advertise themselves as Jacobian-free can be audited against it.
     """
 
     def __init__(self, prior: GaussianMixture, sched: Schedule):
@@ -406,16 +465,21 @@ class GMMDenoiser(Denoiser):
         return self.prior.dim
 
     def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
-        xhat0, _ = gmm_denoise(self.prior, self.sched, x, t)
-        return xhat0
+        return self.evaluate(x, t).xhat0
+
+    def evaluate(self, x: np.ndarray, t: float) -> Evaluation:
+        cond = component_posterior(self.prior, self.sched, x, t)
+        return Evaluation(t, cond.mean(), cond)
 
     @property
     def has_jacobian(self) -> bool:
         return True
 
-    def jacobian(self, x: np.ndarray, t: float) -> np.ndarray:
+    def jacobian(self, ev: Evaluation) -> np.ndarray:
         self.jacobian_calls += 1
-        return gmm_denoiser_jacobian(self.prior, self.sched, x, t)
+        if eval_schedule(self.sched, ev.t)[1] == 0.0:
+            raise ValueError(_JACOBIAN_AT_ZERO)
+        return ev.state.jacobian()
 
     def reset_jacobian_counter(self) -> None:
         self.jacobian_calls = 0

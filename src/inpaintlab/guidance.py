@@ -18,10 +18,12 @@ of the clean sample given the observation:
   weighted by rho_t = lambda * alpha_t^2 / sigma_t^2.
 
 Every method is one ``step_<method>``, all with the same signature.  The
-driver evaluates the denoiser once per state and hands that estimate
-xhat0 to the step.  dps, ddnm and diffpir correct it and build their
-transition from the corrected estimate with ``bridge.transition_params``;
-blended and ding build it from xhat0 as is and add a draw after it.
+driver evaluates the denoiser once per state and hands that
+``Evaluation`` ev, with the estimate ev.xhat0, to the step.  dps, ddnm and
+diffpir correct the estimate and build their transition from the
+corrected one with ``bridge.transition_params``; dps takes its Jacobian
+from the same evaluation.  blended and ding build the transition from
+ev.xhat0 as is and add a draw after it.
 
 Per-step randomness is drawn in a fixed order so that seeds are
 comparable across methods: first the proposal noise (the transition
@@ -48,7 +50,7 @@ from .bridge import (
     transition_params,
 )
 from .errors import ConfigError, NumericError
-from .gmm import Denoiser, noise_from_x0
+from .gmm import Denoiser, Evaluation, noise_from_x0
 from .problem import InpaintingProblem
 from .schedule import Schedule, TimeGrid, eval_schedule
 
@@ -125,8 +127,8 @@ class Trajectory:
     ``states`` and ``denoised`` have shape (K+1, n, d): ``states[k]`` holds
     all chains at ``times[k]`` (the last after final replacement) and
     ``denoised[k]`` is ``denoiser.denoise(states[k], times[k])``, the
-    estimate the step from ``times[k]`` was handed (only the t = 0 row is
-    evaluated for the record alone).
+    estimate of the evaluation the step from ``times[k]`` was handed (only
+    the t = 0 row is evaluated for the record alone).
     """
 
     times: np.ndarray
@@ -145,7 +147,7 @@ class Trajectory:
 
 def step_blended(
     x_t: np.ndarray,
-    xhat0: np.ndarray,
+    ev: Evaluation,
     s: float,
     t: float,
     problem: InpaintingProblem,
@@ -158,7 +160,7 @@ def step_blended(
     """Unconditional step, then the noised reference replayed on the support."""
     if problem.x_star is None:
         raise ValueError("blended requires the reference x_star on the problem")
-    x_s = sample_transition(transition_params(kernel, sched, x_t, xhat0, s, t), rng)
+    x_s = sample_transition(transition_params(kernel, sched, x_t, ev.xhat0, s, t), rng)
     if problem.mask.observed_count == 0:
         return x_s
     alpha_s, sigma_s = eval_schedule(sched, s)
@@ -174,7 +176,7 @@ def step_blended(
 
 def dps_transition(
     x_t: np.ndarray,
-    xhat0: np.ndarray,
+    ev: Evaluation,
     s: float,
     t: float,
     problem: InpaintingProblem,
@@ -186,13 +188,15 @@ def dps_transition(
     """Transition with the denoiser corrected along the likelihood gradient.
 
     The correction is x0' = x0_hat + zeta * (sigma_t^2 / alpha_t) * J^T g
-    with g the masked residual scaled by 1/gamma^2.  At t = 1 exactly
-    (alpha_t = 0) the scale is evaluated one-sidedly at the first interior
-    grid point, i.e. at s of that step.
+    with g the masked residual scaled by 1/gamma^2, and x0_hat and J both
+    come from the one evaluation ev of x_t.  At t = 1 exactly (alpha_t = 0)
+    the scale is evaluated one-sidedly at the first interior grid point,
+    i.e. at s of that step.
     """
     if not denoiser.has_jacobian:
         raise ValueError("dps requires a denoiser that exposes a Jacobian")
-    jac = denoiser.jacobian(x_t, t)
+    xhat0 = ev.xhat0
+    jac = denoiser.jacobian(ev)
     m = problem.mask.m
     resid = m * (problem.y - m * xhat0)
     grad = np.einsum("...ij,...i->...j", jac, resid) / cfg.gamma**2
@@ -204,7 +208,7 @@ def dps_transition(
 
 def step_dps(
     x_t: np.ndarray,
-    xhat0: np.ndarray,
+    ev: Evaluation,
     s: float,
     t: float,
     problem: InpaintingProblem,
@@ -214,7 +218,7 @@ def step_dps(
     cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
-    params = dps_transition(x_t, xhat0, s, t, problem, kernel, sched, denoiser, cfg)
+    params = dps_transition(x_t, ev, s, t, problem, kernel, sched, denoiser, cfg)
     return sample_transition(params, rng)
 
 
@@ -263,7 +267,7 @@ def ding_posterior(
 
 def step_ding(
     x_t: np.ndarray,
-    xhat0: np.ndarray,
+    ev: Evaluation,
     s: float,
     t: float,
     problem: InpaintingProblem,
@@ -281,7 +285,7 @@ def step_ding(
     likelihood with the likelihood linearized through z instead of the
     model: no differentiation anywhere.
     """
-    params = transition_params(kernel, sched, x_t, xhat0, s, t)
+    params = transition_params(kernel, sched, x_t, ev.xhat0, s, t)
     nz = cfg.ding_nz
     eps = standard_normal(rng, np.shape(x_t)[:-1] + (nz, np.shape(x_t)[-1]))
     if params.std == 0.0:
@@ -321,7 +325,7 @@ def ddnm_transition(
 
 def step_ddnm(
     x_t: np.ndarray,
-    xhat0: np.ndarray,
+    ev: Evaluation,
     s: float,
     t: float,
     problem: InpaintingProblem,
@@ -331,7 +335,7 @@ def step_ddnm(
     cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
-    return sample_transition(ddnm_transition(x_t, xhat0, s, t, problem, kernel, sched), rng)
+    return sample_transition(ddnm_transition(x_t, ev.xhat0, s, t, problem, kernel, sched), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +370,7 @@ def diffpir_transition(
 
 def step_diffpir(
     x_t: np.ndarray,
-    xhat0: np.ndarray,
+    ev: Evaluation,
     s: float,
     t: float,
     problem: InpaintingProblem,
@@ -376,7 +380,8 @@ def step_diffpir(
     cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
-    return sample_transition(diffpir_transition(x_t, xhat0, s, t, problem, kernel, sched, cfg), rng)
+    params = diffpir_transition(x_t, ev.xhat0, s, t, problem, kernel, sched, cfg)
+    return sample_transition(params, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +408,10 @@ def run_conditional(
     """Run the selected guided sampler over all chains.
 
     Chains start at x ~ N(0, I), walk the grid backward through
-    ``step_<method>``, each step handed xhat0 = ``denoiser.denoise(x, t)``,
+    ``step_<method>``, each step handed ev = ``denoiser.evaluate(x, t)``,
     the one evaluation of its starting state, and (with final_replacement
     on) have their observed coordinates overwritten by y at the end.
-    The trajectory records that same xhat0.  Deterministic given (seed,
+    The trajectory records that same ev.xhat0.  Deterministic given (seed,
     config); chain j's draws depend only on (seed, method, j), so the
     first rows of a larger run equal a smaller one.  Returns a SampleSet
     and one batched ``Trajectory`` of all chains, or None unless
@@ -433,11 +438,11 @@ def run_conditional(
         s, t = knots[k - 1], knots[k]
         try:
             with np.errstate(all="ignore"):
-                xhat0 = denoiser.denoise(x, t)
+                ev = denoiser.evaluate(x, t)
                 if trajectory is not None:
                     # the chains at knots[k] fill row steps - k: time runs from 1 down to 0
-                    trajectory.states[steps - k], trajectory.denoised[steps - k] = x, xhat0
-                x = step(x, xhat0, s, t, problem, kernel, sched, denoiser, cfg, rngs)
+                    trajectory.states[steps - k], trajectory.denoised[steps - k] = x, ev.xhat0
+                x = step(x, ev, s, t, problem, kernel, sched, denoiser, cfg, rngs)
         except NumericError as exc:
             raise NumericError(f"{cfg.method} at step k={k} (t={t:g} -> s={s:g}): {exc}") from None
     if cfg.final_replacement:

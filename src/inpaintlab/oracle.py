@@ -13,8 +13,9 @@ Gaussian:
   independent routes (prior denoiser + scaled guidance gradient, and
   direct per-component joint conditioning).
 - ``ding_gap``: the pointwise error of replacing the denoiser Jacobian by
-  the scaled identity in a first-order expansion, computable either from
-  the denoiser Jacobian or from the noise-predictor Jacobian.
+  the scaled identity in a first-order expansion, for one point or a batch
+  of chains, computable either from the denoiser Jacobian or from the
+  noise-predictor Jacobian.
 
 All of them rest on one evidence routine, ``_observed_evidence``, which
 works in the log domain on the observed sub-coordinates only, so every
@@ -24,6 +25,10 @@ guidance gradient and, in ``_condition_on_observed``, each conditioned
 component in Woodbury form, with no d x d inverse:
 post_mean = m + C[:, obs] S^{-1} (y_obs - m_obs),
 post_cov = C - (L^{-1} C[obs, :])^T (L^{-1} C[obs, :]).
+
+Per-component arrays are component-major, as in ``gmm``: (K, ..., d) for
+the conditional means and solved residuals, (K, ...) for the log
+evidence and the reweighted responsibilities.
 """
 
 from __future__ import annotations
@@ -36,8 +41,10 @@ from .gmm import (
     _LOG_2PI,
     ConditionalMixture,
     GaussianMixture,
+    _lift,
     _rotate_in,
     _rotate_out,
+    _weighted_sum,
     component_posterior,
     gmm_denoiser_jacobian,
     logsumexp,
@@ -87,12 +94,11 @@ class PosteriorOracle:
 
 
 def _chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(L_k L_k^T)^{-1} b_k for factors ``chol`` (K, o, o) and b of shape (..., K, o)."""
-    n_comp, o = b.shape[-2:]
-    cols = np.moveaxis(b.reshape(-1, n_comp, o), 0, -1)  # (K, o, batch)
+    """(L_k L_k^T)^{-1} b_k for factors ``chol`` (K, o, o) and b of shape (K, ..., o)."""
+    cols = np.swapaxes(b.reshape(b.shape[0], -1, b.shape[-1]), -1, -2)  # (K, o, batch)
     half = np.linalg.solve(chol, cols)
     sol = np.linalg.solve(np.swapaxes(chol, -1, -2), half)
-    return np.moveaxis(sol, -1, 0).reshape(b.shape)
+    return np.swapaxes(sol, -1, -2).reshape(b.shape)
 
 
 def _observed_evidence(
@@ -102,9 +108,10 @@ def _observed_evidence(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log evidence of y_obs under each component N(mean_k_obs, C0_k_obs + gamma^2 I).
 
-    Returns the (..., K) log values, the (K, o, o) lower Cholesky factors
-    L_k of the observed-block matrices S_k, and the (..., K, o) solved
-    residuals S_k^{-1} (y_obs - mean_k_obs), for reuse by the gradient and
+    ``cond_means`` is component-major, (K, ..., d).  Returns the (K, ...)
+    log values, the (K, o, o) lower Cholesky factors L_k of the
+    observed-block matrices S_k, and the (K, ..., o) solved residuals
+    S_k^{-1} (y_obs - mean_k_obs), for reuse by the gradient and
     conditioning formulas.
     """
     obs = problem.mask.observed_idx
@@ -115,7 +122,7 @@ def _observed_evidence(
     solved = _chol_solve(chol, resid)
     quad = np.sum(resid * solved, axis=-1)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return -0.5 * (quad + logdet + obs.size * _LOG_2PI), chol, solved
+    return -0.5 * (quad + _lift(logdet, quad.ndim) + obs.size * _LOG_2PI), chol, solved
 
 
 def _condition_on_observed(
@@ -125,22 +132,22 @@ def _condition_on_observed(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Condition each component N(means_k, cov_k) on the observed coordinates.
 
-    Returns the (..., K) log evidence and the conditioned means (..., K, d)
+    Returns the (K, ...) log evidence and the conditioned means (K, ..., d)
     and covariances (K, d, d), in the Woodbury form of the module docstring.
     """
     obs = problem.mask.observed_idx
     log_ev, chol, solved = _observed_evidence(problem, means, cov)
     cross = cov[:, :, obs]  # C[:, obs], (K, d, o)
-    post_means = means + np.einsum("kdo,...ko->...kd", cross, solved)
+    post_means = means + np.einsum("kdo,k...o->k...d", cross, solved)
     half = np.linalg.solve(chol, np.swapaxes(cross, -1, -2))  # L^{-1} C[obs, :]
     post_cov = cov - np.swapaxes(half, -1, -2) @ half
     return log_ev, post_means, 0.5 * (post_cov + np.swapaxes(post_cov, -1, -2))
 
 
 def _reweight(log_resp: np.ndarray, log_ev: np.ndarray) -> np.ndarray:
-    """Responsibilities proportional to exp(log_resp + log_ev) over the last axis."""
+    """Responsibilities proportional to exp(log_resp + log_ev) over the component axis 0."""
     logw = log_resp + log_ev
-    return np.exp(logw - logsumexp(logw, axis=-1, keepdims=True))
+    return np.exp(logw - logsumexp(logw, axis=0, keepdims=True))
 
 
 def exact_intermediate_loglik(
@@ -161,10 +168,10 @@ def exact_intermediate_loglik(
     cond = component_posterior(prior, sched, x_t, t)
     obs = problem.mask.observed_idx
     if obs.size == 0:
-        return np.zeros(cond.log_resp.shape[:-1])
+        return np.zeros(cond.log_resp.shape[1:])
     log_ev, _, _ = _observed_evidence(problem, cond.means, cond.covariance_matrices())
     offset = 0.5 * obs.size * (_LOG_2PI + 2.0 * np.log(problem.gamma))
-    return logsumexp(cond.log_resp + log_ev, axis=-1) + offset
+    return logsumexp(cond.log_resp + log_ev, axis=0) + offset
 
 
 def exact_guidance_grad(
@@ -196,13 +203,10 @@ def exact_guidance_grad(
 
     if problem.mask.observed_idx.size == 0:
         return np.zeros_like(x_t)
-    alpha, _ = eval_schedule(sched, t)
-    return _guidance_grad(problem, prior, component_posterior(prior, sched, x_t, t), alpha)
+    return _guidance_grad(problem, component_posterior(prior, sched, x_t, t))
 
 
-def _guidance_grad(
-    problem: InpaintingProblem, prior: GaussianMixture, cond: ConditionalMixture, alpha: float
-) -> np.ndarray:
+def _guidance_grad(problem: InpaintingProblem, cond: ConditionalMixture) -> np.ndarray:
     """``exact_guidance_grad`` from the mixture of X0 given x_t (non-empty mask)."""
     obs = problem.mask.observed_idx
     evecs = cond.cov_evecs
@@ -211,10 +215,11 @@ def _guidance_grad(
     # gradient of each component's evidence: A_k^T lifted residual
     lifted = np.zeros(cond.means.shape)
     lifted[..., obs] = solved
-    ev_grad = _rotate_out(evecs, alpha * prior._evals / cond.c * _rotate_in(evecs, lifted))
+    slope = _lift(cond.slope, lifted.ndim)
+    ev_grad = _rotate_out(evecs, slope * _rotate_in(evecs, lifted))
 
     total = cond.centred_scores() + ev_grad
-    return np.einsum("...k,...kd->...d", _reweight(cond.log_resp, log_ev), total)
+    return _weighted_sum(_reweight(cond.log_resp, log_ev), total)
 
 
 def exact_posterior_denoiser(
@@ -240,16 +245,16 @@ def exact_posterior_denoiser(
         raise ValueError(f"unknown route {route!r}")
 
     cond = component_posterior(prior, sched, x_t, t)
-    xhat0 = np.einsum("...k,...kd->...d", cond.resp, cond.means)
+    xhat0 = cond.mean()
     if problem.mask.observed_idx.size == 0:
         return xhat0
     if route == "gradient":
-        return xhat0 + (sigma**2 / alpha) * _guidance_grad(problem, prior, cond, alpha)
+        return xhat0 + (sigma**2 / alpha) * _guidance_grad(problem, cond)
 
     log_ev, post_means, _ = _condition_on_observed(
         problem, cond.means, cond.covariance_matrices()
     )
-    return np.einsum("...k,...kd->...d", _reweight(cond.log_resp, log_ev), post_means)
+    return _weighted_sum(_reweight(cond.log_resp, log_ev), post_means)
 
 
 def ding_gap(
@@ -259,14 +264,15 @@ def ding_gap(
     z: np.ndarray,
     s: float,
     route: str = "expansion",
-) -> float:
+) -> float | np.ndarray:
     """Size of the neglected-Jacobian term at displacement x - z.
 
     ``route="expansion"`` compares the scaled-identity expansion of the
     denoiser around z with the true first-order expansion;
     ``route="noise_jacobian"`` evaluates (sigma_s/alpha_s) *
     noise-predictor Jacobian * (x - z), which the duality of the two
-    Jacobians makes equal.
+    Jacobians makes equal.  ``x`` and ``z`` are one point (d,), which gives
+    a float, or a batch of chains (n, d), which gives the (n,) norms.
     """
     alpha, sigma = eval_schedule(sched, s)
     if alpha <= 0 or sigma <= 0:
@@ -274,12 +280,13 @@ def ding_gap(
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     jac0 = gmm_denoiser_jacobian(prior, sched, z, s)
-    disp = x - z
+    disp = (x - z)[..., None]
     if route == "expansion":
         v = disp / alpha - jac0 @ disp
     elif route == "noise_jacobian":
-        jac1 = (np.eye(z.size) - alpha * jac0) / sigma
+        jac1 = (np.eye(z.shape[-1]) - alpha * jac0) / sigma
         v = (sigma / alpha) * (jac1 @ disp)
     else:
         raise ValueError(f"unknown route {route!r}")
-    return float(np.linalg.norm(v))
+    gap = np.linalg.norm(v[..., 0], axis=-1)
+    return float(gap) if gap.ndim == 0 else gap

@@ -102,6 +102,29 @@ def test_run_time_values_loaded(tmp_path):
     assert load_config(_write(tmp_path, BASIC)).oracle_n is None
 
 
+@pytest.mark.parametrize("key, value", [
+    ("prior.component.0.weight", "half"),
+    ("prior.component.1.mean", "-2, minus two"),
+    ("prior.component.0.cov", "1; 1"),
+    ("mask.inline", "1, o"),
+    ("xstar.inline", "1.5, -0.5x"),
+])
+def test_malformed_number_names_its_key(tmp_path, key, value):
+    lines = [f"{key} = {value}" if line.split("=")[0].strip() == key else line
+             for line in BASIC.splitlines()]
+    with pytest.raises(ConfigError, match=f"^{key}: expected a"):
+        load_config(_write(tmp_path, "\n".join(lines) + "\n"))
+
+
+def test_malformed_prior_csv_row_names_its_line(tmp_path):
+    (tmp_path / "prior.csv").write_text("0.4, 1.0, -1.0, 0.5, 0.7\n0.6, 0.0, two, 1.0, 1.0\n")
+    text = "\n".join(
+        line for line in BASIC.splitlines() if not line.startswith("prior.component")
+    ) + "\nprior.csv = prior.csv\n"
+    with pytest.raises(ConfigError, match="prior.csv line 2: expected a list of numbers"):
+        load_config(_write(tmp_path, text))
+
+
 def test_unknown_method_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown method"):
         load_config(_write(tmp_path, BASIC.replace("ding, ddnm", "ding, dnnm")))

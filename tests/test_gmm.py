@@ -135,7 +135,7 @@ def test_responsibilities_sum_to_one(three_comp_diag):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((50, 4)) * 3.0
     _, resp = gmm_denoise(three_comp_diag, LIN, x, 0.37)
-    np.testing.assert_allclose(resp.sum(axis=-1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(resp.sum(axis=0), 1.0, atol=1e-12)
     assert np.all(resp >= 0)
 
 
@@ -207,8 +207,8 @@ def test_denoiser_interface_counts_jacobian_calls(three_comp_diag):
     x = np.zeros(4)
     den.denoise(x, 0.5)
     assert den.jacobian_calls == 0
-    den.jacobian(x, 0.5)
-    den.jacobian(x, 0.3)
+    den.jacobian(den.evaluate(x, 0.5))
+    den.jacobian(den.evaluate(x, 0.3))
     assert den.jacobian_calls == 2
     den.reset_jacobian_counter()
     assert den.jacobian_calls == 0
@@ -271,8 +271,8 @@ def test_component_posterior_log_resp_equals_component_logpdf(fixture, request):
     for t in (0.05, 0.4, 0.95):
         alpha, sigma = eval_schedule(LIN, t)
         c = alpha**2 * prior._evals + sigma**2
-        lr = _component_logpdf(x, alpha * prior.means, c, prior._evecs) + np.log(prior.weights)
-        want = lr - logsumexp(lr, axis=-1, keepdims=True)
+        lr = _component_logpdf(x, alpha * prior.means, c, prior._evecs) + np.log(prior.weights)[:, None]
+        want = lr - logsumexp(lr, axis=0, keepdims=True)
         got = component_posterior(prior, LIN, x, t).log_resp
         assert got.tobytes() == want.tobytes()
 
@@ -289,12 +289,97 @@ def test_centred_scores_average_to_the_marginal_score(fixture, batch, request):
     for t in (0.1, 0.5, 0.9):
         cond = component_posterior(prior, LIN, x, t)
         g = _scores(cond.z, cond.c, cond.cov_evecs)
-        g_bar = np.einsum("...k,...kd->...d", cond.resp, g)
+        g_bar = np.einsum("k...,k...d->...d", cond.resp, g)
         score = gmm_marginal(prior, LIN, t).score(x)
         assert g_bar.shape == score.shape == x.shape
         np.testing.assert_allclose(g_bar, score, rtol=0, atol=1e-10)
         centred = cond.centred_scores()
-        np.testing.assert_array_equal(centred, g - g_bar[..., None, :])
+        np.testing.assert_array_equal(centred, g - g_bar)
         np.testing.assert_allclose(
-            np.einsum("...k,...kd->...d", cond.resp, centred), 0.0, rtol=0, atol=1e-10
+            np.einsum("k...,k...d->...d", cond.resp, centred), 0.0, rtol=0, atol=1e-10
         )
+
+
+def _reference_posterior(prior, x, t):
+    """Per-component loop on C_k = alpha^2 Sigma_k + sigma^2 I for one point:
+    log responsibilities, means m_k, slopes A_k and scores g_k."""
+    alpha, sigma = eval_schedule(LIN, t)
+    log_w, means, slopes, scores = [], [], [], []
+    for w, mu, cov in zip(prior.weights, prior.means, prior.covariance_matrices()):
+        c = alpha**2 * cov + sigma**2 * np.eye(prior.dim)
+        off = x - alpha * mu
+        solved = np.linalg.solve(c, off)
+        _, logdet = np.linalg.slogdet(c)
+        log_w.append(np.log(w) - 0.5 * (off @ solved + logdet + prior.dim * np.log(2 * np.pi)))
+        means.append(mu + alpha * cov @ solved)
+        slopes.append(alpha * cov @ np.linalg.inv(c))
+        scores.append(-solved)
+    log_w = np.array(log_w)
+    top = log_w.max()
+    log_resp = log_w - (top + np.log(np.sum(np.exp(log_w - top))))
+    return log_resp, np.array(means), np.array(slopes), np.array(scores)
+
+
+def _reference_guidance_grad(problem, prior, x, t):
+    """Gradient of log sum_k r_k N(y_obs; m_k[obs], C0_k[obs, obs] + gamma^2 I)."""
+    alpha, sigma = eval_schedule(LIN, t)
+    log_resp, means, slopes, scores = _reference_posterior(prior, x, t)
+    obs = problem.mask.observed_idx
+    g_bar = np.exp(log_resp) @ scores
+    log_terms, grads = [], []
+    for lr, m, a, g, cov in zip(log_resp, means, slopes, scores, prior.covariance_matrices()):
+        c0 = sigma**2 * cov @ np.linalg.inv(alpha**2 * cov + sigma**2 * np.eye(prior.dim))
+        s = c0[np.ix_(obs, obs)] + problem.gamma**2 * np.eye(obs.size)
+        resid = problem.y[obs] - m[obs]
+        solved = np.linalg.solve(s, resid)
+        _, logdet = np.linalg.slogdet(s)
+        log_terms.append(lr - 0.5 * (resid @ solved + logdet))
+        lifted = np.zeros(prior.dim)
+        lifted[obs] = solved
+        grads.append(g - g_bar + a.T @ lifted)
+    log_terms = np.array(log_terms)
+    rho = np.exp(log_terms - log_terms.max())
+    return (rho / rho.sum()) @ np.array(grads)
+
+
+@pytest.mark.parametrize("layout", ["full", "diagonal"])
+def test_component_major_kernels_match_per_component_reference(layout):
+    # mixture-full sizes: K = 32 components in R^12, 64 points, half observed
+    from inpaintlab import InpaintingProblem, MaskOperator, exact_guidance_grad
+    from inpaintlab.gmm import component_posterior
+
+    rng = np.random.default_rng(12)
+    k, d, n = 32, 12, 64
+    if layout == "full":
+        a = rng.standard_normal((k, d, d))
+        cov = 0.3 * a @ np.swapaxes(a, 1, 2) / d + 0.2 * np.eye(d)
+    else:
+        cov = 0.2 + 0.6 * rng.random((k, d))
+    prior = GaussianMixture(rng.dirichlet(np.ones(k)), 2.0 * rng.standard_normal((k, d)), cov)
+    mask = MaskOperator(np.arange(d) % 2)
+    problem = InpaintingProblem(mask, mask.m * prior.sample(1, rng)[0], 0.5)
+    for t in (0.1, 0.4, 0.7, 0.95):
+        alpha, sigma = eval_schedule(LIN, t)
+        x = alpha * prior.sample(n, rng) + sigma * rng.standard_normal((n, d))
+        for points in (x, x[0]):
+            cond = component_posterior(prior, LIN, points, t)
+            xhat0, resp = gmm_denoise(prior, LIN, points, t)
+            jac = gmm_denoiser_jacobian(prior, LIN, points, t)
+            grad = exact_guidance_grad(problem, prior, LIN, points, t)
+            assert cond.log_resp.shape == resp.shape == (k,) + points.shape[:-1]
+            assert cond.means.shape == (k,) + points.shape
+            for i, x_i in enumerate(np.atleast_2d(points)):
+                at = (slice(None), i) if points.ndim == 2 else (slice(None),)
+                log_resp, means, slopes, scores = _reference_posterior(prior, x_i, t)
+                r = np.exp(log_resp)
+                want_jac = np.einsum("k,kde->de", r, slopes) + np.einsum(
+                    "k,kd,ke->de", r, means, scores - r @ scores
+                )
+                np.testing.assert_allclose(cond.log_resp[at], log_resp, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(cond.means[at], means, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(np.atleast_2d(xhat0)[i], r @ means, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(np.reshape(jac, (-1, d, d))[i], want_jac,
+                                           rtol=0, atol=1e-10)
+                np.testing.assert_allclose(np.atleast_2d(grad)[i],
+                                           _reference_guidance_grad(problem, prior, x_i, t),
+                                           rtol=0, atol=1e-10)

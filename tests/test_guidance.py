@@ -94,7 +94,7 @@ def test_blended_observed_exact_at_s_zero(mixture_setup):
     _, den, problem = mixture_setup
     x_t = np.array([0.5, 0.5])
     x_s = step_blended(
-        x_t, den.denoise(x_t, 0.1), 0.0, 0.1, problem, BridgeKernel(0.8), LIN, den,
+        x_t, den.evaluate(x_t, 0.1), 0.0, 0.1, problem, BridgeKernel(0.8), LIN, den,
         _cfg("blended"), np.random.default_rng(0),
     )
     assert x_s[0] == problem.x_star[0]  # alpha_0 = 1, sigma_0 = 0
@@ -104,7 +104,7 @@ def test_blended_requires_reference(mixture_setup):
     _, den, _ = mixture_setup
     prob = InpaintingProblem(MaskOperator([1, 0]), np.array([1.0, 0.0]), 0.2)
     with pytest.raises(ValueError):
-        step_blended(np.zeros(2), den.denoise(np.zeros(2), 0.5), 0.2, 0.5, prob, BridgeKernel(0.8),
+        step_blended(np.zeros(2), den.evaluate(np.zeros(2), 0.5), 0.2, 0.5, prob, BridgeKernel(0.8),
                      LIN, den, _cfg("blended"), np.random.default_rng(0))
 
 
@@ -115,12 +115,12 @@ def test_blended_empty_mask_is_unconditional_step(mixture_setup):
     )
     kern = BridgeKernel(0.8)
     x_t = np.array([0.3, -0.2])
-    xhat0 = den.denoise(x_t, 0.5)
+    ev = den.evaluate(x_t, 0.5)
     got = step_blended(
-        x_t, xhat0, 0.2, 0.5, prob, kern, LIN, den, _cfg("blended"), np.random.default_rng(5)
+        x_t, ev, 0.2, 0.5, prob, kern, LIN, den, _cfg("blended"), np.random.default_rng(5)
     )
     want = sample_transition(
-        transition_params(kern, LIN, x_t, xhat0, 0.2, 0.5), np.random.default_rng(5)
+        transition_params(kern, LIN, x_t, ev.xhat0, 0.2, 0.5), np.random.default_rng(5)
     )
     np.testing.assert_array_equal(got, want)
 
@@ -146,9 +146,9 @@ def test_dps_flat_likelihood_reduces_to_unconditional(mixture_setup):
     kern = BridgeKernel(0.8)
     x_t = np.array([0.4, -1.0])
     cfg = _cfg("dps", gamma=1e6)
-    xhat0 = den.denoise(x_t, 0.6)
-    guided = dps_transition(x_t, xhat0, 0.3, 0.6, problem, kern, LIN, den, cfg)
-    plain = transition_params(kern, LIN, x_t, xhat0, 0.3, 0.6)
+    ev = den.evaluate(x_t, 0.6)
+    guided = dps_transition(x_t, ev, 0.3, 0.6, problem, kern, LIN, den, cfg)
+    plain = transition_params(kern, LIN, x_t, ev.xhat0, 0.3, 0.6)
     assert np.max(np.abs(guided.mean - plain.mean)) <= 1e-6 * np.linalg.norm(plain.mean) + 1e-9
     assert guided.std == plain.std
 
@@ -159,9 +159,9 @@ def test_dps_zero_residual_leaves_denoiser(gaussian_denoiser):
     kern = BridgeKernel(0.8)
     cfg = _cfg("dps", gamma=1.0, dps_scale=1.0)
     x_t = np.array([1.0])
-    xhat0 = gaussian_denoiser.denoise(x_t, 0.5)
-    guided = dps_transition(x_t, xhat0, 0.25, 0.5, problem, kern, LIN, gaussian_denoiser, cfg)
-    plain = transition_params(kern, LIN, x_t, xhat0, 0.25, 0.5)
+    ev = gaussian_denoiser.evaluate(x_t, 0.5)
+    guided = dps_transition(x_t, ev, 0.25, 0.5, problem, kern, LIN, gaussian_denoiser, cfg)
+    plain = transition_params(kern, LIN, x_t, ev.xhat0, 0.25, 0.5)
     np.testing.assert_allclose(guided.mean, plain.mean, atol=1e-14)
 
 
@@ -173,7 +173,7 @@ def test_dps_correction_matches_closed_form(gaussian_denoiser):
     x_t = np.array([1.0])
     s, t = 0.25, 0.5
     guided = dps_transition(
-        x_t, gaussian_denoiser.denoise(x_t, t), s, t, problem, kern, LIN, gaussian_denoiser, cfg
+        x_t, gaussian_denoiser.evaluate(x_t, t), s, t, problem, kern, LIN, gaussian_denoiser, cfg
     )
     alpha_t, sigma_t = eval_schedule(LIN, t)
     xhat0 = 1.0  # alpha x/(alpha^2+sigma^2)
@@ -187,8 +187,8 @@ def test_dps_requires_jacobian(mixture_setup):
     _, _, problem = mixture_setup
     den = ZeroNoiseDenoiser()
     with pytest.raises(ValueError):
-        dps_transition(np.zeros(2), np.zeros(2), 0.2, 0.5, problem, BridgeKernel(0.8), LIN, den,
-                       _cfg("dps"))
+        dps_transition(np.zeros(2), den.evaluate(np.zeros(2), 0.5), 0.2, 0.5, problem,
+                       BridgeKernel(0.8), LIN, den, _cfg("dps"))
 
 
 def test_dps_t1_uses_interior_scale(mixture_setup):
@@ -196,7 +196,7 @@ def test_dps_t1_uses_interior_scale(mixture_setup):
     _, den, problem = mixture_setup
     cfg = _cfg("dps")
     x_t = np.array([0.2, 0.1])
-    out = dps_transition(x_t, den.denoise(x_t, 1.0), 0.9, 1.0, problem, BridgeKernel(0.8), LIN,
+    out = dps_transition(x_t, den.evaluate(x_t, 1.0), 0.9, 1.0, problem, BridgeKernel(0.8), LIN,
                          den, cfg)
     assert np.all(np.isfinite(out.mean))
 
@@ -260,7 +260,7 @@ def test_ding_step_conjugacy_monte_carlo():
     cfg = _cfg("ding", eta=1.0, gamma=0.5, n_chains=1)
     n = 200_000
     x_t = np.ones((n, 1))
-    draws = step_ding(x_t, den.denoise(x_t, 1.0), 0.5, 1.0, problem, BridgeKernel(1.0), LIN, den,
+    draws = step_ding(x_t, den.evaluate(x_t, 1.0), 0.5, 1.0, problem, BridgeKernel(1.0), LIN, den,
                       cfg, np.random.default_rng(3))
     assert abs(draws.mean() - 0.4) < 4 * np.sqrt(0.05 / n)
     assert abs(draws.var() - 0.05) < 4 * 0.05 * np.sqrt(2.0 / n)
@@ -270,10 +270,10 @@ def test_ding_deterministic_when_eta_zero(mixture_setup):
     _, den, problem = mixture_setup
     kern = BridgeKernel(0.0)
     x_t = np.array([0.4, -0.1])
-    xhat0 = den.denoise(x_t, 0.6)
-    got = step_ding(x_t, xhat0, 0.3, 0.6, problem, kern, LIN, den, _cfg("ding", eta=0.0),
+    ev = den.evaluate(x_t, 0.6)
+    got = step_ding(x_t, ev, 0.3, 0.6, problem, kern, LIN, den, _cfg("ding", eta=0.0),
                     np.random.default_rng(0))
-    want = transition_params(kern, LIN, x_t, xhat0, 0.3, 0.6).mean
+    want = transition_params(kern, LIN, x_t, ev.xhat0, 0.3, 0.6).mean
     np.testing.assert_array_equal(got, want)
 
 
@@ -288,7 +288,7 @@ def test_ding_never_touches_jacobian(mixture_setup):
 def test_ding_nz_averaging_runs(mixture_setup):
     _, den, problem = mixture_setup
     cfg = _cfg("ding", ding_nz=4)
-    out = step_ding(np.zeros(2), den.denoise(np.zeros(2), 0.6), 0.3, 0.6, problem,
+    out = step_ding(np.zeros(2), den.evaluate(np.zeros(2), 0.6), 0.3, 0.6, problem,
                     BridgeKernel(0.8), LIN, den, cfg, np.random.default_rng(1))
     assert out.shape == (2,)
     assert np.all(np.isfinite(out))
@@ -483,6 +483,23 @@ def test_trajectory_record_reuses_the_step_evaluation(method, mixture_setup, mon
         run_conditional(problem, den, LIN, cfg, record_trajectories=record)
         counts.append(calls[0])
     assert counts[1] == counts[0] + 1
+
+
+def test_dps_step_runs_one_component_posterior(mixture_setup, monkeypatch):
+    # the Jacobian comes from the evaluation that gave the step its estimate
+    _, den, problem = mixture_setup
+    original = gmm.component_posterior
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(gmm, "component_posterior", counting)
+    den.reset_jacobian_counter()
+    run_conditional(problem, den, LIN, _cfg("dps", grid=make_grid(9), n_chains=3))
+    assert calls[0] == 9
+    assert den.jacobian_calls == 9
 
 
 def test_mask_off_chains_bit_identical_to_unconditional(mixture_setup):

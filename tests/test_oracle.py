@@ -273,6 +273,22 @@ def test_ding_gap_routes_agree(mixed_prior):
         assert abs(a - b) <= 1e-8
 
 
+@pytest.mark.parametrize("route", ["expansion", "noise_jacobian"])
+def test_ding_gap_batches_over_chains(mixed_prior, route):
+    # a batch of chains gives one norm per chain, each the single-point value
+    rng = np.random.default_rng(31)
+    x, z = rng.standard_normal((9, 3)), rng.standard_normal((9, 3))
+    for s in (0.25, 0.6):
+        batch = ding_gap(mixed_prior, LIN, x, z, s, route=route)
+        assert batch.shape == (9,)
+        single = [ding_gap(mixed_prior, LIN, x_i, z_i, s, route=route) for x_i, z_i in zip(x, z)]
+        assert all(type(g) is float for g in single)
+        np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
+        other = "expansion" if route == "noise_jacobian" else "noise_jacobian"
+        np.testing.assert_allclose(batch, ding_gap(mixed_prior, LIN, x, z, s, route=other),
+                                   rtol=0, atol=1e-8)
+
+
 def test_ding_gap_needs_interior_time(mixed_prior):
     x, z = np.zeros(3), np.ones(3)
     for s in (0.0, 1.0):
