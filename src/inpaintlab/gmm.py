@@ -9,13 +9,14 @@ normally asks a neural network for are available exactly:
 - the noise prediction E[X1 | X_t = x] (``gmm_noise_predict``), tied to
   the denoiser by x1_hat = (x - alpha_t * x0_hat) / sigma_t
   (``noise_from_x0``),
-- the Jacobian of the denoiser (``gmm_denoiser_jacobian``).
+- the Jacobian of the denoiser (``gmm_denoiser_jacobian``, the reference
+  form), and its product with a vector (``ConditionalMixture.vjp``).
 
 The samplers see the prior through the ``Denoiser`` contract only:
 ``denoise``, ``evaluate`` (the estimate plus what differentiating it
-needs) and the optional ``jacobian`` of an evaluation (``GMMDenoiser``).
-They derive every noise estimate from the x0 estimate through
-``noise_from_x0``.
+needs) and the optional ``jacobian`` and ``vjp`` of an evaluation
+(``GMMDenoiser``).  They derive every noise estimate from the x0 estimate
+through ``noise_from_x0``.
 
 Component k of the corrupted mixture is N(alpha*mu_k, C_k) with
 C_k = alpha^2 * Sigma_k + sigma^2 * I.  Conditioning on X_t = x gives,
@@ -35,8 +36,11 @@ Per-component arrays are component-major.  For points x of shape
 the responsibilities (K, ...); per-component constants are (K, d) and the
 bases (K, d, d).  A rotation is then one batched matmul, one GEMM per
 component, and every responsibility-weighted sum contracts the leading
-axis, with no (..., K, d, d) array.  A diagonal prior runs the same code
-with an identity basis (``evecs`` None), where a rotation is a no-op.
+axis, with no (..., K, d, d) array.  ``component_posterior`` updates its
+(K, ..., d) temporaries in place where that keeps the order of the
+floating-point operations, so an evaluation holds few of them at once.
+A diagonal prior runs the same code with an identity basis (``evecs``
+None), where a rotation is a no-op.
 Responsibilities are computed in the log domain (component likelihoods
 underflow at small sigma_t).
 
@@ -204,10 +208,11 @@ def _weighted_sum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _rotate_in(evecs: np.ndarray | None, v: np.ndarray) -> np.ndarray:
     """V_k^T v_k for component-major vectors v of shape (K, ..., d): one
-    GEMM per component, (K, n, d) @ (K, d, d)."""
+    GEMM per component, (K, n, d) @ (K, d, d).  A leading axis of 1 rotates
+    the same vectors into every basis, giving (K, ..., d)."""
     if evecs is None:
         return v
-    return (v.reshape(v.shape[0], -1, v.shape[-1]) @ evecs).reshape(v.shape)
+    return (v.reshape(v.shape[0], -1, v.shape[-1]) @ evecs).reshape((-1,) + v.shape[1:])
 
 
 def _rotate_out(evecs: np.ndarray | None, z: np.ndarray) -> np.ndarray:
@@ -243,7 +248,9 @@ def _component_logpdf(
 def _rotated_logpdf(z: np.ndarray, evals: np.ndarray) -> np.ndarray:
     """``_component_logpdf`` from the rotated offsets z = V_k^T (x - center_k)."""
     d = z.shape[-1]
-    quad = np.sum(z * z / _lift(evals, z.ndim), axis=-1)
+    q = z * z
+    q /= _lift(evals, z.ndim)
+    quad = np.sum(q, axis=-1)
     logdet = np.sum(np.log(evals), axis=-1)
     return -0.5 * (quad + _lift(logdet, quad.ndim) + d * _LOG_2PI)
 
@@ -301,6 +308,23 @@ class ConditionalMixture:
         jac += np.einsum("k...,k...d,k...e->...de", resp, self.means, self.centred_scores())
         return jac
 
+    def vjp(self, v: np.ndarray) -> np.ndarray:
+        """J^T v for the Jacobian J of ``mean`` and v shaped like x.
+
+        J^T v = sum_k r_k [A_k v + (m_k.v - sum_j r_j m_j.v) g_k], since A_k
+        is symmetric.  In the eigenbasis of component k, A_k v and g_k are
+        slope_k * V_k^T v and -z_k / c_k: one rotation of v in, one (K, ...)
+        coefficient array and one rotation out, with no (..., d, d) array.
+        """
+        z, resp = self.z, self.resp
+        coef = np.einsum("k...d,...d->k...", self.means, v)
+        coef -= np.sum(resp * coef, axis=0)
+        w = _rotate_in(self.cov_evecs, v[None]) * _lift(self.slope, z.ndim)
+        q = z / _lift(self.c, z.ndim)
+        q *= coef[..., None]
+        w -= q
+        return _weighted_sum(resp, _rotate_out(self.cov_evecs, w))
+
 
 def _check_finite(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -324,7 +348,8 @@ def component_posterior(
     lr = _rotated_logpdf(z, c) + _lift(np.log(prior.weights), x.ndim)
     log_resp = lr - logsumexp(lr, axis=0, keepdims=True)
 
-    means = _lift(prior.means, z.ndim) + _rotate_out(evecs, _lift(slope, z.ndim) * z)
+    means = _rotate_out(evecs, _lift(slope, z.ndim) * z)
+    means += _lift(prior.means, z.ndim)
     cov_evals = sigma**2 * lam / c
     return ConditionalMixture(log_resp, means, cov_evals, evecs, z, c, slope)
 
@@ -427,8 +452,11 @@ class Denoiser(ABC):
     asks for: every noise estimate is the one tied to it,
     x1_hat = ``noise_from_x0``(x, x0_hat, alpha_t, sigma_t), which for the
     mixture prior is E[X1 | X_t = x] exactly.  ``evaluate`` returns the
-    same estimate as an ``Evaluation``; ``jacobian`` of an evaluation is an
-    optional capability advertised through ``has_jacobian``.
+    same estimate as an ``Evaluation``; ``jacobian`` of an evaluation, and
+    ``vjp``, its transpose applied to one vector per point, are an
+    optional capability advertised through ``has_jacobian``.  The default
+    ``vjp`` contracts ``jacobian``; a denoiser that can form J^T v directly
+    overrides it.
     """
 
     @abstractmethod
@@ -445,14 +473,19 @@ class Denoiser(ABC):
         """d xhat0 / dx at the point and time of the evaluation."""
         raise NotImplementedError("this denoiser does not expose a Jacobian")
 
+    def vjp(self, ev: Evaluation, v: np.ndarray) -> np.ndarray:
+        """J^T v for J = ``jacobian(ev)`` and v shaped like the point."""
+        return np.einsum("...ij,...i->...j", self.jacobian(ev), v)
+
 
 class GMMDenoiser(Denoiser):
     """Exact denoiser backed by a Gaussian-mixture prior.
 
     ``evaluate`` keeps the ``ConditionalMixture`` behind its estimate, and
-    ``jacobian`` builds the Jacobian from it: no second posterior
-    evaluation.  ``jacobian_calls`` counts Jacobian evaluations; methods
-    that advertise themselves as Jacobian-free can be audited against it.
+    ``jacobian`` and ``vjp`` differentiate it: no second posterior
+    evaluation.  ``vjp`` is the closed form ``ConditionalMixture.vjp``, with
+    no (..., d, d) array.  ``jacobian_calls`` counts both; methods that
+    advertise themselves as Jacobian-free can be audited against it.
     """
 
     def __init__(self, prior: GaussianMixture, sched: Schedule):
@@ -476,10 +509,17 @@ class GMMDenoiser(Denoiser):
         return True
 
     def jacobian(self, ev: Evaluation) -> np.ndarray:
+        self._count_jacobian(ev)
+        return ev.state.jacobian()
+
+    def vjp(self, ev: Evaluation, v: np.ndarray) -> np.ndarray:
+        self._count_jacobian(ev)
+        return ev.state.vjp(np.asarray(v, dtype=float))
+
+    def _count_jacobian(self, ev: Evaluation) -> None:
         self.jacobian_calls += 1
         if eval_schedule(self.sched, ev.t)[1] == 0.0:
             raise ValueError(_JACOBIAN_AT_ZERO)
-        return ev.state.jacobian()
 
     def reset_jacobian_counter(self) -> None:
         self.jacobian_calls = 0

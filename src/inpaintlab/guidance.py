@@ -6,7 +6,8 @@ of the clean sample given the observation:
 - ``blended``: replay the noised reference on the observed support after
   every unconditional step.
 - ``dps``: gradient correction of the denoiser output through the
-  denoiser Jacobian, using the likelihood evaluated at the point estimate.
+  denoiser Jacobian, using the likelihood evaluated at the point estimate;
+  the correction needs only the vector-Jacobian product J^T g.
 - ``ding``: Jacobian-free two-stage step.  A proposal z is drawn from the
   unconditional transition and only its noise prediction e enters the
   likelihood, which becomes Gaussian and linear in the new state; the
@@ -21,9 +22,10 @@ Every method is one ``step_<method>``, all with the same signature.  The
 driver evaluates the denoiser once per state and hands that
 ``Evaluation`` ev, with the estimate ev.xhat0, to the step.  dps, ddnm and
 diffpir correct the estimate and build their transition from the
-corrected one with ``bridge.transition_params``; dps takes its Jacobian
-from the same evaluation.  blended and ding build the transition from
-ev.xhat0 as is and add a draw after it.
+corrected one with ``bridge.transition_params``; dps takes its
+vector-Jacobian product ``denoiser.vjp`` from the same evaluation.
+blended and ding build the transition from ev.xhat0 as is and add a draw
+after it.
 
 Per-step randomness is drawn in a fixed order so that seeds are
 comparable across methods: first the proposal noise (the transition
@@ -188,18 +190,18 @@ def dps_transition(
     """Transition with the denoiser corrected along the likelihood gradient.
 
     The correction is x0' = x0_hat + zeta * (sigma_t^2 / alpha_t) * J^T g
-    with g the masked residual scaled by 1/gamma^2, and x0_hat and J both
-    come from the one evaluation ev of x_t.  At t = 1 exactly (alpha_t = 0)
-    the scale is evaluated one-sidedly at the first interior grid point,
-    i.e. at s of that step.
+    with g the masked residual scaled by 1/gamma^2, and x0_hat and J^T g
+    (``denoiser.vjp``, no d x d Jacobian) both come from the one
+    evaluation ev of x_t.  At t = 1 exactly (alpha_t = 0) the scale is
+    evaluated one-sidedly at the first interior grid point, i.e. at s of
+    that step.
     """
     if not denoiser.has_jacobian:
         raise ValueError("dps requires a denoiser that exposes a Jacobian")
     xhat0 = ev.xhat0
-    jac = denoiser.jacobian(ev)
     m = problem.mask.m
     resid = m * (problem.y - m * xhat0)
-    grad = np.einsum("...ij,...i->...j", jac, resid) / cfg.gamma**2
+    grad = denoiser.vjp(ev, resid) / cfg.gamma**2
     alpha_t, sigma_t = eval_schedule(sched, t)
     alpha_eval, sigma_eval = (alpha_t, sigma_t) if alpha_t > 0 else eval_schedule(sched, s)
     corrected = xhat0 + cfg.dps_scale * (sigma_eval**2 / alpha_eval) * grad

@@ -15,7 +15,8 @@ Gaussian:
 - ``ding_gap``: the pointwise error of replacing the denoiser Jacobian by
   the scaled identity in a first-order expansion, for one point or a batch
   of chains, computable either from the denoiser Jacobian or from the
-  noise-predictor Jacobian.
+  noise-predictor Jacobian, each applied to the displacement through the
+  denoiser's vector-Jacobian product.
 
 All of them rest on one evidence routine, ``_observed_evidence``, which
 works in the log domain on the observed sub-coordinates only, so every
@@ -46,7 +47,6 @@ from .gmm import (
     _rotate_out,
     _weighted_sum,
     component_posterior,
-    gmm_denoiser_jacobian,
     logsumexp,
 )
 from .problem import InpaintingProblem
@@ -271,22 +271,25 @@ def ding_gap(
     denoiser around z with the true first-order expansion;
     ``route="noise_jacobian"`` evaluates (sigma_s/alpha_s) *
     noise-predictor Jacobian * (x - z), which the duality of the two
-    Jacobians makes equal.  ``x`` and ``z`` are one point (d,), which gives
-    a float, or a batch of chains (n, d), which gives the (n,) norms.
+    Jacobians makes equal.  Both take J (x - z), with J the denoiser
+    Jacobian at z, from the evaluation's ``vjp``: J is symmetric (by
+    Tweedie it is (I + sigma_s^2 Hessian of log p_s) / alpha_s), so no
+    d x d matrix is formed.  ``x`` and ``z`` are one point (d,), which
+    gives a float, or a batch of chains (n, d), which gives the (n,) norms.
     """
     alpha, sigma = eval_schedule(sched, s)
     if alpha <= 0 or sigma <= 0:
         raise ValueError("ding_gap requires 0 < s < 1 (alpha_s > 0 and sigma_s > 0)")
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    jac0 = gmm_denoiser_jacobian(prior, sched, z, s)
-    disp = (x - z)[..., None]
+    disp = x - z
+    jac0_disp = component_posterior(prior, sched, z, s).vjp(disp)
     if route == "expansion":
-        v = disp / alpha - jac0 @ disp
+        v = disp / alpha - jac0_disp
     elif route == "noise_jacobian":
-        jac1 = (np.eye(z.shape[-1]) - alpha * jac0) / sigma
-        v = (sigma / alpha) * (jac1 @ disp)
+        jac1_disp = (disp - alpha * jac0_disp) / sigma
+        v = (sigma / alpha) * jac1_disp
     else:
         raise ValueError(f"unknown route {route!r}")
-    gap = np.linalg.norm(v[..., 0], axis=-1)
+    gap = np.linalg.norm(v, axis=-1)
     return float(gap) if gap.ndim == 0 else gap

@@ -3,6 +3,7 @@ import pytest
 
 from inpaintlab import (
     BridgeKernel,
+    Denoiser,
     GaussianMixture,
     GMMDenoiser,
     NumericError,
@@ -214,6 +215,62 @@ def test_denoiser_interface_counts_jacobian_calls(three_comp_diag):
     assert den.jacobian_calls == 0
 
 
+@pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
+def test_denoiser_jacobian_is_symmetric(fixture, request):
+    # by Tweedie J = (I + sigma^2 Hessian of log p_t) / alpha, so J^T v = J v
+    prior = request.getfixturevalue(fixture)
+    x = np.random.default_rng(9).standard_normal((25, prior.dim)) * 2.0
+    for t in (0.02, 0.1, 0.5, 0.9):
+        jac = gmm_denoiser_jacobian(prior, LIN, x, t)
+        np.testing.assert_allclose(jac, np.swapaxes(jac, -1, -2), rtol=0, atol=1e-12)
+
+
+class _JacobianOnly(Denoiser):
+    """Exposes the mixture Jacobian but not its closed-form vjp."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def denoise(self, x, t):
+        return self.inner.denoise(x, t)
+
+    def evaluate(self, x, t):
+        return self.inner.evaluate(x, t)
+
+    @property
+    def has_jacobian(self):
+        return True
+
+    def jacobian(self, ev):
+        return self.inner.jacobian(ev)
+
+
+@pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
+@pytest.mark.parametrize("batch", [(), (17,)])
+def test_vjp_equals_jacobian_transpose_product(fixture, batch, request):
+    prior = request.getfixturevalue(fixture)
+    den = GMMDenoiser(prior, LIN)
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal(batch + (prior.dim,)) * 2.0
+    v = rng.standard_normal(batch + (prior.dim,))
+    for t in (0.02, 0.1, 0.5, 0.9):
+        ev = den.evaluate(x, t)
+        want = np.einsum("...ij,...i->...j", ev.state.jacobian(), v)
+        scale = np.linalg.norm(want, axis=-1, keepdims=True)
+        calls = den.jacobian_calls
+        for got in (ev.state.vjp(v), den.vjp(ev, v), _JacobianOnly(den).vjp(ev, v)):
+            assert got.shape == x.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        assert den.jacobian_calls == calls + 2  # den.vjp and the default vjp's jacobian
+
+
+def test_vjp_at_t0_raises(three_comp_diag):
+    den = GMMDenoiser(three_comp_diag, LIN)
+    x = np.zeros(4)
+    with pytest.raises(ValueError):
+        den.vjp(den.evaluate(x, 0.0), np.ones(4))
+
+
 @pytest.mark.parametrize("t", [0.3, 1.0])
 def test_transition_mean_equals_denoise_and_noise_predict(two_comp_full, three_comp_diag, t):
     # the noise estimate tied to one denoiser evaluation is bit-identical to
@@ -275,6 +332,37 @@ def test_component_posterior_log_resp_equals_component_logpdf(fixture, request):
         want = lr - logsumexp(lr, axis=0, keepdims=True)
         got = component_posterior(prior, LIN, x, t).log_resp
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
+def test_component_posterior_keeps_its_rounding_order(fixture, request):
+    # the in-place arithmetic of component_posterior rounds exactly like the
+    # out-of-place expressions below, so the samples of every method stay put
+    from inpaintlab.gmm import component_posterior, logsumexp
+
+    prior = request.getfixturevalue(fixture)
+    k, d = prior.means.shape
+    evecs = prior._evecs
+    x = np.random.default_rng(7).standard_normal((33, d)) * 2.0
+    for t in (0.05, 0.4, 0.95):
+        alpha, sigma = eval_schedule(LIN, t)
+        c = alpha**2 * prior._evals + sigma**2
+        slope = alpha * prior._evals / c
+        z = x - alpha * prior.means[:, None, :]
+        if evecs is not None:
+            z = (z @ evecs).reshape(z.shape)
+        quad = np.sum(z * z / c[:, None, :], axis=-1)
+        lr = -0.5 * (quad + np.sum(np.log(c), axis=-1)[:, None] + d * np.log(2.0 * np.pi))
+        lr = lr + np.log(prior.weights)[:, None]
+        log_resp = lr - logsumexp(lr, axis=0, keepdims=True)
+        rotated = slope[:, None, :] * z
+        if evecs is not None:
+            rotated = rotated @ np.swapaxes(evecs, -1, -2)
+        means = prior.means[:, None, :] + rotated
+        cond = component_posterior(prior, LIN, x, t)
+        assert cond.z.tobytes() == z.tobytes()
+        assert cond.log_resp.tobytes() == log_resp.tobytes()
+        assert cond.means.tobytes() == means.tobytes()
 
 
 @pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])

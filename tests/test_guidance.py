@@ -191,6 +191,30 @@ def test_dps_requires_jacobian(mixture_setup):
                        BridgeKernel(0.8), LIN, den, _cfg("dps"))
 
 
+@pytest.mark.parametrize("prior", [
+    GaussianMixture([0.5, 0.5], [[2.0, 2.0], [-2.0, -2.0]], [[1.0, 1.0], [1.0, 0.5]]),
+    GaussianMixture([0.5, 0.5], [[2.0, 2.0], [-2.0, -2.0]],
+                    [[[1.0, 0.3], [0.3, 1.0]], [[0.5, -0.2], [-0.2, 1.0]]]),
+], ids=["diagonal", "full"])
+def test_dps_vjp_matches_the_jacobian_einsum(prior):
+    # the closed-form J^T g gives the corrected mean of the full-Jacobian form
+    den = GMMDenoiser(prior, LIN)
+    problem = make_observation(np.array([1.7, -0.4]), MaskOperator([1, 0]), 0.2)
+    cfg, kern = _cfg("dps"), BridgeKernel(0.8)
+    x_t = np.random.default_rng(3).standard_normal((6, 2)) * 2.0
+    for s, t in ((0.05, 0.1), (0.3, 0.5), (0.8, 0.9)):
+        ev = den.evaluate(x_t, t)
+        m = problem.mask.m
+        resid = m * (problem.y - m * ev.xhat0)
+        grad = np.einsum("...ij,...i->...j", den.jacobian(ev), resid) / cfg.gamma**2
+        alpha_t, sigma_t = eval_schedule(LIN, t)
+        corrected = ev.xhat0 + cfg.dps_scale * (sigma_t**2 / alpha_t) * grad
+        want = transition_params(kern, LIN, x_t, corrected, s, t)
+        got = dps_transition(x_t, ev, s, t, problem, kern, LIN, den, cfg)
+        np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12, atol=1e-12)
+        assert got.std == want.std
+
+
 def test_dps_t1_uses_interior_scale(mixture_setup):
     # at t = 1 exactly, the sigma^2/alpha factor comes from the first interior knot
     _, den, problem = mixture_setup
@@ -500,6 +524,20 @@ def test_dps_step_runs_one_component_posterior(mixture_setup, monkeypatch):
     run_conditional(problem, den, LIN, _cfg("dps", grid=make_grid(9), n_chains=3))
     assert calls[0] == 9
     assert den.jacobian_calls == 9
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_no_method_forms_a_jacobian_matrix(method, mixture_setup, monkeypatch):
+    # dps takes J^T g from the closed-form vjp; nothing builds the (n, d, d) Jacobian
+    _, den, problem = mixture_setup
+
+    def refuse(self):
+        raise AssertionError("a (..., d, d) Jacobian was formed")
+
+    monkeypatch.setattr(gmm.ConditionalMixture, "jacobian", refuse)
+    samples, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=3),
+                                 record_trajectories=True)
+    assert np.all(np.isfinite(samples.samples))
 
 
 def test_mask_off_chains_bit_identical_to_unconditional(mixture_setup):
