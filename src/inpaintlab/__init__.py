@@ -33,7 +33,6 @@ from .guidance import (
 from .masklift import LatentMask, PixelMask, dilate_mask, downsample_mask, leakage_report, lift_mask
 from .metrics import SampleSet, cpsnr, moment_diff, sliced_w2
 from .oracle import (
-    PosteriorOracle,
     ding_gap,
     exact_guidance_grad,
     exact_intermediate_loglik,
@@ -57,7 +56,6 @@ __all__ = [
     "MaskOperator",
     "NumericError",
     "PixelMask",
-    "PosteriorOracle",
     "SampleSet",
     "SamplerConfig",
     "Schedule",

@@ -22,11 +22,11 @@ evaluation per state serves the whole transition.
 of a batched state).  The last two keep each chain on its own
 reproducible substream: row j of every draw holds the next values of
 generator j, in order.  A plain sequence is drawn from chain by chain on
-every call; ``ChainStreams`` reads each generator ahead in blocks of
-``READ_AHEAD`` draws and serves the calls from that block, which gives the
-same values without a Python loop over chains per call.  The samplers
-(``run_unconditional`` and ``guidance.run_conditional``) draw through a
-``ChainStreams``.
+every call; the test suite uses it as the reference for ``ChainStreams``,
+which reads each generator ahead in blocks of ``READ_AHEAD`` draws and
+serves the calls from that block, giving the same values without a Python
+loop over chains per call.  The samplers (``run_unconditional`` and
+``guidance.run_conditional``) draw through a ``ChainStreams``.
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ class ChainStreams:
     chain's generator, row j from generator j, equal to the per-call draws
     ``g.standard_normal(shape[1:])`` (a generator's standard normals are
     one stream however the calls split it).  The block holds READ_AHEAD
-    draws per chain, or one request if that is wider.  Indexing and
-    ``len`` reach the generators themselves; drawing from one of them
-    directly skips the values already read into the block.
+    draws per chain, or one request if that is wider.  ``len`` is the
+    number of chains.  The generators are consumed only through ``take``:
+    drawing from one of them directly would skip the values already read
+    into the block.
     """
 
     def __init__(self, generators: Sequence[np.random.Generator]):
@@ -65,9 +66,6 @@ class ChainStreams:
 
     def __len__(self) -> int:
         return len(self.generators)
-
-    def __getitem__(self, j: int) -> np.random.Generator:
-        return self.generators[j]
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray:
         width = math.prod(shape[1:])
@@ -212,5 +210,5 @@ def run_unconditional(
         s, t = knots[k - 1], knots[k]
         params = transition_params(kernel, sched, x, denoiser.denoise(x, t), s, t)
         x = sample_transition(params, rng)
-    return SampleSet(samples=x, provenance=("unconditional", "", 0))
+    return SampleSet(x)
 

@@ -322,6 +322,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
                        ("oracle.n", cfg.oracle_n)):
         if value is not None and not value > 0:
             raise ConfigError(f"{key}: must be strictly positive, got {pairs[key]!r}")
+    if cfg.sw2_seed is not None and cfg.sw2_seed < 0:
+        raise ConfigError(f"sw2.seed: must be non-negative, got {pairs['sw2.seed']!r}")
     for m in methods:
         cfg.sampler_config(m)  # validate overrides eagerly
     return cfg

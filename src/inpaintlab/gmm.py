@@ -394,10 +394,7 @@ def gmm_noise_predict(
     return noise_from_x0(x, xhat0, *eval_schedule(sched, t))
 
 
-_JACOBIAN_AT_ZERO = (
-    "denoiser Jacobian at t=0 is an exact-limit identity; "
-    "pass identity_at_zero=True to request it"
-)
+_JACOBIAN_AT_ZERO = "denoiser Jacobian is not defined at t=0 (sigma_t = 0); evaluate at t > 0"
 
 
 def gmm_denoiser_jacobian(
@@ -405,7 +402,6 @@ def gmm_denoiser_jacobian(
     sched: Schedule,
     x: np.ndarray,
     t: float,
-    identity_at_zero: bool = False,
 ) -> np.ndarray:
     """Jacobian of the denoiser with respect to x.
 
@@ -415,16 +411,14 @@ def gmm_denoiser_jacobian(
 
     with A_k = alpha * Sigma_k C_k^{-1} the per-component affine slope and
     g_k the gradient of the component log-likelihood of x (g_bar its
-    responsibility average); see ``ConditionalMixture.jacobian``.  At t = 0
-    the denoiser is the identity but the quotient form is degenerate; the
-    identity matrix is returned only on explicit request.
+    responsibility average); see ``ConditionalMixture.jacobian``.  By
+    second-order Tweedie this equals (I + sigma^2 Hessian of log p_t) /
+    alpha, against which the test suite checks it.  At t = 0 the quotient
+    form is degenerate, and the call raises ValueError.
     """
     x = _check_finite(x)
     if eval_schedule(sched, t)[1] == 0.0:
-        if not identity_at_zero:
-            raise ValueError(_JACOBIAN_AT_ZERO)
-        eye = np.eye(x.shape[-1])
-        return np.broadcast_to(eye, x.shape + (x.shape[-1],)).copy()
+        raise ValueError(_JACOBIAN_AT_ZERO)
     return component_posterior(prior, sched, x, t).jacobian()
 
 

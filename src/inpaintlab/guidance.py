@@ -37,7 +37,6 @@ diffpir chains bit-identical to the unconditional chain on an empty mask.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +86,10 @@ class SamplerConfig:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError("eta must lie in [0, 1]")
+        if self.method == "ding" and self.eta == 0.0:
+            # eta_s = 0 leaves no proposal spread: step_ding returns the
+            # unconditional mean and the observation never enters
+            raise ConfigError("eta must be > 0 for ding: at eta = 0 it applies no guidance")
         for name in ("gamma", "dps_scale", "diffpir_lambda"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be strictly positive")
@@ -96,29 +99,6 @@ class SamplerConfig:
             raise ConfigError("n_chains must be a positive integer")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-
-    def digest(self) -> str:
-        """Short stable hash of the configuration, for provenance records."""
-        knots = np.asarray(self.grid.knots)
-        payload = "|".join(
-            [
-                self.method,
-                knots.tobytes().hex(),
-                repr(
-                    (
-                        self.eta,
-                        self.gamma,
-                        self.dps_scale,
-                        self.diffpir_lambda,
-                        self.ding_nz,
-                        self.final_replacement,
-                        self.seed,
-                        self.n_chains,
-                    )
-                ),
-            ]
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -452,5 +432,4 @@ def run_conditional(
     if trajectory is not None:
         trajectory.states[-1], trajectory.denoised[-1] = x, denoiser.denoise(x, knots[0])
 
-    sample_set = SampleSet(samples=x, provenance=(cfg.method, cfg.digest(), cfg.seed))
-    return sample_set, trajectory
+    return SampleSet(x), trajectory

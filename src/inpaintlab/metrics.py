@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
 from .gmm import GaussianMixture
 from .problem import MaskOperator
 
@@ -17,7 +16,6 @@ class SampleSet:
     """Terminal states of a sampler run, one row per chain."""
 
     samples: np.ndarray
-    provenance: tuple = ("unknown", "", 0)  # (method, config hash, seed)
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)

@@ -14,8 +14,7 @@ Gaussian:
   direct per-component joint conditioning).
 - ``ding_gap``: the pointwise error of replacing the denoiser Jacobian by
   the scaled identity in a first-order expansion, for one point or a batch
-  of chains, computable either from the denoiser Jacobian or from the
-  noise-predictor Jacobian, each applied to the displacement through the
+  of chains, with the Jacobian applied to the displacement through the
   denoiser's vector-Jacobian product.
 
 All of them rest on one evidence routine, ``_observed_evidence``, which
@@ -33,8 +32,6 @@ evidence and the reweighted responsibilities.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,21 +73,6 @@ def exact_posterior(problem: InpaintingProblem, prior: GaussianMixture) -> Gauss
         )
     weights = _reweight(np.log(prior.weights), log_ev)
     return GaussianMixture(weights / weights.sum(), post_means, post_cov)
-
-
-@dataclass(frozen=True)
-class PosteriorOracle:
-    """Problem + prior with the posterior mixture cached at construction."""
-
-    problem: InpaintingProblem
-    prior: GaussianMixture
-    posterior: GaussianMixture = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "posterior", exact_posterior(self.problem, self.prior))
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.posterior.sample(n, rng)
 
 
 def _chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,27 +162,14 @@ def exact_guidance_grad(
     sched: Schedule,
     x_t: np.ndarray,
     t: float,
-    fd_step: float | None = None,
 ) -> np.ndarray:
     """Gradient of ``exact_intermediate_loglik`` with respect to x_t.
 
     Differentiates through the responsibilities and the per-component
-    conditional means.  Passing ``fd_step`` (e.g. 1e-5) switches to a
-    central finite-difference evaluation for verification.
+    conditional means, in closed form; the test suite checks it against
+    central finite differences of ``exact_intermediate_loglik``.
     """
     x_t = np.asarray(x_t, dtype=float)
-    if fd_step is not None:
-        if x_t.ndim != 1:
-            raise ValueError("finite-difference mode needs a single point")
-        grad = np.zeros_like(x_t)
-        for i in range(x_t.size):
-            dx = np.zeros_like(x_t)
-            dx[i] = fd_step
-            hi = exact_intermediate_loglik(problem, prior, sched, x_t + dx, t)
-            lo = exact_intermediate_loglik(problem, prior, sched, x_t - dx, t)
-            grad[i] = (hi - lo) / (2.0 * fd_step)
-        return grad
-
     if problem.mask.observed_idx.size == 0:
         return np.zeros_like(x_t)
     return _guidance_grad(problem, component_posterior(prior, sched, x_t, t))
@@ -263,19 +232,17 @@ def ding_gap(
     x: np.ndarray,
     z: np.ndarray,
     s: float,
-    route: str = "expansion",
 ) -> float | np.ndarray:
     """Size of the neglected-Jacobian term at displacement x - z.
 
-    ``route="expansion"`` compares the scaled-identity expansion of the
-    denoiser around z with the true first-order expansion;
-    ``route="noise_jacobian"`` evaluates (sigma_s/alpha_s) *
-    noise-predictor Jacobian * (x - z), which the duality of the two
-    Jacobians makes equal.  Both take J (x - z), with J the denoiser
-    Jacobian at z, from the evaluation's ``vjp``: J is symmetric (by
-    Tweedie it is (I + sigma_s^2 Hessian of log p_s) / alpha_s), so no
-    d x d matrix is formed.  ``x`` and ``z`` are one point (d,), which
-    gives a float, or a batch of chains (n, d), which gives the (n,) norms.
+    ding's step treats the denoiser as affine with slope I / alpha_s around
+    z; the true first-order expansion uses the denoiser Jacobian J at z.
+    The gap is ||(x - z) / alpha_s - J (x - z)||.  J (x - z) comes from the
+    evaluation's ``vjp``: J is symmetric (by second-order Tweedie it is
+    (I + sigma_s^2 Hessian of log p_s) / alpha_s), so no d x d matrix is
+    formed, and the gap equals (sigma_s^2 / alpha_s) ||Hessian (x - z)||.
+    ``x`` and ``z`` are one point (d,), which gives a float, or a batch of
+    chains (n, d), which gives the (n,) norms.
     """
     alpha, sigma = eval_schedule(sched, s)
     if alpha <= 0 or sigma <= 0:
@@ -284,12 +251,6 @@ def ding_gap(
     z = np.asarray(z, dtype=float)
     disp = x - z
     jac0_disp = component_posterior(prior, sched, z, s).vjp(disp)
-    if route == "expansion":
-        v = disp / alpha - jac0_disp
-    elif route == "noise_jacobian":
-        jac1_disp = (disp - alpha * jac0_disp) / sigma
-        v = (sigma / alpha) * jac1_disp
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    v = disp / alpha - jac0_disp
     gap = np.linalg.norm(v, axis=-1)
     return float(gap) if gap.ndim == 0 else gap

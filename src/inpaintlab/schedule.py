@@ -35,9 +35,6 @@ class Schedule:
                 f"unknown schedule kind {self.kind!r}; expected one of {SCHEDULE_KINDS}"
             )
 
-    def alpha_sigma(self, t: float) -> tuple[float, float]:
-        return eval_schedule(self, t)
-
 
 @dataclass(frozen=True)
 class TimeGrid:

@@ -161,11 +161,32 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("key", ["sw2.projections", "cpsnr.peak"])
-def test_metric_settings_rejected_before_sampling(tmp_path, capsys, key):
-    assert main(["run", "--config", str(_write_cfg(tmp_path, extra=f"{key} = 0\n"))]) == 2
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param("sw2.projections", "0", id="sw2.projections"),
+        pytest.param("cpsnr.peak", "0", id="cpsnr.peak"),
+        pytest.param("sw2.seed", "-1", id="sw2.seed"),
+    ],
+)
+def test_metric_settings_rejected_before_sampling(tmp_path, capsys, key, value):
+    assert main(["run", "--config", str(_write_cfg(tmp_path, extra=f"{key} = {value}\n"))]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_ding_at_eta_zero_rejected_before_sampling(tmp_path, capsys):
+    # at eta = 0 ding's step never reads the observation; ddnm's still does
+    cfg = tmp_path / "exp.cfg"
+    text = CFG.format(out=tmp_path / "out")
+    zero = text.replace("eta        = 0.8", "eta        = 0")
+    for bad in (zero, text + "method.ding.eta = 0\n"):
+        cfg.write_text(bad)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "ding" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    cfg.write_text(zero.replace("methods    = ding, ddnm", "methods    = ddnm"))
+    assert main(["run", "--config", str(cfg)]) == 0
 
 
 def test_exit_code_io_error(tmp_path, capsys):

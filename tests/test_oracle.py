@@ -5,7 +5,6 @@ from inpaintlab import (
     GaussianMixture,
     InpaintingProblem,
     MaskOperator,
-    PosteriorOracle,
     Schedule,
     ding_gap,
     exact_guidance_grad,
@@ -18,6 +17,8 @@ from inpaintlab import (
 from inpaintlab import gmm, oracle
 from inpaintlab.gmm import component_posterior, logsumexp
 from inpaintlab.oracle import _observed_evidence
+
+import reference
 
 LIN = Schedule("linear-flow")
 
@@ -141,14 +142,6 @@ def test_posterior_matches_dense_grid_oracle():
     assert np.max(np.abs(unnorm - closed)) < 1e-6
 
 
-def test_posterior_oracle_caches_and_samples(mixed_prior, masked_problem):
-    oracle = PosteriorOracle(masked_problem, mixed_prior)
-    xs = oracle.sample(5000, np.random.default_rng(0))
-    assert xs.shape == (5000, 3)
-    gap = np.linalg.norm(xs.mean(axis=0) - oracle.posterior.mean())
-    assert gap < 0.1
-
-
 def test_intermediate_loglik_t0_limit(mixed_prior, masked_problem):
     rng = np.random.default_rng(1)
     x = rng.standard_normal(3)
@@ -185,7 +178,7 @@ def test_guidance_grad_matches_finite_differences(mixed_prior, masked_problem, t
     for _ in range(3):
         x = rng.standard_normal(3)
         analytic = exact_guidance_grad(masked_problem, mixed_prior, LIN, x, t)
-        fd = exact_guidance_grad(masked_problem, mixed_prior, LIN, x, t, fd_step=1e-5)
+        fd = reference.fd_guidance_grad(masked_problem, mixed_prior, LIN, x, t, step=1e-5)
         assert np.max(np.abs(analytic - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
 
 
@@ -264,29 +257,16 @@ def test_ding_gap_affine_closed_form():
     assert ding_gap(prior, LIN, x, z, s) == pytest.approx(expected, rel=1e-12)
 
 
-def test_ding_gap_routes_agree(mixed_prior):
-    rng = np.random.default_rng(5)
-    for s in (0.25, 0.5, 0.75):
-        x, z = rng.standard_normal(3), rng.standard_normal(3)
-        a = ding_gap(mixed_prior, LIN, x, z, s, route="expansion")
-        b = ding_gap(mixed_prior, LIN, x, z, s, route="noise_jacobian")
-        assert abs(a - b) <= 1e-8
-
-
-@pytest.mark.parametrize("route", ["expansion", "noise_jacobian"])
-def test_ding_gap_batches_over_chains(mixed_prior, route):
+def test_ding_gap_batches_over_chains(mixed_prior):
     # a batch of chains gives one norm per chain, each the single-point value
     rng = np.random.default_rng(31)
     x, z = rng.standard_normal((9, 3)), rng.standard_normal((9, 3))
     for s in (0.25, 0.6):
-        batch = ding_gap(mixed_prior, LIN, x, z, s, route=route)
+        batch = ding_gap(mixed_prior, LIN, x, z, s)
         assert batch.shape == (9,)
-        single = [ding_gap(mixed_prior, LIN, x_i, z_i, s, route=route) for x_i, z_i in zip(x, z)]
+        single = [ding_gap(mixed_prior, LIN, x_i, z_i, s) for x_i, z_i in zip(x, z)]
         assert all(type(g) is float for g in single)
         np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
-        other = "expansion" if route == "noise_jacobian" else "noise_jacobian"
-        np.testing.assert_allclose(batch, ding_gap(mixed_prior, LIN, x, z, s, route=other),
-                                   rtol=0, atol=1e-8)
 
 
 def test_ding_gap_needs_interior_time(mixed_prior):
