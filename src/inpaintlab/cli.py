@@ -22,15 +22,15 @@ import csv
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericError
 from .gmm import GMMDenoiser
-from .guidance import METHODS, run_conditional
+from .guidance import run_conditional
 from .io import (
     read_dmsk,
     read_pgm_mask,
@@ -45,10 +45,11 @@ from .oracle import exact_posterior
 from .problem import MaskOperator
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
+    """One row of ``results.csv``; the field names are its header."""
+
     method: str
-    k: int
+    K: int
     eta: float
     gamma: float
     seed: int
@@ -57,34 +58,20 @@ class ResultRow:
     runtime_ms: float
     n_chains: int
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        for name in ("eta", "gamma", "sw2_to_oracle", "runtime_ms"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if math.isnan(self.cpsnr):  # +inf is the documented exact-match sentinel
-            raise ValueError("cpsnr must not be NaN")
-
-    def values(self) -> list:
-        return [
-            self.method, self.k, repr(self.eta), repr(self.gamma), self.seed,
-            repr(self.sw2_to_oracle), repr(self.cpsnr), repr(self.runtime_ms),
-            self.n_chains,
-        ]
-
-
-RESULT_COLUMNS = [
-    "method", "K", "eta", "gamma", "seed", "sw2_to_oracle", "cpsnr",
-    "runtime_ms", "n_chains",
-]
-
 
 def _write_trajectories(path: Path, trajectory) -> None:
     """One ``((K+1)*n, 2d)`` sample matrix, step-major: row ``k*n + j`` is
     chain j at the k-th recorded time, its ``x`` then its ``xhat0``."""
     rows = np.concatenate([trajectory.states, trajectory.denoised], axis=-1)
     write_samples(path, rows.reshape(-1, rows.shape[-1]))
+
+
+def _observe(cfg: ExperimentConfig, seed: int):
+    """The problem observed through stream (seed, 0, 1), and the generator
+    (stream (seed, 0, 0)) and size of the oracle draw."""
+    problem = cfg.problem(rng=np.random.default_rng(np.random.SeedSequence((seed, 0, 1))))
+    oracle_rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
+    return problem, oracle_rng, cfg.oracle_n or cfg.n_chains
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -99,24 +86,19 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     every failed method is raised after the last.
     """
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    obs_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 1)))
-    problem = cfg.problem(rng=obs_rng)
+    problem, oracle_rng, oracle_n = _observe(cfg, cfg.seed)
     denoiser = GMMDenoiser(cfg.prior, cfg.sched)
 
-    posterior = exact_posterior(problem, cfg.prior)
-    oracle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 0)))
-    oracle_samples = posterior.sample(cfg.oracle_n or cfg.n_chains, oracle_rng)
+    oracle_samples = exact_posterior(problem, cfg.prior).sample(oracle_n, oracle_rng)
     write_samples(cfg.out_dir / f"oracle_{cfg.seed}.dsmp", oracle_samples)
 
-    sw2_seed = cfg.seed if cfg.sw2_seed is None else cfg.sw2_seed
     rows: list[ResultRow] = []
     failures: list[str] = []
     with open(cfg.out_dir / "results.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
+        writer.writerow(ResultRow._fields)
         fh.flush()
-        for method in cfg.methods:
-            scfg = cfg.sampler_config(method)
+        for method, scfg in cfg.samplers.items():
             start = time.perf_counter()
             try:
                 sample_set, trajectory = run_conditional(
@@ -126,13 +108,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 failures.append(str(exc))
                 continue
             runtime_ms = (time.perf_counter() - start) * 1000.0
-            sw2 = sliced_w2(sample_set, oracle_samples, cfg.sw2_projections, sw2_seed)
+            sw2 = sliced_w2(sample_set, oracle_samples, cfg.sw2_projections, cfg.sw2_seed)
             context = float(
                 np.mean(cpsnr(sample_set.samples, cfg.x_star, cfg.mask, cfg.cpsnr_peak))
             ) if cfg.mask.observed_count else math.inf
             row = ResultRow(
                 method=method,
-                k=cfg.grid.num_steps,
+                K=cfg.grid.num_steps,
                 eta=scfg.eta,
                 gamma=scfg.gamma,
                 seed=cfg.seed,
@@ -142,7 +124,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 n_chains=cfg.n_chains,
             )
             rows.append(row)
-            writer.writerow(row.values())
+            writer.writerow(row)
             fh.flush()
             write_samples(cfg.out_dir / f"{method}_{cfg.seed}.dsmp", sample_set.samples)
             if trajectory is not None:
@@ -171,9 +153,7 @@ def _cmd_run(args) -> int:
 def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
-    problem = cfg.problem(
-        rng=np.random.default_rng(np.random.SeedSequence((seed, 0, 1)))
-    )
+    problem, oracle_rng, oracle_n = _observe(cfg, seed)
     posterior = exact_posterior(problem, cfg.prior)
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
@@ -185,17 +165,11 @@ def _cmd_oracle(args) -> int:
             else [f"cov_{i}_{j}" for i in range(d) for j in range(d)]
         )
         writer.writerow(["weight"] + [f"mean_{i}" for i in range(d)] + cov_cols)
-        for k in range(posterior.n_components):
-            cov = posterior.covariances[k].reshape(-1)
-            writer.writerow(
-                [repr(float(posterior.weights[k]))]
-                + [repr(float(v)) for v in posterior.means[k]]
-                + [repr(float(v)) for v in cov]
-            )
+        # csv writes each Python float as its repr
+        for w, mean, cov in zip(posterior.weights.tolist(), posterior.means, posterior.covariances):
+            writer.writerow([w, *mean.tolist(), *cov.reshape(-1).tolist()])
     if args.samples:
-        n = args.n or cfg.oracle_n or cfg.n_chains
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
-        write_samples(args.samples, posterior.sample(n, rng))
+        write_samples(args.samples, posterior.sample(args.n or oracle_n, oracle_rng))
     print(f"wrote {out}")
     return 0
 
@@ -245,6 +219,10 @@ def _cmd_metrics(args) -> int:
         if not args.mask:
             raise ConfigError("cpsnr needs --mask")
         mask = MaskOperator(_read_mask_file(args.mask).grid.reshape(-1))
+        if not a.shape[1] == b.shape[1] == mask.dim:
+            raise ConfigError(
+                f"--mask has {mask.dim} entries; --a, --b have d = {a.shape[1]}, {b.shape[1]}"
+            )
         value = float(np.mean(cpsnr(a, b[0], mask, args.peak)))
     else:
         raise ConfigError(f"unknown metric {args.metric!r}")

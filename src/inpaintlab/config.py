@@ -16,20 +16,21 @@ full schema; the shape is:
     n_chains        = 4000
     seed            = 0
     out_dir         = results
-    methods         = ding, dps, ddnm
-    method.ding.gamma = 0.05                     # per-method overrides
+    methods         = ding, dps, ddnm            # each method once
+    method.ding.gamma = 0.05                     # method.<m>.<knob> overrides <knob>
     mask.inline     = 1, 1, 0, 0                 # or mask.pgm = path
     xstar.inline    = 0.3, -1.2, 0.0, 0.4        # or xstar.dsmp = path (row 0)
 
 A prior may instead come from ``prior.csv = file``: one component per
 row, ``weight, mean_0..mean_{d-1}, var_0..var_{d-1}`` (diagonal layout).
-Parse errors report the offending line number.
+Every number must be finite; parse errors report the offending line number.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +46,11 @@ _BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
                "off": False, "false": False, "0": False, "no": False}
 
 _GLOBAL_KEYS = {
-    "schedule", "grid.k", "grid.spacing", "eta", "gamma", "zeta", "lambda",
-    "ding_nz", "final_replacement", "n_chains", "seed", "out_dir", "methods",
+    "schedule", "grid.k", "grid.spacing", "n_chains", "seed", "out_dir", "methods",
     "mask.inline", "mask.pgm", "xstar.inline", "xstar.dsmp", "prior.csv",
     "observation.noisy", "sw2.projections", "sw2.seed", "cpsnr.peak",
     "trajectories", "oracle.n",
 }
-_METHOD_OVERRIDE_KEYS = {"eta", "gamma", "zeta", "lambda", "ding_nz", "final_replacement"}
 _COMPONENT_KEY = re.compile(r"prior\.component\.(0|[1-9][0-9]*)\.(weight|mean|cov)")
 
 
@@ -76,21 +75,27 @@ def parse_flat(text: str) -> dict[str, str]:
 def _floats(key: str, value: str) -> np.ndarray:
     """The numbers of a comma- or space-separated list; ``key`` names it in errors."""
     try:
-        return np.array([float(v) for v in value.replace(",", " ").split()])
+        numbers = np.array([float(v) for v in value.replace(",", " ").split()])
     except ValueError:
         raise ConfigError(f"{key}: expected a list of numbers, got {value!r}") from None
+    if not np.all(np.isfinite(numbers)):
+        raise ConfigError(f"{key}: expected a finite number in every entry, got {value!r}")
+    return numbers
 
 
-def _get_float(pairs: dict[str, str], key: str, default: float) -> float:
+def _get_float(pairs: dict[str, str], key: str, default: float | None = None) -> float | None:
     if key not in pairs:
         return default
     try:
-        return float(pairs[key])
+        value = float(pairs[key])
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {pairs[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {pairs[key]!r}")
+    return value
 
 
-def _get_int(pairs: dict[str, str], key: str, default: int) -> int:
+def _get_int(pairs: dict[str, str], key: str, default: int | None = None) -> int | None:
     if key not in pairs:
         return default
     try:
@@ -99,13 +104,43 @@ def _get_int(pairs: dict[str, str], key: str, default: int) -> int:
         raise ConfigError(f"{key}: expected an integer, got {pairs[key]!r}") from None
 
 
-def _get_bool(pairs: dict[str, str], key: str, default: bool) -> bool:
+def _get_bool(pairs: dict[str, str], key: str, default: bool | None = None) -> bool | None:
     if key not in pairs:
         return default
     word = pairs[key].lower()
     if word not in _BOOL_WORDS:
         raise ConfigError(f"{key}: expected on/off, got {pairs[key]!r}")
     return _BOOL_WORDS[word]
+
+
+# the sampler knobs: config key -> (SamplerConfig field, reader); an unset
+# knob keeps the field's default
+_SAMPLER_KEYS = {
+    "eta": ("eta", _get_float),
+    "gamma": ("gamma", _get_float),
+    "zeta": ("dps_scale", _get_float),
+    "lambda": ("diffpir_lambda", _get_float),
+    "ding_nz": ("ding_nz", _get_int),
+    "final_replacement": ("final_replacement", _get_bool),
+}
+
+
+def _sampler_configs(
+    pairs: dict[str, str], methods: list[str], grid: TimeGrid, seed: int, n_chains: int
+) -> dict[str, SamplerConfig]:
+    """One SamplerConfig per method, each knob from ``method.<m>.<key>`` or else ``<key>``."""
+    samplers = {}
+    for m in methods:
+        knobs = {}
+        for key, (name, read) in _SAMPLER_KEYS.items():
+            value = read(pairs, f"method.{m}.{key}", read(pairs, key))
+            if value is not None:
+                knobs[name] = value
+        try:
+            samplers[m] = SamplerConfig(m, grid, seed=seed, n_chains=n_chains, **knobs)
+        except ConfigError as exc:
+            raise ConfigError(f"method {m}: {exc}") from None
+    return samplers
 
 
 def _load_prior_csv(path: Path) -> GaussianMixture:
@@ -144,7 +179,7 @@ def _load_prior_inline(pairs: dict[str, str]) -> GaussianMixture:
         for suffix in ("weight", "mean", "cov"):
             if f"{base}.{suffix}" not in pairs:
                 raise ConfigError(f"missing key {base}.{suffix}")
-        weights.append(_get_float(pairs, f"{base}.weight", 0.0))
+        weights.append(_get_float(pairs, f"{base}.weight"))
         means.append(_floats(f"{base}.mean", pairs[f"{base}.mean"]))
         covs.append(_floats(f"{base}.cov", pairs[f"{base}.cov"]))
     d = means[0].size
@@ -170,43 +205,27 @@ class ExperimentConfig:
     prior: GaussianMixture
     sched: Schedule
     grid: TimeGrid
-    methods: tuple[str, ...]
+    samplers: dict[str, SamplerConfig]
     mask: MaskOperator
     x_star: np.ndarray
-    gamma: float
+    gamma: float  # the observation's temperature, whatever a method overrides
     eta: float
-    zeta: float
-    lam: float
-    ding_nz: int
-    final_replacement: bool
     n_chains: int
     seed: int
     out_dir: Path
-    noisy_observation: bool = False
-    sw2_projections: int = 128
-    sw2_seed: int | None = None
-    cpsnr_peak: float = 1.0
-    record_trajectories: bool = False
-    oracle_n: int | None = None
-    overrides: dict = field(default_factory=dict)
+    noisy_observation: bool
+    sw2_projections: int
+    sw2_seed: int
+    cpsnr_peak: float
+    record_trajectories: bool
+    oracle_n: int | None
+
+    @property
+    def methods(self) -> tuple[str, ...]:
+        return tuple(self.samplers)
 
     def sampler_config(self, method: str) -> SamplerConfig:
-        ov = self.overrides.get(method, {})
-        try:
-            return SamplerConfig(
-                method=method,
-                grid=self.grid,
-                eta=ov.get("eta", self.eta),
-                gamma=ov.get("gamma", self.gamma),
-                dps_scale=ov.get("zeta", self.zeta),
-                diffpir_lambda=ov.get("lambda", self.lam),
-                ding_nz=ov.get("ding_nz", self.ding_nz),
-                final_replacement=ov.get("final_replacement", self.final_replacement),
-                seed=self.seed,
-                n_chains=self.n_chains,
-            )
-        except ConfigError as exc:
-            raise ConfigError(f"method {method}: {exc}") from None
+        return self.samplers[method]
 
     def problem(self, rng: np.random.Generator | None = None) -> InpaintingProblem:
         return make_observation(
@@ -220,7 +239,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     base = path.parent
 
     for key in pairs:
-        if key in _GLOBAL_KEYS or _COMPONENT_KEY.fullmatch(key):
+        if key in _GLOBAL_KEYS or key in _SAMPLER_KEYS or _COMPONENT_KEY.fullmatch(key):
             continue
         if key.startswith("prior.component."):
             raise ConfigError(
@@ -230,8 +249,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if len(parts) == 3 and parts[0] == "method":
             if parts[1] not in METHODS:
                 raise ConfigError(f"{key}: unknown method {parts[1]!r}")
-            if parts[2] not in _METHOD_OVERRIDE_KEYS:
+            if parts[2] not in _SAMPLER_KEYS:
                 raise ConfigError(f"{key}: unknown override {parts[2]!r}")
+            _SAMPLER_KEYS[parts[2]][1](pairs, key)  # parsed even when the method is not listed
             continue
         raise ConfigError(f"unknown config key {key!r}")
 
@@ -272,58 +292,40 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     if "methods" not in pairs:
         raise ConfigError("no methods listed")
-    methods = tuple(m.strip() for m in pairs["methods"].split(",") if m.strip())
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
+    methods = [m.strip() for m in pairs["methods"].split(",") if m.strip()]
     if not methods:
         raise ConfigError("methods list is empty")
+    for m in methods:
+        if methods.count(m) > 1:
+            raise ConfigError(f"methods: {m!r} is listed more than once")
 
-    overrides: dict[str, dict] = {}
-    for key, value in pairs.items():
-        parts = key.split(".")
-        if len(parts) == 3 and parts[0] == "method":
-            _, mname, oname = parts
-            slot = overrides.setdefault(mname, {})
-            if oname == "final_replacement":
-                slot[oname] = _get_bool(pairs, key, True)
-            elif oname == "ding_nz":
-                slot[oname] = _get_int(pairs, key, 1)
-            else:
-                slot[oname] = _get_float(pairs, key, 0.0)
-
+    n_chains = _get_int(pairs, "n_chains", 100)
+    seed = _get_int(pairs, "seed", 0)
     cfg = ExperimentConfig(
         prior=prior,
         sched=sched,
         grid=grid,
-        methods=methods,
+        samplers=_sampler_configs(pairs, methods, grid, seed, n_chains),
         mask=mask,
         x_star=x_star,
-        gamma=_get_float(pairs, "gamma", 0.1),
-        eta=_get_float(pairs, "eta", 1.0),
-        zeta=_get_float(pairs, "zeta", 1.0),
-        lam=_get_float(pairs, "lambda", 1.0),
-        ding_nz=_get_int(pairs, "ding_nz", 1),
-        final_replacement=_get_bool(pairs, "final_replacement", True),
-        n_chains=_get_int(pairs, "n_chains", 100),
-        seed=_get_int(pairs, "seed", 0),
+        gamma=_get_float(pairs, "gamma", SamplerConfig.gamma),
+        eta=_get_float(pairs, "eta", SamplerConfig.eta),
+        n_chains=n_chains,
+        seed=seed,
         # inputs resolve against the config file; outputs against the cwd
         out_dir=Path(pairs.get("out_dir", "results")),
         noisy_observation=_get_bool(pairs, "observation.noisy", False),
         sw2_projections=_get_int(pairs, "sw2.projections", 128),
-        sw2_seed=_get_int(pairs, "sw2.seed", 0) if "sw2.seed" in pairs else None,
+        sw2_seed=_get_int(pairs, "sw2.seed", seed),
         cpsnr_peak=_get_float(pairs, "cpsnr.peak", 1.0),
         record_trajectories=_get_bool(pairs, "trajectories", False),
-        oracle_n=_get_int(pairs, "oracle.n", 0) if "oracle.n" in pairs else None,
-        overrides=overrides,
+        oracle_n=_get_int(pairs, "oracle.n"),
     )
     # these are read only once sampling has started, so they are checked here
     for key, value in (("sw2.projections", cfg.sw2_projections), ("cpsnr.peak", cfg.cpsnr_peak),
                        ("oracle.n", cfg.oracle_n)):
         if value is not None and not value > 0:
             raise ConfigError(f"{key}: must be strictly positive, got {pairs[key]!r}")
-    if cfg.sw2_seed is not None and cfg.sw2_seed < 0:
+    if cfg.sw2_seed < 0:  # seed itself is checked by SamplerConfig
         raise ConfigError(f"sw2.seed: must be non-negative, got {pairs['sw2.seed']!r}")
-    for m in methods:
-        cfg.sampler_config(m)  # validate overrides eagerly
     return cfg

@@ -58,7 +58,8 @@ from .schedule import Schedule, TimeGrid, eval_schedule
 METHODS = ("blended", "dps", "ding", "ddnm", "diffpir")
 
 # fixed per-method stream offsets: chain j of method m draws from the
-# substream seeded by (master seed, METHOD_CODES[m], j)
+# substream seeded by (master seed, METHOD_CODES[m], j); code 0 belongs to
+# the harness (cli._observe: observation noise and the oracle draw)
 METHOD_CODES = {name: code for code, name in enumerate(METHODS, start=1)}
 
 
@@ -91,8 +92,8 @@ class SamplerConfig:
             # unconditional mean and the observation never enters
             raise ConfigError("eta must be > 0 for ding: at eta = 0 it applies no guidance")
         for name in ("gamma", "dps_scale", "diffpir_lambda"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and strictly positive")
         if self.ding_nz < 1:
             raise ConfigError("ding_nz must be a positive integer")
         if self.n_chains < 1:

@@ -47,8 +47,8 @@ def cpsnr(x: np.ndarray, x_ref: np.ndarray, mask: MaskOperator, peak: float) -> 
     row, each over that row's observed coordinates.  The infinity sentinel
     is deliberate: capping would silently corrupt aggregate tables.
     """
-    if peak <= 0:
-        raise ValueError("peak must be strictly positive")
+    if not 0 < peak < math.inf:
+        raise ValueError("peak must be finite and strictly positive")
     obs = mask.observed_idx
     if obs.size == 0:
         raise ValueError("cpsnr needs at least one observed coordinate")

@@ -155,6 +155,21 @@ def test_metrics_subcommand(tmp_path, capsys):
     assert float(value) > 0
 
 
+def test_cpsnr_metric_checks_mask_length(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    write_samples(tmp_path / "a.dsmp", rng.standard_normal((10, 3)))
+    write_samples(tmp_path / "b.dsmp", rng.standard_normal((1, 3)))
+    for width in (5, 2):
+        write_pgm_mask(tmp_path / "m.pgm", PixelMask(np.ones((1, width), dtype=np.uint8)))
+        code = main(
+            ["metrics", "--a", str(tmp_path / "a.dsmp"), "--b", str(tmp_path / "b.dsmp"),
+             "--metric", "cpsnr", "--mask", str(tmp_path / "m.pgm")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--mask has {width} entries" in err and "d = 3" in err
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a config\n")
@@ -167,6 +182,9 @@ def test_exit_code_config_error(tmp_path, capsys):
         pytest.param("sw2.projections", "0", id="sw2.projections"),
         pytest.param("cpsnr.peak", "0", id="cpsnr.peak"),
         pytest.param("sw2.seed", "-1", id="sw2.seed"),
+        pytest.param("cpsnr.peak", "inf", id="cpsnr.peak-inf"),
+        pytest.param("method.ding.gamma", "nan", id="method.ding.gamma-nan"),
+        pytest.param("zeta", "inf", id="zeta-inf"),
     ],
 )
 def test_metric_settings_rejected_before_sampling(tmp_path, capsys, key, value):

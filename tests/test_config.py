@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from inpaintlab import ConfigError
-from inpaintlab.config import load_config, parse_flat
+from inpaintlab import ConfigError, SamplerConfig
+from inpaintlab.config import _SAMPLER_KEYS, load_config, parse_flat
 from inpaintlab.io import write_pgm_mask, write_samples
 from inpaintlab.masklift import PixelMask
 
@@ -61,11 +63,35 @@ def test_load_basic_config(tmp_path):
 
 def test_method_overrides(tmp_path):
     text = BASIC + "method.ding.gamma = 0.05\nmethod.ding.ding_nz = 3\nmethod.ddnm.eta = 0.3\n"
+    text += "zeta = 0.5\nmethod.ding.zeta = 0.25\nmethod.ddnm.lambda = 2\n"
+    text += "final_replacement = off\nmethod.ding.final_replacement = on\n"
     cfg = load_config(_write(tmp_path, text))
     assert cfg.sampler_config("ding").gamma == 0.05
     assert cfg.sampler_config("ding").ding_nz == 3
     assert cfg.sampler_config("ddnm").eta == 0.3
     assert cfg.sampler_config("ddnm").gamma == 0.2  # unoverridden falls back
+    assert cfg.sampler_config("ding").dps_scale == 0.25
+    assert cfg.sampler_config("ddnm").dps_scale == 0.5
+    assert cfg.sampler_config("ddnm").diffpir_lambda == 2.0
+    assert cfg.sampler_config("ding").diffpir_lambda == SamplerConfig.diffpir_lambda
+    assert cfg.sampler_config("ding").final_replacement is True
+    assert cfg.sampler_config("ddnm").final_replacement is False
+
+
+def test_sampler_key_table_names_every_knob():
+    knobs = {f.name for f in dataclasses.fields(SamplerConfig)}
+    knobs -= {"method", "grid", "seed", "n_chains"}
+    assert sorted(name for name, _ in _SAMPLER_KEYS.values()) == sorted(knobs)
+
+
+def test_unset_knobs_keep_sampler_defaults(tmp_path):
+    text = "\n".join(line for line in BASIC.splitlines() if not line.startswith(("eta", "gamma")))
+    cfg = load_config(_write(tmp_path, text))
+    assert cfg.samplers == {
+        m: SamplerConfig(m, cfg.grid, seed=3, n_chains=8) for m in ("ding", "ddnm")
+    }
+    assert list(cfg.samplers) == ["ding", "ddnm"]
+    assert (cfg.eta, cfg.gamma) == (SamplerConfig.eta, SamplerConfig.gamma)
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -87,7 +113,6 @@ def test_unknown_prior_component_key_rejected(tmp_path, key):
 
 @pytest.mark.parametrize("line", [
     "oracle.n = 0", "oracle.n = -5", "sw2.projections = 0", "cpsnr.peak = 0", "cpsnr.peak = -1",
-    "cpsnr.peak = nan",
 ])
 def test_run_time_values_checked_at_load(tmp_path, line):
     key = line.split("=")[0].strip()
@@ -108,12 +133,14 @@ def test_run_time_values_loaded(tmp_path):
     ("prior.component.0.cov", "1; 1"),
     ("mask.inline", "1, o"),
     ("xstar.inline", "1.5, -0.5x"),
+    ("prior.component.0.weight", "nan"),
+    ("xstar.inline", "1.5, inf"),
+    ("cpsnr.peak", "nan"),
 ])
 def test_malformed_number_names_its_key(tmp_path, key, value):
-    lines = [f"{key} = {value}" if line.split("=")[0].strip() == key else line
-             for line in BASIC.splitlines()]
+    lines = [line for line in BASIC.splitlines() if line.split("=")[0].strip() != key]
     with pytest.raises(ConfigError, match=f"^{key}: expected a"):
-        load_config(_write(tmp_path, "\n".join(lines) + "\n"))
+        load_config(_write(tmp_path, "\n".join(lines) + f"\n{key} = {value}\n"))
 
 
 def test_malformed_prior_csv_row_names_its_line(tmp_path):
@@ -130,6 +157,8 @@ def test_unknown_method_rejected(tmp_path):
         load_config(_write(tmp_path, BASIC.replace("ding, ddnm", "ding, dnnm")))
     with pytest.raises(ConfigError, match="unknown method"):
         load_config(_write(tmp_path, BASIC + "method.dpss.gamma = 1\n"))
+    with pytest.raises(ConfigError, match="'ding' is listed more than once"):
+        load_config(_write(tmp_path, BASIC.replace("ding, ddnm", "ding, ddnm, ding")))
 
 
 def test_dimension_mismatches_rejected(tmp_path):

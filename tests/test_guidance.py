@@ -1,4 +1,5 @@
 import inspect
+import math
 import sys
 
 import numpy as np
@@ -73,6 +74,9 @@ def test_config_validation():
         _cfg("nonsense")
     with pytest.raises(ConfigError):
         _cfg("ding", gamma=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="dps_scale must be finite"):
+            _cfg("dps", dps_scale=bad)
     with pytest.raises(ConfigError):
         _cfg("ding", ding_nz=0)
     with pytest.raises(ConfigError):
