@@ -17,24 +17,19 @@ denoiser's, or a guided correction of it) and ties the noise estimate to
 it, x1_hat = (x_t - alpha_t * x0_hat) / sigma_t, so one denoiser
 evaluation per state serves the whole transition.
 
-``rng`` arguments accept a single ``numpy.random.Generator``, a
-``ChainStreams`` or a plain sequence of per-row generators (one per chain
-of a batched state).  The last two keep each chain on its own
-reproducible substream: row j of every draw holds the next values of
-generator j, in order.  A plain sequence is drawn from chain by chain on
-every call; the test suite uses it as the reference for ``ChainStreams``,
-which reads each generator ahead in blocks of ``READ_AHEAD`` draws and
-serves the calls from that block, giving the same values without a Python
-loop over chains per call.  The samplers (``run_unconditional`` and
-``guidance.run_conditional``) draw through a ``ChainStreams``.
+``rng`` arguments accept a single ``numpy.random.Generator`` or a
+``ChainStreams``, the noise of one batched run: one generator per block
+of ``BLOCK`` = 64 chains.  Every request draws each block in full, so row
+j of every draw depends only on row j's block and the sequence of
+requests, and the first rows of a larger run equal a smaller run.
+``guidance.run_conditional`` draws through a ``ChainStreams``.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -42,58 +37,40 @@ from .errors import NumericError
 from .gmm import Denoiser, noise_from_x0
 from .schedule import Schedule, TimeGrid, eval_schedule
 
-# draws per chain held by a ChainStreams block: n_chains * 64 * 8 bytes
-READ_AHEAD = 64
+# chains per substream of a ChainStreams
+BLOCK = 64
 
 
 class ChainStreams:
-    """The per-chain generators of one batched run, read ahead in blocks.
+    """The noise of one batched run of ``n_chains`` chains: one generator
+    per block of BLOCK chains, block b's seeded by ``SeedSequence((*key, b))``.
 
-    ``take((n, ...))`` returns the next prod(shape[1:]) draws of each
-    chain's generator, row j from generator j, equal to the per-call draws
-    ``g.standard_normal(shape[1:])`` (a generator's standard normals are
-    one stream however the calls split it).  The block holds READ_AHEAD
-    draws per chain, or one request if that is wider.  ``len`` is the
-    number of chains.  The generators are consumed only through ``take``:
-    drawing from one of them directly would skip the values already read
-    into the block.
+    ``take((n, ...))`` fills a ``(n_blocks * BLOCK, ...)`` array, each
+    block's contiguous slab from one ``standard_normal`` call of its
+    generator, and returns the first n rows.  The last block is drawn in
+    full even when only partly used, so chain j's draws depend only on
+    (key, j // BLOCK) and the shapes requested, never on ``n_chains``.
+    ``len`` is the number of chains.
     """
 
-    def __init__(self, generators: Sequence[np.random.Generator]):
-        self.generators = list(generators)
-        self._block = np.empty((len(self.generators), 0))
-        self._pos = 0
+    def __init__(self, key: tuple[int, ...], n_chains: int):
+        self.n_chains = n_chains
+        self.generators = [
+            np.random.default_rng(np.random.SeedSequence((*key, b)))
+            for b in range(-(-n_chains // BLOCK))
+        ]
 
     def __len__(self) -> int:
-        return len(self.generators)
+        return self.n_chains
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        width = math.prod(shape[1:])
-        if self._pos + width > self._block.shape[1]:
-            self._refill(width)
-        out = self._block[:, self._pos : self._pos + width].reshape(shape).copy()
-        self._pos += width
-        return out
-
-    def _refill(self, width: int) -> None:
-        """Keep the unread tail at the front and fill the rest of each row."""
-        tail = self._block[:, self._pos :].copy()
-        size = max(READ_AHEAD, width)
-        if self._block.shape[1] < size:
-            # An anonymous map goes back to the system when the block is
-            # dropped; a freed heap block stays resident under the arrays
-            # allocated after it (+1.3 MiB peak RSS at 4000 chains).
-            self._block = None
-            buf = mmap.mmap(-1, 8 * len(self.generators) * size)
-            self._block = np.frombuffer(buf).reshape(len(self.generators), size)
-        left = tail.shape[1]
-        self._block[:, :left] = tail
-        for g, row in zip(self.generators, self._block):
-            g.standard_normal(out=row[left:])
-        self._pos = 0
+        out = np.empty((len(self.generators) * BLOCK, *shape[1:]))
+        for g, slab in zip(self.generators, out.reshape(-1, BLOCK, *shape[1:])):
+            g.standard_normal(out=slab)
+        return out[: shape[0]]
 
 
-RngLike = Union[np.random.Generator, ChainStreams, Sequence[np.random.Generator]]
+RngLike = Union[np.random.Generator, ChainStreams]
 
 
 @dataclass(frozen=True)
@@ -146,14 +123,13 @@ class TransitionParams:
 
 
 def standard_normal(rng: RngLike, shape: tuple[int, ...]) -> np.ndarray:
-    """Draw standard normals from one generator or one generator per row."""
+    """Draw standard normals from one generator, or from a ChainStreams
+    with one chain per row."""
     if isinstance(rng, np.random.Generator):
         return rng.standard_normal(shape)
     if len(rng) != shape[0]:
-        raise ValueError(f"got {len(rng)} generators for {shape[0]} rows")
-    if isinstance(rng, ChainStreams):
-        return rng.take(shape)
-    return np.stack([g.standard_normal(shape[1:]) for g in rng])
+        raise ValueError(f"got {len(rng)} chains for {shape[0]} rows")
+    return rng.take(shape)
 
 
 def transition_params(
@@ -196,14 +172,12 @@ def run_unconditional(
 
     Returns a SampleSet of the (n_chains, d) terminal states at t = 0, with
     d read from ``denoiser.dim``.  Chains are advanced as one batch, with
-    per-chain substreams when ``rng`` is a sequence of generators.
+    per-chain substreams when ``rng`` is a ``ChainStreams``.
     """
     from .metrics import SampleSet
 
     if n_chains < 1:
         raise ValueError("n_chains must be positive")
-    if not isinstance(rng, (np.random.Generator, ChainStreams)):
-        rng = ChainStreams(rng)
     x = standard_normal(rng, (n_chains, denoiser.dim))
     knots = grid.knots
     for k in range(grid.num_steps, 0, -1):

@@ -11,8 +11,8 @@ Subcommands:
 - ``masklift``: lift a pixel mask to a latent grid and report leakage.
 - ``metrics``: score two sample files.
 
-Exit codes: 0 success, 2 config error (also argparse usage errors),
-3 I/O error, 4 numeric failure.
+Exit codes: 0 success, 2 config error (a ``ConfigError``, or argparse
+usage), 3 I/O error, 4 numeric failure; any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -151,6 +151,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.n is not None and args.n < 1:
+        raise ConfigError(f"--n must be positive, got {args.n}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     problem, oracle_rng, oracle_n = _observe(cfg, seed)
@@ -182,21 +186,24 @@ def _read_mask_file(path: str) -> PixelMask:
 
 def _cmd_masklift(args) -> int:
     mask = _read_mask_file(args.infile)
-    factors = [int(f) for f in args.factors.split(",")]
+    try:
+        factors = [int(f) for f in args.factors.split(",")]
+    except ValueError:
+        raise ConfigError(f"--factors takes integers, got {args.factors!r}") from None
     if len(factors) == 2:
         factors = [1] + factors
     if len(factors) != 3:
         raise ConfigError("--factors takes f_h,f_w or f_t,f_h,f_w")
     f_t, f_h, f_w = factors
     r = args.dilate if args.dilate is not None else f_h // 2
-    latent = lift_mask(mask, (f_t, f_h, f_w), r, args.dilate_t)
     fmt = args.format or ("dmsk" if args.out.endswith(".dmsk") else "pgm")
-    if fmt == "pgm":
-        write_pgm_mask(args.out, PixelMask(latent.grid))
-    elif fmt == "dmsk":
-        write_dmsk(args.out, PixelMask(latent.grid))
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
+    # each ValueError here is the user's: factors that do not divide the mask,
+    # a negative radius, or several frames for a PGM
+    try:
+        latent = lift_mask(mask, (f_t, f_h, f_w), r, args.dilate_t)
+        (write_pgm_mask if fmt == "pgm" else write_dmsk)(args.out, PixelMask(latent.grid))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     report = leakage_report(mask, latent)
     lines = [
         "edited_pixels_in_observed_cells,observed_pixels_in_edited_cells",
@@ -213,19 +220,26 @@ def _cmd_masklift(args) -> int:
 def _cmd_metrics(args) -> int:
     a = read_samples(args.a)
     b = read_samples(args.b)
+    for flag, x in (("--a", a), ("--b", b)):
+        if not x.shape[0]:
+            raise ConfigError(f"{flag} holds no sample")
+    if a.shape[1] != b.shape[1]:
+        raise ConfigError(f"--a, --b have d = {a.shape[1]}, {b.shape[1]}")
     if args.metric == "sw2":
+        if args.projections < 1 or args.seed < 0:
+            raise ConfigError("--projections must be at least 1 and --seed at least 0")
         value = sliced_w2(a, b, args.projections, args.seed)
-    elif args.metric == "cpsnr":
+    else:
+        if not 0 < args.peak < math.inf:
+            raise ConfigError(f"--peak must be finite and positive, got {args.peak}")
         if not args.mask:
             raise ConfigError("cpsnr needs --mask")
         mask = MaskOperator(_read_mask_file(args.mask).grid.reshape(-1))
-        if not a.shape[1] == b.shape[1] == mask.dim:
-            raise ConfigError(
-                f"--mask has {mask.dim} entries; --a, --b have d = {a.shape[1]}, {b.shape[1]}"
-            )
+        if mask.dim != a.shape[1]:
+            raise ConfigError(f"--mask has {mask.dim} entries; --a, --b have d = {a.shape[1]}")
+        if not mask.observed_count:
+            raise ConfigError("--mask observes no coordinate")
         value = float(np.mean(cpsnr(a, b[0], mask, args.peak)))
-    else:
-        raise ConfigError(f"unknown metric {args.metric!r}")
     line = f"{args.metric},{value!r},{a.shape[0]},{args.seed}\n"
     header = "metric,value,n,seed\n"
     if args.out:
@@ -290,9 +304,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

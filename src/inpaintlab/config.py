@@ -158,7 +158,14 @@ def _load_prior_csv(path: Path) -> GaussianMixture:
     if any(r.size != width for r in rows):
         raise ConfigError(f"{path}: ragged rows")
     mat = np.stack(rows)
-    return GaussianMixture(mat[:, 0], mat[:, 1 : 1 + d], mat[:, 1 + d :])
+    return _mixture(mat[:, 0], mat[:, 1 : 1 + d], mat[:, 1 + d :])
+
+
+def _mixture(weights: np.ndarray, means: np.ndarray, covs: np.ndarray) -> GaussianMixture:
+    try:
+        return GaussianMixture(weights, means, covs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid prior: {exc}") from None
 
 
 def _load_prior_inline(pairs: dict[str, str]) -> GaussianMixture:
@@ -194,10 +201,7 @@ def _load_prior_inline(pairs: dict[str, str]) -> GaussianMixture:
         cov_arr = np.stack(
             [c.reshape(d, d) if c.size == d * d else np.diag(c) for c in covs]
         )
-    try:
-        return GaussianMixture(np.array(weights), np.stack(means), cov_arr)
-    except ValueError as exc:
-        raise ConfigError(f"invalid prior: {exc}") from None
+    return _mixture(np.array(weights), np.stack(means), cov_arr)
 
 
 @dataclass(frozen=True)
@@ -284,11 +288,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if "xstar.inline" in pairs:
         x_star = _floats("xstar.inline", pairs["xstar.inline"])
     elif "xstar.dsmp" in pairs:
-        x_star = read_samples(base / pairs["xstar.dsmp"])[0]
+        x_star = read_samples(base / pairs["xstar.dsmp"])[:1].reshape(-1)  # the first row
     else:
         raise ConfigError("no reference given (xstar.inline or xstar.dsmp)")
     if x_star.size != d:
         raise ConfigError(f"x_star has {x_star.size} entries, prior dimension is {d}")
+    if not np.all(np.isfinite(x_star)):
+        raise ConfigError(f"x_star must be finite, got {x_star}")
 
     if "methods" not in pairs:
         raise ConfigError("no methods listed")

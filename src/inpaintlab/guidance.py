@@ -57,9 +57,9 @@ from .schedule import Schedule, TimeGrid, eval_schedule
 
 METHODS = ("blended", "dps", "ding", "ddnm", "diffpir")
 
-# fixed per-method stream offsets: chain j of method m draws from the
-# substream seeded by (master seed, METHOD_CODES[m], j); code 0 belongs to
-# the harness (cli._observe: observation noise and the oracle draw)
+# fixed per-method stream offsets: chain j of method m draws from the substream
+# of its block, seeded by (master seed, METHOD_CODES[m], j // bridge.BLOCK);
+# code 0 belongs to the harness (cli._observe: observation noise and the oracle draw)
 METHOD_CODES = {name: code for code, name in enumerate(METHODS, start=1)}
 
 
@@ -372,13 +372,12 @@ def step_diffpir(
 # ---------------------------------------------------------------------------
 
 
-def chain_rngs(seed: int, method: str, chains) -> ChainStreams:
-    """One substream per chain index in ``chains``, a pure function of
-    (seed, method, chain index)."""
-    code = METHOD_CODES[method]
-    return ChainStreams(
-        np.random.default_rng(np.random.SeedSequence((seed, code, int(j)))) for j in chains
-    )
+def chain_rngs(seed: int, method: str, chains: range) -> ChainStreams:
+    """The substreams of chains ``range(n)``: block b of BLOCK chains draws
+    from the generator seeded by (seed, METHOD_CODES[method], b)."""
+    if chains != range(len(chains)):
+        raise ValueError(f"chains must be range(n), got {chains!r}")
+    return ChainStreams((seed, METHOD_CODES[method]), len(chains))
 
 
 def run_conditional(

@@ -9,6 +9,8 @@ All binary layouts are fixed so files can be parsed from any language:
   means observed), writing emits 255/0.
 - ``.dmsk``: magic ``DMSK``, then T, H, W as 32-bit little-endian
   unsigned integers, then row-major bytes (nonzero = observed).
+
+A file that breaks its layout raises ``ConfigError`` naming the path.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .masklift import PixelMask
 
 DSMP_MAGIC = b"DING1"
@@ -37,13 +40,13 @@ def write_samples(path: str | Path, samples: np.ndarray) -> None:
 
 def read_samples(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
-    if raw[: len(DSMP_MAGIC)] != DSMP_MAGIC:
-        raise ValueError(f"{path}: not a sample file (bad magic)")
+    if raw[: len(DSMP_MAGIC)] != DSMP_MAGIC or len(raw) < len(DSMP_MAGIC) + 8:
+        raise ConfigError(f"{path}: not a sample file (bad magic or short header)")
     d, n = struct.unpack_from("<II", raw, len(DSMP_MAGIC))
     body = raw[len(DSMP_MAGIC) + 8 :]
     expected = n * d * 8
     if len(body) != expected:
-        raise ValueError(f"{path}: expected {expected} payload bytes, found {len(body)}")
+        raise ConfigError(f"{path}: expected {expected} payload bytes, found {len(body)}")
     return np.frombuffer(body, dtype="<f8").reshape(n, d).astype(float)
 
 
@@ -65,12 +68,16 @@ def read_pgm_mask(path: str | Path) -> PixelMask:
         fields.append(raw[start:pos])
     pos += 1  # single whitespace after maxval
     if fields[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (P5) file")
+        raise ConfigError(f"{path}: not a binary PGM (P5) file")
+    if not all(f.isdigit() for f in fields[1:]):
+        raise ConfigError(f"{path}: malformed PGM header {b' '.join(fields)!r}")
     width, height, maxval = (int(f) for f in fields[1:])
     if not 0 < maxval < 65536:
-        raise ValueError(f"{path}: invalid maxval {maxval}")
+        raise ConfigError(f"{path}: invalid maxval {maxval}")
     if maxval > 255:
-        raise ValueError(f"{path}: 16-bit PGM not supported")
+        raise ConfigError(f"{path}: 16-bit PGM not supported")
+    if min(width, height) < 1 or len(raw) - pos < width * height:
+        raise ConfigError(f"{path}: {len(raw) - pos} bytes for {width} x {height} pixels")
     data = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=pos)
     grid = (data >= 128).astype(np.uint8).reshape(1, height, width)
     return PixelMask(grid)
@@ -87,12 +94,12 @@ def write_pgm_mask(path: str | Path, mask: PixelMask) -> None:
 
 def read_dmsk(path: str | Path) -> PixelMask:
     raw = Path(path).read_bytes()
-    if raw[: len(DMSK_MAGIC)] != DMSK_MAGIC:
-        raise ValueError(f"{path}: not a mask file (bad magic)")
+    if raw[: len(DMSK_MAGIC)] != DMSK_MAGIC or len(raw) < len(DMSK_MAGIC) + 12:
+        raise ConfigError(f"{path}: not a mask file (bad magic or short header)")
     t, h, w = struct.unpack_from("<III", raw, len(DMSK_MAGIC))
     body = raw[len(DMSK_MAGIC) + 12 :]
     if len(body) != t * h * w:
-        raise ValueError(f"{path}: expected {t * h * w} mask bytes, found {len(body)}")
+        raise ConfigError(f"{path}: expected {t * h * w} mask bytes, found {len(body)}")
     grid = (np.frombuffer(body, dtype=np.uint8) != 0).astype(np.uint8).reshape(t, h, w)
     return PixelMask(grid)
 

@@ -20,7 +20,7 @@ from inpaintlab import (
     transition_params,
 )
 from inpaintlab import guidance
-from inpaintlab.bridge import READ_AHEAD, ChainStreams, standard_normal
+from inpaintlab.bridge import BLOCK, ChainStreams, standard_normal
 from inpaintlab.guidance import METHOD_CODES
 
 LIN = Schedule("linear-flow")
@@ -143,71 +143,84 @@ def test_eta_zero_chain_deterministic_given_start():
     np.testing.assert_array_equal(a.samples, b.samples)
 
 
+class BlockReference:
+    """The block contract written out: every request is drawn afresh from
+    each block's generator, whole blocks of 64 rows, and cut to n rows."""
+
+    def __init__(self, seed, code, n):
+        self.n = n
+        self.gens = [
+            np.random.default_rng(np.random.SeedSequence((seed, code, b)))
+            for b in range((n + 63) // 64)
+        ]
+
+    def __len__(self):
+        return self.n
+
+    def take(self, shape):
+        return np.concatenate([g.standard_normal((64, *shape[1:])) for g in self.gens])[: shape[0]]
+
+
+def _streams(n, seed=321):
+    return ChainStreams((seed, 0), n)
+
+
 def test_per_chain_substreams_match_shared_order():
-    # a sequence of per-chain generators gives each row its own stream
+    # block substreams give the per-block reference's rows, and the first
+    # rows of a two-block run equal a one-block run
     den = GMMDenoiser(GaussianMixture([1.0], [[0.0]], [[1.0]]), LIN)
     grid = make_grid(20)
-    seeds = [np.random.SeedSequence((123, k)) for k in range(6)]
-    rngs = [np.random.default_rng(s) for s in seeds]
-    full = run_unconditional(den, LIN, grid, BridgeKernel(0.7), rngs, 6).samples
-    for k in (0, 3, 5):
-        solo = run_unconditional(
-            den, LIN, grid, BridgeKernel(0.7),
-            [np.random.default_rng(np.random.SeedSequence((123, k)))], 1,
-        )
-        np.testing.assert_array_equal(full[k], solo.samples[0])
-
-
-def _fresh(n, seed=321):
-    return [np.random.default_rng(np.random.SeedSequence((seed, j))) for j in range(n)]
+    kernel = BridgeKernel(0.7)
+    full = run_unconditional(den, LIN, grid, kernel, _streams(70, 123), 70).samples
+    want = run_unconditional(den, LIN, grid, kernel, BlockReference(123, 0, 70), 70).samples
+    np.testing.assert_array_equal(full, want)
+    for n in (1, 6, 64):
+        solo = run_unconditional(den, LIN, grid, kernel, _streams(n, 123), n).samples
+        np.testing.assert_array_equal(full[:n], solo)
 
 
 def test_chain_streams_match_per_call_draws():
-    # mixed shapes, requests that cross a refill and one wider than the read-ahead
-    n = 5
-    shapes = [(n, 3), (n, 4, 3), (n,), (n, 30), (n, 3 * READ_AHEAD), (n, 2, 7), (n, 40), (n, 3)]
-    streams = ChainStreams(_fresh(n))
-    plain = _fresh(n)
-    got = [standard_normal(streams, shape) for shape in shapes]
-    for shape, draw in zip(shapes, got):
-        want = np.stack([g.standard_normal(shape[1:]) for g in plain])
-        assert draw.shape == shape
-        np.testing.assert_array_equal(draw, want)
+    # mixed shapes, on one partly used block and on three blocks
+    for n in (5, 130):
+        shapes = [(n, 3), (n, 4, 3), (n,), (n, 30), (n, 200), (n, 2, 7), (n, 40), (n, 3)]
+        streams = _streams(n)
+        ref = BlockReference(321, 0, n)
+        for shape in shapes:
+            draw = standard_normal(streams, shape)
+            assert draw.shape == shape
+            np.testing.assert_array_equal(draw, ref.take(shape))
 
 
 def test_chain_streams_draws_do_not_alias_the_block():
-    streams = ChainStreams(_fresh(3))
-    first = streams.take((3, 2))
+    streams = _streams(70)
+    first = streams.take((70, 2))
     kept = first.copy()
-    for _ in range(2 * READ_AHEAD):
-        streams.take((3, 1))
+    for _ in range(8):
+        streams.take((70, 2))
     np.testing.assert_array_equal(first, kept)
 
 
 def test_chain_streams_check_rows_and_index_generators():
-    gens = _fresh(4)
-    streams = ChainStreams(gens)
-    assert len(streams) == 4
+    streams = _streams(70)
+    assert len(streams) == 70
+    assert len(streams.generators) == 2 == -(-70 // BLOCK)
     with pytest.raises(ValueError):
-        standard_normal(streams, (3, 2))
+        standard_normal(streams, (69, 2))
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_run_conditional_equals_per_call_reference(method, monkeypatch):
-    # the same run with every draw made chain by chain from plain generator lists
+    # the same run with every request drawn afresh per block, across a block boundary
     prior = GaussianMixture([0.5, 0.5], [[2.0, 2.0, 0.0], [-2.0, -2.0, 1.0]], [[1.0, 0.5, 1.0]] * 2)
     den = GMMDenoiser(prior, LIN)
     problem = make_observation(np.array([1.7, -0.4, 0.3]), MaskOperator([1, 0, 1]), 0.2)
     cfg = SamplerConfig(method=method, grid=make_grid(30), eta=0.8, gamma=0.2, ding_nz=3,
-                        seed=4, n_chains=7, final_replacement=False)
+                        seed=4, n_chains=70, final_replacement=False)
     got, _ = run_conditional(problem, den, LIN, cfg)
 
-    def plain_rngs(seed, method, chains):
-        return [
-            np.random.default_rng(np.random.SeedSequence((seed, METHOD_CODES[method], int(j))))
-            for j in chains
-        ]
+    def reference(seed, method, chains):
+        return BlockReference(seed, METHOD_CODES[method], len(chains))
 
-    monkeypatch.setattr(guidance, "chain_rngs", plain_rngs)
+    monkeypatch.setattr(guidance, "chain_rngs", reference)
     want, _ = run_conditional(problem, den, LIN, cfg)
     np.testing.assert_array_equal(got.samples, want.samples)

@@ -75,7 +75,9 @@ def test_run_deterministic_modulo_runtime(tmp_path):
 
 
 def test_run_method_order_does_not_change_samples(tmp_path):
+    # 70 chains: two blocks of substreams, the second partly used
     cfg_a = _write_cfg(tmp_path, out_name="oa", name="a.cfg")
+    cfg_a.write_text(cfg_a.read_text().replace("n_chains   = 16", "n_chains   = 70"))
     text = cfg_a.read_text().replace("methods    = ding, ddnm", "methods    = ddnm, ding")
     cfg_b = tmp_path / "b.cfg"
     cfg_b.write_text(text.replace("oa", "ob"))
@@ -117,6 +119,58 @@ def test_oracle_subcommand(tmp_path, capsys):
     weights = [float(r[0]) for r in rows[1:]]
     assert sum(weights) == pytest.approx(1.0)
     assert read_samples(samples).shape == (32, 2)
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_oracle_rejects_non_positive_n_before_writing(tmp_path, capsys, n):
+    out_csv, samples = tmp_path / "post.csv", tmp_path / "post.dsmp"
+    code = main(["oracle", "--config", str(_write_cfg(tmp_path)), "--out", str(out_csv),
+                 "--samples", str(samples), "--n", n])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: --n must be positive, got {n}"]
+    assert not out_csv.exists() and not samples.exists()
+
+
+def _one_config_error(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    return err[0]
+
+
+@pytest.mark.parametrize("peak", ["0", "-1", "inf", "nan"])
+def test_metrics_rejects_bad_peak(tmp_path, capsys, peak):
+    rng = np.random.default_rng(0)
+    write_samples(tmp_path / "a.dsmp", rng.standard_normal((10, 2)))
+    write_samples(tmp_path / "b.dsmp", rng.standard_normal((1, 2)))
+    write_pgm_mask(tmp_path / "m.pgm", PixelMask(np.array([[1, 0]], dtype=np.uint8)))
+    code = main(["metrics", "--a", str(tmp_path / "a.dsmp"), "--b", str(tmp_path / "b.dsmp"),
+                 "--metric", "cpsnr", "--mask", str(tmp_path / "m.pgm"), "--peak", peak])
+    assert code == 2
+    assert "--peak" in _one_config_error(capsys)
+
+
+@pytest.mark.parametrize("factors", ["a,b", "4.5,4", "4,", "0,4", "3,3"])
+def test_masklift_rejects_bad_factors(tmp_path, capsys, factors):
+    write_pgm_mask(tmp_path / "m.pgm", PixelMask(np.ones((16, 16), dtype=np.uint8)))
+    code = main(["masklift", "--in", str(tmp_path / "m.pgm"), "--factors", factors,
+                 "--out", str(tmp_path / "latent.pgm")])
+    assert code == 2
+    _one_config_error(capsys)
+    assert not (tmp_path / "latent.pgm").exists()
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # only ConfigError maps to exit 2; any other ValueError is a bug and propagates
+    import inpaintlab.cli as cli
+
+    def broken(*args):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "sliced_w2", broken)
+    rng = np.random.default_rng(0)
+    write_samples(tmp_path / "a.dsmp", rng.standard_normal((10, 2)))
+    with pytest.raises(ValueError, match="internal"):
+        main(["metrics", "--a", str(tmp_path / "a.dsmp"), "--b", str(tmp_path / "a.dsmp")])
 
 
 def test_masklift_subcommand(tmp_path, capsys):
@@ -237,7 +291,7 @@ def test_exit_code_numeric_failure_names_method_and_step(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
     assert proc.stderr.splitlines() == [
         "numeric failure: dps at step k=21 (t=0.42 -> s=0.4): "
-        "transition mean must be finite: 634 of 1000 chains non-finite"
+        "transition mean must be finite: 615 of 1000 chains non-finite"
     ]
 
 
@@ -250,7 +304,7 @@ def test_numeric_failure_of_one_method_keeps_the_others(tmp_path):
     assert not (out / "dps_0.dsmp").exists()
     assert proc.stderr.splitlines() == [
         "numeric failure: dps at step k=21 (t=0.42 -> s=0.4): "
-        "transition mean must be finite: 634 of 1000 chains non-finite"
+        "transition mean must be finite: 615 of 1000 chains non-finite"
     ]
 
 

@@ -204,6 +204,22 @@ def test_mask_from_pgm_and_xstar_from_dsmp(tmp_path):
     np.testing.assert_allclose(cfg.x_star, [1.5, -0.5])
 
 
+def test_bad_prior_csv_and_xstar_file_are_config_errors(tmp_path):
+    # each reached exit 2 only through the CLI's blanket ValueError mapping before
+    (tmp_path / "prior.csv").write_text("0.3, 0.0, 1.0\n0.3, 1.0, 1.0\n")
+    no_inline = [line for line in BASIC.splitlines() if not line.startswith("prior.component")]
+    with pytest.raises(ConfigError, match="invalid prior: weights sum to"):
+        load_config(_write(tmp_path, "\n".join(no_inline) + "\nprior.csv = prior.csv\n"))
+    for rows, match in (([[np.nan, 0.0]], "x_star must be finite"), (np.zeros((0, 2)), "x_star has 0")):
+        write_samples(tmp_path / "ref.dsmp", np.array(rows))
+        text = BASIC.replace("xstar.inline = 1.5, -0.5", "xstar.dsmp = ref.dsmp")
+        with pytest.raises(ConfigError, match=match):
+            load_config(_write(tmp_path, text))
+    (tmp_path / "m.pgm").write_bytes(b"P5\n2 x\n255\n" + bytes(2))
+    with pytest.raises(ConfigError, match="m.pgm: malformed PGM header"):
+        load_config(_write(tmp_path, BASIC.replace("mask.inline  = 1, 0", "mask.pgm = m.pgm")))
+
+
 def test_missing_required_sections(tmp_path):
     no_prior = "\n".join(
         line for line in BASIC.splitlines() if not line.startswith("prior")

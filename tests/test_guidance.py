@@ -445,11 +445,13 @@ def test_run_conditional_deterministic(mixture_setup):
 ], ids=["diagonal", "full"])
 @pytest.mark.parametrize("method", METHODS)
 def test_chain_results_are_a_prefix_of_a_larger_run(method, prior):
+    # within one block of 64 chains, at a block boundary and across several blocks
     den = GMMDenoiser(prior, LIN)
     problem = make_observation(np.array([1.7, -0.4]), MaskOperator([1, 0]), 0.2)
-    few, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=2, ding_nz=2))
-    many, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=6, ding_nz=2))
-    np.testing.assert_array_equal(few.samples, many.samples[:2])
+    for n_few, n_many in ((2, 6), (64, 65), (70, 130)):
+        few, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_few, ding_nz=2))
+        many, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_many, ding_nz=2))
+        np.testing.assert_array_equal(few.samples, many.samples[:n_few])
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -559,6 +561,14 @@ def test_method_streams_do_not_collide():
     a = chain_rngs(0, "ding", range(2))
     b = chain_rngs(0, "dps", range(2))
     assert a.generators[0].standard_normal() != b.generators[0].standard_normal()
+
+
+def test_chain_rngs_hold_one_generator_per_block():
+    # the stream set costs one generator per 64 chains, not one per chain
+    assert len(chain_rngs(0, "ding", range(4000)).generators) == 63
+    assert [len(chain_rngs(0, "ding", range(n)).generators) for n in (1, 64, 65)] == [1, 1, 2]
+    with pytest.raises(ValueError):
+        chain_rngs(0, "ding", range(5, 10))
 
 
 def test_kernel_change_reaches_every_method(mixture_setup, monkeypatch):

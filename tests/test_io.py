@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from inpaintlab import PixelMask
+from inpaintlab import ConfigError, PixelMask
 from inpaintlab.io import (
     read_dmsk,
     read_pgm_mask,
@@ -73,6 +73,27 @@ def test_pgm_rejects_other_formats(tmp_path):
     path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
     with pytest.raises(ValueError):
         read_pgm_mask(path)
+
+
+@pytest.mark.parametrize("raw, match", [
+    (b"P5\n2 two\n255\n" + bytes(4), "malformed PGM header"),
+    (b"P5\n2 -2\n255\n" + bytes(4), "malformed PGM header"),
+    (b"P5\n4 4\n255\n" + bytes(3), "3 bytes for 4 x 4 pixels"),
+    (b"P5\n0 4\n255\n", "0 bytes for 0 x 4 pixels"),
+    (b"P5\n2 2\n65535\n" + bytes(8), "16-bit"),
+], ids=["non-integer", "negative", "short", "empty", "16-bit"])
+def test_malformed_pgm_is_a_config_error(tmp_path, raw, match):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match=match):
+        read_pgm_mask(path)
+
+
+def test_truncated_header_is_a_config_error(tmp_path):
+    for name, read, raw in (("s.dsmp", read_samples, b"DING1abc"), ("m.dmsk", read_dmsk, b"DMSKabc")):
+        (tmp_path / name).write_bytes(raw)
+        with pytest.raises(ConfigError, match="short header"):
+            read(tmp_path / name)
 
 
 def test_dmsk_round_trip(tmp_path):
