@@ -8,7 +8,7 @@ package implements a Jacobian-free conjugate guidance step alongside four
 standard baselines, plus mask lifting and desk-scale metrics.
 """
 
-from .bridge import BridgeKernel, TransitionParams, run_unconditional, sample_transition, transition_params
+from .bridge import TransitionParams, run_unconditional, sample_transition, transition_params
 from .errors import ConfigError, NumericError
 from .gmm import (
     Denoiser,
@@ -45,7 +45,6 @@ from .schedule import Schedule, TimeGrid, eval_schedule, make_grid
 __version__ = "0.1.0"
 
 __all__ = [
-    "BridgeKernel",
     "ConfigError",
     "Denoiser",
     "GMMDenoiser",

@@ -12,10 +12,11 @@ stochasticity level eta in [0, 1]; the sampler plugs in the conditional
 expectations instead.  eta = 0 gives the deterministic update, eta = 1
 discards the noise estimate entirely.
 
-``transition_params`` takes the x0 estimate from its caller (the
-denoiser's, or a guided correction of it) and ties the noise estimate to
-it, x1_hat = (x_t - alpha_t * x0_hat) / sigma_t, so one denoiser
-evaluation per state serves the whole transition.
+``transition_params`` takes eta (a sampler's ``SamplerConfig.eta``) and
+the x0 estimate from its caller (the denoiser's, or a guided correction
+of it) and ties the noise estimate to it, x1_hat = (x_t - alpha_t *
+x0_hat) / sigma_t, so one denoiser evaluation per state serves the whole
+transition.
 
 ``rng`` arguments accept a single ``numpy.random.Generator`` or a
 ``ChainStreams``, the noise of one batched run: one generator per block
@@ -74,34 +75,6 @@ RngLike = Union[np.random.Generator, ChainStreams]
 
 
 @dataclass(frozen=True)
-class BridgeKernel:
-    """Stochasticity level of the reverse transition family.
-
-    eta_s = eta * sigma_s and beta_s = sigma_s * sqrt(1 - eta^2).
-
-    Limitation: with the plug-in conditional mean the chain is
-    under-dispersed at every eta > 0, because eta_s does not shrink with
-    the step size, and more steps do not remove the gap.  For a prior
-    N(mu, I) on the linear flow and a uniform grid, the terminal variance
-    per unit prior variance at K = 100 is 0.975 at eta = 0, 0.776 at
-    eta = 0.8 (the eta of the shipped configs) and 0.482 at eta = 1 (0.494 at
-    K = 400); only the eta = 0 chain approaches the prior as K grows.
-    """
-
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-
-    def coefficients(self, sched: Schedule, s: float) -> tuple[float, float, float]:
-        """(alpha_s, beta_s, eta_s) of the transition mean/noise at time s."""
-        alpha_s, sigma_s = eval_schedule(sched, s)
-        beta_s = sigma_s * math.sqrt(max(0.0, 1.0 - self.eta**2))
-        return alpha_s, beta_s, self.eta * sigma_s
-
-
-@dataclass(frozen=True)
 class TransitionParams:
     """Isotropic Gaussian transition: N(mean, std^2 I)."""
 
@@ -133,24 +106,38 @@ def standard_normal(rng: RngLike, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def transition_params(
-    kernel: BridgeKernel,
     sched: Schedule,
+    eta: float,
     x_t: np.ndarray,
     xhat0: np.ndarray,
     s: float,
     t: float,
 ) -> TransitionParams:
     """Reverse transition from x_t at time t to time s < t around the x0
-    estimate xhat0, with the noise estimate tied to it (``noise_from_x0``).
+    estimate xhat0, with the noise estimate xhat1 tied to it
+    (``noise_from_x0``): N(alpha_s * xhat0 + beta_s * xhat1, eta_s^2 I) with
+    the coefficients of the module docstring.  eta outside [0, 1] raises
+    ValueError.
 
     Every sampler builds its transition here, so a change to the kernel
     reaches all of them.
+
+    Limitation: with the plug-in conditional mean the chain is
+    under-dispersed at every eta > 0, because eta_s does not shrink with
+    the step size, and more steps do not remove the gap.  For a prior
+    N(mu, I) on the linear flow and a uniform grid, the terminal variance
+    per unit prior variance at K = 100 is 0.975 at eta = 0, 0.776 at
+    eta = 0.8 (the eta of the shipped configs) and 0.482 at eta = 1 (0.494 at
+    K = 400); only the eta = 0 chain approaches the prior as K grows.
     """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if not 0.0 <= s < t <= 1.0:
         raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
     xhat1 = noise_from_x0(x_t, xhat0, *eval_schedule(sched, t))
-    alpha_s, beta_s, eta_s = kernel.coefficients(sched, s)
-    return TransitionParams(alpha_s * xhat0 + beta_s * xhat1, eta_s)
+    alpha_s, sigma_s = eval_schedule(sched, s)
+    beta_s = sigma_s * math.sqrt(1.0 - eta**2)
+    return TransitionParams(alpha_s * xhat0 + beta_s * xhat1, eta * sigma_s)
 
 
 def sample_transition(params: TransitionParams, rng: RngLike) -> np.ndarray:
@@ -164,11 +151,12 @@ def run_unconditional(
     denoiser: Denoiser,
     sched: Schedule,
     grid: TimeGrid,
-    kernel: BridgeKernel,
+    eta: float,
     rng: RngLike,
     n_chains: int,
 ):
-    """Run the reverse chain from x ~ N(0, I) at t = 1 down the grid.
+    """Run the reverse chain at stochasticity eta from x ~ N(0, I) at t = 1
+    down the grid.
 
     Returns a SampleSet of the (n_chains, d) terminal states at t = 0, with
     d read from ``denoiser.dim``.  Chains are advanced as one batch, with
@@ -182,7 +170,7 @@ def run_unconditional(
     knots = grid.knots
     for k in range(grid.num_steps, 0, -1):
         s, t = knots[k - 1], knots[k]
-        params = transition_params(kernel, sched, x, denoiser.denoise(x, t), s, t)
+        params = transition_params(sched, eta, x, denoiser.denoise(x, t), s, t)
         x = sample_transition(params, rng)
     return SampleSet(x)
 

@@ -223,6 +223,8 @@ def _cmd_metrics(args) -> int:
     for flag, x in (("--a", a), ("--b", b)):
         if not x.shape[0]:
             raise ConfigError(f"{flag} holds no sample")
+        if not np.all(np.isfinite(x)):
+            raise ConfigError(f"{flag} holds a non-finite value")
     if a.shape[1] != b.shape[1]:
         raise ConfigError(f"--a, --b have d = {a.shape[1]}, {b.shape[1]}")
     if args.metric == "sw2":

@@ -259,6 +259,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
             continue
         raise ConfigError(f"unknown config key {key!r}")
 
+    # each input has one source: a second would be silently ignored
+    component = next((key for key in pairs if key.startswith("prior.component.")), None)
+    for first, second in (("prior.csv", component), ("mask.inline", "mask.pgm"),
+                          ("xstar.inline", "xstar.dsmp")):
+        if first in pairs and second in pairs:
+            raise ConfigError(f"{first} and {second} are both given; give one of them")
+
     if "prior.csv" in pairs:
         prior = _load_prior_csv(base / pairs["prior.csv"])
     else:

@@ -14,9 +14,9 @@ normally asks a neural network for are available exactly:
 
 The samplers see the prior through the ``Denoiser`` contract only:
 ``denoise``, ``evaluate`` (the estimate plus what differentiating it
-needs) and the optional ``jacobian`` and ``vjp`` of an evaluation
-(``GMMDenoiser``).  They derive every noise estimate from the x0 estimate
-through ``noise_from_x0``.
+needs) and ``vjp`` of an evaluation (``GMMDenoiser``, which also forms
+the full ``jacobian`` as a reference).  They derive every noise estimate
+from the x0 estimate through ``noise_from_x0``.
 
 Component k of the corrupted mixture is N(alpha*mu_k, C_k) with
 C_k = alpha^2 * Sigma_k + sigma^2 * I.  Conditioning on X_t = x gives,
@@ -431,7 +431,7 @@ def gmm_denoiser_jacobian(
 class Evaluation:
     """One denoiser evaluation at time t: the estimate ``xhat0`` of
     E[X0 | X_t = x], plus ``state``, what the denoiser keeps of the
-    evaluation so that ``Denoiser.jacobian`` can differentiate it without
+    evaluation so that ``Denoiser.vjp`` can differentiate it without
     evaluating again (the ``ConditionalMixture`` for ``GMMDenoiser``)."""
 
     t: float
@@ -446,11 +446,10 @@ class Denoiser(ABC):
     asks for: every noise estimate is the one tied to it,
     x1_hat = ``noise_from_x0``(x, x0_hat, alpha_t, sigma_t), which for the
     mixture prior is E[X1 | X_t = x] exactly.  ``evaluate`` returns the
-    same estimate as an ``Evaluation``; ``jacobian`` of an evaluation, and
-    ``vjp``, its transpose applied to one vector per point, are an
-    optional capability advertised through ``has_jacobian``.  The default
-    ``vjp`` contracts ``jacobian``; a denoiser that can form J^T v directly
-    overrides it.
+    same estimate as an ``Evaluation``, and ``vjp`` applies the transpose
+    of the estimate's Jacobian at that evaluation to one vector per point;
+    only dps calls it, and a denoiser that cannot form it keeps the base
+    ``vjp``, which raises NotImplementedError.
     """
 
     @abstractmethod
@@ -459,17 +458,10 @@ class Denoiser(ABC):
     def evaluate(self, x: np.ndarray, t: float) -> Evaluation:
         return Evaluation(t, self.denoise(x, t))
 
-    @property
-    def has_jacobian(self) -> bool:
-        return False
-
-    def jacobian(self, ev: Evaluation) -> np.ndarray:
-        """d xhat0 / dx at the point and time of the evaluation."""
-        raise NotImplementedError("this denoiser does not expose a Jacobian")
-
     def vjp(self, ev: Evaluation, v: np.ndarray) -> np.ndarray:
-        """J^T v for J = ``jacobian(ev)`` and v shaped like the point."""
-        return np.einsum("...ij,...i->...j", self.jacobian(ev), v)
+        """J^T v for J = d xhat0 / dx at the point and time of the
+        evaluation, and v shaped like the point."""
+        raise NotImplementedError(f"{type(self).__name__} has no vector-Jacobian product")
 
 
 class GMMDenoiser(Denoiser):
@@ -498,11 +490,8 @@ class GMMDenoiser(Denoiser):
         cond = component_posterior(self.prior, self.sched, x, t)
         return Evaluation(t, cond.mean(), cond)
 
-    @property
-    def has_jacobian(self) -> bool:
-        return True
-
     def jacobian(self, ev: Evaluation) -> np.ndarray:
+        """d xhat0 / dx at the point and time of the evaluation, (..., d, d)."""
         self._count_jacobian(ev)
         return ev.state.jacobian()
 

@@ -18,12 +18,13 @@ of the clean sample given the observation:
 - ``diffpir``: proximal blend of the denoised estimate with the data,
   weighted by rho_t = lambda * alpha_t^2 / sigma_t^2.
 
-Every method is one ``step_<method>``, all with the same signature.  The
+Every method is one ``step_<method>``, all with the same signature; each
+reads its knobs, eta included, from its ``SamplerConfig`` alone.  The
 driver evaluates the denoiser once per state and hands that
 ``Evaluation`` ev, with the estimate ev.xhat0, to the step.  dps, ddnm and
 diffpir correct the estimate and build their transition from the
-corrected one with ``bridge.transition_params``; dps takes its
-vector-Jacobian product ``denoiser.vjp`` from the same evaluation.
+corrected one with ``bridge.transition_params`` at ``cfg.eta``; dps takes
+its vector-Jacobian product ``denoiser.vjp`` from the same evaluation.
 blended and ding build the transition from ev.xhat0 as is and add a draw
 after it.
 
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import (
-    BridgeKernel,
     ChainStreams,
     RngLike,
     TransitionParams,
@@ -134,7 +134,6 @@ def step_blended(
     s: float,
     t: float,
     problem: InpaintingProblem,
-    kernel: BridgeKernel,
     sched: Schedule,
     denoiser: Denoiser,
     cfg: SamplerConfig,
@@ -143,7 +142,7 @@ def step_blended(
     """Unconditional step, then the noised reference replayed on the support."""
     if problem.x_star is None:
         raise ValueError("blended requires the reference x_star on the problem")
-    x_s = sample_transition(transition_params(kernel, sched, x_t, ev.xhat0, s, t), rng)
+    x_s = sample_transition(transition_params(sched, cfg.eta, x_t, ev.xhat0, s, t), rng)
     if problem.mask.observed_count == 0:
         return x_s
     alpha_s, sigma_s = eval_schedule(sched, s)
@@ -163,7 +162,6 @@ def dps_transition(
     s: float,
     t: float,
     problem: InpaintingProblem,
-    kernel: BridgeKernel,
     sched: Schedule,
     denoiser: Denoiser,
     cfg: SamplerConfig,
@@ -175,10 +173,8 @@ def dps_transition(
     (``denoiser.vjp``, no d x d Jacobian) both come from the one
     evaluation ev of x_t.  At t = 1 exactly (alpha_t = 0) the scale is
     evaluated one-sidedly at the first interior grid point, i.e. at s of
-    that step.
+    that step.  A denoiser without ``vjp`` raises NotImplementedError.
     """
-    if not denoiser.has_jacobian:
-        raise ValueError("dps requires a denoiser that exposes a Jacobian")
     xhat0 = ev.xhat0
     m = problem.mask.m
     resid = m * (problem.y - m * xhat0)
@@ -186,7 +182,7 @@ def dps_transition(
     alpha_t, sigma_t = eval_schedule(sched, t)
     alpha_eval, sigma_eval = (alpha_t, sigma_t) if alpha_t > 0 else eval_schedule(sched, s)
     corrected = xhat0 + cfg.dps_scale * (sigma_eval**2 / alpha_eval) * grad
-    return transition_params(kernel, sched, x_t, corrected, s, t)
+    return transition_params(sched, cfg.eta, x_t, corrected, s, t)
 
 
 def step_dps(
@@ -195,13 +191,12 @@ def step_dps(
     s: float,
     t: float,
     problem: InpaintingProblem,
-    kernel: BridgeKernel,
     sched: Schedule,
     denoiser: Denoiser,
     cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
-    params = dps_transition(x_t, ev, s, t, problem, kernel, sched, denoiser, cfg)
+    params = dps_transition(x_t, ev, s, t, problem, sched, denoiser, cfg)
     return sample_transition(params, rng)
 
 
@@ -254,7 +249,6 @@ def step_ding(
     s: float,
     t: float,
     problem: InpaintingProblem,
-    kernel: BridgeKernel,
     sched: Schedule,
     denoiser: Denoiser,
     cfg: SamplerConfig,
@@ -268,7 +262,7 @@ def step_ding(
     likelihood with the likelihood linearized through z instead of the
     model: no differentiation anywhere.
     """
-    params = transition_params(kernel, sched, x_t, ev.xhat0, s, t)
+    params = transition_params(sched, cfg.eta, x_t, ev.xhat0, s, t)
     nz = cfg.ding_nz
     eps = standard_normal(rng, np.shape(x_t)[:-1] + (nz, np.shape(x_t)[-1]))
     if params.std == 0.0:
@@ -293,8 +287,8 @@ def ddnm_transition(
     s: float,
     t: float,
     problem: InpaintingProblem,
-    kernel: BridgeKernel,
     sched: Schedule,
+    cfg: SamplerConfig,
 ) -> TransitionParams:
     """Transition with the denoised estimate hard-projected onto the data.
 
@@ -303,7 +297,7 @@ def ddnm_transition(
     never enters.
     """
     m = problem.mask.m
-    return transition_params(kernel, sched, x_t, m * problem.y + (1.0 - m) * xhat0, s, t)
+    return transition_params(sched, cfg.eta, x_t, m * problem.y + (1.0 - m) * xhat0, s, t)
 
 
 def step_ddnm(
@@ -312,13 +306,12 @@ def step_ddnm(
     s: float,
     t: float,
     problem: InpaintingProblem,
-    kernel: BridgeKernel,
     sched: Schedule,
     denoiser: Denoiser,
     cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
-    return sample_transition(ddnm_transition(x_t, ev.xhat0, s, t, problem, kernel, sched), rng)
+    return sample_transition(ddnm_transition(x_t, ev.xhat0, s, t, problem, sched, cfg), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +325,6 @@ def diffpir_transition(
     s: float,
     t: float,
     problem: InpaintingProblem,
-    kernel: BridgeKernel,
     sched: Schedule,
     cfg: SamplerConfig,
 ) -> TransitionParams:
@@ -348,7 +340,7 @@ def diffpir_transition(
         rho_t = cfg.diffpir_lambda * alpha_t**2 / sigma_t**2
         pulled = (problem.y / cfg.gamma**2 + rho_t * xhat0) / (1.0 / cfg.gamma**2 + rho_t)
         xhat0 = np.where(problem.mask.m == 1, pulled, xhat0)
-    return transition_params(kernel, sched, x_t, xhat0, s, t)
+    return transition_params(sched, cfg.eta, x_t, xhat0, s, t)
 
 
 def step_diffpir(
@@ -357,13 +349,12 @@ def step_diffpir(
     s: float,
     t: float,
     problem: InpaintingProblem,
-    kernel: BridgeKernel,
     sched: Schedule,
     denoiser: Denoiser,
     cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
-    params = diffpir_transition(x_t, ev.xhat0, s, t, problem, kernel, sched, cfg)
+    params = diffpir_transition(x_t, ev.xhat0, s, t, problem, sched, cfg)
     return sample_transition(params, rng)
 
 
@@ -372,12 +363,10 @@ def step_diffpir(
 # ---------------------------------------------------------------------------
 
 
-def chain_rngs(seed: int, method: str, chains: range) -> ChainStreams:
-    """The substreams of chains ``range(n)``: block b of BLOCK chains draws
-    from the generator seeded by (seed, METHOD_CODES[method], b)."""
-    if chains != range(len(chains)):
-        raise ValueError(f"chains must be range(n), got {chains!r}")
-    return ChainStreams((seed, METHOD_CODES[method]), len(chains))
+def chain_rngs(seed: int, method: str, n: int) -> ChainStreams:
+    """The substreams of n chains: block b of BLOCK chains draws from the
+    generator seeded by (seed, METHOD_CODES[method], b)."""
+    return ChainStreams((seed, METHOD_CODES[method]), n)
 
 
 def run_conditional(
@@ -404,10 +393,9 @@ def run_conditional(
 
     # read from the module at each run, so a patched step_<method> is the one called
     step = globals()[f"step_{cfg.method}"]
-    kernel = BridgeKernel(cfg.eta)
     knots = cfg.grid.knots
     n, d = cfg.n_chains, problem.mask.dim
-    rngs = chain_rngs(cfg.seed, cfg.method, range(n))
+    rngs = chain_rngs(cfg.seed, cfg.method, n)
     x = standard_normal(rngs, (n, d))
 
     steps = cfg.grid.num_steps
@@ -424,7 +412,7 @@ def run_conditional(
                 if trajectory is not None:
                     # the chains at knots[k] fill row steps - k: time runs from 1 down to 0
                     trajectory.states[steps - k], trajectory.denoised[steps - k] = x, ev.xhat0
-                x = step(x, ev, s, t, problem, kernel, sched, denoiser, cfg, rngs)
+                x = step(x, ev, s, t, problem, sched, denoiser, cfg, rngs)
         except NumericError as exc:
             raise NumericError(f"{cfg.method} at step k={k} (t={t:g} -> s={s:g}): {exc}") from None
     if cfg.final_replacement:

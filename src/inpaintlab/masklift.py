@@ -116,14 +116,8 @@ def upsample_mask(latent: LatentMask) -> PixelMask:
     return PixelMask(g)
 
 
-def leakage_report(
-    pixel_mask: PixelMask,
-    latent_mask: LatentMask,
-    factors: tuple[int, int, int] | None = None,
-) -> LeakageReport:
+def leakage_report(pixel_mask: PixelMask, latent_mask: LatentMask) -> LeakageReport:
     """Compare a latent mask against the pixel mask it was lifted from."""
-    if factors is not None and tuple(factors) != latent_mask.factors:
-        raise ValueError("factors disagree with the latent mask's factors")
     up = upsample_mask(latent_mask)
     if up.shape != pixel_mask.shape:
         raise ValueError(

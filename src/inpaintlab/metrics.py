@@ -25,14 +25,6 @@ class SampleSet:
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", s)
 
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
 
 def _as_matrix(a) -> np.ndarray:
     if isinstance(a, SampleSet):

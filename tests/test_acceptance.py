@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from inpaintlab import (
-    BridgeKernel,
     GaussianMixture,
     GMMDenoiser,
     InpaintingProblem,
@@ -336,13 +335,12 @@ def test_a6_unconditional_marginals(eta):
     mu = np.array([0.7, -0.3, 1.2, 0.1])
     prior = GaussianMixture([1.0], [mu], [np.ones(d)])
     v_k = _chain_terminal_variance(eta, num_steps)
-    # the figures documented in the README and the BridgeKernel docstring
+    # the figures documented in the README and the transition_params docstring
     assert abs(v_k - {0.0: 0.9746, 1.0: 0.4824}[eta]) < 1e-4
     law = GaussianMixture([1.0], [mu], [v_k * np.ones(d)])
     denoiser = GMMDenoiser(prior, LIN)
     term = run_unconditional(
-        denoiser, LIN, make_grid(num_steps), BridgeKernel(eta),
-        np.random.default_rng(13), n,
+        denoiser, LIN, make_grid(num_steps), eta, np.random.default_rng(13), n,
     )
     mean_tol = 4 * math.sqrt(d / n)
     targets = {"law": law, "prior": prior} if eta == 0.0 else {"law": law}

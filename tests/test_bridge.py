@@ -3,7 +3,6 @@ import pytest
 
 from inpaintlab import (
     METHODS,
-    BridgeKernel,
     GaussianMixture,
     GMMDenoiser,
     MaskOperator,
@@ -27,18 +26,18 @@ LIN = Schedule("linear-flow")
 
 
 def test_kernel_eta_range():
-    with pytest.raises(ValueError):
-        BridgeKernel(1.5)
-    with pytest.raises(ValueError):
-        BridgeKernel(-0.1)
+    for eta in (1.5, -0.1):
+        with pytest.raises(ValueError, match="eta"):
+            transition_params(LIN, eta, np.array([1.0]), np.array([0.5]), 0.5, 1.0)
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])
 def test_kernel_coefficient_identity(eta):
-    # eta_s^2 + beta_s^2 = sigma_s^2 at every s
-    kern = BridgeKernel(eta)
-    for s in np.linspace(0, 1, 101):
-        _, beta_s, eta_s = kern.coefficients(LIN, s)
+    # eta_s^2 + beta_s^2 = sigma_s^2 at every s < 1: from t = 1 (x1_hat = x_t)
+    # with x0_hat = 0 and x_t = 1 the mean is beta_s and the std eta_s
+    for s in np.linspace(0, 1, 101)[:-1]:
+        params = transition_params(LIN, eta, np.array([1.0]), np.array([0.0]), s, 1.0)
+        beta_s, eta_s = params.mean[0], params.std
         _, sigma_s = eval_schedule(LIN, s)
         assert abs(eta_s**2 + beta_s**2 - sigma_s**2) < 1e-12
 
@@ -47,7 +46,7 @@ def test_transition_example_deterministic():
     # eta=0, single N(0,1), x_t=1 at t=1: x0_hat=0, x1_hat=1, mean=0.5*0+0.5*1
     den = GMMDenoiser(GaussianMixture([1.0], [[0.0]], [[1.0]]), LIN)
     x_t = np.array([1.0])
-    params = transition_params(BridgeKernel(0.0), LIN, x_t, den.denoise(x_t, 1.0), 0.5, 1.0)
+    params = transition_params(LIN, 0.0, x_t, den.denoise(x_t, 1.0), 0.5, 1.0)
     np.testing.assert_allclose(params.mean, [0.5])
     assert params.std == 0.0
 
@@ -55,7 +54,7 @@ def test_transition_example_deterministic():
 def test_transition_eta_one_discards_noise_estimate():
     den = GMMDenoiser(GaussianMixture([1.0], [[0.0]], [[1.0]]), LIN)
     x_t = np.array([1.0])
-    params = transition_params(BridgeKernel(1.0), LIN, x_t, den.denoise(x_t, 1.0), 0.5, 1.0)
+    params = transition_params(LIN, 1.0, x_t, den.denoise(x_t, 1.0), 0.5, 1.0)
     alpha_s, sigma_s = eval_schedule(LIN, 0.5)
     np.testing.assert_allclose(params.mean, alpha_s * den.denoise(x_t, 1.0))
     assert params.std == pytest.approx(sigma_s)
@@ -64,14 +63,14 @@ def test_transition_eta_one_discards_noise_estimate():
 def test_transition_at_s_zero_is_denoiser():
     den = GMMDenoiser(GaussianMixture([1.0], [[0.3]], [[1.0]]), LIN)
     x_t = np.array([0.8])
-    params = transition_params(BridgeKernel(0.9), LIN, x_t, den.denoise(x_t, 0.6), 0.0, 0.6)
+    params = transition_params(LIN, 0.9, x_t, den.denoise(x_t, 0.6), 0.0, 0.6)
     np.testing.assert_allclose(params.mean, den.denoise(x_t, 0.6))
     assert params.std == 0.0
 
 
 def test_transition_ordering_enforced():
     with pytest.raises(ValueError):
-        transition_params(BridgeKernel(0.5), LIN, np.array([1.0]), np.array([0.5]), 0.6, 0.5)
+        transition_params(LIN, 0.5, np.array([1.0]), np.array([0.5]), 0.6, 0.5)
 
 
 def test_sample_transition_degenerate():
@@ -101,8 +100,8 @@ def test_marginal_preservation_kernel_form():
     n, s = 100_000, 0.35
     marg = gmm_marginal(prior, LIN, s)
     for eta in (0.0, 0.5, 1.0):
-        _, beta_s, eta_s = BridgeKernel(eta).coefficients(LIN, s)
-        alpha_s, _ = eval_schedule(LIN, s)
+        alpha_s, sigma_s = eval_schedule(LIN, s)
+        beta_s, eta_s = sigma_s * np.sqrt(1.0 - eta**2), eta * sigma_s
         draw = (
             alpha_s * prior.sample(n, rng)
             + beta_s * rng.standard_normal((n, 2))
@@ -115,7 +114,7 @@ def test_marginal_preservation_kernel_form():
 def test_unconditional_single_gaussian_mean():
     mu = np.array([0.7, -0.3])
     den = GMMDenoiser(GaussianMixture([1.0], [mu], [[1.0, 1.0]]), LIN)
-    term = run_unconditional(den, LIN, make_grid(100), BridgeKernel(1.0), np.random.default_rng(3), 2000)
+    term = run_unconditional(den, LIN, make_grid(100), 1.0, np.random.default_rng(3), 2000)
     assert np.linalg.norm(term.samples.mean(axis=0) - mu) < 4 * np.sqrt(2 / 2000)
 
 
@@ -123,7 +122,7 @@ def test_unconditional_one_step_is_denoiser_output():
     den = GMMDenoiser(GaussianMixture([1.0], [[0.5]], [[1.0]]), LIN)
     grid = make_grid(1)
     rng1 = np.random.default_rng(7)
-    term = run_unconditional(den, LIN, grid, BridgeKernel(0.8), rng1, 5)
+    term = run_unconditional(den, LIN, grid, 0.8, rng1, 5)
     rng2 = np.random.default_rng(7)
     x1 = rng2.standard_normal((5, 1))
     np.testing.assert_allclose(term.samples, den.denoise(x1, 1.0))
@@ -132,14 +131,14 @@ def test_unconditional_one_step_is_denoiser_output():
 def test_unconditional_needs_positive_chains():
     den = GMMDenoiser(GaussianMixture([1.0], [[0.0]], [[1.0]]), LIN)
     with pytest.raises(ValueError):
-        run_unconditional(den, LIN, make_grid(10), BridgeKernel(0.5), np.random.default_rng(0), 0)
+        run_unconditional(den, LIN, make_grid(10), 0.5, np.random.default_rng(0), 0)
 
 
 def test_eta_zero_chain_deterministic_given_start():
     den = GMMDenoiser(GaussianMixture([0.5, 0.5], [[2.0], [-2.0]], [[1.0], [1.0]]), LIN)
     grid = make_grid(50)
-    a = run_unconditional(den, LIN, grid, BridgeKernel(0.0), np.random.default_rng(9), 8)
-    b = run_unconditional(den, LIN, grid, BridgeKernel(0.0), np.random.default_rng(9), 8)
+    a = run_unconditional(den, LIN, grid, 0.0, np.random.default_rng(9), 8)
+    b = run_unconditional(den, LIN, grid, 0.0, np.random.default_rng(9), 8)
     np.testing.assert_array_equal(a.samples, b.samples)
 
 
@@ -170,12 +169,11 @@ def test_per_chain_substreams_match_shared_order():
     # rows of a two-block run equal a one-block run
     den = GMMDenoiser(GaussianMixture([1.0], [[0.0]], [[1.0]]), LIN)
     grid = make_grid(20)
-    kernel = BridgeKernel(0.7)
-    full = run_unconditional(den, LIN, grid, kernel, _streams(70, 123), 70).samples
-    want = run_unconditional(den, LIN, grid, kernel, BlockReference(123, 0, 70), 70).samples
+    full = run_unconditional(den, LIN, grid, 0.7, _streams(70, 123), 70).samples
+    want = run_unconditional(den, LIN, grid, 0.7, BlockReference(123, 0, 70), 70).samples
     np.testing.assert_array_equal(full, want)
     for n in (1, 6, 64):
-        solo = run_unconditional(den, LIN, grid, kernel, _streams(n, 123), n).samples
+        solo = run_unconditional(den, LIN, grid, 0.7, _streams(n, 123), n).samples
         np.testing.assert_array_equal(full[:n], solo)
 
 
@@ -218,8 +216,8 @@ def test_run_conditional_equals_per_call_reference(method, monkeypatch):
                         seed=4, n_chains=70, final_replacement=False)
     got, _ = run_conditional(problem, den, LIN, cfg)
 
-    def reference(seed, method, chains):
-        return BlockReference(seed, METHOD_CODES[method], len(chains))
+    def reference(seed, method, n):
+        return BlockReference(seed, METHOD_CODES[method], n)
 
     monkeypatch.setattr(guidance, "chain_rngs", reference)
     want, _ = run_conditional(problem, den, LIN, cfg)

@@ -224,6 +224,23 @@ def test_cpsnr_metric_checks_mask_length(tmp_path, capsys):
         assert f"--mask has {width} entries" in err and "d = 3" in err
 
 
+@pytest.mark.parametrize("metric", ["sw2", "cpsnr"])
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_metrics_rejects_non_finite_samples(tmp_path, capsys, metric, flag, bad):
+    rng = np.random.default_rng(0)
+    files = {"--a": rng.standard_normal((2, 2)), "--b": rng.standard_normal((2, 2))}
+    files[flag][1, 0] = bad
+    for name, x in files.items():
+        write_samples(tmp_path / f"{name[2:]}.dsmp", x)
+    write_pgm_mask(tmp_path / "m.pgm", PixelMask(np.array([[1, 0]], dtype=np.uint8)))
+    code = main(["metrics", "--a", str(tmp_path / "a.dsmp"), "--b", str(tmp_path / "b.dsmp"),
+                 "--metric", metric, "--mask", str(tmp_path / "m.pgm")])
+    assert code == 2
+    assert _one_config_error(capsys) == f"config error: {flag} holds a non-finite value"
+    assert capsys.readouterr().out == ""
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a config\n")
@@ -259,6 +276,35 @@ def test_ding_at_eta_zero_rejected_before_sampling(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
     cfg.write_text(zero.replace("methods    = ding, ddnm", "methods    = ddnm"))
     assert main(["run", "--config", str(cfg)]) == 0
+
+
+def test_method_eta_override_reaches_every_transition(tmp_path, monkeypatch):
+    # each method's transitions read eta from its own SamplerConfig
+    import inpaintlab.cli as cli
+    from inpaintlab import bridge
+
+    original, run = bridge.transition_params, cli.run_conditional
+    current, seen = [None], {}
+
+    def recording(sched, eta, *rest):
+        seen.setdefault(current[0], set()).add(eta)
+        return original(sched, eta, *rest)
+
+    def tagged(problem, denoiser, sched, cfg, **kw):
+        current[0] = cfg.method
+        return run(problem, denoiser, sched, cfg, **kw)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("inpaintlab") and vars(module).get("transition_params") is original:
+            monkeypatch.setattr(module, "transition_params", recording)
+    monkeypatch.setattr(cli, "run_conditional", tagged)
+    cfg = _write_cfg(tmp_path, extra="method.ddnm.eta = 0.3\n")
+    cfg.write_text(cfg.read_text().replace(
+        "methods    = ding, ddnm", "methods    = blended, dps, ding, ddnm, diffpir"))
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert seen == {"ddnm": {0.3}, **{m: {0.8} for m in ("blended", "dps", "ding", "diffpir")}}
+    eta_col = {r[0]: r[2] for r in _read_rows(tmp_path / "out" / "results.csv")[1:]}
+    assert eta_col == {"ddnm": "0.3", **{m: "0.8" for m in ("blended", "dps", "ding", "diffpir")}}
 
 
 def test_exit_code_io_error(tmp_path, capsys):

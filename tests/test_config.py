@@ -204,6 +204,18 @@ def test_mask_from_pgm_and_xstar_from_dsmp(tmp_path):
     np.testing.assert_allclose(cfg.x_star, [1.5, -0.5])
 
 
+@pytest.mark.parametrize("extra, first, second", [
+    ("prior.csv = nosuch.csv", "prior.csv", "prior.component.0.weight"),
+    ("mask.pgm = nosuch.pgm", "mask.inline", "mask.pgm"),
+    ("xstar.dsmp = nosuch.dsmp", "xstar.inline", "xstar.dsmp"),
+], ids=["prior", "mask", "xstar"])
+def test_two_sources_for_one_input_rejected(tmp_path, extra, first, second):
+    # the second source was silently ignored; the error names both keys and
+    # comes before any input file is read (none of these files exists)
+    with pytest.raises(ConfigError, match=f"^{first} and {second} are both given"):
+        load_config(_write(tmp_path, BASIC + extra + "\n"))
+
+
 def test_bad_prior_csv_and_xstar_file_are_config_errors(tmp_path):
     # each reached exit 2 only through the CLI's blanket ValueError mapping before
     (tmp_path / "prior.csv").write_text("0.3, 0.0, 1.0\n0.3, 1.0, 1.0\n")
