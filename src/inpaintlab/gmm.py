@@ -29,18 +29,33 @@ per component,
 and the denoiser is the responsibility-weighted average of the m_k.
 All component matrices of component k share the eigenbasis V_k of
 Sigma_k, cached at construction, so A_k, C0_k and C_k^{-1} are diagonal in
-it: a full covariance costs one rotation into the basis and one out.
+it, with eigenvalues slope_k, cov_evals_k and 1 / c_k.
 
 Per-component arrays are component-major.  For points x of shape
-(..., d), the offsets, conditional means and scores are (K, ..., d) and
-the responsibilities (K, ...); per-component constants are (K, d) and the
-bases (K, d, d).  A rotation is then one batched matmul, one GEMM per
-component, and every responsibility-weighted sum contracts the leading
-axis, with no (..., K, d, d) array.  ``component_posterior`` updates its
-(K, ..., d) temporaries in place where that keeps the order of the
-floating-point operations, so an evaluation holds few of them at once.
-A diagonal prior runs the same code with an identity basis (``evecs``
-None), where a rotation is a no-op.
+(..., d), the whitened offsets, conditional means and scores are
+(K, ..., d) and the responsibilities (K, ...); per-component constants are
+(K, d) and the bases (K, d, d).  Every responsibility-weighted sum
+contracts the leading axis in ``einsum``, with no (..., K, d, d) array.
+
+Each per-component vector is an affine map of the augmented points
+xa = [x, 1] and costs one GEMM per component, (N, d+1) @ (K, d+1, d) for
+N points, against maps built per call in O(K d^3):
+
+    u_k = c_k^{-1/2} V_k^T (x - alpha * mu_k)    (whitened offsets)
+    m_k = A_k x + (mu_k - alpha * A_k mu_k)     (means)
+    g_k = -C_k^{-1} (x - alpha * mu_k)          (scores)
+
+The linear part sits in the first d rows of a map and the bias in its
+last row: V_k diag(c_k^{-1/2}) under -(alpha * mu_k)^T V_k diag(c_k^{-1/2}),
+A_k under mu_k^T - alpha * mu_k^T A_k, and -C_k^{-1} under
+alpha * mu_k^T C_k^{-1} (A_k and C_k^{-1} are symmetric).  The squared
+norm of u_k is the Mahalanobis term of r_k, so ``component_posterior``
+keeps no offsets, only the means, and the scores are formed when the
+Jacobian, its product with a vector or the oracle asks.  A diagonal prior runs the same
+GEMMs against an identity basis, which is exact for finite points.  The
+sums over K stay in ``einsum`` rather than one long-inner BLAS product,
+whose rows would depend on the batch size: row j of every result depends
+on row j of x alone, so a smaller batch is a prefix of a larger one.
 Responsibilities are computed in the log domain (component likelihoods
 underflow at small sigma_t).
 
@@ -173,10 +188,11 @@ class GaussianMixture:
     def score(self, x: np.ndarray) -> np.ndarray:
         """Gradient of log density at x."""
         x = np.asarray(x, dtype=float)
-        z = _rotate_in(self._evecs, x - _lift(self.means, x.ndim + 1))
-        lr = _rotated_logpdf(z, self._evals) + _lift(np.log(self.weights), x.ndim)
+        lr = _component_logpdf(x, self.means, self._evals, self._evecs)
+        lr += _lift(np.log(self.weights), x.ndim)
         resp = np.exp(lr - logsumexp(lr, axis=0, keepdims=True))
-        return _weighted_sum(resp, _scores(z, self._evals, self._evecs))
+        scores = _apply(_score_maps(self.means, self._evals, self._evecs), _augmented(x))
+        return _weighted_sum(resp, scores)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n points: component index first, then the Gaussian draw."""
@@ -206,20 +222,12 @@ def _weighted_sum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("k...,k...d->...d", w, v)
 
 
-def _rotate_in(evecs: np.ndarray | None, v: np.ndarray) -> np.ndarray:
-    """V_k^T v_k for component-major vectors v of shape (K, ..., d): one
-    GEMM per component, (K, n, d) @ (K, d, d).  A leading axis of 1 rotates
-    the same vectors into every basis, giving (K, ..., d)."""
-    if evecs is None:
-        return v
-    return (v.reshape(v.shape[0], -1, v.shape[-1]) @ evecs).reshape((-1,) + v.shape[1:])
-
-
-def _rotate_out(evecs: np.ndarray | None, z: np.ndarray) -> np.ndarray:
-    """V_k z_k for component-major vectors z of shape (K, ..., d)."""
-    if evecs is None:
-        return z
-    return (z.reshape(z.shape[0], -1, z.shape[-1]) @ np.swapaxes(evecs, -1, -2)).reshape(z.shape)
+def _apply(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v_k @ mats_k for component-major rows v of shape (K, ..., m) and
+    matrices (K, m, d): one GEMM per component.  A leading axis of 1 sends
+    the same rows through every component's matrix, giving (K, ..., d)."""
+    out = v.reshape(v.shape[0], -1, v.shape[-1]) @ mats
+    return out.reshape((-1,) + v.shape[1:-1] + mats.shape[-1:])
 
 
 def _matrices(evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
@@ -229,10 +237,31 @@ def _matrices(evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
     return np.einsum("kde,ke,kfe->kdf", evecs, evals, evecs)
 
 
-def _scores(z: np.ndarray, evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
-    """Gradient of log N(x; center_k, V_k diag(evals_k) V_k^T) at x for each
-    component k, from the rotated offsets z = V_k^T (x - center_k), (K, ..., d)."""
-    return -_rotate_out(evecs, z / _lift(evals, z.ndim))
+def _augmented(x: np.ndarray) -> np.ndarray:
+    """[x, 1] for points x of shape (..., d), as (1, ..., d+1): the rows that
+    ``_apply`` sends through every component's map."""
+    xa = np.ones((1,) + x.shape[:-1] + (x.shape[-1] + 1,))
+    xa[..., :-1] = x
+    return xa
+
+
+def _affine_maps(mats: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(K, d+1, d') maps that send [x, 1] to (x - centers_k) @ mats_k."""
+    return np.concatenate([mats, -(centers[:, None, :] @ mats)], axis=1)
+
+
+def _whitening(centers: np.ndarray, evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
+    """Maps of [x, 1] to the whitened offsets evals_k^{-1/2} V_k^T (x - centers_k);
+    a diagonal prior (``evecs`` None) takes the identity basis."""
+    d = evals.shape[-1]
+    basis = np.broadcast_to(np.eye(d), evals.shape + (d,)) if evecs is None else evecs
+    return _affine_maps(basis / np.sqrt(evals)[:, None, :], centers)
+
+
+def _score_maps(centers: np.ndarray, evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
+    """Maps of [x, 1] to the gradient -Sigma_k^{-1} (x - centers_k) of
+    log N(x; centers_k, Sigma_k), Sigma_k = V_k diag(evals_k) V_k^T."""
+    return _affine_maps(_matrices(-1.0 / evals, evecs), centers)
 
 
 def _component_logpdf(
@@ -242,17 +271,14 @@ def _component_logpdf(
     evecs: np.ndarray | None,
 ) -> np.ndarray:
     """log N(x; centers_k, V_k diag(evals_k) V_k^T) for each component k, (K, ...)."""
-    return _rotated_logpdf(_rotate_in(evecs, x - _lift(centers, x.ndim + 1)), evals)
+    return _whitened_logpdf(_apply(_whitening(centers, evals, evecs), _augmented(x)), evals)
 
 
-def _rotated_logpdf(z: np.ndarray, evals: np.ndarray) -> np.ndarray:
-    """``_component_logpdf`` from the rotated offsets z = V_k^T (x - center_k)."""
-    d = z.shape[-1]
-    q = z * z
-    q /= _lift(evals, z.ndim)
-    quad = np.sum(q, axis=-1)
+def _whitened_logpdf(u: np.ndarray, evals: np.ndarray) -> np.ndarray:
+    """``_component_logpdf`` from the whitened offsets u, (K, ..., d)."""
+    quad = np.einsum("k...d,k...d->k...", u, u)
     logdet = np.sum(np.log(evals), axis=-1)
-    return -0.5 * (quad + _lift(logdet, quad.ndim) + d * _LOG_2PI)
+    return -0.5 * (quad + _lift(logdet, quad.ndim) + u.shape[-1] * _LOG_2PI)
 
 
 @dataclass(frozen=True)
@@ -267,16 +293,18 @@ class ConditionalMixture:
     diagonal prior.
 
     The inputs of the conditioning are kept for the Jacobian and the
-    guidance gradient: ``z[k]`` = V_k^T (x - alpha * mu_k), (K, ..., d);
-    ``c[k]``, the eigenvalues of C_k, and ``slope[k]``, those of the slope
-    A_k = alpha * Sigma_k C_k^{-1} of m_k in x, both (K, d).
+    guidance gradient: the augmented points ``xa`` = [x, 1], (1, ..., d+1);
+    ``centers[k]`` = alpha * mu_k; ``c[k]``, the eigenvalues of C_k, and
+    ``slope[k]``, those of the slope A_k = alpha * Sigma_k C_k^{-1} of m_k
+    in x, all three (K, d).
     """
 
     log_resp: np.ndarray
     means: np.ndarray
     cov_evals: np.ndarray
     cov_evecs: np.ndarray | None
-    z: np.ndarray
+    xa: np.ndarray
+    centers: np.ndarray
     c: np.ndarray
     slope: np.ndarray
 
@@ -287,14 +315,22 @@ class ConditionalMixture:
     def covariance_matrices(self) -> np.ndarray:
         return _matrices(self.cov_evals, self.cov_evecs)
 
+    def slope_matrices(self) -> np.ndarray:
+        """The slopes A_k as (K, d, d) symmetric matrices."""
+        return _matrices(self.slope, self.cov_evecs)
+
     def mean(self) -> np.ndarray:
         """E[X0 | X_t = x] = sum_k r_k m_k, the denoiser, shaped like x."""
         return _weighted_sum(self.resp, self.means)
 
+    def scores(self) -> np.ndarray:
+        """g_k = -C_k^{-1} (x - alpha * mu_k), the gradient of component k's
+        log-likelihood of x, (K, ..., d): one GEMM per component from xa."""
+        return _apply(_score_maps(self.centers, self.c, self.cov_evecs), self.xa)
+
     def centred_scores(self) -> np.ndarray:
-        """g_k - sum_j r_j g_j, with g_k = -C_k^{-1} (x - alpha * mu_k) the
-        gradient of component k's log-likelihood of x, (K, ..., d)."""
-        g = _scores(self.z, self.c, self.cov_evecs)
+        """g_k - sum_j r_j g_j, (K, ..., d)."""
+        g = self.scores()
         return g - _weighted_sum(self.resp, g)
 
     def jacobian(self) -> np.ndarray:
@@ -304,26 +340,24 @@ class ConditionalMixture:
         result.
         """
         resp = self.resp
-        jac = np.einsum("k...,kde->...de", resp, _matrices(self.slope, self.cov_evecs))
+        jac = np.einsum("k...,kde->...de", resp, self.slope_matrices())
         jac += np.einsum("k...,k...d,k...e->...de", resp, self.means, self.centred_scores())
         return jac
 
     def vjp(self, v: np.ndarray) -> np.ndarray:
         """J^T v for the Jacobian J of ``mean`` and v shaped like x.
 
-        J^T v = sum_k r_k [A_k v + (m_k.v - sum_j r_j m_j.v) g_k], since A_k
-        is symmetric.  In the eigenbasis of component k, A_k v and g_k are
-        slope_k * V_k^T v and -z_k / c_k: one rotation of v in, one (K, ...)
-        coefficient array and one rotation out, with no (..., d, d) array.
+        J^T v = sum_k r_k A_k v + sum_k r_k (m_k.v - sum_j r_j m_j.v) g_k,
+        since A_k is symmetric.  Each sum is one GEMM per component and one
+        contraction over K, taken one after the other, so one (K, ..., d)
+        array at a time and no (..., d, d) array.
         """
-        z, resp = self.z, self.resp
+        resp = self.resp
         coef = np.einsum("k...d,...d->k...", self.means, v)
         coef -= np.sum(resp * coef, axis=0)
-        w = _rotate_in(self.cov_evecs, v[None]) * _lift(self.slope, z.ndim)
-        q = z / _lift(self.c, z.ndim)
-        q *= coef[..., None]
-        w -= q
-        return _weighted_sum(resp, _rotate_out(self.cov_evecs, w))
+        jtv = _weighted_sum(resp, _apply(self.slope_matrices(), v[None]))
+        jtv += _weighted_sum(resp * coef, self.scores())
+        return jtv
 
 
 def _check_finite(x: np.ndarray) -> np.ndarray:
@@ -342,16 +376,19 @@ def component_posterior(
     lam, evecs = prior._evals, prior._evecs
     c = alpha**2 * lam + sigma**2  # eigenvalues of C_k, positive for every t
     slope = alpha * lam / c
+    centers = alpha * prior.means
 
-    # one rotation serves both the responsibilities and the means
-    z = _rotate_in(evecs, x - alpha * _lift(prior.means, x.ndim + 1))
-    lr = _rotated_logpdf(z, c) + _lift(np.log(prior.weights), x.ndim)
+    xa = _augmented(x)
+    lr = _whitened_logpdf(_apply(_whitening(centers, c, evecs), xa), c)
+    lr += _lift(np.log(prior.weights), x.ndim)
     log_resp = lr - logsumexp(lr, axis=0, keepdims=True)
 
-    means = _rotate_out(evecs, _lift(slope, z.ndim) * z)
-    means += _lift(prior.means, z.ndim)
+    # m_k = A_k x + (mu_k - alpha A_k mu_k)
+    maps = _affine_maps(_matrices(slope, evecs), centers)
+    maps[:, -1] += prior.means
+    means = _apply(maps, xa)
     cov_evals = sigma**2 * lam / c
-    return ConditionalMixture(log_resp, means, cov_evals, evecs, z, c, slope)
+    return ConditionalMixture(log_resp, means, cov_evals, evecs, xa, centers, c, slope)
 
 
 def gmm_marginal(prior: GaussianMixture, sched: Schedule, t: float) -> GaussianMixture:
@@ -371,7 +408,8 @@ def gmm_denoise(
     responsibilities.
 
     At t = 0 the conditional collapses onto x itself; the closed form
-    realizes this limit exactly (every component mean equals x there).
+    realizes this limit (every component mean equals x there, exactly for
+    a diagonal prior and to rounding for full covariances).
     """
     cond = component_posterior(prior, sched, x, t)
     return cond.mean(), cond.resp

@@ -413,6 +413,7 @@ def run_conditional(
                     # the chains at knots[k] fill row steps - k: time runs from 1 down to 0
                     trajectory.states[steps - k], trajectory.denoised[steps - k] = x, ev.xhat0
                 x = step(x, ev, s, t, problem, sched, denoiser, cfg, rngs)
+                del ev  # freed before the next step evaluates its own posterior
         except NumericError as exc:
             raise NumericError(f"{cfg.method} at step k={k} (t={t:g} -> s={s:g}): {exc}") from None
     if cfg.final_replacement:

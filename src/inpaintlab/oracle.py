@@ -27,7 +27,8 @@ post_mean = m + C[:, obs] S^{-1} (y_obs - m_obs),
 post_cov = C - (L^{-1} C[obs, :])^T (L^{-1} C[obs, :]).
 
 Per-component arrays are component-major, as in ``gmm``: (K, ..., d) for
-the conditional means and solved residuals, (K, ...) for the log
+the conditional means and whitened offsets of ``component_posterior``,
+the component scores and the solved residuals, (K, ...) for the log
 evidence and the reweighted responsibilities.
 """
 
@@ -39,9 +40,8 @@ from .gmm import (
     _LOG_2PI,
     ConditionalMixture,
     GaussianMixture,
+    _apply,
     _lift,
-    _rotate_in,
-    _rotate_out,
     _weighted_sum,
     component_posterior,
     logsumexp,
@@ -178,14 +178,12 @@ def exact_guidance_grad(
 def _guidance_grad(problem: InpaintingProblem, cond: ConditionalMixture) -> np.ndarray:
     """``exact_guidance_grad`` from the mixture of X0 given x_t (non-empty mask)."""
     obs = problem.mask.observed_idx
-    evecs = cond.cov_evecs
     log_ev, _, solved = _observed_evidence(problem, cond.means, cond.covariance_matrices())
 
     # gradient of each component's evidence: A_k^T lifted residual
     lifted = np.zeros(cond.means.shape)
     lifted[..., obs] = solved
-    slope = _lift(cond.slope, lifted.ndim)
-    ev_grad = _rotate_out(evecs, slope * _rotate_in(evecs, lifted))
+    ev_grad = _apply(cond.slope_matrices(), lifted)
 
     total = cond.centred_scores() + ev_grad
     return _weighted_sum(_reweight(cond.log_resp, log_ev), total)

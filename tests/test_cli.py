@@ -337,7 +337,7 @@ def test_exit_code_numeric_failure_names_method_and_step(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
     assert proc.stderr.splitlines() == [
         "numeric failure: dps at step k=21 (t=0.42 -> s=0.4): "
-        "transition mean must be finite: 615 of 1000 chains non-finite"
+        "transition mean must be finite: 826 of 1000 chains non-finite"
     ]
 
 
@@ -350,7 +350,7 @@ def test_numeric_failure_of_one_method_keeps_the_others(tmp_path):
     assert not (out / "dps_0.dsmp").exists()
     assert proc.stderr.splitlines() == [
         "numeric failure: dps at step k=21 (t=0.42 -> s=0.4): "
-        "transition mean must be finite: 615 of 1000 chains non-finite"
+        "transition mean must be finite: 826 of 1000 chains non-finite"
     ]
 
 

@@ -311,33 +311,43 @@ def test_component_posterior_log_resp_equals_component_logpdf(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
 def test_component_posterior_keeps_its_rounding_order(fixture, request):
-    # the in-place arithmetic of component_posterior rounds exactly like the
-    # out-of-place expressions below, so the samples of every method stay put
+    # component_posterior rounds exactly like the out-of-place expressions
+    # below, one GEMM per component from the augmented points [x, 1] for the
+    # whitened offsets, the means and the scores, so the samples of every
+    # method stay put; a diagonal prior takes the identity basis
     from inpaintlab.gmm import component_posterior, logsumexp
 
     prior = request.getfixturevalue(fixture)
     k, d = prior.means.shape
     evecs = prior._evecs
+    basis = np.tile(np.eye(d), (k, 1, 1)) if evecs is None else evecs
+
+    def matrices(evals):  # V_k diag(evals_k) V_k^T
+        if evecs is None:
+            return evals[:, :, None] * np.eye(d)
+        return np.einsum("kde,ke,kfe->kdf", evecs, evals, evecs)
+
     x = np.random.default_rng(7).standard_normal((33, d)) * 2.0
+    xa = np.concatenate([x, np.ones((33, 1))], axis=1)
     for t in (0.05, 0.4, 0.95):
         alpha, sigma = eval_schedule(LIN, t)
         c = alpha**2 * prior._evals + sigma**2
         slope = alpha * prior._evals / c
-        z = x - alpha * prior.means[:, None, :]
-        if evecs is not None:
-            z = (z @ evecs).reshape(z.shape)
-        quad = np.sum(z * z / c[:, None, :], axis=-1)
+        centers = (alpha * prior.means)[:, None, :]
+        cols = basis / np.sqrt(c)[:, None, :]
+        u = xa @ np.concatenate([cols, -(centers @ cols)], axis=1)
+        quad = np.einsum("knd,knd->kn", u, u)
         lr = -0.5 * (quad + np.sum(np.log(c), axis=-1)[:, None] + d * np.log(2.0 * np.pi))
         lr = lr + np.log(prior.weights)[:, None]
         log_resp = lr - logsumexp(lr, axis=0, keepdims=True)
-        rotated = slope[:, None, :] * z
-        if evecs is not None:
-            rotated = rotated @ np.swapaxes(evecs, -1, -2)
-        means = prior.means[:, None, :] + rotated
+        a = matrices(slope)
+        means = xa @ np.concatenate([a, prior.means[:, None, :] - centers @ a], axis=1)
+        prec = matrices(-1.0 / c)
+        scores = xa @ np.concatenate([prec, -(centers @ prec)], axis=1)
         cond = component_posterior(prior, LIN, x, t)
-        assert cond.z.tobytes() == z.tobytes()
         assert cond.log_resp.tobytes() == log_resp.tobytes()
         assert cond.means.tobytes() == means.tobytes()
+        assert cond.scores().tobytes() == scores.tobytes()
 
 
 @pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
@@ -345,13 +355,13 @@ def test_component_posterior_keeps_its_rounding_order(fixture, request):
 def test_centred_scores_average_to_the_marginal_score(fixture, batch, request):
     # the responsibility average of the component scores is the score of
     # the marginal p_t, and the centred scores average to zero
-    from inpaintlab.gmm import _scores, component_posterior
+    from inpaintlab.gmm import component_posterior
 
     prior = request.getfixturevalue(fixture)
     x = np.random.default_rng(6).standard_normal(batch + (prior.dim,)) * 1.5
     for t in (0.1, 0.5, 0.9):
         cond = component_posterior(prior, LIN, x, t)
-        g = _scores(cond.z, cond.c, cond.cov_evecs)
+        g = cond.scores()
         g_bar = np.einsum("k...,k...d->...d", cond.resp, g)
         score = gmm_marginal(prior, LIN, t).score(x)
         assert g_bar.shape == score.shape == x.shape

@@ -444,6 +444,30 @@ def test_chain_results_are_a_prefix_of_a_larger_run(method, prior):
         np.testing.assert_array_equal(few.samples, many.samples[:n_few])
 
 
+@pytest.mark.parametrize("layout", [(12, 32, "full"), (8, 2, "diagonal")],
+                         ids=["d12-k32-full", "d8-k2-diagonal"])
+@pytest.mark.parametrize("method", METHODS)
+def test_chain_results_are_a_prefix_at_benchmark_sizes(method, layout):
+    # the priors of mixture-full and gmm8: at these sizes BLAS blocks the
+    # rows and columns of a product, which d = 2 never reaches, so a row of
+    # a result could depend on the batch it came in; none may
+    d, k, kind = layout
+    rng = np.random.default_rng(21)
+    if kind == "full":
+        a = rng.standard_normal((k, d, d))
+        cov = 0.3 * a @ np.swapaxes(a, 1, 2) / d + 0.2 * np.eye(d)
+    else:
+        cov = 0.2 + 0.6 * rng.random((k, d))
+    prior = GaussianMixture(rng.dirichlet(np.ones(k)), 2.0 * rng.standard_normal((k, d)), cov)
+    den = GMMDenoiser(prior, LIN)
+    problem = make_observation(prior.sample(1, rng)[0], MaskOperator(np.arange(d) % 2), 0.1)
+    knobs = dict(gamma=0.1, dps_scale=0.1, ding_nz=2)
+    many, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=200, **knobs))
+    for n_few in (7, 65, 130):
+        few, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_few, **knobs))
+        np.testing.assert_array_equal(few.samples, many.samples[:n_few])
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_run_conditional_calls_the_module_step(method, mixture_setup, monkeypatch):
     # run_conditional must look the step up on the module at run time, so
