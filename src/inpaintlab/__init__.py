@@ -2,10 +2,11 @@
 
 Gaussian-mixture priors make every quantity a guided sampler needs, and
 every quantity one would like to check it against, available in closed
-form: the denoiser and its Jacobian, the intermediate observation
-likelihood and its gradient, and the terminal posterior itself.  The
-package implements a Jacobian-free conjugate guidance step alongside four
-standard baselines, plus mask lifting and desk-scale metrics.
+form: the denoiser and its vector-Jacobian product, the intermediate
+observation likelihood and its gradient, and the terminal posterior
+itself.  The package implements a Jacobian-free conjugate guidance step
+alongside four standard baselines, plus mask lifting and desk-scale
+metrics.
 """
 
 from .bridge import TransitionParams, run_unconditional, sample_transition, transition_params
@@ -15,7 +16,6 @@ from .gmm import (
     GaussianMixture,
     GMMDenoiser,
     gmm_denoise,
-    gmm_denoiser_jacobian,
     gmm_marginal,
     gmm_noise_predict,
 )
@@ -71,7 +71,6 @@ __all__ = [
     "exact_posterior",
     "exact_posterior_denoiser",
     "gmm_denoise",
-    "gmm_denoiser_jacobian",
     "gmm_marginal",
     "gmm_noise_predict",
     "leakage_report",

@@ -334,11 +334,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
         record_trajectories=_get_bool(pairs, "trajectories", False),
         oracle_n=_get_int(pairs, "oracle.n"),
     )
-    # these are read only once sampling has started, so they are checked here
+    # these are read only once sampling has started, and a global sampler
+    # knob that every listed method overrides reaches no SamplerConfig, so
+    # they are checked here
     for key, value in (("sw2.projections", cfg.sw2_projections), ("cpsnr.peak", cfg.cpsnr_peak),
-                       ("oracle.n", cfg.oracle_n)):
+                       ("oracle.n", cfg.oracle_n), ("gamma", cfg.gamma)):
         if value is not None and not value > 0:
             raise ConfigError(f"{key}: must be strictly positive, got {pairs[key]!r}")
+    if not 0.0 <= cfg.eta <= 1.0:
+        raise ConfigError(f"eta: must lie in [0, 1], got {pairs['eta']!r}")
     if cfg.sw2_seed < 0:  # seed itself is checked by SamplerConfig
         raise ConfigError(f"sw2.seed: must be non-negative, got {pairs['sw2.seed']!r}")
     return cfg

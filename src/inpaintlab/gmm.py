@@ -9,14 +9,14 @@ normally asks a neural network for are available exactly:
 - the noise prediction E[X1 | X_t = x] (``gmm_noise_predict``), tied to
   the denoiser by x1_hat = (x - alpha_t * x0_hat) / sigma_t
   (``noise_from_x0``),
-- the Jacobian of the denoiser (``gmm_denoiser_jacobian``, the reference
-  form), and its product with a vector (``ConditionalMixture.vjp``).
+- the product of the denoiser's Jacobian with a vector
+  (``ConditionalMixture.vjp``), its one derivative.
 
 The samplers see the prior through the ``Denoiser`` contract only:
 ``denoise``, ``evaluate`` (the estimate plus what differentiating it
-needs) and ``vjp`` of an evaluation (``GMMDenoiser``, which also forms
-the full ``jacobian`` as a reference).  They derive every noise estimate
-from the x0 estimate through ``noise_from_x0``.
+needs) and ``vjp`` of an evaluation (``GMMDenoiser``, whose ``jacobian``
+stacks d of those products).  They derive every noise estimate from the
+x0 estimate through ``noise_from_x0``.
 
 Component k of the corrupted mixture is N(alpha*mu_k, C_k) with
 C_k = alpha^2 * Sigma_k + sigma^2 * I.  Conditioning on X_t = x gives,
@@ -51,7 +51,7 @@ A_k under mu_k^T - alpha * mu_k^T A_k, and -C_k^{-1} under
 alpha * mu_k^T C_k^{-1} (A_k and C_k^{-1} are symmetric).  The squared
 norm of u_k is the Mahalanobis term of r_k, so ``component_posterior``
 keeps no offsets, only the means, and the scores are formed when the
-Jacobian, its product with a vector or the oracle asks.  A diagonal prior runs the same
+product with a vector or the oracle asks.  A diagonal prior runs the same
 GEMMs against an identity basis, which is exact for finite points.  The
 sums over K stay in ``einsum`` rather than one long-inner BLAS product,
 whose rows would depend on the batch size: row j of every result depends
@@ -292,8 +292,8 @@ class ConditionalMixture:
     only, not on x; ``cov_evecs`` is the (K, d, d) basis V, or None for a
     diagonal prior.
 
-    The inputs of the conditioning are kept for the Jacobian and the
-    guidance gradient: the augmented points ``xa`` = [x, 1], (1, ..., d+1);
+    The inputs of the conditioning are kept for ``vjp`` and the guidance
+    gradient: the augmented points ``xa`` = [x, 1], (1, ..., d+1);
     ``centers[k]`` = alpha * mu_k; ``c[k]``, the eigenvalues of C_k, and
     ``slope[k]``, those of the slope A_k = alpha * Sigma_k C_k^{-1} of m_k
     in x, all three (K, d).
@@ -332,17 +332,6 @@ class ConditionalMixture:
         """g_k - sum_j r_j g_j, (K, ..., d)."""
         g = self.scores()
         return g - _weighted_sum(self.resp, g)
-
-    def jacobian(self) -> np.ndarray:
-        """d mean / dx = sum_k r_k [A_k + m_k (g_k - g_bar)^T], as (..., d, d).
-
-        Both sums contract the component axis straight into the (..., d, d)
-        result.
-        """
-        resp = self.resp
-        jac = np.einsum("k...,kde->...de", resp, self.slope_matrices())
-        jac += np.einsum("k...,k...d,k...e->...de", resp, self.means, self.centred_scores())
-        return jac
 
     def vjp(self, v: np.ndarray) -> np.ndarray:
         """J^T v for the Jacobian J of ``mean`` and v shaped like x.
@@ -432,34 +421,6 @@ def gmm_noise_predict(
     return noise_from_x0(x, xhat0, *eval_schedule(sched, t))
 
 
-_JACOBIAN_AT_ZERO = "denoiser Jacobian is not defined at t=0 (sigma_t = 0); evaluate at t > 0"
-
-
-def gmm_denoiser_jacobian(
-    prior: GaussianMixture,
-    sched: Schedule,
-    x: np.ndarray,
-    t: float,
-) -> np.ndarray:
-    """Jacobian of the denoiser with respect to x.
-
-    Differentiating the mixture form gives
-
-        J = sum_k r_k [ A_k + m_k (g_k - g_bar)^T ]
-
-    with A_k = alpha * Sigma_k C_k^{-1} the per-component affine slope and
-    g_k the gradient of the component log-likelihood of x (g_bar its
-    responsibility average); see ``ConditionalMixture.jacobian``.  By
-    second-order Tweedie this equals (I + sigma^2 Hessian of log p_t) /
-    alpha, against which the test suite checks it.  At t = 0 the quotient
-    form is degenerate, and the call raises ValueError.
-    """
-    x = _check_finite(x)
-    if eval_schedule(sched, t)[1] == 0.0:
-        raise ValueError(_JACOBIAN_AT_ZERO)
-    return component_posterior(prior, sched, x, t).jacobian()
-
-
 # ---------------------------------------------------------------------------
 # denoiser interface consumed by the samplers
 # ---------------------------------------------------------------------------
@@ -506,10 +467,11 @@ class GMMDenoiser(Denoiser):
     """Exact denoiser backed by a Gaussian-mixture prior.
 
     ``evaluate`` keeps the ``ConditionalMixture`` behind its estimate, and
-    ``jacobian`` and ``vjp`` differentiate it: no second posterior
-    evaluation.  ``vjp`` is the closed form ``ConditionalMixture.vjp``, with
-    no (..., d, d) array.  ``jacobian_calls`` counts both; methods that
-    advertise themselves as Jacobian-free can be audited against it.
+    ``vjp`` differentiates it with no second posterior evaluation and no
+    (..., d, d) array: it is the closed form ``ConditionalMixture.vjp``.
+    ``jacobian`` stacks d of those products into the dense matrix.
+    ``jacobian_calls`` counts one per ``vjp`` or ``jacobian`` call; methods
+    that advertise themselves as Jacobian-free can be audited against it.
     """
 
     def __init__(self, prior: GaussianMixture, sched: Schedule):
@@ -529,9 +491,11 @@ class GMMDenoiser(Denoiser):
         return Evaluation(t, cond.mean(), cond)
 
     def jacobian(self, ev: Evaluation) -> np.ndarray:
-        """d xhat0 / dx at the point and time of the evaluation, (..., d, d)."""
+        """d xhat0 / dx at the point and time of the evaluation, (..., d, d):
+        row i is J^T e_i, the ``vjp`` of the i-th unit vector."""
         self._count_jacobian(ev)
-        return ev.state.jacobian()
+        rows = [ev.state.vjp(np.broadcast_to(e, ev.xhat0.shape)) for e in np.eye(self.dim)]
+        return np.stack(rows, axis=-2)
 
     def vjp(self, ev: Evaluation, v: np.ndarray) -> np.ndarray:
         self._count_jacobian(ev)
@@ -540,7 +504,8 @@ class GMMDenoiser(Denoiser):
     def _count_jacobian(self, ev: Evaluation) -> None:
         self.jacobian_calls += 1
         if eval_schedule(self.sched, ev.t)[1] == 0.0:
-            raise ValueError(_JACOBIAN_AT_ZERO)
+            raise ValueError("denoiser Jacobian is not defined at t=0 (sigma_t = 0); "
+                             "evaluate at t > 0")
 
     def reset_jacobian_counter(self) -> None:
         self.jacobian_calls = 0

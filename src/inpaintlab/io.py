@@ -97,6 +97,8 @@ def read_dmsk(path: str | Path) -> PixelMask:
     if raw[: len(DMSK_MAGIC)] != DMSK_MAGIC or len(raw) < len(DMSK_MAGIC) + 12:
         raise ConfigError(f"{path}: not a mask file (bad magic or short header)")
     t, h, w = struct.unpack_from("<III", raw, len(DMSK_MAGIC))
+    if min(t, h, w) < 1:
+        raise ConfigError(f"{path}: mask dimensions {t} x {h} x {w} must be positive")
     body = raw[len(DMSK_MAGIC) + 12 :]
     if len(body) != t * h * w:
         raise ConfigError(f"{path}: expected {t * h * w} mask bytes, found {len(body)}")

@@ -9,9 +9,8 @@ Gaussian:
   through the conditional of the clean sample given a noisy state.
 - ``exact_guidance_grad``: its gradient with respect to the noisy state.
 - ``exact_posterior_denoiser``: the conditional mean of the clean sample
-  given both the noisy state and the observation, computable through two
-  independent routes (prior denoiser + scaled guidance gradient, and
-  direct per-component joint conditioning).
+  given both the noisy state and the observation, by conditioning each
+  component of the mixture of X0 given the noisy state on the observation.
 - ``ding_gap``: the pointwise error of replacing the denoiser Jacobian by
   the scaled identity in a first-order expansion, for one point or a batch
   of chains, with the Jacobian applied to the displacement through the
@@ -38,7 +37,6 @@ import numpy as np
 
 from .gmm import (
     _LOG_2PI,
-    ConditionalMixture,
     GaussianMixture,
     _apply,
     _lift,
@@ -170,14 +168,10 @@ def exact_guidance_grad(
     central finite differences of ``exact_intermediate_loglik``.
     """
     x_t = np.asarray(x_t, dtype=float)
-    if problem.mask.observed_idx.size == 0:
-        return np.zeros_like(x_t)
-    return _guidance_grad(problem, component_posterior(prior, sched, x_t, t))
-
-
-def _guidance_grad(problem: InpaintingProblem, cond: ConditionalMixture) -> np.ndarray:
-    """``exact_guidance_grad`` from the mixture of X0 given x_t (non-empty mask)."""
     obs = problem.mask.observed_idx
+    if obs.size == 0:
+        return np.zeros_like(x_t)
+    cond = component_posterior(prior, sched, x_t, t)
     log_ev, _, solved = _observed_evidence(problem, cond.means, cond.covariance_matrices())
 
     # gradient of each component's evidence: A_k^T lifted residual
@@ -195,29 +189,20 @@ def exact_posterior_denoiser(
     sched: Schedule,
     x_t: np.ndarray,
     t: float,
-    route: str = "gradient",
 ) -> np.ndarray:
     """E[X0 | X_t = x_t, observation].
 
-    ``route="gradient"`` adds the scaled guidance gradient to the prior
-    denoiser; ``route="conditioning"`` conditions each component of the
-    mixture of X0 given x_t on the observation with
-    ``_condition_on_observed``.  The two are algebraically equal and share
-    only the evidence routine; each runs ``component_posterior`` once.
+    Each component of the mixture of X0 given x_t is conditioned on the
+    observation with ``_condition_on_observed`` and reweighted by its
+    evidence, from one ``component_posterior``.  It equals the prior
+    denoiser plus (sigma_t^2 / alpha_t) times ``exact_guidance_grad``, which
+    the test suite checks.
     """
-    alpha, sigma = eval_schedule(sched, t)
-    if alpha == 0.0:
+    if eval_schedule(sched, t)[0] == 0.0:
         raise ValueError("posterior denoiser undefined at t = 1 (alpha = 0)")
-    if route not in ("gradient", "conditioning"):
-        raise ValueError(f"unknown route {route!r}")
-
     cond = component_posterior(prior, sched, x_t, t)
-    xhat0 = cond.mean()
     if problem.mask.observed_idx.size == 0:
-        return xhat0
-    if route == "gradient":
-        return xhat0 + (sigma**2 / alpha) * _guidance_grad(problem, cond)
-
+        return cond.mean()
     log_ev, post_means, _ = _condition_on_observed(
         problem, cond.means, cond.covariance_matrices()
     )

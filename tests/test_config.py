@@ -113,11 +113,17 @@ def test_unknown_prior_component_key_rejected(tmp_path, key):
 
 @pytest.mark.parametrize("line", [
     "oracle.n = 0", "oracle.n = -5", "sw2.projections = 0", "cpsnr.peak = 0", "cpsnr.peak = -1",
+    # a global knob that every listed method overrides is still checked
+    pytest.param("gamma = -0.1\nmethod.ding.gamma = 0.1\nmethod.ddnm.gamma = 0.1",
+                 id="gamma-overridden"),
+    pytest.param("eta = 5\nmethod.ding.eta = 0.5\nmethod.ddnm.eta = 0.5", id="eta-overridden"),
 ])
 def test_run_time_values_checked_at_load(tmp_path, line):
     key = line.split("=")[0].strip()
-    with pytest.raises(ConfigError, match=f"{key}: must be strictly positive"):
-        load_config(_write(tmp_path, BASIC + line + "\n"))
+    lines = [kept for kept in BASIC.splitlines() if kept.split("=")[0].strip() != key]
+    want = "must lie in \\[0, 1\\]" if key == "eta" else "must be strictly positive"
+    with pytest.raises(ConfigError, match=f"{key}: {want}"):
+        load_config(_write(tmp_path, "\n".join(lines) + "\n" + line + "\n"))
 
 
 def test_run_time_values_loaded(tmp_path):

@@ -8,7 +8,6 @@ from inpaintlab import (
     Schedule,
     eval_schedule,
     gmm_denoise,
-    gmm_denoiser_jacobian,
     gmm_marginal,
     gmm_noise_predict,
     transition_params,
@@ -139,17 +138,23 @@ def test_responsibilities_sum_to_one(three_comp_diag):
     assert np.all(resp >= 0)
 
 
+def _jacobian(prior, x, t):
+    """The dense Jacobian that ``GMMDenoiser.jacobian`` stacks from ``vjp`` rows."""
+    den = GMMDenoiser(prior, LIN)
+    return den.jacobian(den.evaluate(x, t))
+
+
 def test_jacobian_affine_case():
     # single component: alpha / (alpha^2 + sigma^2) = 1.0, independent of x
     g = GaussianMixture([1.0], [[0.0]], [[1.0]])
     for x in (np.array([0.0]), np.array([2.0]), np.array([-5.0])):
-        np.testing.assert_allclose(gmm_denoiser_jacobian(g, LIN, x, 0.5), [[1.0]])
+        np.testing.assert_allclose(_jacobian(g, x, 0.5), [[1.0]])
 
 
 def test_jacobian_single_component_constant(two_comp_full):
     g = GaussianMixture([1.0], [[0.5, -1.0]], [[[1.0, 0.4], [0.4, 2.0]]])
-    j1 = gmm_denoiser_jacobian(g, LIN, np.array([0.0, 0.0]), 0.3)
-    j2 = gmm_denoiser_jacobian(g, LIN, np.array([4.0, -2.0]), 0.3)
+    j1 = _jacobian(g, np.array([0.0, 0.0]), 0.3)
+    j2 = _jacobian(g, np.array([4.0, -2.0]), 0.3)
     np.testing.assert_allclose(j1, j2, atol=1e-12)
 
 
@@ -170,7 +175,7 @@ def test_jacobian_matches_finite_differences(two_comp_full, t):
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.standard_normal(2) * 2.0
-        jac = gmm_denoiser_jacobian(two_comp_full, LIN, x, t)
+        jac = _jacobian(two_comp_full, x, t)
         np.testing.assert_allclose(jac, _fd_jacobian(two_comp_full, LIN, x, t), atol=1e-6)
 
 
@@ -180,14 +185,14 @@ def test_jacobian_second_order_identity(three_comp_diag):
     rng = np.random.default_rng(4)
     for t in (0.2, 0.5, 0.8):
         x = rng.standard_normal(4)
-        j0 = gmm_denoiser_jacobian(three_comp_diag, LIN, x, t)
+        j0 = _jacobian(three_comp_diag, x, t)
         resid = j0 - reference.denoiser_jacobian(three_comp_diag, LIN, x, t)
         assert np.max(np.abs(resid)) <= 1e-8
 
 
 def test_jacobian_t0_needs_flag(three_comp_diag):
     with pytest.raises(ValueError):
-        gmm_denoiser_jacobian(three_comp_diag, LIN, np.zeros(4), 0.0)
+        _jacobian(three_comp_diag, np.zeros(4), 0.0)
 
 
 def test_mixture_moments_match_sampling(two_comp_full):
@@ -215,7 +220,7 @@ def test_denoiser_jacobian_is_symmetric(fixture, request):
     prior = request.getfixturevalue(fixture)
     x = np.random.default_rng(9).standard_normal((25, prior.dim)) * 2.0
     for t in (0.02, 0.1, 0.5, 0.9):
-        jac = gmm_denoiser_jacobian(prior, LIN, x, t)
+        jac = _jacobian(prior, x, t)
         np.testing.assert_allclose(jac, np.swapaxes(jac, -1, -2), rtol=0, atol=1e-12)
 
 
@@ -229,7 +234,10 @@ def test_vjp_equals_jacobian_transpose_product(fixture, batch, request):
     v = rng.standard_normal(batch + (prior.dim,))
     for t in (0.02, 0.1, 0.5, 0.9):
         ev = den.evaluate(x, t)
-        want = np.einsum("...ij,...i->...j", ev.state.jacobian(), v)
+        # J^T v with J the independent (I + sigma^2 H) / alpha, one point at a time
+        want = np.reshape([reference.denoiser_jacobian(prior, LIN, x_i, t).T @ v_i
+                           for x_i, v_i in zip(x.reshape(-1, prior.dim), v.reshape(-1, prior.dim))],
+                          x.shape)
         scale = np.linalg.norm(want, axis=-1, keepdims=True)
         calls = den.jacobian_calls
         for got in (ev.state.vjp(v), den.vjp(ev, v)):
@@ -437,7 +445,7 @@ def test_component_major_kernels_match_per_component_reference(layout):
         for points in (x, x[0]):
             cond = component_posterior(prior, LIN, points, t)
             xhat0, resp = gmm_denoise(prior, LIN, points, t)
-            jac = gmm_denoiser_jacobian(prior, LIN, points, t)
+            jac = _jacobian(prior, points, t)
             grad = exact_guidance_grad(problem, prior, LIN, points, t)
             assert cond.log_resp.shape == resp.shape == (k,) + points.shape[:-1]
             assert cond.means.shape == (k,) + points.shape

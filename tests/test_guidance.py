@@ -548,10 +548,10 @@ def test_no_method_forms_a_jacobian_matrix(method, mixture_setup, monkeypatch):
     # dps takes J^T g from the closed-form vjp; nothing builds the (n, d, d) Jacobian
     _, den, problem = mixture_setup
 
-    def refuse(self):
+    def refuse(self, ev):
         raise AssertionError("a (..., d, d) Jacobian was formed")
 
-    monkeypatch.setattr(gmm.ConditionalMixture, "jacobian", refuse)
+    monkeypatch.setattr(gmm.GMMDenoiser, "jacobian", refuse)
     samples, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=3),
                                  record_trajectories=True)
     assert np.all(np.isfinite(samples.samples))

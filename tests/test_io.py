@@ -94,6 +94,11 @@ def test_truncated_header_is_a_config_error(tmp_path):
         (tmp_path / name).write_bytes(raw)
         with pytest.raises(ConfigError, match="short header"):
             read(tmp_path / name)
+    # a well-formed header with a zero dimension holds no mask
+    zero = tmp_path / "zero.dmsk"
+    zero.write_bytes(b"DMSK" + (0).to_bytes(4, "little") + (4).to_bytes(4, "little") * 2)
+    with pytest.raises(ConfigError, match="zero.dmsk: mask dimensions 0 x 4 x 4"):
+        read_dmsk(zero)
 
 
 def test_dmsk_round_trip(tmp_path):

@@ -7,6 +7,7 @@ from inpaintlab import (
     MaskOperator,
     Schedule,
     ding_gap,
+    eval_schedule,
     exact_guidance_grad,
     exact_intermediate_loglik,
     exact_posterior,
@@ -107,7 +108,7 @@ def test_conditioning_route_is_pointwise_reference(t):
     mask = MaskOperator([0, 1, 1, 0, 1, 0, 1])
     problem = InpaintingProblem(mask, mask.m * rng.standard_normal(prior.dim), 0.2)
     x = rng.standard_normal((5, prior.dim))
-    got = exact_posterior_denoiser(problem, prior, LIN, x, t, route="conditioning")
+    got = exact_posterior_denoiser(problem, prior, LIN, x, t)
     for x_i, got_i in zip(x, got):
         cond = component_posterior(prior, LIN, x_i, t)
         given_x = GaussianMixture(cond.resp / cond.resp.sum(), cond.means, cond.covariance_matrices())
@@ -194,35 +195,34 @@ def test_guidance_grad_flat_and_empty(mixed_prior):
 def test_posterior_denoiser_routes_agree(mixed_prior, masked_problem, t):
     rng = np.random.default_rng(4)
     x = rng.standard_normal((6, 3))
-    via_grad = exact_posterior_denoiser(masked_problem, mixed_prior, LIN, x, t, route="gradient")
-    via_cond = exact_posterior_denoiser(masked_problem, mixed_prior, LIN, x, t, route="conditioning")
+    # the prior denoiser plus the scaled guidance gradient, against conditioning
+    alpha, sigma = eval_schedule(LIN, t)
+    via_grad = gmm_denoise(mixed_prior, LIN, x, t)[0] + (sigma**2 / alpha) * exact_guidance_grad(
+        masked_problem, mixed_prior, LIN, x, t)
+    via_cond = exact_posterior_denoiser(masked_problem, mixed_prior, LIN, x, t)
     assert np.max(np.abs(via_grad - via_cond)) <= 1e-8
 
 
-@pytest.mark.parametrize("route", ["gradient", "conditioning"])
-def test_posterior_denoiser_runs_one_component_posterior(
-    mixed_prior, masked_problem, monkeypatch, route
-):
+def test_posterior_denoiser_runs_one_component_posterior(mixed_prior, masked_problem, monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return component_posterior(*args, **kwargs)
 
-    # both modules, so a route that goes through gmm_denoise is counted too
+    # both modules, so a call that goes through gmm_denoise is counted too
     monkeypatch.setattr(gmm, "component_posterior", counting)
     monkeypatch.setattr(oracle, "component_posterior", counting)
     x = np.random.default_rng(6).standard_normal((5, 3))
-    exact_posterior_denoiser(masked_problem, mixed_prior, LIN, x, 0.5, route=route)
+    exact_posterior_denoiser(masked_problem, mixed_prior, LIN, x, 0.5)
     assert len(calls) == 1
 
 
 def test_posterior_denoiser_empty_mask_is_denoiser(mixed_prior):
     prob = InpaintingProblem(MaskOperator([0, 0, 0]), np.zeros(3), 0.5)
     x = np.array([0.4, -0.6, 0.0])
-    for route in ("gradient", "conditioning"):
-        got = exact_posterior_denoiser(prob, mixed_prior, LIN, x, 0.4, route=route)
-        np.testing.assert_allclose(got, gmm_denoise(mixed_prior, LIN, x, 0.4)[0], atol=1e-12)
+    got = exact_posterior_denoiser(prob, mixed_prior, LIN, x, 0.4)
+    np.testing.assert_allclose(got, gmm_denoise(mixed_prior, LIN, x, 0.4)[0], atol=1e-12)
 
 
 def test_posterior_denoiser_collapses_to_reference():
