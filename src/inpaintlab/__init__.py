@@ -22,7 +22,6 @@ from .gmm import (
 from .guidance import (
     METHODS,
     SamplerConfig,
-    Trajectory,
     run_conditional,
     step_blended,
     step_ddnm,
@@ -31,7 +30,7 @@ from .guidance import (
     step_dps,
 )
 from .masklift import LatentMask, PixelMask, dilate_mask, downsample_mask, leakage_report, lift_mask
-from .metrics import SampleSet, cpsnr, moment_diff, sliced_w2
+from .metrics import cpsnr, moment_diff, sliced_w2
 from .oracle import (
     ding_gap,
     exact_guidance_grad,
@@ -55,11 +54,9 @@ __all__ = [
     "MaskOperator",
     "NumericError",
     "PixelMask",
-    "SampleSet",
     "SamplerConfig",
     "Schedule",
     "TimeGrid",
-    "Trajectory",
     "TransitionParams",
     "cpsnr",
     "dilate_mask",

@@ -154,16 +154,14 @@ def run_unconditional(
     eta: float,
     rng: RngLike,
     n_chains: int,
-):
+) -> np.ndarray:
     """Run the reverse chain at stochasticity eta from x ~ N(0, I) at t = 1
     down the grid.
 
-    Returns a SampleSet of the (n_chains, d) terminal states at t = 0, with
-    d read from ``denoiser.dim``.  Chains are advanced as one batch, with
+    Returns the (n_chains, d) array of terminal states at t = 0, with d
+    read from ``denoiser.dim``.  Chains are advanced as one batch, with
     per-chain substreams when ``rng`` is a ``ChainStreams``.
     """
-    from .metrics import SampleSet
-
     if n_chains < 1:
         raise ValueError("n_chains must be positive")
     x = standard_normal(rng, (n_chains, denoiser.dim))
@@ -172,5 +170,5 @@ def run_unconditional(
         s, t = knots[k - 1], knots[k]
         params = transition_params(sched, eta, x, denoiser.denoise(x, t), s, t)
         x = sample_transition(params, rng)
-    return SampleSet(x)
+    return x
 

@@ -59,10 +59,10 @@ class ResultRow(NamedTuple):
     n_chains: int
 
 
-def _write_trajectories(path: Path, trajectory) -> None:
-    """One ``((K+1)*n, 2d)`` sample matrix, step-major: row ``k*n + j`` is
-    chain j at the k-th recorded time, its ``x`` then its ``xhat0``."""
-    rows = np.concatenate([trajectory.states, trajectory.denoised], axis=-1)
+def _write_trajectories(path: Path, rows: np.ndarray) -> None:
+    """The (K+1, n, 2d) trajectory of ``run_conditional`` as one
+    ``((K+1)*n, 2d)`` sample matrix, step-major: row ``k*n + j`` is chain j
+    at the k-th knot from t = 1, its ``x`` then its ``xhat0``."""
     write_samples(path, rows.reshape(-1, rows.shape[-1]))
 
 
@@ -78,8 +78,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run every configured method and score it against the exact posterior.
 
     Writes ``results.csv`` (flushed row by row so partial results survive
-    a failure), ``<method>_<seed>.dsmp`` per method (plus
-    ``<method>_<seed>_trajectories.dsmp`` when recording), and
+    a failure), ``<method>_<seed>.dsmp`` per method from the (n, d) array
+    ``run_conditional`` returns (plus ``<method>_<seed>_trajectories.dsmp``
+    when recording, its (K+1, n, 2d) record as a reshaped view), and
     ``oracle_<seed>.dsmp``.  Deterministic given the master seed except
     for the runtime column.  A method that fails numerically gets no row
     and no files; the others still run, and one ``NumericError`` naming
@@ -101,16 +102,16 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         for method, scfg in cfg.samplers.items():
             start = time.perf_counter()
             try:
-                sample_set, trajectory = run_conditional(
+                samples, trajectory = run_conditional(
                     problem, denoiser, cfg.sched, scfg, record_trajectories=cfg.record_trajectories
                 )
             except NumericError as exc:
                 failures.append(str(exc))
                 continue
             runtime_ms = (time.perf_counter() - start) * 1000.0
-            sw2 = sliced_w2(sample_set, oracle_samples, cfg.sw2_projections, cfg.sw2_seed)
+            sw2 = sliced_w2(samples, oracle_samples, cfg.sw2_projections, cfg.sw2_seed)
             context = float(
-                np.mean(cpsnr(sample_set.samples, cfg.x_star, cfg.mask, cfg.cpsnr_peak))
+                np.mean(cpsnr(samples, cfg.x_star, cfg.mask, cfg.cpsnr_peak))
             ) if cfg.mask.observed_count else math.inf
             row = ResultRow(
                 method=method,
@@ -126,7 +127,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             rows.append(row)
             writer.writerow(row)
             fh.flush()
-            write_samples(cfg.out_dir / f"{method}_{cfg.seed}.dsmp", sample_set.samples)
+            write_samples(cfg.out_dir / f"{method}_{cfg.seed}.dsmp", samples)
             if trajectory is not None:
                 _write_trajectories(
                     cfg.out_dir / f"{method}_{cfg.seed}_trajectories.dsmp", trajectory

@@ -338,7 +338,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     # knob that every listed method overrides reaches no SamplerConfig, so
     # they are checked here
     for key, value in (("sw2.projections", cfg.sw2_projections), ("cpsnr.peak", cfg.cpsnr_peak),
-                       ("oracle.n", cfg.oracle_n), ("gamma", cfg.gamma)):
+                       ("oracle.n", cfg.oracle_n), ("gamma", cfg.gamma),
+                       ("zeta", _get_float(pairs, "zeta")), ("lambda", _get_float(pairs, "lambda")),
+                       ("ding_nz", _get_int(pairs, "ding_nz"))):
         if value is not None and not value > 0:
             raise ConfigError(f"{key}: must be strictly positive, got {pairs[key]!r}")
     if not 0.0 <= cfg.eta <= 1.0:

@@ -26,7 +26,9 @@ diffpir correct the estimate and build their transition from the
 corrected one with ``bridge.transition_params`` at ``cfg.eta``; dps takes
 its vector-Jacobian product ``denoiser.vjp`` from the same evaluation.
 blended and ding build the transition from ev.xhat0 as is and add a draw
-after it.
+after it.  The driver ``run_conditional`` returns plain arrays: the
+(n, d) terminal states and, when recording, the (K+1, n, 2d) trajectory
+of states and estimates in the layout it is written in.
 
 Per-step randomness is drawn in a fixed order so that seeds are
 comparable across methods: first the proposal noise (the transition
@@ -100,27 +102,6 @@ class SamplerConfig:
             raise ConfigError("n_chains must be a positive integer")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-
-
-@dataclass
-class Trajectory:
-    """Every chain's recorded states in simulation order (time 1 down to 0).
-
-    ``times`` has shape (K+1,), the grid knots from 1 down to 0.
-    ``states`` and ``denoised`` have shape (K+1, n, d): ``states[k]`` holds
-    all chains at ``times[k]`` (the last after final replacement) and
-    ``denoised[k]`` is ``denoiser.denoise(states[k], times[k])``, the
-    estimate of the evaluation the step from ``times[k]`` was handed (only
-    the t = 0 row is evaluated for the record alone).
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    denoised: np.ndarray
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.states[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -375,22 +356,23 @@ def run_conditional(
     sched: Schedule,
     cfg: SamplerConfig,
     record_trajectories: bool = False,
-):
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Run the selected guided sampler over all chains.
 
     Chains start at x ~ N(0, I), walk the grid backward through
     ``step_<method>``, each step handed ev = ``denoiser.evaluate(x, t)``,
     the one evaluation of its starting state, and (with final_replacement
     on) have their observed coordinates overwritten by y at the end.
-    The trajectory records that same ev.xhat0.  Deterministic given (seed,
-    config); chain j's draws depend only on (seed, method, j), so the
-    first rows of a larger run equal a smaller one.  Returns a SampleSet
-    and one batched ``Trajectory`` of all chains, or None unless
-    ``record_trajectories``.  A non-finite transition raises NumericError
-    naming the method and step.
+    Deterministic given (seed, config); chain j's draws depend only on
+    (seed, method, j), so the first rows of a larger run equal a smaller
+    one.  Returns ``(samples, rows)``: the (n, d) terminal states, and
+    with ``record_trajectories`` the (K+1, n, 2d) trajectory (else None).
+    Block k of ``rows`` holds the chains at the k-th knot counted from
+    t = 1 (the last after final replacement): x in the first d columns,
+    the estimate ev.xhat0 the step from that knot was handed in the last
+    d (the t = 0 block is evaluated for the record alone).  A non-finite
+    transition raises NumericError naming the method and step.
     """
-    from .metrics import SampleSet
-
     # read from the module at each run, so a patched step_<method> is the one called
     step = globals()[f"step_{cfg.method}"]
     knots = cfg.grid.knots
@@ -399,26 +381,22 @@ def run_conditional(
     x = standard_normal(rngs, (n, d))
 
     steps = cfg.grid.num_steps
-    trajectory = None
-    if record_trajectories:
-        shape = (steps + 1, n, d)
-        trajectory = Trajectory(knots[::-1].copy(), np.empty(shape), np.empty(shape))
+    rows = np.empty((steps + 1, n, 2 * d)) if record_trajectories else None
 
     for k in range(steps, 0, -1):
         s, t = knots[k - 1], knots[k]
         try:
             with np.errstate(all="ignore"):
                 ev = denoiser.evaluate(x, t)
-                if trajectory is not None:
-                    # the chains at knots[k] fill row steps - k: time runs from 1 down to 0
-                    trajectory.states[steps - k], trajectory.denoised[steps - k] = x, ev.xhat0
+                if rows is not None:
+                    # the chains at knots[k] fill block steps - k: time runs from 1 down to 0
+                    rows[steps - k, :, :d], rows[steps - k, :, d:] = x, ev.xhat0
                 x = step(x, ev, s, t, problem, sched, denoiser, cfg, rngs)
                 del ev  # freed before the next step evaluates its own posterior
         except NumericError as exc:
             raise NumericError(f"{cfg.method} at step k={k} (t={t:g} -> s={s:g}): {exc}") from None
     if cfg.final_replacement:
         x = np.where(problem.mask.m == 1, problem.y, x)
-    if trajectory is not None:
-        trajectory.states[-1], trajectory.denoised[-1] = x, denoiser.denoise(x, knots[0])
-
-    return SampleSet(x), trajectory
+    if rows is not None:
+        rows[-1, :, :d], rows[-1, :, d:] = x, denoiser.denoise(x, knots[0])
+    return x, rows

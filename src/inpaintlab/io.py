@@ -35,7 +35,7 @@ def write_samples(path: str | Path, samples: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(DSMP_MAGIC)
         fh.write(struct.pack("<II", d, n))
-        fh.write(samples.tobytes())
+        fh.write(samples)  # the buffer as is: it must be the row-major <f8 array above
 
 
 def read_samples(path: str | Path) -> np.ndarray:

@@ -3,33 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gmm import GaussianMixture
 from .problem import MaskOperator
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Terminal states of a sampler run, one row per chain."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        if s.ndim != 2 or s.shape[0] < 1:
-            raise ValueError("samples must be a non-empty (n, d) matrix")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("samples must be finite")
-        object.__setattr__(self, "samples", s)
-
-
-def _as_matrix(a) -> np.ndarray:
-    if isinstance(a, SampleSet):
-        return a.samples
-    return np.asarray(a, dtype=float)
 
 
 def cpsnr(x: np.ndarray, x_ref: np.ndarray, mask: MaskOperator, peak: float) -> float | np.ndarray:
@@ -61,15 +39,15 @@ def _quantiles(sorted_vals: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return np.interp(qs, (np.arange(n) + 0.5) / n, sorted_vals)
 
 
-def sliced_w2(a, b, n_projections: int = 128, seed: int = 0) -> float:
-    """Sliced Wasserstein-2 distance between two empirical sample sets.
+def sliced_w2(a: np.ndarray, b: np.ndarray, n_projections: int = 128, seed: int = 0) -> float:
+    """Sliced Wasserstein-2 distance between two (n, d) sample matrices.
 
     Root mean, over random unit directions, of the squared 1-D W2 between
     the projected samples.  Equal sizes pair sorted projections directly;
     unequal sizes compare linearly interpolated quantile functions on a
     common midpoint grid.  Deterministic given the seed.
     """
-    xa, xb = _as_matrix(a), _as_matrix(b)
+    xa, xb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if xa.shape[1] != xb.shape[1]:
         raise ValueError(f"dimension mismatch: {xa.shape[1]} vs {xb.shape[1]}")
     if n_projections < 1:
@@ -103,9 +81,9 @@ def _sliced_w2_projected(xa: np.ndarray, xb: np.ndarray, dirs: np.ndarray) -> fl
     return float(np.sqrt(np.mean(w2sq)))
 
 
-def moment_diff(a, ref: GaussianMixture) -> tuple[float, float]:
+def moment_diff(a: np.ndarray, ref: GaussianMixture) -> tuple[float, float]:
     """(Euclidean mean gap, Frobenius covariance gap) against a mixture."""
-    x = _as_matrix(a)
+    x = np.asarray(a, dtype=float)
     if x.shape[1] != ref.dim:
         raise ValueError(f"dimension mismatch: samples {x.shape[1]}, mixture {ref.dim}")
     if x.shape[0] < 2:

@@ -60,10 +60,15 @@ class InpaintingProblem:
             raise ValueError("gamma must be strictly positive")
         if y.shape != self.mask.m.shape:
             raise ValueError("observation and mask dimensions differ")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y must be finite")
         if np.any(y[self.mask.m == 0] != 0):
             raise ValueError("y must be zero on unobserved coordinates")
         if self.x_star is not None:
-            object.__setattr__(self, "x_star", np.asarray(self.x_star, dtype=float))
+            x_star = np.asarray(self.x_star, dtype=float)
+            if not np.all(np.isfinite(x_star)):
+                raise ValueError("x_star must be finite")
+            object.__setattr__(self, "x_star", x_star)
 
 
 def make_observation(
@@ -82,6 +87,8 @@ def make_observation(
     if gamma <= 0:
         raise ValueError("gamma must be strictly positive")
     x_star = np.asarray(x_star, dtype=float)
+    if not np.all(np.isfinite(x_star)):  # before m * x_star: 0 * inf warns
+        raise ValueError("x_star must be finite")
     if mask.observed_count == 0:
         warnings.warn("all-zero mask: posterior equals the prior", stacklevel=2)
     y = mask.m * x_star

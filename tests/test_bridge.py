@@ -115,7 +115,7 @@ def test_unconditional_single_gaussian_mean():
     mu = np.array([0.7, -0.3])
     den = GMMDenoiser(GaussianMixture([1.0], [mu], [[1.0, 1.0]]), LIN)
     term = run_unconditional(den, LIN, make_grid(100), 1.0, np.random.default_rng(3), 2000)
-    assert np.linalg.norm(term.samples.mean(axis=0) - mu) < 4 * np.sqrt(2 / 2000)
+    assert np.linalg.norm(term.mean(axis=0) - mu) < 4 * np.sqrt(2 / 2000)
 
 
 def test_unconditional_one_step_is_denoiser_output():
@@ -125,7 +125,7 @@ def test_unconditional_one_step_is_denoiser_output():
     term = run_unconditional(den, LIN, grid, 0.8, rng1, 5)
     rng2 = np.random.default_rng(7)
     x1 = rng2.standard_normal((5, 1))
-    np.testing.assert_allclose(term.samples, den.denoise(x1, 1.0))
+    np.testing.assert_allclose(term, den.denoise(x1, 1.0))
 
 
 def test_unconditional_needs_positive_chains():
@@ -139,7 +139,7 @@ def test_eta_zero_chain_deterministic_given_start():
     grid = make_grid(50)
     a = run_unconditional(den, LIN, grid, 0.0, np.random.default_rng(9), 8)
     b = run_unconditional(den, LIN, grid, 0.0, np.random.default_rng(9), 8)
-    np.testing.assert_array_equal(a.samples, b.samples)
+    np.testing.assert_array_equal(a, b)
 
 
 class BlockReference:
@@ -169,11 +169,11 @@ def test_per_chain_substreams_match_shared_order():
     # rows of a two-block run equal a one-block run
     den = GMMDenoiser(GaussianMixture([1.0], [[0.0]], [[1.0]]), LIN)
     grid = make_grid(20)
-    full = run_unconditional(den, LIN, grid, 0.7, _streams(70, 123), 70).samples
-    want = run_unconditional(den, LIN, grid, 0.7, BlockReference(123, 0, 70), 70).samples
+    full = run_unconditional(den, LIN, grid, 0.7, _streams(70, 123), 70)
+    want = run_unconditional(den, LIN, grid, 0.7, BlockReference(123, 0, 70), 70)
     np.testing.assert_array_equal(full, want)
     for n in (1, 6, 64):
-        solo = run_unconditional(den, LIN, grid, 0.7, _streams(n, 123), n).samples
+        solo = run_unconditional(den, LIN, grid, 0.7, _streams(n, 123), n)
         np.testing.assert_array_equal(full[:n], solo)
 
 
@@ -221,4 +221,4 @@ def test_run_conditional_equals_per_call_reference(method, monkeypatch):
 
     monkeypatch.setattr(guidance, "chain_rngs", reference)
     want, _ = run_conditional(problem, den, LIN, cfg)
-    np.testing.assert_array_equal(got.samples, want.samples)
+    np.testing.assert_array_equal(got, want)

@@ -117,6 +117,11 @@ def test_unknown_prior_component_key_rejected(tmp_path, key):
     pytest.param("gamma = -0.1\nmethod.ding.gamma = 0.1\nmethod.ddnm.gamma = 0.1",
                  id="gamma-overridden"),
     pytest.param("eta = 5\nmethod.ding.eta = 0.5\nmethod.ddnm.eta = 0.5", id="eta-overridden"),
+    pytest.param("zeta = -1\nmethod.ding.zeta = 1\nmethod.ddnm.zeta = 1", id="zeta-overridden"),
+    pytest.param("lambda = 0\nmethod.ding.lambda = 1\nmethod.ddnm.lambda = 1",
+                 id="lambda-overridden"),
+    pytest.param("ding_nz = 0\nmethod.ding.ding_nz = 1\nmethod.ddnm.ding_nz = 1",
+                 id="ding_nz-overridden"),
 ])
 def test_run_time_values_checked_at_load(tmp_path, line):
     key = line.split("=")[0].strip()

@@ -130,7 +130,7 @@ def test_blended_full_mask_reproduces_reference():
     problem = make_observation(x_star, MaskOperator([1, 1]), 0.2)
     cfg = _cfg("blended", grid=make_grid(100), n_chains=3, final_replacement=False)
     samples, _ = run_conditional(problem, den, LIN, cfg)
-    np.testing.assert_array_equal(samples.samples, np.tile(x_star, (3, 1)))
+    np.testing.assert_array_equal(samples, np.tile(x_star, (3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +417,7 @@ def test_final_replacement_contract(mixture_setup):
         cfg = _cfg(method, final_replacement=True, n_chains=3)
         samples, _ = run_conditional(problem, den, LIN, cfg)
         m = problem.mask.m
-        np.testing.assert_array_equal(m * samples.samples, np.tile(m * problem.y, (3, 1)))
+        np.testing.assert_array_equal(m * samples, np.tile(m * problem.y, (3, 1)))
 
 
 def test_run_conditional_deterministic(mixture_setup):
@@ -425,7 +425,7 @@ def test_run_conditional_deterministic(mixture_setup):
     cfg = _cfg("ding", n_chains=4)
     a, _ = run_conditional(problem, den, LIN, cfg)
     b, _ = run_conditional(problem, den, LIN, cfg)
-    np.testing.assert_array_equal(a.samples, b.samples)
+    np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("prior", [
@@ -441,7 +441,7 @@ def test_chain_results_are_a_prefix_of_a_larger_run(method, prior):
     for n_few, n_many in ((2, 6), (64, 65), (70, 130)):
         few, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_few, ding_nz=2))
         many, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_many, ding_nz=2))
-        np.testing.assert_array_equal(few.samples, many.samples[:n_few])
+        np.testing.assert_array_equal(few, many[:n_few])
 
 
 @pytest.mark.parametrize("layout", [(12, 32, "full"), (8, 2, "diagonal")],
@@ -465,7 +465,7 @@ def test_chain_results_are_a_prefix_at_benchmark_sizes(method, layout):
     many, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=200, **knobs))
     for n_few in (7, 65, 130):
         few, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_few, **knobs))
-        np.testing.assert_array_equal(few.samples, many.samples[:n_few])
+        np.testing.assert_array_equal(few, many[:n_few])
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -495,12 +495,13 @@ def test_step_functions_share_one_signature():
 def test_trajectory_records(mixture_setup):
     _, den, problem = mixture_setup
     cfg = _cfg("ddnm", grid=make_grid(12), n_chains=3)
-    samples, traj = run_conditional(problem, den, LIN, cfg, record_trajectories=True)
-    assert traj.states.shape == traj.denoised.shape == (13, 3, 2)
-    np.testing.assert_array_equal(traj.times, cfg.grid.knots[::-1])
-    for k, t in enumerate(traj.times):
-        np.testing.assert_array_equal(traj.denoised[k], den.denoise(traj.states[k], t))
-    np.testing.assert_array_equal(traj.terminal, samples.samples)
+    samples, rows = run_conditional(problem, den, LIN, cfg, record_trajectories=True)
+    d = problem.mask.dim
+    assert rows.shape == (13, 3, 2 * d)
+    # block k is the k-th knot from t = 1: its x, then the estimate at it
+    for k, t in enumerate(cfg.grid.knots[::-1]):
+        np.testing.assert_array_equal(rows[k, :, d:], den.denoise(rows[k, :, :d], t))
+    np.testing.assert_array_equal(rows[-1, :, :d], samples)
     assert run_conditional(problem, den, LIN, cfg)[1] is None
 
 
@@ -554,7 +555,7 @@ def test_no_method_forms_a_jacobian_matrix(method, mixture_setup, monkeypatch):
     monkeypatch.setattr(gmm.GMMDenoiser, "jacobian", refuse)
     samples, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=3),
                                  record_trajectories=True)
-    assert np.all(np.isfinite(samples.samples))
+    assert np.all(np.isfinite(samples))
 
 
 def test_mask_off_chains_bit_identical_to_unconditional(mixture_setup):
@@ -568,7 +569,7 @@ def test_mask_off_chains_bit_identical_to_unconditional(mixture_setup):
         samples, _ = run_conditional(prob, den, LIN, cfg)
         rngs = chain_rngs(cfg.seed, method, 4)
         plain = run_unconditional(den, LIN, grid, cfg.eta, rngs, 4)
-        np.testing.assert_array_equal(samples.samples, plain.samples)
+        np.testing.assert_array_equal(samples, plain)
 
 
 def test_method_streams_do_not_collide():
@@ -594,10 +595,10 @@ def test_kernel_change_reaches_every_method(mixture_setup, monkeypatch):
         return TransitionParams(params.mean, 0.5 * params.std)
 
     cfgs = {method: _cfg(method, n_chains=3, final_replacement=False) for method in METHODS}
-    before = {m: run_conditional(problem, den, LIN, cfg)[0].samples for m, cfg in cfgs.items()}
+    before = {m: run_conditional(problem, den, LIN, cfg)[0] for m, cfg in cfgs.items()}
     for name, module in list(sys.modules.items()):
         if name.startswith("inpaintlab") and vars(module).get("transition_params") is original:
             monkeypatch.setattr(module, "transition_params", narrower)
     for method, cfg in cfgs.items():
-        after = run_conditional(problem, den, LIN, cfg)[0].samples
+        after = run_conditional(problem, den, LIN, cfg)[0]
         assert not np.array_equal(after, before[method]), method

@@ -31,6 +31,24 @@ def test_dsmp_layout(tmp_path):
     assert np.frombuffer(raw[13:21], "<f8")[0] == 1.0
 
 
+_BASE = np.arange(42, dtype=float).reshape(6, 7) / 3.0
+
+
+@pytest.mark.parametrize("mat", [
+    pytest.param(np.asfortranarray(_BASE), id="fortran"),
+    pytest.param(_BASE[::2, 1::3], id="strided"),
+    pytest.param(_BASE.astype(np.float32), id="float32"),
+    pytest.param(_BASE.astype(">f8"), id="big-endian"),
+])
+def test_dsmp_bytes_of_any_layout(tmp_path, mat):
+    # the payload is written from the array buffer: row-major little-endian float64
+    path = tmp_path / "x.dsmp"
+    write_samples(path, mat)
+    n, d = mat.shape
+    header = b"DING1" + d.to_bytes(4, "little") + n.to_bytes(4, "little")
+    assert path.read_bytes() == header + np.ascontiguousarray(mat, "<f8").tobytes()
+
+
 def test_dsmp_bad_magic(tmp_path):
     path = tmp_path / "bad.dsmp"
     path.write_bytes(b"NOPE!" + b"\0" * 16)

@@ -6,19 +6,11 @@ import pytest
 from inpaintlab import (
     GaussianMixture,
     MaskOperator,
-    SampleSet,
     cpsnr,
     moment_diff,
     sliced_w2,
 )
 from inpaintlab.metrics import _sliced_w2_projected
-
-
-def test_sample_set_validation():
-    with pytest.raises(ValueError):
-        SampleSet(np.zeros((0, 3)))
-    with pytest.raises(ValueError):
-        SampleSet(np.array([[np.inf, 0.0]]))
 
 
 def test_cpsnr_exact_match_is_infinite():
@@ -100,13 +92,6 @@ def test_sliced_w2_rotation_with_fixed_projections():
     plain = _sliced_w2_projected(a, b, dirs)
     rotated = _sliced_w2_projected(a @ rot.T, b @ rot.T, dirs @ rot.T)
     assert abs(plain - rotated) < 1e-10
-
-
-def test_sliced_w2_accepts_sample_sets():
-    rng = np.random.default_rng(5)
-    a = SampleSet(rng.standard_normal((20, 2)))
-    b = SampleSet(rng.standard_normal((25, 2)))
-    assert sliced_w2(a, b, 16, 0) == sliced_w2(a.samples, b.samples, 16, 0)
 
 
 def test_sliced_w2_matches_gaussian_shift_oracle():

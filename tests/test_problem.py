@@ -52,6 +52,26 @@ def test_y_zero_off_support_enforced():
         InpaintingProblem(MaskOperator([1, 0]), np.array([1.0, 0.5]), 0.1)
 
 
+@pytest.mark.parametrize("y, x_star, name", [
+    pytest.param([np.nan, 0.0], [np.nan, 1.0], "y", id="y-nan"),
+    pytest.param([np.inf, 0.0], None, "y", id="y-inf"),
+    pytest.param([1.0, 0.0], [np.nan, 1.0], "x_star", id="x_star-nan"),
+    pytest.param([1.0, 0.0], [1.0, -np.inf], "x_star", id="x_star-inf"),
+])
+def test_non_finite_problem_rejected(y, x_star, name):
+    # a non-finite y or x_star would reach the samples through final
+    # replacement or blended's replay, past every per-step check
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        InpaintingProblem(MaskOperator([1, 0]), np.array(y), 0.1, x_star)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_make_observation_rejects_non_finite_x_star(bad):
+    # off the support: checked before m * x_star, where 0 * inf would warn
+    with pytest.raises(ValueError, match="^x_star must be finite"):
+        make_observation(np.array([1.0, bad]), MaskOperator([1, 0]), 0.1)
+
+
 def test_log_likelihood_exact_fit():
     x = np.array([0.3, -0.7, 1.0])
     prob = make_observation(x, MaskOperator([1, 0, 1]), 0.2)
