@@ -39,7 +39,8 @@ contracts the leading axis in ``einsum``, with no (..., K, d, d) array.
 
 Each per-component vector is an affine map of the augmented points
 xa = [x, 1] and costs one GEMM per component, (N, d+1) @ (K, d+1, d) for
-N points, against maps built per call in O(K d^3):
+N points.  The maps are built per call in O(K d^3); each stack of
+V_k diag(.) V_k^T in them is one batched GEMM (``_matrices``):
 
     u_k = c_k^{-1/2} V_k^T (x - alpha * mu_k)    (whitened offsets)
     m_k = A_k x + (mu_k - alpha * A_k mu_k)     (means)
@@ -85,16 +86,29 @@ def logsumexp(a, axis=None, keepdims: bool = False):
     not finite, the direct log(sum(exp(a))) is used.  This is the order of
     operations of the reference implementation that the test suite
     compares with bit for bit.  No numpy warning is raised.
+
+    exp(a - max) is taken once, in place, and the maxima are zeroed by
+    subtracting the mask (exp(0) is exactly 1).  Where the max is not
+    finite the result is not finite either, and the direct form replaces
+    it.  When no slice has a tied maximum, every count is 1 and the
+    division and log(count) are skipped: both are exact no-ops there.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     axis = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = np.max(a, axis=axis, keepdims=True)
         is_max = a == a_max
-        m = np.sum(is_max, axis=axis, keepdims=True, dtype=a.dtype)
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
+        e = np.subtract(a, a_max)
+        np.exp(e, out=e)
+        np.subtract(e, is_max, out=e)
+        s = np.sum(e, axis=axis, keepdims=True)
+        m = np.count_nonzero(is_max, axis=axis, keepdims=True)
+        if m.max() > 1:
+            m = m.astype(float)
+            out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m)
+        else:
+            out = np.log1p(s)
+        out += a_max
         finite = np.isfinite(out)
         if not finite.all():
             direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
@@ -222,26 +236,32 @@ def _weighted_sum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("k...,k...d->...d", w, v)
 
 
-def _apply(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _apply(mats: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """v_k @ mats_k for component-major rows v of shape (K, ..., m) and
     matrices (K, m, d): one GEMM per component.  A leading axis of 1 sends
-    the same rows through every component's matrix, giving (K, ..., d)."""
-    out = v.reshape(v.shape[0], -1, v.shape[-1]) @ mats
-    return out.reshape((-1,) + v.shape[1:-1] + mats.shape[-1:])
+    the same rows through every component's matrix, giving (K, ..., d),
+    written into ``out`` when given (a contiguous array of that shape)."""
+    rows = v.reshape(v.shape[0], -1, v.shape[-1])
+    if out is None:
+        return (rows @ mats).reshape((-1,) + v.shape[1:-1] + mats.shape[-1:])
+    np.matmul(rows, mats, out=out.reshape(mats.shape[0], -1, mats.shape[-1], copy=False))
+    return out
 
 
 def _matrices(evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
-    """V_k diag(evals_k) V_k^T for each component k, as (K, d, d) matrices."""
+    """V_k diag(evals_k) V_k^T for each component k, as (K, d, d) matrices:
+    one batched GEMM for full covariances."""
     if evecs is None:
         return np.einsum("kd,de->kde", evals, np.eye(evals.shape[-1]))
-    return np.einsum("kde,ke,kfe->kdf", evecs, evals, evecs)
+    return (evecs * evals[:, None, :]) @ np.swapaxes(evecs, -1, -2)
 
 
 def _augmented(x: np.ndarray) -> np.ndarray:
     """[x, 1] for points x of shape (..., d), as (1, ..., d+1): the rows that
     ``_apply`` sends through every component's map."""
-    xa = np.ones((1,) + x.shape[:-1] + (x.shape[-1] + 1,))
+    xa = np.empty((1,) + x.shape[:-1] + (x.shape[-1] + 1,))
     xa[..., :-1] = x
+    xa[..., -1] = 1.0
     return xa
 
 
@@ -323,10 +343,11 @@ class ConditionalMixture:
         """E[X0 | X_t = x] = sum_k r_k m_k, the denoiser, shaped like x."""
         return _weighted_sum(self.resp, self.means)
 
-    def scores(self) -> np.ndarray:
+    def scores(self, out: np.ndarray | None = None) -> np.ndarray:
         """g_k = -C_k^{-1} (x - alpha * mu_k), the gradient of component k's
-        log-likelihood of x, (K, ..., d): one GEMM per component from xa."""
-        return _apply(_score_maps(self.centers, self.c, self.cov_evecs), self.xa)
+        log-likelihood of x, (K, ..., d): one GEMM per component from xa,
+        written into ``out`` when given."""
+        return _apply(_score_maps(self.centers, self.c, self.cov_evecs), self.xa, out)
 
     def centred_scores(self) -> np.ndarray:
         """g_k - sum_j r_j g_j, (K, ..., d)."""
@@ -338,14 +359,16 @@ class ConditionalMixture:
 
         J^T v = sum_k r_k A_k v + sum_k r_k (m_k.v - sum_j r_j m_j.v) g_k,
         since A_k is symmetric.  Each sum is one GEMM per component and one
-        contraction over K, taken one after the other, so one (K, ..., d)
-        array at a time and no (..., d, d) array.
+        contraction over K, taken one after the other; the scores are
+        written over the first product, so one (K, ..., d) array is made
+        and no (..., d, d) array.
         """
         resp = self.resp
         coef = np.einsum("k...d,...d->k...", self.means, v)
         coef -= np.sum(resp * coef, axis=0)
-        jtv = _weighted_sum(resp, _apply(self.slope_matrices(), v[None]))
-        jtv += _weighted_sum(resp * coef, self.scores())
+        prod = _apply(self.slope_matrices(), v[None])
+        jtv = _weighted_sum(resp, prod)
+        jtv += _weighted_sum(resp * coef, self.scores(out=prod))
         return jtv
 
 

@@ -48,6 +48,9 @@ def sliced_w2(a: np.ndarray, b: np.ndarray, n_projections: int = 128, seed: int 
     common midpoint grid.  Deterministic given the seed.
     """
     xa, xb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    for name, x in (("a", xa), ("b", xb)):
+        if x.ndim != 2 or x.shape[0] == 0:
+            raise ValueError(f"{name} must be an (n, d) matrix with n >= 1, got shape {x.shape}")
     if xa.shape[1] != xb.shape[1]:
         raise ValueError(f"dimension mismatch: {xa.shape[1]} vs {xb.shape[1]}")
     if n_projections < 1:
@@ -59,24 +62,29 @@ def sliced_w2(a: np.ndarray, b: np.ndarray, n_projections: int = 128, seed: int 
 
 
 def _sliced_w2_projected(xa: np.ndarray, xb: np.ndarray, dirs: np.ndarray) -> float:
-    # einsum keeps each row's projection independent of row order, so equal
-    # multisets score exactly zero (BLAS matmul varies in the last ulp)
-    pa = np.einsum("nd,pd->np", xa, dirs)
-    pa.sort(axis=0)
-    pb = np.einsum("nd,pd->np", xb, dirs)
-    pb.sort(axis=0)
-    if pa.shape[0] == pb.shape[0]:
-        # in place: these (n, n_projections) arrays set the peak memory of a run
+    # one contiguous row per projection, sorted in place; einsum keeps each
+    # projection independent of row order, so equal multisets score exactly
+    # zero (BLAS matmul varies in the last ulp)
+    pa = np.einsum("pd,nd->pn", dirs, xa)
+    pa.sort()
+    pb = np.einsum("pd,nd->pn", dirs, xb)
+    pb.sort()
+    if pa.shape[1] == pb.shape[1]:
+        # in place: these two (n_projections, n) arrays set the peak memory
+        # of the metric.  The running sum adds each row in order, as a mean
+        # over the columns of an (n, n_projections) array does, so every
+        # value is the same to the bit.
         pa -= pb
         pa *= pa
-        w2sq = np.mean(pa, axis=0)
+        np.add.accumulate(pa, axis=1, out=pa)
+        w2sq = pa[:, -1] / pa.shape[1]
     else:
-        m = max(pa.shape[0], pb.shape[0])
+        m = max(pa.shape[1], pb.shape[1])
         qs = (np.arange(m) + 0.5) / m
         w2sq = np.empty(dirs.shape[0])
         for j in range(dirs.shape[0]):
-            qa = _quantiles(pa[:, j], qs)
-            qb = _quantiles(pb[:, j], qs)
+            qa = _quantiles(pa[j], qs)
+            qb = _quantiles(pb[j], qs)
             w2sq[j] = np.mean((qa - qb) ** 2)
     return float(np.sqrt(np.mean(w2sq)))
 

@@ -16,6 +16,10 @@ component scores:
 - second-order Tweedie gives the denoiser Jacobian (I + sigma^2 H) / alpha;
 - ding's neglected term at displacement x - z is then
   (sigma^2 / alpha) ||H(z) (x - z)||.
+
+``sliced_w2_projected`` is the sliced W2 of ``inpaintlab.metrics`` in the
+column layout it had before its rows were made contiguous: (n,
+n_projections) projections, each column sorted and averaged.
 """
 
 import numpy as np
@@ -79,3 +83,21 @@ def fd_guidance_grad(problem, prior, sched, x_t, t, step=1e-5):
         lo = exact_intermediate_loglik(problem, prior, sched, x_t - dx, t)
         grad[i] = (hi - lo) / (2.0 * step)
     return grad
+
+
+def sliced_w2_projected(xa, xb, dirs):
+    """Sliced W2 of (n, d) samples xa and xb along the unit rows of dirs,
+    out of place."""
+    pa = np.sort(np.einsum("nd,pd->np", xa, dirs), axis=0)
+    pb = np.sort(np.einsum("nd,pd->np", xb, dirs), axis=0)
+    if pa.shape[0] == pb.shape[0]:
+        w2sq = np.mean((pa - pb) ** 2, axis=0)
+    else:
+        m = max(pa.shape[0], pb.shape[0])
+        qs = (np.arange(m) + 0.5) / m
+        w2sq = np.array([
+            np.mean((np.interp(qs, (np.arange(pa.shape[0]) + 0.5) / pa.shape[0], pa[:, j])
+                     - np.interp(qs, (np.arange(pb.shape[0]) + 0.5) / pb.shape[0], pb[:, j])) ** 2)
+            for j in range(dirs.shape[0])
+        ])
+    return float(np.sqrt(np.mean(w2sq)))

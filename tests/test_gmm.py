@@ -290,6 +290,18 @@ def test_logsumexp_equals_scipy_bit_for_bit(recwarn):
     a = _logsumexp_inputs()
     cases = [(a, ax) for ax in (None, -1, 0, 1)]
     cases += [(row, ax) for row in a for ax in (None, -1, 0)]
+    # the (K, n) log-responsibilities of the benchmark workloads, reduced
+    # over K, first with one maximum per column (the path that skips the
+    # counts) and then with ties in some columns
+    rng = np.random.default_rng(22)
+    for shape in [(32, 500), (2, 4000), (2, 1000)]:
+        lr = rng.standard_normal(shape) * 20.0
+        cases.append((lr, 0))
+        tied = lr.copy()
+        cols = rng.choice(shape[1], size=shape[1] // 10, replace=False)
+        tied[1, cols] = tied[0, cols] = tied[:, cols].max(axis=0)
+        tied[-1, cols[:3]] = -np.inf
+        cases.append((tied, 0))
     for x, axis in cases:
         for keepdims in (False, True):
             got = logsumexp(x, axis=axis, keepdims=keepdims)
@@ -330,10 +342,10 @@ def test_component_posterior_keeps_its_rounding_order(fixture, request):
     evecs = prior._evecs
     basis = np.tile(np.eye(d), (k, 1, 1)) if evecs is None else evecs
 
-    def matrices(evals):  # V_k diag(evals_k) V_k^T
+    def matrices(evals):  # V_k diag(evals_k) V_k^T, one batched GEMM
         if evecs is None:
             return evals[:, :, None] * np.eye(d)
-        return np.einsum("kde,ke,kfe->kdf", evecs, evals, evecs)
+        return (evecs * evals[:, None, :]) @ np.swapaxes(evecs, -1, -2)
 
     x = np.random.default_rng(7).standard_normal((33, d)) * 2.0
     xa = np.concatenate([x, np.ones((33, 1))], axis=1)

@@ -12,6 +12,8 @@ from inpaintlab import (
 )
 from inpaintlab.metrics import _sliced_w2_projected
 
+import reference
+
 
 def test_cpsnr_exact_match_is_infinite():
     x = np.array([1.0, 2.0, 3.0])
@@ -145,30 +147,32 @@ def test_cpsnr_batch_equals_per_row(recwarn):
     assert len(recwarn) == 0
 
 
-def _sliced_w2_out_of_place(xa, xb, dirs):
-    pa = np.sort(np.einsum("nd,pd->np", xa, dirs), axis=0)
-    pb = np.sort(np.einsum("nd,pd->np", xb, dirs), axis=0)
-    if pa.shape[0] == pb.shape[0]:
-        w2sq = np.mean((pa - pb) ** 2, axis=0)
-    else:
-        m = max(pa.shape[0], pb.shape[0])
-        qs = (np.arange(m) + 0.5) / m
-        w2sq = np.array([
-            np.mean((np.interp(qs, (np.arange(pa.shape[0]) + 0.5) / pa.shape[0], pa[:, j])
-                     - np.interp(qs, (np.arange(pb.shape[0]) + 0.5) / pb.shape[0], pb[:, j])) ** 2)
-            for j in range(dirs.shape[0])
-        ])
-    return float(np.sqrt(np.mean(w2sq)))
-
-
 @pytest.mark.parametrize("n_b", [400, 257])
 def test_sliced_w2_equals_out_of_place_reference(n_b):
+    # the in-place row layout sorts and adds exactly like the out-of-place
+    # column layout of the reference, so every value is the same to the
+    # bit, and the inputs are kept; a pairwise mean over each row would
+    # differ in the last bit in about a third of these draws
     rng = np.random.default_rng(12)
-    xa = rng.standard_normal((400, 5))
-    xb = rng.standard_normal((n_b, 5)) * 1.3 + 0.2
-    saved = xa.copy(), xb.copy()
-    dirs = rng.standard_normal((64, 5))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    assert _sliced_w2_projected(xa, xb, dirs) == _sliced_w2_out_of_place(xa, xb, dirs)
-    np.testing.assert_array_equal(xa, saved[0])
-    np.testing.assert_array_equal(xb, saved[1])
+    for d in (2, 5, 12) * 4:
+        xa = rng.standard_normal((400, d))
+        xb = rng.standard_normal((n_b, d)) * 1.3 + 0.2
+        saved = xa.copy(), xb.copy()
+        dirs = rng.standard_normal((64, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        assert _sliced_w2_projected(xa, xb, dirs) == reference.sliced_w2_projected(xa, xb, dirs)
+        np.testing.assert_array_equal(xa, saved[0])
+        np.testing.assert_array_equal(xb, saved[1])
+
+
+@pytest.mark.parametrize("a, b, name", [
+    (np.zeros(3), np.zeros((4, 3)), "a"),
+    (np.zeros((4, 3)), np.zeros((2, 4, 3)), "b"),
+    (np.zeros((0, 3)), np.zeros((4, 3)), "a"),
+    (np.zeros((4, 3)), np.zeros((0, 3)), "b"),
+    (np.zeros((0, 3)), np.zeros((0, 3)), "a"),
+])
+def test_sliced_w2_rejects_non_matrix_or_empty_input(a, b, name, recwarn):
+    with pytest.raises(ValueError, match=rf"^{name} must be an \(n, d\) matrix"):
+        sliced_w2(a, b)
+    assert len(recwarn) == 0
