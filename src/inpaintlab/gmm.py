@@ -90,8 +90,7 @@ def logsumexp(a, axis=None, keepdims: bool = False):
     exp(a - max) is taken once, in place, and the maxima are zeroed by
     subtracting the mask (exp(0) is exactly 1).  Where the max is not
     finite the result is not finite either, and the direct form replaces
-    it.  When no slice has a tied maximum, every count is 1 and the
-    division and log(count) are skipped: both are exact no-ops there.
+    it.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     axis = tuple(range(a.ndim)) if axis is None else axis
@@ -102,12 +101,8 @@ def logsumexp(a, axis=None, keepdims: bool = False):
         np.exp(e, out=e)
         np.subtract(e, is_max, out=e)
         s = np.sum(e, axis=axis, keepdims=True)
-        m = np.count_nonzero(is_max, axis=axis, keepdims=True)
-        if m.max() > 1:
-            m = m.astype(float)
-            out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m)
-        else:
-            out = np.log1p(s)
+        m = np.count_nonzero(is_max, axis=axis, keepdims=True).astype(float)
+        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m)
         out += a_max
         finite = np.isfinite(out)
         if not finite.all():
@@ -240,11 +235,13 @@ def _apply(mats: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np
     """v_k @ mats_k for component-major rows v of shape (K, ..., m) and
     matrices (K, m, d): one GEMM per component.  A leading axis of 1 sends
     the same rows through every component's matrix, giving (K, ..., d),
-    written into ``out`` when given (a contiguous array of that shape)."""
+    written into ``out`` when given (a C-contiguous array of that shape,
+    so that its reshape is a view)."""
     rows = v.reshape(v.shape[0], -1, v.shape[-1])
     if out is None:
-        return (rows @ mats).reshape((-1,) + v.shape[1:-1] + mats.shape[-1:])
-    np.matmul(rows, mats, out=out.reshape(mats.shape[0], -1, mats.shape[-1], copy=False))
+        out = rows @ mats
+        return out.reshape(out.shape[:1] + v.shape[1:-1] + mats.shape[-1:])
+    np.matmul(rows, mats, out=out.reshape(mats.shape[0], -1, mats.shape[-1]))
     return out
 
 
@@ -259,9 +256,8 @@ def _matrices(evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
 def _augmented(x: np.ndarray) -> np.ndarray:
     """[x, 1] for points x of shape (..., d), as (1, ..., d+1): the rows that
     ``_apply`` sends through every component's map."""
-    xa = np.empty((1,) + x.shape[:-1] + (x.shape[-1] + 1,))
+    xa = np.ones((1,) + x.shape[:-1] + (x.shape[-1] + 1,))
     xa[..., :-1] = x
-    xa[..., -1] = 1.0
     return xa
 
 

@@ -291,8 +291,8 @@ def test_logsumexp_equals_scipy_bit_for_bit(recwarn):
     cases = [(a, ax) for ax in (None, -1, 0, 1)]
     cases += [(row, ax) for row in a for ax in (None, -1, 0)]
     # the (K, n) log-responsibilities of the benchmark workloads, reduced
-    # over K, first with one maximum per column (the path that skips the
-    # counts) and then with ties in some columns
+    # over K, first with one maximum per column and then with ties in some
+    # columns; and no points at all
     rng = np.random.default_rng(22)
     for shape in [(32, 500), (2, 4000), (2, 1000)]:
         lr = rng.standard_normal(shape) * 20.0
@@ -302,6 +302,7 @@ def test_logsumexp_equals_scipy_bit_for_bit(recwarn):
         tied[1, cols] = tied[0, cols] = tied[:, cols].max(axis=0)
         tied[-1, cols[:3]] = -np.inf
         cases.append((tied, 0))
+    cases.append((np.zeros((3, 0)), 0))
     for x, axis in cases:
         for keepdims in (False, True):
             got = logsumexp(x, axis=axis, keepdims=keepdims)
@@ -310,6 +311,18 @@ def test_logsumexp_equals_scipy_bit_for_bit(recwarn):
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (x, axis, keepdims)
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
+def test_zero_points_give_empty_results(fixture, request):
+    from inpaintlab.gmm import component_posterior
+
+    prior = request.getfixturevalue(fixture)
+    x = np.zeros((0, prior.dim))
+    assert prior.log_density(x).shape == (0,)
+    assert prior.score(x).shape == x.shape
+    cond = component_posterior(prior, LIN, x, 0.5)
+    assert cond.mean().shape == cond.vjp(x).shape == x.shape
 
 
 @pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
@@ -368,6 +381,39 @@ def test_component_posterior_keeps_its_rounding_order(fixture, request):
         assert cond.log_resp.tobytes() == log_resp.tobytes()
         assert cond.means.tobytes() == means.tobytes()
         assert cond.scores().tobytes() == scores.tobytes()
+
+
+def test_batched_matrices_round_like_the_einsum_to_a_few_ulp(monkeypatch):
+    # _matrices forms V diag(e) V^T as one batched GEMM, which rounds in
+    # another order than the three-operand einsum "kde,ke,kfe->kdf".  At
+    # mixture-full sizes (K = 32 full covariances in R^12, 500 points) the
+    # matrices and one denoiser evaluation built from them stay within a few
+    # ulp of the einsum's; the samplers' steps amplify only that
+    from inpaintlab import gmm
+
+    def einsum_matrices(evals, evecs):
+        return np.einsum("kde,ke,kfe->kdf", evecs, evals, evecs)
+
+    rng = np.random.default_rng(18)
+    k, d, n = 32, 12, 500
+    a = rng.standard_normal((k, d, d))
+    cov = 0.3 * a @ np.swapaxes(a, 1, 2) / d + 0.2 * np.eye(d)
+    prior = GaussianMixture(rng.dirichlet(np.ones(k)), 2.0 * rng.standard_normal((k, d)), cov)
+    eps = np.finfo(float).eps
+    batched = gmm._matrices
+    for t in (0.05, 0.3, 0.6, 0.9, 0.99):
+        alpha, sigma = eval_schedule(LIN, t)
+        c = alpha**2 * prior._evals + sigma**2
+        slope = alpha * prior._evals / c
+        want = einsum_matrices(slope, prior._evecs)
+        scale = einsum_matrices(np.abs(slope), np.abs(prior._evecs))
+        assert np.all(np.abs(batched(slope, prior._evecs) - want) <= 4 * eps * scale)
+        x = alpha * prior.sample(n, rng) + sigma * rng.standard_normal((n, d))
+        got = gmm.component_posterior(prior, LIN, x, t).mean()
+        monkeypatch.setattr(gmm, "_matrices", einsum_matrices)
+        want = gmm.component_posterior(prior, LIN, x, t).mean()
+        monkeypatch.setattr(gmm, "_matrices", batched)
+        assert np.max(np.abs(got - want)) <= 4 * eps * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
