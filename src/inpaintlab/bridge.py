@@ -134,17 +134,22 @@ def transition_params(
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if not 0.0 <= s < t <= 1.0:
         raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
-    xhat1 = noise_from_x0(x_t, xhat0, *eval_schedule(sched, t))
     alpha_s, sigma_s = eval_schedule(sched, s)
     beta_s = sigma_s * math.sqrt(1.0 - eta**2)
-    return TransitionParams(alpha_s * xhat0 + beta_s * xhat1, eta * sigma_s)
+    # alpha_s * xhat0 + beta_s * xhat1, in the buffers of the two terms
+    mean = np.multiply(alpha_s, xhat0)
+    xhat1 = noise_from_x0(x_t, xhat0, *eval_schedule(sched, t))
+    xhat1 *= beta_s
+    return TransitionParams(np.add(mean, xhat1, out=mean), eta * sigma_s)
 
 
 def sample_transition(params: TransitionParams, rng: RngLike) -> np.ndarray:
-    """mean + std * eps.  A fresh normal is drawn even for std = 0 so that
+    """mean + std * eps, returned in the buffer of the fresh normal draw eps,
+    scaled and shifted in place.  It is drawn even for std = 0 so that
     every step consumes the stream identically regardless of eta."""
     eps = standard_normal(rng, params.mean.shape)
-    return params.mean + params.std * eps
+    eps *= params.std
+    return np.add(params.mean, eps, out=eps)
 
 
 def run_unconditional(

@@ -387,14 +387,15 @@ def component_posterior(
     centers = alpha * prior.means
 
     xa = _augmented(x)
-    lr = _whitened_logpdf(_apply(_whitening(centers, c, evecs), xa), c)
-    lr += _lift(np.log(prior.weights), x.ndim)
-    log_resp = lr - logsumexp(lr, axis=0, keepdims=True)
+    u = _apply(_whitening(centers, c, evecs), xa)
+    log_resp = _whitened_logpdf(u, c)
+    log_resp += _lift(np.log(prior.weights), x.ndim)
+    log_resp -= logsumexp(log_resp, axis=0, keepdims=True)
 
-    # m_k = A_k x + (mu_k - alpha A_k mu_k)
+    # m_k = A_k x + (mu_k - alpha A_k mu_k), written over the whitened offsets u
     maps = _affine_maps(_matrices(slope, evecs), centers)
     maps[:, -1] += prior.means
-    means = _apply(maps, xa)
+    means = _apply(maps, xa, out=u)
     cov_evals = sigma**2 * lam / c
     return ConditionalMixture(log_resp, means, cov_evals, evecs, xa, centers, c, slope)
 
@@ -424,11 +425,15 @@ def gmm_denoise(
 
 
 def noise_from_x0(x: np.ndarray, xhat0: np.ndarray, alpha: float, sigma: float) -> np.ndarray:
-    """x1_hat = (x - alpha_t * x0_hat) / sigma_t at x_t = x; at t = 0 the
+    """x1_hat = (x - alpha_t * x0_hat) / sigma_t at x_t = x, formed in one
+    fresh buffer shaped like x0_hat (x must broadcast to it); at t = 0 the
     interpolant carries no noise information and the exact limit is 0."""
     if sigma == 0.0:
         return np.zeros_like(x)
-    return (x - alpha * xhat0) / sigma
+    out = np.multiply(alpha, xhat0)
+    np.subtract(x, out, out=out)
+    out /= sigma
+    return out
 
 
 def gmm_noise_predict(
@@ -478,7 +483,8 @@ class Denoiser(ABC):
 
     def vjp(self, ev: Evaluation, v: np.ndarray) -> np.ndarray:
         """J^T v for J = d xhat0 / dx at the point and time of the
-        evaluation, and v shaped like the point."""
+        evaluation, and v shaped like the point, in a fresh array that the
+        caller may overwrite."""
         raise NotImplementedError(f"{type(self).__name__} has no vector-Jacobian product")
 
 

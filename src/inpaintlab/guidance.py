@@ -30,6 +30,16 @@ after it.  The driver ``run_conditional`` returns plain arrays: the
 (n, d) terminal states and, when recording, the (K+1, n, 2d) trajectory
 of states and estimates in the layout it is written in.
 
+Every correction the mask confines (blended's replay, dps's residual,
+ddnm's projection, diffpir's proximal pull, ding's pseudo-observation and
+conjugate update) touches the observed columns ``problem.mask.observed_idx``
+alone and is written into a copy of the estimate or into the step's own
+fresh draw, never into an input.  Each observed entry is the expression
+of the full-width masked form, in the same order, and the other entries
+are copied, so the samples keep their bits (an exact zero may change
+sign).  The exception is an estimate that is not finite on the support:
+ddnm projects it onto y where (1 - m) * inf gave NaN.
+
 Per-step randomness is drawn in a fixed order so that seeds are
 comparable across methods: first the proposal noise (the transition
 sample, or the z draws for ding), then any method-specific draw (the
@@ -128,8 +138,9 @@ def step_blended(
         return x_s
     alpha_s, sigma_s = eval_schedule(sched, s)
     eps = standard_normal(rng, x_s.shape)
-    replay = alpha_s * problem.x_star + sigma_s * eps
-    return np.where(problem.mask.m == 1, replay, x_s)
+    idx = problem.mask.observed_idx
+    x_s[..., idx] = alpha_s * problem.x_star[idx] + sigma_s * eps[..., idx]
+    return x_s
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +161,23 @@ def dps_transition(
     """Transition with the denoiser corrected along the likelihood gradient.
 
     The correction is x0' = x0_hat + zeta * (sigma_t^2 / alpha_t) * J^T g
-    with g the masked residual scaled by 1/gamma^2, and x0_hat and J^T g
+    with g the masked residual scaled by 1/gamma^2 (zero off the support),
+    formed in the buffer of J^T g, and x0_hat and J^T g
     (``denoiser.vjp``, no d x d Jacobian) both come from the one
     evaluation ev of x_t.  At t = 1 exactly (alpha_t = 0) the scale is
     evaluated one-sidedly at the first interior grid point, i.e. at s of
     that step.  A denoiser without ``vjp`` raises NotImplementedError.
     """
     xhat0 = ev.xhat0
-    m = problem.mask.m
-    resid = m * (problem.y - m * xhat0)
-    grad = denoiser.vjp(ev, resid) / cfg.gamma**2
+    idx = problem.mask.observed_idx
+    resid = np.zeros(np.shape(xhat0))
+    resid[..., idx] = problem.y[idx] - xhat0[..., idx]
+    grad = denoiser.vjp(ev, resid)
+    grad /= cfg.gamma**2
     alpha_t, sigma_t = eval_schedule(sched, t)
     alpha_eval, sigma_eval = (alpha_t, sigma_t) if alpha_t > 0 else eval_schedule(sched, s)
-    corrected = xhat0 + cfg.dps_scale * (sigma_eval**2 / alpha_eval) * grad
-    return transition_params(sched, cfg.eta, x_t, corrected, s, t)
+    grad *= cfg.dps_scale * (sigma_eval**2 / alpha_eval)
+    return transition_params(sched, cfg.eta, x_t, np.add(xhat0, grad, out=grad), s, t)
 
 
 def step_dps(
@@ -207,21 +221,21 @@ def ding_posterior(
     alpha_s: float,
     sigma_s: float,
     gamma: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate law of the conjugate step given the noise estimate e.
+) -> tuple[np.ndarray, float]:
+    """Law of the conjugate step on the observed support given the noise
+    estimate e.
 
-    On the observed support each coordinate i sees the pseudo-observation
+    Each observed coordinate i sees the pseudo-observation
     u_i = alpha_s * y_i + sigma_s * e_i with variance alpha_s^2 gamma^2,
     conjugated against the prior N(mean_i, eta_s^2); off the support the
-    prior is returned untouched.  Returns (posterior mean, posterior std),
-    both broadcast to the shape of ``mean``.
+    step keeps that prior.  ``mean`` and ``e`` hold every coordinate.
+    Returns the posterior mean of the observed columns
+    ``problem.mask.observed_idx``, (..., k), and their common posterior std.
     """
-    m = problem.mask.m
-    u = alpha_s * problem.y + sigma_s * e
-    post_mean, post_var = conjugate_update(mean, eta_s**2, u, (alpha_s * gamma) ** 2)
-    out_mean = np.where(m == 1, post_mean, mean)
-    out_std = np.where(m == 1, np.sqrt(post_var), eta_s)
-    return out_mean, np.broadcast_to(out_std, np.shape(mean))
+    idx = problem.mask.observed_idx
+    u = alpha_s * problem.y[idx] + sigma_s * e[..., idx]
+    post_mean, post_var = conjugate_update(mean[..., idx], eta_s**2, u, (alpha_s * gamma) ** 2)
+    return post_mean, np.sqrt(post_var)
 
 
 def step_ding(
@@ -248,13 +262,23 @@ def step_ding(
     eps = standard_normal(rng, np.shape(x_t)[:-1] + (nz, np.shape(x_t)[-1]))
     if params.std == 0.0:
         return params.mean
-    z = params.mean[..., None, :] + params.std * eps
+    eps *= params.std
+    z = np.add(params.mean[..., None, :], eps, out=eps)
     alpha_s, sigma_s = eval_schedule(sched, s)
     e = noise_from_x0(z, denoiser.denoise(z, s), alpha_s, sigma_s).mean(axis=-2)
-    post_mean, post_std = ding_posterior(
+    obs_mean, obs_std = ding_posterior(
         params.mean, params.std, e, problem, alpha_s, sigma_s, cfg.gamma
     )
-    return post_mean + post_std * standard_normal(rng, np.shape(x_t))
+    # mean + std * draw: eta_s and the prior mean off the support, the
+    # conjugate law on its columns
+    x_s = standard_normal(rng, np.shape(x_t))
+    idx = problem.mask.observed_idx
+    obs = x_s[..., idx]
+    obs *= obs_std
+    x_s *= params.std
+    np.add(params.mean, x_s, out=x_s)
+    x_s[..., idx] = np.add(obs_mean, obs, out=obs)
+    return x_s
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +298,14 @@ def ddnm_transition(
     """Transition with the denoised estimate hard-projected onto the data.
 
     Mask-specialized range/null-space split: observed coordinates come
-    from y, unobserved from the denoiser.  Hyperparameter-free; gamma
-    never enters.
+    from y, unobserved from the denoiser, so a non-finite estimate on an
+    observed coordinate is replaced like any other.  Hyperparameter-free;
+    gamma never enters.
     """
-    m = problem.mask.m
-    return transition_params(sched, cfg.eta, x_t, m * problem.y + (1.0 - m) * xhat0, s, t)
+    projected = np.array(xhat0, dtype=float)
+    idx = problem.mask.observed_idx
+    projected[..., idx] = problem.y[idx]
+    return transition_params(sched, cfg.eta, x_t, projected, s, t)
 
 
 def step_ddnm(
@@ -319,8 +346,12 @@ def diffpir_transition(
     alpha_t, sigma_t = eval_schedule(sched, t)
     if sigma_t > 0:
         rho_t = cfg.diffpir_lambda * alpha_t**2 / sigma_t**2
-        pulled = (problem.y / cfg.gamma**2 + rho_t * xhat0) / (1.0 / cfg.gamma**2 + rho_t)
-        xhat0 = np.where(problem.mask.m == 1, pulled, xhat0)
+        idx = problem.mask.observed_idx
+        pulled = np.array(xhat0, dtype=float)
+        pulled[..., idx] = (problem.y[idx] / cfg.gamma**2 + rho_t * pulled[..., idx]) / (
+            1.0 / cfg.gamma**2 + rho_t
+        )
+        xhat0 = pulled
     return transition_params(sched, cfg.eta, x_t, xhat0, s, t)
 
 
@@ -396,7 +427,8 @@ def run_conditional(
         except NumericError as exc:
             raise NumericError(f"{cfg.method} at step k={k} (t={t:g} -> s={s:g}): {exc}") from None
     if cfg.final_replacement:
-        x = np.where(problem.mask.m == 1, problem.y, x)
+        idx = problem.mask.observed_idx
+        x[..., idx] = problem.y[idx]
     if rows is not None:
         rows[-1, :, :d], rows[-1, :, d:] = x, denoiser.denoise(x, knots[0])
     return x, rows

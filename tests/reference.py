@@ -20,11 +20,20 @@ component scores:
 ``sliced_w2_projected`` is the sliced W2 of ``inpaintlab.metrics`` in the
 column layout it had before its rows were made contiguous: (n,
 n_projections) projections, each column sorted and averaged.
+
+``transition``, ``sample`` and the ``step_<method>`` functions are the
+guided steps of ``inpaintlab.guidance`` written out of place, over all d
+coordinates against the (d,) mask with ``np.where``: the form the
+observed-column, in-place steps must reproduce byte for byte.  They take
+the arguments of the library's steps and draw in the same order.
 """
+
+import math
 
 import numpy as np
 
-from inpaintlab import eval_schedule, exact_intermediate_loglik
+from inpaintlab import TransitionParams, eval_schedule, exact_intermediate_loglik
+from inpaintlab.bridge import standard_normal
 
 
 def _components(prior, sched, x, t):
@@ -101,3 +110,81 @@ def sliced_w2_projected(xa, xb, dirs):
             for j in range(dirs.shape[0])
         ])
     return float(np.sqrt(np.mean(w2sq)))
+
+
+def _noise(x, xhat0, alpha, sigma):
+    """x1_hat = (x - alpha x0_hat) / sigma, 0 at sigma = 0."""
+    if sigma == 0.0:
+        return np.zeros_like(x)
+    return (x - alpha * xhat0) / sigma
+
+
+def transition(sched, eta, x_t, xhat0, s, t):
+    """(mean, std) of the reverse transition from t to s around xhat0,
+    checked by ``TransitionParams`` (a non-finite mean raises NumericError)."""
+    xhat1 = _noise(x_t, xhat0, *eval_schedule(sched, t))
+    alpha_s, sigma_s = eval_schedule(sched, s)
+    beta_s = sigma_s * math.sqrt(1.0 - eta**2)
+    params = TransitionParams(alpha_s * xhat0 + beta_s * xhat1, eta * sigma_s)
+    return params.mean, params.std
+
+
+def sample(mean, std, rng):
+    eps = standard_normal(rng, mean.shape)
+    return mean + std * eps
+
+
+def step_blended(x_t, ev, s, t, problem, sched, denoiser, cfg, rng):
+    x_s = sample(*transition(sched, cfg.eta, x_t, ev.xhat0, s, t), rng)
+    if problem.mask.observed_count == 0:
+        return x_s
+    alpha_s, sigma_s = eval_schedule(sched, s)
+    eps = standard_normal(rng, x_s.shape)
+    replay = alpha_s * problem.x_star + sigma_s * eps
+    return np.where(problem.mask.m == 1, replay, x_s)
+
+
+def step_dps(x_t, ev, s, t, problem, sched, denoiser, cfg, rng):
+    xhat0 = ev.xhat0
+    m = problem.mask.m
+    resid = m * (problem.y - m * xhat0)
+    grad = denoiser.vjp(ev, resid) / cfg.gamma**2
+    alpha_t, sigma_t = eval_schedule(sched, t)
+    alpha_eval, sigma_eval = (alpha_t, sigma_t) if alpha_t > 0 else eval_schedule(sched, s)
+    corrected = xhat0 + cfg.dps_scale * (sigma_eval**2 / alpha_eval) * grad
+    return sample(*transition(sched, cfg.eta, x_t, corrected, s, t), rng)
+
+
+def step_ding(x_t, ev, s, t, problem, sched, denoiser, cfg, rng):
+    mean, eta_s = transition(sched, cfg.eta, x_t, ev.xhat0, s, t)
+    nz = cfg.ding_nz
+    eps = standard_normal(rng, np.shape(x_t)[:-1] + (nz, np.shape(x_t)[-1]))
+    if eta_s == 0.0:
+        return mean
+    z = mean[..., None, :] + eta_s * eps
+    alpha_s, sigma_s = eval_schedule(sched, s)
+    e = _noise(z, denoiser.denoise(z, s), alpha_s, sigma_s).mean(axis=-2)
+    m = problem.mask.m
+    u = alpha_s * problem.y + sigma_s * e
+    prior_var, obs_var = eta_s**2, (alpha_s * cfg.gamma) ** 2
+    post_var = prior_var * obs_var / (prior_var + obs_var)
+    post_mean = (obs_var * mean + prior_var * u) / (prior_var + obs_var)
+    out_mean = np.where(m == 1, post_mean, mean)
+    out_std = np.broadcast_to(np.where(m == 1, np.sqrt(post_var), eta_s), np.shape(mean))
+    return out_mean + out_std * standard_normal(rng, np.shape(x_t))
+
+
+def step_ddnm(x_t, ev, s, t, problem, sched, denoiser, cfg, rng):
+    m = problem.mask.m
+    projected = m * problem.y + (1.0 - m) * ev.xhat0
+    return sample(*transition(sched, cfg.eta, x_t, projected, s, t), rng)
+
+
+def step_diffpir(x_t, ev, s, t, problem, sched, denoiser, cfg, rng):
+    xhat0 = ev.xhat0
+    alpha_t, sigma_t = eval_schedule(sched, t)
+    if sigma_t > 0:
+        rho_t = cfg.diffpir_lambda * alpha_t**2 / sigma_t**2
+        pulled = (problem.y / cfg.gamma**2 + rho_t * xhat0) / (1.0 / cfg.gamma**2 + rho_t)
+        xhat0 = np.where(problem.mask.m == 1, pulled, xhat0)
+    return sample(*transition(sched, cfg.eta, x_t, xhat0, s, t), rng)

@@ -240,19 +240,30 @@ def test_ding_posterior_worked_example():
     np.testing.assert_allclose(post_std**2, [0.05])
 
 
-def test_ding_unobserved_coordinate_keeps_prior():
-    problem = InpaintingProblem(MaskOperator([1, 0]), np.array([1.0, 0.0]), 0.5)
+def test_ding_unobserved_coordinate_keeps_prior(mixture_setup):
+    # ding_posterior returns the observed column alone; the step draws the
+    # unobserved one from the prior N(mean, eta_s^2), with the draw that
+    # follows the proposal's
+    _, den, problem = mixture_setup  # mask [1, 0]
     mean, std = ding_posterior(
         np.array([0.3, -0.7]), 0.4, np.zeros(2), problem, 0.5, 0.5, 0.5
     )
-    assert mean[1] == -0.7 and std[1] == 0.4
+    assert mean.shape == (1,) and np.ndim(std) == 0
+    cfg = _cfg("ding")
+    x_t = np.array([0.4, -0.1])
+    ev = den.evaluate(x_t, 0.6)
+    got = step_ding(x_t, ev, 0.3, 0.6, problem, LIN, den, cfg, np.random.default_rng(2))
+    params = transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.3, 0.6)
+    rng = np.random.default_rng(2)
+    rng.standard_normal((1, 2))  # the proposal draw
+    assert got[1] == params.mean[1] + params.std * rng.standard_normal(2)[1]
 
 
 def test_ding_flat_likelihood_limit():
     problem = InpaintingProblem(MaskOperator([1]), np.array([1.0]), 1e6)
     mean, std = ding_posterior(np.array([0.2]), 0.5, np.array([0.0]), problem, 0.5, 0.5, 1e6)
     assert abs(mean[0] - 0.2) < 1e-9
-    assert abs(std[0] - 0.5) < 1e-9
+    assert abs(std - 0.5) < 1e-9
 
 
 def test_ding_gamma_monotonicity():
