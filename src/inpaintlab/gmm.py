@@ -50,9 +50,15 @@ The linear part sits in the first d rows of a map and the bias in its
 last row: V_k diag(c_k^{-1/2}) under -(alpha * mu_k)^T V_k diag(c_k^{-1/2}),
 A_k under mu_k^T - alpha * mu_k^T A_k, and -C_k^{-1} under
 alpha * mu_k^T C_k^{-1} (A_k and C_k^{-1} are symmetric).  The squared
-norm of u_k is the Mahalanobis term of r_k, so ``component_posterior``
-keeps no offsets, only the means, and the scores are formed when the
-product with a vector or the oracle asks.  A diagonal prior runs the same
+norm of u_k is the Mahalanobis term of r_k.  ``component_posterior``
+writes u, then the means over it, and keeps neither: it forms the
+denoiser output from them, and the conditional keeps the mean maps, so
+the means (``ConditionalMixture.component_means``) and the scores are
+formed again when the product with a vector or the oracle asks.  A
+``GMMDenoiser`` passes the one scratch it owns for these (K, ..., d)
+products and the rows [x, 1], so its steps allocate neither once the
+scratch has grown to the point count, and a ``vjp`` right after its
+evaluation starts from the means left there.  A diagonal prior runs the same
 GEMMs against an identity basis, which is exact for finite points.  The
 sums over K stay in ``einsum`` rather than one long-inner BLAS product,
 whose rows would depend on the batch size: row j of every result depends
@@ -66,6 +72,8 @@ outputs follow the input shape.
 
 from __future__ import annotations
 
+import math
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -253,12 +261,15 @@ def _matrices(evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
     return (evecs * evals[:, None, :]) @ np.swapaxes(evecs, -1, -2)
 
 
-def _augmented(x: np.ndarray) -> np.ndarray:
+def _augmented(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """[x, 1] for points x of shape (..., d), as (1, ..., d+1): the rows that
-    ``_apply`` sends through every component's map."""
-    xa = np.ones((1,) + x.shape[:-1] + (x.shape[-1] + 1,))
-    xa[..., :-1] = x
-    return xa
+    ``_apply`` sends through every component's map, written into ``out``
+    when given."""
+    if out is None:
+        out = np.empty((1,) + x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., :-1] = x
+    out[..., -1] = 1.0
+    return out
 
 
 def _affine_maps(mats: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -302,24 +313,30 @@ class ConditionalMixture:
     """Mixture representation of X0 given X_t = x, component-major.
 
     For x of shape (..., d), component k carries responsibility
-    ``exp(log_resp[k])`` with ``log_resp`` of shape (K, ...), mean
-    ``means[k]`` with ``means`` of shape (K, ..., d), and covariance
-    V_k diag(cov_evals[k]) V_k^T.  ``cov_evals`` is (K, d) and depends on t
-    only, not on x; ``cov_evecs`` is the (K, d, d) basis V, or None for a
-    diagonal prior.
+    ``exp(log_resp[k])`` with ``log_resp`` of shape (K, ...), mean m_k(x)
+    and covariance V_k diag(cov_evals[k]) V_k^T; ``xhat0`` = sum_k r_k m_k
+    is the denoiser output, shaped like x.  ``cov_evals`` is (K, d) and
+    depends on t only, not on x; ``cov_evecs`` is the (K, d, d) basis V, or
+    None for a diagonal prior.
 
-    The inputs of the conditioning are kept for ``vjp`` and the guidance
-    gradient: the augmented points ``xa`` = [x, 1], (1, ..., d+1);
-    ``centers[k]`` = alpha * mu_k; ``c[k]``, the eigenvalues of C_k, and
-    ``slope[k]``, those of the slope A_k = alpha * Sigma_k C_k^{-1} of m_k
-    in x, all three (K, d).
+    No (K, ..., d) array is kept.  ``component_means`` forms the m_k from
+    the points ``x`` and the (K, d+1, d) maps ``mean_maps`` of [x, 1];
+    ``vjp`` and the scores need ``centers[k]`` = alpha * mu_k, ``c[k]``, the
+    eigenvalues of C_k, and ``slope[k]``, those of the slope
+    A_k = alpha * Sigma_k C_k^{-1} of m_k in x, all three (K, d).  ``x`` is
+    the caller's array, not a copy: it must stay unchanged while the
+    conditional is in use.  The ``scratch`` that ``vjp`` and
+    ``component_posterior`` take is a pair of buffers that they overwrite,
+    (K, ..., d) for the products and (1, ..., d+1) for [x, 1]; (None, None)
+    allocates both.
     """
 
     log_resp: np.ndarray
-    means: np.ndarray
+    xhat0: np.ndarray
+    x: np.ndarray
+    mean_maps: np.ndarray
     cov_evals: np.ndarray
     cov_evecs: np.ndarray | None
-    xa: np.ndarray
     centers: np.ndarray
     c: np.ndarray
     slope: np.ndarray
@@ -337,34 +354,46 @@ class ConditionalMixture:
 
     def mean(self) -> np.ndarray:
         """E[X0 | X_t = x] = sum_k r_k m_k, the denoiser, shaped like x."""
-        return _weighted_sum(self.resp, self.means)
+        return self.xhat0
 
-    def scores(self, out: np.ndarray | None = None) -> np.ndarray:
+    def component_means(self) -> np.ndarray:
+        """m_k = A_k x + (mu_k - alpha * A_k mu_k), (K, ..., d): one GEMM per
+        component from [x, 1]."""
+        return _apply(self.mean_maps, _augmented(self.x))
+
+    def scores(self) -> np.ndarray:
         """g_k = -C_k^{-1} (x - alpha * mu_k), the gradient of component k's
-        log-likelihood of x, (K, ..., d): one GEMM per component from xa,
-        written into ``out`` when given."""
-        return _apply(_score_maps(self.centers, self.c, self.cov_evecs), self.xa, out)
+        log-likelihood of x, (K, ..., d): one GEMM per component from [x, 1]."""
+        return _apply(_score_maps(self.centers, self.c, self.cov_evecs), _augmented(self.x))
 
     def centred_scores(self) -> np.ndarray:
         """g_k - sum_j r_j g_j, (K, ..., d)."""
         g = self.scores()
         return g - _weighted_sum(self.resp, g)
 
-    def vjp(self, v: np.ndarray) -> np.ndarray:
+    def vjp(
+        self, v: np.ndarray, scratch: tuple = (None, None), formed: bool = False
+    ) -> np.ndarray:
         """J^T v for the Jacobian J of ``mean`` and v shaped like x.
 
         J^T v = sum_k r_k A_k v + sum_k r_k (m_k.v - sum_j r_j m_j.v) g_k,
-        since A_k is symmetric.  Each sum is one GEMM per component and one
-        contraction over K, taken one after the other; the scores are
-        written over the first product, so one (K, ..., d) array is made
-        and no (..., d, d) array.
+        since A_k is symmetric.  The means, the slope products and the
+        scores are one GEMM per component each, formed one after the other
+        in one (K, ..., d) buffer from one copy of [x, 1] (the ``scratch``
+        pair when given), and no (..., d, d) array is made.  ``formed``
+        says that the scratch still holds this conditional's means and
+        [x, 1], as ``component_posterior`` left them.
         """
+        prods, rows = scratch
+        xa = rows if formed else _augmented(self.x, rows)
         resp = self.resp
-        coef = np.einsum("k...d,...d->k...", self.means, v)
+        means = prods if formed else _apply(self.mean_maps, xa, prods)
+        coef = np.einsum("k...d,...d->k...", means, v)
         coef -= np.sum(resp * coef, axis=0)
-        prod = _apply(self.slope_matrices(), v[None])
+        prod = _apply(self.slope_matrices(), v[None], out=means)
         jtv = _weighted_sum(resp, prod)
-        jtv += _weighted_sum(resp * coef, self.scores(out=prod))
+        scores = _apply(_score_maps(self.centers, self.c, self.cov_evecs), xa, out=prod)
+        jtv += _weighted_sum(resp * coef, scores)
         return jtv
 
 
@@ -376,9 +405,20 @@ def _check_finite(x: np.ndarray) -> np.ndarray:
 
 
 def component_posterior(
-    prior: GaussianMixture, sched: Schedule, x: np.ndarray, t: float
+    prior: GaussianMixture,
+    sched: Schedule,
+    x: np.ndarray,
+    t: float,
+    scratch: tuple = (None, None),
 ) -> ConditionalMixture:
-    """Exact per-component posterior of X0 given the corrupted state x at time t."""
+    """Exact per-component posterior of X0 given the corrupted state x at time t.
+
+    The whitened offsets and the means are formed in one (K, ..., d)
+    buffer from one copy of [x, 1], written into the ``scratch`` pair
+    described under ``ConditionalMixture`` when it is given.  The means
+    and [x, 1] are left there, for a ``vjp`` that comes next; nothing
+    returned is a view of the scratch.
+    """
     x = _check_finite(x)
     alpha, sigma = eval_schedule(sched, t)
     lam, evecs = prior._evals, prior._evecs
@@ -386,8 +426,9 @@ def component_posterior(
     slope = alpha * lam / c
     centers = alpha * prior.means
 
-    xa = _augmented(x)
-    u = _apply(_whitening(centers, c, evecs), xa)
+    prods, rows = scratch
+    xa = _augmented(x, rows)
+    u = _apply(_whitening(centers, c, evecs), xa, prods)
     log_resp = _whitened_logpdf(u, c)
     log_resp += _lift(np.log(prior.weights), x.ndim)
     log_resp -= logsumexp(log_resp, axis=0, keepdims=True)
@@ -395,9 +436,9 @@ def component_posterior(
     # m_k = A_k x + (mu_k - alpha A_k mu_k), written over the whitened offsets u
     maps = _affine_maps(_matrices(slope, evecs), centers)
     maps[:, -1] += prior.means
-    means = _apply(maps, xa, out=u)
+    xhat0 = _weighted_sum(np.exp(log_resp), _apply(maps, xa, out=u))
     cov_evals = sigma**2 * lam / c
-    return ConditionalMixture(log_resp, means, cov_evals, evecs, xa, centers, c, slope)
+    return ConditionalMixture(log_resp, xhat0, x, maps, cov_evals, evecs, centers, c, slope)
 
 
 def gmm_marginal(prior: GaussianMixture, sched: Schedule, t: float) -> GaussianMixture:
@@ -484,7 +525,9 @@ class Denoiser(ABC):
     def vjp(self, ev: Evaluation, v: np.ndarray) -> np.ndarray:
         """J^T v for J = d xhat0 / dx at the point and time of the
         evaluation, and v shaped like the point, in a fresh array that the
-        caller may overwrite."""
+        caller may overwrite.  An evaluation stays valid after later ones,
+        but it may read the point it was evaluated at, so the caller must
+        not overwrite that point while it holds the evaluation."""
         raise NotImplementedError(f"{type(self).__name__} has no vector-Jacobian product")
 
 
@@ -497,12 +540,24 @@ class GMMDenoiser(Denoiser):
     ``jacobian`` stacks d of those products into the dense matrix.
     ``jacobian_calls`` counts one per ``vjp`` or ``jacobian`` call; methods
     that advertise themselves as Jacobian-free can be audited against it.
+
+    The denoiser owns the scratch of its evaluations and products: one
+    (K, N, d) buffer for the per-component products and one (N, d+1)
+    buffer for the rows [x, 1], grown to the largest point count N seen
+    and reused by every ``evaluate``, ``vjp`` and ``jacobian``.  An
+    evaluation leaves its component means and [x, 1] there, and a ``vjp``
+    of it that comes next starts from them instead of forming them again.
+    No array these calls return is a view of the scratch, so an
+    evaluation stays valid after the next one, but one denoiser must not
+    evaluate in two threads at once.
     """
 
     def __init__(self, prior: GaussianMixture, sched: Schedule):
         self.prior = prior
         self.sched = sched
         self.jacobian_calls = 0
+        self._prods = self._rows = np.empty(0)
+        self._formed = None  # weak reference to the conditional whose means fill the scratch
 
     @property
     def dim(self) -> int:
@@ -512,19 +567,37 @@ class GMMDenoiser(Denoiser):
         return self.evaluate(x, t).xhat0
 
     def evaluate(self, x: np.ndarray, t: float) -> Evaluation:
-        cond = component_posterior(self.prior, self.sched, x, t)
+        x = np.asarray(x, dtype=float)
+        cond = component_posterior(self.prior, self.sched, x, t, self._scratch(x.shape))
+        self._formed = weakref.ref(cond)
         return Evaluation(t, cond.mean(), cond)
 
     def jacobian(self, ev: Evaluation) -> np.ndarray:
         """d xhat0 / dx at the point and time of the evaluation, (..., d, d):
         row i is J^T e_i, the ``vjp`` of the i-th unit vector."""
         self._count_jacobian(ev)
-        rows = [ev.state.vjp(np.broadcast_to(e, ev.xhat0.shape)) for e in np.eye(self.dim)]
+        shape = ev.xhat0.shape
+        scratch = self._scratch(shape)
+        rows = [ev.state.vjp(np.broadcast_to(e, shape), scratch) for e in np.eye(self.dim)]
         return np.stack(rows, axis=-2)
 
     def vjp(self, ev: Evaluation, v: np.ndarray) -> np.ndarray:
         self._count_jacobian(ev)
-        return ev.state.vjp(np.asarray(v, dtype=float))
+        formed = self._formed is not None and self._formed() is ev.state
+        scratch = self._scratch(ev.xhat0.shape)
+        return ev.state.vjp(np.asarray(v, dtype=float), scratch, formed)
+
+    def _scratch(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The (K, ..., d) products and (1, ..., d+1) rows of points shaped
+        (..., d), as views of the leading part of the denoiser's buffers,
+        about to be overwritten."""
+        self._formed = None
+        k, d = self.prior.n_components, self.dim
+        n = math.prod(shape[:-1])
+        if self._rows.size < n * (d + 1):
+            self._prods, self._rows = np.empty(k * n * d), np.empty(n * (d + 1))
+        prods = self._prods[: k * n * d].reshape((k,) + shape[:-1] + (d,))
+        return prods, self._rows[: n * (d + 1)].reshape((1,) + shape[:-1] + (d + 1,))
 
     def _count_jacobian(self, ev: Evaluation) -> None:
         self.jacobian_calls += 1

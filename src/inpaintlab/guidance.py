@@ -265,7 +265,9 @@ def step_ding(
     eps *= params.std
     z = np.add(params.mean[..., None, :], eps, out=eps)
     alpha_s, sigma_s = eval_schedule(sched, s)
-    e = noise_from_x0(z, denoiser.denoise(z, s), alpha_s, sigma_s).mean(axis=-2)
+    # the mean over the nz draws, as ``mean`` forms it: one sum, then one division
+    e = np.add.reduce(noise_from_x0(z, denoiser.denoise(z, s), alpha_s, sigma_s), axis=-2)
+    e /= nz
     obs_mean, obs_std = ding_posterior(
         params.mean, params.std, e, problem, alpha_s, sigma_s, cfg.gamma
     )

@@ -26,9 +26,10 @@ post_mean = m + C[:, obs] S^{-1} (y_obs - m_obs),
 post_cov = C - (L^{-1} C[obs, :])^T (L^{-1} C[obs, :]).
 
 Per-component arrays are component-major, as in ``gmm``: (K, ..., d) for
-the conditional means and whitened offsets of ``component_posterior``,
-the component scores and the solved residuals, (K, ...) for the log
-evidence and the reweighted responsibilities.
+the conditional means, which each routine forms once per call with
+``ConditionalMixture.component_means``, the component scores and the
+solved residuals, (K, ...) for the log evidence and the reweighted
+responsibilities.
 """
 
 from __future__ import annotations
@@ -149,7 +150,9 @@ def exact_intermediate_loglik(
     obs = problem.mask.observed_idx
     if obs.size == 0:
         return np.zeros(cond.log_resp.shape[1:])
-    log_ev, _, _ = _observed_evidence(problem, cond.means, cond.covariance_matrices())
+    log_ev, _, _ = _observed_evidence(
+        problem, cond.component_means(), cond.covariance_matrices()
+    )
     offset = 0.5 * obs.size * (_LOG_2PI + 2.0 * np.log(problem.gamma))
     return logsumexp(cond.log_resp + log_ev, axis=0) + offset
 
@@ -172,10 +175,11 @@ def exact_guidance_grad(
     if obs.size == 0:
         return np.zeros_like(x_t)
     cond = component_posterior(prior, sched, x_t, t)
-    log_ev, _, solved = _observed_evidence(problem, cond.means, cond.covariance_matrices())
+    means = cond.component_means()
+    log_ev, _, solved = _observed_evidence(problem, means, cond.covariance_matrices())
 
     # gradient of each component's evidence: A_k^T lifted residual
-    lifted = np.zeros(cond.means.shape)
+    lifted = np.zeros(means.shape)
     lifted[..., obs] = solved
     ev_grad = _apply(cond.slope_matrices(), lifted)
 
@@ -204,7 +208,7 @@ def exact_posterior_denoiser(
     if problem.mask.observed_idx.size == 0:
         return cond.mean()
     log_ev, post_means, _ = _condition_on_observed(
-        problem, cond.means, cond.covariance_matrices()
+        problem, cond.component_means(), cond.covariance_matrices()
     )
     return _weighted_sum(_reweight(cond.log_resp, log_ev), post_means)
 

@@ -185,7 +185,8 @@ def test_a3_oracle_consistency():
     cond = component_posterior(prior, LIN, x, t)
     n = 1_000_000
     comp = rng.choice(3, size=n, p=cond.resp)
-    draws = cond.means[comp, :] + np.sqrt(cond.cov_evals[comp]) * rng.standard_normal((n, 3))
+    means = cond.component_means()
+    draws = means[comp, :] + np.sqrt(cond.cov_evals[comp]) * rng.standard_normal((n, 3))
     lik = np.exp(log_likelihood(problem, draws))
     mc_mean = lik.mean()
     mc_se = lik.std(ddof=1) / np.sqrt(n)

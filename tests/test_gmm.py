@@ -246,6 +246,46 @@ def test_vjp_equals_jacobian_transpose_product(fixture, batch, request):
         assert den.jacobian_calls == calls + 1  # den.vjp
 
 
+@pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
+def test_denoiser_scratch_is_never_returned(fixture, request):
+    # one denoiser evaluates an (n, d) batch, an (n, 2, d) batch and a single
+    # point, with a vjp after each, so its scratch is reused and regrown; the
+    # first evaluation and its vjp, right after it (from the means it left in
+    # the scratch) and after the others and another (n, d) evaluation (formed
+    # again), keep the bytes of a fresh denoiser's, and no array of an
+    # evaluation is a view of the scratch
+    from dataclasses import fields
+
+    prior = request.getfixturevalue(fixture)
+    d = prior.dim
+    rng = np.random.default_rng(23)
+    den = GMMDenoiser(prior, LIN)
+    evs, vjps, scratch = [], [], []
+    for shape, t in (((9, d), 0.4), ((9, 2, d), 0.6), ((d,), 0.3)):
+        evs.append(den.evaluate(rng.standard_normal(shape) * 2.0, t))
+        v = rng.standard_normal(shape)
+        vjps.append((v, den.vjp(evs[-1], v)))
+        assert den.vjp(evs[-1], v).tobytes() == vjps[-1][1].tobytes()  # means formed again
+        scratch += [den._prods, den._rows]
+
+    fresh = GMMDenoiser(prior, LIN)
+    first, (v, jtv) = evs[0], vjps[0]
+    want = fresh.evaluate(first.state.x, first.t)
+    want_jtv = fresh.vjp(want, v).tobytes()
+    assert first.xhat0.tobytes() == want.xhat0.tobytes()
+    assert first.state.log_resp.tobytes() == want.state.log_resp.tobytes()
+    assert jtv.tobytes() == want_jtv
+    assert den.vjp(first, v).tobytes() == want_jtv
+    evs.append(den.evaluate(rng.standard_normal((9, d)), 0.7))
+    assert den.vjp(first, v).tobytes() == want_jtv
+    assert first.state.vjp(v).tobytes() == want_jtv
+    held = [jtv for _, jtv in vjps]
+    for ev in evs:
+        held += [ev.xhat0] + [getattr(ev.state, f.name) for f in fields(ev.state)]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert not any(np.shares_memory(a, s) for a in arrays for s in scratch)
+
+
 def test_vjp_at_t0_raises(three_comp_diag):
     den = GMMDenoiser(three_comp_diag, LIN)
     x = np.zeros(4)
@@ -379,7 +419,8 @@ def test_component_posterior_keeps_its_rounding_order(fixture, request):
         scores = xa @ np.concatenate([prec, -(centers @ prec)], axis=1)
         cond = component_posterior(prior, LIN, x, t)
         assert cond.log_resp.tobytes() == log_resp.tobytes()
-        assert cond.means.tobytes() == means.tobytes()
+        assert cond.component_means().tobytes() == means.tobytes()
+        assert cond.mean().tobytes() == np.einsum("kn,knd->nd", np.exp(log_resp), means).tobytes()
         assert cond.scores().tobytes() == scores.tobytes()
 
 
@@ -506,7 +547,8 @@ def test_component_major_kernels_match_per_component_reference(layout):
             jac = _jacobian(prior, points, t)
             grad = exact_guidance_grad(problem, prior, LIN, points, t)
             assert cond.log_resp.shape == resp.shape == (k,) + points.shape[:-1]
-            assert cond.means.shape == (k,) + points.shape
+            cond_means = cond.component_means()
+            assert cond_means.shape == (k,) + points.shape
             for i, x_i in enumerate(np.atleast_2d(points)):
                 at = (slice(None), i) if points.ndim == 2 else (slice(None),)
                 log_resp, means, slopes, scores = _reference_posterior(prior, x_i, t)
@@ -515,7 +557,7 @@ def test_component_major_kernels_match_per_component_reference(layout):
                     "k,kd,ke->de", r, means, scores - r @ scores
                 )
                 np.testing.assert_allclose(cond.log_resp[at], log_resp, rtol=0, atol=1e-10)
-                np.testing.assert_allclose(cond.means[at], means, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(cond_means[at], means, rtol=0, atol=1e-10)
                 np.testing.assert_allclose(np.atleast_2d(xhat0)[i], r @ means, rtol=0, atol=1e-10)
                 np.testing.assert_allclose(np.reshape(jac, (-1, d, d))[i], want_jac,
                                            rtol=0, atol=1e-10)

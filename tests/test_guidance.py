@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,20 +464,69 @@ def test_chain_results_are_a_prefix_at_benchmark_sizes(method, layout):
     # rows and columns of a product, which d = 2 never reaches, so a row of
     # a result could depend on the batch it came in; none may
     d, k, kind = layout
-    rng = np.random.default_rng(21)
+    den, problem = _benchmark_setup(d, k, kind, np.random.default_rng(21))
+    knobs = dict(gamma=0.1, dps_scale=0.1, ding_nz=2)
+    many, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=200, **knobs))
+    for n_few in (7, 65, 130):
+        few, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_few, **knobs))
+        np.testing.assert_array_equal(few, many[:n_few])
+
+
+def _benchmark_setup(d, k, kind, rng):
+    """A denoiser on a mixture-full-like prior (``kind`` "full") or a
+    diagonal one, and an observation of half its coordinates."""
     if kind == "full":
         a = rng.standard_normal((k, d, d))
         cov = 0.3 * a @ np.swapaxes(a, 1, 2) / d + 0.2 * np.eye(d)
     else:
         cov = 0.2 + 0.6 * rng.random((k, d))
     prior = GaussianMixture(rng.dirichlet(np.ones(k)), 2.0 * rng.standard_normal((k, d)), cov)
-    den = GMMDenoiser(prior, LIN)
     problem = make_observation(prior.sample(1, rng)[0], MaskOperator(np.arange(d) % 2), 0.1)
+    return GMMDenoiser(prior, LIN), problem
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_one_denoiser_keeps_prefixes_across_chain_counts(method):
+    # the denoiser's scratch is regrown and reused as the point count moves
+    # from 64 to 500 (1000 for ding's two proposals) and back; each run stays
+    # a prefix of the larger one, bit for bit
+    den, problem = _benchmark_setup(12, 32, "full", np.random.default_rng(24))
     knobs = dict(gamma=0.1, dps_scale=0.1, ding_nz=2)
-    many, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=200, **knobs))
-    for n_few in (7, 65, 130):
-        few, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_few, **knobs))
-        np.testing.assert_array_equal(few, many[:n_few])
+    few, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=64, **knobs))
+    many, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=500, **knobs))
+    again, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=64, **knobs))
+    np.testing.assert_array_equal(few, many[:64])
+    np.testing.assert_array_equal(again, many[:64])
+
+
+@pytest.mark.parametrize("method", ["ding", "dps"])
+def test_steps_after_the_first_allocate_no_component_products(method, monkeypatch):
+    # ding evaluates the proposal while the evaluation at x_t is alive, and
+    # dps takes a vjp of it; once the first step has grown the denoiser's
+    # scratch, no later step requests as much as one (K, n, d) array on top
+    # of the memory held after that step (tracemalloc counts requests, not
+    # what the allocator does with them)
+    k, n, d = 32, 500, 12
+    den, problem = _benchmark_setup(d, k, "full", np.random.default_rng(25))
+    step = getattr(guidance, f"step_{method}")
+    held = []
+
+    def first_step_sets_the_level(*args):
+        x_s = step(*args)
+        if not held:
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return x_s
+
+    monkeypatch.setattr(guidance, f"step_{method}", first_step_sets_the_level)
+    cfg = _cfg(method, n_chains=n, gamma=0.1, dps_scale=0.1)
+    tracemalloc.start()
+    try:
+        run_conditional(problem, den, LIN, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held[0] < k * n * d * 8
 
 
 @pytest.mark.parametrize("method", METHODS)

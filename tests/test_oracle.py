@@ -111,7 +111,9 @@ def test_conditioning_route_is_pointwise_reference(t):
     got = exact_posterior_denoiser(problem, prior, LIN, x, t)
     for x_i, got_i in zip(x, got):
         cond = component_posterior(prior, LIN, x_i, t)
-        given_x = GaussianMixture(cond.resp / cond.resp.sum(), cond.means, cond.covariance_matrices())
+        given_x = GaussianMixture(
+            cond.resp / cond.resp.sum(), cond.component_means(), cond.covariance_matrices()
+        )
         weights, means, _ = _precision_form_posterior(problem, given_x)
         np.testing.assert_allclose(got_i, weights @ means, rtol=0, atol=1e-12)
 
@@ -166,7 +168,7 @@ def test_intermediate_loglik_monte_carlo(mixed_prior, masked_problem):
     evals, evecs = cond.cov_evals, cond.cov_evecs
     eps = rng.standard_normal((n, 3))
     scaled = np.sqrt(evals[comp]) * eps
-    draws = cond.means[comp, :] + np.einsum("nde,ne->nd", evecs[comp], scaled)
+    draws = cond.component_means()[comp, :] + np.einsum("nde,ne->nd", evecs[comp], scaled)
     lik = np.exp(log_likelihood(masked_problem, draws))
     mc_mean, mc_se = lik.mean(), lik.std(ddof=1) / np.sqrt(n)
     exact = np.exp(exact_intermediate_loglik(masked_problem, mixed_prior, LIN, x, t))
