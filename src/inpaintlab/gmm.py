@@ -57,8 +57,7 @@ the means (``ConditionalMixture.component_means``) and the scores are
 formed again when the product with a vector or the oracle asks.  A
 ``GMMDenoiser`` passes the one scratch it owns for these (K, ..., d)
 products and the rows [x, 1], so its steps allocate neither once the
-scratch has grown to the point count, and a ``vjp`` right after its
-evaluation starts from the means left there.  A diagonal prior runs the same
+scratch has grown to the point count.  A diagonal prior runs the same
 GEMMs against an identity basis, which is exact for finite points.  The
 sums over K stay in ``einsum`` rather than one long-inner BLAS product,
 whose rows would depend on the batch size: row j of every result depends
@@ -73,7 +72,6 @@ outputs follow the input shape.
 from __future__ import annotations
 
 import math
-import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -371,23 +369,19 @@ class ConditionalMixture:
         g = self.scores()
         return g - _weighted_sum(self.resp, g)
 
-    def vjp(
-        self, v: np.ndarray, scratch: tuple = (None, None), formed: bool = False
-    ) -> np.ndarray:
+    def vjp(self, v: np.ndarray, scratch: tuple = (None, None)) -> np.ndarray:
         """J^T v for the Jacobian J of ``mean`` and v shaped like x.
 
         J^T v = sum_k r_k A_k v + sum_k r_k (m_k.v - sum_j r_j m_j.v) g_k,
         since A_k is symmetric.  The means, the slope products and the
         scores are one GEMM per component each, formed one after the other
         in one (K, ..., d) buffer from one copy of [x, 1] (the ``scratch``
-        pair when given), and no (..., d, d) array is made.  ``formed``
-        says that the scratch still holds this conditional's means and
-        [x, 1], as ``component_posterior`` left them.
+        pair when given), and no (..., d, d) array is made.
         """
         prods, rows = scratch
-        xa = rows if formed else _augmented(self.x, rows)
+        xa = _augmented(self.x, rows)
         resp = self.resp
-        means = prods if formed else _apply(self.mean_maps, xa, prods)
+        means = _apply(self.mean_maps, xa, prods)
         coef = np.einsum("k...d,...d->k...", means, v)
         coef -= np.sum(resp * coef, axis=0)
         prod = _apply(self.slope_matrices(), v[None], out=means)
@@ -415,8 +409,7 @@ def component_posterior(
 
     The whitened offsets and the means are formed in one (K, ..., d)
     buffer from one copy of [x, 1], written into the ``scratch`` pair
-    described under ``ConditionalMixture`` when it is given.  The means
-    and [x, 1] are left there, for a ``vjp`` that comes next; nothing
+    described under ``ConditionalMixture`` when it is given; nothing
     returned is a view of the scratch.
     """
     x = _check_finite(x)
@@ -544,12 +537,10 @@ class GMMDenoiser(Denoiser):
     The denoiser owns the scratch of its evaluations and products: one
     (K, N, d) buffer for the per-component products and one (N, d+1)
     buffer for the rows [x, 1], grown to the largest point count N seen
-    and reused by every ``evaluate``, ``vjp`` and ``jacobian``.  An
-    evaluation leaves its component means and [x, 1] there, and a ``vjp``
-    of it that comes next starts from them instead of forming them again.
-    No array these calls return is a view of the scratch, so an
-    evaluation stays valid after the next one, but one denoiser must not
-    evaluate in two threads at once.
+    and reused by every ``evaluate``, ``vjp`` and ``jacobian``.  No array
+    these calls return is a view of the scratch, so an evaluation stays
+    valid after the next one, but one denoiser must not evaluate in two
+    threads at once.
     """
 
     def __init__(self, prior: GaussianMixture, sched: Schedule):
@@ -557,7 +548,6 @@ class GMMDenoiser(Denoiser):
         self.sched = sched
         self.jacobian_calls = 0
         self._prods = self._rows = np.empty(0)
-        self._formed = None  # weak reference to the conditional whose means fill the scratch
 
     @property
     def dim(self) -> int:
@@ -569,7 +559,6 @@ class GMMDenoiser(Denoiser):
     def evaluate(self, x: np.ndarray, t: float) -> Evaluation:
         x = np.asarray(x, dtype=float)
         cond = component_posterior(self.prior, self.sched, x, t, self._scratch(x.shape))
-        self._formed = weakref.ref(cond)
         return Evaluation(t, cond.mean(), cond)
 
     def jacobian(self, ev: Evaluation) -> np.ndarray:
@@ -583,15 +572,13 @@ class GMMDenoiser(Denoiser):
 
     def vjp(self, ev: Evaluation, v: np.ndarray) -> np.ndarray:
         self._count_jacobian(ev)
-        formed = self._formed is not None and self._formed() is ev.state
         scratch = self._scratch(ev.xhat0.shape)
-        return ev.state.vjp(np.asarray(v, dtype=float), scratch, formed)
+        return ev.state.vjp(np.asarray(v, dtype=float), scratch)
 
     def _scratch(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """The (K, ..., d) products and (1, ..., d+1) rows of points shaped
         (..., d), as views of the leading part of the denoiser's buffers,
         about to be overwritten."""
-        self._formed = None
         k, d = self.prior.n_components, self.dim
         n = math.prod(shape[:-1])
         if self._rows.size < n * (d + 1):

@@ -249,11 +249,10 @@ def test_vjp_equals_jacobian_transpose_product(fixture, batch, request):
 @pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
 def test_denoiser_scratch_is_never_returned(fixture, request):
     # one denoiser evaluates an (n, d) batch, an (n, 2, d) batch and a single
-    # point, with a vjp after each, so its scratch is reused and regrown; the
-    # first evaluation and its vjp, right after it (from the means it left in
-    # the scratch) and after the others and another (n, d) evaluation (formed
-    # again), keep the bytes of a fresh denoiser's, and no array of an
-    # evaluation is a view of the scratch
+    # point, with two vjps after each, so its scratch is reused and regrown;
+    # the first evaluation and its vjp, right after it and after the others
+    # and another (n, d) evaluation, keep the bytes of a fresh denoiser's,
+    # and no array of an evaluation is a view of the scratch
     from dataclasses import fields
 
     prior = request.getfixturevalue(fixture)
@@ -265,7 +264,7 @@ def test_denoiser_scratch_is_never_returned(fixture, request):
         evs.append(den.evaluate(rng.standard_normal(shape) * 2.0, t))
         v = rng.standard_normal(shape)
         vjps.append((v, den.vjp(evs[-1], v)))
-        assert den.vjp(evs[-1], v).tobytes() == vjps[-1][1].tobytes()  # means formed again
+        assert den.vjp(evs[-1], v).tobytes() == vjps[-1][1].tobytes()
         scratch += [den._prods, den._rows]
 
     fresh = GMMDenoiser(prior, LIN)
