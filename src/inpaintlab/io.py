@@ -43,11 +43,14 @@ def read_samples(path: str | Path) -> np.ndarray:
     if raw[: len(DSMP_MAGIC)] != DSMP_MAGIC or len(raw) < len(DSMP_MAGIC) + 8:
         raise ConfigError(f"{path}: not a sample file (bad magic or short header)")
     d, n = struct.unpack_from("<II", raw, len(DSMP_MAGIC))
-    body = raw[len(DSMP_MAGIC) + 8 :]
+    if d < 1:
+        raise ConfigError(f"{path}: sample dimension d = {d} must be positive")
+    offset = len(DSMP_MAGIC) + 8
     expected = n * d * 8
-    if len(body) != expected:
-        raise ConfigError(f"{path}: expected {expected} payload bytes, found {len(body)}")
-    return np.frombuffer(body, dtype="<f8").reshape(n, d).astype(float)
+    if len(raw) - offset != expected:
+        raise ConfigError(f"{path}: expected {expected} payload bytes, found {len(raw) - offset}")
+    # a read-only view of the payload, copied once into a fresh array
+    return np.frombuffer(raw, "<f8", count=n * d, offset=offset).reshape(n, d).astype(float)
 
 
 def read_pgm_mask(path: str | Path) -> PixelMask:

@@ -9,6 +9,9 @@ import numpy as np
 from .gmm import GaussianMixture
 from .problem import MaskOperator
 
+# bytes of one projection buffer in sliced W2; the metric holds two
+BLOCK_BYTES = 1 << 20
+
 
 def cpsnr(x: np.ndarray, x_ref: np.ndarray, mask: MaskOperator, peak: float) -> float | np.ndarray:
     """PSNR over the observed coordinates only; +inf on an exact match.
@@ -62,30 +65,40 @@ def sliced_w2(a: np.ndarray, b: np.ndarray, n_projections: int = 128, seed: int 
 
 
 def _sliced_w2_projected(xa: np.ndarray, xb: np.ndarray, dirs: np.ndarray) -> float:
-    # one contiguous row per projection, sorted in place; einsum keeps each
-    # projection independent of row order, so equal multisets score exactly
-    # zero (BLAS matmul varies in the last ulp)
-    pa = np.einsum("pd,nd->pn", dirs, xa)
-    pa.sort()
-    pb = np.einsum("pd,nd->pn", dirs, xb)
-    pb.sort()
-    if pa.shape[1] == pb.shape[1]:
-        # in place: these two (n_projections, n) arrays set the peak memory
-        # of the metric.  The running sum adds each row in order, as a mean
-        # over the columns of an (n, n_projections) array does, so every
-        # value is the same to the bit.
-        pa -= pb
-        pa *= pa
-        np.add.accumulate(pa, axis=1, out=pa)
-        w2sq = pa[:, -1] / pa.shape[1]
-    else:
-        m = max(pa.shape[1], pb.shape[1])
+    # the directions go through in blocks: one contiguous row per projection
+    # in a pair of (rows, n) buffers allocated once per call, so the metric
+    # holds at most 2 * BLOCK_BYTES of projections (one row pair when a row
+    # alone is larger) on top of its inputs.  einsum keeps each projection
+    # independent of row order, so equal multisets score exactly zero (BLAS
+    # matmul varies in the last ulp); each row is sorted in place and takes
+    # the same operations in the same order whatever block it falls in.
+    na, nb = xa.shape[0], xb.shape[0]
+    n_proj = dirs.shape[0]
+    rows = min(n_proj, max(1, BLOCK_BYTES // (8 * max(na, nb))))
+    buf_a, buf_b = np.empty((rows, na)), np.empty((rows, nb))
+    w2sq = np.empty(n_proj)
+    if na != nb:
+        m = max(na, nb)
         qs = (np.arange(m) + 0.5) / m
-        w2sq = np.empty(dirs.shape[0])
-        for j in range(dirs.shape[0]):
-            qa = _quantiles(pa[j], qs)
-            qb = _quantiles(pb[j], qs)
-            w2sq[j] = np.mean((qa - qb) ** 2)
+    for lo in range(0, n_proj, rows):
+        block = dirs[lo : lo + rows]
+        pa = np.einsum("pd,nd->pn", block, xa, out=buf_a[: len(block)])
+        pa.sort()
+        pb = np.einsum("pd,nd->pn", block, xb, out=buf_b[: len(block)])
+        pb.sort()
+        if na == nb:
+            # the running sum adds each row in order, as a mean over the
+            # columns of an (n, n_projections) array does, so every value
+            # is the same to the bit
+            pa -= pb
+            pa *= pa
+            np.add.accumulate(pa, axis=1, out=pa)
+            w2sq[lo : lo + len(block)] = pa[:, -1] / na
+        else:
+            for j in range(len(block)):
+                qa = _quantiles(pa[j], qs)
+                qb = _quantiles(pb[j], qs)
+                w2sq[lo + j] = np.mean((qa - qb) ** 2)
     return float(np.sqrt(np.mean(w2sq)))
 
 

@@ -209,6 +209,14 @@ def test_metrics_subcommand(tmp_path, capsys):
     assert float(value) > 0
 
 
+def test_metrics_rejects_zero_dimension_samples(tmp_path, capsys):
+    write_samples(tmp_path / "z.dsmp", np.zeros((5, 0)))
+    code = main(["metrics", "--a", str(tmp_path / "z.dsmp"), "--b", str(tmp_path / "z.dsmp")])
+    assert code == 2
+    assert "z.dsmp: sample dimension d = 0" in _one_config_error(capsys)
+    assert capsys.readouterr().out == ""
+
+
 def test_cpsnr_metric_checks_mask_length(tmp_path, capsys):
     rng = np.random.default_rng(0)
     write_samples(tmp_path / "a.dsmp", rng.standard_normal((10, 3)))

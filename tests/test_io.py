@@ -19,6 +19,8 @@ def test_dsmp_round_trip(tmp_path):
     write_samples(path, mat)
     back = read_samples(path)
     np.testing.assert_array_equal(back, mat)
+    # a fresh array of its own, not a view of the file's bytes
+    assert back.dtype == np.float64 and back.flags.writeable and back.base is None
 
 
 def test_dsmp_layout(tmp_path):
@@ -117,6 +119,11 @@ def test_truncated_header_is_a_config_error(tmp_path):
     zero.write_bytes(b"DMSK" + (0).to_bytes(4, "little") + (4).to_bytes(4, "little") * 2)
     with pytest.raises(ConfigError, match="zero.dmsk: mask dimensions 0 x 4 x 4"):
         read_dmsk(zero)
+    # and a sample file of d = 0 holds no sample, whatever its n
+    zero = tmp_path / "zero.dsmp"
+    write_samples(zero, np.zeros((5, 0)))
+    with pytest.raises(ConfigError, match="zero.dsmp: sample dimension d = 0 must be positive"):
+        read_samples(zero)
 
 
 def test_dmsk_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,22 +148,46 @@ def test_cpsnr_batch_equals_per_row(recwarn):
     assert len(recwarn) == 0
 
 
-@pytest.mark.parametrize("n_b", [400, 257])
-def test_sliced_w2_equals_out_of_place_reference(n_b):
-    # the in-place row layout sorts and adds exactly like the out-of-place
-    # column layout of the reference, so every value is the same to the
-    # bit, and the inputs are kept; a pairwise mean over each row would
-    # differ in the last bit in about a third of these draws
+@pytest.mark.parametrize("n_a, n_b, n_proj, dims", [
+    pytest.param(400, 400, 64, (2, 5, 12) * 4, id="400"),
+    pytest.param(400, 257, 64, (2, 5, 12) * 4, id="257"),
+    # 32 rows a block at n = 4000: three full blocks and a partial fourth
+    pytest.param(4000, 4000, 100, (2, 8), id="blocks"),
+    pytest.param(4000, 2500, 100, (2, 8), id="blocks-unequal"),
+    pytest.param(2500, 4000, 100, (2, 8), id="blocks-unequal-wider-b"),
+    # a row of more than BLOCK_BYTES: one row a block
+    pytest.param(140_000, 140_000, 3, (2,), id="one-row"),
+    pytest.param(140_000, 131_073, 3, (2,), id="one-row-unequal"),
+])
+def test_sliced_w2_equals_out_of_place_reference(n_a, n_b, n_proj, dims):
+    # the blocked in-place row layout sorts and adds exactly like the
+    # out-of-place column layout of the reference, so every value is the
+    # same to the bit, and the inputs are kept; a pairwise mean over each
+    # row would differ in the last bit in about a third of these draws
     rng = np.random.default_rng(12)
-    for d in (2, 5, 12) * 4:
-        xa = rng.standard_normal((400, d))
+    for d in dims:
+        xa = rng.standard_normal((n_a, d))
         xb = rng.standard_normal((n_b, d)) * 1.3 + 0.2
         saved = xa.copy(), xb.copy()
-        dirs = rng.standard_normal((64, d))
+        dirs = rng.standard_normal((n_proj, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         assert _sliced_w2_projected(xa, xb, dirs) == reference.sliced_w2_projected(xa, xb, dirs)
         np.testing.assert_array_equal(xa, saved[0])
         np.testing.assert_array_equal(xb, saved[1])
+
+
+def test_sliced_w2_holds_one_block_of_projections():
+    # gmm8's size: two whole (128, 4000) projection arrays would trace 7.8 MiB,
+    # two 1 MiB blocks trace under 2 MiB
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((4000, 8)), rng.standard_normal((4000, 8))
+    tracemalloc.start()
+    try:
+        sliced_w2(a, b, 128, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 @pytest.mark.parametrize("a, b, name", [
