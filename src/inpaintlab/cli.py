@@ -86,11 +86,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     and no files; the others still run, and one ``NumericError`` naming
     every failed method is raised after the last.
     """
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     problem, oracle_rng, oracle_n = _observe(cfg, cfg.seed)
     denoiser = GMMDenoiser(cfg.prior, cfg.sched)
 
     oracle_samples = exact_posterior(problem, cfg.prior).sample(oracle_n, oracle_rng)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_samples(cfg.out_dir / f"oracle_{cfg.seed}.dsmp", oracle_samples)
 
     rows: list[ResultRow] = []

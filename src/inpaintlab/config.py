@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .gmm import GaussianMixture
-from .guidance import METHODS, SamplerConfig
+from .guidance import SamplerConfig
 from .io import read_pgm_mask, read_samples
 from .problem import InpaintingProblem, MaskOperator, make_observation
 from .schedule import Schedule, TimeGrid, make_grid
@@ -129,6 +129,13 @@ def _sampler_configs(
     pairs: dict[str, str], methods: list[str], grid: TimeGrid, seed: int, n_chains: int
 ) -> dict[str, SamplerConfig]:
     """One SamplerConfig per method, each knob from ``method.<m>.<key>`` or else ``<key>``."""
+    for key in (key for key in pairs if key.startswith("method.")):  # m listed or not
+        _, m, knob = key.split(".")
+        name, read = _SAMPLER_KEYS[knob]
+        try:  # the override alone must meet its knob's rule, and m must be a method
+            SamplerConfig(m, grid, **{name: read(pairs, key)})
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     samplers = {}
     for m in methods:
         knobs = {}
@@ -250,13 +257,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 f"unknown config key {key!r}; expected prior.component.<i>.weight, .mean or .cov"
             )
         parts = key.split(".")
-        if len(parts) == 3 and parts[0] == "method":
-            if parts[1] not in METHODS:
-                raise ConfigError(f"{key}: unknown method {parts[1]!r}")
-            if parts[2] not in _SAMPLER_KEYS:
-                raise ConfigError(f"{key}: unknown override {parts[2]!r}")
-            _SAMPLER_KEYS[parts[2]][1](pairs, key)  # parsed even when the method is not listed
-            continue
+        if len(parts) == 3 and parts[0] == "method" and parts[2] in _SAMPLER_KEYS:
+            continue  # its method and value are checked by _sampler_configs
         raise ConfigError(f"unknown config key {key!r}")
 
     # each input has one source: a second would be silently ignored

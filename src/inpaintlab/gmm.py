@@ -350,10 +350,6 @@ class ConditionalMixture:
         """The slopes A_k as (K, d, d) symmetric matrices."""
         return _matrices(self.slope, self.cov_evecs)
 
-    def mean(self) -> np.ndarray:
-        """E[X0 | X_t = x] = sum_k r_k m_k, the denoiser, shaped like x."""
-        return self.xhat0
-
     def component_means(self) -> np.ndarray:
         """m_k = A_k x + (mu_k - alpha * A_k mu_k), (K, ..., d): one GEMM per
         component from [x, 1]."""
@@ -370,7 +366,7 @@ class ConditionalMixture:
         return g - _weighted_sum(self.resp, g)
 
     def vjp(self, v: np.ndarray, scratch: tuple = (None, None)) -> np.ndarray:
-        """J^T v for the Jacobian J of ``mean`` and v shaped like x.
+        """J^T v for the Jacobian J of ``xhat0`` and v shaped like x.
 
         J^T v = sum_k r_k A_k v + sum_k r_k (m_k.v - sum_j r_j m_j.v) g_k,
         since A_k is symmetric.  The means, the slope products and the
@@ -455,7 +451,7 @@ def gmm_denoise(
     a diagonal prior and to rounding for full covariances).
     """
     cond = component_posterior(prior, sched, x, t)
-    return cond.mean(), cond.resp
+    return cond.xhat0, cond.resp
 
 
 def noise_from_x0(x: np.ndarray, xhat0: np.ndarray, alpha: float, sigma: float) -> np.ndarray:
@@ -559,7 +555,7 @@ class GMMDenoiser(Denoiser):
     def evaluate(self, x: np.ndarray, t: float) -> Evaluation:
         x = np.asarray(x, dtype=float)
         cond = component_posterior(self.prior, self.sched, x, t, self._scratch(x.shape))
-        return Evaluation(t, cond.mean(), cond)
+        return Evaluation(t, cond.xhat0, cond)
 
     def jacobian(self, ev: Evaluation) -> np.ndarray:
         """d xhat0 / dx at the point and time of the evaluation, (..., d, d):

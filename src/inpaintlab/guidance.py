@@ -18,17 +18,14 @@ of the clean sample given the observation:
 - ``diffpir``: proximal blend of the denoised estimate with the data,
   weighted by rho_t = lambda * alpha_t^2 / sigma_t^2.
 
-Every method is one ``step_<method>``, all with the same signature; each
-reads its knobs, eta included, from its ``SamplerConfig`` alone.  The
-driver evaluates the denoiser once per state and hands that
-``Evaluation`` ev, with the estimate ev.xhat0, to the step.  dps, ddnm and
-diffpir correct the estimate and build their transition from the
-corrected one with ``bridge.transition_params`` at ``cfg.eta``; dps takes
-its vector-Jacobian product ``denoiser.vjp`` from the same evaluation.
-blended and ding build the transition from ev.xhat0 as is and add a draw
-after it.  The driver ``run_conditional`` returns plain arrays: the
-(n, d) terminal states and, when recording, the (K+1, n, 2d) trajectory
-of states and estimates in the layout it is written in.
+Every method is one ``step_<method>``, all with the same signature and
+no second route to its law (noise of zeros returns the transition mean);
+each reads its knobs, eta included, from its ``SamplerConfig`` alone.  The
+driver evaluates the denoiser once per state and hands that ``Evaluation``
+ev, with the estimate ev.xhat0, to the step.  dps (with ``denoiser.vjp``
+of ev), ddnm and diffpir correct the estimate and sample the transition
+``bridge.transition_params`` builds from it at ``cfg.eta``; blended and
+ding build it from ev.xhat0 as is and add a draw after it.
 
 Every correction the mask confines (blended's replay, dps's residual,
 ddnm's projection, diffpir's proximal pull, ding's pseudo-observation and
@@ -57,7 +54,6 @@ import numpy as np
 from .bridge import (
     ChainStreams,
     RngLike,
-    TransitionParams,
     sample_transition,
     standard_normal,
     transition_params,
@@ -148,7 +144,7 @@ def step_blended(
 # ---------------------------------------------------------------------------
 
 
-def dps_transition(
+def step_dps(
     x_t: np.ndarray,
     ev: Evaluation,
     s: float,
@@ -157,7 +153,8 @@ def dps_transition(
     sched: Schedule,
     denoiser: Denoiser,
     cfg: SamplerConfig,
-) -> TransitionParams:
+    rng: RngLike,
+) -> np.ndarray:
     """Transition with the denoiser corrected along the likelihood gradient.
 
     The correction is x0' = x0_hat + zeta * (sigma_t^2 / alpha_t) * J^T g
@@ -177,40 +174,13 @@ def dps_transition(
     alpha_t, sigma_t = eval_schedule(sched, t)
     alpha_eval, sigma_eval = (alpha_t, sigma_t) if alpha_t > 0 else eval_schedule(sched, s)
     grad *= cfg.dps_scale * (sigma_eval**2 / alpha_eval)
-    return transition_params(sched, cfg.eta, x_t, np.add(xhat0, grad, out=grad), s, t)
-
-
-def step_dps(
-    x_t: np.ndarray,
-    ev: Evaluation,
-    s: float,
-    t: float,
-    problem: InpaintingProblem,
-    sched: Schedule,
-    denoiser: Denoiser,
-    cfg: SamplerConfig,
-    rng: RngLike,
-) -> np.ndarray:
-    params = dps_transition(x_t, ev, s, t, problem, sched, denoiser, cfg)
-    return sample_transition(params, rng)
+    corrected = np.add(xhat0, grad, out=grad)
+    return sample_transition(transition_params(sched, cfg.eta, x_t, corrected, s, t), rng)
 
 
 # ---------------------------------------------------------------------------
 # ding
 # ---------------------------------------------------------------------------
-
-
-def conjugate_update(
-    prior_mean: np.ndarray,
-    prior_var: float,
-    obs: np.ndarray,
-    obs_var: np.ndarray | float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance of a Gaussian mean under a Gaussian
-    observation, coordinatewise."""
-    post_var = prior_var * obs_var / (prior_var + obs_var)
-    post_mean = (obs_var * prior_mean + prior_var * obs) / (prior_var + obs_var)
-    return post_mean, post_var
 
 
 def ding_posterior(
@@ -234,8 +204,9 @@ def ding_posterior(
     """
     idx = problem.mask.observed_idx
     u = alpha_s * problem.y[idx] + sigma_s * e[..., idx]
-    post_mean, post_var = conjugate_update(mean[..., idx], eta_s**2, u, (alpha_s * gamma) ** 2)
-    return post_mean, np.sqrt(post_var)
+    prior_var, obs_var = eta_s**2, (alpha_s * gamma) ** 2
+    post_mean = (obs_var * mean[..., idx] + prior_var * u) / (prior_var + obs_var)
+    return post_mean, np.sqrt(prior_var * obs_var / (prior_var + obs_var))
 
 
 def step_ding(
@@ -288,28 +259,6 @@ def step_ding(
 # ---------------------------------------------------------------------------
 
 
-def ddnm_transition(
-    x_t: np.ndarray,
-    xhat0: np.ndarray,
-    s: float,
-    t: float,
-    problem: InpaintingProblem,
-    sched: Schedule,
-    cfg: SamplerConfig,
-) -> TransitionParams:
-    """Transition with the denoised estimate hard-projected onto the data.
-
-    Mask-specialized range/null-space split: observed coordinates come
-    from y, unobserved from the denoiser, so a non-finite estimate on an
-    observed coordinate is replaced like any other.  Hyperparameter-free;
-    gamma never enters.
-    """
-    projected = np.array(xhat0, dtype=float)
-    idx = problem.mask.observed_idx
-    projected[..., idx] = problem.y[idx]
-    return transition_params(sched, cfg.eta, x_t, projected, s, t)
-
-
 def step_ddnm(
     x_t: np.ndarray,
     ev: Evaluation,
@@ -321,40 +270,22 @@ def step_ddnm(
     cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
-    return sample_transition(ddnm_transition(x_t, ev.xhat0, s, t, problem, sched, cfg), rng)
+    """Transition with the denoised estimate hard-projected onto the data.
+
+    Mask-specialized range/null-space split: observed coordinates come
+    from y, unobserved from the denoiser, so a non-finite estimate on an
+    observed coordinate is replaced like any other.  Hyperparameter-free;
+    gamma never enters.
+    """
+    projected = np.array(ev.xhat0, dtype=float)
+    idx = problem.mask.observed_idx
+    projected[..., idx] = problem.y[idx]
+    return sample_transition(transition_params(sched, cfg.eta, x_t, projected, s, t), rng)
 
 
 # ---------------------------------------------------------------------------
 # diffpir
 # ---------------------------------------------------------------------------
-
-
-def diffpir_transition(
-    x_t: np.ndarray,
-    xhat0: np.ndarray,
-    s: float,
-    t: float,
-    problem: InpaintingProblem,
-    sched: Schedule,
-    cfg: SamplerConfig,
-) -> TransitionParams:
-    """Transition with a data-proximal denoiser.
-
-    Observed coordinates are pulled toward y with weight 1/gamma^2 against
-    rho_t = lambda * alpha_t^2 / sigma_t^2; sigma_t = 0 is the
-    rho -> infinity limit where the pull vanishes.  Hyperparameters are
-    this laboratory's calibration, not taken from any reference setup.
-    """
-    alpha_t, sigma_t = eval_schedule(sched, t)
-    if sigma_t > 0:
-        rho_t = cfg.diffpir_lambda * alpha_t**2 / sigma_t**2
-        idx = problem.mask.observed_idx
-        pulled = np.array(xhat0, dtype=float)
-        pulled[..., idx] = (problem.y[idx] / cfg.gamma**2 + rho_t * pulled[..., idx]) / (
-            1.0 / cfg.gamma**2 + rho_t
-        )
-        xhat0 = pulled
-    return transition_params(sched, cfg.eta, x_t, xhat0, s, t)
 
 
 def step_diffpir(
@@ -368,8 +299,23 @@ def step_diffpir(
     cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
-    params = diffpir_transition(x_t, ev.xhat0, s, t, problem, sched, cfg)
-    return sample_transition(params, rng)
+    """Transition with a data-proximal denoiser.
+
+    Observed coordinates are pulled toward y with weight 1/gamma^2 against
+    rho_t = lambda * alpha_t^2 / sigma_t^2; sigma_t = 0 is the
+    rho -> infinity limit where the pull vanishes.  Hyperparameters are
+    this laboratory's calibration, not taken from any reference setup.
+    """
+    xhat0 = ev.xhat0
+    alpha_t, sigma_t = eval_schedule(sched, t)
+    if sigma_t > 0:
+        rho_t = cfg.diffpir_lambda * alpha_t**2 / sigma_t**2
+        idx = problem.mask.observed_idx
+        xhat0 = np.array(xhat0, dtype=float)
+        xhat0[..., idx] = (problem.y[idx] / cfg.gamma**2 + rho_t * xhat0[..., idx]) / (
+            1.0 / cfg.gamma**2 + rho_t
+        )
+    return sample_transition(transition_params(sched, cfg.eta, x_t, xhat0, s, t), rng)
 
 
 # ---------------------------------------------------------------------------

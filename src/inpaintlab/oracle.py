@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericError
 from .gmm import (
     _LOG_2PI,
     GaussianMixture,
@@ -56,7 +57,8 @@ def exact_posterior(problem: InpaintingProblem, prior: GaussianMixture) -> Gauss
     ``_condition_on_observed`` (Woodbury form) or, for diagonal
     covariances, coordinatewise (precision gains m/gamma^2), and reweighted
     by its evidence N(y_obs; mu_k_obs, Sigma_k_obs + gamma^2 I).  An empty
-    mask returns the prior itself.
+    mask returns the prior itself.  A gamma so small that rounding leaves a
+    posterior covariance not positive definite raises NumericError.
     """
     if problem.mask.observed_idx.size == 0:
         return prior
@@ -64,14 +66,21 @@ def exact_posterior(problem: InpaintingProblem, prior: GaussianMixture) -> Gauss
         m = problem.mask.m
         gamma2 = problem.gamma**2
         log_ev, _, _ = _observed_evidence(problem, prior.means, prior.covariance_matrices())
-        post_cov = 1.0 / (1.0 / prior.covariances + m / gamma2)
-        post_means = post_cov * (prior.means / prior.covariances + m * problem.y / gamma2)
+        with np.errstate(divide="ignore", invalid="ignore"):  # gamma2 may underflow to 0
+            post_cov = 1.0 / (1.0 / prior.covariances + m / gamma2)
+            post_means = post_cov * (prior.means / prior.covariances + m * problem.y / gamma2)
     else:
         log_ev, post_means, post_cov = _condition_on_observed(
             problem, prior.means, prior.covariances
         )
     weights = _reweight(np.log(prior.weights), log_ev)
-    return GaussianMixture(weights / weights.sum(), post_means, post_cov)
+    try:
+        return GaussianMixture(weights / weights.sum(), post_means, post_cov)
+    except ValueError:  # the prior passed these checks, so rounding failed them
+        spread = post_cov if prior.is_diagonal else np.linalg.eigvalsh(post_cov)
+        bad = np.count_nonzero(~np.all(spread > 0, axis=-1))
+        raise NumericError(f"exact posterior at gamma = {problem.gamma:g}: {bad} of "
+                           f"{prior.n_components} components lost variance to rounding") from None
 
 
 def _chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -206,7 +215,7 @@ def exact_posterior_denoiser(
         raise ValueError("posterior denoiser undefined at t = 1 (alpha = 0)")
     cond = component_posterior(prior, sched, x_t, t)
     if problem.mask.observed_idx.size == 0:
-        return cond.mean()
+        return cond.xhat0
     log_ev, post_means, _ = _condition_on_observed(
         problem, cond.component_means(), cond.covariance_matrices()
     )

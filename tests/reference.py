@@ -112,6 +112,26 @@ def sliced_w2_projected(xa, xb, dirs):
     return float(np.sqrt(np.mean(w2sq)))
 
 
+class DesignedNoise:
+    """A noise stream for ``n`` chains that serves ``value`` in every draw.
+
+    It stands in for a ``ChainStreams`` (``__len__`` is the chain count, so
+    the steps need (n, d) batches), and ``take`` returns a fresh array on
+    every call because the steps scale their draws in place.  At value 0
+    a step that samples one transition (dps, ddnm, diffpir) returns its
+    mean exactly; value 1 less value 0 gives its std.
+    """
+
+    def __init__(self, n, value=0.0):
+        self.n, self.value = n, value
+
+    def __len__(self):
+        return self.n
+
+    def take(self, shape):
+        return np.full(shape, self.value)
+
+
 def _noise(x, xhat0, alpha, sigma):
     """x1_hat = (x - alpha x0_hat) / sigma, 0 at sigma = 0."""
     if sigma == 0.0:

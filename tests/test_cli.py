@@ -264,6 +264,9 @@ def test_exit_code_config_error(tmp_path, capsys):
         pytest.param("cpsnr.peak", "inf", id="cpsnr.peak-inf"),
         pytest.param("method.ding.gamma", "nan", id="method.ding.gamma-nan"),
         pytest.param("zeta", "inf", id="zeta-inf"),
+        # overrides of methods the config does not list
+        pytest.param("method.dps.gamma", "-1", id="method.dps.gamma-unlisted"),
+        pytest.param("method.diffpir.eta", "5", id="method.diffpir.eta-unlisted"),
     ],
 )
 def test_metric_settings_rejected_before_sampling(tmp_path, capsys, key, value):
@@ -273,16 +276,18 @@ def test_metric_settings_rejected_before_sampling(tmp_path, capsys, key, value):
 
 
 def test_ding_at_eta_zero_rejected_before_sampling(tmp_path, capsys):
-    # at eta = 0 ding's step never reads the observation; ddnm's still does
+    # at eta = 0 ding's step never reads the observation; ddnm's still does,
+    # and a ding override is checked even when ding is not listed
     cfg = tmp_path / "exp.cfg"
     text = CFG.format(out=tmp_path / "out")
     zero = text.replace("eta        = 0.8", "eta        = 0")
-    for bad in (zero, text + "method.ding.eta = 0\n"):
+    ddnm_only = zero.replace("methods    = ding, ddnm", "methods    = ddnm")
+    for bad in (zero, text + "method.ding.eta = 0\n", ddnm_only + "method.ding.eta = 0\n"):
         cfg.write_text(bad)
         assert main(["run", "--config", str(cfg)]) == 2
         assert "ding" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-    cfg.write_text(zero.replace("methods    = ding, ddnm", "methods    = ddnm"))
+    cfg.write_text(ddnm_only)
     assert main(["run", "--config", str(cfg)]) == 0
 
 
@@ -313,6 +318,27 @@ def test_method_eta_override_reaches_every_transition(tmp_path, monkeypatch):
     assert seen == {"ddnm": {0.3}, **{m: {0.8} for m in ("blended", "dps", "ding", "diffpir")}}
     eta_col = {r[0]: r[2] for r in _read_rows(tmp_path / "out" / "results.csv")[1:]}
     assert eta_col == {"ddnm": "0.3", **{m: "0.8" for m in ("blended", "dps", "ding", "diffpir")}}
+
+
+@pytest.mark.parametrize("cov, gamma", [
+    ("1, 0.3, 0.3, 2", 1e-8),  # Woodbury leaves a covariance that is not positive definite
+    ("1, 1", 1e-170),  # gamma^2 underflows to 0 and the observed variance with it
+], ids=["full", "diagonal"])
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_exact_posterior_below_rounding_is_a_numeric_failure(tmp_path, capsys, command, cov,
+                                                             gamma):
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text()
+                   .replace("prior.component.0.cov    = 1, 1", f"prior.component.0.cov = {cov}")
+                   .replace("gamma      = 0.2", f"gamma = {gamma!r}"))
+    out_csv, samples = tmp_path / "post.csv", tmp_path / "post.dsmp"
+    files = ["--out", str(out_csv), "--samples", str(samples)] if command == "oracle" else []
+    assert main([command, "--config", str(cfg), *files]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"numeric failure: exact posterior at gamma = {gamma:g}: "
+        "2 of 2 components lost variance to rounding"
+    ]
+    assert not out_csv.exists() and not samples.exists() and not (tmp_path / "out").exists()
 
 
 def test_exit_code_io_error(tmp_path, capsys):

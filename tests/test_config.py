@@ -122,11 +122,17 @@ def test_unknown_prior_component_key_rejected(tmp_path, key):
                  id="lambda-overridden"),
     pytest.param("ding_nz = 0\nmethod.ding.ding_nz = 1\nmethod.ddnm.ding_nz = 1",
                  id="ding_nz-overridden"),
+    # an override meets its knob's rule whether its method is listed or not
+    "method.ding.eta = 0", "method.ddnm.eta = 5", "method.dps.eta = -0.5",
+    "method.dps.gamma = -1", "method.blended.gamma = 0", "method.dps.zeta = 0",
+    "method.diffpir.lambda = -2", "method.blended.ding_nz = 0",
 ])
 def test_run_time_values_checked_at_load(tmp_path, line):
     key = line.split("=")[0].strip()
     lines = [kept for kept in BASIC.splitlines() if kept.split("=")[0].strip() != key]
     want = "must lie in \\[0, 1\\]" if key == "eta" else "must be strictly positive"
+    if key.startswith("method."):  # SamplerConfig's rule, which names the knob
+        want = "(eta must|.* must be finite and strictly positive|ding_nz must be a positive)"
     with pytest.raises(ConfigError, match=f"{key}: {want}"):
         load_config(_write(tmp_path, "\n".join(lines) + "\n" + line + "\n"))
 

@@ -24,18 +24,17 @@ from inpaintlab import (
     run_unconditional,
     sample_transition,
     step_blended,
+    step_ddnm,
+    step_diffpir,
     step_ding,
+    step_dps,
     transition_params,
 )
 from inpaintlab import bridge, gmm, guidance
-from inpaintlab.guidance import (
-    chain_rngs,
-    conjugate_update,
-    ddnm_transition,
-    diffpir_transition,
-    ding_posterior,
-    dps_transition,
-)
+from inpaintlab.gmm import Evaluation
+from inpaintlab.guidance import chain_rngs, ding_posterior
+
+import reference
 
 LIN = Schedule("linear-flow")
 
@@ -67,6 +66,15 @@ def _cfg(method, **kw):
     defaults = dict(grid=make_grid(10), eta=0.8, gamma=0.2, seed=0, n_chains=2)
     defaults.update(kw)
     return SamplerConfig(method=method, **defaults)
+
+
+def _law(step, x_t, ev, s, t, problem, den, cfg):
+    """(mean, std) of a step's transition from the (n, d) batch x_t, read
+    from the shipped step: its output at zero noise, and at unit noise less
+    that."""
+    mean = step(x_t, ev, s, t, problem, LIN, den, cfg, reference.DesignedNoise(len(x_t), 0.0))
+    unit = step(x_t, ev, s, t, problem, LIN, den, cfg, reference.DesignedNoise(len(x_t), 1.0))
+    return mean, unit - mean
 
 
 def test_config_validation():
@@ -141,50 +149,51 @@ def test_blended_full_mask_reproduces_reference():
 
 def test_dps_flat_likelihood_reduces_to_unconditional(mixture_setup):
     _, den, problem = mixture_setup
-    x_t = np.array([0.4, -1.0])
+    x_t = np.array([[0.4, -1.0]])
     cfg = _cfg("dps", gamma=1e6)
     ev = den.evaluate(x_t, 0.6)
-    guided = dps_transition(x_t, ev, 0.3, 0.6, problem, LIN, den, cfg)
+    mean, std = _law(step_dps, x_t, ev, 0.3, 0.6, problem, den, cfg)
     plain = transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.3, 0.6)
-    assert np.max(np.abs(guided.mean - plain.mean)) <= 1e-6 * np.linalg.norm(plain.mean) + 1e-9
-    assert guided.std == plain.std
+    assert np.max(np.abs(mean - plain.mean)) <= 1e-6 * np.linalg.norm(plain.mean) + 1e-9
+    np.testing.assert_allclose(std, plain.std, rtol=1e-12)
 
 
 def test_dps_zero_residual_leaves_denoiser(gaussian_denoiser):
     # worked 1-d case: x_t=1, t=0.5, y=1: x0_hat=1, residual 0, correction 0
     problem = InpaintingProblem(MaskOperator([1]), np.array([1.0]), 1.0)
     cfg = _cfg("dps", gamma=1.0, dps_scale=1.0)
-    x_t = np.array([1.0])
+    x_t = np.array([[1.0]])
     ev = gaussian_denoiser.evaluate(x_t, 0.5)
-    guided = dps_transition(x_t, ev, 0.25, 0.5, problem, LIN, gaussian_denoiser, cfg)
+    mean, _ = _law(step_dps, x_t, ev, 0.25, 0.5, problem, gaussian_denoiser, cfg)
     plain = transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.25, 0.5)
-    np.testing.assert_allclose(guided.mean, plain.mean, atol=1e-14)
+    np.testing.assert_allclose(mean, plain.mean, atol=1e-14)
 
 
 def test_dps_correction_matches_closed_form(gaussian_denoiser):
     # J = 1, x0_hat = x/... : check x0' = x0_hat + zeta (sigma^2/alpha) J resid / gamma^2
     problem = InpaintingProblem(MaskOperator([1]), np.array([2.0]), 1.0)
     cfg = _cfg("dps", eta=0.0, gamma=1.0, dps_scale=0.5)
-    x_t = np.array([1.0])
+    x_t = np.array([[1.0]])
     s, t = 0.25, 0.5
-    guided = dps_transition(
-        x_t, gaussian_denoiser.evaluate(x_t, t), s, t, problem, LIN, gaussian_denoiser, cfg
-    )
+    mean, std = _law(step_dps, x_t, gaussian_denoiser.evaluate(x_t, t), s, t, problem,
+                     gaussian_denoiser, cfg)
     alpha_t, sigma_t = eval_schedule(LIN, t)
     xhat0 = 1.0  # alpha x/(alpha^2+sigma^2)
     corrected = xhat0 + 0.5 * (sigma_t**2 / alpha_t) * 1.0 * (2.0 - xhat0)
-    xhat1 = (x_t[0] - alpha_t * corrected) / sigma_t
+    xhat1 = (x_t[0, 0] - alpha_t * corrected) / sigma_t
     alpha_s, sigma_s = eval_schedule(LIN, s)
     beta_s = sigma_s * math.sqrt(1.0 - cfg.eta**2)
-    np.testing.assert_allclose(guided.mean, [alpha_s * corrected + beta_s * xhat1])
+    np.testing.assert_allclose(mean, [[alpha_s * corrected + beta_s * xhat1]])
+    np.testing.assert_array_equal(std, 0.0)  # eta = 0: no noise enters
 
 
 def test_dps_requires_jacobian(mixture_setup):
     _, _, problem = mixture_setup
     den = ZeroNoiseDenoiser()
+    x_t = np.zeros((1, 2))
     with pytest.raises(NotImplementedError):
-        dps_transition(np.zeros(2), den.evaluate(np.zeros(2), 0.5), 0.2, 0.5, problem, LIN, den,
-                       _cfg("dps"))
+        step_dps(x_t, den.evaluate(x_t, 0.5), 0.2, 0.5, problem, LIN, den, _cfg("dps"),
+                 reference.DesignedNoise(1))
 
 
 @pytest.mark.parametrize("prior", [
@@ -206,18 +215,18 @@ def test_dps_vjp_matches_the_jacobian_einsum(prior):
         alpha_t, sigma_t = eval_schedule(LIN, t)
         corrected = ev.xhat0 + cfg.dps_scale * (sigma_t**2 / alpha_t) * grad
         want = transition_params(LIN, cfg.eta, x_t, corrected, s, t)
-        got = dps_transition(x_t, ev, s, t, problem, LIN, den, cfg)
-        np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12, atol=1e-12)
-        assert got.std == want.std
+        mean, std = _law(step_dps, x_t, ev, s, t, problem, den, cfg)
+        np.testing.assert_allclose(mean, want.mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(std, want.std, rtol=1e-12)
 
 
 def test_dps_t1_uses_interior_scale(mixture_setup):
     # at t = 1 exactly, the sigma^2/alpha factor comes from the first interior knot
     _, den, problem = mixture_setup
     cfg = _cfg("dps")
-    x_t = np.array([0.2, 0.1])
-    out = dps_transition(x_t, den.evaluate(x_t, 1.0), 0.9, 1.0, problem, LIN, den, cfg)
-    assert np.all(np.isfinite(out.mean))
+    x_t = np.array([[0.2, 0.1]])
+    mean, _ = _law(step_dps, x_t, den.evaluate(x_t, 1.0), 0.9, 1.0, problem, den, cfg)
+    assert np.all(np.isfinite(mean))
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +234,9 @@ def test_dps_t1_uses_interior_scale(mixture_setup):
 # ---------------------------------------------------------------------------
 
 
-def test_conjugate_update_closed_form():
-    # u=0.5, prior var 0.25, obs var 0.0625: mean 0.4, var 0.05
-    mean, var = conjugate_update(np.array([0.0]), 0.25, np.array([0.5]), 0.0625)
-    np.testing.assert_allclose(mean, [0.4])
-    np.testing.assert_allclose(var, 0.05)
-
-
 def test_ding_posterior_worked_example():
+    # u = 0.5 * 1 + 0.5 * 0 = 0.5 against prior var 0.25, obs var
+    # (0.5 * 0.5)^2 = 0.0625: mean 0.4, var 0.05
     problem = InpaintingProblem(MaskOperator([1]), np.array([1.0]), 0.5)
     post_mean, post_std = ding_posterior(
         np.array([0.0]), 0.5, np.array([0.0]), problem, alpha_s=0.5, sigma_s=0.5, gamma=0.5
@@ -332,38 +336,39 @@ def test_ding_nz_averaging_runs(mixture_setup):
 
 def test_ddnm_projects_observed_coordinates(mixture_setup):
     _, den, problem = mixture_setup
-    x_t = np.array([0.7, 0.7])
+    x_t = np.array([[0.7, 0.7]])
     s, t = 0.25, 0.5
-    xhat0 = den.denoise(x_t, t)
-    params = ddnm_transition(x_t, xhat0, s, t, problem, LIN, _cfg("ddnm", eta=0.0))
+    ev = den.evaluate(x_t, t)
+    mean, std = _law(step_ddnm, x_t, ev, s, t, problem, den, _cfg("ddnm", eta=0.0))
     # reconstruct x0_hat' from the transition mean and check the observed entry
     alpha_t, sigma_t = eval_schedule(LIN, t)
     alpha_s, beta_s = eval_schedule(LIN, s)  # beta_s = sigma_s at eta = 0
-    projected = problem.mask.m * problem.y + (1 - problem.mask.m) * xhat0
+    projected = problem.mask.m * problem.y + (1 - problem.mask.m) * ev.xhat0
     xhat1 = (x_t - alpha_t * projected) / sigma_t
-    np.testing.assert_allclose(params.mean, alpha_s * projected + beta_s * xhat1)
-    assert projected[0] == problem.y[0]
+    np.testing.assert_allclose(mean, alpha_s * projected + beta_s * xhat1)
+    np.testing.assert_array_equal(std, 0.0)
+    assert projected[0, 0] == problem.y[0]
 
 
 def test_ddnm_empty_mask_is_unconditional(mixture_setup):
     _, den, _ = mixture_setup
     prob = InpaintingProblem(MaskOperator([0, 0]), np.zeros(2), 0.2)
     cfg = _cfg("ddnm")
-    x_t = np.array([0.3, -0.2])
-    xhat0 = den.denoise(x_t, 0.5)
-    got = ddnm_transition(x_t, xhat0, 0.2, 0.5, prob, LIN, cfg)
-    want = transition_params(LIN, cfg.eta, x_t, xhat0, 0.2, 0.5)
-    np.testing.assert_array_equal(got.mean, want.mean)
+    x_t = np.array([[0.3, -0.2]])
+    ev = den.evaluate(x_t, 0.5)
+    mean, _ = _law(step_ddnm, x_t, ev, 0.2, 0.5, prob, den, cfg)
+    want = transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.2, 0.5)
+    np.testing.assert_array_equal(mean, want.mean)
 
 
 def test_ddnm_ignores_gamma(mixture_setup):
     _, den, _ = mixture_setup
-    x_t = np.array([0.3, -0.2])
-    xhat0 = den.denoise(x_t, 0.5)
+    x_t = np.array([[0.3, -0.2]])
+    ev = den.evaluate(x_t, 0.5)
     outs = []
     for gamma in (0.01, 1.0, 100.0):
         prob = InpaintingProblem(MaskOperator([1, 0]), np.array([1.7, 0.0]), gamma)
-        outs.append(ddnm_transition(x_t, xhat0, 0.2, 0.5, prob, LIN, _cfg("ddnm")).mean)
+        outs.append(_law(step_ddnm, x_t, ev, 0.2, 0.5, prob, den, _cfg("ddnm"))[0])
     np.testing.assert_array_equal(outs[0], outs[1])
     np.testing.assert_array_equal(outs[1], outs[2])
 
@@ -377,45 +382,46 @@ def test_diffpir_proximal_worked_example():
     # y=2, x0_hat=0, gamma=1, rho_t=1 (lambda=1, t=0.5): pulled value 1.0
     problem = InpaintingProblem(MaskOperator([1]), np.array([2.0]), 1.0)
     cfg = _cfg("diffpir", eta=1.0, gamma=1.0, diffpir_lambda=1.0)
-    params = diffpir_transition(np.array([1.0]), np.array([0.0]), 0.25, 0.5, problem, LIN, cfg)
+    ev = Evaluation(0.5, np.array([[0.0]]))
+    mean, _ = _law(step_diffpir, np.array([[1.0]]), ev, 0.25, 0.5, problem, None, cfg)
     alpha_s, _ = eval_schedule(LIN, 0.25)
-    np.testing.assert_allclose(params.mean, [alpha_s * 1.0])
+    np.testing.assert_allclose(mean, [[alpha_s * 1.0]])
 
 
 def test_diffpir_infinite_lambda_keeps_denoiser(mixture_setup):
     _, den, problem = mixture_setup
-    x_t = np.array([0.4, -1.0])
+    x_t = np.array([[0.4, -1.0]])
     cfg = _cfg("diffpir", diffpir_lambda=1e12)
-    xhat0 = den.denoise(x_t, 0.6)
-    guided = diffpir_transition(x_t, xhat0, 0.3, 0.6, problem, LIN, cfg)
-    plain = transition_params(LIN, cfg.eta, x_t, xhat0, 0.3, 0.6)
-    np.testing.assert_allclose(guided.mean, plain.mean, atol=1e-9)
+    ev = den.evaluate(x_t, 0.6)
+    mean, _ = _law(step_diffpir, x_t, ev, 0.3, 0.6, problem, den, cfg)
+    plain = transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.3, 0.6)
+    np.testing.assert_allclose(mean, plain.mean, atol=1e-9)
 
 
 def test_diffpir_small_gamma_pins_observed(mixture_setup):
     _, den, problem = mixture_setup
-    x_t = np.array([0.4, -1.0])
+    x_t = np.array([[0.4, -1.0]])
     s, t = 0.3, 0.6
     cfg = _cfg("diffpir", eta=0.0, gamma=1e-6)
-    xhat0 = den.denoise(x_t, t)
-    guided = diffpir_transition(x_t, xhat0, s, t, problem, LIN, cfg)
+    ev = den.evaluate(x_t, t)
+    mean, _ = _law(step_diffpir, x_t, ev, s, t, problem, den, cfg)
     alpha_t, sigma_t = eval_schedule(LIN, t)
     alpha_s, beta_s = eval_schedule(LIN, s)  # beta_s = sigma_s at eta = 0
-    xhat0 = xhat0.copy()
-    xhat0[0] = problem.y[0]  # hard data pull on the observed coordinate
+    xhat0 = ev.xhat0.copy()
+    xhat0[0, 0] = problem.y[0]  # hard data pull on the observed coordinate
     xhat1 = (x_t - alpha_t * xhat0) / sigma_t
-    np.testing.assert_allclose(guided.mean, alpha_s * xhat0 + beta_s * xhat1, atol=1e-5)
+    np.testing.assert_allclose(mean, alpha_s * xhat0 + beta_s * xhat1, atol=1e-5)
 
 
 def test_diffpir_flat_likelihood_reduces_to_unconditional(mixture_setup):
     _, den, problem = mixture_setup
-    x_t = np.array([0.4, -1.0])
+    x_t = np.array([[0.4, -1.0]])
     cfg = _cfg("diffpir", gamma=1e6)
-    xhat0 = den.denoise(x_t, 0.6)
-    guided = diffpir_transition(x_t, xhat0, 0.3, 0.6, problem, LIN, cfg)
-    plain = transition_params(LIN, cfg.eta, x_t, xhat0, 0.3, 0.6)
-    assert np.max(np.abs(guided.mean - plain.mean)) <= 1e-6 * np.linalg.norm(plain.mean) + 1e-9
-    assert guided.std == plain.std
+    ev = den.evaluate(x_t, 0.6)
+    mean, std = _law(step_diffpir, x_t, ev, 0.3, 0.6, problem, den, cfg)
+    plain = transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.3, 0.6)
+    assert np.max(np.abs(mean - plain.mean)) <= 1e-6 * np.linalg.norm(plain.mean) + 1e-9
+    np.testing.assert_allclose(std, plain.std, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
