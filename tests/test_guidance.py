@@ -234,6 +234,24 @@ def test_dps_t1_uses_interior_scale(mixture_setup):
 # ---------------------------------------------------------------------------
 
 
+def test_conjugate_update_closed_form():
+    # the conjugate update in precision form, on several observed columns of
+    # a batch: 1/var = 1/prior_var + 1/obs_var, mean/var = m/prior_var + u/obs_var
+    rng = np.random.default_rng(3)
+    m = np.array([1, 0, 1, 1, 0])
+    problem = InpaintingProblem(MaskOperator(m), m * rng.normal(size=5), 0.5)
+    mean, e = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
+    eta_s, alpha_s, sigma_s, gamma = 0.3, 0.8, 0.6, 0.2
+    post_mean, post_std = ding_posterior(mean, eta_s, e, problem, alpha_s, sigma_s, gamma)
+    idx = problem.mask.observed_idx
+    u = alpha_s * problem.y[idx] + sigma_s * e[:, idx]
+    prior_var, obs_var = eta_s**2, (alpha_s * gamma) ** 2
+    post_var = 1.0 / (1.0 / prior_var + 1.0 / obs_var)
+    assert post_mean.shape == (2, 3)
+    np.testing.assert_allclose(post_std**2, post_var)
+    np.testing.assert_allclose(post_mean, post_var * (mean[:, idx] / prior_var + u / obs_var))
+
+
 def test_ding_posterior_worked_example():
     # u = 0.5 * 1 + 0.5 * 0 = 0.5 against prior var 0.25, obs var
     # (0.5 * 0.5)^2 = 0.0625: mean 0.4, var 0.05
