@@ -13,6 +13,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 config error (a ``ConfigError``, or argparse
 usage), 3 I/O error, 4 numeric failure; any other exception is a bug.
+A warning (an all-zero mask) is one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import csv
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -68,8 +70,14 @@ def _write_trajectories(path: Path, rows: np.ndarray) -> None:
 
 def _observe(cfg: ExperimentConfig, seed: int):
     """The problem observed through stream (seed, 0, 1), and the generator
-    (stream (seed, 0, 0)) and size of the oracle draw."""
-    problem = cfg.problem(rng=np.random.default_rng(np.random.SeedSequence((seed, 0, 1))))
+    (stream (seed, 0, 0)) and size of the oracle draw.  A warning the
+    observation raises (an all-zero mask) is printed as one ``warning:``
+    line on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        problem = cfg.problem(rng=np.random.default_rng(np.random.SeedSequence((seed, 0, 1))))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     oracle_rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
     return problem, oracle_rng, cfg.oracle_n or cfg.n_chains
 
@@ -164,7 +172,7 @@ def _cmd_oracle(args) -> int:
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         d = posterior.dim
-        cov_cols = (
+        cov_cols = (  # a diagonal posterior writes its d variances, not d*d entries
             [f"var_{i}" for i in range(d)]
             if posterior.is_diagonal
             else [f"cov_{i}_{j}" for i in range(d) for j in range(d)]

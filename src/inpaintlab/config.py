@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .gmm import GaussianMixture
-from .guidance import SamplerConfig
+from .guidance import METHODS, SamplerConfig
 from .io import read_pgm_mask, read_samples
 from .problem import InpaintingProblem, MaskOperator, make_observation
 from .schedule import Schedule, TimeGrid, make_grid
@@ -113,40 +113,62 @@ def _get_bool(pairs: dict[str, str], key: str, default: bool | None = None) -> b
     return _BOOL_WORDS[word]
 
 
-# the sampler knobs: config key -> (SamplerConfig field, reader); an unset
-# knob keeps the field's default
+def _checked(pairs: dict[str, str], key: str, read, rule: tuple, default=None):
+    """``read(pairs, key, default)``, where a value that ``key`` sets must pass
+    ``rule``, a (test, text) pair; the error names ``key`` and states the text."""
+    value = read(pairs, key)
+    if value is None:
+        return default
+    test, text = rule
+    if not test(value):
+        raise ConfigError(f"{key}: {text}, got {pairs[key]!r}")
+    return value
+
+
+_POSITIVE = (lambda v: v > 0, "must be strictly positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+
+# the sampler knobs: config key -> (SamplerConfig field, reader, rule); an
+# unset knob keeps the field's default
 _SAMPLER_KEYS = {
-    "eta": ("eta", _get_float),
-    "gamma": ("gamma", _get_float),
-    "zeta": ("dps_scale", _get_float),
-    "lambda": ("diffpir_lambda", _get_float),
-    "ding_nz": ("ding_nz", _get_int),
-    "final_replacement": ("final_replacement", _get_bool),
+    "eta": ("eta", _get_float, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
+    "gamma": ("gamma", _get_float, _POSITIVE),
+    "zeta": ("dps_scale", _get_float, _POSITIVE),
+    "lambda": ("diffpir_lambda", _get_float, _POSITIVE),
+    "ding_nz": ("ding_nz", _get_int, _POSITIVE),
+    "final_replacement": ("final_replacement", _get_bool, (lambda v: True, "")),
 }
 
 
 def _sampler_configs(
     pairs: dict[str, str], methods: list[str], grid: TimeGrid, seed: int, n_chains: int
 ) -> dict[str, SamplerConfig]:
-    """One SamplerConfig per method, each knob from ``method.<m>.<key>`` or else ``<key>``."""
-    for key in (key for key in pairs if key.startswith("method.")):  # m listed or not
-        _, m, knob = key.split(".")
-        name, read = _SAMPLER_KEYS[knob]
-        try:  # the override alone must meet its knob's rule, and m must be a method
-            SamplerConfig(m, grid, **{name: read(pairs, key)})
-        except ConfigError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
+    """One SamplerConfig per method, each knob from ``method.<m>.<key>`` or else ``<key>``.
+
+    Every knob key given must meet its knob's rule, whether or not a listed
+    method reads it, and an error names that key.
+    """
+    for key in pairs:
+        if key not in _SAMPLER_KEYS and not key.startswith("method."):
+            continue
+        m, knob = key.split(".")[1:] if key.startswith("method.") else (None, key)
+        if m is not None and m not in METHODS:
+            raise ConfigError(f"{key}: unknown method {m!r}; expected one of {METHODS}")
+        value = _checked(pairs, key, *_SAMPLER_KEYS[knob][1:])
+        # a global eta reaches ding when ding is listed and does not override it
+        if knob == "eta" and value == 0.0 and (
+            m == "ding" or m is None and "ding" in methods and "method.ding.eta" not in pairs
+        ):
+            raise ConfigError(f"{key}: must be > 0 for ding (at 0 it applies no guidance), "
+                              f"got {pairs[key]!r}")
     samplers = {}
     for m in methods:
         knobs = {}
-        for key, (name, read) in _SAMPLER_KEYS.items():
+        for key, (name, read, _) in _SAMPLER_KEYS.items():
             value = read(pairs, f"method.{m}.{key}", read(pairs, key))
             if value is not None:
                 knobs[name] = value
-        try:
-            samplers[m] = SamplerConfig(m, grid, seed=seed, n_chains=n_chains, **knobs)
-        except ConfigError as exc:
-            raise ConfigError(f"method {m}: {exc}") from None
+        samplers[m] = SamplerConfig(m, grid, seed=seed, n_chains=n_chains, **knobs)
     return samplers
 
 
@@ -311,18 +333,22 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not methods:
         raise ConfigError("methods list is empty")
     for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"methods: unknown method {m!r}; expected one of {METHODS}")
         if methods.count(m) > 1:
             raise ConfigError(f"methods: {m!r} is listed more than once")
 
-    n_chains = _get_int(pairs, "n_chains", 100)
-    seed = _get_int(pairs, "seed", 0)
-    cfg = ExperimentConfig(
+    n_chains = _checked(pairs, "n_chains", _get_int, (lambda v: v > 0, "must be a positive integer"),
+                        100)
+    seed = _checked(pairs, "seed", _get_int, _NON_NEGATIVE, 0)
+    return ExperimentConfig(
         prior=prior,
         sched=sched,
         grid=grid,
         samplers=_sampler_configs(pairs, methods, grid, seed, n_chains),
         mask=mask,
         x_star=x_star,
+        # gamma and eta, like every sampler knob, are checked by _sampler_configs
         gamma=_get_float(pairs, "gamma", SamplerConfig.gamma),
         eta=_get_float(pairs, "eta", SamplerConfig.eta),
         n_chains=n_chains,
@@ -330,23 +356,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         # inputs resolve against the config file; outputs against the cwd
         out_dir=Path(pairs.get("out_dir", "results")),
         noisy_observation=_get_bool(pairs, "observation.noisy", False),
-        sw2_projections=_get_int(pairs, "sw2.projections", 128),
-        sw2_seed=_get_int(pairs, "sw2.seed", seed),
-        cpsnr_peak=_get_float(pairs, "cpsnr.peak", 1.0),
+        # these are read only once sampling has started, so they are checked here
+        sw2_projections=_checked(pairs, "sw2.projections", _get_int, _POSITIVE, 128),
+        sw2_seed=_checked(pairs, "sw2.seed", _get_int, _NON_NEGATIVE, seed),
+        cpsnr_peak=_checked(pairs, "cpsnr.peak", _get_float, _POSITIVE, 1.0),
         record_trajectories=_get_bool(pairs, "trajectories", False),
-        oracle_n=_get_int(pairs, "oracle.n"),
+        oracle_n=_checked(pairs, "oracle.n", _get_int, _POSITIVE),
     )
-    # these are read only once sampling has started, and a global sampler
-    # knob that every listed method overrides reaches no SamplerConfig, so
-    # they are checked here
-    for key, value in (("sw2.projections", cfg.sw2_projections), ("cpsnr.peak", cfg.cpsnr_peak),
-                       ("oracle.n", cfg.oracle_n), ("gamma", cfg.gamma),
-                       ("zeta", _get_float(pairs, "zeta")), ("lambda", _get_float(pairs, "lambda")),
-                       ("ding_nz", _get_int(pairs, "ding_nz"))):
-        if value is not None and not value > 0:
-            raise ConfigError(f"{key}: must be strictly positive, got {pairs[key]!r}")
-    if not 0.0 <= cfg.eta <= 1.0:
-        raise ConfigError(f"eta: must lie in [0, 1], got {pairs['eta']!r}")
-    if cfg.sw2_seed < 0:  # seed itself is checked by SamplerConfig
-        raise ConfigError(f"sw2.seed: must be non-negative, got {pairs['sw2.seed']!r}")
-    return cfg

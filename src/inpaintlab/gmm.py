@@ -29,7 +29,8 @@ per component,
 and the denoiser is the responsibility-weighted average of the m_k.
 All component matrices of component k share the eigenbasis V_k of
 Sigma_k, cached at construction, so A_k, C0_k and C_k^{-1} are diagonal in
-it, with eigenvalues slope_k, cov_evals_k and 1 / c_k.
+it, with eigenvalues alpha * lam_k / c_k, cov_evals_k and 1 / c_k, where
+lam_k are the eigenvalues of Sigma_k.
 
 Per-component arrays are component-major.  For points x of shape
 (..., d), the whitened offsets, conditional means and scores are
@@ -57,13 +58,13 @@ the means (``ConditionalMixture.component_means``) and the scores are
 formed again when the product with a vector or the oracle asks.  A
 ``GMMDenoiser`` passes the one scratch it owns for these (K, ..., d)
 products and the rows [x, 1], so its steps allocate neither once the
-scratch has grown to the point count.  A diagonal prior runs the same
-GEMMs against an identity basis, which is exact for finite points.  The
-sums over K stay in ``einsum`` rather than one long-inner BLAS product,
-whose rows would depend on the batch size: row j of every result depends
-on row j of x alone, so a smaller batch is a prefix of a larger one.
-Responsibilities are computed in the log domain (component likelihoods
-underflow at small sigma_t).
+scratch has grown to the point count.  A diagonal prior carries the
+identity as its basis V_k and runs the same GEMMs, which are exact
+against it for finite points.  The sums over K stay in ``einsum`` rather
+than one long-inner BLAS product, whose rows would depend on the batch
+size: row j of every result depends on row j of x alone, so a smaller
+batch is a prefix of a larger one.  Responsibilities are computed in the
+log domain (component likelihoods underflow at small sigma_t).
 
 Points may be passed as a single vector ``(d,)`` or as a batch ``(..., d)``;
 outputs follow the input shape.
@@ -125,8 +126,8 @@ class GaussianMixture:
 
     ``covariances`` is either ``(K, d)`` (the diagonals) or ``(K, d, d)``
     (full symmetric positive-definite matrices).  The eigendecomposition
-    of each full covariance is cached once here; the diagonal layout keeps
-    an identity eigenbasis and is the fast path.
+    of each full covariance is cached once here; the diagonal layout
+    carries a read-only identity eigenbasis, a broadcast view with no copy.
     """
 
     weights: np.ndarray
@@ -154,7 +155,7 @@ class GaussianMixture:
         if cov.shape == (k, d):
             if np.any(cov <= 0):
                 raise ValueError("diagonal covariances must be strictly positive")
-            evals, evecs = cov, None
+            evals, evecs = cov, np.broadcast_to(np.eye(d), (k, d, d))
         elif cov.shape == (k, d, d):
             if np.max(np.abs(cov - np.swapaxes(cov, -1, -2))) > 1e-12:
                 raise ValueError("covariances must be symmetric within 1e-12")
@@ -178,12 +179,12 @@ class GaussianMixture:
 
     @property
     def is_diagonal(self) -> bool:
-        return self._evecs is None
+        return self.covariances.ndim == 2
 
     def covariance_matrices(self) -> np.ndarray:
         """Component covariances as full (K, d, d) matrices."""
         if self.is_diagonal:
-            return _matrices(self.covariances, None)
+            return _matrices(self._evals, self._evecs)
         return self.covariances
 
     def mean(self) -> np.ndarray:
@@ -216,13 +217,13 @@ class GaussianMixture:
         idx = rng.choice(self.n_components, size=n, p=self.weights)
         eps = rng.standard_normal((n, self.dim))
         scaled = np.sqrt(self._evals[idx]) * eps
-        if self.is_diagonal:
+        if self.is_diagonal:  # through the basis would gather an (n, d, d) array
             return self.means[idx] + scaled
         return self.means[idx] + np.einsum("nde,ne->nd", self._evecs[idx], scaled)
 
 
 # ---------------------------------------------------------------------------
-# component-major helpers: evecs is None for the diagonal layout (identity basis)
+# component-major helpers: evecs is the (K, d, d) basis, the identity for a diagonal prior
 # ---------------------------------------------------------------------------
 
 
@@ -251,11 +252,9 @@ def _apply(mats: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np
     return out
 
 
-def _matrices(evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
+def _matrices(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
     """V_k diag(evals_k) V_k^T for each component k, as (K, d, d) matrices:
-    one batched GEMM for full covariances."""
-    if evecs is None:
-        return np.einsum("kd,de->kde", evals, np.eye(evals.shape[-1]))
+    one batched GEMM."""
     return (evecs * evals[:, None, :]) @ np.swapaxes(evecs, -1, -2)
 
 
@@ -275,15 +274,12 @@ def _affine_maps(mats: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.concatenate([mats, -(centers[:, None, :] @ mats)], axis=1)
 
 
-def _whitening(centers: np.ndarray, evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
-    """Maps of [x, 1] to the whitened offsets evals_k^{-1/2} V_k^T (x - centers_k);
-    a diagonal prior (``evecs`` None) takes the identity basis."""
-    d = evals.shape[-1]
-    basis = np.broadcast_to(np.eye(d), evals.shape + (d,)) if evecs is None else evecs
-    return _affine_maps(basis / np.sqrt(evals)[:, None, :], centers)
+def _whitening(centers: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """Maps of [x, 1] to the whitened offsets evals_k^{-1/2} V_k^T (x - centers_k)."""
+    return _affine_maps(evecs / np.sqrt(evals)[:, None, :], centers)
 
 
-def _score_maps(centers: np.ndarray, evals: np.ndarray, evecs: np.ndarray | None) -> np.ndarray:
+def _score_maps(centers: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
     """Maps of [x, 1] to the gradient -Sigma_k^{-1} (x - centers_k) of
     log N(x; centers_k, Sigma_k), Sigma_k = V_k diag(evals_k) V_k^T."""
     return _affine_maps(_matrices(-1.0 / evals, evecs), centers)
@@ -293,7 +289,7 @@ def _component_logpdf(
     x: np.ndarray,
     centers: np.ndarray,
     evals: np.ndarray,
-    evecs: np.ndarray | None,
+    evecs: np.ndarray,
 ) -> np.ndarray:
     """log N(x; centers_k, V_k diag(evals_k) V_k^T) for each component k, (K, ...)."""
     return _whitened_logpdf(_apply(_whitening(centers, evals, evecs), _augmented(x)), evals)
@@ -314,19 +310,18 @@ class ConditionalMixture:
     ``exp(log_resp[k])`` with ``log_resp`` of shape (K, ...), mean m_k(x)
     and covariance V_k diag(cov_evals[k]) V_k^T; ``xhat0`` = sum_k r_k m_k
     is the denoiser output, shaped like x.  ``cov_evals`` is (K, d) and
-    depends on t only, not on x; ``cov_evecs`` is the (K, d, d) basis V, or
-    None for a diagonal prior.
+    depends on t only, not on x; ``cov_evecs`` is the (K, d, d) basis V,
+    the identity for a diagonal prior.
 
     No (K, ..., d) array is kept.  ``component_means`` forms the m_k from
-    the points ``x`` and the (K, d+1, d) maps ``mean_maps`` of [x, 1];
-    ``vjp`` and the scores need ``centers[k]`` = alpha * mu_k, ``c[k]``, the
-    eigenvalues of C_k, and ``slope[k]``, those of the slope
-    A_k = alpha * Sigma_k C_k^{-1} of m_k in x, all three (K, d).  ``x`` is
-    the caller's array, not a copy: it must stay unchanged while the
-    conditional is in use.  The ``scratch`` that ``vjp`` and
-    ``component_posterior`` take is a pair of buffers that they overwrite,
-    (K, ..., d) for the products and (1, ..., d+1) for [x, 1]; (None, None)
-    allocates both.
+    the points ``x`` and the (K, d+1, d) maps ``mean_maps`` of [x, 1],
+    whose first d rows are the slopes A_k = alpha * Sigma_k C_k^{-1} of m_k
+    in x.  ``vjp`` and the scores also need ``centers[k]`` = alpha * mu_k
+    and ``c[k]``, the eigenvalues of C_k, both (K, d).  ``x`` is the
+    caller's array, not a copy: it must stay unchanged while the conditional
+    is in use.  The ``scratch`` that ``vjp`` and ``component_posterior``
+    take is a pair of buffers that they overwrite, (K, ..., d) for the
+    products and (1, ..., d+1) for [x, 1]; (None, None) allocates both.
     """
 
     log_resp: np.ndarray
@@ -334,10 +329,9 @@ class ConditionalMixture:
     x: np.ndarray
     mean_maps: np.ndarray
     cov_evals: np.ndarray
-    cov_evecs: np.ndarray | None
+    cov_evecs: np.ndarray
     centers: np.ndarray
     c: np.ndarray
-    slope: np.ndarray
 
     @property
     def resp(self) -> np.ndarray:
@@ -345,10 +339,6 @@ class ConditionalMixture:
 
     def covariance_matrices(self) -> np.ndarray:
         return _matrices(self.cov_evals, self.cov_evecs)
-
-    def slope_matrices(self) -> np.ndarray:
-        """The slopes A_k as (K, d, d) symmetric matrices."""
-        return _matrices(self.slope, self.cov_evecs)
 
     def component_means(self) -> np.ndarray:
         """m_k = A_k x + (mu_k - alpha * A_k mu_k), (K, ..., d): one GEMM per
@@ -369,10 +359,11 @@ class ConditionalMixture:
         """J^T v for the Jacobian J of ``xhat0`` and v shaped like x.
 
         J^T v = sum_k r_k A_k v + sum_k r_k (m_k.v - sum_j r_j m_j.v) g_k,
-        since A_k is symmetric.  The means, the slope products and the
-        scores are one GEMM per component each, formed one after the other
-        in one (K, ..., d) buffer from one copy of [x, 1] (the ``scratch``
-        pair when given), and no (..., d, d) array is made.
+        since A_k is symmetric, read from the first d rows of ``mean_maps``.
+        The means, the slope products and the scores are one GEMM per
+        component each, formed one after the other in one (K, ..., d)
+        buffer from one copy of [x, 1] (the ``scratch`` pair when given),
+        and no (..., d, d) array is made.
         """
         prods, rows = scratch
         xa = _augmented(self.x, rows)
@@ -380,7 +371,7 @@ class ConditionalMixture:
         means = _apply(self.mean_maps, xa, prods)
         coef = np.einsum("k...d,...d->k...", means, v)
         coef -= np.sum(resp * coef, axis=0)
-        prod = _apply(self.slope_matrices(), v[None], out=means)
+        prod = _apply(self.mean_maps[:, :-1], v[None], out=means)
         jtv = _weighted_sum(resp, prod)
         scores = _apply(_score_maps(self.centers, self.c, self.cov_evecs), xa, out=prod)
         jtv += _weighted_sum(resp * coef, scores)
@@ -427,7 +418,7 @@ def component_posterior(
     maps[:, -1] += prior.means
     xhat0 = _weighted_sum(np.exp(log_resp), _apply(maps, xa, out=u))
     cov_evals = sigma**2 * lam / c
-    return ConditionalMixture(log_resp, xhat0, x, maps, cov_evals, evecs, centers, c, slope)
+    return ConditionalMixture(log_resp, xhat0, x, maps, cov_evals, evecs, centers, c)
 
 
 def gmm_marginal(prior: GaussianMixture, sched: Schedule, t: float) -> GaussianMixture:

@@ -62,7 +62,7 @@ def exact_posterior(problem: InpaintingProblem, prior: GaussianMixture) -> Gauss
     """
     if problem.mask.observed_idx.size == 0:
         return prior
-    if prior.is_diagonal:
+    if prior.is_diagonal:  # Woodbury's C - C^2 / (C + gamma^2) cancels at small gamma
         m = problem.mask.m
         gamma2 = problem.gamma**2
         log_ev, _, _ = _observed_evidence(problem, prior.means, prior.covariance_matrices())
@@ -187,10 +187,11 @@ def exact_guidance_grad(
     means = cond.component_means()
     log_ev, _, solved = _observed_evidence(problem, means, cond.covariance_matrices())
 
-    # gradient of each component's evidence: A_k^T lifted residual
+    # gradient of each component's evidence: A_k^T lifted residual, with
+    # the symmetric slope A_k read from the first d rows of the mean map
     lifted = np.zeros(means.shape)
     lifted[..., obs] = solved
-    ev_grad = _apply(cond.slope_matrices(), lifted)
+    ev_grad = _apply(cond.mean_maps[:, :-1], lifted)
 
     total = cond.centred_scores() + ev_grad
     return _weighted_sum(_reweight(cond.log_resp, log_ev), total)

@@ -341,6 +341,47 @@ def test_exact_posterior_below_rounding_is_a_numeric_failure(tmp_path, capsys, c
     assert not out_csv.exists() and not samples.exists() and not (tmp_path / "out").exists()
 
 
+def _quickstart(tmp_path, **values):
+    """configs/quickstart.cfg with the given keys set (dots written as __)
+    and the output under tmp_path."""
+    from pathlib import Path
+
+    values = {key.replace("__", "."): value for key, value in values.items()}
+    values["out_dir"] = str(tmp_path / "out")
+    text = (Path(__file__).resolve().parent.parent / "configs" / "quickstart.cfg").read_text()
+    keep = [line for line in text.splitlines() if line.split("=")[0].strip() not in values]
+    cfg = tmp_path / "quickstart.cfg"
+    cfg.write_text("\n".join(keep + [f"{key} = {value}" for key, value in values.items()]) + "\n")
+    return cfg
+
+
+@pytest.mark.parametrize("key, values", [
+    ("method.diffpir.lambda", {"method__diffpir__lambda": "-1"}),
+    ("zeta", {"zeta": "-1", "methods": "ding, ddnm"}),
+    ("n_chains", {"n_chains": "0"}),
+    ("seed", {"seed": "-3"}),
+    ("eta", {"eta": "0"}),
+])
+def test_config_error_starts_with_the_key_that_set_the_value(tmp_path, capsys, key, values):
+    assert main(["run", "--config", str(_quickstart(tmp_path, **values))]) == 2
+    line = _one_config_error(capsys)
+    assert line.startswith(f"config error: {key}: "), line
+    assert "dps_scale" not in line and "diffpir_lambda" not in line
+    assert not (tmp_path / "out").exists()
+
+
+def test_all_zero_mask_prints_one_warning_line(tmp_path):
+    # the library's UserWarning reaches the user as one line, not a traceback-style warning
+    cfg = _quickstart(tmp_path, mask__inline="0, 0", n_chains="20", grid__k="5")
+    for args in (["run"], ["oracle", "--out", str(tmp_path / "post.csv")]):
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "inpaintlab.cli", *args, "--config", str(cfg)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "warning: all-zero mask: posterior equals the prior\n"
+
+
 def test_exit_code_io_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 3
 

@@ -81,7 +81,7 @@ def test_method_overrides(tmp_path):
 def test_sampler_key_table_names_every_knob():
     knobs = {f.name for f in dataclasses.fields(SamplerConfig)}
     knobs -= {"method", "grid", "seed", "n_chains"}
-    assert sorted(name for name, _ in _SAMPLER_KEYS.values()) == sorted(knobs)
+    assert sorted(name for name, *_ in _SAMPLER_KEYS.values()) == sorted(knobs)
 
 
 def test_unset_knobs_keep_sampler_defaults(tmp_path):
@@ -130,11 +130,37 @@ def test_unknown_prior_component_key_rejected(tmp_path, key):
 def test_run_time_values_checked_at_load(tmp_path, line):
     key = line.split("=")[0].strip()
     lines = [kept for kept in BASIC.splitlines() if kept.split("=")[0].strip() != key]
-    want = "must lie in \\[0, 1\\]" if key == "eta" else "must be strictly positive"
-    if key.startswith("method."):  # SamplerConfig's rule, which names the knob
-        want = "(eta must|.* must be finite and strictly positive|ding_nz must be a positive)"
-    with pytest.raises(ConfigError, match=f"{key}: {want}"):
+    want = "must lie in \\[0, 1\\]" if key.split(".")[-1] == "eta" else "must be strictly positive"
+    if key == "method.ding.eta":  # within [0, 1], but ding's own rule
+        want = "must be > 0 for ding"
+    with pytest.raises(ConfigError, match=f"^{key}: {want}"):
         load_config(_write(tmp_path, "\n".join(lines) + "\n" + line + "\n"))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("method.diffpir.lambda = -1", "method.diffpir.lambda: must be strictly positive, got '-1'"),
+    ("method.dps.zeta = 0", "method.dps.zeta: must be strictly positive, got '0'"),
+    # ding reads no zeta, and the error names the key, not a method or a field
+    ("zeta = -1", "zeta: must be strictly positive, got '-1'"),
+    ("n_chains = 0", "n_chains: must be a positive integer, got '0'"),
+    ("seed = -3", "seed: must be non-negative, got '-3'"),
+    ("eta = 0", "eta: must be > 0 for ding (at 0 it applies no guidance), got '0'"),
+])
+def test_value_errors_name_the_key_that_set_the_value(tmp_path, line, message):
+    key = line.split("=")[0].strip()
+    lines = [kept for kept in BASIC.splitlines() if kept.split("=")[0].strip() != key]
+    with pytest.raises(ConfigError) as info:
+        load_config(_write(tmp_path, "\n".join(lines) + "\n" + line + "\n"))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("extra", ["method.ding.eta = 0.5", "methods = ddnm"])
+def test_global_eta_zero_accepted_where_ding_does_not_read_it(tmp_path, extra):
+    lines = [kept for kept in BASIC.splitlines() if not kept.startswith(("eta", "methods"))]
+    if not extra.startswith("methods"):
+        lines.append("methods = ding, ddnm")
+    cfg = load_config(_write(tmp_path, "\n".join(lines + ["eta = 0", extra]) + "\n"))
+    assert cfg.sampler_config("ddnm").eta == 0.0
 
 
 def test_run_time_values_loaded(tmp_path):

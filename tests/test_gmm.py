@@ -386,18 +386,15 @@ def test_component_posterior_keeps_its_rounding_order(fixture, request):
     # component_posterior rounds exactly like the out-of-place expressions
     # below, one GEMM per component from the augmented points [x, 1] for the
     # whitened offsets, the means and the scores, so the samples of every
-    # method stay put; a diagonal prior takes the identity basis
+    # method stay put; a diagonal prior carries the identity basis
     from inpaintlab.gmm import component_posterior, logsumexp
 
     prior = request.getfixturevalue(fixture)
-    k, d = prior.means.shape
-    evecs = prior._evecs
-    basis = np.tile(np.eye(d), (k, 1, 1)) if evecs is None else evecs
+    d = prior.dim
+    basis = prior._evecs
 
     def matrices(evals):  # V_k diag(evals_k) V_k^T, one batched GEMM
-        if evecs is None:
-            return evals[:, :, None] * np.eye(d)
-        return (evecs * evals[:, None, :]) @ np.swapaxes(evecs, -1, -2)
+        return (basis * evals[:, None, :]) @ np.swapaxes(basis, -1, -2)
 
     x = np.random.default_rng(7).standard_normal((33, d)) * 2.0
     xa = np.concatenate([x, np.ones((33, 1))], axis=1)
@@ -421,6 +418,44 @@ def test_component_posterior_keeps_its_rounding_order(fixture, request):
         assert cond.component_means().tobytes() == means.tobytes()
         assert cond.xhat0.tobytes() == np.einsum("kn,knd->nd", np.exp(log_resp), means).tobytes()
         assert cond.scores().tobytes() == scores.tobytes()
+
+
+def test_diagonal_prior_carries_a_read_only_identity_basis(three_comp_diag):
+    # the identity stack is a broadcast view of one d x d identity, not a
+    # (K, d, d) copy, and the conditional passes the same view on
+    from inpaintlab.gmm import component_posterior
+
+    prior = three_comp_diag
+    k, d = prior.means.shape
+    cond = component_posterior(prior, LIN, np.zeros(d), 0.5)
+    for evecs in (prior._evecs, cond.cov_evecs):
+        assert evecs.shape == (k, d, d)
+        np.testing.assert_array_equal(evecs, np.broadcast_to(np.eye(d), (k, d, d)))
+        assert not evecs.flags.writeable
+        assert evecs.strides[0] == 0
+        assert evecs.base.size == d * d
+
+
+def test_diagonal_prior_matches_its_full_matrix_form_bit_for_bit(three_comp_diag):
+    # the same prior written as full diagonal matrices takes eigh's basis,
+    # which for ascending distinct variances is the identity itself, so the
+    # two layouts run the same GEMMs on the same numbers
+    diag = GaussianMixture(
+        three_comp_diag.weights,
+        three_comp_diag.means,
+        np.sort(three_comp_diag.covariances, axis=-1) + [0.0, 1e-3, 2e-3, 3e-3],
+    )
+    full = GaussianMixture(diag.weights, diag.means, [np.diag(c) for c in diag.covariances])
+    k, d = diag.means.shape
+    assert full._evecs.tobytes() == np.tile(np.eye(d), (k, 1, 1)).tobytes()
+    assert full._evals.tobytes() == diag._evals.tobytes()
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((40, d)) * 2.0
+    v = rng.standard_normal((40, d))
+    for t in (0.2, 0.5, 0.9):
+        evs = [GMMDenoiser(prior, LIN).evaluate(x, t) for prior in (diag, full)]
+        assert evs[0].xhat0.tobytes() == evs[1].xhat0.tobytes()
+        assert evs[0].state.vjp(v).tobytes() == evs[1].state.vjp(v).tobytes()
 
 
 def test_batched_matrices_round_like_the_einsum_to_a_few_ulp(monkeypatch):
