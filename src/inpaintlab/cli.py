@@ -5,7 +5,8 @@ Subcommands:
 - ``run``: execute every method in a config file against the exact
   posterior, writing one CSV row per method plus ``.dsmp`` sample files
   and, with ``trajectories = on``, one ``.dsmp`` trajectory matrix per
-  method (times are the grid knots from 1 down to 0, not stored).
+  method, streamed knot by knot as the chains run (times are the grid
+  knots from 1 down to 0, not stored).
 - ``oracle``: dump the posterior mixture parameters (and optionally
   samples) for a config.
 - ``masklift``: lift a pixel mask to a latent grid and report leakage.
@@ -31,9 +32,11 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericError
-from .gmm import GMMDenoiser
-from .guidance import run_conditional
+from .gmm import Denoiser, GMMDenoiser
+from .guidance import SamplerConfig, run_conditional
 from .io import (
+    DSMP_LIMIT,
+    dsmp_header,
     read_dmsk,
     read_pgm_mask,
     read_samples,
@@ -44,7 +47,8 @@ from .io import (
 from .masklift import PixelMask, leakage_report, lift_mask
 from .metrics import cpsnr, sliced_w2
 from .oracle import exact_posterior
-from .problem import MaskOperator
+from .problem import InpaintingProblem, MaskOperator
+from .schedule import Schedule
 
 
 class ResultRow(NamedTuple):
@@ -61,11 +65,32 @@ class ResultRow(NamedTuple):
     n_chains: int
 
 
-def _write_trajectories(path: Path, rows: np.ndarray) -> None:
-    """The (K+1, n, 2d) trajectory of ``run_conditional`` as one
-    ``((K+1)*n, 2d)`` sample matrix, step-major: row ``k*n + j`` is chain j
-    at the k-th knot from t = 1, its ``x`` then its ``xhat0``."""
-    write_samples(path, rows.reshape(-1, rows.shape[-1]))
+def _write_trajectories(
+    path: Path,
+    problem: InpaintingProblem,
+    denoiser: Denoiser,
+    sched: Schedule,
+    scfg: SamplerConfig,
+) -> np.ndarray:
+    """Run ``run_conditional`` with the trajectory streamed to ``path`` as
+    one ``((K+1)*n, 2d)`` sample matrix, step-major: row ``k*n + j`` is
+    chain j at the k-th knot from t = 1, its ``x`` then its ``xhat0``.
+    Each knot's block is written as the chain reaches it; returns the
+    (n, d) samples.  If the run raises, the partly written file is
+    deleted."""
+    header = dsmp_header((scfg.grid.num_steps + 1) * scfg.n_chains, 2 * problem.mask.dim)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header)
+            # each block is a C-contiguous (n, 2d) buffer; astype copies it
+            # only where float64 is not little-endian
+            return run_conditional(
+                problem, denoiser, sched, scfg,
+                record=lambda block: fh.write(block.astype("<f8", copy=False)),
+            )
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _observe(cfg: ExperimentConfig, seed: int):
@@ -88,11 +113,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     Writes ``results.csv`` (flushed row by row so partial results survive
     a failure), ``<method>_<seed>.dsmp`` per method from the (n, d) array
     ``run_conditional`` returns (plus ``<method>_<seed>_trajectories.dsmp``
-    when recording, its (K+1, n, 2d) record as a reshaped view), and
-    ``oracle_<seed>.dsmp``.  Deterministic given the master seed except
-    for the runtime column.  A method that fails numerically gets no row
-    and no files; the others still run, and one ``NumericError`` naming
-    every failed method is raised after the last.
+    when recording, streamed by ``_write_trajectories`` as the chains run,
+    so the runtime column includes writing it), and ``oracle_<seed>.dsmp``.
+    Deterministic given the master seed except for the runtime column.  A
+    method that fails numerically gets no row and no files; the others
+    still run, and one ``NumericError`` naming every failed method is
+    raised after the last.
     """
     problem, oracle_rng, oracle_n = _observe(cfg, cfg.seed)
     denoiser = GMMDenoiser(cfg.prior, cfg.sched)
@@ -110,9 +136,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         for method, scfg in cfg.samplers.items():
             start = time.perf_counter()
             try:
-                samples, trajectory = run_conditional(
-                    problem, denoiser, cfg.sched, scfg, record_trajectories=cfg.record_trajectories
-                )
+                if cfg.record_trajectories:
+                    samples = _write_trajectories(
+                        cfg.out_dir / f"{method}_{cfg.seed}_trajectories.dsmp",
+                        problem, denoiser, cfg.sched, scfg,
+                    )
+                else:
+                    samples = run_conditional(problem, denoiser, cfg.sched, scfg)
             except NumericError as exc:
                 failures.append(str(exc))
                 continue
@@ -136,10 +166,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             writer.writerow(row)
             fh.flush()
             write_samples(cfg.out_dir / f"{method}_{cfg.seed}.dsmp", samples)
-            if trajectory is not None:
-                _write_trajectories(
-                    cfg.out_dir / f"{method}_{cfg.seed}_trajectories.dsmp", trajectory
-                )
     if failures:
         raise NumericError("; ".join(failures))
     return rows
@@ -162,6 +188,8 @@ def _cmd_run(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.n is not None and args.n < 1:
         raise ConfigError(f"--n must be positive, got {args.n}")
+    if args.n is not None and args.n >= DSMP_LIMIT:
+        raise ConfigError(f"--n must be below 2**32, the rows a .dsmp file holds, got {args.n}")
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     cfg = load_config(args.config)

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ConfigError
 from .gmm import GaussianMixture
 from .guidance import METHODS, SamplerConfig
-from .io import read_pgm_mask, read_samples
+from .io import DSMP_LIMIT, read_pgm_mask, read_samples
 from .problem import InpaintingProblem, MaskOperator, make_observation
 from .schedule import Schedule, TimeGrid, make_grid
 
@@ -341,6 +341,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
     n_chains = _checked(pairs, "n_chains", _get_int, (lambda v: v > 0, "must be a positive integer"),
                         100)
     seed = _checked(pairs, "seed", _get_int, _NON_NEGATIVE, 0)
+    oracle_n = _checked(pairs, "oracle.n", _get_int, _POSITIVE)
+    record_trajectories = _get_bool(pairs, "trajectories", False)
+    # a .dsmp header stores its row count as uint32
+    for key in ("n_chains", "oracle.n"):
+        if _get_int(pairs, key, 0) >= DSMP_LIMIT:
+            raise ConfigError(f"{key}: must be below 2**32, the rows a .dsmp file holds, "
+                              f"got {pairs[key]!r}")
+    traj_rows = (grid.num_steps + 1) * n_chains
+    if record_trajectories and traj_rows >= DSMP_LIMIT:
+        raise ConfigError(f"trajectories: (grid.k + 1) * n_chains = {traj_rows} must be below "
+                          "2**32, the rows a .dsmp file holds")
     return ExperimentConfig(
         prior=prior,
         sched=sched,
@@ -360,6 +371,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         sw2_projections=_checked(pairs, "sw2.projections", _get_int, _POSITIVE, 128),
         sw2_seed=_checked(pairs, "sw2.seed", _get_int, _NON_NEGATIVE, seed),
         cpsnr_peak=_checked(pairs, "cpsnr.peak", _get_float, _POSITIVE, 1.0),
-        record_trajectories=_get_bool(pairs, "trajectories", False),
-        oracle_n=_checked(pairs, "oracle.n", _get_int, _POSITIVE),
+        record_trajectories=record_trajectories,
+        oracle_n=oracle_n,
     )

@@ -48,6 +48,7 @@ diffpir chains bit-identical to the unconditional chain on an empty mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -334,9 +335,10 @@ def run_conditional(
     denoiser: Denoiser,
     sched: Schedule,
     cfg: SamplerConfig,
-    record_trajectories: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run the selected guided sampler over all chains.
+    record: Callable[[np.ndarray], object] | None = None,
+) -> np.ndarray:
+    """Run the selected guided sampler over all chains; return the (n, d)
+    terminal states.
 
     Chains start at x ~ N(0, I), walk the grid backward through
     ``step_<method>``, each step handed ev = ``denoiser.evaluate(x, t)``,
@@ -344,13 +346,14 @@ def run_conditional(
     on) have their observed coordinates overwritten by y at the end.
     Deterministic given (seed, config); chain j's draws depend only on
     (seed, method, j), so the first rows of a larger run equal a smaller
-    one.  Returns ``(samples, rows)``: the (n, d) terminal states, and
-    with ``record_trajectories`` the (K+1, n, 2d) trajectory (else None).
-    Block k of ``rows`` holds the chains at the k-th knot counted from
-    t = 1 (the last after final replacement): x in the first d columns,
-    the estimate ev.xhat0 the step from that knot was handed in the last
-    d (the t = 0 block is evaluated for the record alone).  A non-finite
-    transition raises NumericError naming the method and step.
+    one.  ``record``, when given, is called once per knot in time order,
+    t = 1 first, with the (n, 2d) block of the chains at that knot: x in
+    the first d columns, the estimate ev.xhat0 the step from that knot was
+    handed in the last d.  The last call is the t = 0 block after final
+    replacement, whose estimate is evaluated for the record alone.  The
+    block is one buffer, overwritten at the next knot, so the run holds
+    one block whatever K is; a sink that keeps it must copy it.  A
+    non-finite transition raises NumericError naming the method and step.
     """
     # read from the module at each run, so a patched step_<method> is the one called
     step = globals()[f"step_{cfg.method}"]
@@ -358,18 +361,16 @@ def run_conditional(
     n, d = cfg.n_chains, problem.mask.dim
     rngs = chain_rngs(cfg.seed, cfg.method, n)
     x = standard_normal(rngs, (n, d))
+    block = np.empty((n, 2 * d)) if record is not None else None
 
-    steps = cfg.grid.num_steps
-    rows = np.empty((steps + 1, n, 2 * d)) if record_trajectories else None
-
-    for k in range(steps, 0, -1):
+    for k in range(cfg.grid.num_steps, 0, -1):
         s, t = knots[k - 1], knots[k]
         try:
             with np.errstate(all="ignore"):
                 ev = denoiser.evaluate(x, t)
-                if rows is not None:
-                    # the chains at knots[k] fill block steps - k: time runs from 1 down to 0
-                    rows[steps - k, :, :d], rows[steps - k, :, d:] = x, ev.xhat0
+                if block is not None:
+                    block[:, :d], block[:, d:] = x, ev.xhat0
+                    record(block)
                 x = step(x, ev, s, t, problem, sched, denoiser, cfg, rngs)
                 del ev  # freed before the next step evaluates its own posterior
         except NumericError as exc:
@@ -377,6 +378,7 @@ def run_conditional(
     if cfg.final_replacement:
         idx = problem.mask.observed_idx
         x[..., idx] = problem.y[idx]
-    if rows is not None:
-        rows[-1, :, :d], rows[-1, :, d:] = x, denoiser.denoise(x, knots[0])
-    return x, rows
+    if block is not None:
+        block[:, :d], block[:, d:] = x, denoiser.denoise(x, knots[0])
+        record(block)
+    return x

@@ -4,7 +4,8 @@ All binary layouts are fixed so files can be parsed from any language:
 
 - ``.dsmp``: magic ``DING1``, then d and n as 32-bit little-endian
   unsigned integers, then the n x d matrix as row-major little-endian
-  float64.
+  float64.  ``dsmp_header`` is the one writer of the header, and n and d
+  must be below 2**32.
 - PGM: binary P5, single frame; reading thresholds at 128 (value >= 128
   means observed), writing emits 255/0.
 - ``.dmsk``: magic ``DMSK``, then T, H, W as 32-bit little-endian
@@ -25,16 +26,25 @@ from .masklift import PixelMask
 
 DSMP_MAGIC = b"DING1"
 DMSK_MAGIC = b"DMSK"
+# a .dsmp header stores n and d as uint32: each must be below this
+DSMP_LIMIT = 2**32
+
+
+def dsmp_header(n: int, d: int) -> bytes:
+    """The header of an (n, d) ``.dsmp`` matrix; n * d row-major little-endian
+    float64 values follow it.  Raises ValueError when n or d does not fit."""
+    if not (0 <= n < DSMP_LIMIT and 0 <= d < DSMP_LIMIT):
+        raise ValueError(f"a .dsmp file holds n and d below 2**32, got n = {n}, d = {d}")
+    return DSMP_MAGIC + struct.pack("<II", d, n)
 
 
 def write_samples(path: str | Path, samples: np.ndarray) -> None:
     samples = np.ascontiguousarray(np.asarray(samples, dtype="<f8"))
     if samples.ndim != 2:
         raise ValueError("samples must be an (n, d) matrix")
-    n, d = samples.shape
+    header = dsmp_header(*samples.shape)
     with open(path, "wb") as fh:
-        fh.write(DSMP_MAGIC)
-        fh.write(struct.pack("<II", d, n))
+        fh.write(header)
         fh.write(samples)  # the buffer as is: it must be the row-major <f8 array above
 
 

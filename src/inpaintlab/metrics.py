@@ -10,7 +10,7 @@ from .gmm import GaussianMixture
 from .problem import MaskOperator
 
 # bytes of one projection buffer in sliced W2; the metric holds two
-BLOCK_BYTES = 1 << 20
+BLOCK_BYTES = 1 << 18
 
 
 def cpsnr(x: np.ndarray, x_ref: np.ndarray, mask: MaskOperator, peak: float) -> float | np.ndarray:
@@ -48,7 +48,9 @@ def sliced_w2(a: np.ndarray, b: np.ndarray, n_projections: int = 128, seed: int 
     Root mean, over random unit directions, of the squared 1-D W2 between
     the projected samples.  Equal sizes pair sorted projections directly;
     unequal sizes compare linearly interpolated quantile functions on a
-    common midpoint grid.  Deterministic given the seed.
+    common midpoint grid.  Deterministic given the seed.  On top of its
+    inputs it holds at most 512 KiB of projections, or one row pair when
+    a matrix has more than 32,768 samples.
     """
     xa, xb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     for name, x in (("a", xa), ("b", xb)):
@@ -67,11 +69,12 @@ def sliced_w2(a: np.ndarray, b: np.ndarray, n_projections: int = 128, seed: int 
 def _sliced_w2_projected(xa: np.ndarray, xb: np.ndarray, dirs: np.ndarray) -> float:
     # the directions go through in blocks: one contiguous row per projection
     # in a pair of (rows, n) buffers allocated once per call, so the metric
-    # holds at most 2 * BLOCK_BYTES of projections (one row pair when a row
-    # alone is larger) on top of its inputs.  einsum keeps each projection
-    # independent of row order, so equal multisets score exactly zero (BLAS
-    # matmul varies in the last ulp); each row is sorted in place and takes
-    # the same operations in the same order whatever block it falls in.
+    # holds at most 2 * BLOCK_BYTES (512 KiB) of projections (one row pair
+    # when a row alone is larger, above 32,768 samples) on top of its
+    # inputs.  einsum keeps each projection independent of row order, so
+    # equal multisets score exactly zero (BLAS matmul varies in the last
+    # ulp); each row is sorted in place and takes the same operations in
+    # the same order whatever block it falls in.
     na, nb = xa.shape[0], xb.shape[0]
     n_proj = dirs.shape[0]
     rows = min(n_proj, max(1, BLOCK_BYTES // (8 * max(na, nb))))

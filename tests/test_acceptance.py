@@ -265,7 +265,7 @@ def test_a4_posterior_recovery(benchmark_setup):
             dps_scale=zetas.get(method, 1.0), final_replacement=False,
             seed=0, n_chains=n,
         )
-        samples, _ = run_conditional(problem, denoiser, LIN, cfg)
+        samples = run_conditional(problem, denoiser, LIN, cfg)
         ratios[method] = sliced_w2(samples, oracle_samples, 128, 0) / base
         if method == "ding":
             ding_jacobian_calls = denoiser.jacobian_calls
@@ -290,7 +290,7 @@ def test_a5_data_consistency(benchmark_setup):
 
     cfg = SamplerConfig(method="ding", grid=grid, eta=0.8, gamma=0.01,
                         final_replacement=False, seed=0, n_chains=n)
-    samples, _ = run_conditional(problem, denoiser, LIN, cfg)
+    samples = run_conditional(problem, denoiser, LIN, cfg)
     obs = mask.observed_idx
     gap = float(np.mean(np.abs(samples[:, obs] - problem.y[obs])))
 
@@ -302,7 +302,7 @@ def test_a5_data_consistency(benchmark_setup):
             dps_scale=zetas.get(method, 1.0), final_replacement=True,
             seed=0, n_chains=64,
         )
-        out, _ = run_conditional(problem, denoiser, LIN, cfg)
+        out = run_conditional(problem, denoiser, LIN, cfg)
         if not np.array_equal(mask.m * out, np.tile(mask.m * problem.y, (64, 1))):
             replacement_exact = False
 

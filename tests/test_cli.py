@@ -104,6 +104,34 @@ def test_trajectory_matrix_reads_back(tmp_path):
     assert [p.name for p in out.glob("*.csv")] == ["results.csv"]
 
 
+def test_streamed_trajectory_equals_the_collected_blocks(tmp_path):
+    # the file run streams is, byte for byte, the header and then every
+    # block a collecting sink receives, stacked in time order
+    from inpaintlab import GMMDenoiser, run_conditional
+    from inpaintlab.cli import _observe
+    from inpaintlab.config import load_config
+    from inpaintlab.io import dsmp_header
+
+    cfg_path = _write_cfg(tmp_path, extra="trajectories = on\n")
+    cfg_path.write_text(cfg_path.read_text().replace(
+        "methods    = ding, ddnm", "methods    = blended, dps, ding, ddnm, diffpir"))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    cfg = load_config(cfg_path)
+    problem = _observe(cfg, cfg.seed)[0]
+    denoiser = GMMDenoiser(cfg.prior, cfg.sched)
+    for method, scfg in cfg.samplers.items():
+        blocks = []
+        samples = run_conditional(problem, denoiser, cfg.sched, scfg,
+                                  record=lambda b: blocks.append(b.copy()))
+        assert len(blocks) == 13
+        stacked = np.concatenate(blocks)
+        streamed = (cfg.out_dir / f"{method}_5_trajectories.dsmp").read_bytes()
+        assert streamed == dsmp_header(*stacked.shape) + stacked.astype("<f8").tobytes(), method
+        assert (cfg.out_dir / f"{method}_5.dsmp").read_bytes() == (
+            dsmp_header(*samples.shape) + samples.astype("<f8").tobytes()
+        )
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     out_csv = tmp_path / "post.csv"
@@ -128,6 +156,17 @@ def test_oracle_rejects_non_positive_n_before_writing(tmp_path, capsys, n):
                  "--samples", str(samples), "--n", n])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [f"config error: --n must be positive, got {n}"]
+    assert not out_csv.exists() and not samples.exists()
+
+
+def test_oracle_rejects_n_past_the_dsmp_header_before_sampling(tmp_path, capsys):
+    out_csv, samples = tmp_path / "post.csv", tmp_path / "post.dsmp"
+    code = main(["oracle", "--config", str(_write_cfg(tmp_path)), "--out", str(out_csv),
+                 "--samples", str(samples), "--n", "4294967296"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: --n must be below 2**32, the rows a .dsmp file holds, got 4294967296"
+    ]
     assert not out_csv.exists() and not samples.exists()
 
 
@@ -386,7 +425,7 @@ def test_exit_code_io_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 3
 
 
-def _run_diverging_quickstart(tmp_path, methods):
+def _run_diverging_quickstart(tmp_path, methods, extra=()):
     # dps at zeta = 1 diverges on the quickstart problem
     from pathlib import Path
 
@@ -397,7 +436,8 @@ def _run_diverging_quickstart(tmp_path, methods):
     ]
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text("\n".join(
-        keep + [f"methods = {methods}", "method.dps.zeta = 1", f"out_dir = {tmp_path / 'out'}"]
+        keep + [f"methods = {methods}", "method.dps.zeta = 1", f"out_dir = {tmp_path / 'out'}",
+                *extra]
     ) + "\n")
     return subprocess.run(
         [sys.executable, "-W", "always", "-m", "inpaintlab.cli", "run", "--config", str(cfg)],
@@ -414,6 +454,31 @@ def test_exit_code_numeric_failure_names_method_and_step(tmp_path):
         "numeric failure: dps at step k=21 (t=0.42 -> s=0.4): "
         "transition mean must be finite: 826 of 1000 chains non-finite"
     ]
+
+
+@pytest.mark.parametrize("line", [
+    "n_chains = 4294967296", "oracle.n = 4294967296", "trajectories = on\nn_chains = 330382100",
+])
+def test_row_count_past_the_dsmp_header_exits_2(tmp_path, capsys, line):
+    # rejected at load, before anything is sampled or written: (12 + 1) * 330382100 >= 2**32
+    cfg = _write_cfg(tmp_path)
+    text = cfg.read_text().replace("n_chains   = 16\n", "")
+    cfg.write_text(text + line + "\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "below 2**32" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_numeric_failure_leaves_no_partial_trajectory(tmp_path):
+    # dps fails at step 21 after streaming 30 knots; its file goes with it
+    proc = _run_diverging_quickstart(tmp_path, "dps, ding", extra=["trajectories = on"])
+    assert proc.returncode == 4, proc.stderr
+    out = tmp_path / "out"
+    assert not (out / "dps_0_trajectories.dsmp").exists()
+    assert not (out / "dps_0.dsmp").exists()
+    assert read_samples(out / "ding_0_trajectories.dsmp").shape == (51 * 1000, 4)
+    assert proc.stderr.splitlines()[0].startswith("numeric failure: dps at step k=21")
 
 
 def test_numeric_failure_of_one_method_keeps_the_others(tmp_path):

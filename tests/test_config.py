@@ -154,6 +154,32 @@ def test_value_errors_name_the_key_that_set_the_value(tmp_path, line, message):
     assert str(info.value) == message
 
 
+_DSMP_ROWS = "must be below 2**32, the rows a .dsmp file holds"
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["n_chains = 4294967296"], f"n_chains: {_DSMP_ROWS}, got '4294967296'"),
+    (["oracle.n = 4294967296"], f"oracle.n: {_DSMP_ROWS}, got '4294967296'"),
+    (["grid.k = 1", "n_chains = 2147483648", "trajectories = on"],
+     f"trajectories: (grid.k + 1) * n_chains = 4294967296 {_DSMP_ROWS}"),
+])
+def test_row_counts_past_the_dsmp_header_rejected_at_load(tmp_path, lines, message):
+    # a .dsmp header stores n as uint32; only the config is read, nothing is allocated
+    keys = {line.split("=")[0].strip() for line in lines}
+    kept = [line for line in BASIC.splitlines() if line.split("=")[0].strip() not in keys]
+    with pytest.raises(ConfigError) as info:
+        load_config(_write(tmp_path, "\n".join(kept + lines) + "\n"))
+    assert str(info.value) == message
+
+
+def test_row_counts_just_below_the_dsmp_header_load(tmp_path):
+    kept = [line for line in BASIC.splitlines() if not line.startswith(("n_chains", "grid.k"))]
+    cfg = load_config(_write(tmp_path, "\n".join(kept + [
+        "grid.k = 1", "n_chains = 2147483647", "trajectories = on", "oracle.n = 4294967295",
+    ]) + "\n"))
+    assert (cfg.n_chains, cfg.oracle_n, cfg.record_trajectories) == (2**31 - 1, 2**32 - 1, True)
+
+
 @pytest.mark.parametrize("extra", ["method.ding.eta = 0.5", "methods = ddnm"])
 def test_global_eta_zero_accepted_where_ding_does_not_read_it(tmp_path, extra):
     lines = [kept for kept in BASIC.splitlines() if not kept.startswith(("eta", "methods"))]

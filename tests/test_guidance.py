@@ -138,7 +138,7 @@ def test_blended_full_mask_reproduces_reference():
     x_star = np.array([0.9, -1.3])
     problem = make_observation(x_star, MaskOperator([1, 1]), 0.2)
     cfg = _cfg("blended", grid=make_grid(100), n_chains=3, final_replacement=False)
-    samples, _ = run_conditional(problem, den, LIN, cfg)
+    samples = run_conditional(problem, den, LIN, cfg)
     np.testing.assert_array_equal(samples, np.tile(x_star, (3, 1)))
 
 
@@ -451,7 +451,7 @@ def test_final_replacement_contract(mixture_setup):
     _, den, problem = mixture_setup
     for method in ("blended", "dps", "ding", "ddnm", "diffpir"):
         cfg = _cfg(method, final_replacement=True, n_chains=3)
-        samples, _ = run_conditional(problem, den, LIN, cfg)
+        samples = run_conditional(problem, den, LIN, cfg)
         m = problem.mask.m
         np.testing.assert_array_equal(m * samples, np.tile(m * problem.y, (3, 1)))
 
@@ -459,8 +459,8 @@ def test_final_replacement_contract(mixture_setup):
 def test_run_conditional_deterministic(mixture_setup):
     _, den, problem = mixture_setup
     cfg = _cfg("ding", n_chains=4)
-    a, _ = run_conditional(problem, den, LIN, cfg)
-    b, _ = run_conditional(problem, den, LIN, cfg)
+    a = run_conditional(problem, den, LIN, cfg)
+    b = run_conditional(problem, den, LIN, cfg)
     np.testing.assert_array_equal(a, b)
 
 
@@ -475,8 +475,8 @@ def test_chain_results_are_a_prefix_of_a_larger_run(method, prior):
     den = GMMDenoiser(prior, LIN)
     problem = make_observation(np.array([1.7, -0.4]), MaskOperator([1, 0]), 0.2)
     for n_few, n_many in ((2, 6), (64, 65), (70, 130)):
-        few, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_few, ding_nz=2))
-        many, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_many, ding_nz=2))
+        few = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_few, ding_nz=2))
+        many = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_many, ding_nz=2))
         np.testing.assert_array_equal(few, many[:n_few])
 
 
@@ -490,9 +490,9 @@ def test_chain_results_are_a_prefix_at_benchmark_sizes(method, layout):
     d, k, kind = layout
     den, problem = _benchmark_setup(d, k, kind, np.random.default_rng(21))
     knobs = dict(gamma=0.1, dps_scale=0.1, ding_nz=2)
-    many, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=200, **knobs))
+    many = run_conditional(problem, den, LIN, _cfg(method, n_chains=200, **knobs))
     for n_few in (7, 65, 130):
-        few, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_few, **knobs))
+        few = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_few, **knobs))
         np.testing.assert_array_equal(few, many[:n_few])
 
 
@@ -516,9 +516,9 @@ def test_one_denoiser_keeps_prefixes_across_chain_counts(method):
     # a prefix of the larger one, bit for bit
     den, problem = _benchmark_setup(12, 32, "full", np.random.default_rng(24))
     knobs = dict(gamma=0.1, dps_scale=0.1, ding_nz=2)
-    few, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=64, **knobs))
-    many, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=500, **knobs))
-    again, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=64, **knobs))
+    few = run_conditional(problem, den, LIN, _cfg(method, n_chains=64, **knobs))
+    many = run_conditional(problem, den, LIN, _cfg(method, n_chains=500, **knobs))
+    again = run_conditional(problem, den, LIN, _cfg(method, n_chains=64, **knobs))
     np.testing.assert_array_equal(few, many[:64])
     np.testing.assert_array_equal(again, many[:64])
 
@@ -580,14 +580,39 @@ def test_step_functions_share_one_signature():
 def test_trajectory_records(mixture_setup):
     _, den, problem = mixture_setup
     cfg = _cfg("ddnm", grid=make_grid(12), n_chains=3)
-    samples, rows = run_conditional(problem, den, LIN, cfg, record_trajectories=True)
+    blocks = []
+    samples = run_conditional(problem, den, LIN, cfg, record=lambda b: blocks.append(b.copy()))
+    rows = np.stack(blocks)
     d = problem.mask.dim
     assert rows.shape == (13, 3, 2 * d)
     # block k is the k-th knot from t = 1: its x, then the estimate at it
     for k, t in enumerate(cfg.grid.knots[::-1]):
         np.testing.assert_array_equal(rows[k, :, d:], den.denoise(rows[k, :, :d], t))
     np.testing.assert_array_equal(rows[-1, :, :d], samples)
-    assert run_conditional(problem, den, LIN, cfg)[1] is None
+    np.testing.assert_array_equal(run_conditional(problem, den, LIN, cfg), samples)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("k", [12, 96])
+def test_trajectory_record_holds_one_block(method, k, mixture_setup):
+    # a sink that discards its blocks costs the run one (n, 2d) buffer
+    # whatever K is; a (K+1, n, 2d) record would cost K + 1 of them
+    _, den, problem = mixture_setup
+    cfg = _cfg(method, grid=make_grid(k), n_chains=2000)
+    block = cfg.n_chains * 2 * problem.mask.dim * 8
+    run_conditional(problem, den, LIN, cfg)  # warm caches before tracing
+    plain = _traced_peak(lambda: run_conditional(problem, den, LIN, cfg))
+    recorded = _traced_peak(lambda: run_conditional(problem, den, LIN, cfg, record=lambda b: None))
+    assert block <= recorded - plain < block + 1024
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -607,7 +632,7 @@ def test_trajectory_record_reuses_the_step_evaluation(method, mixture_setup, mon
     counts = []
     for record in (False, True):
         calls[0] = 0
-        run_conditional(problem, den, LIN, cfg, record_trajectories=record)
+        run_conditional(problem, den, LIN, cfg, record=(lambda b: None) if record else None)
         counts.append(calls[0])
     assert counts[1] == counts[0] + 1
 
@@ -638,8 +663,8 @@ def test_no_method_forms_a_jacobian_matrix(method, mixture_setup, monkeypatch):
         raise AssertionError("a (..., d, d) Jacobian was formed")
 
     monkeypatch.setattr(gmm.GMMDenoiser, "jacobian", refuse)
-    samples, _ = run_conditional(problem, den, LIN, _cfg(method, n_chains=3),
-                                 record_trajectories=True)
+    samples = run_conditional(problem, den, LIN, _cfg(method, n_chains=3),
+                              record=lambda b: None)
     assert np.all(np.isfinite(samples))
 
 
@@ -651,7 +676,7 @@ def test_mask_off_chains_bit_identical_to_unconditional(mixture_setup):
     grid = make_grid(15)
     for method in ("blended", "ddnm", "diffpir"):
         cfg = _cfg(method, grid=grid, n_chains=4, final_replacement=False)
-        samples, _ = run_conditional(prob, den, LIN, cfg)
+        samples = run_conditional(prob, den, LIN, cfg)
         rngs = chain_rngs(cfg.seed, method, 4)
         plain = run_unconditional(den, LIN, grid, cfg.eta, rngs, 4)
         np.testing.assert_array_equal(samples, plain)
@@ -680,10 +705,10 @@ def test_kernel_change_reaches_every_method(mixture_setup, monkeypatch):
         return TransitionParams(params.mean, 0.5 * params.std)
 
     cfgs = {method: _cfg(method, n_chains=3, final_replacement=False) for method in METHODS}
-    before = {m: run_conditional(problem, den, LIN, cfg)[0] for m, cfg in cfgs.items()}
+    before = {m: run_conditional(problem, den, LIN, cfg) for m, cfg in cfgs.items()}
     for name, module in list(sys.modules.items()):
         if name.startswith("inpaintlab") and vars(module).get("transition_params") is original:
             monkeypatch.setattr(module, "transition_params", narrower)
     for method, cfg in cfgs.items():
-        after = run_conditional(problem, den, LIN, cfg)[0]
+        after = run_conditional(problem, den, LIN, cfg)
         assert not np.array_equal(after, before[method]), method

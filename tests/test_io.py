@@ -3,6 +3,7 @@ import pytest
 
 from inpaintlab import ConfigError, PixelMask
 from inpaintlab.io import (
+    dsmp_header,
     read_dmsk,
     read_pgm_mask,
     read_samples,
@@ -31,6 +32,17 @@ def test_dsmp_layout(tmp_path):
     assert int.from_bytes(raw[5:9], "little") == 2  # d first
     assert int.from_bytes(raw[9:13], "little") == 3  # then n
     assert np.frombuffer(raw[13:21], "<f8")[0] == 1.0
+
+
+@pytest.mark.parametrize("shape", [(2**32, 0), (0, 2**32)])
+def test_dsmp_header_limit_is_a_value_error(tmp_path, shape):
+    # n and d are stored as uint32; a zero-size matrix allocates nothing
+    path = tmp_path / "x.dsmp"
+    with pytest.raises(ValueError, match=r"below 2\*\*32"):
+        write_samples(path, np.empty(shape))
+    assert not path.exists()
+    header = dsmp_header(2**32 - 1, 2**32 - 1)
+    assert header == b"DING1" + b"\xff" * 8
 
 
 _BASE = np.arange(42, dtype=float).reshape(6, 7) / 3.0

@@ -151,13 +151,13 @@ def test_cpsnr_batch_equals_per_row(recwarn):
 @pytest.mark.parametrize("n_a, n_b, n_proj, dims", [
     pytest.param(400, 400, 64, (2, 5, 12) * 4, id="400"),
     pytest.param(400, 257, 64, (2, 5, 12) * 4, id="257"),
-    # 32 rows a block at n = 4000: three full blocks and a partial fourth
+    # 8 rows a block at n = 4000: twelve full blocks and a partial thirteenth
     pytest.param(4000, 4000, 100, (2, 8), id="blocks"),
     pytest.param(4000, 2500, 100, (2, 8), id="blocks-unequal"),
     pytest.param(2500, 4000, 100, (2, 8), id="blocks-unequal-wider-b"),
-    # a row of more than BLOCK_BYTES: one row a block
-    pytest.param(140_000, 140_000, 3, (2,), id="one-row"),
-    pytest.param(140_000, 131_073, 3, (2,), id="one-row-unequal"),
+    # a row of more than BLOCK_BYTES (above 32,768 samples): one row a block
+    pytest.param(40_000, 40_000, 3, (2,), id="one-row"),
+    pytest.param(40_000, 32_769, 3, (2,), id="one-row-unequal"),
 ])
 def test_sliced_w2_equals_out_of_place_reference(n_a, n_b, n_proj, dims):
     # the blocked in-place row layout sorts and adds exactly like the
@@ -178,7 +178,7 @@ def test_sliced_w2_equals_out_of_place_reference(n_a, n_b, n_proj, dims):
 
 def test_sliced_w2_holds_one_block_of_projections():
     # gmm8's size: two whole (128, 4000) projection arrays would trace 7.8 MiB,
-    # two 1 MiB blocks trace under 2 MiB
+    # two 256 KiB blocks trace about 0.5 MiB
     rng = np.random.default_rng(3)
     a, b = rng.standard_normal((4000, 8)), rng.standard_normal((4000, 8))
     tracemalloc.start()
@@ -187,7 +187,7 @@ def test_sliced_w2_holds_one_block_of_projections():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**20
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("a, b, name", [

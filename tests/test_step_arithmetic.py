@@ -201,7 +201,7 @@ def _spiked_run(method, col, steps=None, monkeypatch=None):
                         seed=1, final_replacement=False)
     if steps is not None:
         monkeypatch.setattr(guidance, f"step_{method}", getattr(steps, f"step_{method}"))
-    return run_conditional(problem, SpikedDenoiser(col, 5), LIN, cfg)[0]
+    return run_conditional(problem, SpikedDenoiser(col, 5), LIN, cfg)
 
 
 @pytest.mark.parametrize("method", METHODS)
