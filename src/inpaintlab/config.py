@@ -40,7 +40,7 @@ from .gmm import GaussianMixture
 from .guidance import METHODS, SamplerConfig
 from .io import DSMP_LIMIT, read_pgm_mask, read_samples
 from .problem import InpaintingProblem, MaskOperator, make_observation
-from .schedule import Schedule, TimeGrid, make_grid
+from .schedule import GRID_SPACINGS, SCHEDULE_KINDS, Schedule, TimeGrid, make_grid
 
 _BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
                "off": False, "false": False, "0": False, "no": False}
@@ -126,7 +126,13 @@ def _checked(pairs: dict[str, str], key: str, read, rule: tuple, default=None):
 
 
 _POSITIVE = (lambda v: v > 0, "must be strictly positive")
+_POSITIVE_INT = (lambda v: v > 0, "must be a positive integer")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+
+
+def _one_of(names: tuple[str, ...]) -> tuple:
+    return (lambda v: v in names, f"must be one of {', '.join(names)}")
+
 
 # the sampler knobs: config key -> (SamplerConfig field, reader, rule); an
 # unset knob keeps the field's default
@@ -296,25 +302,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
         prior = _load_prior_inline(pairs)
     d = prior.dim
 
-    sched_kind = pairs.get("schedule", "linear-flow")
-    try:
-        sched = Schedule(sched_kind)
-        grid = make_grid(_get_int(pairs, "grid.k", 50), pairs.get("grid.spacing", "uniform"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    sched = Schedule(_checked(pairs, "schedule", dict.get, _one_of(SCHEDULE_KINDS), "linear-flow"))
+    grid = make_grid(_checked(pairs, "grid.k", _get_int, _POSITIVE_INT, 50),
+                     _checked(pairs, "grid.spacing", dict.get, _one_of(GRID_SPACINGS), "uniform"))
 
     if "mask.inline" in pairs:
         mask_vals = _floats("mask.inline", pairs["mask.inline"])
+        if not np.all(np.isin(mask_vals, (0, 1))):
+            raise ConfigError(f"mask.inline: entries must be 0 or 1, got {pairs['mask.inline']!r}")
     elif "mask.pgm" in pairs:
         mask_vals = read_pgm_mask(base / pairs["mask.pgm"]).grid.reshape(-1)
     else:
         raise ConfigError("no mask given (mask.inline or mask.pgm)")
     if mask_vals.size != d:
         raise ConfigError(f"mask has {mask_vals.size} entries, prior dimension is {d}")
-    try:
-        mask = MaskOperator(mask_vals)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    mask = MaskOperator(mask_vals)
 
     if "xstar.inline" in pairs:
         x_star = _floats("xstar.inline", pairs["xstar.inline"])
@@ -331,15 +333,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("no methods listed")
     methods = [m.strip() for m in pairs["methods"].split(",") if m.strip()]
     if not methods:
-        raise ConfigError("methods list is empty")
+        raise ConfigError("methods: the list is empty")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"methods: unknown method {m!r}; expected one of {METHODS}")
         if methods.count(m) > 1:
             raise ConfigError(f"methods: {m!r} is listed more than once")
 
-    n_chains = _checked(pairs, "n_chains", _get_int, (lambda v: v > 0, "must be a positive integer"),
-                        100)
+    n_chains = _checked(pairs, "n_chains", _get_int, _POSITIVE_INT, 100)
     seed = _checked(pairs, "seed", _get_int, _NON_NEGATIVE, 0)
     oracle_n = _checked(pairs, "oracle.n", _get_int, _POSITIVE)
     record_trajectories = _get_bool(pairs, "trajectories", False)

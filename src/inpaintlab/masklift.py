@@ -73,11 +73,13 @@ def dilate_mask(mask: PixelMask, r: int, r_t: int = 0) -> PixelMask:
     if r == 0 and r_t == 0:
         return mask
     grown = mask.grid == 0
-    # a box is separable: dilate one axis at a time, outside the grid is observed
+    # a box is separable: dilate one axis at a time, outside the grid is observed;
+    # a radius of size - 1 already reaches across the axis from every cell
     for axis, radius in enumerate((r_t, r, r)):
+        size = grown.shape[axis]
+        radius = min(radius, size - 1)
         if radius == 0:
             continue
-        size = grown.shape[axis]
         pad = [(0, 0)] * 3
         pad[axis] = (radius, radius)
         padded = np.moveaxis(np.pad(grown, pad), axis, 0)

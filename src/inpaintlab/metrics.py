@@ -50,7 +50,8 @@ def sliced_w2(a: np.ndarray, b: np.ndarray, n_projections: int = 128, seed: int 
     unequal sizes compare linearly interpolated quantile functions on a
     common midpoint grid.  Deterministic given the seed.  On top of its
     inputs it holds at most 512 KiB of projections, or one row pair when
-    a matrix has more than 32,768 samples.
+    a matrix has more than 32,768 samples, and the directions and their
+    per-direction results, (d + 1) * 8 bytes per projection.
     """
     xa, xb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     for name, x in (("a", xa), ("b", xb)):

@@ -21,9 +21,11 @@ works in the log domain on the observed sub-coordinates only, so every
 factored S = C[obs, obs] + gamma^2 I stays positive definite even at
 small gamma.  Its Cholesky factors L and solved residuals also give the
 guidance gradient and, in ``_condition_on_observed``, each conditioned
-component in Woodbury form, with no d x d inverse:
-post_mean = m + C[:, obs] S^{-1} (y_obs - m_obs),
-post_cov = C - (L^{-1} C[obs, :])^T (L^{-1} C[obs, :]).
+component in gain form, with no d x d inverse: with G = C[:, obs] S^{-1},
+post_mean = m + G (y_obs - m_obs) and post_cov = C - G C[obs, :], whose obs
+columns and rows are written as gamma^2 G.  As S - C[obs, obs] = gamma^2 I,
+that is exact, and it keeps the digits that C[:, obs] - G C[obs, obs]
+cancels at small gamma.  Diagonal and full priors share this one formula.
 
 Per-component arrays are component-major, as in ``gmm``: (K, ..., d) for
 the conditional means, which each routine forms once per call with
@@ -53,32 +55,24 @@ from .schedule import Schedule, eval_schedule
 def exact_posterior(problem: InpaintingProblem, prior: GaussianMixture) -> GaussianMixture:
     """Posterior mixture over clean samples given the masked observation.
 
-    Component k is conditioned on the observed coordinates, by
-    ``_condition_on_observed`` (Woodbury form) or, for diagonal
-    covariances, coordinatewise (precision gains m/gamma^2), and reweighted
-    by its evidence N(y_obs; mu_k_obs, Sigma_k_obs + gamma^2 I).  An empty
+    Component k is conditioned on the observed coordinates by
+    ``_condition_on_observed`` and reweighted by its evidence
+    N(y_obs; mu_k_obs, Sigma_k_obs + gamma^2 I); a diagonal prior keeps its
+    layout, as conditioning leaves exact zeros off the diagonal.  An empty
     mask returns the prior itself.  A gamma so small that rounding leaves a
     posterior covariance not positive definite raises NumericError.
     """
     if problem.mask.observed_idx.size == 0:
         return prior
-    if prior.is_diagonal:  # Woodbury's C - C^2 / (C + gamma^2) cancels at small gamma
-        m = problem.mask.m
-        gamma2 = problem.gamma**2
-        log_ev, _, _ = _observed_evidence(problem, prior.means, prior.covariance_matrices())
-        with np.errstate(divide="ignore", invalid="ignore"):  # gamma2 may underflow to 0
-            post_cov = 1.0 / (1.0 / prior.covariances + m / gamma2)
-            post_means = post_cov * (prior.means / prior.covariances + m * problem.y / gamma2)
-    else:
-        log_ev, post_means, post_cov = _condition_on_observed(
-            problem, prior.means, prior.covariances
-        )
+    log_ev, post_means, post_cov = _condition_on_observed(
+        problem, prior.means, prior.covariance_matrices()
+    )
     weights = _reweight(np.log(prior.weights), log_ev)
+    cov = np.diagonal(post_cov, axis1=-2, axis2=-1) if prior.is_diagonal else post_cov
     try:
-        return GaussianMixture(weights / weights.sum(), post_means, post_cov)
+        return GaussianMixture(weights / weights.sum(), post_means, cov)
     except ValueError:  # the prior passed these checks, so rounding failed them
-        spread = post_cov if prior.is_diagonal else np.linalg.eigvalsh(post_cov)
-        bad = np.count_nonzero(~np.all(spread > 0, axis=-1))
+        bad = np.count_nonzero(~np.all(np.linalg.eigvalsh(post_cov) > 0, axis=-1))
         raise NumericError(f"exact posterior at gamma = {problem.gamma:g}: {bad} of "
                            f"{prior.n_components} components lost variance to rounding") from None
 
@@ -123,14 +117,16 @@ def _condition_on_observed(
     """Condition each component N(means_k, cov_k) on the observed coordinates.
 
     Returns the (K, ...) log evidence and the conditioned means (K, ..., d)
-    and covariances (K, d, d), in the Woodbury form of the module docstring.
+    and covariances (K, d, d), in the gain form of the module docstring.
     """
     obs = problem.mask.observed_idx
     log_ev, chol, solved = _observed_evidence(problem, means, cov)
     cross = cov[:, :, obs]  # C[:, obs], (K, d, o)
     post_means = means + np.einsum("kdo,k...o->k...d", cross, solved)
-    half = np.linalg.solve(chol, np.swapaxes(cross, -1, -2))  # L^{-1} C[obs, :]
-    post_cov = cov - np.swapaxes(half, -1, -2) @ half
+    gain = _chol_solve(chol, cross)  # C[:, obs] S^{-1}, S symmetric
+    post_cov = cov - gain @ np.swapaxes(cross, -1, -2)
+    post_cov[:, :, obs] = problem.gamma**2 * gain  # = C[:, obs] - G C[obs, obs], exactly
+    post_cov[:, obs, :] = np.swapaxes(post_cov[:, :, obs], -1, -2)
     return log_ev, post_means, 0.5 * (post_cov + np.swapaxes(post_cov, -1, -2))
 
 

@@ -56,8 +56,8 @@ class InpaintingProblem:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
         object.__setattr__(self, "y", y)
-        if self.gamma <= 0:
-            raise ValueError("gamma must be strictly positive")
+        if not 0 < self.gamma < np.inf:  # nan fails both
+            raise ValueError(f"gamma must be strictly positive and finite, got {self.gamma!r}")
         if y.shape != self.mask.m.shape:
             raise ValueError("observation and mask dimensions differ")
         if not np.all(np.isfinite(y)):
@@ -84,8 +84,8 @@ def make_observation(
     measured noise level); with ``noisy`` set, gamma-scaled Gaussian noise
     is added on the observed coordinates only.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be strictly positive")
+    if not 0 < gamma < np.inf:  # before the noise draw: inf * 0 warns
+        raise ValueError(f"gamma must be strictly positive and finite, got {gamma!r}")
     x_star = np.asarray(x_star, dtype=float)
     if not np.all(np.isfinite(x_star)):  # before m * x_star: 0 * inf warns
         raise ValueError("x_star must be finite")

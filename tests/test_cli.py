@@ -359,13 +359,10 @@ def test_method_eta_override_reaches_every_transition(tmp_path, monkeypatch):
     assert eta_col == {"ddnm": "0.3", **{m: "0.8" for m in ("blended", "dps", "ding", "diffpir")}}
 
 
-@pytest.mark.parametrize("cov, gamma", [
-    ("1, 0.3, 0.3, 2", 1e-8),  # Woodbury leaves a covariance that is not positive definite
-    ("1, 1", 1e-170),  # gamma^2 underflows to 0 and the observed variance with it
-], ids=["full", "diagonal"])
+@pytest.mark.parametrize("cov", ["1, 0.3, 0.3, 2", "1, 1"], ids=["full", "diagonal"])
 @pytest.mark.parametrize("command", ["run", "oracle"])
-def test_exact_posterior_below_rounding_is_a_numeric_failure(tmp_path, capsys, command, cov,
-                                                             gamma):
+def test_exact_posterior_below_rounding_is_a_numeric_failure(tmp_path, capsys, command, cov):
+    gamma = 1e-170  # gamma^2 underflows to 0, and the observed variances with it
     cfg = _write_cfg(tmp_path)
     cfg.write_text(cfg.read_text()
                    .replace("prior.component.0.cov    = 1, 1", f"prior.component.0.cov = {cov}")
@@ -407,6 +404,32 @@ def test_config_error_starts_with_the_key_that_set_the_value(tmp_path, capsys, k
     assert line.startswith(f"config error: {key}: "), line
     assert "dps_scale" not in line and "diffpir_lambda" not in line
     assert not (tmp_path / "out").exists()
+
+
+# one value each key rejects; out_dir takes any path, and a file that
+# prior.csv, mask.pgm or xstar.dsmp names is reported by its own path
+_BAD_VALUES = {
+    "schedule": "vp", "grid.k": "0", "grid.spacing": "cubic", "n_chains": "x", "seed": "1.5",
+    "methods": "ding, nope", "mask.inline": "1, 2", "xstar.inline": "1.5, x",
+    "observation.noisy": "maybe", "sw2.projections": "0", "sw2.seed": "-1", "cpsnr.peak": "0",
+    "trajectories": "maybe", "oracle.n": "0", "eta": "2", "gamma": "0", "zeta": "nan",
+    "lambda": "-1", "ding_nz": "0", "final_replacement": "maybe",
+}
+
+
+def test_bad_values_cover_every_config_key():
+    from inpaintlab.config import _GLOBAL_KEYS, _SAMPLER_KEYS
+
+    files = {"out_dir", "prior.csv", "mask.pgm", "xstar.dsmp"}
+    assert set(_BAD_VALUES) == (_GLOBAL_KEYS | set(_SAMPLER_KEYS)) - files
+
+
+@pytest.mark.parametrize("key", sorted(_BAD_VALUES))
+def test_every_config_key_names_itself_in_its_error(tmp_path, capsys, key):
+    cfg = _quickstart(tmp_path, **{key.replace(".", "__"): _BAD_VALUES[key]})
+    assert main(["run", "--config", str(cfg)]) == 2
+    line = _one_config_error(capsys)
+    assert line.startswith(f"config error: {key}: "), line
 
 
 def test_all_zero_mask_prints_one_warning_line(tmp_path):

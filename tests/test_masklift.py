@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,21 @@ def test_dilate_saturated():
     m = _mask_2d(np.zeros((4, 4), dtype=int))
     out = dilate_mask(m, 3)
     np.testing.assert_array_equal(out.grid, 0)
+
+
+def test_dilate_radius_past_the_grid_costs_no_more():
+    # radii beyond size - 1 reach no further, so they must not pad or loop further
+    grid = np.ones((8, 8), dtype=np.uint8)
+    grid[2, 5] = grid[6, 0] = 0
+    want = dilate_mask(_mask_2d(grid), 7)
+    tracemalloc.start()
+    try:
+        got = dilate_mask(_mask_2d(grid), 10**5, r_t=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got.grid, want.grid)
+    assert peak < 16 * 1024, peak
 
 
 def test_dilate_temporal_radius():

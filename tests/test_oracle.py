@@ -126,6 +126,39 @@ def test_posterior_hard_constraint_limit():
     assert post.means[0, 1] == 1.0  # unobserved coordinate untouched
 
 
+@pytest.mark.parametrize("gamma", [1e-2, 1e-5, 1e-8])
+def test_posterior_matches_two_by_two_closed_form(gamma):
+    # C = [[a, b], [b, c]] with the first coordinate observed: every entry of
+    # the conditioned component is a scalar formula, and the observed ones
+    # are of order gamma^2, far below the entries of C
+    a, b, c = 1.0, 0.3, 2.0
+    mu, y0 = np.array([0.5, -1.0]), 1.7
+    prior = GaussianMixture([1.0], [mu], [[[a, b], [b, c]]])
+    post = exact_posterior(InpaintingProblem(MaskOperator([1, 0]), np.array([y0, 0.0]), gamma),
+                           prior)
+    g2 = gamma**2
+    want_cov = [[g2 * a / (a + g2), g2 * b / (a + g2)], [g2 * b / (a + g2), c - b**2 / (a + g2)]]
+    want_mean = mu + np.array([a, b]) * (y0 - mu[0]) / (a + g2)
+    np.testing.assert_allclose(post.covariances[0], want_cov, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(post.means[0], want_mean, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1e-4, 1e-8])
+def test_diagonal_prior_conditions_as_its_full_matrices(gamma):
+    rng = np.random.default_rng(31)
+    k, d = 4, 6
+    diag = rng.random((k, d)) + 0.2
+    weights, means = rng.dirichlet(np.ones(k)), 2.0 * rng.standard_normal((k, d))
+    mask = MaskOperator([1, 0, 1, 1, 0, 1])
+    problem = InpaintingProblem(mask, mask.m * rng.standard_normal(d), gamma)
+    as_diag = exact_posterior(problem, GaussianMixture(weights, means, diag))
+    as_full = exact_posterior(problem, GaussianMixture(weights, means,
+                                                       [np.diag(v) for v in diag]))
+    np.testing.assert_array_equal(as_diag.weights, as_full.weights)
+    np.testing.assert_array_equal(as_diag.means, as_full.means)
+    np.testing.assert_array_equal(as_diag.covariance_matrices(), as_full.covariances)
+
+
 def test_posterior_weights_and_spd(mixed_prior, masked_problem):
     post = exact_posterior(masked_problem, mixed_prior)
     assert abs(post.weights.sum() - 1.0) < 1e-12

@@ -32,6 +32,15 @@ def test_gamma_must_be_positive():
         InpaintingProblem(MaskOperator([1]), np.array([1.0]), -0.5)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+def test_gamma_must_be_finite(gamma):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="finite"):
+        make_observation(np.array([1.0, 2.0]), MaskOperator([1, 0]), gamma, rng=rng, noisy=True)
+    with pytest.raises(ValueError, match="finite"):
+        InpaintingProblem(MaskOperator([1, 0]), np.array([1.0, 0.0]), gamma)
+
+
 def test_empty_mask_warns_but_works():
     with pytest.warns(UserWarning):
         prob = make_observation(np.array([1.0, 2.0]), MaskOperator([0, 0]), 0.1)
