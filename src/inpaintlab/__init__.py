@@ -11,14 +11,7 @@ metrics.
 
 from .bridge import TransitionParams, run_unconditional, sample_transition, transition_params
 from .errors import ConfigError, NumericError
-from .gmm import (
-    Denoiser,
-    GaussianMixture,
-    GMMDenoiser,
-    gmm_denoise,
-    gmm_marginal,
-    gmm_noise_predict,
-)
+from .gmm import Denoiser, GaussianMixture, GMMDenoiser, gmm_marginal
 from .guidance import (
     METHODS,
     SamplerConfig,
@@ -67,9 +60,7 @@ __all__ = [
     "exact_intermediate_loglik",
     "exact_posterior",
     "exact_posterior_denoiser",
-    "gmm_denoise",
     "gmm_marginal",
-    "gmm_noise_predict",
     "leakage_report",
     "lift_mask",
     "log_likelihood",

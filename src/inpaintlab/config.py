@@ -315,7 +315,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     else:
         raise ConfigError("no mask given (mask.inline or mask.pgm)")
     if mask_vals.size != d:
-        raise ConfigError(f"mask has {mask_vals.size} entries, prior dimension is {d}")
+        key = "mask.inline" if "mask.inline" in pairs else "mask.pgm"
+        raise ConfigError(f"{key}: mask has {mask_vals.size} entries, prior dimension is {d}")
     mask = MaskOperator(mask_vals)
 
     if "xstar.inline" in pairs:
@@ -324,10 +325,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         x_star = read_samples(base / pairs["xstar.dsmp"])[:1].reshape(-1)  # the first row
     else:
         raise ConfigError("no reference given (xstar.inline or xstar.dsmp)")
+    key = "xstar.inline" if "xstar.inline" in pairs else "xstar.dsmp"
     if x_star.size != d:
-        raise ConfigError(f"x_star has {x_star.size} entries, prior dimension is {d}")
-    if not np.all(np.isfinite(x_star)):
-        raise ConfigError(f"x_star must be finite, got {x_star}")
+        raise ConfigError(f"{key}: x_star has {x_star.size} entries, prior dimension is {d}")
+    if not np.all(np.isfinite(x_star)):  # only a .dsmp row can hold one
+        raise ConfigError(f"{key}: x_star must be finite, got {x_star}")
 
     if "methods" not in pairs:
         raise ConfigError("no methods listed")

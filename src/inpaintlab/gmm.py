@@ -5,10 +5,11 @@ sigma_t * x1 stays a mixture at every t, so the quantities a sampler
 normally asks a neural network for are available exactly:
 
 - the marginal p_t (``gmm_marginal``),
-- the conditional mean E[X0 | X_t = x] (``gmm_denoise``),
-- the noise prediction E[X1 | X_t = x] (``gmm_noise_predict``), tied to
-  the denoiser by x1_hat = (x - alpha_t * x0_hat) / sigma_t
-  (``noise_from_x0``),
+- the per-component posterior of X0 given X_t = x and its mean
+  E[X0 | X_t = x] (``component_posterior``, served to the samplers by
+  ``GMMDenoiser``),
+- the noise prediction E[X1 | X_t = x], which is the x0 estimate's tied
+  noise x1_hat = (x - alpha_t * x0_hat) / sigma_t (``noise_from_x0``),
 - the product of the denoiser's Jacobian with a vector
   (``ConditionalMixture.vjp``), its one derivative.
 
@@ -397,7 +398,9 @@ def component_posterior(
     The whitened offsets and the means are formed in one (K, ..., d)
     buffer from one copy of [x, 1], written into the ``scratch`` pair
     described under ``ConditionalMixture`` when it is given; nothing
-    returned is a view of the scratch.
+    returned is a view of the scratch.  At t = 0 the conditional collapses
+    onto x itself (every component mean equals x, exactly for a diagonal
+    prior and to rounding for full covariances).
     """
     x = _check_finite(x)
     alpha, sigma = eval_schedule(sched, t)
@@ -431,20 +434,6 @@ def gmm_marginal(prior: GaussianMixture, sched: Schedule, t: float) -> GaussianM
     return GaussianMixture(prior.weights, alpha * prior.means, cov)
 
 
-def gmm_denoise(
-    prior: GaussianMixture, sched: Schedule, x: np.ndarray, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional mean of X0 given X_t = x, with the (K, ...) component
-    responsibilities.
-
-    At t = 0 the conditional collapses onto x itself; the closed form
-    realizes this limit (every component mean equals x there, exactly for
-    a diagonal prior and to rounding for full covariances).
-    """
-    cond = component_posterior(prior, sched, x, t)
-    return cond.xhat0, cond.resp
-
-
 def noise_from_x0(x: np.ndarray, xhat0: np.ndarray, alpha: float, sigma: float) -> np.ndarray:
     """x1_hat = (x - alpha_t * x0_hat) / sigma_t at x_t = x, formed in one
     fresh buffer shaped like x0_hat (x must broadcast to it); at t = 0 the
@@ -455,15 +444,6 @@ def noise_from_x0(x: np.ndarray, xhat0: np.ndarray, alpha: float, sigma: float) 
     np.subtract(x, out, out=out)
     out /= sigma
     return out
-
-
-def gmm_noise_predict(
-    prior: GaussianMixture, sched: Schedule, x: np.ndarray, t: float
-) -> np.ndarray:
-    """Conditional mean of X1 given X_t = x (``noise_from_x0`` of the denoiser)."""
-    x = _check_finite(x)
-    xhat0, _ = gmm_denoise(prior, sched, x, t)
-    return noise_from_x0(x, xhat0, *eval_schedule(sched, t))
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,11 @@ def exact_posterior(problem: InpaintingProblem, prior: GaussianMixture) -> Gauss
     Component k is conditioned on the observed coordinates by
     ``_condition_on_observed`` and reweighted by its evidence
     N(y_obs; mu_k_obs, Sigma_k_obs + gamma^2 I); a diagonal prior keeps its
-    layout, as conditioning leaves exact zeros off the diagonal.  An empty
-    mask returns the prior itself.  A gamma so small that rounding leaves a
-    posterior covariance not positive definite raises NumericError.
+    layout, as conditioning leaves exact zeros off the diagonal.  A
+    component whose reweighted weight underflows to 0 is dropped: its mass
+    is below the smallest double.  An empty mask returns the prior itself.
+    A gamma so small that rounding leaves a posterior covariance not
+    positive definite raises NumericError.
     """
     if problem.mask.observed_idx.size == 0:
         return prior
@@ -68,11 +70,15 @@ def exact_posterior(problem: InpaintingProblem, prior: GaussianMixture) -> Gauss
         problem, prior.means, prior.covariance_matrices()
     )
     weights = _reweight(np.log(prior.weights), log_ev)
-    cov = np.diagonal(post_cov, axis1=-2, axis2=-1) if prior.is_diagonal else post_cov
+    keep = weights > 0
+    cov = (np.diagonal(post_cov, axis1=-2, axis2=-1) if prior.is_diagonal else post_cov)[keep]
     try:
-        return GaussianMixture(weights / weights.sum(), post_means, cov)
+        return GaussianMixture(weights[keep] / weights.sum(), post_means[keep], cov)
     except ValueError:  # the prior passed these checks, so rounding failed them
-        bad = np.count_nonzero(~np.all(np.linalg.eigvalsh(post_cov) > 0, axis=-1))
+        evals = cov if prior.is_diagonal else np.linalg.eigh(cov)[0]  # as GaussianMixture
+        bad = np.count_nonzero(np.any(evals <= 0, axis=-1))
+        if bad == 0:
+            raise
         raise NumericError(f"exact posterior at gamma = {problem.gamma:g}: {bad} of "
                            f"{prior.n_components} components lost variance to rounding") from None
 

@@ -8,8 +8,10 @@ coefficient families are provided:
 - ``trig-vp``:     alpha_t = cos(pi t / 2), sigma_t = sin(pi t / 2)
   (variance preserving, alpha^2 + sigma^2 = 1)
 
-Both satisfy alpha_0 = 1, sigma_0 = 0, alpha_1 = 0, sigma_1 = 1, with
-alpha non-increasing and sigma non-decreasing.
+Both satisfy alpha_0 = 1, sigma_0 = 0, alpha_1 = 0, sigma_1 = 1 exactly
+(``eval_schedule`` returns the ``trig-vp`` endpoint as (0, 1), where the
+cosine would round to 6.1e-17), with alpha non-increasing and sigma
+non-decreasing.
 """
 
 from __future__ import annotations
@@ -82,4 +84,6 @@ def eval_schedule(sched: Schedule, t: float) -> tuple[float, float]:
         raise ValueError(f"time {t} outside [0, 1]")
     if sched.kind == "linear-flow":
         return 1.0 - t, t
+    if t == 1.0:  # cos(pi / 2) rounds to 6.1e-17, not 0
+        return 0.0, 1.0
     return math.cos(0.5 * math.pi * t), math.sin(0.5 * math.pi * t)

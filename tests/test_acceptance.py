@@ -28,9 +28,7 @@ from inpaintlab import (
     exact_intermediate_loglik,
     exact_posterior,
     exact_posterior_denoiser,
-    gmm_denoise,
     gmm_marginal,
-    gmm_noise_predict,
     leakage_report,
     lift_mask,
     log_likelihood,
@@ -44,7 +42,7 @@ from inpaintlab import (
 from inpaintlab.config import load_config
 from inpaintlab.cli import run_experiment
 from inpaintlab import gmm
-from inpaintlab.gmm import ConditionalMixture
+from inpaintlab.gmm import ConditionalMixture, noise_from_x0
 
 import reference
 
@@ -78,7 +76,7 @@ def _a1_residuals(prior):
         t = float(rng.uniform(0.01, 1.0))
         x = rng.standard_normal(4) * 2.0
         _, sigma = eval_schedule(LIN, t)
-        xhat1 = gmm_noise_predict(prior, LIN, x, t)
+        xhat1 = noise_from_x0(x, GMMDenoiser(prior, LIN).denoise(x, t), *eval_schedule(LIN, t))
         want = reference.noise_mean(prior, LIN, x, t)
         dual_worst = max(dual_worst, float(np.max(np.abs(xhat1 - want))))
         score = gmm_marginal(prior, LIN, t).score(x)
@@ -115,8 +113,8 @@ def _a2_residuals(prior):
         for c in range(4):
             dx = np.zeros(4)
             dx[c] = h
-            hi, _ = gmm_denoise(prior, LIN, x + dx, t)
-            lo, _ = gmm_denoise(prior, LIN, x - dx, t)
+            hi = den.denoise(x + dx, t)
+            lo = den.denoise(x - dx, t)
             fd[:, c] = (hi - lo) / (2 * h)
         fd_worst = max(fd_worst, float(np.max(np.abs(j0 - fd))))
         z = rng.standard_normal(4)
@@ -188,7 +186,7 @@ def test_a3_oracle_consistency():
         x = rng.standard_normal(3)
         # the prior denoiser plus the scaled guidance gradient, against conditioning
         alpha, sigma = eval_schedule(LIN, t)
-        a = gmm_denoise(prior, LIN, x, t)[0] + (sigma**2 / alpha) * exact_guidance_grad(
+        a = GMMDenoiser(prior, LIN).denoise(x, t) + (sigma**2 / alpha) * exact_guidance_grad(
             problem, prior, LIN, x, t)
         b = exact_posterior_denoiser(problem, prior, LIN, x, t)
         route_worst = max(route_worst, float(np.max(np.abs(a - b))))

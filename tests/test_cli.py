@@ -377,6 +377,25 @@ def test_exact_posterior_below_rounding_is_a_numeric_failure(tmp_path, capsys, c
     assert not out_csv.exists() and not samples.exists() and not (tmp_path / "out").exists()
 
 
+def test_zero_posterior_weight_is_dropped_not_a_failure(tmp_path, capsys):
+    # the component at (100, 100) has evidence about exp(-4950) at y = 0: its
+    # posterior weight underflows to 0, and the posterior is the other component
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text()
+                   .replace("mean   = 2, 2", "mean = 0, 0")
+                   .replace("mean   = -2, -2", "mean = 100, 100")
+                   .replace("xstar.inline = 1.5, -0.5", "xstar.inline = 0, 0")
+                   .replace("gamma      = 0.2", "gamma = 0.1"))
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert [r[0] for r in _read_rows(tmp_path / "out" / "results.csv")[1:]] == ["ding", "ddnm"]
+    assert np.all(np.isfinite(read_samples(tmp_path / "out" / "oracle_5.dsmp")))
+    out_csv = tmp_path / "post.csv"
+    assert main(["oracle", "--config", str(cfg), "--out", str(out_csv)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = _read_rows(out_csv)
+    assert len(rows) == 2 and rows[1][:3] == ["1.0", "0.0", "0.0"]
+
+
 def _quickstart(tmp_path, **values):
     """configs/quickstart.cfg with the given keys set (dots written as __)
     and the output under tmp_path."""
@@ -397,6 +416,8 @@ def _quickstart(tmp_path, **values):
     ("n_chains", {"n_chains": "0"}),
     ("seed", {"seed": "-3"}),
     ("eta", {"eta": "0"}),
+    ("mask.inline", {"mask__inline": "1, 0, 1"}),
+    ("xstar.inline", {"xstar__inline": "1.5, 2.4, 0"}),
 ])
 def test_config_error_starts_with_the_key_that_set_the_value(tmp_path, capsys, key, values):
     assert main(["run", "--config", str(_quickstart(tmp_path, **values))]) == 2
@@ -404,6 +425,18 @@ def test_config_error_starts_with_the_key_that_set_the_value(tmp_path, capsys, k
     assert line.startswith(f"config error: {key}: "), line
     assert "dps_scale" not in line and "diffpir_lambda" not in line
     assert not (tmp_path / "out").exists()
+
+
+def test_dimension_errors_of_mask_and_reference_files_start_with_their_key(tmp_path, capsys):
+    write_pgm_mask(tmp_path / "m.pgm", PixelMask(np.ones((1, 1, 3), dtype=bool)))
+    write_samples(tmp_path / "ref.dsmp", np.zeros((1, 3)))
+    for key, line in (("mask.pgm", "mask.pgm = m.pgm"), ("xstar.dsmp", "xstar.dsmp = ref.dsmp")):
+        inline = key.split(".")[0] + ".inline"
+        cfg = _write_cfg(tmp_path)
+        text = cfg.read_text().splitlines()
+        cfg.write_text("\n".join(r for r in text if not r.startswith(inline)) + f"\n{line}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert _one_config_error(capsys).startswith(f"config error: {key}: "), key
 
 
 # one value each key rejects; out_dir takes any path, and a file that

@@ -7,15 +7,19 @@ from inpaintlab import (
     NumericError,
     Schedule,
     eval_schedule,
-    gmm_denoise,
     gmm_marginal,
-    gmm_noise_predict,
     transition_params,
 )
+from inpaintlab.gmm import component_posterior, noise_from_x0
 
 import reference
 
 LIN = Schedule("linear-flow")
+
+
+def _noise(prior, sched, x, t):
+    """E[X1 | X_t = x]: the noise tied to the denoiser's x0 estimate."""
+    return noise_from_x0(x, GMMDenoiser(prior, sched).denoise(x, t), *eval_schedule(sched, t))
 
 
 @pytest.fixture
@@ -72,40 +76,40 @@ def test_marginal_halfway_variance():
 def test_denoise_single_gaussian_closed_form():
     # alpha * x / (alpha^2 + sigma^2) = 0.5 / 0.5 = 1.0
     g = GaussianMixture([1.0], [[0.0]], [[1.0]])
-    xhat0, resp = gmm_denoise(g, LIN, np.array([1.0]), 0.5)
-    np.testing.assert_allclose(xhat0, [1.0], atol=1e-14)
-    np.testing.assert_allclose(resp, [1.0])
+    cond = component_posterior(g, LIN, np.array([1.0]), 0.5)
+    np.testing.assert_allclose(cond.xhat0, [1.0], atol=1e-14)
+    np.testing.assert_allclose(cond.resp, [1.0])
 
 
 def test_denoise_symmetry():
     g = GaussianMixture([0.5, 0.5], [[1.5], [-1.5]], [[0.7], [0.7]])
-    xhat0, _ = gmm_denoise(g, LIN, np.array([0.0]), 0.4)
+    xhat0 = GMMDenoiser(g, LIN).denoise(np.array([0.0]), 0.4)
     np.testing.assert_allclose(xhat0, [0.0], atol=1e-14)
 
 
 def test_denoise_identity_at_t0(three_comp_diag):
     x = np.array([0.3, -0.2, 1.1, 0.0])
-    xhat0, _ = gmm_denoise(three_comp_diag, LIN, x, 0.0)
+    xhat0 = GMMDenoiser(three_comp_diag, LIN).denoise(x, 0.0)
     np.testing.assert_allclose(xhat0, x, atol=1e-12)
 
 
 def test_denoise_rejects_nonfinite(three_comp_diag):
     with pytest.raises(NumericError):
-        gmm_denoise(three_comp_diag, LIN, np.array([np.nan, 0, 0, 0]), 0.5)
+        GMMDenoiser(three_comp_diag, LIN).denoise(np.array([np.nan, 0, 0, 0]), 0.5)
 
 
 def test_noise_predict_examples():
     g = GaussianMixture([1.0], [[0.0]], [[1.0]])
     # (1 - 0.5 * 1.0) / 0.5 = 1.0
-    np.testing.assert_allclose(gmm_noise_predict(g, LIN, np.array([1.0]), 0.5), [1.0])
+    np.testing.assert_allclose(_noise(g, LIN, np.array([1.0]), 0.5), [1.0])
     # independence at t = 0
-    np.testing.assert_allclose(gmm_noise_predict(g, LIN, np.array([3.0]), 0.0), [0.0])
+    np.testing.assert_allclose(_noise(g, LIN, np.array([3.0]), 0.0), [0.0])
 
 
 def test_noise_predict_reconstructs_at_t1(three_comp_diag):
     x = np.array([0.4, -1.0, 0.8, 0.1])
-    xhat0, _ = gmm_denoise(three_comp_diag, LIN, x, 1.0)
-    xhat1 = gmm_noise_predict(three_comp_diag, LIN, x, 1.0)
+    xhat0 = GMMDenoiser(three_comp_diag, LIN).denoise(x, 1.0)
+    xhat1 = _noise(three_comp_diag, LIN, x, 1.0)
     np.testing.assert_allclose(1.0 * xhat1 + 0.0 * xhat0, x)
 
 
@@ -114,7 +118,7 @@ def test_tweedie_duality(three_comp_diag, sched):
     rng = np.random.default_rng(0)
     for t in rng.uniform(0.01, 1.0, size=25):
         x = rng.standard_normal((7, 4)) * 2.0
-        xhat1 = gmm_noise_predict(three_comp_diag, sched, x, t)
+        xhat1 = _noise(three_comp_diag, sched, x, t)
         want = [reference.noise_mean(three_comp_diag, sched, x_i, t) for x_i in x]
         np.testing.assert_allclose(xhat1, want, atol=1e-10)
 
@@ -126,14 +130,14 @@ def test_score_consistency(two_comp_full):
         x = rng.standard_normal((10, 2)) * 2.0
         marg = gmm_marginal(two_comp_full, LIN, t)
         _, sigma = eval_schedule(LIN, t)
-        xhat1 = gmm_noise_predict(two_comp_full, LIN, x, t)
+        xhat1 = _noise(two_comp_full, LIN, x, t)
         np.testing.assert_allclose(xhat1, -sigma * marg.score(x), atol=1e-8)
 
 
 def test_responsibilities_sum_to_one(three_comp_diag):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((50, 4)) * 3.0
-    _, resp = gmm_denoise(three_comp_diag, LIN, x, 0.37)
+    resp = component_posterior(three_comp_diag, LIN, x, 0.37).resp
     np.testing.assert_allclose(resp.sum(axis=0), 1.0, atol=1e-12)
     assert np.all(resp >= 0)
 
@@ -160,12 +164,13 @@ def test_jacobian_single_component_constant(two_comp_full):
 
 def _fd_jacobian(prior, sched, x, t, h=1e-4):
     d = x.size
+    den = GMMDenoiser(prior, sched)
     jac = np.zeros((d, d))
     for j in range(d):
         dx = np.zeros(d)
         dx[j] = h
-        hi, _ = gmm_denoise(prior, sched, x + dx, t)
-        lo, _ = gmm_denoise(prior, sched, x - dx, t)
+        hi = den.denoise(x + dx, t)
+        lo = den.denoise(x - dx, t)
         jac[:, j] = (hi - lo) / (2 * h)
     return jac
 
@@ -294,8 +299,8 @@ def test_vjp_at_t0_raises(three_comp_diag):
 
 @pytest.mark.parametrize("t", [0.3, 1.0])
 def test_transition_mean_equals_denoise_and_noise_predict(two_comp_full, three_comp_diag, t):
-    # the noise estimate tied to one denoiser evaluation is bit-identical to
-    # the closed-form noise prediction
+    # the transition mean is bit-identical to the same arithmetic on the
+    # denoiser's estimate and its tied noise
     rng = np.random.default_rng(8)
     eta, s = 0.8, 0.5 * t
     alpha_s, sigma_s = eval_schedule(LIN, s)
@@ -304,7 +309,7 @@ def test_transition_mean_equals_denoise_and_noise_predict(two_comp_full, three_c
         den = GMMDenoiser(prior, LIN)
         for x in (rng.standard_normal(prior.dim), rng.standard_normal((5, prior.dim))):
             params = transition_params(LIN, eta, x, den.denoise(x, t), s, t)
-            want = alpha_s * den.denoise(x, t) + beta_s * gmm_noise_predict(prior, LIN, x, t)
+            want = alpha_s * den.denoise(x, t) + beta_s * _noise(prior, LIN, x, t)
             np.testing.assert_array_equal(params.mean, want)
 
 
@@ -354,8 +359,6 @@ def test_logsumexp_equals_scipy_bit_for_bit(recwarn):
 
 @pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
 def test_zero_points_give_empty_results(fixture, request):
-    from inpaintlab.gmm import component_posterior
-
     prior = request.getfixturevalue(fixture)
     x = np.zeros((0, prior.dim))
     assert prior.log_density(x).shape == (0,)
@@ -368,7 +371,7 @@ def test_zero_points_give_empty_results(fixture, request):
 def test_component_posterior_log_resp_equals_component_logpdf(fixture, request):
     # the responsibilities come from the rotation shared with the means, and
     # equal the ones built from _component_logpdf's own rotation bit for bit
-    from inpaintlab.gmm import _component_logpdf, component_posterior, logsumexp
+    from inpaintlab.gmm import _component_logpdf, logsumexp
 
     prior = request.getfixturevalue(fixture)
     x = np.random.default_rng(5).standard_normal((33, prior.dim)) * 2.0
@@ -387,7 +390,7 @@ def test_component_posterior_keeps_its_rounding_order(fixture, request):
     # below, one GEMM per component from the augmented points [x, 1] for the
     # whitened offsets, the means and the scores, so the samples of every
     # method stay put; a diagonal prior carries the identity basis
-    from inpaintlab.gmm import component_posterior, logsumexp
+    from inpaintlab.gmm import logsumexp
 
     prior = request.getfixturevalue(fixture)
     d = prior.dim
@@ -423,8 +426,6 @@ def test_component_posterior_keeps_its_rounding_order(fixture, request):
 def test_diagonal_prior_carries_a_read_only_identity_basis(three_comp_diag):
     # the identity stack is a broadcast view of one d x d identity, not a
     # (K, d, d) copy, and the conditional passes the same view on
-    from inpaintlab.gmm import component_posterior
-
     prior = three_comp_diag
     k, d = prior.means.shape
     cond = component_posterior(prior, LIN, np.zeros(d), 0.5)
@@ -496,8 +497,6 @@ def test_batched_matrices_round_like_the_einsum_to_a_few_ulp(monkeypatch):
 def test_centred_scores_average_to_the_marginal_score(fixture, batch, request):
     # the responsibility average of the component scores is the score of
     # the marginal p_t, and the centred scores average to zero
-    from inpaintlab.gmm import component_posterior
-
     prior = request.getfixturevalue(fixture)
     x = np.random.default_rng(6).standard_normal(batch + (prior.dim,)) * 1.5
     for t in (0.1, 0.5, 0.9):
@@ -560,7 +559,6 @@ def _reference_guidance_grad(problem, prior, x, t):
 def test_component_major_kernels_match_per_component_reference(layout):
     # mixture-full sizes: K = 32 components in R^12, 64 points, half observed
     from inpaintlab import InpaintingProblem, MaskOperator, exact_guidance_grad
-    from inpaintlab.gmm import component_posterior
 
     rng = np.random.default_rng(12)
     k, d, n = 32, 12, 64
@@ -577,10 +575,10 @@ def test_component_major_kernels_match_per_component_reference(layout):
         x = alpha * prior.sample(n, rng) + sigma * rng.standard_normal((n, d))
         for points in (x, x[0]):
             cond = component_posterior(prior, LIN, points, t)
-            xhat0, resp = gmm_denoise(prior, LIN, points, t)
+            xhat0 = GMMDenoiser(prior, LIN).denoise(points, t)
             jac = _jacobian(prior, points, t)
             grad = exact_guidance_grad(problem, prior, LIN, points, t)
-            assert cond.log_resp.shape == resp.shape == (k,) + points.shape[:-1]
+            assert cond.log_resp.shape == cond.resp.shape == (k,) + points.shape[:-1]
             cond_means = cond.component_means()
             assert cond_means.shape == (k,) + points.shape
             for i, x_i in enumerate(np.atleast_2d(points)):

@@ -3,6 +3,7 @@ import pytest
 
 from inpaintlab import (
     GaussianMixture,
+    GMMDenoiser,
     InpaintingProblem,
     MaskOperator,
     Schedule,
@@ -12,7 +13,6 @@ from inpaintlab import (
     exact_intermediate_loglik,
     exact_posterior,
     exact_posterior_denoiser,
-    gmm_denoise,
     log_likelihood,
 )
 from inpaintlab import gmm, oracle
@@ -166,6 +166,16 @@ def test_posterior_weights_and_spd(mixed_prior, masked_problem):
         assert np.all(np.linalg.eigvalsh(cov) > 0)
 
 
+def test_posterior_drops_components_whose_weight_underflows():
+    # component 1's evidence at y = 0 is about exp(-4950), below the smallest double
+    prior = GaussianMixture([0.5, 0.5], [[0.0, 0.0], [100.0, 100.0]], [[1.0, 1.0], [1.0, 1.0]])
+    problem = InpaintingProblem(MaskOperator([1, 0]), np.zeros(2), 0.1)
+    post = exact_posterior(problem, prior)
+    assert post.n_components == 1 and post.weights.tolist() == [1.0]
+    np.testing.assert_array_equal(post.means, [[0.0, 0.0]])
+    np.testing.assert_allclose(post.covariances, [[0.01 / 1.01, 1.0]], rtol=1e-15)
+
+
 def test_posterior_matches_dense_grid_oracle():
     # brute-force check in 1-d: posterior density on a grid vs conjugate formula
     prior = GaussianMixture([0.4, 0.6], [[1.5], [-1.0]], [[0.5], [1.2]])
@@ -232,7 +242,7 @@ def test_posterior_denoiser_routes_agree(mixed_prior, masked_problem, t):
     x = rng.standard_normal((6, 3))
     # the prior denoiser plus the scaled guidance gradient, against conditioning
     alpha, sigma = eval_schedule(LIN, t)
-    via_grad = gmm_denoise(mixed_prior, LIN, x, t)[0] + (sigma**2 / alpha) * exact_guidance_grad(
+    via_grad = GMMDenoiser(mixed_prior, LIN).denoise(x, t) + (sigma**2 / alpha) * exact_guidance_grad(
         masked_problem, mixed_prior, LIN, x, t)
     via_cond = exact_posterior_denoiser(masked_problem, mixed_prior, LIN, x, t)
     assert np.max(np.abs(via_grad - via_cond)) <= 1e-8
@@ -245,7 +255,7 @@ def test_posterior_denoiser_runs_one_component_posterior(mixed_prior, masked_pro
         calls.append(1)
         return component_posterior(*args, **kwargs)
 
-    # both modules, so a call that goes through gmm_denoise is counted too
+    # both modules, so a call that goes through GMMDenoiser is counted too
     monkeypatch.setattr(gmm, "component_posterior", counting)
     monkeypatch.setattr(oracle, "component_posterior", counting)
     x = np.random.default_rng(6).standard_normal((5, 3))
@@ -257,7 +267,7 @@ def test_posterior_denoiser_empty_mask_is_denoiser(mixed_prior):
     prob = InpaintingProblem(MaskOperator([0, 0, 0]), np.zeros(3), 0.5)
     x = np.array([0.4, -0.6, 0.0])
     got = exact_posterior_denoiser(prob, mixed_prior, LIN, x, 0.4)
-    np.testing.assert_allclose(got, gmm_denoise(mixed_prior, LIN, x, 0.4)[0], atol=1e-12)
+    np.testing.assert_allclose(got, GMMDenoiser(mixed_prior, LIN).denoise(x, 0.4), atol=1e-12)
 
 
 def test_posterior_denoiser_collapses_to_reference():
@@ -271,6 +281,11 @@ def test_posterior_denoiser_collapses_to_reference():
 def test_posterior_denoiser_rejects_t1(mixed_prior, masked_problem):
     with pytest.raises(ValueError):
         exact_posterior_denoiser(masked_problem, mixed_prior, LIN, np.zeros(3), 1.0)
+
+
+def test_posterior_denoiser_rejects_t1_under_trig_vp(mixed_prior, masked_problem):
+    with pytest.raises(ValueError, match="alpha = 0"):
+        exact_posterior_denoiser(masked_problem, mixed_prior, Schedule("trig-vp"), np.zeros(3), 1.0)
 
 
 def test_ding_gap_zero_displacement(mixed_prior):

@@ -39,6 +39,13 @@ def test_trig_vp_midpoint():
     assert sigma == pytest.approx(0.7071067811865476, abs=1e-12)
 
 
+def test_trig_vp_endpoints_are_exact():
+    # cos(pi / 2) rounds to 6.1e-17; the schedule returns alpha_1 = 0 itself
+    sched = Schedule("trig-vp")
+    assert eval_schedule(sched, 1.0) == (0.0, 1.0)
+    assert eval_schedule(sched, 0.0) == (1.0, 0.0)
+
+
 def test_time_domain_enforced():
     sched = Schedule("linear-flow")
     for t in (-0.1, 1.1):
