@@ -30,6 +30,7 @@ from .oracle import (
     exact_intermediate_loglik,
     exact_posterior,
     exact_posterior_denoiser,
+    posterior_given_state,
 )
 from .problem import InpaintingProblem, MaskOperator, log_likelihood, make_observation
 from .schedule import Schedule, TimeGrid, eval_schedule, make_grid
@@ -67,6 +68,7 @@ __all__ = [
     "make_grid",
     "make_observation",
     "moment_diff",
+    "posterior_given_state",
     "run_conditional",
     "run_unconditional",
     "sample_transition",

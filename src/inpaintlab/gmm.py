@@ -153,20 +153,18 @@ class GaussianMixture:
             raise ValueError("means must have shape (n_components, d)")
 
         k, d = mu.shape
-        if cov.shape == (k, d):
-            if np.any(cov <= 0):
-                raise ValueError("diagonal covariances must be strictly positive")
-            evals, evecs = cov, np.broadcast_to(np.eye(d), (k, d, d))
-        elif cov.shape == (k, d, d):
-            if np.max(np.abs(cov - np.swapaxes(cov, -1, -2))) > 1e-12:
-                raise ValueError("covariances must be symmetric within 1e-12")
-            evals, evecs = np.linalg.eigh(cov)
-            if np.any(evals <= 0):
-                raise ValueError("covariances must be positive definite")
-        else:
+        if cov.shape not in ((k, d), (k, d, d)):
             raise ValueError(
                 f"covariances shape {cov.shape} incompatible with {k} components in R^{d}"
             )
+        if cov.ndim == 3:
+            asym = np.max(np.abs(cov - np.swapaxes(cov, -1, -2)), axis=(-2, -1))
+            if np.any(asym > 1e-12 * np.max(np.abs(cov), axis=(-2, -1))):
+                raise ValueError("covariances must be symmetric within 1e-12 of their scale")
+        evals, evecs, bad = _spectra(cov)
+        if bad:
+            raise ValueError("diagonal covariances must be strictly positive" if cov.ndim == 2
+                             else "covariances must be positive definite")
         object.__setattr__(self, "_evals", evals)
         object.__setattr__(self, "_evecs", evecs)
 
@@ -226,6 +224,18 @@ class GaussianMixture:
 # ---------------------------------------------------------------------------
 # component-major helpers: evecs is the (K, d, d) basis, the identity for a diagonal prior
 # ---------------------------------------------------------------------------
+
+
+def _spectra(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenvalues (K, d) and bases (K, d, d) of covariances given as
+    diagonals (K, d) or full matrices (K, d, d), and the number of
+    components that are not positive definite: those with an eigenvalue
+    at or below 0.  ``GaussianMixture`` rejects a prior with any."""
+    if cov.ndim == 2:
+        evals, evecs = cov, np.broadcast_to(np.eye(cov.shape[1]), cov.shape + cov.shape[1:])
+    else:
+        evals, evecs = np.linalg.eigh(cov)
+    return evals, evecs, int(np.count_nonzero(np.any(evals <= 0, axis=-1)))
 
 
 def _lift(a: np.ndarray, ndim: int) -> np.ndarray:

@@ -5,23 +5,32 @@ when the prior is a Gaussian mixture and the observation is a masked
 Gaussian:
 
 - ``exact_posterior``: the terminal posterior mixture over clean samples.
+- ``posterior_given_state``: the mixture of the clean sample given both a
+  noisy state and the observation (a ``PosteriorGivenState``), with the
+  observation likelihood given the noisy state.
 - ``exact_intermediate_loglik``: the observation likelihood marginalized
-  through the conditional of the clean sample given a noisy state.
+  through the conditional of the clean sample given a noisy state, read
+  from ``posterior_given_state``.
 - ``exact_guidance_grad``: its gradient with respect to the noisy state.
 - ``exact_posterior_denoiser``: the conditional mean of the clean sample
-  given both the noisy state and the observation, by conditioning each
-  component of the mixture of X0 given the noisy state on the observation.
+  given both the noisy state and the observation, the weighted mean of
+  ``posterior_given_state``.
 - ``ding_gap``: the pointwise error of replacing the denoiser Jacobian by
   the scaled identity in a first-order expansion, for one point or a batch
   of chains, with the Jacobian applied to the displacement through the
   denoiser's vector-Jacobian product.
 
-All of them rest on one evidence routine, ``_observed_evidence``, which
-works in the log domain on the observed sub-coordinates only, so every
-factored S = C[obs, obs] + gamma^2 I stays positive definite even at
-small gamma.  Its Cholesky factors L and solved residuals also give the
-guidance gradient and, in ``_condition_on_observed``, each conditioned
-component in gain form, with no d x d inverse: with G = C[:, obs] S^{-1},
+One routine, ``_condition``, conditions a mixture on the observation:
+``exact_posterior`` calls it on the prior's stored components, and
+``posterior_given_state`` on the mixture of X0 given the noisy state from
+one ``component_posterior``.  It reweights each component by its
+evidence, takes the log-likelihood as their log-sum-exp, and leaves the
+mixture as it is under an empty mask.  The evidence comes from
+``_observed_evidence``, which works in the log domain on the observed
+sub-coordinates only, so every factored S = C[obs, obs] + gamma^2 I stays
+positive definite even at small gamma.  Its Cholesky factors L and solved
+residuals also give the guidance gradient and each conditioned component
+in gain form, with no d x d inverse: with G = C[:, obs] S^{-1},
 post_mean = m + G (y_obs - m_obs) and post_cov = C - G C[obs, :], whose obs
 columns and rows are written as gamma^2 G.  As S - C[obs, obs] = gamma^2 I,
 that is exact, and it keeps the digits that C[:, obs] - G C[obs, obs]
@@ -30,11 +39,14 @@ cancels at small gamma.  Diagonal and full priors share this one formula.
 Per-component arrays are component-major, as in ``gmm``: (K, ..., d) for
 the conditional means, which each routine forms once per call with
 ``ConditionalMixture.component_means``, the component scores and the
-solved residuals, (K, ...) for the log evidence and the reweighted
-responsibilities.
+solved residuals, (K, ...) for the log evidence and the reweighted log
+weights, and (K, d, d) for the conditioned covariances, which do not
+depend on the noisy state.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +56,7 @@ from .gmm import (
     GaussianMixture,
     _apply,
     _lift,
+    _spectra,
     _weighted_sum,
     component_posterior,
     logsumexp,
@@ -52,31 +65,48 @@ from .problem import InpaintingProblem
 from .schedule import Schedule, eval_schedule
 
 
+@dataclass(frozen=True)
+class PosteriorGivenState:
+    """The mixture of X0 given the noisy state and the observation, component-major.
+
+    For points x_t of shape (..., d), component k has the normalised log
+    weight ``log_weights[k]`` (K, ...), the conditioned mean ``means[k]``
+    (K, ..., d) and the conditioned covariance ``covariances[k]`` (K, d, d),
+    which does not depend on x_t.  ``loglik`` (...) is the observation
+    log-likelihood given x_t, with the dropped-constant convention of
+    ``log_likelihood``.
+    """
+
+    log_weights: np.ndarray
+    loglik: np.ndarray
+    means: np.ndarray
+    covariances: np.ndarray
+
+
 def exact_posterior(problem: InpaintingProblem, prior: GaussianMixture) -> GaussianMixture:
     """Posterior mixture over clean samples given the masked observation.
 
-    Component k is conditioned on the observed coordinates by
-    ``_condition_on_observed`` and reweighted by its evidence
-    N(y_obs; mu_k_obs, Sigma_k_obs + gamma^2 I); a diagonal prior keeps its
-    layout, as conditioning leaves exact zeros off the diagonal.  A
-    component whose reweighted weight underflows to 0 is dropped: its mass
-    is below the smallest double.  An empty mask returns the prior itself.
-    A gamma so small that rounding leaves a posterior covariance not
-    positive definite raises NumericError.
+    The prior's stored components are conditioned and reweighted by
+    ``_condition``; a diagonal prior keeps its layout, as conditioning
+    leaves exact zeros off the diagonal.  This is not read as
+    ``posterior_given_state`` at t = 1, which would rebuild each full
+    covariance from its eigenbasis and move the weights at rounding level.
+    A component whose reweighted weight underflows to 0 is dropped: its
+    mass is below the smallest double.  An empty mask returns the prior
+    itself.  A gamma so small that rounding leaves a posterior covariance
+    not positive definite, by the rule of ``GaussianMixture``, raises
+    NumericError.
     """
     if problem.mask.observed_idx.size == 0:
         return prior
-    log_ev, post_means, post_cov = _condition_on_observed(
-        problem, prior.means, prior.covariance_matrices()
-    )
-    weights = _reweight(np.log(prior.weights), log_ev)
+    post = _condition(problem, np.log(prior.weights), prior.means, prior.covariance_matrices())
+    weights = np.exp(post.log_weights)
     keep = weights > 0
-    cov = (np.diagonal(post_cov, axis1=-2, axis2=-1) if prior.is_diagonal else post_cov)[keep]
+    cov = (post.covariances.diagonal(0, -2, -1) if prior.is_diagonal else post.covariances)[keep]
     try:
-        return GaussianMixture(weights[keep] / weights.sum(), post_means[keep], cov)
+        return GaussianMixture(weights[keep] / weights.sum(), post.means[keep], cov)
     except ValueError:  # the prior passed these checks, so rounding failed them
-        evals = cov if prior.is_diagonal else np.linalg.eigh(cov)[0]  # as GaussianMixture
-        bad = np.count_nonzero(np.any(evals <= 0, axis=-1))
+        bad = _spectra(cov)[2]
         if bad == 0:
             raise
         raise NumericError(f"exact posterior at gamma = {problem.gamma:g}: {bad} of "
@@ -115,17 +145,23 @@ def _observed_evidence(
     return -0.5 * (quad + _lift(logdet, quad.ndim) + obs.size * _LOG_2PI), chol, solved
 
 
-def _condition_on_observed(
+def _condition(
     problem: InpaintingProblem,
+    log_resp: np.ndarray,
     means: np.ndarray,
     cov: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Condition each component N(means_k, cov_k) on the observed coordinates.
+) -> PosteriorGivenState:
+    """Condition the mixture of components N(means_k, cov_k) with log
+    weights ``log_resp`` (K, ...) on the observation.
 
-    Returns the (K, ...) log evidence and the conditioned means (K, ..., d)
-    and covariances (K, d, d), in the gain form of the module docstring.
+    Each component is conditioned in the gain form of the module docstring
+    and reweighted by its evidence, whose log-sum-exp gives the
+    log-likelihood.  An empty mask leaves the mixture as it is, with a
+    log-likelihood of exactly 0.
     """
     obs = problem.mask.observed_idx
+    if obs.size == 0:
+        return PosteriorGivenState(log_resp, np.zeros(log_resp.shape[1:]), means, cov)
     log_ev, chol, solved = _observed_evidence(problem, means, cov)
     cross = cov[:, :, obs]  # C[:, obs], (K, d, o)
     post_means = means + np.einsum("kdo,k...o->k...d", cross, solved)
@@ -133,13 +169,28 @@ def _condition_on_observed(
     post_cov = cov - gain @ np.swapaxes(cross, -1, -2)
     post_cov[:, :, obs] = problem.gamma**2 * gain  # = C[:, obs] - G C[obs, obs], exactly
     post_cov[:, obs, :] = np.swapaxes(post_cov[:, :, obs], -1, -2)
-    return log_ev, post_means, 0.5 * (post_cov + np.swapaxes(post_cov, -1, -2))
-
-
-def _reweight(log_resp: np.ndarray, log_ev: np.ndarray) -> np.ndarray:
-    """Responsibilities proportional to exp(log_resp + log_ev) over the component axis 0."""
     logw = log_resp + log_ev
-    return np.exp(logw - logsumexp(logw, axis=0, keepdims=True))
+    norm = logsumexp(logw, axis=0, keepdims=True)
+    offset = 0.5 * obs.size * (_LOG_2PI + 2.0 * np.log(problem.gamma))
+    return PosteriorGivenState(logw - norm, norm[0] + offset, post_means,
+                               0.5 * (post_cov + np.swapaxes(post_cov, -1, -2)))
+
+
+def posterior_given_state(
+    problem: InpaintingProblem,
+    prior: GaussianMixture,
+    sched: Schedule,
+    x_t: np.ndarray,
+    t: float,
+) -> PosteriorGivenState:
+    """The mixture of X0 given X_t = x_t and the observation.
+
+    Each component of the mixture of X0 given x_t, from one
+    ``component_posterior``, is conditioned on the observation and
+    reweighted by ``_condition``.
+    """
+    cond = component_posterior(prior, sched, x_t, t)
+    return _condition(problem, cond.log_resp, cond.component_means(), cond.covariance_matrices())
 
 
 def exact_intermediate_loglik(
@@ -152,20 +203,13 @@ def exact_intermediate_loglik(
     """Observation log-likelihood marginalized over X0 given X_t = x_t.
 
     Conditioning on the noisy state leaves a mixture over X0; the masked
-    Gaussian integrates against each component in closed form.  The
-    additive normalization follows the dropped-constant convention of
+    Gaussian integrates against each component in closed form.  This is
+    the ``loglik`` of ``posterior_given_state``.  The additive
+    normalization follows the dropped-constant convention of
     ``log_likelihood``, so the t -> 0 limit recovers it exactly, and an
     empty mask gives identically zero.
     """
-    cond = component_posterior(prior, sched, x_t, t)
-    obs = problem.mask.observed_idx
-    if obs.size == 0:
-        return np.zeros(cond.log_resp.shape[1:])
-    log_ev, _, _ = _observed_evidence(
-        problem, cond.component_means(), cond.covariance_matrices()
-    )
-    offset = 0.5 * obs.size * (_LOG_2PI + 2.0 * np.log(problem.gamma))
-    return logsumexp(cond.log_resp + log_ev, axis=0) + offset
+    return posterior_given_state(problem, prior, sched, x_t, t).loglik
 
 
 def exact_guidance_grad(
@@ -179,7 +223,9 @@ def exact_guidance_grad(
 
     Differentiates through the responsibilities and the per-component
     conditional means, in closed form; the test suite checks it against
-    central finite differences of ``exact_intermediate_loglik``.
+    central finite differences of ``exact_intermediate_loglik``, and,
+    scaled by sigma_t^2 / alpha_t, against ``exact_posterior_denoiser``
+    minus the prior denoiser.
     """
     x_t = np.asarray(x_t, dtype=float)
     obs = problem.mask.observed_idx
@@ -195,8 +241,9 @@ def exact_guidance_grad(
     lifted[..., obs] = solved
     ev_grad = _apply(cond.mean_maps[:, :-1], lifted)
 
-    total = cond.centred_scores() + ev_grad
-    return _weighted_sum(_reweight(cond.log_resp, log_ev), total)
+    logw = cond.log_resp + log_ev
+    resp = np.exp(logw - logsumexp(logw, axis=0, keepdims=True))
+    return _weighted_sum(resp, cond.centred_scores() + ev_grad)
 
 
 def exact_posterior_denoiser(
@@ -206,23 +253,17 @@ def exact_posterior_denoiser(
     x_t: np.ndarray,
     t: float,
 ) -> np.ndarray:
-    """E[X0 | X_t = x_t, observation].
+    """E[X0 | X_t = x_t, observation]: the weighted mean of
+    ``posterior_given_state``.
 
-    Each component of the mixture of X0 given x_t is conditioned on the
-    observation with ``_condition_on_observed`` and reweighted by its
-    evidence, from one ``component_posterior``.  It equals the prior
-    denoiser plus (sigma_t^2 / alpha_t) times ``exact_guidance_grad``, which
-    the test suite checks.
+    It equals the prior denoiser plus (sigma_t^2 / alpha_t) times
+    ``exact_guidance_grad``, which the test suite checks; with an empty
+    mask it is the prior denoiser.
     """
     if eval_schedule(sched, t)[0] == 0.0:
         raise ValueError("posterior denoiser undefined at t = 1 (alpha = 0)")
-    cond = component_posterior(prior, sched, x_t, t)
-    if problem.mask.observed_idx.size == 0:
-        return cond.xhat0
-    log_ev, post_means, _ = _condition_on_observed(
-        problem, cond.component_means(), cond.covariance_matrices()
-    )
-    return _weighted_sum(_reweight(cond.log_resp, log_ev), post_means)
+    post = posterior_given_state(problem, prior, sched, x_t, t)
+    return _weighted_sum(np.exp(post.log_weights), post.means)
 
 
 def ding_gap(

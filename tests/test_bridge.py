@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,18 @@ from inpaintlab import (
     METHODS,
     GaussianMixture,
     GMMDenoiser,
+    InpaintingProblem,
     MaskOperator,
     SamplerConfig,
     Schedule,
     TransitionParams,
     eval_schedule,
+    exact_posterior,
     gmm_marginal,
     make_grid,
     make_observation,
+    moment_diff,
+    posterior_given_state,
     run_conditional,
     run_unconditional,
     sample_transition,
@@ -110,6 +116,75 @@ def test_marginal_preservation_kernel_form():
         assert np.linalg.norm(draw.mean(axis=0) - marg.mean()) < 0.02
         assert np.linalg.norm(np.cov(draw.T) - marg.covariance()) < 0.05
 
+
+
+def _centred_products(x, mean):
+    """(x_i - mean_i)(x_j - mean_j) for each draw, (n, d, d)."""
+    c = x - mean
+    return c[:, :, None] * c[:, None, :]
+
+
+def _worst_moment_z(x, law):
+    """Largest error, in standard errors of n draws, of the sample mean's
+    coordinates and the sample covariance's entries against a mixture's
+    moments.  The mean's come from the law's variances, the covariance's
+    from the spread of the centred products over the draws."""
+    n = x.shape[0]
+    mean, cov = law.mean(), law.covariance()
+    z_mean = np.abs(x.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / n)
+    z_cov = np.abs(np.cov(x.T) - cov) / (_centred_products(x, mean).std(axis=0) / np.sqrt(n))
+    return max(z_mean.max(), z_cov.max())
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.8, 1.0])
+def test_exact_posterior_draws_reproduce_path_marginals(eta):
+    # The kernel's claim for exact pairs: draw x0 from p(x0 | x_t, y) and
+    # step with the shipped transition, and the chain's law at every knot s
+    # is p(x_s | y), the exact posterior pushed through the interpolation.
+    # X1 is independent of X0 and y, and alpha_1 = 0, so the chain starts
+    # from N(0, I) = p(x_1 | y).  A wrong kernel coefficient, a missing
+    # covariance draw or a missing reweighting each moves an interior
+    # moment by 8 or more standard errors.
+    n, num_steps, d = 4000, 20, 4
+    prior = GaussianMixture(
+        [0.5, 0.3, 0.2],
+        [[1.0, -0.5, 0.3, 0.8], [-1.2, 0.7, -0.4, -0.6], [0.2, 1.5, 1.0, -1.0]],
+        [
+            [[0.30, 0.08, 0.05, 0.02], [0.08, 0.25, 0.04, 0.06],
+             [0.05, 0.04, 0.20, 0.03], [0.02, 0.06, 0.03, 0.35]],
+            [[0.20, -0.05, 0.04, 0.00], [-0.05, 0.30, 0.02, -0.07],
+             [0.04, 0.02, 0.25, 0.05], [0.00, -0.07, 0.05, 0.15]],
+            [[0.40, 0.10, -0.06, 0.05], [0.10, 0.20, 0.00, 0.04],
+             [-0.06, 0.00, 0.30, -0.08], [0.05, 0.04, -0.08, 0.25]],
+        ],
+    )
+    problem = InpaintingProblem(MaskOperator([1, 0, 1, 0]), np.array([0.6, 0.0, 0.1, 0.0]), 0.2)
+    target = exact_posterior(problem, prior)
+    rng = np.random.default_rng(43)
+    knots = make_grid(num_steps).knots
+    x = rng.standard_normal((n, d))
+    worst = 0.0
+    for k in range(num_steps, 0, -1):
+        s, t = knots[k - 1], knots[k]
+        post = posterior_given_state(problem, prior, LIN, x, t)
+        # each chain's component by inverse CDF, then its Gaussian draw; the
+        # covariances do not depend on x_t, so one factor per component
+        cdf = np.cumsum(np.exp(post.log_weights), axis=0)
+        comp = np.minimum(np.sum(cdf < rng.random(n), axis=0), prior.n_components - 1)
+        z = rng.standard_normal((n, d))
+        x0 = np.empty_like(x)
+        for c, factor in enumerate(np.linalg.cholesky(post.covariances)):
+            rows = comp == c
+            x0[rows] = post.means[c, rows] + z[rows] @ factor.T
+        x = sample_transition(transition_params(LIN, eta, x, x0, s, t), rng)
+        if k > 1:
+            worst = max(worst, _worst_moment_z(x, gmm_marginal(target, LIN, s)))
+    assert worst <= 5.0, f"interior moment off by {worst:.2f} standard errors"
+    mean_err, cov_err = moment_diff(x, target)
+    mean_tol = 4 * math.sqrt(np.trace(target.covariance()) / n)
+    cov_tol = 4 * math.sqrt(np.sum(_centred_products(x, target.mean()).var(axis=0)) / n)
+    assert mean_err <= mean_tol, f"terminal mean err {mean_err:.4f} (tol {mean_tol:.4f})"
+    assert cov_err <= cov_tol, f"terminal cov err {cov_err:.4f} (tol {cov_tol:.4f})"
 
 def test_unconditional_single_gaussian_mean():
     mu = np.array([0.7, -0.3])

@@ -54,6 +54,15 @@ def test_covariance_validation():
         GaussianMixture([1.0], [[0.0, 0.0]], [[[1.0, 2.0], [2.0, 1.0]]])  # indefinite
     with pytest.raises(ValueError):
         GaussianMixture([1.0], [[0.0]], [[0.0]])  # degenerate diagonal
+    # symmetry is judged against each component's scale: off-diagonals 200%
+    # apart are rejected at scale 1e-14, and 1e-13 of the scale is accepted at 1e8
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussianMixture([1.0], [[0.0, 0.0]], [[[1e-14, 1e-15], [3e-15, 1e-14]]])
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussianMixture([0.5, 0.5], [[0.0, 0.0]] * 2,
+                        [[[1e8, 0.0], [0.0, 1e8]], [[1e-14, 1e-15], [3e-15, 1e-14]]])
+    wide = GaussianMixture([1.0], [[0.0, 0.0]], [[[1e8, 3e7 + 1e-5], [3e7, 1e8]]])
+    assert wide.covariances[0, 0, 1] == 3e7 + 1e-5
 
 
 def test_marginal_endpoints():

@@ -14,6 +14,7 @@ from inpaintlab import (
     exact_posterior,
     exact_posterior_denoiser,
     log_likelihood,
+    posterior_given_state,
 )
 from inpaintlab import gmm, oracle
 from inpaintlab.gmm import component_posterior, logsumexp
@@ -109,13 +110,60 @@ def test_conditioning_route_is_pointwise_reference(t):
     problem = InpaintingProblem(mask, mask.m * rng.standard_normal(prior.dim), 0.2)
     x = rng.standard_normal((5, prior.dim))
     got = exact_posterior_denoiser(problem, prior, LIN, x, t)
-    for x_i, got_i in zip(x, got):
+    post = posterior_given_state(problem, prior, LIN, x, t)
+    for i, (x_i, got_i) in enumerate(zip(x, got)):
         cond = component_posterior(prior, LIN, x_i, t)
         given_x = GaussianMixture(
             cond.resp / cond.resp.sum(), cond.component_means(), cond.covariance_matrices()
         )
-        weights, means, _ = _precision_form_posterior(problem, given_x)
+        weights, means, covs = _precision_form_posterior(problem, given_x)
         np.testing.assert_allclose(got_i, weights @ means, rtol=0, atol=1e-12)
+        # the whole per-point law, not only its mean
+        np.testing.assert_allclose(np.exp(post.log_weights[:, i]), weights, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(post.means[:, i], means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(post.covariances, covs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 3)])
+def test_posterior_given_state_empty_mask_is_state_conditional(mixed_prior, shape):
+    # with nothing observed, the law of X0 given x_t is left exactly as it is
+    prob = InpaintingProblem(MaskOperator([0, 0, 0]), np.zeros(3), 0.5)
+    x = np.random.default_rng(8).standard_normal(shape)
+    post = posterior_given_state(prob, mixed_prior, LIN, x, 0.4)
+    cond = component_posterior(mixed_prior, LIN, x, 0.4)
+    np.testing.assert_array_equal(post.log_weights, cond.log_resp)
+    np.testing.assert_array_equal(post.means, cond.component_means())
+    np.testing.assert_array_equal(post.covariances, cond.covariance_matrices())
+    assert post.loglik.shape == shape[:-1] and np.all(post.loglik == 0.0)
+
+
+def test_posterior_given_state_loglik_is_intermediate_loglik(mixed_prior, masked_problem):
+    x = np.random.default_rng(9).standard_normal((6, 3))
+    post = posterior_given_state(masked_problem, mixed_prior, LIN, x, 0.35)
+    want = [exact_intermediate_loglik(masked_problem, mixed_prior, LIN, x_i, 0.35) for x_i in x]
+    np.testing.assert_allclose(post.loglik, want, rtol=1e-12, atol=0)
+    assert post.log_weights.shape == (3, 6) and post.means.shape == (3, 6, 3)
+    assert post.covariances.shape == (3, 3, 3)
+    np.testing.assert_allclose(logsumexp(post.log_weights, axis=0), 0.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("reader", ["exact_posterior", "exact_posterior_denoiser",
+                                    "exact_intermediate_loglik"])
+def test_each_reader_conditions_once(mixed_prior, masked_problem, monkeypatch, reader):
+    calls = []
+    condition = oracle._condition
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return condition(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_condition", counting)
+    if reader == "exact_posterior":
+        exact_posterior(masked_problem, mixed_prior)
+    else:
+        x = np.random.default_rng(7).standard_normal((5, 3))
+        getattr(oracle, reader)(masked_problem, mixed_prior, LIN, x, 0.5)
+    assert len(calls) == 1
 
 
 def test_posterior_hard_constraint_limit():
