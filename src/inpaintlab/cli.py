@@ -75,19 +75,22 @@ def _write_trajectories(
     """Run ``run_conditional`` with the trajectory streamed to ``path`` as
     one ``((K+1)*n, 2d)`` sample matrix, step-major: row ``k*n + j`` is
     chain j at the k-th knot from t = 1, its ``x`` then its ``xhat0``.
-    Each knot's block is written as the chain reaches it; returns the
-    (n, d) samples.  If the run raises, the partly written file is
-    deleted."""
+    Each step's block is written as the chain starts it, and the last,
+    t = 0 block is the returned (n, d) samples in both halves, since the
+    estimate of a state at t = 0 is the state.  If the run raises, the
+    partly written file is deleted."""
     header = dsmp_header((scfg.grid.num_steps + 1) * scfg.n_chains, 2 * problem.mask.dim)
     try:
         with open(path, "wb") as fh:
             fh.write(header)
             # each block is a C-contiguous (n, 2d) buffer; astype copies it
             # only where float64 is not little-endian
-            return run_conditional(
+            samples = run_conditional(
                 problem, denoiser, sched, scfg,
                 record=lambda block: fh.write(block.astype("<f8", copy=False)),
             )
+            fh.write(np.hstack((samples, samples)).astype("<f8", copy=False))
+            return samples
     except BaseException:
         Path(path).unlink(missing_ok=True)
         raise
@@ -233,12 +236,12 @@ def _cmd_masklift(args) -> int:
         raise ConfigError("--factors takes f_h,f_w or f_t,f_h,f_w")
     f_t, f_h, f_w = factors
     r = args.dilate if args.dilate is not None else f_h // 2
-    fmt = args.format or ("dmsk" if args.out.endswith(".dmsk") else "pgm")
+    write = write_dmsk if args.out.endswith(".dmsk") else write_pgm_mask
     # each ValueError here is the user's: factors that do not divide the mask,
     # a negative radius, or several frames for a PGM
     try:
         latent = lift_mask(mask, (f_t, f_h, f_w), r, args.dilate_t)
-        (write_pgm_mask if fmt == "pgm" else write_dmsk)(args.out, PixelMask(latent.grid))
+        write(args.out, PixelMask(latent.grid))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     report = leakage_report(mask, latent)
@@ -312,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lift.add_argument("--factors", required=True, help="f_h,f_w or f_t,f_h,f_w")
     p_lift.add_argument("--dilate", type=int, help="spatial radius (default f_h//2)")
     p_lift.add_argument("--dilate-t", type=int, default=0, help="temporal radius")
-    p_lift.add_argument("--out", required=True)
-    p_lift.add_argument("--format", choices=("pgm", "dmsk"))
+    p_lift.add_argument("--out", required=True, help=".dmsk, or else a PGM")
     p_lift.add_argument("--report", help="leakage CSV (default: stdout)")
     p_lift.set_defaults(func=_cmd_masklift)
 

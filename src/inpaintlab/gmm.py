@@ -143,6 +143,9 @@ class GaussianMixture:
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", cov)
 
+        for name, a in (("weights", w), ("means", mu), ("covariances", cov)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} must be finite")
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-D array")
         if np.any(w <= 0):
@@ -568,6 +571,3 @@ class GMMDenoiser(Denoiser):
         if eval_schedule(self.sched, ev.t)[1] == 0.0:
             raise ValueError("denoiser Jacobian is not defined at t=0 (sigma_t = 0); "
                              "evaluate at t > 0")
-
-    def reset_jacobian_counter(self) -> None:
-        self.jacobian_calls = 0

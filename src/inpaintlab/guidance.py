@@ -346,14 +346,14 @@ def run_conditional(
     on) have their observed coordinates overwritten by y at the end.
     Deterministic given (seed, config); chain j's draws depend only on
     (seed, method, j), so the first rows of a larger run equal a smaller
-    one.  ``record``, when given, is called once per knot in time order,
-    t = 1 first, with the (n, 2d) block of the chains at that knot: x in
-    the first d columns, the estimate ev.xhat0 the step from that knot was
-    handed in the last d.  The last call is the t = 0 block after final
-    replacement, whose estimate is evaluated for the record alone.  The
-    block is one buffer, overwritten at the next knot, so the run holds
-    one block whatever K is; a sink that keeps it must copy it.  A
-    non-finite transition raises NumericError naming the method and step.
+    one.  ``record``, when given, is called once before each step, K
+    times in time order from t = 1, with the (n, 2d) block the step
+    starts from: x in the first d columns, the estimate ev.xhat0 it was
+    handed in the last d.  The run evaluates nothing for the record, and
+    t = 0 is the returned samples.  The block is one buffer, overwritten
+    at the next step, so the run holds one block whatever K is; a sink
+    that keeps it must copy it.  A non-finite transition raises
+    NumericError naming the method and step.
     """
     # read from the module at each run, so a patched step_<method> is the one called
     step = globals()[f"step_{cfg.method}"]
@@ -378,7 +378,4 @@ def run_conditional(
     if cfg.final_replacement:
         idx = problem.mask.observed_idx
         x[..., idx] = problem.y[idx]
-    if block is not None:
-        block[:, :d], block[:, d:] = x, denoiser.denoise(x, knots[0])
-        record(block)
     return x

@@ -98,7 +98,7 @@ def read_pgm_mask(path: str | Path) -> PixelMask:
 
 def write_pgm_mask(path: str | Path, mask: PixelMask) -> None:
     if mask.shape[0] != 1:
-        raise ValueError("PGM stores a single frame; use the dmsk format instead")
+        raise ValueError("PGM stores a single frame; name the output .dmsk instead")
     _, h, w = mask.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())

@@ -97,16 +97,18 @@ def test_trajectory_matrix_reads_back(tmp_path):
     out = tmp_path / "traced"
     rows = read_samples(out / "ding_5_trajectories.dsmp")
     assert rows.shape == (13 * 16, 4)  # (K+1) * chains, x then xhat0
-    # the last block is every chain at t = 0
-    np.testing.assert_array_equal(rows[-16:, :2], read_samples(out / "ding_5.dsmp"))
+    # the last block is every chain at t = 0, where the estimate is the state
+    samples = read_samples(out / "ding_5.dsmp")
+    np.testing.assert_array_equal(rows[-16:], np.hstack((samples, samples)))
     for name in ("ding_5.dsmp", "ddnm_5.dsmp", "oracle_5.dsmp"):
         assert (out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
     assert [p.name for p in out.glob("*.csv")] == ["results.csv"]
 
 
 def test_streamed_trajectory_equals_the_collected_blocks(tmp_path):
-    # the file run streams is, byte for byte, the header and then every
-    # block a collecting sink receives, stacked in time order
+    # the file run streams is, byte for byte, the header, then every block a
+    # collecting sink receives, stacked in time order, then the t = 0 block
+    # [samples | samples]
     from inpaintlab import GMMDenoiser, run_conditional
     from inpaintlab.cli import _observe
     from inpaintlab.config import load_config
@@ -123,8 +125,8 @@ def test_streamed_trajectory_equals_the_collected_blocks(tmp_path):
         blocks = []
         samples = run_conditional(problem, denoiser, cfg.sched, scfg,
                                   record=lambda b: blocks.append(b.copy()))
-        assert len(blocks) == 13
-        stacked = np.concatenate(blocks)
+        assert len(blocks) == 12
+        stacked = np.concatenate(blocks + [np.hstack((samples, samples))])
         streamed = (cfg.out_dir / f"{method}_5_trajectories.dsmp").read_bytes()
         assert streamed == dsmp_header(*stacked.shape) + stacked.astype("<f8").tobytes(), method
         assert (cfg.out_dir / f"{method}_5.dsmp").read_bytes() == (
@@ -246,6 +248,101 @@ def test_metrics_subcommand(tmp_path, capsys):
     metric, value, n, seed = lines[1].split(",")
     assert metric == "sw2" and n == "50" and seed == "9"
     assert float(value) > 0
+
+
+def test_oracle_writes_full_posterior_covariances(tmp_path, capsys):
+    # a full-covariance prior gives a full posterior: d*d covariance columns,
+    # each entry the repr of the exact posterior's
+    from inpaintlab import exact_posterior
+    from inpaintlab.cli import _observe
+    from inpaintlab.config import load_config
+
+    cfg_path = _write_cfg(tmp_path)
+    cfg_path.write_text(cfg_path.read_text().replace(
+        "prior.component.0.cov    = 1, 1", "prior.component.0.cov = 1, 0.3, 0.3, 2"))
+    out_csv = tmp_path / "post.csv"
+    assert main(["oracle", "--config", str(cfg_path), "--out", str(out_csv)]) == 0
+    assert capsys.readouterr().out == f"wrote {out_csv}\n"
+    rows = _read_rows(out_csv)
+    assert rows[0] == ["weight", "mean_0", "mean_1", "cov_0_0", "cov_0_1", "cov_1_0", "cov_1_1"]
+    cfg = load_config(cfg_path)
+    posterior = exact_posterior(_observe(cfg, cfg.seed)[0], cfg.prior)
+    want = np.column_stack((posterior.weights, posterior.means,
+                            posterior.covariances.reshape(posterior.n_components, -1)))
+    np.testing.assert_array_equal(np.array(rows[1:], dtype=float), want)
+
+
+def test_masklift_reads_and_writes_multi_frame_dmsk(tmp_path, capsys):
+    # a .dmsk input keeps its frames, and an output named .dmsk is written as one;
+    # without --report the leakage CSV goes to stdout
+    from inpaintlab.io import read_dmsk, write_dmsk
+
+    grid = np.ones((2, 8, 8), dtype=np.uint8)
+    grid[1, 2:4, 2:4] = 0
+    write_dmsk(tmp_path / "m.dmsk", PixelMask(grid))
+    out = tmp_path / "latent.dmsk"
+    assert main(["masklift", "--in", str(tmp_path / "m.dmsk"), "--factors", "1,4,4",
+                 "--dilate", "0", "--out", str(out)]) == 0
+    latent = read_dmsk(out)
+    assert latent.shape == (2, 2, 2)
+    np.testing.assert_array_equal(latent.grid[:, 0, 0], [1, 0])
+    assert capsys.readouterr().out == (
+        "edited_pixels_in_observed_cells,observed_pixels_in_edited_cells\n0,12\n"
+    )
+    pgm = tmp_path / "latent.pgm"
+    assert main(["masklift", "--in", str(tmp_path / "m.dmsk"), "--factors", "1,4,4",
+                 "--out", str(pgm)]) == 2
+    assert _one_config_error(capsys) == (
+        "config error: PGM stores a single frame; name the output .dmsk instead"
+    )
+    assert not pgm.exists()
+
+
+def test_metrics_cpsnr_writes_its_row_to_out(tmp_path, capsys):
+    # rows 1 and 2 off the reference on the observed coordinate at peak 2:
+    # PSNRs 10 log10(4) and 0, whose mean is 10 log10(2)
+    write_samples(tmp_path / "a.dsmp", np.array([[1.0, 7.0], [2.0, -3.0]]))
+    write_samples(tmp_path / "b.dsmp", np.array([[0.0, 0.0], [5.0, 5.0]]))
+    write_pgm_mask(tmp_path / "m.pgm", PixelMask(np.array([[1, 0]], dtype=np.uint8)))
+    out = tmp_path / "cpsnr.csv"
+    assert main(["metrics", "--a", str(tmp_path / "a.dsmp"), "--b", str(tmp_path / "b.dsmp"),
+                 "--metric", "cpsnr", "--mask", str(tmp_path / "m.pgm"), "--peak", "2",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    rows = _read_rows(out)
+    assert rows[0] == ["metric", "value", "n", "seed"]
+    assert rows[1][0] == "cpsnr" and rows[1][2:] == ["2", "0"]
+    assert float(rows[1][1]) == pytest.approx(10 * np.log10(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["oracle", "--config", "{cfg}", "--out", "{tmp}/post.csv", "--seed", "-1"],
+     "--seed must be non-negative, got -1"),
+    (["masklift", "--in", "{tmp}/m.pgm", "--factors", "1,1,4,4", "--out", "{tmp}/l.pgm"],
+     "--factors takes f_h,f_w or f_t,f_h,f_w"),
+    (["metrics", "--a", "{tmp}/empty.dsmp", "--b", "{tmp}/a.dsmp"], "--a holds no sample"),
+    (["metrics", "--a", "{tmp}/a.dsmp", "--b", "{tmp}/c.dsmp"], "--a, --b have d = 2, 3"),
+    (["metrics", "--a", "{tmp}/a.dsmp", "--b", "{tmp}/a.dsmp", "--projections", "0"],
+     "--projections must be at least 1 and --seed at least 0"),
+    (["metrics", "--a", "{tmp}/a.dsmp", "--b", "{tmp}/a.dsmp", "--metric", "cpsnr"],
+     "cpsnr needs --mask"),
+    (["metrics", "--a", "{tmp}/a.dsmp", "--b", "{tmp}/a.dsmp", "--metric", "cpsnr",
+      "--mask", "{tmp}/zero.pgm"], "--mask observes no coordinate"),
+], ids=["oracle-seed", "masklift-factor-count", "metrics-empty", "metrics-dimensions",
+        "metrics-projections", "cpsnr-no-mask", "cpsnr-unobserved-mask"])
+def test_subcommand_argument_errors_exit_2(tmp_path, capsys, args, message):
+    rng = np.random.default_rng(0)
+    write_samples(tmp_path / "a.dsmp", rng.standard_normal((4, 2)))
+    write_samples(tmp_path / "empty.dsmp", np.zeros((0, 2)))
+    write_samples(tmp_path / "c.dsmp", rng.standard_normal((4, 3)))
+    write_pgm_mask(tmp_path / "zero.pgm", PixelMask(np.zeros((1, 2), dtype=np.uint8)))
+    write_pgm_mask(tmp_path / "m.pgm", PixelMask(np.ones((16, 16), dtype=np.uint8)))
+    cfg = _write_cfg(tmp_path)
+    argv = [a.format(cfg=cfg, tmp=tmp_path) for a in args]
+    assert main(argv) == 2
+    assert _one_config_error(capsys) == f"config error: {message}"
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "post.csv").exists() and not (tmp_path / "l.pgm").exists()
 
 
 def test_metrics_rejects_zero_dimension_samples(tmp_path, capsys):
@@ -581,6 +678,26 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout
+
+
+def test_module_exit_codes_reach_the_shell(tmp_path):
+    # python -m inpaintlab.cli hands main's return value to the shell
+    write_samples(tmp_path / "a.dsmp", np.random.default_rng(0).standard_normal((4, 2)))
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("gamma      = 0.2", "gamma = 1e-170"))
+    a = str(tmp_path / "a.dsmp")
+    cases = [
+        (0, ["metrics", "--a", a, "--b", a], ""),
+        (2, ["metrics", "--a", a, "--b", a, "--projections", "0"], "config error: "),
+        (3, ["metrics", "--a", str(tmp_path / "missing.dsmp"), "--b", a], "i/o error: "),
+        (4, ["oracle", "--config", str(cfg), "--out", str(tmp_path / "post.csv")],
+         "numeric failure: "),
+    ]
+    for code, args, prefix in cases:
+        proc = subprocess.run([sys.executable, "-m", "inpaintlab.cli", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == code, (args, proc.stderr)
+        assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == bool(prefix)
 
 
 def test_run_loads_numpy_only(tmp_path):

@@ -332,7 +332,6 @@ def test_ding_deterministic_when_eta_zero(mixture_setup):
 
 def test_ding_never_touches_jacobian(mixture_setup):
     _, den, problem = mixture_setup
-    den.reset_jacobian_counter()
     cfg = _cfg("ding", grid=make_grid(25), n_chains=4, ding_nz=3)
     run_conditional(problem, den, LIN, cfg)
     assert den.jacobian_calls == 0
@@ -584,11 +583,11 @@ def test_trajectory_records(mixture_setup):
     samples = run_conditional(problem, den, LIN, cfg, record=lambda b: blocks.append(b.copy()))
     rows = np.stack(blocks)
     d = problem.mask.dim
-    assert rows.shape == (13, 3, 2 * d)
-    # block k is the k-th knot from t = 1: its x, then the estimate at it
-    for k, t in enumerate(cfg.grid.knots[::-1]):
+    assert rows.shape == (12, 3, 2 * d)
+    # block k is the start of the k-th step from t = 1: its x, then the
+    # estimate at it; t = 0 is the returned samples, not a block
+    for k, t in enumerate(cfg.grid.knots[:0:-1]):
         np.testing.assert_array_equal(rows[k, :, d:], den.denoise(rows[k, :, :d], t))
-    np.testing.assert_array_equal(rows[-1, :, :d], samples)
     np.testing.assert_array_equal(run_conditional(problem, den, LIN, cfg), samples)
 
 
@@ -605,7 +604,7 @@ def _traced_peak(run):
 @pytest.mark.parametrize("k", [12, 96])
 def test_trajectory_record_holds_one_block(method, k, mixture_setup):
     # a sink that discards its blocks costs the run one (n, 2d) buffer
-    # whatever K is; a (K+1, n, 2d) record would cost K + 1 of them
+    # whatever K is; a (K, n, 2d) record would cost K of them
     _, den, problem = mixture_setup
     cfg = _cfg(method, grid=make_grid(k), n_chains=2000)
     block = cfg.n_chains * 2 * problem.mask.dim * 8
@@ -617,8 +616,8 @@ def test_trajectory_record_holds_one_block(method, k, mixture_setup):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_trajectory_record_reuses_the_step_evaluation(method, mixture_setup, monkeypatch):
-    # the record takes each state's estimate from the step that starts there;
-    # only the final t = 0 row evaluates the posterior on its own
+    # the record takes each state's estimate from the step that starts there,
+    # so a recorded run evaluates the posterior no more often than a plain one
     _, den, problem = mixture_setup
     original = gmm.component_posterior
     calls = [0]
@@ -634,7 +633,7 @@ def test_trajectory_record_reuses_the_step_evaluation(method, mixture_setup, mon
         calls[0] = 0
         run_conditional(problem, den, LIN, cfg, record=(lambda b: None) if record else None)
         counts.append(calls[0])
-    assert counts[1] == counts[0] + 1
+    assert counts[1] == counts[0]
 
 
 def test_dps_step_runs_one_component_posterior(mixture_setup, monkeypatch):
@@ -648,7 +647,6 @@ def test_dps_step_runs_one_component_posterior(mixture_setup, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(gmm, "component_posterior", counting)
-    den.reset_jacobian_counter()
     run_conditional(problem, den, LIN, _cfg("dps", grid=make_grid(9), n_chains=3))
     assert calls[0] == 9
     assert den.jacobian_calls == 9
