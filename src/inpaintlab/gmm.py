@@ -33,39 +33,50 @@ Sigma_k, cached at construction, so A_k, C0_k and C_k^{-1} are diagonal in
 it, with eigenvalues alpha * lam_k / c_k, cov_evals_k and 1 / c_k, where
 lam_k are the eigenvalues of Sigma_k.
 
-Per-component arrays are component-major.  For points x of shape
-(..., d), the whitened offsets, conditional means and scores are
-(K, ..., d) and the responsibilities (K, ...); per-component constants are
-(K, d) and the bases (K, d, d).  Every responsibility-weighted sum
-contracts the leading axis in ``einsum``, with no (..., K, d, d) array.
+Per-component arrays are component-major, and the products are
+points-last: the N points of a call, x of shape (..., d), are the columns
+of the (d+1, M) rows [x, 1]^T, so the whitened offsets, conditional means
+and scores are formed as (K, d, M) and the log responsibilities as
+(K, M), with the chains along the contiguous axis.  M = max(N, 2): a
+single point gets the zero point as a second column, since numpy sends a
+one-column product to gemv and a one-column ``einsum`` to its dot loop,
+which round otherwise.  Every public result keeps the caller's layout:
+the denoiser output and ``vjp`` are shaped like x, and the means and
+scores that ``ConditionalMixture`` returns are (K, ..., d), each
+transposed back once into the fresh array returned.  Per-component
+constants are (K, d) and the bases (K, d, d).  No (..., K, d, d) array
+is made.
 
-Each per-component vector is an affine map of the augmented points
-xa = [x, 1] and costs one GEMM per component, (N, d+1) @ (K, d+1, d) for
-N points.  The maps are built per call in O(K d^3); each stack of
-V_k diag(.) V_k^T in them is one batched GEMM (``_matrices``):
+Each per-component vector is an affine map of the columns [x, 1]^T and
+costs one GEMM per component, (K, d, d+1) @ (d+1, M).  The maps are built
+per call in O(K d^3); each stack of V_k diag(.) V_k^T in them is one
+batched GEMM (``_matrices``):
 
     u_k = c_k^{-1/2} V_k^T (x - alpha * mu_k)    (whitened offsets)
     m_k = A_k x + (mu_k - alpha * A_k mu_k)     (means)
     g_k = -C_k^{-1} (x - alpha * mu_k)          (scores)
 
-The linear part sits in the first d rows of a map and the bias in its
-last row: V_k diag(c_k^{-1/2}) under -(alpha * mu_k)^T V_k diag(c_k^{-1/2}),
-A_k under mu_k^T - alpha * mu_k^T A_k, and -C_k^{-1} under
-alpha * mu_k^T C_k^{-1} (A_k and C_k^{-1} are symmetric).  The squared
-norm of u_k is the Mahalanobis term of r_k.  ``component_posterior``
-writes u, then the means over it, and keeps neither: it forms the
-denoiser output from them, and the conditional keeps the mean maps, so
-the means (``ConditionalMixture.component_means``) and the scores are
-formed again when the product with a vector or the oracle asks.  A
-``GMMDenoiser`` passes the one scratch it owns for these (K, ..., d)
-products and the rows [x, 1], so its steps allocate neither once the
-scratch has grown to the point count.  A diagonal prior carries the
-identity as its basis V_k and runs the same GEMMs, which are exact
-against it for finite points.  The sums over K stay in ``einsum`` rather
-than one long-inner BLAS product, whose rows would depend on the batch
-size: row j of every result depends on row j of x alone, so a smaller
-batch is a prefix of a larger one.  Responsibilities are computed in the
-log domain (component likelihoods underflow at small sigma_t).
+The linear part sits in the first d columns of a map and the bias in its
+last column: diag(c_k^{-1/2}) V_k^T beside -diag(c_k^{-1/2}) V_k^T alpha
+mu_k, A_k beside mu_k - alpha * A_k mu_k, and -C_k^{-1} beside
+alpha * C_k^{-1} mu_k (A_k and C_k^{-1} are symmetric).  The squared norm
+of u_k is the Mahalanobis term of r_k, added over the coordinates of a
+column in index order.  ``component_posterior`` writes u, then the means
+over it, and keeps neither: it forms the denoiser output from them, and
+the conditional keeps the mean maps, so the means
+(``ConditionalMixture.component_means``) and the scores are formed again
+when the product with a vector or the oracle asks.  A ``GMMDenoiser``
+passes the one scratch it owns for these (K, d, M) products and the rows
+[x, 1]^T, and each (d, M) sum over K is written over spent rows or into
+the array returned, so its steps allocate none of these once the scratch
+has grown to the point count.  A diagonal prior
+carries the identity as its basis V_k and runs the same GEMMs, which are
+exact against it for finite points.  The sums over K stay in ``einsum``,
+in index order, rather than one long-inner BLAS product, whose rows
+would depend on the batch size: row j of every result depends on point
+j alone, so a smaller batch, one point included, is a prefix of a
+larger one.  Responsibilities are computed in the log domain (component
+likelihoods underflow at small sigma_t).
 
 Points may be passed as a single vector ``(d,)`` or as a batch ``(..., d)``;
 outputs follow the input shape.
@@ -206,11 +217,12 @@ class GaussianMixture:
     def score(self, x: np.ndarray) -> np.ndarray:
         """Gradient of log density at x."""
         x = np.asarray(x, dtype=float)
-        lr = _component_logpdf(x, self.means, self._evals, self._evecs)
-        lr += _lift(np.log(self.weights), x.ndim)
+        xa = _rows(x)
+        lr = _whitened_logpdf(_whitening(self.means, self._evals, self._evecs) @ xa, self._evals)
+        lr += np.log(self.weights)[:, None]
         resp = np.exp(lr - logsumexp(lr, axis=0, keepdims=True))
-        scores = _apply(_score_maps(self.means, self._evals, self._evecs), _augmented(x))
-        return _weighted_sum(resp, scores)
+        scores = _score_maps(self.means, self._evals, self._evecs) @ xa
+        return _points(_weighted_sum(resp, scores), x.shape[:-1])
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n points: component index first, then the Gaussian draw."""
@@ -225,7 +237,8 @@ class GaussianMixture:
 
 
 # ---------------------------------------------------------------------------
-# component-major helpers: evecs is the (K, d, d) basis, the identity for a diagonal prior
+# component-major, points-last helpers: evecs is the (K, d, d) basis, the identity for a
+# diagonal prior, and points are the columns of (..., d, M) arrays
 # ---------------------------------------------------------------------------
 
 
@@ -247,23 +260,44 @@ def _lift(a: np.ndarray, ndim: int) -> np.ndarray:
     return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
 
 
-def _weighted_sum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_k w[k] v[k]: weights (K, ...) against vectors (K, ..., d)."""
-    return np.einsum("k...,k...d->...d", w, v)
-
-
-def _apply(mats: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """v_k @ mats_k for component-major rows v of shape (K, ..., m) and
-    matrices (K, m, d): one GEMM per component.  A leading axis of 1 sends
-    the same rows through every component's matrix, giving (K, ..., d),
-    written into ``out`` when given (a C-contiguous array of that shape,
-    so that its reshape is a view)."""
-    rows = v.reshape(v.shape[0], -1, v.shape[-1])
-    if out is None:
-        out = rows @ mats
-        return out.reshape(out.shape[:1] + v.shape[1:-1] + mats.shape[-1:])
-    np.matmul(rows, mats, out=out.reshape(mats.shape[0], -1, mats.shape[-1]))
+def _columns(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Points v of shape (..., d) written as the first columns of ``out``,
+    (d, M) for M at least the point count, with the zero point in every
+    column past them."""
+    d = v.shape[-1]
+    n = v.size // d
+    out[:, :n] = v.reshape(n, d).T
+    out[:, n:] = 0.0
     return out
+
+
+def _rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """[x, 1]^T for N points x of shape (..., d), as the (d+1, M) columns
+    that every component's map multiplies, M = max(N, 2), written into
+    ``out`` when given.  Every product and sum over columns spans at least
+    2 of them: numpy sends a one-column product to gemv and a one-column
+    ``einsum`` to its dot loop, which round otherwise."""
+    if out is None:
+        out = np.empty((x.shape[-1] + 1, max(x.size // x.shape[-1], 2)))
+    _columns(x, out[:-1])
+    out[-1] = 1.0
+    return out
+
+
+def _points(cols: np.ndarray, batch: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """Columns (..., d, M) back as points: the first prod(batch) columns as
+    a (..., *batch, d) array, written into the leading part of the flat
+    array ``out`` when given and into a fresh one otherwise."""
+    pts = np.swapaxes(cols[..., : math.prod(batch)], -1, -2)
+    out = np.empty(pts.shape) if out is None else out[: pts.size].reshape(pts.shape)
+    out[...] = pts
+    return out.reshape(cols.shape[:-2] + batch + cols.shape[-2:-1])
+
+
+def _weighted_sum(w: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_k w[k] v[k] over the columns: weights (K, M) against vectors
+    (K, d, M), (d, M), written into ``out`` when given."""
+    return np.einsum("km,kdm->dm", w, v, out=out)
 
 
 def _matrices(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
@@ -272,29 +306,19 @@ def _matrices(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
     return (evecs * evals[:, None, :]) @ np.swapaxes(evecs, -1, -2)
 
 
-def _augmented(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """[x, 1] for points x of shape (..., d), as (1, ..., d+1): the rows that
-    ``_apply`` sends through every component's map, written into ``out``
-    when given."""
-    if out is None:
-        out = np.empty((1,) + x.shape[:-1] + (x.shape[-1] + 1,))
-    out[..., :-1] = x
-    out[..., -1] = 1.0
-    return out
-
-
 def _affine_maps(mats: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(K, d+1, d') maps that send [x, 1] to (x - centers_k) @ mats_k."""
-    return np.concatenate([mats, -(centers[:, None, :] @ mats)], axis=1)
+    """(K, d', d+1) maps that send [x, 1]^T to mats_k^T (x - centers_k)."""
+    bias = -(centers[:, None, :] @ mats)
+    return np.concatenate([np.swapaxes(mats, -1, -2), np.swapaxes(bias, -1, -2)], axis=-1)
 
 
 def _whitening(centers: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """Maps of [x, 1] to the whitened offsets evals_k^{-1/2} V_k^T (x - centers_k)."""
+    """Maps of [x, 1]^T to the whitened offsets evals_k^{-1/2} V_k^T (x - centers_k)."""
     return _affine_maps(evecs / np.sqrt(evals)[:, None, :], centers)
 
 
 def _score_maps(centers: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """Maps of [x, 1] to the gradient -Sigma_k^{-1} (x - centers_k) of
+    """Maps of [x, 1]^T to the gradient -Sigma_k^{-1} (x - centers_k) of
     log N(x; centers_k, Sigma_k), Sigma_k = V_k diag(evals_k) V_k^T."""
     return _affine_maps(_matrices(-1.0 / evals, evecs), centers)
 
@@ -306,14 +330,21 @@ def _component_logpdf(
     evecs: np.ndarray,
 ) -> np.ndarray:
     """log N(x; centers_k, V_k diag(evals_k) V_k^T) for each component k, (K, ...)."""
-    return _whitened_logpdf(_apply(_whitening(centers, evals, evecs), _augmented(x)), evals)
+    lp = _whitened_logpdf(_whitening(centers, evals, evecs) @ _rows(x), evals)
+    return _per_point(lp, x.shape[:-1])
 
 
 def _whitened_logpdf(u: np.ndarray, evals: np.ndarray) -> np.ndarray:
-    """``_component_logpdf`` from the whitened offsets u, (K, ..., d)."""
-    quad = np.einsum("k...d,k...d->k...", u, u)
+    """log N of each column from its whitened offsets u, (K, d, M) -> (K, M).
+    The Mahalanobis term adds the d squares of a column in index order."""
+    quad = np.einsum("kdm,kdm->km", u, u)
     logdet = np.sum(np.log(evals), axis=-1)
-    return -0.5 * (quad + _lift(logdet, quad.ndim) + u.shape[-1] * _LOG_2PI)
+    return -0.5 * (quad + logdet[:, None] + u.shape[1] * _LOG_2PI)
+
+
+def _per_point(a: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
+    """Per-component values over columns (K, M) as (K, *batch), a view."""
+    return a[:, : math.prod(batch)].reshape(a.shape[:1] + batch)
 
 
 @dataclass(frozen=True)
@@ -327,18 +358,22 @@ class ConditionalMixture:
     depends on t only, not on x; ``cov_evecs`` is the (K, d, d) basis V,
     the identity for a diagonal prior.
 
-    No (K, ..., d) array is kept.  ``component_means`` forms the m_k from
-    the points ``x`` and the (K, d+1, d) maps ``mean_maps`` of [x, 1],
-    whose first d rows are the slopes A_k = alpha * Sigma_k C_k^{-1} of m_k
-    in x.  ``vjp`` and the scores also need ``centers[k]`` = alpha * mu_k
-    and ``c[k]``, the eigenvalues of C_k, both (K, d).  ``x`` is the
-    caller's array, not a copy: it must stay unchanged while the conditional
-    is in use.  The ``scratch`` that ``vjp`` and ``component_posterior``
-    take is a pair of buffers that they overwrite, (K, ..., d) for the
-    products and (1, ..., d+1) for [x, 1]; (None, None) allocates both.
+    The log responsibilities are kept over the M columns of the products,
+    ``log_resp_cols`` (K, M), whose first N are the N points (the module
+    docstring has the layout); ``log_resp`` is their view in the shape of
+    x.  No (K, ..., d) array is kept.  ``component_means`` forms the m_k
+    from the points ``x`` and the (K, d, d+1) maps ``mean_maps`` of
+    [x, 1]^T, whose first d columns are the slopes A_k = alpha * Sigma_k
+    C_k^{-1} of m_k in x.  ``vjp`` and the scores also need ``centers[k]``
+    = alpha * mu_k and ``c[k]``, the eigenvalues of C_k, both (K, d).  ``x``
+    is the caller's array, not a copy: it must stay unchanged while the
+    conditional is in use.  The ``scratch`` that ``vjp`` and
+    ``component_posterior`` take is a pair of buffers that they overwrite,
+    (K, d, M) for the products and (d+1, M) for [x, 1]^T; (None, None)
+    allocates both.
     """
 
-    log_resp: np.ndarray
+    log_resp_cols: np.ndarray
     xhat0: np.ndarray
     x: np.ndarray
     mean_maps: np.ndarray
@@ -346,6 +381,10 @@ class ConditionalMixture:
     cov_evecs: np.ndarray
     centers: np.ndarray
     c: np.ndarray
+
+    @property
+    def log_resp(self) -> np.ndarray:
+        return _per_point(self.log_resp_cols, self.x.shape[:-1])
 
     @property
     def resp(self) -> np.ndarray:
@@ -356,40 +395,57 @@ class ConditionalMixture:
 
     def component_means(self) -> np.ndarray:
         """m_k = A_k x + (mu_k - alpha * A_k mu_k), (K, ..., d): one GEMM per
-        component from [x, 1]."""
-        return _apply(self.mean_maps, _augmented(self.x))
+        component from [x, 1]^T."""
+        return _points(self.mean_maps @ _rows(self.x), self.x.shape[:-1])
 
     def scores(self) -> np.ndarray:
         """g_k = -C_k^{-1} (x - alpha * mu_k), the gradient of component k's
-        log-likelihood of x, (K, ..., d): one GEMM per component from [x, 1]."""
-        return _apply(_score_maps(self.centers, self.c, self.cov_evecs), _augmented(self.x))
+        log-likelihood of x, (K, ..., d): one GEMM per component from [x, 1]^T."""
+        return _points(self._score_maps() @ _rows(self.x), self.x.shape[:-1])
+
+    def slope_products(self, w: np.ndarray) -> np.ndarray:
+        """A_k^T w_k for one vector per component, w of shape (K, ..., d):
+        (K, ..., d), one GEMM per component with the slopes read from the
+        first d columns of ``mean_maps``."""
+        rows = w.reshape(w.shape[0], -1, w.shape[-1])
+        return (rows @ np.swapaxes(self.mean_maps[:, :, :-1], -1, -2)).reshape(w.shape)
 
     def centred_scores(self) -> np.ndarray:
         """g_k - sum_j r_j g_j, (K, ..., d)."""
-        g = self.scores()
-        return g - _weighted_sum(self.resp, g)
+        g = self._score_maps() @ _rows(self.x)
+        g -= _weighted_sum(np.exp(self.log_resp_cols), g)
+        return _points(g, self.x.shape[:-1])
 
     def vjp(self, v: np.ndarray, scratch: tuple = (None, None)) -> np.ndarray:
         """J^T v for the Jacobian J of ``xhat0`` and v shaped like x.
 
         J^T v = sum_k r_k A_k v + sum_k r_k (m_k.v - sum_j r_j m_j.v) g_k,
-        since A_k is symmetric, read from the first d rows of ``mean_maps``.
-        The means, the slope products and the scores are one GEMM per
-        component each, formed one after the other in one (K, ..., d)
-        buffer from one copy of [x, 1] (the ``scratch`` pair when given),
-        and no (..., d, d) array is made.
+        since A_k is symmetric, read from the first d columns of
+        ``mean_maps``.  The means, the slope products and the scores are
+        one GEMM per component each, formed one after the other in one
+        (K, d, M) buffer from one copy of [x, 1]^T (the ``scratch`` pair
+        when given), and no (..., d, d) array is made.  The (d, M) columns
+        of v, and then the first sum, are held in the fresh array that is
+        returned; the second sum and the total are written over the rows
+        once the scores are formed, and transposed into it last.
         """
         prods, rows = scratch
-        xa = _augmented(self.x, rows)
-        resp = self.resp
-        means = _apply(self.mean_maps, xa, prods)
-        coef = np.einsum("k...d,...d->k...", means, v)
+        xa = _rows(self.x, rows)
+        jtv = np.empty(xa[:-1].size)
+        v_cols = _columns(v, jtv.reshape(xa[:-1].shape))
+        resp = np.exp(self.log_resp_cols)
+        means = np.matmul(self.mean_maps, xa, out=prods)
+        coef = np.einsum("kdm,dm->km", means, v_cols)
         coef -= np.sum(resp * coef, axis=0)
-        prod = _apply(self.mean_maps[:, :-1], v[None], out=means)
-        jtv = _weighted_sum(resp, prod)
-        scores = _apply(_score_maps(self.centers, self.c, self.cov_evecs), xa, out=prod)
-        jtv += _weighted_sum(resp * coef, scores)
-        return jtv
+        prod = np.matmul(self.mean_maps[:, :, :-1], v_cols, out=means)
+        first = _weighted_sum(resp, prod, out=v_cols)
+        scores = np.matmul(self._score_maps(), xa, out=prod)
+        total = _weighted_sum(resp * coef, scores, out=xa[:-1])
+        total += first
+        return _points(total, self.x.shape[:-1], out=jtv)
+
+    def _score_maps(self) -> np.ndarray:
+        return _score_maps(self.centers, self.c, self.cov_evecs)
 
 
 def _check_finite(x: np.ndarray) -> np.ndarray:
@@ -408,12 +464,13 @@ def component_posterior(
 ) -> ConditionalMixture:
     """Exact per-component posterior of X0 given the corrupted state x at time t.
 
-    The whitened offsets and the means are formed in one (K, ..., d)
-    buffer from one copy of [x, 1], written into the ``scratch`` pair
-    described under ``ConditionalMixture`` when it is given; nothing
-    returned is a view of the scratch.  At t = 0 the conditional collapses
-    onto x itself (every component mean equals x, exactly for a diagonal
-    prior and to rounding for full covariances).
+    The whitened offsets and the means are formed in one (K, d, M) buffer
+    from one copy of [x, 1]^T, and their weighted sum over the x rows of
+    that copy, all written into the ``scratch`` described under
+    ``ConditionalMixture`` when it is given; nothing returned is a view of
+    the scratch.  At t = 0 the conditional collapses onto x itself (every
+    component mean equals x, exactly for a diagonal prior and to rounding
+    for full covariances).
     """
     x = _check_finite(x)
     alpha, sigma = eval_schedule(sched, t)
@@ -423,18 +480,20 @@ def component_posterior(
     centers = alpha * prior.means
 
     prods, rows = scratch
-    xa = _augmented(x, rows)
-    u = _apply(_whitening(centers, c, evecs), xa, prods)
+    xa = _rows(x, rows)
+    u = np.matmul(_whitening(centers, c, evecs), xa, out=prods)
     log_resp = _whitened_logpdf(u, c)
-    log_resp += _lift(np.log(prior.weights), x.ndim)
+    log_resp += np.log(prior.weights)[:, None]
     log_resp -= logsumexp(log_resp, axis=0, keepdims=True)
 
     # m_k = A_k x + (mu_k - alpha A_k mu_k), written over the whitened offsets u
     maps = _affine_maps(_matrices(slope, evecs), centers)
-    maps[:, -1] += prior.means
-    xhat0 = _weighted_sum(np.exp(log_resp), _apply(maps, xa, out=u))
+    maps[:, :, -1] += prior.means
+    means = np.matmul(maps, xa, out=u)
+    xhat0 = _weighted_sum(np.exp(log_resp), means, out=xa[:-1])
     cov_evals = sigma**2 * lam / c
-    return ConditionalMixture(log_resp, xhat0, x, maps, cov_evals, evecs, centers, c)
+    return ConditionalMixture(log_resp, _points(xhat0, x.shape[:-1]), x, maps, cov_evals,
+                              evecs, centers, c)
 
 
 def gmm_marginal(prior: GaussianMixture, sched: Schedule, t: float) -> GaussianMixture:
@@ -514,13 +573,14 @@ class GMMDenoiser(Denoiser):
     ``jacobian_calls`` counts one per ``vjp`` or ``jacobian`` call; methods
     that advertise themselves as Jacobian-free can be audited against it.
 
-    The denoiser owns the scratch of its evaluations and products: one
-    (K, N, d) buffer for the per-component products and one (N, d+1)
-    buffer for the rows [x, 1], grown to the largest point count N seen
-    and reused by every ``evaluate``, ``vjp`` and ``jacobian``.  No array
-    these calls return is a view of the scratch, so an evaluation stays
-    valid after the next one, but one denoiser must not evaluate in two
-    threads at once.
+    The denoiser owns the scratch of its evaluations and products, laid
+    out points-last as in the module docstring: one (K, d, M) buffer for
+    the per-component products and one (d+1, M) buffer for the rows
+    [x, 1]^T, with M = max(N, 2) columns for N points.  They are grown to the
+    largest point count seen and reused by every ``evaluate``, ``vjp`` and
+    ``jacobian``.  No array these calls return is a view of the scratch,
+    so an evaluation stays valid after the next one, but one denoiser must
+    not evaluate in two threads at once.
     """
 
     def __init__(self, prior: GaussianMixture, sched: Schedule):
@@ -556,15 +616,15 @@ class GMMDenoiser(Denoiser):
         return ev.state.vjp(np.asarray(v, dtype=float), scratch)
 
     def _scratch(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The (K, ..., d) products and (1, ..., d+1) rows of points shaped
+        """The (K, d, M) products and (d+1, M) rows of points shaped
         (..., d), as views of the leading part of the denoiser's buffers,
         about to be overwritten."""
         k, d = self.prior.n_components, self.dim
-        n = math.prod(shape[:-1])
-        if self._rows.size < n * (d + 1):
-            self._prods, self._rows = np.empty(k * n * d), np.empty(n * (d + 1))
-        prods = self._prods[: k * n * d].reshape((k,) + shape[:-1] + (d,))
-        return prods, self._rows[: n * (d + 1)].reshape((1,) + shape[:-1] + (d + 1,))
+        m = max(math.prod(shape[:-1]), 2)
+        if self._rows.size < m * (d + 1):
+            self._prods, self._rows = np.empty(k * d * m), np.empty((d + 1) * m)
+        prods = self._prods[: k * d * m].reshape(k, d, m)
+        return prods, self._rows[: (d + 1) * m].reshape(d + 1, m)
 
     def _count_jacobian(self, ev: Evaluation) -> None:
         self.jacobian_calls += 1

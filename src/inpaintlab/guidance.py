@@ -346,7 +346,7 @@ def run_conditional(
     on) have their observed coordinates overwritten by y at the end.
     Deterministic given (seed, config); chain j's draws depend only on
     (seed, method, j), so the first rows of a larger run equal a smaller
-    one.  ``record``, when given, is called once before each step, K
+    one, a one-chain run included.  ``record``, when given, is called once before each step, K
     times in time order from t = 1, with the (n, 2d) block the step
     starts from: x in the first d columns, the estimate ev.xhat0 it was
     handed in the last d.  The run evaluates nothing for the record, and

@@ -36,12 +36,15 @@ columns and rows are written as gamma^2 G.  As S - C[obs, obs] = gamma^2 I,
 that is exact, and it keeps the digits that C[:, obs] - G C[obs, obs]
 cancels at small gamma.  Diagonal and full priors share this one formula.
 
-Per-component arrays are component-major, as in ``gmm``: (K, ..., d) for
+Per-component arrays are component-major, as in ``gmm``, but points-first:
+the oracle works on the (K, ..., d) arrays that ``gmm`` returns, not on
+the denoiser's points-last (K, d, M) products.  That is (K, ..., d) for
 the conditional means, which each routine forms once per call with
 ``ConditionalMixture.component_means``, the component scores and the
 solved residuals, (K, ...) for the log evidence and the reweighted log
 weights, and (K, d, d) for the conditioned covariances, which do not
-depend on the noisy state.
+depend on the noisy state.  Its weighted sums over components are
+``einsum``s over that layout (``_mixture_mean``).
 """
 
 from __future__ import annotations
@@ -54,10 +57,8 @@ from .errors import NumericError
 from .gmm import (
     _LOG_2PI,
     GaussianMixture,
-    _apply,
     _lift,
     _spectra,
-    _weighted_sum,
     component_posterior,
     logsumexp,
 )
@@ -111,6 +112,11 @@ def exact_posterior(problem: InpaintingProblem, prior: GaussianMixture) -> Gauss
             raise
         raise NumericError(f"exact posterior at gamma = {problem.gamma:g}: {bad} of "
                            f"{prior.n_components} components lost variance to rounding") from None
+
+
+def _mixture_mean(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_k w[k] v[k]: weights (K, ...) against vectors (K, ..., d)."""
+    return np.einsum("k...,k...d->...d", w, v)
 
 
 def _chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -235,15 +241,14 @@ def exact_guidance_grad(
     means = cond.component_means()
     log_ev, _, solved = _observed_evidence(problem, means, cond.covariance_matrices())
 
-    # gradient of each component's evidence: A_k^T lifted residual, with
-    # the symmetric slope A_k read from the first d rows of the mean map
+    # gradient of each component's evidence: A_k^T lifted residual
     lifted = np.zeros(means.shape)
     lifted[..., obs] = solved
-    ev_grad = _apply(cond.mean_maps[:, :-1], lifted)
+    ev_grad = cond.slope_products(lifted)
 
     logw = cond.log_resp + log_ev
     resp = np.exp(logw - logsumexp(logw, axis=0, keepdims=True))
-    return _weighted_sum(resp, cond.centred_scores() + ev_grad)
+    return _mixture_mean(resp, cond.centred_scores() + ev_grad)
 
 
 def exact_posterior_denoiser(
@@ -263,7 +268,7 @@ def exact_posterior_denoiser(
     if eval_schedule(sched, t)[0] == 0.0:
         raise ValueError("posterior denoiser undefined at t = 1 (alpha = 0)")
     post = posterior_given_state(problem, prior, sched, x_t, t)
-    return _weighted_sum(np.exp(post.log_weights), post.means)
+    return _mixture_mean(np.exp(post.log_weights), post.means)
 
 
 def ding_gap(

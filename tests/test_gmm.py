@@ -406,9 +406,11 @@ def test_component_posterior_log_resp_equals_component_logpdf(fixture, request):
 @pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
 def test_component_posterior_keeps_its_rounding_order(fixture, request):
     # component_posterior rounds exactly like the out-of-place expressions
-    # below, one GEMM per component from the augmented points [x, 1] for the
-    # whitened offsets, the means and the scores, so the samples of every
-    # method stay put; a diagonal prior carries the identity basis
+    # below, in the points-last layout: one GEMM per component on the
+    # columns [x, 1]^T for the whitened offsets, the means and the scores,
+    # the Mahalanobis term summed over coordinates and the denoiser output
+    # over components in index order, so the samples of every method stay
+    # put; a diagonal prior carries the identity basis
     from inpaintlab.gmm import logsumexp
 
     prior = request.getfixturevalue(fixture)
@@ -418,28 +420,121 @@ def test_component_posterior_keeps_its_rounding_order(fixture, request):
     def matrices(evals):  # V_k diag(evals_k) V_k^T, one batched GEMM
         return (basis * evals[:, None, :]) @ np.swapaxes(basis, -1, -2)
 
+    def maps(mats, centers):  # (K, d, d+1): mats_k^T beside the bias column
+        bias = -(centers @ mats)
+        return np.concatenate([np.swapaxes(mats, 1, 2), np.swapaxes(bias, 1, 2)], axis=2)
+
     x = np.random.default_rng(7).standard_normal((33, d)) * 2.0
-    xa = np.concatenate([x, np.ones((33, 1))], axis=1)
+    xa = np.concatenate([x, np.ones((33, 1))], axis=1).T
     for t in (0.05, 0.4, 0.95):
         alpha, sigma = eval_schedule(LIN, t)
         c = alpha**2 * prior._evals + sigma**2
         slope = alpha * prior._evals / c
         centers = (alpha * prior.means)[:, None, :]
-        cols = basis / np.sqrt(c)[:, None, :]
-        u = xa @ np.concatenate([cols, -(centers @ cols)], axis=1)
-        quad = np.einsum("knd,knd->kn", u, u)
+        u = maps(basis / np.sqrt(c)[:, None, :], centers) @ xa
+        quad = _index_order([u[:, i] * u[:, i] for i in range(d)])
         lr = -0.5 * (quad + np.sum(np.log(c), axis=-1)[:, None] + d * np.log(2.0 * np.pi))
         lr = lr + np.log(prior.weights)[:, None]
         log_resp = lr - logsumexp(lr, axis=0, keepdims=True)
-        a = matrices(slope)
-        means = xa @ np.concatenate([a, prior.means[:, None, :] - centers @ a], axis=1)
-        prec = matrices(-1.0 / c)
-        scores = xa @ np.concatenate([prec, -(centers @ prec)], axis=1)
+        mean_maps = maps(matrices(slope), centers)
+        mean_maps[:, :, -1] += prior.means
+        means = mean_maps @ xa
+        scores = maps(matrices(-1.0 / c), centers) @ xa
+        resp = np.exp(log_resp)
+        xhat0 = _index_order([resp[k] * means[k] for k in range(len(means))])
         cond = component_posterior(prior, LIN, x, t)
         assert cond.log_resp.tobytes() == log_resp.tobytes()
-        assert cond.component_means().tobytes() == means.tobytes()
-        assert cond.xhat0.tobytes() == np.einsum("kn,knd->nd", np.exp(log_resp), means).tobytes()
-        assert cond.scores().tobytes() == scores.tobytes()
+        assert cond.component_means().tobytes() == np.swapaxes(means, 1, 2).tobytes()
+        assert cond.xhat0.tobytes() == xhat0.T.tobytes()
+        assert cond.scores().tobytes() == np.swapaxes(scores, 1, 2).tobytes()
+
+
+def _index_order(terms):
+    """terms[0] + terms[1] + ..., added left to right."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("k", [1, 2, 32])
+@pytest.mark.parametrize("n", [2, 3, 64, 500])
+def test_column_sums_add_in_index_order(k, n):
+    # in the points-last layout the Mahalanobis term adds the squares of a
+    # column's coordinates, and a responsibility-weighted sum its
+    # components, in index order, with or without a scratch block to write
+    # the sum into
+    from inpaintlab.gmm import _weighted_sum, _whitened_logpdf
+
+    d = 12
+    rng = np.random.default_rng(27)
+    u = rng.standard_normal((k, d, n)) * 3.0
+    w = rng.random((k, n))
+    evals = 0.5 + rng.random((k, d))
+    quad = _index_order([u[:, i] * u[:, i] for i in range(d)])
+    want = -0.5 * (quad + np.sum(np.log(evals), axis=-1)[:, None] + d * np.log(2.0 * np.pi))
+    assert _whitened_logpdf(u, evals).tobytes() == want.tobytes()
+    want = _index_order([w[j] * u[j] for j in range(k)])
+    assert _weighted_sum(w, u).tobytes() == want.tobytes()
+    assert _weighted_sum(w, u, np.empty((d, n))).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
+def test_vjp_keeps_its_rounding_order(fixture, request):
+    # ConditionalMixture.vjp rounds exactly like the points-last expressions
+    # below: GEMMs per component on the columns, the dots m_k.v over
+    # coordinates and the weighted sums over components in index order
+    prior = request.getfixturevalue(fixture)
+    d = prior.dim
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((33, d)) * 2.0
+    v = rng.standard_normal((33, d))
+    xa = np.concatenate([x, np.ones((33, 1))], axis=1).T
+    for t in (0.05, 0.4, 0.95):
+        cond = component_posterior(prior, LIN, x, t)
+        resp = np.exp(cond.log_resp)
+        means = cond.mean_maps @ xa
+        coef = _index_order([means[:, i] * v.T[i] for i in range(d)])
+        coef -= np.sum(resp * coef, axis=0)
+        slopes = cond.mean_maps[:, :, :-1] @ v.T
+        scores = np.swapaxes(cond.scores(), 1, 2)
+        jtv = _index_order([resp[j] * slopes[j] for j in range(len(resp))])
+        jtv += _index_order([resp[j] * coef[j] * scores[j] for j in range(len(resp))])
+        assert cond.vjp(v).tobytes() == jtv.T.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "full"])
+@pytest.mark.parametrize("d", [2, 8, 12])
+def test_rows_do_not_depend_on_the_batch_shape(d, kind):
+    # row j of evaluate and vjp depends on point j alone, bit for bit: one
+    # point (d,), a one-row batch, an (n, d) batch and ding's (n, nz, d)
+    # proposals give the same rows, from one denoiser whose scratch is
+    # regrown and reused, and from fresh ones
+    rng = np.random.default_rng(29)
+    k, n, nz = 32, 6, 3
+    if kind == "full":
+        a = rng.standard_normal((k, d, d))
+        cov = 0.3 * a @ np.swapaxes(a, 1, 2) / d + 0.2 * np.eye(d)
+    else:
+        cov = 0.2 + 0.6 * rng.random((k, d))
+    prior = GaussianMixture(rng.dirichlet(np.ones(k)), 2.0 * rng.standard_normal((k, d)), cov)
+    x = rng.standard_normal((n * nz, d)) * 2.0
+    v = rng.standard_normal((n * nz, d))
+    den = GMMDenoiser(prior, LIN)
+    for t in (0.1, 0.5, 0.9):
+        ev = den.evaluate(x, t)
+        want_x, want_v = ev.xhat0.tobytes(), den.vjp(ev, v).tobytes()
+        ev = den.evaluate(x.reshape(n, nz, d), t)
+        assert ev.xhat0.shape == (n, nz, d)
+        assert ev.xhat0.tobytes() == want_x
+        assert den.vjp(ev, v.reshape(n, nz, d)).tobytes() == want_v
+        for i in range(n * nz):
+            for shape, one in (((d,), den), ((1, d), den), ((d,), GMMDenoiser(prior, LIN))):
+                ev = one.evaluate(x[i].reshape(shape), t)
+                assert ev.xhat0.shape == shape
+                assert ev.xhat0.tobytes() == want_x[i * d * 8:(i + 1) * d * 8]
+                got = one.vjp(ev, v[i].reshape(shape)).tobytes()
+                assert got == want_v[i * d * 8:(i + 1) * d * 8]
 
 
 def test_diagonal_prior_carries_a_read_only_identity_basis(three_comp_diag):

@@ -470,10 +470,11 @@ def test_run_conditional_deterministic(mixture_setup):
 ], ids=["diagonal", "full"])
 @pytest.mark.parametrize("method", METHODS)
 def test_chain_results_are_a_prefix_of_a_larger_run(method, prior):
-    # within one block of 64 chains, at a block boundary and across several blocks
+    # one chain, within one block of 64 chains, at a block boundary and
+    # across several blocks
     den = GMMDenoiser(prior, LIN)
     problem = make_observation(np.array([1.7, -0.4]), MaskOperator([1, 0]), 0.2)
-    for n_few, n_many in ((2, 6), (64, 65), (70, 130)):
+    for n_few, n_many in ((1, 6), (2, 6), (64, 65), (70, 130)):
         few = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_few, ding_nz=2))
         many = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_many, ding_nz=2))
         np.testing.assert_array_equal(few, many[:n_few])
@@ -485,12 +486,14 @@ def test_chain_results_are_a_prefix_of_a_larger_run(method, prior):
 def test_chain_results_are_a_prefix_at_benchmark_sizes(method, layout):
     # the priors of mixture-full and gmm8: at these sizes BLAS blocks the
     # rows and columns of a product, which d = 2 never reaches, so a row of
-    # a result could depend on the batch it came in; none may
+    # a result could depend on the batch it came in; none may, and one
+    # chain, whose products would take gemv without the second column of
+    # the denoiser's scratch, may not either
     d, k, kind = layout
     den, problem = _benchmark_setup(d, k, kind, np.random.default_rng(21))
     knobs = dict(gamma=0.1, dps_scale=0.1, ding_nz=2)
     many = run_conditional(problem, den, LIN, _cfg(method, n_chains=200, **knobs))
-    for n_few in (7, 65, 130):
+    for n_few in (1, 7, 65, 130):
         few = run_conditional(problem, den, LIN, _cfg(method, n_chains=n_few, **knobs))
         np.testing.assert_array_equal(few, many[:n_few])
 
@@ -550,6 +553,50 @@ def test_steps_after_the_first_allocate_no_component_products(method, monkeypatc
     finally:
         tracemalloc.stop()
     assert peak - held[0] < k * n * d * 8
+
+
+@pytest.mark.parametrize("method", ["ding", "dps"])
+def test_steps_after_the_first_allocate_no_point_blocks(method, monkeypatch):
+    # the points-last (d, n) blocks of the denoiser (the columns of v and
+    # the responsibility-weighted sums) live in its scratch or in the array
+    # it returns: once the first step has grown the scratch, no evaluate or
+    # vjp of a later step requests as much as one (d, n) block on top of
+    # the memory it started from and the arrays it returns.  With K = 2
+    # components every other array such a call makes and frees, (K, n) or
+    # (K, d, d+1), is smaller than a (d, n) block, so one more would show
+    k, n, d = 2, 500, 12
+    den, problem = _benchmark_setup(d, k, "full", np.random.default_rng(25))
+    step = getattr(guidance, f"step_{method}")
+    after_first, surplus = [], []
+
+    def first_step_arms_the_calls(*args):
+        x_s = step(*args)
+        after_first.append(True)
+        return x_s
+
+    def traced(call):
+        def wrapper(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = call(*args)
+            if after_first:
+                current, peak = tracemalloc.get_traced_memory()
+                shape = np.shape(getattr(result, "xhat0", result))
+                surplus.append((peak - max(start, current), math.prod(shape[:-1])))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(guidance, f"step_{method}", first_step_arms_the_calls)
+    monkeypatch.setattr(den, "evaluate", traced(den.evaluate))
+    monkeypatch.setattr(den, "vjp", traced(den.vjp))
+    cfg = _cfg(method, n_chains=n, gamma=0.1, dps_scale=0.1, ding_nz=2)
+    tracemalloc.start()
+    try:
+        run_conditional(problem, den, LIN, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(surplus) >= 9
+    assert all(extra < d * points * 8 for extra, points in surplus), surplus
 
 
 @pytest.mark.parametrize("method", METHODS)
