@@ -87,8 +87,8 @@ class TransitionParams:
         object.__setattr__(self, "std", float(self.std))
         if self.std < 0:
             raise ValueError("transition std must be non-negative")
-        if not np.all(np.isfinite(mean)):
-            finite = np.all(np.isfinite(np.atleast_1d(mean)), axis=-1)  # one entry per chain
+        if not np.isfinite(mean).all():
+            finite = np.isfinite(np.atleast_1d(mean)).all(axis=-1)  # one entry per chain
             bad = finite.size - np.count_nonzero(finite)
             raise NumericError(
                 f"transition mean must be finite: {bad} of {finite.size} chains non-finite"

@@ -110,23 +110,36 @@ def logsumexp(a, axis=None, keepdims: bool = False):
     subtracting the mask (exp(0) is exactly 1).  Where the max is not
     finite the result is not finite either, and the direct form replaces
     it.
+
+    When every reduced slice has a finite max that occurs exactly once,
+    which is the rule for continuous inputs, the result is log1p(s) + max
+    with no count, division or fallback, and its bits are the same: every
+    slice has at least one entry equal to its finite max, so a total count
+    of maxima equal to the number of slices means exactly one each; then
+    s / 1 is s, log(1) adds an exact 0 to log1p(s) >= +0, and the sum with
+    a finite max is finite.  Ties, NaN and infinite maxima take the
+    general path.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     axis = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
+        a_max = a.max(axis=axis, keepdims=True)
         is_max = a == a_max
         e = np.subtract(a, a_max)
         np.exp(e, out=e)
         np.subtract(e, is_max, out=e)
-        s = np.sum(e, axis=axis, keepdims=True)
-        m = np.count_nonzero(is_max, axis=axis, keepdims=True).astype(float)
-        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m)
-        out += a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
-            out = np.where(finite, out, direct)
+        s = e.sum(axis=axis, keepdims=True)
+        if np.count_nonzero(is_max) == s.size and np.isfinite(a_max).all():
+            out = np.log1p(s, out=s)
+            out += a_max
+        else:
+            m = np.count_nonzero(is_max, axis=axis, keepdims=True).astype(float)
+            out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m)
+            out += a_max
+            finite = np.isfinite(out)
+            if not finite.all():
+                direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
+                out = np.where(finite, out, direct)
     if not keepdims:
         out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
@@ -140,6 +153,8 @@ class GaussianMixture:
     (full symmetric positive-definite matrices).  The eigendecomposition
     of each full covariance is cached once here; the diagonal layout
     carries a read-only identity eigenbasis, a broadcast view with no copy.
+    ``log_weights`` is the read-only np.log of ``weights``, taken once here
+    for every likelihood that the mixture weights.
     """
 
     weights: np.ndarray
@@ -181,6 +196,9 @@ class GaussianMixture:
                              else "covariances must be positive definite")
         object.__setattr__(self, "_evals", evals)
         object.__setattr__(self, "_evecs", evecs)
+        log_weights = np.log(w)
+        log_weights.setflags(write=False)
+        object.__setattr__(self, "log_weights", log_weights)
 
     @property
     def n_components(self) -> int:
@@ -212,14 +230,14 @@ class GaussianMixture:
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         lp = _component_logpdf(np.asarray(x, dtype=float), self.means, self._evals, self._evecs)
-        return logsumexp(lp + _lift(np.log(self.weights), lp.ndim), axis=0)
+        return logsumexp(lp + _lift(self.log_weights, lp.ndim), axis=0)
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Gradient of log density at x."""
         x = np.asarray(x, dtype=float)
         xa = _rows(x)
         lr = _whitened_logpdf(_whitening(self.means, self._evals, self._evecs) @ xa, self._evals)
-        lr += np.log(self.weights)[:, None]
+        lr += self.log_weights[:, None]
         resp = np.exp(lr - logsumexp(lr, axis=0, keepdims=True))
         scores = _score_maps(self.means, self._evals, self._evecs) @ xa
         return _points(_weighted_sum(resp, scores), x.shape[:-1])
@@ -336,10 +354,14 @@ def _component_logpdf(
 
 def _whitened_logpdf(u: np.ndarray, evals: np.ndarray) -> np.ndarray:
     """log N of each column from its whitened offsets u, (K, d, M) -> (K, M).
-    The Mahalanobis term adds the d squares of a column in index order."""
+    The Mahalanobis term adds the d squares of a column in index order; the
+    constants are added to it and the result scaled in its own buffer, in
+    the order of -0.5 * (quad + logdet + d log 2 pi)."""
     quad = np.einsum("kdm,kdm->km", u, u)
-    logdet = np.sum(np.log(evals), axis=-1)
-    return -0.5 * (quad + logdet[:, None] + u.shape[1] * _LOG_2PI)
+    quad += np.log(evals).sum(axis=-1)[:, None]
+    quad += u.shape[1] * _LOG_2PI
+    quad *= -0.5
+    return quad
 
 
 def _per_point(a: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
@@ -436,7 +458,7 @@ class ConditionalMixture:
         resp = np.exp(self.log_resp_cols)
         means = np.matmul(self.mean_maps, xa, out=prods)
         coef = np.einsum("kdm,dm->km", means, v_cols)
-        coef -= np.sum(resp * coef, axis=0)
+        coef -= (resp * coef).sum(axis=0)
         prod = np.matmul(self.mean_maps[:, :, :-1], v_cols, out=means)
         first = _weighted_sum(resp, prod, out=v_cols)
         scores = np.matmul(self._score_maps(), xa, out=prod)
@@ -450,7 +472,7 @@ class ConditionalMixture:
 
 def _check_finite(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError("input point contains non-finite values")
     return x
 
@@ -483,7 +505,7 @@ def component_posterior(
     xa = _rows(x, rows)
     u = np.matmul(_whitening(centers, c, evecs), xa, out=prods)
     log_resp = _whitened_logpdf(u, c)
-    log_resp += np.log(prior.weights)[:, None]
+    log_resp += prior.log_weights[:, None]
     log_resp -= logsumexp(log_resp, axis=0, keepdims=True)
 
     # m_k = A_k x + (mu_k - alpha A_k mu_k), written over the whitened offsets u

@@ -352,8 +352,10 @@ def run_conditional(
     handed in the last d.  The run evaluates nothing for the record, and
     t = 0 is the returned samples.  The block is one buffer, overwritten
     at the next step, so the run holds one block whatever K is; a sink
-    that keeps it must copy it.  A non-finite transition raises
-    NumericError naming the method and step.
+    that keeps it must copy it.  The steps run under one numpy error
+    state that ignores floating-point warnings, the caller's restored on
+    return; a non-finite transition raises NumericError naming the
+    method and step.
     """
     # read from the module at each run, so a patched step_<method> is the one called
     step = globals()[f"step_{cfg.method}"]
@@ -363,18 +365,20 @@ def run_conditional(
     x = standard_normal(rngs, (n, d))
     block = np.empty((n, 2 * d)) if record is not None else None
 
-    for k in range(cfg.grid.num_steps, 0, -1):
-        s, t = knots[k - 1], knots[k]
-        try:
-            with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for k in range(cfg.grid.num_steps, 0, -1):
+            s, t = knots[k - 1], knots[k]
+            try:
                 ev = denoiser.evaluate(x, t)
                 if block is not None:
                     block[:, :d], block[:, d:] = x, ev.xhat0
                     record(block)
                 x = step(x, ev, s, t, problem, sched, denoiser, cfg, rngs)
                 del ev  # freed before the next step evaluates its own posterior
-        except NumericError as exc:
-            raise NumericError(f"{cfg.method} at step k={k} (t={t:g} -> s={s:g}): {exc}") from None
+            except NumericError as exc:
+                raise NumericError(
+                    f"{cfg.method} at step k={k} (t={t:g} -> s={s:g}): {exc}"
+                ) from None
     if cfg.final_replacement:
         idx = problem.mask.observed_idx
         x[..., idx] = problem.y[idx]

@@ -100,7 +100,7 @@ def exact_posterior(problem: InpaintingProblem, prior: GaussianMixture) -> Gauss
     """
     if problem.mask.observed_idx.size == 0:
         return prior
-    post = _condition(problem, np.log(prior.weights), prior.means, prior.covariance_matrices())
+    post = _condition(problem, prior.log_weights, prior.means, prior.covariance_matrices())
     weights = np.exp(post.log_weights)
     keep = weights > 0
     cov = (post.covariances.diagonal(0, -2, -1) if prior.is_diagonal else post.covariances)[keep]

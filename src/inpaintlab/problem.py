@@ -23,27 +23,30 @@ from .bridge import RngLike, standard_normal
 
 @dataclass(frozen=True)
 class MaskOperator:
-    """Binary coordinate mask; 1 marks an observed (preserved) entry."""
+    """Binary coordinate mask; 1 marks an observed (preserved) entry.
+
+    ``observed_idx``, the read-only flat indices of the observed entries,
+    and ``observed_count``, their number, are computed once here.
+    """
 
     m: np.ndarray
+    observed_idx: np.ndarray = field(init=False, repr=False, compare=False)
+    observed_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.m)
         if not np.all(np.isin(m, (0, 1))):
             raise ValueError("mask entries must be 0 or 1")
-        object.__setattr__(self, "m", m.astype(float))
-
-    @property
-    def observed_count(self) -> int:
-        return int(self.m.sum())
+        m = m.astype(float)
+        idx = np.flatnonzero(m)
+        idx.setflags(write=False)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "observed_idx", idx)
+        object.__setattr__(self, "observed_count", idx.size)
 
     @property
     def dim(self) -> int:
         return self.m.size
-
-    @property
-    def observed_idx(self) -> np.ndarray:
-        return np.flatnonzero(self.m)
 
 
 @dataclass(frozen=True)

@@ -366,6 +366,15 @@ def test_logsumexp_equals_scipy_bit_for_bit(recwarn):
         tied[-1, cols[:3]] = -np.inf
         cases.append((tied, 0))
     cases.append((np.zeros((3, 0)), 0))
+    # as many maxima in all as there are columns, from a NaN column with
+    # none and a tied column with two: only the finite-max test tells it
+    # from one maximum per column
+    cases.append((np.array([[np.nan, 3.0], [0.0, 3.0]]), 0))
+    # tie-free columns beside a +inf-max column and an all -inf column
+    mixed = rng.standard_normal((32, 50)) * 20.0
+    mixed[5, 7] = np.inf
+    mixed[:, 11] = -np.inf
+    cases.append((mixed, 0))
     for x, axis in cases:
         for keepdims in (False, True):
             got = logsumexp(x, axis=axis, keepdims=keepdims)

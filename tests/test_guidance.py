@@ -14,6 +14,7 @@ from inpaintlab import (
     GMMDenoiser,
     InpaintingProblem,
     MaskOperator,
+    NumericError,
     SamplerConfig,
     Schedule,
     TransitionParams,
@@ -461,6 +462,32 @@ def test_run_conditional_deterministic(mixture_setup):
     a = run_conditional(problem, den, LIN, cfg)
     b = run_conditional(problem, den, LIN, cfg)
     np.testing.assert_array_equal(a, b)
+
+
+def test_run_conditional_restores_the_numpy_error_state():
+    # the steps run under one error state that ignores everything; the
+    # caller's state holds after a normal run and after one that raises
+    # NumericError (dps at zeta = 1 diverges on the quickstart problem)
+    import dataclasses
+    from pathlib import Path
+
+    from inpaintlab.config import load_config
+
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "quickstart.cfg")
+    problem = cfg.problem(rng=np.random.default_rng(np.random.SeedSequence((0, 0, 1))))
+    den = GMMDenoiser(cfg.prior, cfg.sched)
+    stable = cfg.samplers["dps"]
+    inside = []
+    with np.errstate(divide="raise", over="print", under="ignore", invalid="warn"):
+        caller = np.geterr()
+        run_conditional(problem, den, cfg.sched, stable,
+                        record=lambda _: inside.append(np.geterr()))
+        assert np.geterr() == caller
+        with pytest.raises(NumericError, match="^dps at step k=21 "):
+            run_conditional(problem, den, cfg.sched, dataclasses.replace(stable, dps_scale=1.0))
+        assert np.geterr() == caller
+    ignore = dict.fromkeys(caller, "ignore")
+    assert len(inside) == cfg.grid.num_steps and all(state == ignore for state in inside)
 
 
 @pytest.mark.parametrize("prior", [

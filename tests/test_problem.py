@@ -14,6 +14,18 @@ def test_mask_validation():
     np.testing.assert_array_equal(m.observed_idx, [0, 2, 3])
 
 
+def test_mask_index_is_computed_once_and_read_only():
+    bits = np.random.default_rng(3).integers(0, 2, size=40)
+    m = MaskOperator(bits)
+    assert m.observed_idx is m.observed_idx
+    np.testing.assert_array_equal(m.observed_idx, np.flatnonzero(bits))
+    assert m.observed_count == np.count_nonzero(bits) == m.m.sum()
+    with pytest.raises(ValueError, match="read-only"):
+        m.observed_idx[0] = 1
+    empty = MaskOperator([0, 0])
+    assert empty.observed_count == 0 and empty.observed_idx.size == 0
+
+
 def test_make_observation_masks():
     prob = make_observation(np.array([1.0, 2.0]), MaskOperator([1, 0]), 0.1)
     np.testing.assert_allclose(prob.y, [1.0, 0.0])
