@@ -241,6 +241,9 @@ def _load_prior_inline(pairs: dict[str, str]) -> GaussianMixture:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment as ``load_config`` reads it: the file's global keys,
+    defaults filled in, and each method's ``SamplerConfig`` in ``samplers``."""
+
     prior: GaussianMixture
     sched: Schedule
     grid: TimeGrid

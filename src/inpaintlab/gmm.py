@@ -8,6 +8,9 @@ normally asks a neural network for are available exactly:
 - the per-component posterior of X0 given X_t = x and its mean
   E[X0 | X_t = x] (``component_posterior``, served to the samplers by
   ``GMMDenoiser``),
+- log p_t(x) and its gradient at the points of that posterior
+  (``ConditionalMixture.log_marginal`` and ``marginal_score``), which
+  ``GaussianMixture.log_density`` and ``score`` read at t = 0,
 - the noise prediction E[X1 | X_t = x], which is the x0 estimate's tied
   noise x1_hat = (x - alpha_t * x0_hat) / sigma_t (``noise_from_x0``),
 - the product of the denoiser's Jacobian with a vector
@@ -58,25 +61,25 @@ batched GEMM (``_matrices``):
 
 The linear part sits in the first d columns of a map and the bias in its
 last column: diag(c_k^{-1/2}) V_k^T beside -diag(c_k^{-1/2}) V_k^T alpha
-mu_k, A_k beside mu_k - alpha * A_k mu_k, and -C_k^{-1} beside
-alpha * C_k^{-1} mu_k (A_k and C_k^{-1} are symmetric).  The squared norm
-of u_k is the Mahalanobis term of r_k, added over the coordinates of a
-column in index order.  ``component_posterior`` writes u, then the means
-over it, and keeps neither: it forms the denoiser output from them, and
-the conditional keeps the mean maps, so the means
+mu_k, A_k beside mu_k - alpha * A_k mu_k, and -C_k^{-1} beside alpha *
+C_k^{-1} mu_k (A_k and C_k^{-1} are symmetric).  The squared norm of u_k
+is the Mahalanobis term of r_k, added over the coordinates of a column in
+index order.  ``component_posterior`` writes u, then the means over it,
+and keeps neither: it forms the denoiser output from them, and the
+conditional keeps the mean maps, so the means
 (``ConditionalMixture.component_means``) and the scores are formed again
-when the product with a vector or the oracle asks.  A ``GMMDenoiser``
-passes the one scratch it owns for these (K, d, M) products and the rows
-[x, 1]^T, and each (d, M) sum over K is written over spent rows or into
-the array returned, so its steps allocate none of these once the scratch
-has grown to the point count.  A diagonal prior
-carries the identity as its basis V_k and runs the same GEMMs, which are
-exact against it for finite points.  The sums over K stay in ``einsum``,
-in index order, rather than one long-inner BLAS product, whose rows
-would depend on the batch size: row j of every result depends on point
-j alone, so a smaller batch, one point included, is a prefix of a
-larger one.  Responsibilities are computed in the log domain (component
-likelihoods underflow at small sigma_t).
+when the product with a vector, the marginal score or the oracle asks.  A
+``GMMDenoiser`` passes the one scratch it owns for these (K, d, M)
+products and the rows [x, 1]^T, and each (d, M) sum over K is written over
+spent rows or into the array returned, so its steps allocate none of these
+once the scratch has grown to the point count.  A diagonal prior carries
+the identity as its basis V_k and runs the same GEMMs, which are exact
+against it for finite points.  The sums over K stay in ``einsum``, in
+index order, rather than one long-inner BLAS product, whose rows would
+depend on the batch size: row j of every result depends on point j alone,
+so a smaller batch, one point included, is a prefix of a larger one.
+Responsibilities are computed in the log domain (component likelihoods
+underflow at small sigma_t).
 
 Points may be passed as a single vector ``(d,)`` or as a batch ``(..., d)``;
 outputs follow the input shape.
@@ -229,18 +232,13 @@ class GaussianMixture:
         return second - np.outer(m, m)
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
-        lp = _component_logpdf(np.asarray(x, dtype=float), self.means, self._evals, self._evecs)
-        return logsumexp(lp + _lift(self.log_weights, lp.ndim), axis=0)
+        """log p(x), read from ``component_posterior`` at t = 0, where every
+        schedule leaves the mixture as it is; a non-finite x raises NumericError."""
+        return component_posterior(self, Schedule(), x, 0.0).log_marginal
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Gradient of log density at x."""
-        x = np.asarray(x, dtype=float)
-        xa = _rows(x)
-        lr = _whitened_logpdf(_whitening(self.means, self._evals, self._evecs) @ xa, self._evals)
-        lr += self.log_weights[:, None]
-        resp = np.exp(lr - logsumexp(lr, axis=0, keepdims=True))
-        scores = _score_maps(self.means, self._evals, self._evecs) @ xa
-        return _points(_weighted_sum(resp, scores), x.shape[:-1])
+        return component_posterior(self, Schedule(), x, 0.0).marginal_score()
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n points: component index first, then the Gaussian draw."""
@@ -270,12 +268,6 @@ def _spectra(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     else:
         evals, evecs = np.linalg.eigh(cov)
     return evals, evecs, int(np.count_nonzero(np.any(evals <= 0, axis=-1)))
-
-
-def _lift(a: np.ndarray, ndim: int) -> np.ndarray:
-    """Per-component values of shape (K,) or (K, d) reshaped to broadcast
-    against component-major arrays of ``ndim`` axes, (K, ...) or (K, ..., d)."""
-    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
 
 
 def _columns(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -341,17 +333,6 @@ def _score_maps(centers: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> np
     return _affine_maps(_matrices(-1.0 / evals, evecs), centers)
 
 
-def _component_logpdf(
-    x: np.ndarray,
-    centers: np.ndarray,
-    evals: np.ndarray,
-    evecs: np.ndarray,
-) -> np.ndarray:
-    """log N(x; centers_k, V_k diag(evals_k) V_k^T) for each component k, (K, ...)."""
-    lp = _whitened_logpdf(_whitening(centers, evals, evecs) @ _rows(x), evals)
-    return _per_point(lp, x.shape[:-1])
-
-
 def _whitened_logpdf(u: np.ndarray, evals: np.ndarray) -> np.ndarray:
     """log N of each column from its whitened offsets u, (K, d, M) -> (K, M).
     The Mahalanobis term adds the d squares of a column in index order; the
@@ -382,20 +363,22 @@ class ConditionalMixture:
 
     The log responsibilities are kept over the M columns of the products,
     ``log_resp_cols`` (K, M), whose first N are the N points (the module
-    docstring has the layout); ``log_resp`` is their view in the shape of
-    x.  No (K, ..., d) array is kept.  ``component_means`` forms the m_k
-    from the points ``x`` and the (K, d, d+1) maps ``mean_maps`` of
-    [x, 1]^T, whose first d columns are the slopes A_k = alpha * Sigma_k
-    C_k^{-1} of m_k in x.  ``vjp`` and the scores also need ``centers[k]``
-    = alpha * mu_k and ``c[k]``, the eigenvalues of C_k, both (K, d).  ``x``
-    is the caller's array, not a copy: it must stay unchanged while the
-    conditional is in use.  The ``scratch`` that ``vjp`` and
-    ``component_posterior`` take is a pair of buffers that they overwrite,
-    (K, d, M) for the products and (d+1, M) for [x, 1]^T; (None, None)
-    allocates both.
+    docstring has the layout); ``log_resp`` is their view in the shape of x.
+    Their normaliser, log p_t(x), is kept as ``log_marginal_cols`` (1, M),
+    which ``log_marginal`` reads in the shape of the points.  No (K, ..., d)
+    array is kept.  ``component_means`` forms the m_k from the points ``x``
+    and the (K, d, d+1) maps ``mean_maps`` of [x, 1]^T, whose first d
+    columns are the slopes A_k = alpha * Sigma_k C_k^{-1} of m_k in x.
+    ``vjp`` and the scores also need ``centers[k]`` = alpha * mu_k and
+    ``c[k]``, the eigenvalues of C_k, both (K, d).  ``x`` is the caller's
+    array, not a copy: it must stay unchanged while the conditional is in
+    use.  The ``scratch`` that ``vjp`` and ``component_posterior`` take is a
+    pair of buffers that they overwrite, (K, d, M) for the products and
+    (d+1, M) for [x, 1]^T; (None, None) allocates both.
     """
 
     log_resp_cols: np.ndarray
+    log_marginal_cols: np.ndarray
     xhat0: np.ndarray
     x: np.ndarray
     mean_maps: np.ndarray
@@ -411,6 +394,11 @@ class ConditionalMixture:
     @property
     def resp(self) -> np.ndarray:
         return np.exp(self.log_resp)
+
+    @property
+    def log_marginal(self) -> np.ndarray:
+        """log p_t(x), shaped like the points: (...), a numpy scalar for one point."""
+        return _per_point(self.log_marginal_cols, self.x.shape[:-1])[0]
 
     def covariance_matrices(self) -> np.ndarray:
         return _matrices(self.cov_evals, self.cov_evecs)
@@ -432,11 +420,14 @@ class ConditionalMixture:
         rows = w.reshape(w.shape[0], -1, w.shape[-1])
         return (rows @ np.swapaxes(self.mean_maps[:, :, :-1], -1, -2)).reshape(w.shape)
 
+    def marginal_score(self) -> np.ndarray:
+        """sum_k r_k g_k, the score grad log p_t(x) of the marginal, shaped like x."""
+        g = self._score_maps() @ _rows(self.x)
+        return _points(_weighted_sum(np.exp(self.log_resp_cols), g), self.x.shape[:-1])
+
     def centred_scores(self) -> np.ndarray:
         """g_k - sum_j r_j g_j, (K, ..., d)."""
-        g = self._score_maps() @ _rows(self.x)
-        g -= _weighted_sum(np.exp(self.log_resp_cols), g)
-        return _points(g, self.x.shape[:-1])
+        return self.scores() - self.marginal_score()
 
     def vjp(self, v: np.ndarray, scratch: tuple = (None, None)) -> np.ndarray:
         """J^T v for the Jacobian J of ``xhat0`` and v shaped like x.
@@ -506,7 +497,8 @@ def component_posterior(
     u = np.matmul(_whitening(centers, c, evecs), xa, out=prods)
     log_resp = _whitened_logpdf(u, c)
     log_resp += prior.log_weights[:, None]
-    log_resp -= logsumexp(log_resp, axis=0, keepdims=True)
+    log_marginal = logsumexp(log_resp, axis=0, keepdims=True)
+    log_resp -= log_marginal
 
     # m_k = A_k x + (mu_k - alpha A_k mu_k), written over the whitened offsets u
     maps = _affine_maps(_matrices(slope, evecs), centers)
@@ -514,8 +506,8 @@ def component_posterior(
     means = np.matmul(maps, xa, out=u)
     xhat0 = _weighted_sum(np.exp(log_resp), means, out=xa[:-1])
     cov_evals = sigma**2 * lam / c
-    return ConditionalMixture(log_resp, _points(xhat0, x.shape[:-1]), x, maps, cov_evals,
-                              evecs, centers, c)
+    return ConditionalMixture(log_resp, log_marginal, _points(xhat0, x.shape[:-1]), x, maps,
+                              cov_evals, evecs, centers, c)
 
 
 def gmm_marginal(prior: GaussianMixture, sched: Schedule, t: float) -> GaussianMixture:

@@ -346,16 +346,16 @@ def run_conditional(
     on) have their observed coordinates overwritten by y at the end.
     Deterministic given (seed, config); chain j's draws depend only on
     (seed, method, j), so the first rows of a larger run equal a smaller
-    one, a one-chain run included.  ``record``, when given, is called once before each step, K
-    times in time order from t = 1, with the (n, 2d) block the step
-    starts from: x in the first d columns, the estimate ev.xhat0 it was
-    handed in the last d.  The run evaluates nothing for the record, and
-    t = 0 is the returned samples.  The block is one buffer, overwritten
-    at the next step, so the run holds one block whatever K is; a sink
-    that keeps it must copy it.  The steps run under one numpy error
+    one, a one-chain run included.  ``record``, when given, is called once
+    before each step, K times in time order from t = 1, with the (n, 2d)
+    block the step starts from: x in the first d columns, the estimate
+    ev.xhat0 it was handed in the last d.  The run evaluates nothing for the
+    record, and t = 0 is the returned samples.  The block is one buffer,
+    overwritten at the next step, so the run holds one block whatever K is;
+    a sink that keeps it must copy it.  The steps run under one numpy error
     state that ignores floating-point warnings, the caller's restored on
-    return; a non-finite transition raises NumericError naming the
-    method and step.
+    return; a non-finite transition raises NumericError naming the method
+    and step.
     """
     # read from the module at each run, so a patched step_<method> is the one called
     step = globals()[f"step_{cfg.method}"]

@@ -57,7 +57,6 @@ from .errors import NumericError
 from .gmm import (
     _LOG_2PI,
     GaussianMixture,
-    _lift,
     _spectra,
     component_posterior,
     logsumexp,
@@ -148,7 +147,8 @@ def _observed_evidence(
     solved = _chol_solve(chol, resid)
     quad = np.sum(resid * solved, axis=-1)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return -0.5 * (quad + _lift(logdet, quad.ndim) + obs.size * _LOG_2PI), chol, solved
+    logdet = logdet.reshape(logdet.shape + (1,) * (quad.ndim - 1))
+    return -0.5 * (quad + logdet + obs.size * _LOG_2PI), chol, solved
 
 
 def _condition(

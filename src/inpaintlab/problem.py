@@ -51,6 +51,10 @@ class MaskOperator:
 
 @dataclass(frozen=True)
 class InpaintingProblem:
+    """The observation ``y`` through ``mask`` at consistency temperature
+    ``gamma``, zero off the observed coordinates, and the observed signal
+    ``x_star`` when known, for the metrics that compare against it."""
+
     mask: MaskOperator
     y: np.ndarray
     gamma: float

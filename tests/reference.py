@@ -17,6 +17,11 @@ component scores:
 - ding's neglected term at displacement x - z is then
   (sigma^2 / alpha) ||H(z) (x - z)||.
 
+``component_logpdf`` is the log-likelihood of each mixture component,
+written out of place in the rounding order that ``component_posterior``
+must reproduce bit for bit: one GEMM per component on the columns
+[x, 1]^T of the points.
+
 ``sliced_w2_projected`` is the sliced W2 of ``inpaintlab.metrics`` in the
 column layout it had before its rows were made contiguous: (n,
 n_projections) projections, each column sorted and averaged.
@@ -92,6 +97,25 @@ def fd_guidance_grad(problem, prior, sched, x_t, t, step=1e-5):
         lo = exact_intermediate_loglik(problem, prior, sched, x_t - dx, t)
         grad[i] = (hi - lo) / (2.0 * step)
     return grad
+
+
+def component_logpdf(x, centers, evals, evecs):
+    """log N(x; centers_k, V_k diag(evals_k) V_k^T) for each component k and
+    points x of shape (..., d), (K, ...): the whitened offsets are the map
+    [diag(evals_k^{-1/2}) V_k^T, its product with -centers_k] applied to the
+    (d+1, max(N, 2)) columns [x, 1]^T, and their squares are added over the
+    coordinates in index order."""
+    d = x.shape[-1]
+    n = x.size // d
+    cols = np.zeros((d + 1, max(n, 2)))
+    cols[:d, :n] = x.reshape(n, d).T
+    cols[d] = 1.0
+    white = evecs / np.sqrt(evals)[:, None, :]
+    bias = -(centers[:, None, :] @ white)
+    u = np.concatenate([np.swapaxes(white, -1, -2), np.swapaxes(bias, -1, -2)], axis=-1) @ cols
+    quad = np.einsum("kdm,kdm->km", u, u)
+    lp = -0.5 * (quad + np.log(evals).sum(axis=-1)[:, None] + d * np.log(2.0 * np.pi))
+    return lp[:, :n].reshape(lp.shape[:1] + x.shape[:-1])
 
 
 def sliced_w2_projected(xa, xb, dirs):

@@ -715,3 +715,22 @@ def test_run_loads_numpy_only(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "[]"
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_import_loads_no_test_dependency():
+    # start-up is numpy's import and the package's own: a fresh interpreter
+    # that imports the command line loads none of the test-only packages
+    import os
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "import inpaintlab.cli\n"
+        "roots = {m.split('.')[0] for m in sys.modules}\n"
+        "print(sorted(roots & {'scipy', 'hypothesis', 'pytest'}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -398,15 +398,16 @@ def test_zero_points_give_empty_results(fixture, request):
 @pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
 def test_component_posterior_log_resp_equals_component_logpdf(fixture, request):
     # the responsibilities come from the rotation shared with the means, and
-    # equal the ones built from _component_logpdf's own rotation bit for bit
-    from inpaintlab.gmm import _component_logpdf, logsumexp
+    # equal the ones built from the reference's own rotation bit for bit
+    from inpaintlab.gmm import logsumexp
 
     prior = request.getfixturevalue(fixture)
     x = np.random.default_rng(5).standard_normal((33, prior.dim)) * 2.0
     for t in (0.05, 0.4, 0.95):
         alpha, sigma = eval_schedule(LIN, t)
         c = alpha**2 * prior._evals + sigma**2
-        lr = _component_logpdf(x, alpha * prior.means, c, prior._evecs) + np.log(prior.weights)[:, None]
+        lr = reference.component_logpdf(x, alpha * prior.means, c, prior._evecs)
+        lr += np.log(prior.weights)[:, None]
         want = lr - logsumexp(lr, axis=0, keepdims=True)
         got = component_posterior(prior, LIN, x, t).log_resp
         assert got.tobytes() == want.tobytes()
@@ -634,6 +635,46 @@ def test_centred_scores_average_to_the_marginal_score(fixture, batch, request):
         np.testing.assert_allclose(
             np.einsum("k...,k...d->...d", cond.resp, centred), 0.0, rtol=0, atol=1e-10
         )
+
+
+@pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
+@pytest.mark.parametrize("batch", [(), (9,), (0,)])
+def test_conditional_reads_the_marginal_density_and_score(fixture, batch, request):
+    # the normaliser and the score maps that component_posterior holds give
+    # log p_t(x) and grad log p_t(x): they match the marginal mixture, whose
+    # covariances gmm_marginal forms (and for a full prior eigendecomposes) anew,
+    # and a dense per-component sum of the Gaussian log-likelihoods
+    prior = request.getfixturevalue(fixture)
+    x = np.random.default_rng(8).standard_normal(batch + (prior.dim,)) * 1.5
+    for t in (0.05, 0.5, 0.95, 1.0):
+        cond = component_posterior(prior, LIN, x, t)
+        marg = gmm_marginal(prior, LIN, t)
+        log_p, score = cond.log_marginal, cond.marginal_score()
+        assert np.shape(log_p) == batch and score.shape == x.shape
+        np.testing.assert_allclose(log_p, marg.log_density(x), rtol=1e-10, atol=0)
+        np.testing.assert_allclose(score, marg.score(x), rtol=1e-10, atol=0)
+        off = x[..., None, :] - marg.means  # (..., K, d)
+        cov = marg.covariance_matrices()
+        quad = np.einsum("...kd,...kd->...k", off, np.linalg.solve(cov, off[..., None])[..., 0])
+        log_n = -0.5 * (quad + np.linalg.slogdet(cov)[1] + prior.dim * np.log(2 * np.pi))
+        dense = np.log(np.exp(log_n) @ prior.weights)
+        np.testing.assert_allclose(log_p, dense, rtol=1e-10, atol=0)
+    if batch == ():
+        assert type(log_p) is np.float64
+        assert type(prior.log_density(x)) is np.float64
+
+
+@pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_density_and_score_reject_nonfinite_points(fixture, bad, request):
+    prior = request.getfixturevalue(fixture)
+    x = np.zeros((3, prior.dim))
+    x[1, 0] = bad
+    for point in (x, x[1]):
+        with pytest.raises(NumericError, match="non-finite"):
+            prior.log_density(point)
+        with pytest.raises(NumericError, match="non-finite"):
+            prior.score(point)
 
 
 def _reference_posterior(prior, x, t):
