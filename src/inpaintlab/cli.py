@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import math
 import sys
 import time
@@ -348,4 +349,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    gc.freeze()  # outputs are closed; exit-time collections then skip the imported objects
+    sys.exit(code)

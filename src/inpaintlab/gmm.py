@@ -426,8 +426,11 @@ class ConditionalMixture:
         return _points(_weighted_sum(np.exp(self.log_resp_cols), g), self.x.shape[:-1])
 
     def centred_scores(self) -> np.ndarray:
-        """g_k - sum_j r_j g_j, (K, ..., d)."""
-        return self.scores() - self.marginal_score()
+        """g_k - sum_j r_j g_j, (K, ..., d): the scores and their weighted sum
+        from one GEMM per component."""
+        g = self._score_maps() @ _rows(self.x)
+        batch = self.x.shape[:-1]
+        return _points(g, batch) - _points(_weighted_sum(np.exp(self.log_resp_cols), g), batch)
 
     def vjp(self, v: np.ndarray, scratch: tuple = (None, None)) -> np.ndarray:
         """J^T v for the Jacobian J of ``xhat0`` and v shaped like x.

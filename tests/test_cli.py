@@ -578,7 +578,7 @@ def test_exit_code_io_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 3
 
 
-def _run_diverging_quickstart(tmp_path, methods, extra=()):
+def _diverging_quickstart(tmp_path, methods, extra=()):
     # dps at zeta = 1 diverges on the quickstart problem
     from pathlib import Path
 
@@ -592,6 +592,11 @@ def _run_diverging_quickstart(tmp_path, methods, extra=()):
         keep + [f"methods = {methods}", "method.dps.zeta = 1", f"out_dir = {tmp_path / 'out'}",
                 *extra]
     ) + "\n")
+    return cfg
+
+
+def _run_diverging_quickstart(tmp_path, methods, extra=()):
+    cfg = _diverging_quickstart(tmp_path, methods, extra)
     return subprocess.run(
         [sys.executable, "-W", "always", "-m", "inpaintlab.cli", "run", "--config", str(cfg)],
         capture_output=True, text=True,
@@ -671,13 +676,49 @@ def test_benchmark_config_satisfies_recovery_bound(tmp_path, monkeypatch):
 
 
 def test_console_entry_point(tmp_path):
-    cfg = _write_cfg(tmp_path)
+    # the program's own path writes what an in-process main writes, and no warning
+    extra = "trajectories = on\n"
+    cfg = _write_cfg(tmp_path, out_name="cli", name="cli.cfg", extra=extra)
     proc = subprocess.run(
-        [sys.executable, "-m", "inpaintlab.cli", "run", "--config", str(cfg)],
+        [sys.executable, "-W", "error", "-m", "inpaintlab.cli", "run", "--config", str(cfg)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "wrote" in proc.stdout
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == f"wrote {tmp_path / 'cli' / 'results.csv'}"
+    assert main(["run", "--config", str(_write_cfg(tmp_path, out_name="lib", extra=extra))]) == 0
+    cli, lib = tmp_path / "cli", tmp_path / "lib"
+    names = sorted(f.name for f in cli.glob("*.dsmp"))
+    assert len(names) == 5 and names == sorted(f.name for f in lib.glob("*.dsmp"))
+    for name in names:
+        assert (cli / name).read_bytes() == (lib / name).read_bytes(), name
+    runtime = _read_rows(cli / "results.csv")[0].index("runtime_ms")
+    cli_rows, lib_rows = ([r[:runtime] + r[runtime + 1:] for r in _read_rows(d / "results.csv")]
+                          for d in (cli, lib))
+    assert cli_rows == lib_rows
+
+
+def test_only_the_program_path_freezes_the_collector(tmp_path):
+    # the __main__ block freezes the import graph once main has returned, so
+    # the exit-time collections skip it; an in-process caller's objects stay
+    # collectable
+    import gc
+
+    before = gc.get_freeze_count()
+    assert main(["run", "--config", str(_write_cfg(tmp_path))]) == 0
+    assert gc.get_freeze_count() == before
+    a = str(tmp_path / "a.dsmp")
+    write_samples(a, np.zeros((4, 2)))
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+        f"sys.argv = ['inpaintlab.cli', 'metrics', '--a', {a!r}, '--b', {a!r}]\n"
+        "runpy.run_module('inpaintlab.cli', run_name='__main__')\n"
+    )
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) > 0
 
 
 def test_module_exit_codes_reach_the_shell(tmp_path):
@@ -686,15 +727,22 @@ def test_module_exit_codes_reach_the_shell(tmp_path):
     cfg = _write_cfg(tmp_path)
     cfg.write_text(cfg.read_text().replace("gamma      = 0.2", "gamma = 1e-170"))
     a = str(tmp_path / "a.dsmp")
+    (tmp_path / "plain").write_text("")
+    beneath_a_file = _write_cfg(tmp_path, out_name="plain/out", name="file.cfg")
+    unknown_key = _write_cfg(tmp_path, out_name="bad", name="bad.cfg", extra="colour = 1\n")
+    diverging = _diverging_quickstart(tmp_path, "dps")
     cases = [
         (0, ["metrics", "--a", a, "--b", a], ""),
         (2, ["metrics", "--a", a, "--b", a, "--projections", "0"], "config error: "),
         (3, ["metrics", "--a", str(tmp_path / "missing.dsmp"), "--b", a], "i/o error: "),
         (4, ["oracle", "--config", str(cfg), "--out", str(tmp_path / "post.csv")],
          "numeric failure: "),
+        (2, ["run", "--config", str(unknown_key)], "config error: "),
+        (3, ["run", "--config", str(beneath_a_file)], "i/o error: "),
+        (4, ["run", "--config", str(diverging)], "numeric failure: dps at step k=21"),
     ]
     for code, args, prefix in cases:
-        proc = subprocess.run([sys.executable, "-m", "inpaintlab.cli", *args],
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "inpaintlab.cli", *args],
                               capture_output=True, text=True)
         assert proc.returncode == code, (args, proc.stderr)
         assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == bool(prefix)

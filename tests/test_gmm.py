@@ -639,6 +639,33 @@ def test_centred_scores_average_to_the_marginal_score(fixture, batch, request):
 
 @pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
 @pytest.mark.parametrize("batch", [(), (9,), (0,)])
+def test_centred_scores_form_the_score_product_once(fixture, batch, request, monkeypatch):
+    # the scores and their weighted sum come from one product, with the bits
+    # of the two members that form it each
+    from inpaintlab.gmm import ConditionalMixture
+
+    prior = request.getfixturevalue(fixture)
+    x = np.random.default_rng(4).standard_normal(batch + (prior.dim,)) * 1.5
+    original = ConditionalMixture._score_maps
+    calls = [0]
+
+    def counting(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(ConditionalMixture, "_score_maps", counting)
+    for t in (0.05, 0.5, 1.0):
+        cond = component_posterior(prior, LIN, x, t)
+        want = cond.scores() - cond.marginal_score()
+        calls[0] = 0
+        got = cond.centred_scores()
+        assert calls[0] == 1
+        assert got.shape == want.shape == (prior.n_components,) + x.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fixture", ["two_comp_full", "three_comp_diag"])
+@pytest.mark.parametrize("batch", [(), (9,), (0,)])
 def test_conditional_reads_the_marginal_density_and_score(fixture, batch, request):
     # the normaliser and the score maps that component_posterior holds give
     # log p_t(x) and grad log p_t(x): they match the marginal mixture, whose

@@ -710,20 +710,36 @@ def test_trajectory_record_reuses_the_step_evaluation(method, mixture_setup, mon
     assert counts[1] == counts[0]
 
 
-def test_dps_step_runs_one_component_posterior(mixture_setup, monkeypatch):
-    # the Jacobian comes from the evaluation that gave the step its estimate
+@pytest.mark.parametrize("method, ding_nz, evaluations, vjps", [
+    ("ding", 1, 2 * 9 - 1, 0),
+    ("ding", 3, 2 * 9 - 1, 0),
+    ("dps", 1, 9, 9),
+    ("blended", 1, 9, 0),
+    ("ddnm", 1, 9, 0),
+    ("diffpir", 1, 9, 0),
+])
+def test_run_pins_each_methods_denoiser_cost(method, ding_nz, evaluations, vjps, mixture_setup,
+                                              monkeypatch):
+    # a run of K = 9 steps evaluates the posterior once per state; ding adds
+    # one batched call for its proposals at each step but the last, whatever
+    # ding_nz is, and only dps differentiates, with the step's own evaluation
     _, den, problem = mixture_setup
-    original = gmm.component_posterior
-    calls = [0]
+    calls = {"posterior": 0, "vjp": 0}
 
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
+    def counting(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
 
-    monkeypatch.setattr(gmm, "component_posterior", counting)
-    run_conditional(problem, den, LIN, _cfg("dps", grid=make_grid(9), n_chains=3))
-    assert calls[0] == 9
-    assert den.jacobian_calls == 9
+    monkeypatch.setattr(gmm, "component_posterior",
+                        counting("posterior", gmm.component_posterior))
+    monkeypatch.setattr(gmm.GMMDenoiser, "vjp", counting("vjp", gmm.GMMDenoiser.vjp))
+    cfg = _cfg(method, grid=make_grid(9), n_chains=3, ding_nz=ding_nz)
+    for record in (None, lambda b: None):
+        calls.update(posterior=0, vjp=0)
+        run_conditional(problem, den, LIN, cfg, record=record)
+        assert calls == {"posterior": evaluations, "vjp": vjps}
 
 
 @pytest.mark.parametrize("method", METHODS)
