@@ -46,7 +46,7 @@ from .io import (
     write_samples,
 )
 from .masklift import PixelMask, leakage_report, lift_mask
-from .metrics import cpsnr, sliced_w2
+from .metrics import cpsnr, sliced_w2, valid_peak
 from .oracle import exact_posterior
 from .problem import InpaintingProblem, MaskOperator
 from .schedule import Schedule
@@ -76,19 +76,19 @@ def _write_trajectories(
     """Run ``run_conditional`` with the trajectory streamed to ``path`` as
     one ``((K+1)*n, 2d)`` sample matrix, step-major: row ``k*n + j`` is
     chain j at the k-th knot from t = 1, its ``x`` then its ``xhat0``.
-    Each step's block is written as the chain starts it, and the last,
-    t = 0 block is the returned (n, d) samples in both halves, since the
-    estimate of a state at t = 0 is the state.  If the run raises, the
-    partly written file is deleted."""
+    Each step's block ``[x | ev.xhat0]`` is stacked and written as the
+    chain starts it, and the last, t = 0 block is the returned (n, d)
+    samples in both halves, since the estimate of a state at t = 0 is the
+    state.  If the run raises, the partly written file is deleted."""
     header = dsmp_header((scfg.grid.num_steps + 1) * scfg.n_chains, 2 * problem.mask.dim)
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            # each block is a C-contiguous (n, 2d) buffer; astype copies it
-            # only where float64 is not little-endian
+            # each block is a fresh C-contiguous (n, 2d) array; astype copies
+            # it only where float64 is not little-endian
             samples = run_conditional(
                 problem, denoiser, sched, scfg,
-                record=lambda block: fh.write(block.astype("<f8", copy=False)),
+                on_step=lambda x, ev: fh.write(np.hstack((x, ev.xhat0)).astype("<f8", copy=False)),
             )
             fh.write(np.hstack((samples, samples)).astype("<f8", copy=False))
             return samples
@@ -117,7 +117,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     Writes ``results.csv`` (flushed row by row so partial results survive
     a failure), ``<method>_<seed>.dsmp`` per method from the (n, d) array
     ``run_conditional`` returns (plus ``<method>_<seed>_trajectories.dsmp``
-    when recording, streamed by ``_write_trajectories`` as the chains run,
+    with trajectories on, streamed by ``_write_trajectories`` as the chains run,
     so the runtime column includes writing it), and ``oracle_<seed>.dsmp``.
     Deterministic given the master seed except for the runtime column.  A
     method that fails numerically gets no row and no files; the others
@@ -273,8 +273,9 @@ def _cmd_metrics(args) -> int:
             raise ConfigError("--projections must be at least 1 and --seed at least 0")
         value = sliced_w2(a, b, args.projections, args.seed)
     else:
-        if not 0 < args.peak < math.inf:
-            raise ConfigError(f"--peak must be finite and positive, got {args.peak}")
+        if not valid_peak(args.peak):
+            raise ConfigError(f"--peak must be strictly positive with a nonzero finite square, "
+                              f"got {args.peak}")
         if not args.mask:
             raise ConfigError("cpsnr needs --mask")
         mask = MaskOperator(_read_mask_file(args.mask).grid.reshape(-1))

@@ -39,7 +39,8 @@ from .errors import ConfigError
 from .gmm import GaussianMixture
 from .guidance import METHODS, SamplerConfig
 from .io import DSMP_LIMIT, read_pgm_mask, read_samples
-from .problem import InpaintingProblem, MaskOperator, make_observation
+from .metrics import valid_peak
+from .problem import InpaintingProblem, MaskOperator, make_observation, valid_gamma
 from .schedule import GRID_SPACINGS, SCHEDULE_KINDS, Schedule, TimeGrid, make_grid
 
 _BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
@@ -128,6 +129,8 @@ def _checked(pairs: dict[str, str], key: str, read, rule: tuple, default=None):
 _POSITIVE = (lambda v: v > 0, "must be strictly positive")
 _POSITIVE_INT = (lambda v: v > 0, "must be a positive integer")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+_GAMMA = (valid_gamma, "must be strictly positive with a finite square")
+_PEAK = (valid_peak, "must be strictly positive with a nonzero finite square")
 
 
 def _one_of(names: tuple[str, ...]) -> tuple:
@@ -138,7 +141,7 @@ def _one_of(names: tuple[str, ...]) -> tuple:
 # unset knob keeps the field's default
 _SAMPLER_KEYS = {
     "eta": ("eta", _get_float, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
-    "gamma": ("gamma", _get_float, _POSITIVE),
+    "gamma": ("gamma", _get_float, _GAMMA),
     "zeta": ("dps_scale", _get_float, _POSITIVE),
     "lambda": ("diffpir_lambda", _get_float, _POSITIVE),
     "ding_nz": ("ding_nz", _get_int, _POSITIVE),
@@ -376,7 +379,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         # these are read only once sampling has started, so they are checked here
         sw2_projections=_checked(pairs, "sw2.projections", _get_int, _POSITIVE, 128),
         sw2_seed=_checked(pairs, "sw2.seed", _get_int, _NON_NEGATIVE, seed),
-        cpsnr_peak=_checked(pairs, "cpsnr.peak", _get_float, _POSITIVE, 1.0),
+        cpsnr_peak=_checked(pairs, "cpsnr.peak", _get_float, _PEAK, 1.0),
         record_trajectories=record_trajectories,
         oracle_n=oracle_n,
     )

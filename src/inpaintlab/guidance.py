@@ -61,7 +61,7 @@ from .bridge import (
 )
 from .errors import ConfigError, NumericError
 from .gmm import Denoiser, Evaluation, noise_from_x0
-from .problem import InpaintingProblem
+from .problem import InpaintingProblem, valid_gamma
 from .schedule import Schedule, TimeGrid, eval_schedule
 
 METHODS = ("blended", "dps", "ding", "ddnm", "diffpir")
@@ -100,7 +100,9 @@ class SamplerConfig:
             # eta_s = 0 leaves no proposal spread: step_ding returns the
             # unconditional mean and the observation never enters
             raise ConfigError("eta must be > 0 for ding: at eta = 0 it applies no guidance")
-        for name in ("gamma", "dps_scale", "diffpir_lambda"):
+        if not valid_gamma(self.gamma):
+            raise ConfigError("gamma must be strictly positive with a finite square")
+        for name in ("dps_scale", "diffpir_lambda"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and strictly positive")
         if self.ding_nz < 1:
@@ -335,7 +337,7 @@ def run_conditional(
     denoiser: Denoiser,
     sched: Schedule,
     cfg: SamplerConfig,
-    record: Callable[[np.ndarray], object] | None = None,
+    on_step: Callable[[np.ndarray, Evaluation], object] | None = None,
 ) -> np.ndarray:
     """Run the selected guided sampler over all chains; return the (n, d)
     terminal states.
@@ -346,13 +348,12 @@ def run_conditional(
     on) have their observed coordinates overwritten by y at the end.
     Deterministic given (seed, config); chain j's draws depend only on
     (seed, method, j), so the first rows of a larger run equal a smaller
-    one, a one-chain run included.  ``record``, when given, is called once
-    before each step, K times in time order from t = 1, with the (n, 2d)
-    block the step starts from: x in the first d columns, the estimate
-    ev.xhat0 it was handed in the last d.  The run evaluates nothing for the
-    record, and t = 0 is the returned samples.  The block is one buffer,
-    overwritten at the next step, so the run holds one block whatever K is;
-    a sink that keeps it must copy it.  The steps run under one numpy error
+    one, a one-chain run included.  ``on_step``, when given, is called as
+    ``on_step(x, ev)`` once before each step, K times in time order from
+    t = 1, with the (n, d) state the step starts from and that step's own
+    evaluation of it; the hook must not write into either.  The run
+    evaluates and allocates nothing for the hook, and t = 0 is the returned
+    samples.  The steps, each with its hook call, run under one numpy error
     state that ignores floating-point warnings, the caller's restored on
     return; a non-finite transition raises NumericError naming the method
     and step.
@@ -363,16 +364,14 @@ def run_conditional(
     n, d = cfg.n_chains, problem.mask.dim
     rngs = chain_rngs(cfg.seed, cfg.method, n)
     x = standard_normal(rngs, (n, d))
-    block = np.empty((n, 2 * d)) if record is not None else None
 
     with np.errstate(all="ignore"):
         for k in range(cfg.grid.num_steps, 0, -1):
             s, t = knots[k - 1], knots[k]
             try:
                 ev = denoiser.evaluate(x, t)
-                if block is not None:
-                    block[:, :d], block[:, d:] = x, ev.xhat0
-                    record(block)
+                if on_step is not None:
+                    on_step(x, ev)
                 x = step(x, ev, s, t, problem, sched, denoiser, cfg, rngs)
                 del ev  # freed before the next step evaluates its own posterior
             except NumericError as exc:

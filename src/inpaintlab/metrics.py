@@ -13,28 +13,44 @@ from .problem import MaskOperator
 BLOCK_BYTES = 1 << 18
 
 
+def valid_peak(peak: float) -> bool:
+    """Whether peak is strictly positive with ``peak * peak`` a positive
+    finite float, as cpsnr needs; NaN is not."""
+    # a numpy scalar's square warns as it overflows or underflows
+    with np.errstate(over="ignore", under="ignore"):
+        return peak > 0 and 0 < peak * peak < np.inf
+
+
 def cpsnr(x: np.ndarray, x_ref: np.ndarray, mask: MaskOperator, peak: float) -> float | np.ndarray:
-    """PSNR over the observed coordinates only; +inf on an exact match.
+    """PSNR over the observed coordinates only; +inf on an exact match, and
+    -inf where peak^2 / mse is 0 (an mse that overflowed, or one so large
+    that the ratio underflows).
 
     A point ``(d,)`` gives one float; a batch ``(n, d)`` gives one PSNR per
-    row, each over that row's observed coordinates.  The infinity sentinel
-    is deliberate: capping would silently corrupt aggregate tables.
+    row, each over that row's observed coordinates.  The infinity sentinels
+    are deliberate: capping would silently corrupt aggregate tables.
     """
-    if not 0 < peak < math.inf:
-        raise ValueError("peak must be finite and strictly positive")
+    if not valid_peak(peak):
+        raise ValueError("peak must be strictly positive with a nonzero finite square")
     obs = mask.observed_idx
     if obs.size == 0:
         raise ValueError("cpsnr needs at least one observed coordinate")
     x = np.asarray(x, dtype=float)
     x_ref = np.asarray(x_ref, dtype=float)
-    # np.take keeps rows contiguous, so each row sums in its own 1-D order
-    mse = np.mean((np.take(x, obs, axis=-1) - np.take(x_ref, obs, axis=-1)) ** 2, axis=-1)
+    # np.take keeps rows contiguous, so each row sums in its own 1-D order;
+    # an mse that overflows is inf, which the -inf sentinel reads
+    with np.errstate(over="ignore"):
+        mse = np.mean((np.take(x, obs, axis=-1) - np.take(x_ref, obs, axis=-1)) ** 2, axis=-1)
     # math.log10 per row: numpy's vectorized log10 may differ in the last bit
-    psnr = [
-        math.inf if m == 0.0 else 10.0 * math.log10(peak**2 / m)
-        for m in np.atleast_1d(mse).tolist()
-    ]
+    psnr = [_psnr(peak**2, m) for m in np.atleast_1d(mse).tolist()]
     return psnr[0] if mse.ndim == 0 else np.array(psnr)
+
+
+def _psnr(peak2: float, mse: float) -> float:
+    if mse == 0.0:
+        return math.inf
+    ratio = peak2 / mse
+    return -math.inf if ratio == 0.0 else 10.0 * math.log10(ratio)
 
 
 def _quantiles(sorted_vals: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -51,7 +67,8 @@ def sliced_w2(a: np.ndarray, b: np.ndarray, n_projections: int = 128, seed: int 
     common midpoint grid.  Deterministic given the seed.  On top of its
     inputs it holds at most 512 KiB of projections, or one row pair when
     a matrix has more than 32,768 samples, and the directions and their
-    per-direction results, (d + 1) * 8 bytes per projection.
+    per-direction results, (d + 1) * 8 bytes per projection.  A distance
+    whose square overflows reads inf, with no numpy warning.
     """
     xa, xb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     for name, x in (("a", xa), ("b", xb)):
@@ -64,7 +81,8 @@ def sliced_w2(a: np.ndarray, b: np.ndarray, n_projections: int = 128, seed: int 
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n_projections, xa.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return _sliced_w2_projected(xa, xb, dirs)
+    with np.errstate(over="ignore"):
+        return _sliced_w2_projected(xa, xb, dirs)
 
 
 def _sliced_w2_projected(xa: np.ndarray, xb: np.ndarray, dirs: np.ndarray) -> float:

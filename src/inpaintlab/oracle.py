@@ -92,16 +92,22 @@ def exact_posterior(problem: InpaintingProblem, prior: GaussianMixture) -> Gauss
     ``posterior_given_state`` at t = 1, which would rebuild each full
     covariance from its eigenbasis and move the weights at rounding level.
     A component whose reweighted weight underflows to 0 is dropped: its
-    mass is below the smallest double.  An empty mask returns the prior
-    itself.  A gamma so small that rounding leaves a posterior covariance
-    not positive definite, by the rule of ``GaussianMixture``, raises
-    NumericError.
+    mass is below the smallest double.  The conditioning runs with
+    floating-point warnings ignored, as a quadratic form that overflows is
+    an evidence of 0; when no component keeps a positive finite weight,
+    NumericError is raised.  An empty mask returns the prior itself.  A
+    gamma so small that rounding leaves a posterior covariance not positive
+    definite, by the rule of ``GaussianMixture``, raises NumericError.
     """
     if problem.mask.observed_idx.size == 0:
         return prior
-    post = _condition(problem, prior.log_weights, prior.means, prior.covariance_matrices())
+    with np.errstate(all="ignore"):
+        post = _condition(problem, prior.log_weights, prior.means, prior.covariance_matrices())
     weights = np.exp(post.log_weights)
     keep = weights > 0
+    if not keep.any():
+        raise NumericError(f"exact posterior at gamma = {problem.gamma:g}: no component "
+                           "keeps a positive finite weight")
     cov = (post.covariances.diagonal(0, -2, -1) if prior.is_diagonal else post.covariances)[keep]
     try:
         return GaussianMixture(weights[keep] / weights.sum(), post.means[keep], cov)

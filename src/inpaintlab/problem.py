@@ -21,6 +21,13 @@ import numpy as np
 from .bridge import RngLike, standard_normal
 
 
+def valid_gamma(gamma: float) -> bool:
+    """Whether gamma is strictly positive with ``gamma * gamma`` finite, so
+    that no gamma**2 the package forms overflows; NaN is not."""
+    with np.errstate(over="ignore"):  # a numpy scalar's square warns as it overflows
+        return gamma > 0 and gamma * gamma < np.inf
+
+
 @dataclass(frozen=True)
 class MaskOperator:
     """Binary coordinate mask; 1 marks an observed (preserved) entry.
@@ -63,8 +70,9 @@ class InpaintingProblem:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
         object.__setattr__(self, "y", y)
-        if not 0 < self.gamma < np.inf:  # nan fails both
-            raise ValueError(f"gamma must be strictly positive and finite, got {self.gamma!r}")
+        if not valid_gamma(self.gamma):
+            raise ValueError(f"gamma must be strictly positive with a finite square, "
+                             f"got {self.gamma!r}")
         if y.shape != self.mask.m.shape:
             raise ValueError("observation and mask dimensions differ")
         if not np.all(np.isfinite(y)):
@@ -91,8 +99,8 @@ def make_observation(
     measured noise level); with ``noisy`` set, gamma-scaled Gaussian noise
     is added on the observed coordinates only.
     """
-    if not 0 < gamma < np.inf:  # before the noise draw: inf * 0 warns
-        raise ValueError(f"gamma must be strictly positive and finite, got {gamma!r}")
+    if not valid_gamma(gamma):  # before the noise draw: inf * 0 warns
+        raise ValueError(f"gamma must be strictly positive with a finite square, got {gamma!r}")
     x_star = np.asarray(x_star, dtype=float)
     if not np.all(np.isfinite(x_star)):  # before m * x_star: 0 * inf warns
         raise ValueError("x_star must be finite")

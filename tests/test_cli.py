@@ -106,9 +106,9 @@ def test_trajectory_matrix_reads_back(tmp_path):
 
 
 def test_streamed_trajectory_equals_the_collected_blocks(tmp_path):
-    # the file run streams is, byte for byte, the header, then every block a
-    # collecting sink receives, stacked in time order, then the t = 0 block
-    # [samples | samples]
+    # the file run streams is, byte for byte, the header, then the block
+    # [x | ev.xhat0] of every state a collecting hook is handed, stacked in
+    # time order, then the t = 0 block [samples | samples]
     from inpaintlab import GMMDenoiser, run_conditional
     from inpaintlab.cli import _observe
     from inpaintlab.config import load_config
@@ -124,7 +124,7 @@ def test_streamed_trajectory_equals_the_collected_blocks(tmp_path):
     for method, scfg in cfg.samplers.items():
         blocks = []
         samples = run_conditional(problem, denoiser, cfg.sched, scfg,
-                                  record=lambda b: blocks.append(b.copy()))
+                                  on_step=lambda x, ev: blocks.append(np.hstack((x, ev.xhat0))))
         assert len(blocks) == 12
         stacked = np.concatenate(blocks + [np.hstack((samples, samples))])
         streamed = (cfg.out_dir / f"{method}_5_trajectories.dsmp").read_bytes()
@@ -178,7 +178,7 @@ def _one_config_error(capsys):
     return err[0]
 
 
-@pytest.mark.parametrize("peak", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("peak", ["0", "-1", "inf", "nan", "1e200", "1e-300"])
 def test_metrics_rejects_bad_peak(tmp_path, capsys, peak):
     rng = np.random.default_rng(0)
     write_samples(tmp_path / "a.dsmp", rng.standard_normal((10, 2)))
@@ -746,6 +746,45 @@ def test_module_exit_codes_reach_the_shell(tmp_path):
                               capture_output=True, text=True)
         assert proc.returncode == code, (args, proc.stderr)
         assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == bool(prefix)
+
+
+def test_overflowing_inputs_exit_with_one_line_under_warnings_as_errors(tmp_path):
+    # a gamma or a peak whose square overflows (or a peak whose square is 0)
+    # is a config error; an observation or prior so far out that an evidence
+    # overflows is a numeric failure, and no numpy warning escapes either
+    write_samples(tmp_path / "far.dsmp", np.array([[1e200, 0.0], [-1e200, 1.0]]))
+    write_samples(tmp_path / "ref.dsmp", np.zeros((1, 2)))
+    write_pgm_mask(tmp_path / "m.pgm", PixelMask(np.array([[1, 0]], dtype=np.uint8)))
+    metrics = ["metrics", "--a", str(tmp_path / "far.dsmp"), "--b", str(tmp_path / "ref.dsmp"),
+               "--metric", "cpsnr", "--mask", str(tmp_path / "m.pgm")]
+
+    def run(**values):
+        case = tmp_path / f"case{len(list(tmp_path.glob('case*')))}"
+        case.mkdir()
+        return ["run", "--config", str(_quickstart(case, **values))]
+
+    cases = [
+        (run(gamma="1e300"), 2, "config error: gamma: "),
+        (run(method__dps__gamma="1e155"), 2, "config error: method.dps.gamma: "),
+        (run(cpsnr__peak="1e200"), 2, "config error: cpsnr.peak: "),
+        (run(cpsnr__peak="1e-300"), 2, "config error: cpsnr.peak: "),
+        (metrics + ["--peak", "1e200"], 2, "config error: --peak "),
+        (run(xstar__inline="1e300, 1e300"), 4, "numeric failure: exact posterior at gamma = 0.1: "
+                                               "no component keeps a positive finite weight"),
+        (run(prior__component__0__mean="1e200, 1e200"), 4, "numeric failure: ding at step "),
+        # the mse of these samples overflows: cpsnr reads -inf, the mirror of +inf
+        (metrics, 0, ""),
+    ]
+    for args, code, prefix in cases:
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "inpaintlab.cli", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == code, (args, proc.stderr)
+        assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == bool(prefix), args
+    assert proc.stdout == "metric,value,n,seed\ncpsnr,-inf,2,0\n"
+    oracle = ["oracle", *run(xstar__inline="1e300, 1e300")[1:], "--out", str(tmp_path / "p.csv")]
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "inpaintlab.cli", *oracle],
+                          capture_output=True, text=True)
+    assert proc.returncode == 4 and proc.stderr == cases[5][2] + "\n"
 
 
 def test_run_loads_numpy_only(tmp_path):

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -210,6 +212,29 @@ def test_malformed_number_names_its_key(tmp_path, key, value):
     lines = [line for line in BASIC.splitlines() if line.split("=")[0].strip() != key]
     with pytest.raises(ConfigError, match=f"^{key}: expected a"):
         load_config(_write(tmp_path, "\n".join(lines) + f"\n{key} = {value}\n"))
+
+
+_ROOT_MAX = math.sqrt(sys.float_info.max)
+
+
+@pytest.mark.parametrize("key, accepted, rejected", [
+    # gamma * gamma must be finite: the largest such double, and the next one up
+    ("gamma", _ROOT_MAX, math.nextafter(_ROOT_MAX, math.inf)),
+    ("method.ding.gamma", _ROOT_MAX, math.nextafter(_ROOT_MAX, math.inf)),
+    ("method.dps.gamma", 1e-200, 1e300),  # dps is not listed: checked all the same
+    # peak * peak must be positive and finite, at both ends
+    ("cpsnr.peak", _ROOT_MAX, math.nextafter(_ROOT_MAX, math.inf)),
+    ("cpsnr.peak", 1.5717277847026288e-162, 1.5717277847026285e-162),
+])
+def test_squared_values_checked_at_both_boundaries(tmp_path, key, accepted, rejected):
+    lines = [line for line in BASIC.splitlines() if line.split("=")[0].strip() != key]
+    cfg = load_config(_write(tmp_path, "\n".join(lines) + f"\n{key} = {accepted!r}\n"))
+    read = {"gamma": cfg.samplers["ddnm"].gamma, "method.ding.gamma": cfg.samplers["ding"].gamma,
+            "method.dps.gamma": accepted, "cpsnr.peak": cfg.cpsnr_peak}
+    assert read[key] == accepted
+    want = f"^{key}: must be strictly positive with a (nonzero )?finite square, got '{rejected!r}'$"
+    with pytest.raises(ConfigError, match=want.replace("+", "\\+")):
+        load_config(_write(tmp_path, "\n".join(lines) + f"\n{key} = {rejected!r}\n"))
 
 
 def test_malformed_prior_csv_row_names_its_line(tmp_path):

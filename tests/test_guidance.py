@@ -1,4 +1,5 @@
 import inspect
+import io
 import math
 import sys
 import tracemalloc
@@ -32,6 +33,7 @@ from inpaintlab import (
     transition_params,
 )
 from inpaintlab import bridge, gmm, guidance
+from inpaintlab.cli import _write_trajectories
 from inpaintlab.gmm import Evaluation
 from inpaintlab.guidance import chain_rngs, ding_posterior
 
@@ -92,6 +94,16 @@ def test_config_validation():
         _cfg("dps", eta=2.0)
     with pytest.raises(ConfigError, match="ding"):
         _cfg("ding", eta=0.0)
+
+
+def test_config_gamma_must_have_a_finite_square():
+    # the largest double whose square is finite passes, the next one up fails
+    root = math.sqrt(sys.float_info.max)
+    for method in METHODS:
+        assert _cfg(method, gamma=root).gamma == root
+        assert _cfg(method, gamma=1e-200).gamma == 1e-200
+        with pytest.raises(ConfigError, match="gamma must be strictly positive with a finite"):
+            _cfg(method, gamma=math.nextafter(root, math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +493,7 @@ def test_run_conditional_restores_the_numpy_error_state():
     with np.errstate(divide="raise", over="print", under="ignore", invalid="warn"):
         caller = np.geterr()
         run_conditional(problem, den, cfg.sched, stable,
-                        record=lambda _: inside.append(np.geterr()))
+                        on_step=lambda *_: inside.append(np.geterr()))
         assert np.geterr() == caller
         with pytest.raises(NumericError, match="^dps at step k=21 "):
             run_conditional(problem, den, cfg.sched, dataclasses.replace(stable, dps_scale=1.0))
@@ -654,15 +666,42 @@ def test_trajectory_records(mixture_setup):
     _, den, problem = mixture_setup
     cfg = _cfg("ddnm", grid=make_grid(12), n_chains=3)
     blocks = []
-    samples = run_conditional(problem, den, LIN, cfg, record=lambda b: blocks.append(b.copy()))
+    samples = run_conditional(problem, den, LIN, cfg,
+                              on_step=lambda x, ev: blocks.append(np.hstack((x, ev.xhat0))))
     rows = np.stack(blocks)
     d = problem.mask.dim
     assert rows.shape == (12, 3, 2 * d)
-    # block k is the start of the k-th step from t = 1: its x, then the
-    # estimate at it; t = 0 is the returned samples, not a block
+    # call k is handed the start of the k-th step from t = 1: its x, and the
+    # evaluation of it; t = 0 is the returned samples, not a call
     for k, t in enumerate(cfg.grid.knots[:0:-1]):
         np.testing.assert_array_equal(rows[k, :, d:], den.denoise(rows[k, :, :d], t))
     np.testing.assert_array_equal(run_conditional(problem, den, LIN, cfg), samples)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_on_step_is_handed_each_steps_own_state_and_evaluation(method, mixture_setup,
+                                                               monkeypatch):
+    # the hook sees the very x and ev the step is then handed, and a
+    # NumericError it raises is named like the step's own
+    _, den, problem = mixture_setup
+    original = getattr(guidance, f"step_{method}")
+    stepped, hooked = [], []
+
+    def step(x, ev, *rest):
+        stepped.append((x, ev))
+        return original(x, ev, *rest)
+
+    monkeypatch.setattr(guidance, f"step_{method}", step)
+    cfg = _cfg(method, grid=make_grid(5), n_chains=3)
+    run_conditional(problem, den, LIN, cfg, on_step=lambda x, ev: hooked.append((x, ev)))
+    assert len(hooked) == len(stepped) == 5
+    assert all(a is c and b is d for (a, b), (c, d) in zip(hooked, stepped))
+
+    def failing(x, ev):
+        raise NumericError("hook")
+
+    with pytest.raises(NumericError, match=f"^{method} at step k=5 .*: hook$"):
+        run_conditional(problem, den, LIN, cfg, on_step=failing)
 
 
 def _traced_peak(run):
@@ -676,22 +715,29 @@ def _traced_peak(run):
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("k", [12, 96])
-def test_trajectory_record_holds_one_block(method, k, mixture_setup):
-    # a sink that discards its blocks costs the run one (n, 2d) buffer
-    # whatever K is; a (K, n, 2d) record would cost K of them
+def test_trajectory_record_holds_one_block(method, k, mixture_setup, tmp_path):
+    # the run allocates nothing for a hook, and the trajectory writer holds
+    # at most one (n, 2d) block (plus its file's write buffer) whatever K is;
+    # a (K, n, 2d) trajectory would cost K of them
     _, den, problem = mixture_setup
     cfg = _cfg(method, grid=make_grid(k), n_chains=2000)
     block = cfg.n_chains * 2 * problem.mask.dim * 8
-    run_conditional(problem, den, LIN, cfg)  # warm caches before tracing
+    path = tmp_path / "t.dsmp"
+    _write_trajectories(path, problem, den, LIN, cfg)  # warm caches before tracing
     plain = _traced_peak(lambda: run_conditional(problem, den, LIN, cfg))
-    recorded = _traced_peak(lambda: run_conditional(problem, den, LIN, cfg, record=lambda b: None))
-    assert block <= recorded - plain < block + 1024
+    hooked = _traced_peak(lambda: run_conditional(problem, den, LIN, cfg,
+                                                  on_step=lambda x, ev: None))
+    assert abs(hooked - plain) < 1024
+    written = _traced_peak(lambda: _write_trajectories(path, problem, den, LIN, cfg))
+    # open() buffers a file by its block size, or 8 KiB where that is unknown
+    assert written - plain < block + max(path.stat().st_blksize, io.DEFAULT_BUFFER_SIZE)
+    assert path.stat().st_size == 13 + (k + 1) * block
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_trajectory_record_reuses_the_step_evaluation(method, mixture_setup, monkeypatch):
-    # the record takes each state's estimate from the step that starts there,
-    # so a recorded run evaluates the posterior no more often than a plain one
+    # the hook is handed the evaluation of the step that starts there, so a
+    # hooked run evaluates the posterior no more often than a plain one
     _, den, problem = mixture_setup
     original = gmm.component_posterior
     calls = [0]
@@ -703,9 +749,9 @@ def test_trajectory_record_reuses_the_step_evaluation(method, mixture_setup, mon
     monkeypatch.setattr(gmm, "component_posterior", counting)
     cfg = _cfg(method, grid=make_grid(9), n_chains=3)
     counts = []
-    for record in (False, True):
+    for on_step in (None, lambda x, ev: None):
         calls[0] = 0
-        run_conditional(problem, den, LIN, cfg, record=(lambda b: None) if record else None)
+        run_conditional(problem, den, LIN, cfg, on_step=on_step)
         counts.append(calls[0])
     assert counts[1] == counts[0]
 
@@ -736,9 +782,9 @@ def test_run_pins_each_methods_denoiser_cost(method, ding_nz, evaluations, vjps,
                         counting("posterior", gmm.component_posterior))
     monkeypatch.setattr(gmm.GMMDenoiser, "vjp", counting("vjp", gmm.GMMDenoiser.vjp))
     cfg = _cfg(method, grid=make_grid(9), n_chains=3, ding_nz=ding_nz)
-    for record in (None, lambda b: None):
+    for on_step in (None, lambda x, ev: None):
         calls.update(posterior=0, vjp=0)
-        run_conditional(problem, den, LIN, cfg, record=record)
+        run_conditional(problem, den, LIN, cfg, on_step=on_step)
         assert calls == {"posterior": evaluations, "vjp": vjps}
 
 
@@ -752,7 +798,7 @@ def test_no_method_forms_a_jacobian_matrix(method, mixture_setup, monkeypatch):
 
     monkeypatch.setattr(gmm.GMMDenoiser, "jacobian", refuse)
     samples = run_conditional(problem, den, LIN, _cfg(method, n_chains=3),
-                              record=lambda b: None)
+                              on_step=lambda x, ev: None)
     assert np.all(np.isfinite(samples))
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,47 @@ def test_cpsnr_decreases_with_error():
     ref = np.zeros(2)
     vals = [cpsnr(np.full(2, e), ref, mask, 1.0) for e in (0.1, 0.2, 0.4)]
     assert vals[0] > vals[1] > vals[2]
+
+
+# the largest double whose square is finite, and the smallest whose square is not 0
+ROOT_MAX = math.sqrt(sys.float_info.max)
+ROOT_MIN = 1.5717277847026288e-162
+
+
+def test_cpsnr_peak_square_must_be_positive_and_finite():
+    assert ROOT_MIN * ROOT_MIN > 0 == math.nextafter(ROOT_MIN, 0) ** 2
+    x, mask = np.zeros(2), MaskOperator([1, 1])
+    for peak in (1e200, math.nextafter(ROOT_MAX, math.inf), math.nextafter(ROOT_MIN, 0), 1e-300,
+                 np.float64(1e200), np.float64(1e-300), 0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="nonzero finite square"):
+            cpsnr(x, np.ones(2), mask, peak)
+    for peak in (ROOT_MAX, ROOT_MIN):
+        assert math.isfinite(cpsnr(x, np.ones(2), mask, peak))
+
+
+def test_cpsnr_is_minus_infinity_where_peak2_over_mse_is_0():
+    # the mirror of the +inf sentinel: an mse that overflows, or a finite
+    # one that peak^2 / mse underflows against, reads -inf, with no warning
+    mask = MaskOperator([1, 0])
+    huge = np.array([[1e200, 0.0], [1.0, 7.0], [-1e200, 0.0]])
+    got = cpsnr(huge, np.zeros(2), mask, 1.0)
+    assert list(got) == [-math.inf, 0.0, -math.inf]
+    assert cpsnr(np.array([1e50, 0.0]), np.zeros(2), mask, 1e-150) == -math.inf
+    assert cpsnr(np.zeros(2), np.zeros(2), mask, 1e-150) == math.inf
+
+
+def test_cpsnr_finite_batch_keeps_its_bits():
+    # every finite value is 10 log10(peak^2 / mse) per row, as before the sentinels
+    rng = np.random.default_rng(11)
+    ref = rng.standard_normal(9)
+    x = ref + 10.0 ** rng.uniform(-8, 8, (40, 1)) * rng.standard_normal((40, 9))
+    mask = MaskOperator([1, 1, 0, 1, 0, 0, 1, 1, 1])
+    obs = mask.observed_idx
+    for peak in (1.0, 2.5, 1e-3, 255.0):
+        mse = np.mean((x[:, obs] - ref[obs]) ** 2, axis=-1)
+        want = [10.0 * math.log10(peak**2 / m) for m in mse.tolist()]
+        assert cpsnr(x, ref, mask, peak).tolist() == want
+        assert [cpsnr(row, ref, mask, peak) for row in x] == want
 
 
 def test_cpsnr_needs_observed_coordinates():

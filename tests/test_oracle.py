@@ -6,6 +6,7 @@ from inpaintlab import (
     GMMDenoiser,
     InpaintingProblem,
     MaskOperator,
+    NumericError,
     Schedule,
     ding_gap,
     eval_schedule,
@@ -222,6 +223,29 @@ def test_posterior_drops_components_whose_weight_underflows():
     assert post.n_components == 1 and post.weights.tolist() == [1.0]
     np.testing.assert_array_equal(post.means, [[0.0, 0.0]])
     np.testing.assert_allclose(post.covariances, [[0.01 / 1.01, 1.0]], rtol=1e-15)
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_posterior_whose_evidence_overflows_is_a_numeric_failure(full):
+    # an observation so far out that every quadratic form overflows leaves
+    # no component a weight: NumericError names the exact posterior, and no
+    # numpy warning escapes (the suite turns them into errors)
+    cov = [[1.0, 0.3], [0.3, 2.0]] if full else [1.0, 2.0]
+    prior = GaussianMixture([0.5, 0.5], [[2.0, 2.0], [-2.0, -2.0]], [cov, cov])
+    problem = InpaintingProblem(MaskOperator([1, 1]), np.array([1e300, 1e300]), 0.1)
+    with pytest.raises(NumericError, match="^exact posterior at gamma = 0.1: no component "
+                                           "keeps a positive finite weight$"):
+        exact_posterior(problem, prior)
+
+
+def test_posterior_drops_a_component_whose_evidence_overflows():
+    # a prior mean of 1e200 overflows its quadratic form, an evidence of 0:
+    # that component is dropped like one whose weight underflows
+    prior = GaussianMixture([0.5, 0.5], [[1e200, 1e200], [-2.0, -2.0]], [[1.0, 1.0], [1.0, 1.0]])
+    problem = InpaintingProblem(MaskOperator([1, 0]), np.array([1.5, 0.0]), 0.1)
+    post = exact_posterior(problem, prior)
+    assert post.n_components == 1 and post.weights.tolist() == [1.0]
+    np.testing.assert_array_equal(post.means[0, 1], -2.0)
 
 
 def test_posterior_matches_dense_grid_oracle():

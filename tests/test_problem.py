@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,28 @@ def test_gamma_must_be_finite(gamma):
         make_observation(np.array([1.0, 2.0]), MaskOperator([1, 0]), gamma, rng=rng, noisy=True)
     with pytest.raises(ValueError, match="finite"):
         InpaintingProblem(MaskOperator([1, 0]), np.array([1.0, 0.0]), gamma)
+
+
+# the largest double whose square is finite, and the next one up
+ROOT_MAX = math.sqrt(sys.float_info.max)
+ABOVE_ROOT_MAX = math.nextafter(ROOT_MAX, math.inf)
+
+
+def test_gamma_must_have_a_finite_square():
+    # gamma**2 enters the likelihood, the oracle and the steps: a gamma
+    # whose square overflows is rejected where it enters, and the largest
+    # one whose square is finite, or one whose square underflows, is not
+    assert ROOT_MAX * ROOT_MAX < math.inf and ABOVE_ROOT_MAX * ABOVE_ROOT_MAX == math.inf
+    rng = np.random.default_rng(0)
+    mask, x, y = MaskOperator([1, 0]), np.array([1.0, 2.0]), np.array([1.0, 0.0])
+    for gamma in (ABOVE_ROOT_MAX, 1e300, np.float64(1e300)):
+        with pytest.raises(ValueError, match="finite square"):
+            make_observation(x, mask, gamma, rng=rng, noisy=True)
+        with pytest.raises(ValueError, match="finite square"):
+            InpaintingProblem(mask, y, gamma)
+    for gamma in (ROOT_MAX, 1e-200):
+        assert make_observation(x, mask, gamma).gamma == gamma
+        assert InpaintingProblem(mask, y, gamma).gamma == gamma
 
 
 def test_empty_mask_warns_but_works():

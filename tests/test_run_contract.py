@@ -5,7 +5,9 @@ At exit 0 every ``.dsmp`` file is finite and ``results.csv`` holds one row
 per method, in config order; at exit 2 stderr is one ``config error:``
 line; at exit 4 it is one ``numeric failure:`` line that names a method
 and a step for each failed method, or names the exact posterior with a
-count of at least one failed component.
+count of at least one failed component or with no component left a weight.
+Some draws reach far past unit scale (gamma to 10^200, the means and x_star
+to 10^300, the cpsnr peak over 10^[-200, 200]) so that overflow is probed.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inpaintlab import METHODS
@@ -26,7 +28,8 @@ from inpaintlab.io import read_samples
 
 _METHOD_FAILURE = re.compile(rf"({'|'.join(METHODS)}) at step k=\d+ \(t=\S+ -> s=\S+\): .+")
 _POSTERIOR_FAILURE = re.compile(
-    r"exact posterior at gamma = \S+: ([1-9]\d*) of \d+ components lost variance to rounding"
+    r"exact posterior at gamma = \S+: (([1-9]\d*) of \d+ components lost variance to rounding"
+    r"|no component keeps a positive finite weight)"
 )
 
 
@@ -43,7 +46,9 @@ def configs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = rng.uniform(0.1, 1.0, k)
     weights /= weights.sum()
-    means = 30.0 * draw(st.floats(0, 1)) * rng.uniform(-1, 1, (k, d))
+    # in some draws the means, and x_star with them, sit up to 10^300 out
+    far = 10.0 ** draw(st.floats(0, 300)) if draw(st.booleans()) else 1.0
+    means = far * 30.0 * draw(st.floats(0, 1)) * rng.uniform(-1, 1, (k, d))
     lines = []
     for i in range(k):
         if full:
@@ -55,7 +60,7 @@ def configs(draw):
         lines += [f"prior.component.{i}.weight = {float(weights[i])!r}",
                   f"prior.component.{i}.mean = {_numbers(means[i])}",
                   f"prior.component.{i}.cov = {_numbers(cov)}"]
-    x_star = means[rng.integers(k)] + scale * rng.standard_normal(d)
+    x_star = means[rng.integers(k)] + far * scale * rng.standard_normal(d)
     methods = draw(st.permutations(METHODS).flatmap(
         lambda order: st.integers(1, len(order)).map(lambda n: order[:n])))
     on_off = st.sampled_from(["on", "off"])
@@ -64,7 +69,7 @@ def configs(draw):
         f"grid.k = {draw(st.integers(1, 40))}",
         f"grid.spacing = {draw(st.sampled_from(['uniform', 'quadratic']))}",
         f"eta = {draw(st.floats(0, 1))!r}",
-        f"gamma = {10.0 ** draw(st.floats(-6, 1))!r}",
+        f"gamma = {10.0 ** draw(st.floats(-6, 200))!r}",
         f"zeta = {10.0 ** draw(st.floats(-3, 1))!r}",
         f"lambda = {10.0 ** draw(st.floats(-2, 2))!r}",
         f"ding_nz = {draw(st.integers(1, 3))}",
@@ -77,12 +82,43 @@ def configs(draw):
         f"n_chains = {draw(st.integers(1, 8))}",
         f"seed = {draw(st.integers(0, 3))}",
         "sw2.projections = 8",
+        f"cpsnr.peak = {10.0 ** draw(st.floats(-200, 200))!r}",
     ]
     return "\n".join(lines) + "\n", list(methods)
 
 
+def _example(d: int, **values) -> tuple[str, list[str]]:
+    """A two-component prior in d dimensions, first coordinate observed,
+    every method listed, with the given keys set (dots written as __)."""
+    keys = {
+        "prior.component.0.weight": "0.5", "prior.component.0.mean": ", ".join(["2"] * d),
+        "prior.component.0.cov": ", ".join(["1"] * d),
+        "prior.component.1.weight": "0.5", "prior.component.1.mean": ", ".join(["-2"] * d),
+        "prior.component.1.cov": ", ".join(["1"] * d),
+        "grid.k": "6", "gamma": "0.1", "n_chains": "5", "methods": ", ".join(METHODS),
+        "mask.inline": ", ".join(["1"] + ["0"] * (d - 1)),
+        "xstar.inline": ", ".join(["1.5"] + ["2.4"] * (d - 1)), "sw2.projections": "8",
+    }
+    keys.update({key.replace("__", "."): value for key, value in values.items()})
+    return "".join(f"{key} = {value}\n" for key, value in keys.items()), list(METHODS)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(configs())
+# a gamma whose square overflows
+@example(_example(2, gamma="1e300"))
+@example(_example(2, method__ding__gamma="1e155"))
+# a cpsnr peak whose square overflows or is 0, and an mse that overflows
+@example(_example(2, cpsnr__peak="1e200", final_replacement="off"))
+@example(_example(2, cpsnr__peak="1e-300", final_replacement="off"))
+@example(_example(1, prior__component__0__mean="0", prior__component__1__mean="0",
+                  xstar__inline="1e200", gamma="1e150", final_replacement="off"))
+# an observation or a prior mean so far out that an evidence overflows
+@example(_example(2, xstar__inline="1e300, 1e300"))
+@example(_example(2, prior__component__0__mean="1e200, 1e200"))
+# a sliced W2 whose square overflows
+@example(_example(1, prior__component__0__mean="0", prior__component__1__mean="0",
+                  xstar__inline="1.4065579613180736e+154", gamma="1.0"))
 def test_run_exits_0_2_or_4_and_keeps_each_exits_promise(case):
     text, methods = case
     with tempfile.TemporaryDirectory() as tmp:
