@@ -173,7 +173,7 @@ def run_unconditional(
     knots = grid.knots
     for k in range(grid.num_steps, 0, -1):
         s, t = knots[k - 1], knots[k]
-        params = transition_params(sched, eta, x, denoiser.denoise(x, t), s, t)
+        params = transition_params(sched, eta, x, denoiser.evaluate(x, t).xhat0, s, t)
         x = sample_transition(params, rng)
     return x
 

@@ -349,7 +349,17 @@ def main(argv=None) -> int:
         return 3
 
 
-if __name__ == "__main__":
+def program() -> int:
+    """The process entry of ``python -m inpaintlab.cli`` and of the
+    installed ``inpaintlab`` command: ``main`` on ``sys.argv``, then
+    ``gc.freeze()``, so that once every output is closed the exit-time
+    collections skip the imported objects.  Returns the exit code for
+    ``sys.exit``.  In-process callers use ``main(argv)`` and keep their
+    collector."""
     code = main()
-    gc.freeze()  # outputs are closed; exit-time collections then skip the imported objects
-    sys.exit(code)
+    gc.freeze()
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(program())

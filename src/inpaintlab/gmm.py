@@ -17,10 +17,10 @@ normally asks a neural network for are available exactly:
   (``ConditionalMixture.vjp``), its one derivative.
 
 The samplers see the prior through the ``Denoiser`` contract only:
-``denoise``, ``evaluate`` (the estimate plus what differentiating it
-needs) and ``vjp`` of an evaluation (``GMMDenoiser``, whose ``jacobian``
-stacks d of those products).  They derive every noise estimate from the
-x0 estimate through ``noise_from_x0``.
+``evaluate``, whose ``Evaluation`` carries the estimate, and ``vjp`` of an
+evaluation (``GMMDenoiser``, whose evaluation is the ``ConditionalMixture``
+itself and whose ``jacobian`` stacks d of those products).  They derive
+every noise estimate from the x0 estimate through ``noise_from_x0``.
 
 Component k of the corrupted mixture is N(alpha*mu_k, C_k) with
 C_k = alpha^2 * Sigma_k + sigma^2 * I.  Conditioning on X_t = x gives,
@@ -351,10 +351,23 @@ def _per_point(a: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConditionalMixture:
+class Evaluation:
+    """One denoiser evaluation at time t: the estimate ``xhat0`` of
+    E[X0 | X_t = x], shaped like x.  A denoiser that can differentiate its
+    estimate returns a subclass that keeps what ``Denoiser.vjp`` needs, so
+    that it never evaluates again (``ConditionalMixture`` for
+    ``GMMDenoiser``)."""
+
+    t: float
+    xhat0: np.ndarray
+
+
+@dataclass(frozen=True)
+class ConditionalMixture(Evaluation):
     """Mixture representation of X0 given X_t = x, component-major.
 
-    For x of shape (..., d), component k carries responsibility
+    It is the ``Evaluation`` at time ``t`` that ``GMMDenoiser`` returns:
+    for x of shape (..., d), component k carries responsibility
     ``exp(log_resp[k])`` with ``log_resp`` of shape (K, ...), mean m_k(x)
     and covariance V_k diag(cov_evals[k]) V_k^T; ``xhat0`` = sum_k r_k m_k
     is the denoiser output, shaped like x.  ``cov_evals`` is (K, d) and
@@ -379,7 +392,6 @@ class ConditionalMixture:
 
     log_resp_cols: np.ndarray
     log_marginal_cols: np.ndarray
-    xhat0: np.ndarray
     x: np.ndarray
     mean_maps: np.ndarray
     cov_evals: np.ndarray
@@ -509,7 +521,7 @@ def component_posterior(
     means = np.matmul(maps, xa, out=u)
     xhat0 = _weighted_sum(np.exp(log_resp), means, out=xa[:-1])
     cov_evals = sigma**2 * lam / c
-    return ConditionalMixture(log_resp, log_marginal, _points(xhat0, x.shape[:-1]), x, maps,
+    return ConditionalMixture(t, _points(xhat0, x.shape[:-1]), log_resp, log_marginal, x, maps,
                               cov_evals, evecs, centers, c)
 
 
@@ -540,36 +552,22 @@ def noise_from_x0(x: np.ndarray, xhat0: np.ndarray, alpha: float, sigma: float) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """One denoiser evaluation at time t: the estimate ``xhat0`` of
-    E[X0 | X_t = x], plus ``state``, what the denoiser keeps of the
-    evaluation so that ``Denoiser.vjp`` can differentiate it without
-    evaluating again (the ``ConditionalMixture`` for ``GMMDenoiser``)."""
-
-    t: float
-    xhat0: np.ndarray
-    state: object = None
-
-
 class Denoiser(ABC):
-    """Behavioral contract every sampler consumes.
+    """Behavioral contract every sampler consumes: two calls.
 
-    ``denoise`` models E[X0 | X_t = x].  It is the only estimate a sampler
-    asks for: every noise estimate is the one tied to it,
+    ``evaluate`` returns an ``Evaluation`` whose ``xhat0`` models
+    E[X0 | X_t = x].  It is the only estimate a sampler asks for: every
+    noise estimate is the one tied to it,
     x1_hat = ``noise_from_x0``(x, x0_hat, alpha_t, sigma_t), which for the
-    mixture prior is E[X1 | X_t = x] exactly.  ``evaluate`` returns the
-    same estimate as an ``Evaluation``, and ``vjp`` applies the transpose
-    of the estimate's Jacobian at that evaluation to one vector per point;
-    only dps calls it, and a denoiser that cannot form it keeps the base
-    ``vjp``, which raises NotImplementedError.
+    mixture prior is E[X1 | X_t = x] exactly.  ``vjp`` applies the
+    transpose of the estimate's Jacobian at an evaluation to one vector per
+    point; only dps calls it, and a denoiser that cannot form it keeps the
+    base ``vjp``, which raises NotImplementedError.  ``run_unconditional``
+    also reads the point dimension ``dim``.
     """
 
     @abstractmethod
-    def denoise(self, x: np.ndarray, t: float) -> np.ndarray: ...
-
-    def evaluate(self, x: np.ndarray, t: float) -> Evaluation:
-        return Evaluation(t, self.denoise(x, t))
+    def evaluate(self, x: np.ndarray, t: float) -> Evaluation: ...
 
     def vjp(self, ev: Evaluation, v: np.ndarray) -> np.ndarray:
         """J^T v for J = d xhat0 / dx at the point and time of the
@@ -583,9 +581,10 @@ class Denoiser(ABC):
 class GMMDenoiser(Denoiser):
     """Exact denoiser backed by a Gaussian-mixture prior.
 
-    ``evaluate`` keeps the ``ConditionalMixture`` behind its estimate, and
-    ``vjp`` differentiates it with no second posterior evaluation and no
-    (..., d, d) array: it is the closed form ``ConditionalMixture.vjp``.
+    ``evaluate`` returns the ``ConditionalMixture`` of X0 given X_t = x
+    itself as its evaluation, and ``vjp`` differentiates it with no second
+    posterior evaluation and no (..., d, d) array: it is the closed form
+    ``ConditionalMixture.vjp``.
     ``jacobian`` stacks d of those products into the dense matrix.
     ``jacobian_calls`` counts one per ``vjp`` or ``jacobian`` call; methods
     that advertise themselves as Jacobian-free can be audited against it.
@@ -610,27 +609,23 @@ class GMMDenoiser(Denoiser):
     def dim(self) -> int:
         return self.prior.dim
 
-    def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluate(x, t).xhat0
-
-    def evaluate(self, x: np.ndarray, t: float) -> Evaluation:
+    def evaluate(self, x: np.ndarray, t: float) -> ConditionalMixture:
         x = np.asarray(x, dtype=float)
-        cond = component_posterior(self.prior, self.sched, x, t, self._scratch(x.shape))
-        return Evaluation(t, cond.xhat0, cond)
+        return component_posterior(self.prior, self.sched, x, t, self._scratch(x.shape))
 
-    def jacobian(self, ev: Evaluation) -> np.ndarray:
+    def jacobian(self, ev: ConditionalMixture) -> np.ndarray:
         """d xhat0 / dx at the point and time of the evaluation, (..., d, d):
         row i is J^T e_i, the ``vjp`` of the i-th unit vector."""
         self._count_jacobian(ev)
         shape = ev.xhat0.shape
         scratch = self._scratch(shape)
-        rows = [ev.state.vjp(np.broadcast_to(e, shape), scratch) for e in np.eye(self.dim)]
+        rows = [ev.vjp(np.broadcast_to(e, shape), scratch) for e in np.eye(self.dim)]
         return np.stack(rows, axis=-2)
 
-    def vjp(self, ev: Evaluation, v: np.ndarray) -> np.ndarray:
+    def vjp(self, ev: ConditionalMixture, v: np.ndarray) -> np.ndarray:
         self._count_jacobian(ev)
         scratch = self._scratch(ev.xhat0.shape)
-        return ev.state.vjp(np.asarray(v, dtype=float), scratch)
+        return ev.vjp(np.asarray(v, dtype=float), scratch)
 
     def _scratch(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """The (K, d, M) products and (d+1, M) rows of points shaped

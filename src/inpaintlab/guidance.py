@@ -25,7 +25,11 @@ driver evaluates the denoiser once per state and hands that ``Evaluation``
 ev, with the estimate ev.xhat0, to the step.  dps (with ``denoiser.vjp``
 of ev), ddnm and diffpir correct the estimate and sample the transition
 ``bridge.transition_params`` builds from it at ``cfg.eta``; blended and
-ding build it from ev.xhat0 as is and add a draw after it.
+ding build it from ev.xhat0 as is and add a draw after it.  ding also
+evaluates its proposal, and reads only that evaluation's estimate: of the
+denoiser's two calls, ``evaluate`` and ``vjp``, only dps calls ``vjp``, so
+every other method runs on a denoiser whose evaluations hold the estimate
+alone.
 
 Every correction the mask confines (blended's replay, dps's residual,
 ddnm's projection, diffpir's proximal pull, ding's pseudo-observation and
@@ -226,10 +230,11 @@ def step_ding(
     """Jacobian-free conjugate step.
 
     Draw z from the unconditional transition, read the noise prediction
-    e = x1_hat(z, s) tied to the denoiser's x0 estimate at z (averaged
-    over ding_nz draws), then sample the new state exactly from prior x
-    likelihood with the likelihood linearized through z instead of the
-    model: no differentiation anywhere.
+    e = x1_hat(z, s) tied to the x0 estimate ``denoiser.evaluate(z, s).xhat0``
+    (averaged over ding_nz draws), then sample the new state exactly from
+    prior x likelihood with the likelihood linearized through z instead of
+    the model: no differentiation anywhere.  Only the ``xhat0`` of ev and of
+    the proposal's evaluation is read, never ``denoiser.vjp``.
     """
     params = transition_params(sched, cfg.eta, x_t, ev.xhat0, s, t)
     nz = cfg.ding_nz
@@ -240,7 +245,7 @@ def step_ding(
     z = np.add(params.mean[..., None, :], eps, out=eps)
     alpha_s, sigma_s = eval_schedule(sched, s)
     # the mean over the nz draws, as ``mean`` forms it: one sum, then one division
-    e = np.add.reduce(noise_from_x0(z, denoiser.denoise(z, s), alpha_s, sigma_s), axis=-2)
+    e = np.add.reduce(noise_from_x0(z, denoiser.evaluate(z, s).xhat0, alpha_s, sigma_s), axis=-2)
     e /= nz
     obs_mean, obs_std = ding_posterior(
         params.mean, params.std, e, problem, alpha_s, sigma_s, cfg.gamma

@@ -207,7 +207,7 @@ def step_ding(x_t, ev, s, t, problem, sched, denoiser, cfg, rng):
         return mean
     z = mean[..., None, :] + eta_s * eps
     alpha_s, sigma_s = eval_schedule(sched, s)
-    e = _noise(z, denoiser.denoise(z, s), alpha_s, sigma_s).mean(axis=-2)
+    e = _noise(z, denoiser.evaluate(z, s).xhat0, alpha_s, sigma_s).mean(axis=-2)
     m = problem.mask.m
     u = alpha_s * problem.y + sigma_s * e
     prior_var, obs_var = eta_s**2, (alpha_s * cfg.gamma) ** 2

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from inpaintlab import (
+    Denoiser,
     GaussianMixture,
     GMMDenoiser,
     InpaintingProblem,
@@ -42,7 +43,7 @@ from inpaintlab import (
 from inpaintlab.config import load_config
 from inpaintlab.cli import run_experiment
 from inpaintlab import gmm
-from inpaintlab.gmm import ConditionalMixture, noise_from_x0
+from inpaintlab.gmm import ConditionalMixture, Evaluation, noise_from_x0
 
 import reference
 
@@ -76,7 +77,8 @@ def _a1_residuals(prior):
         t = float(rng.uniform(0.01, 1.0))
         x = rng.standard_normal(4) * 2.0
         _, sigma = eval_schedule(LIN, t)
-        xhat1 = noise_from_x0(x, GMMDenoiser(prior, LIN).denoise(x, t), *eval_schedule(LIN, t))
+        xhat0 = GMMDenoiser(prior, LIN).evaluate(x, t).xhat0
+        xhat1 = noise_from_x0(x, xhat0, *eval_schedule(LIN, t))
         want = reference.noise_mean(prior, LIN, x, t)
         dual_worst = max(dual_worst, float(np.max(np.abs(xhat1 - want))))
         score = gmm_marginal(prior, LIN, t).score(x)
@@ -113,8 +115,8 @@ def _a2_residuals(prior):
         for c in range(4):
             dx = np.zeros(4)
             dx[c] = h
-            hi = den.denoise(x + dx, t)
-            lo = den.denoise(x - dx, t)
+            hi = den.evaluate(x + dx, t).xhat0
+            lo = den.evaluate(x - dx, t).xhat0
             fd[:, c] = (hi - lo) / (2 * h)
         fd_worst = max(fd_worst, float(np.max(np.abs(j0 - fd))))
         z = rng.standard_normal(4)
@@ -186,8 +188,8 @@ def test_a3_oracle_consistency():
         x = rng.standard_normal(3)
         # the prior denoiser plus the scaled guidance gradient, against conditioning
         alpha, sigma = eval_schedule(LIN, t)
-        a = GMMDenoiser(prior, LIN).denoise(x, t) + (sigma**2 / alpha) * exact_guidance_grad(
-            problem, prior, LIN, x, t)
+        a = GMMDenoiser(prior, LIN).evaluate(x, t).xhat0 + (sigma**2 / alpha) * (
+            exact_guidance_grad(problem, prior, LIN, x, t))
         b = exact_posterior_denoiser(problem, prior, LIN, x, t)
         route_worst = max(route_worst, float(np.max(np.abs(a - b))))
 
@@ -227,6 +229,23 @@ def test_a3_oracle_consistency():
     _elapsed_ok("A3", start, 60.0)
 
 
+class EstimatesOnly(Denoiser):
+    """The shipped denoiser's estimates and nothing to differentiate: each
+    evaluation is a plain ``Evaluation``, and ``vjp`` is the base one, which
+    raises.  A method that runs through it reads no derivative."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def evaluate(self, x, t):
+        ev = self.inner.evaluate(x, t)
+        return Evaluation(ev.t, ev.xhat0)
+
+
 @pytest.fixture(scope="module")
 def benchmark_setup():
     d = 8
@@ -255,10 +274,11 @@ def test_a4_posterior_recovery(benchmark_setup):
     # gradient by ~(C0_t + gamma^2)/gamma^2 near t = 1 and diverges at zeta = 1
     zetas = {"dps": 0.1}
     ratios = {}
+    cfgs = {}
     ding_jacobian_calls = None
     for method in ("ding", "dps", "ddnm", "diffpir", "blended"):
         calls = denoiser.jacobian_calls
-        cfg = SamplerConfig(
+        cfg = cfgs[method] = SamplerConfig(
             method=method, grid=grid, eta=0.8, gamma=0.1,
             dps_scale=zetas.get(method, 1.0), final_replacement=False,
             seed=0, n_chains=n,
@@ -267,14 +287,25 @@ def test_a4_posterior_recovery(benchmark_setup):
         ratios[method] = sliced_w2(samples, oracle_samples, 128, 0) / base
         if method == "ding":
             ding_jacobian_calls = denoiser.jacobian_calls - calls
+            ding_samples = samples
 
-    ok = all(r <= 0.25 for r in ratios.values()) and ding_jacobian_calls == 0
+    # VJP-free by construction: ding through a denoiser that has no vjp gives
+    # the same bits, and dps through it cannot run
+    estimates_only = EstimatesOnly(GMMDenoiser(prior, LIN))
+    ding_same = (run_conditional(problem, estimates_only, LIN, cfgs["ding"]).tobytes()
+                 == ding_samples.tobytes())
+    with pytest.raises(NotImplementedError):
+        run_conditional(problem, estimates_only, LIN, cfgs["dps"])
+
+    ok = all(r <= 0.25 for r in ratios.values()) and ding_jacobian_calls == 0 and ding_same
     detail = ", ".join(f"{m} {r:.3f}" for m, r in ratios.items())
     _report("A4", ok, f"sw2 ratios vs 0.25: {detail}; "
-                      f"ding jacobian calls {ding_jacobian_calls}")
+                      f"ding jacobian calls {ding_jacobian_calls}; "
+                      f"ding without a vjp identical {ding_same}")
     for method, ratio in ratios.items():
         assert ratio <= 0.25, f"{method}: sw2 ratio {ratio:.3f} > 0.25"
     assert ding_jacobian_calls == 0
+    assert ding_same
     _elapsed_ok("A4", start, 120.0)
 
 

@@ -52,7 +52,7 @@ def test_transition_example_deterministic():
     # eta=0, single N(0,1), x_t=1 at t=1: x0_hat=0, x1_hat=1, mean=0.5*0+0.5*1
     den = GMMDenoiser(GaussianMixture([1.0], [[0.0]], [[1.0]]), LIN)
     x_t = np.array([1.0])
-    params = transition_params(LIN, 0.0, x_t, den.denoise(x_t, 1.0), 0.5, 1.0)
+    params = transition_params(LIN, 0.0, x_t, den.evaluate(x_t, 1.0).xhat0, 0.5, 1.0)
     np.testing.assert_allclose(params.mean, [0.5])
     assert params.std == 0.0
 
@@ -60,17 +60,17 @@ def test_transition_example_deterministic():
 def test_transition_eta_one_discards_noise_estimate():
     den = GMMDenoiser(GaussianMixture([1.0], [[0.0]], [[1.0]]), LIN)
     x_t = np.array([1.0])
-    params = transition_params(LIN, 1.0, x_t, den.denoise(x_t, 1.0), 0.5, 1.0)
+    params = transition_params(LIN, 1.0, x_t, den.evaluate(x_t, 1.0).xhat0, 0.5, 1.0)
     alpha_s, sigma_s = eval_schedule(LIN, 0.5)
-    np.testing.assert_allclose(params.mean, alpha_s * den.denoise(x_t, 1.0))
+    np.testing.assert_allclose(params.mean, alpha_s * den.evaluate(x_t, 1.0).xhat0)
     assert params.std == pytest.approx(sigma_s)
 
 
 def test_transition_at_s_zero_is_denoiser():
     den = GMMDenoiser(GaussianMixture([1.0], [[0.3]], [[1.0]]), LIN)
     x_t = np.array([0.8])
-    params = transition_params(LIN, 0.9, x_t, den.denoise(x_t, 0.6), 0.0, 0.6)
-    np.testing.assert_allclose(params.mean, den.denoise(x_t, 0.6))
+    params = transition_params(LIN, 0.9, x_t, den.evaluate(x_t, 0.6).xhat0, 0.0, 0.6)
+    np.testing.assert_allclose(params.mean, den.evaluate(x_t, 0.6).xhat0)
     assert params.std == 0.0
 
 
@@ -200,7 +200,7 @@ def test_unconditional_one_step_is_denoiser_output():
     term = run_unconditional(den, LIN, grid, 0.8, rng1, 5)
     rng2 = np.random.default_rng(7)
     x1 = rng2.standard_normal((5, 1))
-    np.testing.assert_allclose(term, den.denoise(x1, 1.0))
+    np.testing.assert_allclose(term, den.evaluate(x1, 1.0).xhat0)
 
 
 def test_unconditional_needs_positive_chains():

@@ -699,10 +699,12 @@ def test_console_entry_point(tmp_path):
 
 
 def test_only_the_program_path_freezes_the_collector(tmp_path):
-    # the __main__ block freezes the import graph once main has returned, so
-    # the exit-time collections skip it; an in-process caller's objects stay
-    # collectable
+    # the __main__ block and the installed command both run cli.program, which
+    # freezes the import graph once main has returned, so the exit-time
+    # collections skip it; an in-process caller's objects stay collectable
     import gc
+    import re
+    from pathlib import Path
 
     before = gc.get_freeze_count()
     assert main(["run", "--config", str(_write_cfg(tmp_path))]) == 0
@@ -719,6 +721,34 @@ def test_only_the_program_path_freezes_the_collector(tmp_path):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout.splitlines()[-1]) > 0
+
+    # the [project.scripts] entry, called the way an installed console script
+    # calls it: sys.exit of its return value
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^inpaintlab = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    assert (module, func) == ("inpaintlab.cli", "program")
+    cfg = _write_cfg(tmp_path, out_name="tiny", name="tiny.cfg")
+    cfg.write_text(cfg.read_text().replace("gamma      = 0.2", "gamma = 1e-170"))
+    cases = [
+        (0, ["metrics", "--a", a, "--b", a], ""),
+        (2, ["metrics", "--a", a, "--b", a, "--projections", "0"], "config error: "),
+        (3, ["metrics", "--a", str(tmp_path / "missing.dsmp"), "--b", a], "i/o error: "),
+        (4, ["oracle", "--config", str(cfg), "--out", str(tmp_path / "post.csv")],
+         "numeric failure: "),
+    ]
+    for want, args, prefix in cases:
+        script = (
+            "import atexit, gc, sys\n"
+            f"from {module} import {func}\n"
+            "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+            f"sys.argv = ['inpaintlab', *{args!r}]\n"
+            f"sys.exit({func}())\n"
+        )
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == want, (args, proc.stderr)
+        assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == bool(prefix)
+        assert int(proc.stdout.splitlines()[-1]) > 0
 
 
 def test_module_exit_codes_reach_the_shell(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from inpaintlab import (
+    Denoiser,
     GaussianMixture,
     GMMDenoiser,
     NumericError,
@@ -10,7 +11,7 @@ from inpaintlab import (
     gmm_marginal,
     transition_params,
 )
-from inpaintlab.gmm import component_posterior, noise_from_x0
+from inpaintlab.gmm import ConditionalMixture, Evaluation, component_posterior, noise_from_x0
 
 import reference
 
@@ -19,7 +20,8 @@ LIN = Schedule("linear-flow")
 
 def _noise(prior, sched, x, t):
     """E[X1 | X_t = x]: the noise tied to the denoiser's x0 estimate."""
-    return noise_from_x0(x, GMMDenoiser(prior, sched).denoise(x, t), *eval_schedule(sched, t))
+    xhat0 = GMMDenoiser(prior, sched).evaluate(x, t).xhat0
+    return noise_from_x0(x, xhat0, *eval_schedule(sched, t))
 
 
 @pytest.fixture
@@ -104,19 +106,19 @@ def test_denoise_single_gaussian_closed_form():
 
 def test_denoise_symmetry():
     g = GaussianMixture([0.5, 0.5], [[1.5], [-1.5]], [[0.7], [0.7]])
-    xhat0 = GMMDenoiser(g, LIN).denoise(np.array([0.0]), 0.4)
+    xhat0 = GMMDenoiser(g, LIN).evaluate(np.array([0.0]), 0.4).xhat0
     np.testing.assert_allclose(xhat0, [0.0], atol=1e-14)
 
 
 def test_denoise_identity_at_t0(three_comp_diag):
     x = np.array([0.3, -0.2, 1.1, 0.0])
-    xhat0 = GMMDenoiser(three_comp_diag, LIN).denoise(x, 0.0)
+    xhat0 = GMMDenoiser(three_comp_diag, LIN).evaluate(x, 0.0).xhat0
     np.testing.assert_allclose(xhat0, x, atol=1e-12)
 
 
 def test_denoise_rejects_nonfinite(three_comp_diag):
     with pytest.raises(NumericError):
-        GMMDenoiser(three_comp_diag, LIN).denoise(np.array([np.nan, 0, 0, 0]), 0.5)
+        GMMDenoiser(three_comp_diag, LIN).evaluate(np.array([np.nan, 0, 0, 0]), 0.5).xhat0
 
 
 def test_noise_predict_examples():
@@ -129,7 +131,7 @@ def test_noise_predict_examples():
 
 def test_noise_predict_reconstructs_at_t1(three_comp_diag):
     x = np.array([0.4, -1.0, 0.8, 0.1])
-    xhat0 = GMMDenoiser(three_comp_diag, LIN).denoise(x, 1.0)
+    xhat0 = GMMDenoiser(three_comp_diag, LIN).evaluate(x, 1.0).xhat0
     xhat1 = _noise(three_comp_diag, LIN, x, 1.0)
     np.testing.assert_allclose(1.0 * xhat1 + 0.0 * xhat0, x)
 
@@ -190,8 +192,8 @@ def _fd_jacobian(prior, sched, x, t, h=1e-4):
     for j in range(d):
         dx = np.zeros(d)
         dx[j] = h
-        hi = den.denoise(x + dx, t)
-        lo = den.denoise(x - dx, t)
+        hi = den.evaluate(x + dx, t).xhat0
+        lo = den.evaluate(x - dx, t).xhat0
         jac[:, j] = (hi - lo) / (2 * h)
     return jac
 
@@ -228,10 +230,30 @@ def test_mixture_moments_match_sampling(two_comp_full):
     np.testing.assert_allclose(np.cov(xs.T), two_comp_full.covariance(), atol=0.05)
 
 
+def test_denoiser_contract_is_evaluate_and_vjp(three_comp_diag):
+    # evaluate is the one abstract call; the mixture denoiser's evaluation is
+    # its ConditionalMixture itself, the object its vjp differentiates
+    from dataclasses import fields
+
+    assert Denoiser.__abstractmethods__ == frozenset({"evaluate"})
+    assert not hasattr(Denoiser, "denoise")
+    den = GMMDenoiser(three_comp_diag, LIN)
+    x = np.random.default_rng(4).standard_normal((5, 4))
+    ev = den.evaluate(x, 0.5)
+    assert type(ev) is ConditionalMixture and isinstance(ev, Evaluation)
+    names = [f.name for f in fields(ev)]
+    assert names[:2] == [f.name for f in fields(Evaluation)] == ["t", "xhat0"]
+    assert ev.t == 0.5 and ev.x is x
+    want = component_posterior(three_comp_diag, LIN, x, 0.5)
+    assert ev.xhat0.tobytes() == want.xhat0.tobytes()
+    v = np.ones_like(x)
+    assert den.vjp(ev, v).tobytes() == ev.vjp(v).tobytes()
+
+
 def test_denoiser_interface_counts_jacobian_calls(three_comp_diag):
     den = GMMDenoiser(three_comp_diag, LIN)
     x = np.zeros(4)
-    den.denoise(x, 0.5)
+    den.evaluate(x, 0.5)
     assert den.jacobian_calls == 0
     den.jacobian(den.evaluate(x, 0.5))
     den.jacobian(den.evaluate(x, 0.3))
@@ -264,7 +286,7 @@ def test_vjp_equals_jacobian_transpose_product(fixture, batch, request):
                           x.shape)
         scale = np.linalg.norm(want, axis=-1, keepdims=True)
         calls = den.jacobian_calls
-        for got in (ev.state.vjp(v), den.vjp(ev, v)):
+        for got in (ev.vjp(v), den.vjp(ev, v)):
             assert got.shape == x.shape
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
         assert den.jacobian_calls == calls + 1  # den.vjp
@@ -293,18 +315,18 @@ def test_denoiser_scratch_is_never_returned(fixture, request):
 
     fresh = GMMDenoiser(prior, LIN)
     first, (v, jtv) = evs[0], vjps[0]
-    want = fresh.evaluate(first.state.x, first.t)
+    want = fresh.evaluate(first.x, first.t)
     want_jtv = fresh.vjp(want, v).tobytes()
     assert first.xhat0.tobytes() == want.xhat0.tobytes()
-    assert first.state.log_resp.tobytes() == want.state.log_resp.tobytes()
+    assert first.log_resp.tobytes() == want.log_resp.tobytes()
     assert jtv.tobytes() == want_jtv
     assert den.vjp(first, v).tobytes() == want_jtv
     evs.append(den.evaluate(rng.standard_normal((9, d)), 0.7))
     assert den.vjp(first, v).tobytes() == want_jtv
-    assert first.state.vjp(v).tobytes() == want_jtv
+    assert first.vjp(v).tobytes() == want_jtv
     held = [jtv for _, jtv in vjps]
     for ev in evs:
-        held += [ev.xhat0] + [getattr(ev.state, f.name) for f in fields(ev.state)]
+        held += [ev.xhat0] + [getattr(ev, f.name) for f in fields(ev)]
     arrays = [a for a in held if isinstance(a, np.ndarray)]
     assert not any(np.shares_memory(a, s) for a in arrays for s in scratch)
 
@@ -327,8 +349,8 @@ def test_transition_mean_equals_denoise_and_noise_predict(two_comp_full, three_c
     for prior in (two_comp_full, three_comp_diag):
         den = GMMDenoiser(prior, LIN)
         for x in (rng.standard_normal(prior.dim), rng.standard_normal((5, prior.dim))):
-            params = transition_params(LIN, eta, x, den.denoise(x, t), s, t)
-            want = alpha_s * den.denoise(x, t) + beta_s * _noise(prior, LIN, x, t)
+            params = transition_params(LIN, eta, x, den.evaluate(x, t).xhat0, s, t)
+            want = alpha_s * den.evaluate(x, t).xhat0 + beta_s * _noise(prior, LIN, x, t)
             np.testing.assert_array_equal(params.mean, want)
 
 
@@ -580,7 +602,7 @@ def test_diagonal_prior_matches_its_full_matrix_form_bit_for_bit(three_comp_diag
     for t in (0.2, 0.5, 0.9):
         evs = [GMMDenoiser(prior, LIN).evaluate(x, t) for prior in (diag, full)]
         assert evs[0].xhat0.tobytes() == evs[1].xhat0.tobytes()
-        assert evs[0].state.vjp(v).tobytes() == evs[1].state.vjp(v).tobytes()
+        assert evs[0].vjp(v).tobytes() == evs[1].vjp(v).tobytes()
 
 
 def test_batched_matrices_round_like_the_einsum_to_a_few_ulp(monkeypatch):
@@ -766,7 +788,7 @@ def test_component_major_kernels_match_per_component_reference(layout):
         x = alpha * prior.sample(n, rng) + sigma * rng.standard_normal((n, d))
         for points in (x, x[0]):
             cond = component_posterior(prior, LIN, points, t)
-            xhat0 = GMMDenoiser(prior, LIN).denoise(points, t)
+            xhat0 = GMMDenoiser(prior, LIN).evaluate(points, t).xhat0
             jac = _jacobian(prior, points, t)
             grad = exact_guidance_grad(problem, prior, LIN, points, t)
             assert cond.log_resp.shape == cond.resp.shape == (k,) + points.shape[:-1]

@@ -46,9 +46,9 @@ class ZeroNoiseDenoiser(Denoiser):
     """x0_hat = x / alpha_t (0 at t = 1), so the tied noise estimate is 0
     everywhere; keeps the base vjp, which raises."""
 
-    def denoise(self, x, t):
+    def evaluate(self, x, t):
         alpha_t, _ = eval_schedule(LIN, t)
-        return x / alpha_t if alpha_t > 0 else np.zeros_like(x)
+        return Evaluation(t, x / alpha_t if alpha_t > 0 else np.zeros_like(x))
 
 
 @pytest.fixture
@@ -674,7 +674,7 @@ def test_trajectory_records(mixture_setup):
     # call k is handed the start of the k-th step from t = 1: its x, and the
     # evaluation of it; t = 0 is the returned samples, not a call
     for k, t in enumerate(cfg.grid.knots[:0:-1]):
-        np.testing.assert_array_equal(rows[k, :, d:], den.denoise(rows[k, :, :d], t))
+        np.testing.assert_array_equal(rows[k, :, d:], den.evaluate(rows[k, :, :d], t).xhat0)
     np.testing.assert_array_equal(run_conditional(problem, den, LIN, cfg), samples)
 
 

@@ -314,8 +314,8 @@ def test_posterior_denoiser_routes_agree(mixed_prior, masked_problem, t):
     x = rng.standard_normal((6, 3))
     # the prior denoiser plus the scaled guidance gradient, against conditioning
     alpha, sigma = eval_schedule(LIN, t)
-    via_grad = GMMDenoiser(mixed_prior, LIN).denoise(x, t) + (sigma**2 / alpha) * exact_guidance_grad(
-        masked_problem, mixed_prior, LIN, x, t)
+    via_grad = GMMDenoiser(mixed_prior, LIN).evaluate(x, t).xhat0 + (sigma**2 / alpha) * (
+        exact_guidance_grad(masked_problem, mixed_prior, LIN, x, t))
     via_cond = exact_posterior_denoiser(masked_problem, mixed_prior, LIN, x, t)
     assert np.max(np.abs(via_grad - via_cond)) <= 1e-8
 
@@ -339,7 +339,8 @@ def test_posterior_denoiser_empty_mask_is_denoiser(mixed_prior):
     prob = InpaintingProblem(MaskOperator([0, 0, 0]), np.zeros(3), 0.5)
     x = np.array([0.4, -0.6, 0.0])
     got = exact_posterior_denoiser(prob, mixed_prior, LIN, x, 0.4)
-    np.testing.assert_allclose(got, GMMDenoiser(mixed_prior, LIN).denoise(x, 0.4), atol=1e-12)
+    want = GMMDenoiser(mixed_prior, LIN).evaluate(x, 0.4).xhat0
+    np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_posterior_denoiser_collapses_to_reference():

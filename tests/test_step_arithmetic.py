@@ -28,6 +28,7 @@ from inpaintlab import (
     transition_params,
 )
 from inpaintlab import guidance
+from inpaintlab.gmm import Evaluation
 from inpaintlab.guidance import chain_rngs
 
 LIN = Schedule("linear-flow")
@@ -113,7 +114,7 @@ def test_transition_gives_the_bytes_of_the_out_of_place_form(case, eta):
     den = GMMDenoiser(prior, LIN)
     for s, t in STEPS:
         x_t = _state(prior, n)
-        xhat0 = den.denoise(x_t, t)
+        xhat0 = den.evaluate(x_t, t).xhat0
         want_mean, want_std = reference.transition(LIN, eta, x_t, xhat0, s, t)
         params = transition_params(LIN, eta, x_t, xhat0, s, t)
         assert params.mean.tobytes() == want_mean.tobytes()
@@ -127,10 +128,10 @@ def _arrays(x_t, ev, problem):
     """Every array a step reads, by name."""
     arrays = {"x_t": x_t, "ev.xhat0": ev.xhat0, "y": problem.y, "x_star": problem.x_star,
               "mask": problem.mask.m}
-    for f in dataclasses.fields(ev.state):
-        value = getattr(ev.state, f.name)
+    for f in dataclasses.fields(ev):
+        value = getattr(ev, f.name)
         if isinstance(value, np.ndarray):
-            arrays[f"ev.state.{f.name}"] = value
+            arrays[f"ev.{f.name}"] = value
     return arrays
 
 
@@ -161,7 +162,7 @@ def test_transition_does_not_write_into_its_inputs():
     prior, _ = _gmm8()
     den = GMMDenoiser(prior, LIN)
     x_t = _state(prior, 500)
-    xhat0 = den.denoise(x_t, 0.5)
+    xhat0 = den.evaluate(x_t, 0.5).xhat0
     arrays = {"x_t": x_t, "xhat0": xhat0}
     before = {name: value.tobytes() for name, value in arrays.items()}
     params = transition_params(LIN, 0.8, x_t, xhat0, 0.4, 0.5)
@@ -179,10 +180,10 @@ class SpikedDenoiser(Denoiser):
     def __init__(self, col, bad):
         self.col, self.bad = col, bad
 
-    def denoise(self, x, t):
+    def evaluate(self, x, t):
         out = 0.5 * np.asarray(x, dtype=float)
         out[: self.bad, ..., self.col] = np.inf
-        return out
+        return Evaluation(t, out)
 
     def vjp(self, ev, v):
         return np.array(v, dtype=float)
