@@ -9,7 +9,7 @@ alongside four standard baselines, plus mask lifting and desk-scale
 metrics.
 """
 
-from .bridge import TransitionParams, run_unconditional, sample_transition, transition_params
+from .bridge import run_unconditional, sample_transition, transition_params
 from .errors import ConfigError, NumericError
 from .gmm import Denoiser, GaussianMixture, GMMDenoiser, gmm_marginal
 from .guidance import (
@@ -51,7 +51,6 @@ __all__ = [
     "SamplerConfig",
     "Schedule",
     "TimeGrid",
-    "TransitionParams",
     "cpsnr",
     "dilate_mask",
     "ding_gap",

@@ -29,7 +29,6 @@ requests, and the first rows of a larger run equal a smaller run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -74,27 +73,6 @@ class ChainStreams:
 RngLike = Union[np.random.Generator, ChainStreams]
 
 
-@dataclass(frozen=True)
-class TransitionParams:
-    """Isotropic Gaussian transition: N(mean, std^2 I)."""
-
-    mean: np.ndarray
-    std: float
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", float(self.std))
-        if self.std < 0:
-            raise ValueError("transition std must be non-negative")
-        if not np.isfinite(mean).all():
-            finite = np.isfinite(np.atleast_1d(mean)).all(axis=-1)  # one entry per chain
-            bad = finite.size - np.count_nonzero(finite)
-            raise NumericError(
-                f"transition mean must be finite: {bad} of {finite.size} chains non-finite"
-            )
-
-
 def standard_normal(rng: RngLike, shape: tuple[int, ...]) -> np.ndarray:
     """Draw standard normals from one generator, or from a ChainStreams
     with one chain per row."""
@@ -112,12 +90,14 @@ def transition_params(
     xhat0: np.ndarray,
     s: float,
     t: float,
-) -> TransitionParams:
+) -> tuple[np.ndarray, float]:
     """Reverse transition from x_t at time t to time s < t around the x0
     estimate xhat0, with the noise estimate xhat1 tied to it
-    (``noise_from_x0``): N(alpha_s * xhat0 + beta_s * xhat1, eta_s^2 I) with
-    the coefficients of the module docstring.  eta outside [0, 1] raises
-    ValueError.
+    (``noise_from_x0``): the isotropic Gaussian N(mean, std^2 I), returned
+    as the pair ``(mean, std)``, with mean = alpha_s * xhat0 + beta_s * xhat1
+    and std = eta_s, the coefficients of the module docstring.  eta outside
+    [0, 1] raises ValueError; a non-finite mean raises NumericError naming
+    the number of chains (rows) affected.
 
     Every sampler builds its transition here, so a change to the kernel
     reaches all of them.
@@ -140,16 +120,24 @@ def transition_params(
     mean = np.multiply(alpha_s, xhat0)
     xhat1 = noise_from_x0(x_t, xhat0, *eval_schedule(sched, t))
     xhat1 *= beta_s
-    return TransitionParams(np.add(mean, xhat1, out=mean), eta * sigma_s)
+    np.add(mean, xhat1, out=mean)
+    if not np.isfinite(mean).all():
+        finite = np.isfinite(mean).all(axis=-1)  # one entry per chain
+        bad = finite.size - np.count_nonzero(finite)
+        raise NumericError(
+            f"transition mean must be finite: {bad} of {finite.size} chains non-finite"
+        )
+    return mean, eta * sigma_s
 
 
-def sample_transition(params: TransitionParams, rng: RngLike) -> np.ndarray:
-    """mean + std * eps, returned in the buffer of the fresh normal draw eps,
-    scaled and shifted in place.  It is drawn even for std = 0 so that
-    every step consumes the stream identically regardless of eta."""
-    eps = standard_normal(rng, params.mean.shape)
-    eps *= params.std
-    return np.add(params.mean, eps, out=eps)
+def sample_transition(mean: np.ndarray, std: float, rng: RngLike) -> np.ndarray:
+    """mean + std * eps for the pair ``transition_params`` returns, in the
+    buffer of the fresh normal draw eps, scaled and shifted in place.  It is
+    drawn even for std = 0 so that every step consumes the stream
+    identically regardless of eta."""
+    eps = standard_normal(rng, mean.shape)
+    eps *= std
+    return np.add(mean, eps, out=eps)
 
 
 def run_unconditional(
@@ -173,7 +161,7 @@ def run_unconditional(
     knots = grid.knots
     for k in range(grid.num_steps, 0, -1):
         s, t = knots[k - 1], knots[k]
-        params = transition_params(sched, eta, x, denoiser.evaluate(x, t).xhat0, s, t)
-        x = sample_transition(params, rng)
+        xhat0 = denoiser.evaluate(x, t).xhat0
+        x = sample_transition(*transition_params(sched, eta, x, xhat0, s, t), rng)
     return x
 

@@ -242,7 +242,7 @@ def _load_prior_inline(pairs: dict[str, str]) -> GaussianMixture:
     return _mixture(np.array(weights), np.stack(means), cov_arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """One experiment as ``load_config`` reads it: the file's global keys,
     defaults filled in, and each method's ``SamplerConfig`` in ``samplers``."""
@@ -309,8 +309,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     d = prior.dim
 
     sched = Schedule(_checked(pairs, "schedule", dict.get, _one_of(SCHEDULE_KINDS), "linear-flow"))
-    grid = make_grid(_checked(pairs, "grid.k", _get_int, _POSITIVE_INT, 50),
-                     _checked(pairs, "grid.spacing", dict.get, _one_of(GRID_SPACINGS), "uniform"))
+    grid_k = _checked(pairs, "grid.k", _get_int, _POSITIVE_INT, 50)
+    spacing = _checked(pairs, "grid.spacing", dict.get, _one_of(GRID_SPACINGS), "uniform")
 
     if "mask.inline" in pairs:
         mask_vals = _floats("mask.inline", pairs["mask.inline"])
@@ -357,10 +357,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if _get_int(pairs, key, 0) >= DSMP_LIMIT:
             raise ConfigError(f"{key}: must be below 2**32, the rows a .dsmp file holds, "
                               f"got {pairs[key]!r}")
-    traj_rows = (grid.num_steps + 1) * n_chains
+    traj_rows = (grid_k + 1) * n_chains
     if record_trajectories and traj_rows >= DSMP_LIMIT:
         raise ConfigError(f"trajectories: (grid.k + 1) * n_chains = {traj_rows} must be below "
                           "2**32, the rows a .dsmp file holds")
+    # built once every count is checked: its knots take 8 * (grid.k + 1) bytes
+    grid = make_grid(grid_k, spacing)
     return ExperimentConfig(
         prior=prior,
         sched=sched,

@@ -148,7 +148,7 @@ def logsumexp(a, axis=None, keepdims: bool = False):
     return out[()] if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """Finite Gaussian mixture with diagonal or full covariances.
 
@@ -350,7 +350,7 @@ def _per_point(a: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
     return a[:, : math.prod(batch)].reshape(a.shape[:1] + batch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Evaluation:
     """One denoiser evaluation at time t: the estimate ``xhat0`` of
     E[X0 | X_t = x], shaped like x.  A denoiser that can differentiate its
@@ -362,7 +362,7 @@ class Evaluation:
     xhat0: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalMixture(Evaluation):
     """Mixture representation of X0 given X_t = x, component-major.
 

@@ -136,7 +136,7 @@ def step_blended(
     """Unconditional step, then the noised reference replayed on the support."""
     if problem.x_star is None:
         raise ValueError("blended requires the reference x_star on the problem")
-    x_s = sample_transition(transition_params(sched, cfg.eta, x_t, ev.xhat0, s, t), rng)
+    x_s = sample_transition(*transition_params(sched, cfg.eta, x_t, ev.xhat0, s, t), rng)
     if problem.mask.observed_count == 0:
         return x_s
     alpha_s, sigma_s = eval_schedule(sched, s)
@@ -182,7 +182,7 @@ def step_dps(
     alpha_eval, sigma_eval = (alpha_t, sigma_t) if alpha_t > 0 else eval_schedule(sched, s)
     grad *= cfg.dps_scale * (sigma_eval**2 / alpha_eval)
     corrected = np.add(xhat0, grad, out=grad)
-    return sample_transition(transition_params(sched, cfg.eta, x_t, corrected, s, t), rng)
+    return sample_transition(*transition_params(sched, cfg.eta, x_t, corrected, s, t), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -236,28 +236,26 @@ def step_ding(
     the model: no differentiation anywhere.  Only the ``xhat0`` of ev and of
     the proposal's evaluation is read, never ``denoiser.vjp``.
     """
-    params = transition_params(sched, cfg.eta, x_t, ev.xhat0, s, t)
+    mean, std = transition_params(sched, cfg.eta, x_t, ev.xhat0, s, t)
     nz = cfg.ding_nz
     eps = standard_normal(rng, np.shape(x_t)[:-1] + (nz, np.shape(x_t)[-1]))
-    if params.std == 0.0:
-        return params.mean
-    eps *= params.std
-    z = np.add(params.mean[..., None, :], eps, out=eps)
+    if std == 0.0:
+        return mean
+    eps *= std
+    z = np.add(mean[..., None, :], eps, out=eps)
     alpha_s, sigma_s = eval_schedule(sched, s)
-    # the mean over the nz draws, as ``mean`` forms it: one sum, then one division
+    # the mean over the nz draws, as ``np.mean`` forms it: one sum, then one division
     e = np.add.reduce(noise_from_x0(z, denoiser.evaluate(z, s).xhat0, alpha_s, sigma_s), axis=-2)
     e /= nz
-    obs_mean, obs_std = ding_posterior(
-        params.mean, params.std, e, problem, alpha_s, sigma_s, cfg.gamma
-    )
+    obs_mean, obs_std = ding_posterior(mean, std, e, problem, alpha_s, sigma_s, cfg.gamma)
     # mean + std * draw: eta_s and the prior mean off the support, the
     # conjugate law on its columns
     x_s = standard_normal(rng, np.shape(x_t))
     idx = problem.mask.observed_idx
     obs = x_s[..., idx]
     obs *= obs_std
-    x_s *= params.std
-    np.add(params.mean, x_s, out=x_s)
+    x_s *= std
+    np.add(mean, x_s, out=x_s)
     x_s[..., idx] = np.add(obs_mean, obs, out=obs)
     return x_s
 
@@ -288,7 +286,7 @@ def step_ddnm(
     projected = np.array(ev.xhat0, dtype=float)
     idx = problem.mask.observed_idx
     projected[..., idx] = problem.y[idx]
-    return sample_transition(transition_params(sched, cfg.eta, x_t, projected, s, t), rng)
+    return sample_transition(*transition_params(sched, cfg.eta, x_t, projected, s, t), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +321,7 @@ def step_diffpir(
         xhat0[..., idx] = (problem.y[idx] / cfg.gamma**2 + rho_t * xhat0[..., idx]) / (
             1.0 / cfg.gamma**2 + rho_t
         )
-    return sample_transition(transition_params(sched, cfg.eta, x_t, xhat0, s, t), rng)
+    return sample_transition(*transition_params(sched, cfg.eta, x_t, xhat0, s, t), rng)
 
 
 # ---------------------------------------------------------------------------

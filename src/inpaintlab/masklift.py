@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PixelMask:
     grid: np.ndarray
 
@@ -46,7 +46,7 @@ class PixelMask:
         return self.grid.shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatentMask:
     grid: np.ndarray
     factors: tuple[int, int, int]

@@ -65,7 +65,7 @@ from .problem import InpaintingProblem
 from .schedule import Schedule, eval_schedule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorGivenState:
     """The mixture of X0 given the noisy state and the observation, component-major.
 

@@ -28,7 +28,7 @@ def valid_gamma(gamma: float) -> bool:
         return gamma > 0 and gamma * gamma < np.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaskOperator:
     """Binary coordinate mask; 1 marks an observed (preserved) entry.
 
@@ -37,8 +37,8 @@ class MaskOperator:
     """
 
     m: np.ndarray
-    observed_idx: np.ndarray = field(init=False, repr=False, compare=False)
-    observed_count: int = field(init=False, repr=False, compare=False)
+    observed_idx: np.ndarray = field(init=False, repr=False)
+    observed_count: int = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.m)
@@ -56,7 +56,7 @@ class MaskOperator:
         return self.m.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InpaintingProblem:
     """The observation ``y`` through ``mask`` at consistency temperature
     ``gamma``, zero off the observed coordinates, and the observed signal

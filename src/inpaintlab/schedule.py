@@ -38,7 +38,7 @@ class Schedule:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly increasing knots t_0 = 0 < t_1 < ... < t_K = 1."""
 

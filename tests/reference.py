@@ -31,13 +31,16 @@ guided steps of ``inpaintlab.guidance`` written out of place, over all d
 coordinates against the (d,) mask with ``np.where``: the form the
 observed-column, in-place steps must reproduce byte for byte.  They take
 the arguments of the library's steps and draw in the same order.
+``transition`` returns the pair ``(mean, std)`` that
+``bridge.transition_params`` returns and checks the mean's finiteness
+itself, raising the library's NumericError text for a non-finite mean.
 """
 
 import math
 
 import numpy as np
 
-from inpaintlab import TransitionParams, eval_schedule, exact_intermediate_loglik
+from inpaintlab import NumericError, eval_schedule, exact_intermediate_loglik
 from inpaintlab.bridge import standard_normal
 
 
@@ -164,13 +167,20 @@ def _noise(x, xhat0, alpha, sigma):
 
 
 def transition(sched, eta, x_t, xhat0, s, t):
-    """(mean, std) of the reverse transition from t to s around xhat0,
-    checked by ``TransitionParams`` (a non-finite mean raises NumericError)."""
+    """(mean, std) of the reverse transition from t to s around xhat0; a
+    non-finite mean raises the NumericError of ``transition_params``, with
+    its count of non-finite chains (rows)."""
     xhat1 = _noise(x_t, xhat0, *eval_schedule(sched, t))
     alpha_s, sigma_s = eval_schedule(sched, s)
     beta_s = sigma_s * math.sqrt(1.0 - eta**2)
-    params = TransitionParams(alpha_s * xhat0 + beta_s * xhat1, eta * sigma_s)
-    return params.mean, params.std
+    mean = alpha_s * xhat0 + beta_s * xhat1
+    finite = np.isfinite(mean).all(axis=-1)
+    if not finite.all():
+        bad = finite.size - np.count_nonzero(finite)
+        raise NumericError(
+            f"transition mean must be finite: {bad} of {finite.size} chains non-finite"
+        )
+    return mean, eta * sigma_s
 
 
 def sample(mean, std, rng):

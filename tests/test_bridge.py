@@ -11,7 +11,6 @@ from inpaintlab import (
     MaskOperator,
     SamplerConfig,
     Schedule,
-    TransitionParams,
     eval_schedule,
     exact_posterior,
     gmm_marginal,
@@ -42,8 +41,7 @@ def test_kernel_coefficient_identity(eta):
     # eta_s^2 + beta_s^2 = sigma_s^2 at every s < 1: from t = 1 (x1_hat = x_t)
     # with x0_hat = 0 and x_t = 1 the mean is beta_s and the std eta_s
     for s in np.linspace(0, 1, 101)[:-1]:
-        params = transition_params(LIN, eta, np.array([1.0]), np.array([0.0]), s, 1.0)
-        beta_s, eta_s = params.mean[0], params.std
+        (beta_s,), eta_s = transition_params(LIN, eta, np.array([1.0]), np.array([0.0]), s, 1.0)
         _, sigma_s = eval_schedule(LIN, s)
         assert abs(eta_s**2 + beta_s**2 - sigma_s**2) < 1e-12
 
@@ -52,26 +50,26 @@ def test_transition_example_deterministic():
     # eta=0, single N(0,1), x_t=1 at t=1: x0_hat=0, x1_hat=1, mean=0.5*0+0.5*1
     den = GMMDenoiser(GaussianMixture([1.0], [[0.0]], [[1.0]]), LIN)
     x_t = np.array([1.0])
-    params = transition_params(LIN, 0.0, x_t, den.evaluate(x_t, 1.0).xhat0, 0.5, 1.0)
-    np.testing.assert_allclose(params.mean, [0.5])
-    assert params.std == 0.0
+    mean, std = transition_params(LIN, 0.0, x_t, den.evaluate(x_t, 1.0).xhat0, 0.5, 1.0)
+    np.testing.assert_allclose(mean, [0.5])
+    assert std == 0.0
 
 
 def test_transition_eta_one_discards_noise_estimate():
     den = GMMDenoiser(GaussianMixture([1.0], [[0.0]], [[1.0]]), LIN)
     x_t = np.array([1.0])
-    params = transition_params(LIN, 1.0, x_t, den.evaluate(x_t, 1.0).xhat0, 0.5, 1.0)
+    mean, std = transition_params(LIN, 1.0, x_t, den.evaluate(x_t, 1.0).xhat0, 0.5, 1.0)
     alpha_s, sigma_s = eval_schedule(LIN, 0.5)
-    np.testing.assert_allclose(params.mean, alpha_s * den.evaluate(x_t, 1.0).xhat0)
-    assert params.std == pytest.approx(sigma_s)
+    np.testing.assert_allclose(mean, alpha_s * den.evaluate(x_t, 1.0).xhat0)
+    assert std == pytest.approx(sigma_s)
 
 
 def test_transition_at_s_zero_is_denoiser():
     den = GMMDenoiser(GaussianMixture([1.0], [[0.3]], [[1.0]]), LIN)
     x_t = np.array([0.8])
-    params = transition_params(LIN, 0.9, x_t, den.evaluate(x_t, 0.6).xhat0, 0.0, 0.6)
-    np.testing.assert_allclose(params.mean, den.evaluate(x_t, 0.6).xhat0)
-    assert params.std == 0.0
+    mean, std = transition_params(LIN, 0.9, x_t, den.evaluate(x_t, 0.6).xhat0, 0.0, 0.6)
+    np.testing.assert_allclose(mean, den.evaluate(x_t, 0.6).xhat0)
+    assert std == 0.0
 
 
 def test_transition_ordering_enforced():
@@ -80,22 +78,22 @@ def test_transition_ordering_enforced():
 
 
 def test_sample_transition_degenerate():
-    params = TransitionParams(np.array([1.0, -2.0]), 0.0)
-    out = sample_transition(params, np.random.default_rng(0))
-    np.testing.assert_array_equal(out, params.mean)
+    mean, std = np.array([1.0, -2.0]), 0.0
+    out = sample_transition(mean, std, np.random.default_rng(0))
+    np.testing.assert_array_equal(out, mean)
 
 
 def test_sample_transition_reproducible():
-    params = TransitionParams(np.zeros(3), 1.0)
-    a = sample_transition(params, np.random.default_rng(42))
-    b = sample_transition(params, np.random.default_rng(42))
+    mean, std = np.zeros(3), 1.0
+    a = sample_transition(mean, std, np.random.default_rng(42))
+    b = sample_transition(mean, std, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
 
 
 def test_sample_transition_variance():
     # std=2: sample variance of 1e5 draws within 5% of 4
-    params = TransitionParams(np.zeros(100_000), 2.0)
-    draws = sample_transition(params, np.random.default_rng(1))
+    mean, std = np.zeros(100_000), 2.0
+    draws = sample_transition(mean, std, np.random.default_rng(1))
     assert abs(draws.var() - 4.0) < 0.2
 
 
@@ -176,7 +174,7 @@ def test_exact_posterior_draws_reproduce_path_marginals(eta):
         for c, factor in enumerate(np.linalg.cholesky(post.covariances)):
             rows = comp == c
             x0[rows] = post.means[c, rows] + z[rows] @ factor.T
-        x = sample_transition(transition_params(LIN, eta, x, x0, s, t), rng)
+        x = sample_transition(*transition_params(LIN, eta, x, x0, s, t), rng)
         if k > 1:
             worst = max(worst, _worst_moment_z(x, gmm_marginal(target, LIN, s)))
     assert worst <= 5.0, f"interior moment off by {worst:.2f} standard errors"

@@ -5,10 +5,21 @@ import sys
 import numpy as np
 import pytest
 
-from inpaintlab import ConfigError, SamplerConfig
+from inpaintlab import (
+    ConfigError,
+    GaussianMixture,
+    GMMDenoiser,
+    MaskOperator,
+    SamplerConfig,
+    Schedule,
+    make_grid,
+    make_observation,
+    posterior_given_state,
+)
 from inpaintlab.config import _SAMPLER_KEYS, load_config, parse_flat
+from inpaintlab.gmm import Evaluation
 from inpaintlab.io import write_pgm_mask, write_samples
-from inpaintlab.masklift import PixelMask
+from inpaintlab.masklift import LatentMask, PixelMask
 
 BASIC = """\
 # two-component prior in R^2
@@ -164,9 +175,17 @@ _DSMP_ROWS = "must be below 2**32, the rows a .dsmp file holds"
     (["oracle.n = 4294967296"], f"oracle.n: {_DSMP_ROWS}, got '4294967296'"),
     (["grid.k = 1", "n_chains = 2147483648", "trajectories = on"],
      f"trajectories: (grid.k + 1) * n_chains = 4294967296 {_DSMP_ROWS}"),
+    # grid.k alone: its knots would take 32 GiB
+    (["grid.k = 4294967295", "n_chains = 1", "trajectories = on"],
+     f"trajectories: (grid.k + 1) * n_chains = 4294967296 {_DSMP_ROWS}"),
 ])
-def test_row_counts_past_the_dsmp_header_rejected_at_load(tmp_path, lines, message):
-    # a .dsmp header stores n as uint32; only the config is read, nothing is allocated
+def test_row_counts_past_the_dsmp_header_rejected_at_load(tmp_path, monkeypatch, lines, message):
+    # a .dsmp header stores n as uint32; only the config is read, nothing is
+    # allocated: the time grid is never built
+    def no_grid(*args):
+        raise AssertionError("make_grid called before the row counts were checked")
+
+    monkeypatch.setattr("inpaintlab.config.make_grid", no_grid)
     keys = {line.split("=")[0].strip() for line in lines}
     kept = [line for line in BASIC.splitlines() if line.split("=")[0].strip() not in keys]
     with pytest.raises(ConfigError) as info:
@@ -336,3 +355,53 @@ def test_missing_required_sections(tmp_path):
         load_config(_write(tmp_path, BASIC.replace("methods    = ding, ddnm\n", "")))
     with pytest.raises(ConfigError, match="mask"):
         load_config(_write(tmp_path, BASIC.replace("mask.inline  = 1, 0\n", "")))
+
+
+def _prior():
+    return GaussianMixture([0.5, 0.5], [[2.0, 2.0], [-2.0, -2.0]], [[1.0, 1.0], [1.0, 1.0]])
+
+
+def _problem():
+    return make_observation(np.array([1.5, -0.5]), MaskOperator([1, 0]), 0.2)
+
+
+_X = np.array([[0.3, -0.1], [1.0, 2.0]])
+VALUE_CLASSES = {
+    "GaussianMixture": _prior,
+    "Evaluation": lambda: Evaluation(0.5, _X.copy()),
+    "ConditionalMixture": lambda: GMMDenoiser(_prior(), Schedule()).evaluate(_X, 0.5),
+    "PosteriorGivenState": lambda: posterior_given_state(_problem(), _prior(), Schedule(), _X,
+                                                         0.5),
+    "MaskOperator": lambda: MaskOperator([1, 0, 1]),
+    "InpaintingProblem": _problem,
+    "TimeGrid": lambda: make_grid(3),
+    "PixelMask": lambda: PixelMask(np.ones((2, 2))),
+    "LatentMask": lambda: LatentMask(np.ones((1, 2, 2)), (1, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", [*VALUE_CLASSES, "ExperimentConfig"])
+def test_array_holding_values_compare_by_identity(tmp_path, name):
+    # their fields hold arrays, so a generated __eq__ would raise for two
+    # distinct instances: two instances from equal inputs are two objects
+    if name == "ExperimentConfig":
+        path = _write(tmp_path, BASIC)
+        a, b = load_config(path), load_config(path)
+    else:
+        a, b = VALUE_CLASSES[name](), VALUE_CLASSES[name]()
+    assert type(a).__name__ == name and "__eq__" not in vars(type(a))
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and hash(a) != hash(b)
+
+
+def test_sampler_configs_from_one_load_compare_by_value(tmp_path):
+    # a SamplerConfig holds the config's one TimeGrid: equal knobs, equal configs
+    cfg = load_config(_write(tmp_path, BASIC))
+    a = cfg.sampler_config("ding")
+    b = dataclasses.replace(a)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != dataclasses.replace(a, seed=4)
+    # two grids, though of equal knots, are two objects
+    assert SamplerConfig("ding", make_grid(3)) != SamplerConfig("ding", make_grid(3))
+    assert cfg.sampler_config("ddnm").grid is a.grid

@@ -349,9 +349,9 @@ def test_transition_mean_equals_denoise_and_noise_predict(two_comp_full, three_c
     for prior in (two_comp_full, three_comp_diag):
         den = GMMDenoiser(prior, LIN)
         for x in (rng.standard_normal(prior.dim), rng.standard_normal((5, prior.dim))):
-            params = transition_params(LIN, eta, x, den.evaluate(x, t).xhat0, s, t)
+            mean, _ = transition_params(LIN, eta, x, den.evaluate(x, t).xhat0, s, t)
             want = alpha_s * den.evaluate(x, t).xhat0 + beta_s * _noise(prior, LIN, x, t)
-            np.testing.assert_array_equal(params.mean, want)
+            np.testing.assert_array_equal(mean, want)
 
 
 def _logsumexp_inputs():
