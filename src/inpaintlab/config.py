@@ -362,7 +362,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"trajectories: (grid.k + 1) * n_chains = {traj_rows} must be below "
                           "2**32, the rows a .dsmp file holds")
     # built once every count is checked: its knots take 8 * (grid.k + 1) bytes
-    grid = make_grid(grid_k, spacing)
+    try:
+        grid = make_grid(grid_k, spacing)
+    except MemoryError:
+        raise ConfigError(f"grid.k: its knots need {8 * (grid_k + 1)} bytes, more than could "
+                          f"be allocated, got {pairs['grid.k']!r}") from None
     return ExperimentConfig(
         prior=prior,
         sched=sched,

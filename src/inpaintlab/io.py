@@ -16,6 +16,7 @@ A file that breaks its layout raises ``ConfigError`` naming the path.
 
 from __future__ import annotations
 
+import re
 import struct
 from pathlib import Path
 
@@ -28,6 +29,9 @@ DSMP_MAGIC = b"DING1"
 DMSK_MAGIC = b"DMSK"
 # a .dsmp header stores n and d as uint32: each must be below this
 DSMP_LIMIT = 2**32
+# P5, width, height and maxval, with whitespace and '#' comments up to the end
+# of a line around them, then the one whitespace byte before the raster
+_PGM_HEADER = re.compile(rb"(?:\s|#.*\n)*P5" + rb"(?:\s|#.*\n)+(\d+)" * 3 + rb"\s")
 
 
 def dsmp_header(n: int, d: int) -> bytes:
@@ -66,25 +70,11 @@ def read_samples(path: str | Path) -> np.ndarray:
 def read_pgm_mask(path: str | Path) -> PixelMask:
     """Binary P5 PGM, thresholded at 128 (>= 128 observed)."""
     raw = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    pos += 1  # single whitespace after maxval
-    if fields[0] != b"P5":
-        raise ConfigError(f"{path}: not a binary PGM (P5) file")
-    if not all(f.isdigit() for f in fields[1:]):
-        raise ConfigError(f"{path}: malformed PGM header {b' '.join(fields)!r}")
-    width, height, maxval = (int(f) for f in fields[1:])
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise ConfigError(f"{path}: malformed PGM header; expected P5, width, height, maxval")
+    width, height, maxval = (int(f) for f in header.groups())
+    pos = header.end()
     if not 0 < maxval < 65536:
         raise ConfigError(f"{path}: invalid maxval {maxval}")
     if maxval > 255:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,17 +77,12 @@ def dilate_mask(mask: PixelMask, r: int, r_t: int = 0) -> PixelMask:
     # a box is separable: dilate one axis at a time, outside the grid is observed;
     # a radius of size - 1 already reaches across the axis from every cell
     for axis, radius in enumerate((r_t, r, r)):
-        size = grown.shape[axis]
-        radius = min(radius, size - 1)
-        if radius == 0:
-            continue
-        pad = [(0, 0)] * 3
-        pad[axis] = (radius, radius)
-        padded = np.moveaxis(np.pad(grown, pad), axis, 0)
-        out = np.zeros_like(padded[:size])
-        for shift in range(2 * radius + 1):
-            out |= padded[shift : shift + size]
-        grown = np.moveaxis(out, 0, axis)
+        radius = min(radius, grown.shape[axis] - 1)
+        if radius > 0:
+            pad = [(0, 0)] * 3
+            pad[axis] = (radius, radius)
+            windows = sliding_window_view(np.pad(grown, pad), 2 * radius + 1, axis)
+            grown = windows.any(axis=-1)
     return PixelMask((~grown).astype(np.uint8))
 
 

@@ -265,14 +265,13 @@ def exact_posterior_denoiser(
     t: float,
 ) -> np.ndarray:
     """E[X0 | X_t = x_t, observation]: the weighted mean of
-    ``posterior_given_state``.
+    ``posterior_given_state``, for t in [0, 1].
 
-    It equals the prior denoiser plus (sigma_t^2 / alpha_t) times
-    ``exact_guidance_grad``, which the test suite checks; with an empty
-    mask it is the prior denoiser.
+    For t < 1 it equals the prior denoiser plus (sigma_t^2 / alpha_t) times
+    ``exact_guidance_grad``, which the test suite checks; at t = 1 (alpha_t
+    = 0) the state carries no information and it is E[X0 | y], the mean of
+    ``exact_posterior``; with an empty mask it is the prior denoiser.
     """
-    if eval_schedule(sched, t)[0] == 0.0:
-        raise ValueError("posterior denoiser undefined at t = 1 (alpha = 0)")
     post = posterior_given_state(problem, prior, sched, x_t, t)
     return _mixture_mean(np.exp(post.log_weights), post.means)
 

@@ -391,6 +391,19 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 2
 
 
+def test_grid_whose_knots_cannot_be_allocated_exits_2(tmp_path, capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("inpaintlab.config.make_grid", no_memory)
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("grid.k     = 12", "grid.k     = 1000000000"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert _one_config_error(capsys) == ("config error: grid.k: its knots need 8000000008 bytes, "
+                                         "more than could be allocated, got '1000000000'")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

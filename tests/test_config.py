@@ -201,6 +201,19 @@ def test_row_counts_just_below_the_dsmp_header_load(tmp_path):
     assert (cfg.n_chains, cfg.oracle_n, cfg.record_trajectories) == (2**31 - 1, 2**32 - 1, True)
 
 
+def test_grid_whose_knots_cannot_be_allocated_is_a_config_error(tmp_path, monkeypatch):
+    # with trajectories off no row count bounds grid.k: its 8 GB of knots are
+    # the first allocation, refused here by a patched make_grid
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("inpaintlab.config.make_grid", no_memory)
+    with pytest.raises(ConfigError) as info:
+        load_config(_write(tmp_path, BASIC.replace("grid.k     = 10", "grid.k = 1000000000")))
+    assert str(info.value) == ("grid.k: its knots need 8000000008 bytes, more than could be "
+                               "allocated, got '1000000000'")
+
+
 @pytest.mark.parametrize("extra", ["method.ding.eta = 0.5", "methods = ddnm"])
 def test_global_eta_zero_accepted_where_ding_does_not_read_it(tmp_path, extra):
     lines = [kept for kept in BASIC.splitlines() if not kept.startswith(("eta", "methods"))]
@@ -405,3 +418,36 @@ def test_sampler_configs_from_one_load_compare_by_value(tmp_path):
     # two grids, though of equal knots, are two objects
     assert SamplerConfig("ding", make_grid(3)) != SamplerConfig("ding", make_grid(3))
     assert cfg.sampler_config("ddnm").grid is a.grid
+
+
+# each load-time check of the config and its prior: (dropped key prefixes,
+# added lines, prior.csv text or None, the message)
+_COMPONENT_2 = ["prior.component.2.weight = 0.5", "prior.component.2.mean = -2, -2",
+                "prior.component.2.cov = 1, 1"]
+_CSV = (("prior.component",), ["prior.csv = prior.csv"])
+
+
+@pytest.mark.parametrize("drop, add, csv, message", [
+    ((), ["= 1"], None, "line 20: empty key"),
+    (*_CSV, "# no rows\n", "prior.csv: empty prior CSV"),
+    (*_CSV, "0.5, 1, 1, 1\n", "prior.csv: rows must hold weight, d means, d variances"),
+    (*_CSV, "1\n", "prior.csv: rows must hold weight, d means, d variances"),
+    (*_CSV, "0.5, 1, 1\n0.5, 1, 1, 2, 2\n", "prior.csv: ragged rows"),
+    (("prior.component.1",), _COMPONENT_2, None, "prior component indices must be 0..1"),
+    (("prior.component.1.cov",), [], None, "missing key prior.component.1.cov"),
+    (("prior.component.1.mean",), ["prior.component.1.mean = -2, -2, -2"], None,
+     "prior component means have inconsistent dimensions"),
+    (("prior.component.1.cov",), ["prior.component.1.cov = 1, 1, 1"], None,
+     "prior covariances must have 2 (diagonal) or 4 (full) entries"),
+    (("xstar.inline",), [], None, "no reference given (xstar.inline or xstar.dsmp)"),
+    (("methods",), ["methods = ,"], None, "methods: the list is empty"),
+], ids=["empty-key", "csv-empty", "csv-even-width", "csv-narrow", "csv-ragged",
+        "component-gap", "component-key-missing", "mean-dimensions", "cov-entries",
+        "no-reference", "no-method"])
+def test_config_input_checks(tmp_path, drop, add, csv, message):
+    lines = [line for line in BASIC.splitlines() if not line.startswith(drop)]
+    if csv is not None:
+        (tmp_path / "prior.csv").write_text(csv)
+    with pytest.raises(ConfigError) as info:
+        load_config(_write(tmp_path, "\n".join(lines + add) + "\n"))
+    assert str(info.value).endswith(message)

@@ -809,3 +809,25 @@ def test_component_major_kernels_match_per_component_reference(layout):
                 np.testing.assert_allclose(np.atleast_2d(grad)[i],
                                            _reference_guidance_grad(problem, prior, x_i, t),
                                            rtol=0, atol=1e-10)
+
+
+def _sample(n):
+    GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]]).sample(n, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GaussianMixture([], np.zeros((0, 2)), np.zeros((0, 2))),
+     "weights must be a non-empty 1-D array"),
+    (lambda: GaussianMixture([[1.0]], [[0.0, 0.0]], [[1.0, 1.0]]),
+     "weights must be a non-empty 1-D array"),
+    (lambda: GaussianMixture([0.5, 0.5], [[0.0, 0.0]], [[1.0, 1.0]] * 2),
+     "means must have shape (n_components, d)"),
+    (lambda: GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0, 1.0]]),
+     "covariances shape (1, 3) incompatible with 1 components in R^2"),
+    (lambda: _sample(0), "n must be positive"),
+    (lambda: _sample(-3), "n must be positive"),
+], ids=["empty", "2-d-weights", "means-rows", "cov-shape", "sample-0", "sample-negative"])
+def test_gmm_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -845,3 +845,13 @@ def test_kernel_change_reaches_every_method(mixture_setup, monkeypatch):
     for method, cfg in cfgs.items():
         after = run_conditional(problem, den, LIN, cfg)
         assert not np.array_equal(after, before[method]), method
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_chains", 0, "n_chains must be a positive integer"),
+    ("seed", -1, "seed must be non-negative"),
+])
+def test_guidance_input_checks(field, value, message):
+    with pytest.raises(ConfigError) as info:
+        SamplerConfig("ddnm", make_grid(3), **{field: value})
+    assert str(info.value) == message

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inpaintlab import ConfigError, PixelMask
 from inpaintlab.io import (
@@ -107,6 +109,29 @@ def test_pgm_rejects_other_formats(tmp_path):
         read_pgm_mask(path)
 
 
+_SPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+# a comment runs from '#' to the end of its line
+_COMMENT = st.binary(max_size=8).map(lambda body: b"#" + body.replace(b"\n", b"") + b"\n")
+_SEPARATOR = st.lists(st.one_of(_SPACE, _COMMENT), min_size=1, max_size=4).map(b"".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.integers(1, 9), height=st.integers(1, 9), maxval=st.integers(1, 255),
+       separators=st.lists(_SEPARATOR, min_size=3, max_size=3), last=_SPACE, data=st.data())
+def test_pgm_header_whitespace_and_comments(tmp_path_factory, width, height, maxval,
+                                            separators, last, data):
+    # whitespace and comments between the fields, a comment right after a
+    # number included; one whitespace byte, then a raster that may itself
+    # begin with whitespace or '#'
+    raster = data.draw(st.binary(min_size=width * height, max_size=width * height))
+    fields = (b"%d" % width, b"%d" % height, b"%d" % maxval)
+    header = b"P5" + b"".join(sep + field for sep, field in zip(separators, fields)) + last
+    path = tmp_path_factory.mktemp("pgm") / "m.pgm"
+    path.write_bytes(header + raster)
+    want = (np.frombuffer(raster, dtype=np.uint8) >= 128).reshape(height, width)
+    np.testing.assert_array_equal(read_pgm_mask(path).grid[0], want)
+
+
 @pytest.mark.parametrize("raw, match", [
     (b"P5\n2 two\n255\n" + bytes(4), "malformed PGM header"),
     (b"P5\n2 -2\n255\n" + bytes(4), "malformed PGM header"),
@@ -161,3 +186,25 @@ def test_dmsk_layout(tmp_path):
 def test_pgm_multi_frame_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_pgm_mask(tmp_path / "m.pgm", PixelMask(np.ones((2, 2, 2), dtype=np.uint8)))
+
+
+def _written(path, raw):
+    path.write_bytes(raw)
+    return path
+
+
+_DMSK_1x2x4 = b"DMSK" + b"".join(n.to_bytes(4, "little") for n in (1, 2, 4))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: write_samples(path, np.zeros(3)), "samples must be an (n, d) matrix"),
+    (lambda path: read_pgm_mask(_written(path, b"P5\n2 2\n0\n" + bytes(4))),
+     "{path}: invalid maxval 0"),
+    (lambda path: read_dmsk(_written(path, _DMSK_1x2x4 + bytes(7))),
+     "{path}: expected 8 mask bytes, found 7"),
+], ids=["samples-1-d", "pgm-maxval-0", "dmsk-short-body"])
+def test_io_input_checks(tmp_path, call, message):
+    path = tmp_path / "f"
+    with pytest.raises(ValueError) as info:
+        call(path)
+    assert str(info.value) == message.format(path=path)

@@ -12,7 +12,7 @@ from inpaintlab import (
     leakage_report,
     lift_mask,
 )
-from inpaintlab.masklift import upsample_mask
+from inpaintlab.masklift import LatentMask, upsample_mask
 
 
 def _mask_2d(rows):
@@ -129,8 +129,6 @@ def test_leakage_counts():
 
 def test_leakage_any_rule_leaks():
     # an any-rule (cell observed if any pixel observed) must show leakage on mixed blocks
-    from inpaintlab.masklift import LatentMask
-
     grid = np.ones((8, 8), dtype=np.uint8)
     grid[0, 0] = 0
     m = _mask_2d(grid)
@@ -201,3 +199,24 @@ def test_dilate_equals_scipy_binary_dilation():
         got = dilate_mask(PixelMask(grid), r, r_t).grid
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, want.astype(np.uint8), err_msg=f"{shape} r={r} r_t={r_t}")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PixelMask(np.ones((1, 1, 2, 2))),
+     "pixel mask must be (T, H, W) with positive dimensions"),
+    (lambda: PixelMask(np.ones((1, 0, 2))),
+     "pixel mask must be (T, H, W) with positive dimensions"),
+    (lambda: LatentMask(np.ones((2, 2)), (1, 1, 1)), "latent mask must be a binary (t, h, w) array"),
+    (lambda: LatentMask(np.full((1, 2, 2), 2), (1, 1, 1)),
+     "latent mask must be a binary (t, h, w) array"),
+    (lambda: LatentMask(np.ones((1, 2, 2)), (1, 0, 2)),
+     "downsampling factors must be positive integers"),
+    (lambda: dilate_mask(PixelMask(np.ones((2, 2))), -1), "dilation radii must be non-negative"),
+    (lambda: dilate_mask(PixelMask(np.ones((2, 2))), 1, r_t=-1),
+     "dilation radii must be non-negative"),
+], ids=["pixel-4-d", "pixel-empty", "latent-2-d", "latent-non-binary", "latent-factor-0",
+        "radius", "time-radius"])
+def test_masklift_input_checks(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -243,3 +243,10 @@ def test_sliced_w2_rejects_non_matrix_or_empty_input(a, b, name, recwarn):
     with pytest.raises(ValueError, match=rf"^{name} must be an \(n, d\) matrix"):
         sliced_w2(a, b)
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("n_projections", [0, -1])
+def test_metrics_input_checks(n_projections):
+    a = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="^need at least one projection$"):
+        sliced_w2(a, a, n_projections=n_projections)

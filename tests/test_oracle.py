@@ -351,14 +351,15 @@ def test_posterior_denoiser_collapses_to_reference():
     np.testing.assert_allclose(out, x_star, atol=1e-4)
 
 
-def test_posterior_denoiser_rejects_t1(mixed_prior, masked_problem):
-    with pytest.raises(ValueError):
-        exact_posterior_denoiser(masked_problem, mixed_prior, LIN, np.zeros(3), 1.0)
-
-
-def test_posterior_denoiser_rejects_t1_under_trig_vp(mixed_prior, masked_problem):
-    with pytest.raises(ValueError, match="alpha = 0"):
-        exact_posterior_denoiser(masked_problem, mixed_prior, Schedule("trig-vp"), np.zeros(3), 1.0)
+@pytest.mark.parametrize("kind", ["linear-flow", "trig-vp"])
+@pytest.mark.parametrize("x", [np.array([0.4, -2.0, 1.5]), np.arange(12.0).reshape(4, 3) - 5],
+                         ids=["point", "batch"])
+def test_posterior_denoiser_at_t1_is_the_posterior_mean(mixed_prior, masked_problem, kind, x):
+    # at alpha = 0 the state carries no information: E[X0 | x_1, y] = E[X0 | y]
+    got = exact_posterior_denoiser(masked_problem, mixed_prior, Schedule(kind), x, 1.0)
+    want = exact_posterior(masked_problem, mixed_prior).mean()
+    assert got.shape == x.shape
+    np.testing.assert_allclose(got, np.broadcast_to(want, x.shape), rtol=0, atol=1e-12)
 
 
 def test_ding_gap_zero_displacement(mixed_prior):

@@ -154,3 +154,21 @@ def test_log_likelihood_batched():
     prob = InpaintingProblem(MaskOperator([1, 0]), np.array([2.0, 0.0]), 1.0)
     vals = log_likelihood(prob, np.array([[1.0, 7.0], [2.0, 0.0]]))
     np.testing.assert_allclose(vals, [-0.5, 0.0])
+
+
+def _nan_loglik():
+    problem = make_observation(np.zeros(2), MaskOperator([1, 0]), 0.5)
+    log_likelihood(problem, np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: InpaintingProblem(MaskOperator([1, 0]), np.zeros(3), 0.5),
+     "observation and mask dimensions differ"),
+    (lambda: make_observation(np.zeros(2), MaskOperator([1, 0]), 0.5, noisy=True),
+     "noisy observation requires an rng"),
+    (_nan_loglik, "x0 must be finite"),
+], ids=["dimensions", "noisy-without-rng", "non-finite-x0"])
+def test_problem_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

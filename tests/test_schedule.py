@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from inpaintlab import Schedule, eval_schedule, make_grid
+from inpaintlab import Schedule, TimeGrid, eval_schedule, make_grid
 
 
 def test_uniform_grid():
@@ -78,11 +78,15 @@ def test_trig_vp_variance_preserving():
 
 
 def test_grid_validation():
-    from inpaintlab import TimeGrid
-
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, 0.5, 0.4, 1.0]))
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.1, 0.5, 1.0]))
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, 0.5, 0.9]))
+
+
+@pytest.mark.parametrize("knots", [[0.0], [[0.0, 1.0]]], ids=["one-knot", "2-d"])
+def test_schedule_input_checks(knots):
+    with pytest.raises(ValueError, match="^grid needs at least two knots$"):
+        TimeGrid(np.array(knots))

@@ -86,8 +86,8 @@ def test_code_lines_counts_lines_with_a_token_outside_comments_and_docstrings(tm
     tool = _load(CODE_LINES)
     # import, def, the two string lines, the four return lines, class, y = 1
     assert tool.code_lines(FIXTURE) == 10
-    package = tmp_path / "pkg"
-    package.mkdir()
+    package = tmp_path / "src" / "uncovered_fixture"
+    package.mkdir(parents=True)
     (package / "b.py").write_text(FIXTURE)
     (package / "a.py").write_text("# only a comment\n\nx = (1,\n     2)\n")
     (package / "notes.txt").write_text("x = 1\n")
@@ -98,3 +98,49 @@ def test_code_lines_counts_lines_with_a_token_outside_comments_and_docstrings(tm
     proc = subprocess.run([sys.executable, str(CODE_LINES), str(tmp_path / "missing")],
                           capture_output=True, text=True)
     assert proc.returncode == 2 and "not a directory" in proc.stderr
+
+
+UNCOVERED = ROOT / "tools" / "uncovered.py"
+TWO_BRANCH = '''"""A module docstring, never reported."""
+
+import functools
+
+
+def sign(x):
+    """Neither is this one."""
+    if x < 0:
+        return "negative"
+    return "non-negative"
+
+
+@functools.cache
+def never_called():
+    return (1,
+            2)
+'''
+
+
+def test_uncovered_lists_the_branch_a_test_never_takes(tmp_path, monkeypatch, capsys):
+    package = tmp_path / "src" / "uncovered_fixture"
+    package.mkdir(parents=True)
+    (package / "two_branch.py").write_text(TWO_BRANCH)
+    (tmp_path / "pytest.ini").write_text("[pytest]\n")
+    (tmp_path / "test_two_branch.py").write_text(
+        "from uncovered_fixture.two_branch import sign\n\n\n"
+        "def test_non_negative():\n    assert sign(2) == 'non-negative'\n\n\n"
+        "def test_fails():\n    assert False\n")
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the tool puts tmp_path / "src" first
+    tool = _load(UNCOVERED)
+    previous = sys.gettrace()
+    assert tool.main([str(tmp_path / "test_two_branch.py"), "-q", "-p", "no:cacheprovider"],
+                     package=package) == 0
+    assert sys.gettrace() is previous
+    out = capsys.readouterr().out.splitlines()
+    # the decorated def ran at import, its body never did; a failing test
+    # sets pytest's exit code, not the tool's
+    assert out[-4:] == [
+        "src/uncovered_fixture/two_branch.py:9: return \"negative\"",
+        "src/uncovered_fixture/two_branch.py:15: return (1,",
+        "2 statements never ran",
+        "pytest exit code 1",
+    ]
