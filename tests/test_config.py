@@ -18,7 +18,7 @@ from inpaintlab import (
 )
 from inpaintlab.config import _SAMPLER_KEYS, load_config, parse_flat
 from inpaintlab.gmm import Evaluation
-from inpaintlab.io import write_pgm_mask, write_samples
+from inpaintlab.io import dsmp_header, write_pgm_mask, write_samples
 from inpaintlab.masklift import LatentMask, PixelMask
 
 BASIC = """\
@@ -420,34 +420,139 @@ def test_sampler_configs_from_one_load_compare_by_value(tmp_path):
     assert cfg.sampler_config("ddnm").grid is a.grid
 
 
-# each load-time check of the config and its prior: (dropped key prefixes,
-# added lines, prior.csv text or None, the message)
+# each load-time check of the config and its prior, one single-fault case per
+# ConfigError that load_config raises and per rule of a checked key: (dropped
+# key prefixes, added lines, input files by name, the message; <dir> stands
+# for the config's directory)
 _COMPONENT_2 = ["prior.component.2.weight = 0.5", "prior.component.2.mean = -2, -2",
                 "prior.component.2.cov = 1, 1"]
 _CSV = (("prior.component",), ["prior.csv = prior.csv"])
+_NAN_ROW = dsmp_header(1, 2) + np.array([np.nan, 0.0]).tobytes()
 
 
-@pytest.mark.parametrize("drop, add, csv, message", [
-    ((), ["= 1"], None, "line 20: empty key"),
-    (*_CSV, "# no rows\n", "prior.csv: empty prior CSV"),
-    (*_CSV, "0.5, 1, 1, 1\n", "prior.csv: rows must hold weight, d means, d variances"),
-    (*_CSV, "1\n", "prior.csv: rows must hold weight, d means, d variances"),
-    (*_CSV, "0.5, 1, 1\n0.5, 1, 1, 2, 2\n", "prior.csv: ragged rows"),
-    (("prior.component.1",), _COMPONENT_2, None, "prior component indices must be 0..1"),
-    (("prior.component.1.cov",), [], None, "missing key prior.component.1.cov"),
-    (("prior.component.1.mean",), ["prior.component.1.mean = -2, -2, -2"], None,
-     "prior component means have inconsistent dimensions"),
-    (("prior.component.1.cov",), ["prior.component.1.cov = 1, 1, 1"], None,
-     "prior covariances must have 2 (diagonal) or 4 (full) entries"),
-    (("xstar.inline",), [], None, "no reference given (xstar.inline or xstar.dsmp)"),
-    (("methods",), ["methods = ,"], None, "methods: the list is empty"),
-], ids=["empty-key", "csv-empty", "csv-even-width", "csv-narrow", "csv-ragged",
-        "component-gap", "component-key-missing", "mean-dimensions", "cov-entries",
-        "no-reference", "no-method"])
-def test_config_input_checks(tmp_path, drop, add, csv, message):
+def _case(drop, add, message, files=None, *, id):
+    return pytest.param(drop, add, files or {}, message, id=id)
+
+
+def _csv(text, message, *, id):
+    return _case(*_CSV, message, {"prior.csv": text}, id=id)
+
+
+def _set(key, value, message, *, id):
+    """BASIC with ``key = value`` in place of its own line, if it has one."""
+    return _case((key,), [f"{key} = {value}"], message, id=id)
+
+
+@pytest.mark.parametrize("drop, add, files, message", [
+    # parse_flat
+    _case((), ["= 1"], "line 20: empty key", id="empty-key"),
+    _case((), ["not a pair"], "line 20: expected 'key = value', got 'not a pair'", id="no-equals"),
+    _case((), ["seed = 4"], "line 20: duplicate key 'seed'", id="duplicate-key"),
+    # keys, and the one source of each input
+    _case((), ["grid.spacng = uniform"], "unknown config key 'grid.spacng'", id="unknown-key"),
+    _case((), ["prior.component.1 = 0.5"], "unknown config key 'prior.component.1'; expected "
+          "prior.component.<i>.weight, .mean or .cov", id="unknown-component-key"),
+    _case((), ["method.dpss.gamma = 1"], "method.dpss.gamma: unknown method 'dpss'; expected one "
+          "of ('blended', 'dps', 'ding', 'ddnm', 'diffpir')", id="override-unknown-method"),
+    _case((), ["xstar.dsmp = nosuch.dsmp"], "xstar.inline and xstar.dsmp are both given; give "
+          "one of them", id="two-sources"),
+    # the prior
+    _csv("# no rows\n", "<dir>/prior.csv: empty prior CSV", id="csv-empty"),
+    _csv("0.5, 1, 1, 1\n", "<dir>/prior.csv: rows must hold weight, d means, d variances",
+         id="csv-even-width"),
+    _csv("1\n", "<dir>/prior.csv: rows must hold weight, d means, d variances", id="csv-narrow"),
+    _csv("0.5, 1, 1\n0.5, 1, 1, 2, 2\n", "<dir>/prior.csv: ragged rows", id="csv-ragged"),
+    _csv("1, 1, x\n", "<dir>/prior.csv line 1: expected a list of numbers, got '1, 1, x'",
+         id="csv-malformed"),
+    _csv("0.5, 1, 1\n0.5, 1, inf\n",
+         "<dir>/prior.csv line 2: expected a finite number in every entry, got '0.5, 1, inf'",
+         id="csv-non-finite"),
+    _csv("0.5, 1, 1\n0.5, 1, -1\n", "invalid prior: diagonal covariances must be strictly "
+         "positive", id="csv-variance"),
+    _case(("prior",), [], "no prior given (prior.csv or prior.component.* keys)", id="no-prior"),
+    _case(("prior.component.1",), _COMPONENT_2, "prior component indices must be 0..1",
+          id="component-gap"),
+    _case(("prior.component.1.cov",), [], "missing key prior.component.1.cov",
+          id="component-key-missing"),
+    _case(("prior.component.1.mean",), ["prior.component.1.mean = -2, -2, -2"],
+          "prior component means have inconsistent dimensions", id="mean-dimensions"),
+    _case(("prior.component.1.cov",), ["prior.component.1.cov = 1, 1, 1"],
+          "prior covariances must have 2 (diagonal) or 4 (full) entries", id="cov-entries"),
+    _set("prior.component.0.weight", "half",
+         "prior.component.0.weight: expected a number, got 'half'", id="weight-malformed"),
+    _set("prior.component.0.weight", "inf",
+         "prior.component.0.weight: expected a finite number, got 'inf'", id="weight-non-finite"),
+    _set("prior.component.0.weight", "0", "invalid prior: all mixture weights must be strictly "
+         "positive", id="weight-zero"),
+    _set("prior.component.1.mean", "-2, minus two",
+         "prior.component.1.mean: expected a list of numbers, got '-2, minus two'",
+         id="mean-malformed"),
+    # mask and reference
+    _case(("mask.inline",), [], "no mask given (mask.inline or mask.pgm)", id="no-mask"),
+    _set("mask.inline", "1, 2", "mask.inline: entries must be 0 or 1, got '1, 2'",
+         id="mask-entries"),
+    _set("mask.inline", "1, 0, 1", "mask.inline: mask has 3 entries, prior dimension is 2",
+         id="mask-dimension"),
+    _case(("xstar.inline",), [], "no reference given (xstar.inline or xstar.dsmp)",
+          id="no-reference"),
+    _set("xstar.inline", "1.5", "xstar.inline: x_star has 1 entries, prior dimension is 2",
+         id="xstar-dimension"),
+    _set("xstar.inline", "1.5, inf",
+         "xstar.inline: expected a finite number in every entry, got '1.5, inf'",
+         id="xstar-non-finite"),
+    _case(("xstar.inline",), ["xstar.dsmp = ref.dsmp"], "xstar.dsmp: x_star must be finite, "
+          "got [nan  0.]", {"ref.dsmp": _NAN_ROW}, id="xstar-dsmp-non-finite"),
+    # methods
+    _case(("methods",), [], "no methods listed", id="no-methods"),
+    _set("methods", ",", "methods: the list is empty", id="no-method"),
+    _set("methods", "ding, dnnm", "methods: unknown method 'dnnm'; expected one of ('blended', "
+         "'dps', 'ding', 'ddnm', 'diffpir')", id="unknown-method"),
+    _set("methods", "ding, ddnm, ding", "methods: 'ding' is listed more than once",
+         id="method-twice"),
+    # each key's reader and rule
+    _set("schedule", "vp", "schedule: must be one of linear-flow, trig-vp, got 'vp'",
+         id="schedule"),
+    _set("grid.k", "ten", "grid.k: expected an integer, got 'ten'", id="grid.k-malformed"),
+    _set("grid.k", "0", "grid.k: must be a positive integer, got '0'", id="grid.k"),
+    _set("grid.spacing", "cubic", "grid.spacing: must be one of uniform, quadratic, got 'cubic'",
+         id="grid.spacing"),
+    _set("n_chains", "0", "n_chains: must be a positive integer, got '0'", id="n_chains"),
+    _set("seed", "-3", "seed: must be non-negative, got '-3'", id="seed"),
+    _set("oracle.n", "0", "oracle.n: must be strictly positive, got '0'", id="oracle.n"),
+    _set("sw2.projections", "0", "sw2.projections: must be strictly positive, got '0'",
+         id="sw2.projections"),
+    _set("sw2.seed", "-1", "sw2.seed: must be non-negative, got '-1'", id="sw2.seed"),
+    _set("cpsnr.peak", "nan", "cpsnr.peak: expected a finite number, got 'nan'",
+         id="cpsnr.peak-non-finite"),
+    _set("cpsnr.peak", "0",
+         "cpsnr.peak: must be strictly positive with a nonzero finite square, got '0'",
+         id="cpsnr.peak"),
+    _set("trajectories", "maybe", "trajectories: expected on/off, got 'maybe'",
+         id="trajectories"),
+    _set("observation.noisy", "2", "observation.noisy: expected on/off, got '2'",
+         id="observation.noisy"),
+    _set("eta", "1.5", "eta: must lie in [0, 1], got '1.5'", id="eta"),
+    _set("method.ding.eta", "0",
+         "method.ding.eta: must be > 0 for ding (at 0 it applies no guidance), got '0'",
+         id="eta-ding"),
+    _set("gamma", "0", "gamma: must be strictly positive with a finite square, got '0'",
+         id="gamma"),
+    _set("zeta", "x", "zeta: expected a number, got 'x'", id="zeta-malformed"),
+    _set("method.dps.zeta", "0", "method.dps.zeta: must be strictly positive, got '0'",
+         id="zeta"),
+    _set("lambda", "-inf", "lambda: expected a finite number, got '-inf'",
+         id="lambda-non-finite"),
+    _set("ding_nz", "0", "ding_nz: must be strictly positive, got '0'", id="ding_nz"),
+    _set("method.blended.ding_nz", "1.0", "method.blended.ding_nz: expected an integer, "
+         "got '1.0'", id="ding_nz-malformed"),
+    _set("final_replacement", "sometimes", "final_replacement: expected on/off, got 'sometimes'",
+         id="final_replacement"),
+])
+def test_config_input_checks(tmp_path, drop, add, files, message):
     lines = [line for line in BASIC.splitlines() if not line.startswith(drop)]
-    if csv is not None:
-        (tmp_path / "prior.csv").write_text(csv)
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
     with pytest.raises(ConfigError) as info:
         load_config(_write(tmp_path, "\n".join(lines + add) + "\n"))
-    assert str(info.value).endswith(message)
+    assert str(info.value) == message.replace("<dir>", str(tmp_path))
