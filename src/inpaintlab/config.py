@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,10 +38,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .gmm import GaussianMixture
-from .guidance import METHODS, SamplerConfig
+from .guidance import METHODS, SAMPLER_RULES, SamplerConfig
 from .io import DSMP_LIMIT, read_pgm_mask, read_samples
 from .metrics import valid_peak
-from .problem import InpaintingProblem, MaskOperator, make_observation, valid_gamma
+from .problem import InpaintingProblem, MaskOperator, make_observation
 from .schedule import GRID_SPACINGS, SCHEDULE_KINDS, Schedule, TimeGrid, make_grid
 
 _BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
@@ -67,10 +68,20 @@ def parse_flat(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if not value:
+            raise ConfigError(f"{key}: empty value on line {lineno}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
+
+
+def _text(path: Path) -> str:
+    """The text of a config or prior CSV file; bytes that do not decode are a ConfigError."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
 
 
 def _floats(key: str, value: str) -> np.ndarray:
@@ -84,52 +95,30 @@ def _floats(key: str, value: str) -> np.ndarray:
     return numbers
 
 
-def _get_float(pairs: dict[str, str], key: str, default: float | None = None) -> float | None:
+_EXPECTED = {float: "a number", int: "an integer", bool: "on/off"}
+
+
+def _read(pairs: dict[str, str], key: str, kind: type, rule: tuple | None = None, default=None):
+    """The value ``key`` sets, parsed as ``kind`` (float, int, bool or str),
+    or ``default`` when it is unset.  A float must be finite, and a value
+    must pass ``rule``, a (test, text) pair; each error names ``key``."""
     if key not in pairs:
         return default
+    raw = pairs[key]
     try:
-        value = float(pairs[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {pairs[key]!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: expected a finite number, got {pairs[key]!r}")
+        value = _BOOL_WORDS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    if rule is not None and not rule[0](value):
+        raise ConfigError(f"{key}: {rule[1]}, got {raw!r}")
     return value
 
 
-def _get_int(pairs: dict[str, str], key: str, default: int | None = None) -> int | None:
-    if key not in pairs:
-        return default
-    try:
-        return int(pairs[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {pairs[key]!r}") from None
-
-
-def _get_bool(pairs: dict[str, str], key: str, default: bool | None = None) -> bool | None:
-    if key not in pairs:
-        return default
-    word = pairs[key].lower()
-    if word not in _BOOL_WORDS:
-        raise ConfigError(f"{key}: expected on/off, got {pairs[key]!r}")
-    return _BOOL_WORDS[word]
-
-
-def _checked(pairs: dict[str, str], key: str, read, rule: tuple, default=None):
-    """``read(pairs, key, default)``, where a value that ``key`` sets must pass
-    ``rule``, a (test, text) pair; the error names ``key`` and states the text."""
-    value = read(pairs, key)
-    if value is None:
-        return default
-    test, text = rule
-    if not test(value):
-        raise ConfigError(f"{key}: {text}, got {pairs[key]!r}")
-    return value
-
-
-_POSITIVE = (lambda v: v > 0, "must be strictly positive")
-_POSITIVE_INT = (lambda v: v > 0, "must be a positive integer")
-_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
-_GAMMA = (valid_gamma, "must be strictly positive with a finite square")
+# counts and seeds meet the rules of their SamplerConfig kin
+_POSITIVE_INT, _NON_NEGATIVE = SAMPLER_RULES["n_chains"], SAMPLER_RULES["seed"]
+_POSITIVE = SAMPLER_RULES["dps_scale"]
 _PEAK = (valid_peak, "must be strictly positive with a nonzero finite square")
 
 
@@ -137,16 +126,12 @@ def _one_of(names: tuple[str, ...]) -> tuple:
     return (lambda v: v in names, f"must be one of {', '.join(names)}")
 
 
-# the sampler knobs: config key -> (SamplerConfig field, reader, rule); an
-# unset knob keeps the field's default
-_SAMPLER_KEYS = {
-    "eta": ("eta", _get_float, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
-    "gamma": ("gamma", _get_float, _GAMMA),
-    "zeta": ("dps_scale", _get_float, _POSITIVE),
-    "lambda": ("diffpir_lambda", _get_float, _POSITIVE),
-    "ding_nz": ("ding_nz", _get_int, _POSITIVE),
-    "final_replacement": ("final_replacement", _get_bool, (lambda v: True, "")),
-}
+# the sampler knobs: config key -> (SamplerConfig field, kind, the field's rule);
+# an unset knob keeps the field's default
+_SAMPLER_KEYS = {key: (field, kind, SAMPLER_RULES.get(field)) for key, field, kind in (
+    ("eta", "eta", float), ("gamma", "gamma", float), ("zeta", "dps_scale", float),
+    ("lambda", "diffpir_lambda", float), ("ding_nz", "ding_nz", int),
+    ("final_replacement", "final_replacement", bool))}
 
 
 def _sampler_configs(
@@ -157,13 +142,14 @@ def _sampler_configs(
     Every knob key given must meet its knob's rule, whether or not a listed
     method reads it, and an error names that key.
     """
+    values = {}
     for key in pairs:
         if key not in _SAMPLER_KEYS and not key.startswith("method."):
             continue
         m, knob = key.split(".")[1:] if key.startswith("method.") else (None, key)
         if m is not None and m not in METHODS:
             raise ConfigError(f"{key}: unknown method {m!r}; expected one of {METHODS}")
-        value = _checked(pairs, key, *_SAMPLER_KEYS[knob][1:])
+        value = values[key] = _read(pairs, key, *_SAMPLER_KEYS[knob][1:])
         # a global eta reaches ding when ding is listed and does not override it
         if knob == "eta" and value == 0.0 and (
             m == "ding" or m is None and "ding" in methods and "method.ding.eta" not in pairs
@@ -172,11 +158,9 @@ def _sampler_configs(
                               f"got {pairs[key]!r}")
     samplers = {}
     for m in methods:
-        knobs = {}
-        for key, (name, read, _) in _SAMPLER_KEYS.items():
-            value = read(pairs, f"method.{m}.{key}", read(pairs, key))
-            if value is not None:
-                knobs[name] = value
+        # an override, read after its global key, wins
+        knobs = {name: values[k] for key, (name, *_) in _SAMPLER_KEYS.items()
+                 for k in (key, f"method.{m}.{key}") if k in values}
         samplers[m] = SamplerConfig(m, grid, seed=seed, n_chains=n_chains, **knobs)
     return samplers
 
@@ -184,7 +168,7 @@ def _sampler_configs(
 def _load_prior_csv(path: Path) -> GaussianMixture:
     rows = [
         _floats(f"{path} line {lineno}", line.split("#", 1)[0])
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        for lineno, line in enumerate(_text(path).splitlines(), start=1)
         if line.split("#", 1)[0].strip()
     ]
     if not rows:
@@ -224,7 +208,7 @@ def _load_prior_inline(pairs: dict[str, str]) -> GaussianMixture:
         for suffix in ("weight", "mean", "cov"):
             if f"{base}.{suffix}" not in pairs:
                 raise ConfigError(f"missing key {base}.{suffix}")
-        weights.append(_get_float(pairs, f"{base}.weight"))
+        weights.append(_read(pairs, f"{base}.weight", float))
         means.append(_floats(f"{base}.mean", pairs[f"{base}.mean"]))
         covs.append(_floats(f"{base}.cov", pairs[f"{base}.cov"]))
     d = means[0].size
@@ -280,7 +264,7 @@ class ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    pairs = parse_flat(path.read_text())
+    pairs = parse_flat(_text(path))
     base = path.parent
 
     for key in pairs:
@@ -308,9 +292,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         prior = _load_prior_inline(pairs)
     d = prior.dim
 
-    sched = Schedule(_checked(pairs, "schedule", dict.get, _one_of(SCHEDULE_KINDS), "linear-flow"))
-    grid_k = _checked(pairs, "grid.k", _get_int, _POSITIVE_INT, 50)
-    spacing = _checked(pairs, "grid.spacing", dict.get, _one_of(GRID_SPACINGS), "uniform")
+    sched = Schedule(_read(pairs, "schedule", str, _one_of(SCHEDULE_KINDS), "linear-flow"))
+    grid_k = _read(pairs, "grid.k", int, _POSITIVE_INT, 50)
+    spacing = _read(pairs, "grid.spacing", str, _one_of(GRID_SPACINGS), "uniform")
 
     if "mask.inline" in pairs:
         mask_vals = _floats("mask.inline", pairs["mask.inline"])
@@ -348,21 +332,24 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if methods.count(m) > 1:
             raise ConfigError(f"methods: {m!r} is listed more than once")
 
-    n_chains = _checked(pairs, "n_chains", _get_int, _POSITIVE_INT, 100)
-    seed = _checked(pairs, "seed", _get_int, _NON_NEGATIVE, 0)
-    oracle_n = _checked(pairs, "oracle.n", _get_int, _POSITIVE)
-    record_trajectories = _get_bool(pairs, "trajectories", False)
+    n_chains = _read(pairs, "n_chains", int, _POSITIVE_INT, 100)
+    seed = _read(pairs, "seed", int, _NON_NEGATIVE, 0)
+    oracle_n = _read(pairs, "oracle.n", int, _POSITIVE)
+    record_trajectories = _read(pairs, "trajectories", bool, default=False)
     # a .dsmp header stores its row count as uint32
-    for key in ("n_chains", "oracle.n"):
-        if _get_int(pairs, key, 0) >= DSMP_LIMIT:
+    for key, rows in (("n_chains", n_chains), ("oracle.n", oracle_n)):
+        if (rows or 0) >= DSMP_LIMIT:
             raise ConfigError(f"{key}: must be below 2**32, the rows a .dsmp file holds, "
                               f"got {pairs[key]!r}")
     traj_rows = (grid_k + 1) * n_chains
     if record_trajectories and traj_rows >= DSMP_LIMIT:
         raise ConfigError(f"trajectories: (grid.k + 1) * n_chains = {traj_rows} must be below "
                           "2**32, the rows a .dsmp file holds")
-    # built once every count is checked: its knots take 8 * (grid.k + 1) bytes
+    # built once every count is checked: its knots take 8 * (grid.k + 1) bytes,
+    # and numpy sizes no array past sys.maxsize bytes
     try:
+        if 8 * (grid_k + 1) > sys.maxsize:
+            raise MemoryError
         grid = make_grid(grid_k, spacing)
     except MemoryError:
         raise ConfigError(f"grid.k: its knots need {8 * (grid_k + 1)} bytes, more than could "
@@ -375,17 +362,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
         mask=mask,
         x_star=x_star,
         # gamma and eta, like every sampler knob, are checked by _sampler_configs
-        gamma=_get_float(pairs, "gamma", SamplerConfig.gamma),
-        eta=_get_float(pairs, "eta", SamplerConfig.eta),
+        gamma=_read(pairs, "gamma", float, default=SamplerConfig.gamma),
+        eta=_read(pairs, "eta", float, default=SamplerConfig.eta),
         n_chains=n_chains,
         seed=seed,
         # inputs resolve against the config file; outputs against the cwd
-        out_dir=Path(pairs.get("out_dir", "results")),
-        noisy_observation=_get_bool(pairs, "observation.noisy", False),
+        out_dir=Path(_read(pairs, "out_dir", str, default="results")),
+        noisy_observation=_read(pairs, "observation.noisy", bool, default=False),
         # these are read only once sampling has started, so they are checked here
-        sw2_projections=_checked(pairs, "sw2.projections", _get_int, _POSITIVE, 128),
-        sw2_seed=_checked(pairs, "sw2.seed", _get_int, _NON_NEGATIVE, seed),
-        cpsnr_peak=_checked(pairs, "cpsnr.peak", _get_float, _PEAK, 1.0),
+        sw2_projections=_read(pairs, "sw2.projections", int, _POSITIVE, 128),
+        sw2_seed=_read(pairs, "sw2.seed", int, _NON_NEGATIVE, seed),
+        cpsnr_peak=_read(pairs, "cpsnr.peak", float, _PEAK, 1.0),
         record_trajectories=record_trajectories,
         oracle_n=oracle_n,
     )

@@ -76,6 +76,21 @@ METHODS = ("blended", "dps", "ding", "ddnm", "diffpir")
 METHOD_CODES = {name: code for code, name in enumerate(METHODS, start=1)}
 
 
+# the range of each checked SamplerConfig field: name -> (test, text); the
+# config keys that set a field meet its rule and report its text
+_POSITIVE = (lambda v: 0 < v < np.inf, "must be strictly positive")
+SAMPLER_RULES = {
+    "eta": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "gamma": (valid_gamma, "must be strictly positive with a finite square"),
+    "dps_scale": _POSITIVE,
+    "diffpir_lambda": _POSITIVE,
+    # counts: 0.5 is no count, and for an integer >= 1 is > 0
+    "ding_nz": (lambda v: v >= 1, "must be strictly positive"),
+    "n_chains": (lambda v: v >= 1, "must be a positive integer"),
+    "seed": (lambda v: v >= 0, "must be non-negative"),
+}
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Method selection plus the knobs the step functions read.
@@ -98,23 +113,13 @@ class SamplerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError("eta must lie in [0, 1]")
+        for name, (test, text) in SAMPLER_RULES.items():
+            if not test(getattr(self, name)):
+                raise ConfigError(f"{name} {text}")
         if self.method == "ding" and self.eta == 0.0:
             # eta_s = 0 leaves no proposal spread: step_ding returns the
             # unconditional mean and the observation never enters
             raise ConfigError("eta must be > 0 for ding: at eta = 0 it applies no guidance")
-        if not valid_gamma(self.gamma):
-            raise ConfigError("gamma must be strictly positive with a finite square")
-        for name in ("dps_scale", "diffpir_lambda"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be finite and strictly positive")
-        if self.ding_nz < 1:
-            raise ConfigError("ding_nz must be a positive integer")
-        if self.n_chains < 1:
-            raise ConfigError("n_chains must be a positive integer")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
 
 
 # ---------------------------------------------------------------------------

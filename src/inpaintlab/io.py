@@ -73,7 +73,10 @@ def read_pgm_mask(path: str | Path) -> PixelMask:
     header = _PGM_HEADER.match(raw)
     if header is None:
         raise ConfigError(f"{path}: malformed PGM header; expected P5, width, height, maxval")
-    width, height, maxval = (int(f) for f in header.groups())
+    try:
+        width, height, maxval = (int(f) for f in header.groups())
+    except ValueError:  # a field past int()'s digit limit, even one of leading zeros
+        raise ConfigError(f"{path}: malformed PGM header; a number has too many digits") from None
     pos = header.end()
     if not 0 < maxval < 65536:
         raise ConfigError(f"{path}: invalid maxval {maxval}")

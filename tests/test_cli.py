@@ -200,6 +200,16 @@ def test_masklift_rejects_bad_factors(tmp_path, capsys, factors):
     assert not (tmp_path / "latent.pgm").exists()
 
 
+def test_masklift_rejects_a_pgm_header_number_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5\n" + b"1" * 5000 + b" 2\n255\n" + bytes(4))
+    code = main(["masklift", "--in", str(path), "--factors", "1,1", "--out", str(tmp_path / "l.pgm")])
+    assert code == 2
+    assert _one_config_error(capsys) == (
+        f"config error: {path}: malformed PGM header; a number has too many digits")
+    assert not (tmp_path / "l.pgm").exists()
+
+
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     # only ConfigError maps to exit 2; any other ValueError is a bug and propagates
     import inpaintlab.cli as cli
@@ -404,6 +414,23 @@ def test_grid_whose_knots_cannot_be_allocated_exits_2(tmp_path, capsys, monkeypa
     assert not (tmp_path / "out").exists()
 
 
+def test_config_file_that_is_not_text_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"seed = \xff\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert _one_config_error(capsys) == (
+        f"config error: {cfg}: not a text file (invalid start byte at byte 7)")
+
+
+def test_grid_past_any_array_size_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("grid.k     = 12", f"grid.k     = {10**30}"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert _one_config_error(capsys) == (f"config error: grid.k: its knots need {8 * (10**30 + 1)} "
+                                         f"bytes, more than could be allocated, got '{10**30}'")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -512,7 +539,7 @@ def _quickstart(tmp_path, **values):
     from pathlib import Path
 
     values = {key.replace("__", "."): value for key, value in values.items()}
-    values["out_dir"] = str(tmp_path / "out")
+    values.setdefault("out_dir", str(tmp_path / "out"))
     text = (Path(__file__).resolve().parent.parent / "configs" / "quickstart.cfg").read_text()
     keep = [line for line in text.splitlines() if line.split("=")[0].strip() not in values]
     cfg = tmp_path / "quickstart.cfg"
@@ -550,29 +577,32 @@ def test_dimension_errors_of_mask_and_reference_files_start_with_their_key(tmp_p
 
 
 # one value each key rejects; out_dir takes any path, and a file that
-# prior.csv, mask.pgm or xstar.dsmp names is reported by its own path
+# prior.csv, mask.pgm or xstar.dsmp names is reported by its own path, so
+# these four are given the empty value, which every key rejects
 _BAD_VALUES = {
     "schedule": "vp", "grid.k": "0", "grid.spacing": "cubic", "n_chains": "x", "seed": "1.5",
     "methods": "ding, nope", "mask.inline": "1, 2", "xstar.inline": "1.5, x",
     "observation.noisy": "maybe", "sw2.projections": "0", "sw2.seed": "-1", "cpsnr.peak": "0",
     "trajectories": "maybe", "oracle.n": "0", "eta": "2", "gamma": "0", "zeta": "nan",
     "lambda": "-1", "ding_nz": "0", "final_replacement": "maybe",
+    "out_dir": "", "prior.csv": "", "mask.pgm": "", "xstar.dsmp": "",
 }
 
 
 def test_bad_values_cover_every_config_key():
     from inpaintlab.config import _GLOBAL_KEYS, _SAMPLER_KEYS
 
-    files = {"out_dir", "prior.csv", "mask.pgm", "xstar.dsmp"}
-    assert set(_BAD_VALUES) == (_GLOBAL_KEYS | set(_SAMPLER_KEYS)) - files
+    assert set(_BAD_VALUES) == _GLOBAL_KEYS | set(_SAMPLER_KEYS)
 
 
 @pytest.mark.parametrize("key", sorted(_BAD_VALUES))
-def test_every_config_key_names_itself_in_its_error(tmp_path, capsys, key):
+def test_every_config_key_names_itself_in_its_error(tmp_path, capsys, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)  # an empty out_dir would be the working directory
     cfg = _quickstart(tmp_path, **{key.replace(".", "__"): _BAD_VALUES[key]})
     assert main(["run", "--config", str(cfg)]) == 2
     line = _one_config_error(capsys)
     assert line.startswith(f"config error: {key}: "), line
+    assert [path.name for path in tmp_path.iterdir()] == [cfg.name]  # nothing written
 
 
 def test_all_zero_mask_prints_one_warning_line(tmp_path):

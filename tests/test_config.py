@@ -214,6 +214,15 @@ def test_grid_whose_knots_cannot_be_allocated_is_a_config_error(tmp_path, monkey
                                "allocated, got '1000000000'")
 
 
+@pytest.mark.parametrize("k", [2**60, 2**63 - 1, 2**63, 10**30])
+def test_grid_past_any_array_size_is_a_config_error(tmp_path, k):
+    # numpy raised ValueError or IndexError for these, not MemoryError
+    with pytest.raises(ConfigError) as info:
+        load_config(_write(tmp_path, BASIC.replace("grid.k     = 10", f"grid.k = {k}")))
+    assert str(info.value) == (f"grid.k: its knots need {8 * (k + 1)} bytes, more than could be "
+                               f"allocated, got '{k}'")
+
+
 @pytest.mark.parametrize("extra", ["method.ding.eta = 0.5", "methods = ddnm"])
 def test_global_eta_zero_accepted_where_ding_does_not_read_it(tmp_path, extra):
     lines = [kept for kept in BASIC.splitlines() if not kept.startswith(("eta", "methods"))]
@@ -448,6 +457,11 @@ def _set(key, value, message, *, id):
     _case((), ["= 1"], "line 20: empty key", id="empty-key"),
     _case((), ["not a pair"], "line 20: expected 'key = value', got 'not a pair'", id="no-equals"),
     _case((), ["seed = 4"], "line 20: duplicate key 'seed'", id="duplicate-key"),
+    # an empty value, rejected before any file is read
+    _set("out_dir", "", "out_dir: empty value on line 19", id="empty-out_dir"),
+    _case(("xstar.inline",), ["xstar.dsmp =  # none"], "xstar.dsmp: empty value on line 19",
+          id="empty-file-key"),
+    _set("method.ding.eta", "", "method.ding.eta: empty value on line 20", id="empty-knob"),
     # keys, and the one source of each input
     _case((), ["grid.spacng = uniform"], "unknown config key 'grid.spacng'", id="unknown-key"),
     _case((), ["prior.component.1 = 0.5"], "unknown config key 'prior.component.1'; expected "
@@ -467,6 +481,8 @@ def _set(key, value, message, *, id):
     _csv("0.5, 1, 1\n0.5, 1, inf\n",
          "<dir>/prior.csv line 2: expected a finite number in every entry, got '0.5, 1, inf'",
          id="csv-non-finite"),
+    _csv(b"0.5, 1, 1\n\xff\n", "<dir>/prior.csv: not a text file (invalid start byte at byte 10)",
+         id="csv-binary"),
     _csv("0.5, 1, 1\n0.5, 1, -1\n", "invalid prior: diagonal covariances must be strictly "
          "positive", id="csv-variance"),
     _case(("prior",), [], "no prior given (prior.csv or prior.component.* keys)", id="no-prior"),

@@ -85,7 +85,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         _cfg("ding", gamma=-1.0)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ConfigError, match="dps_scale must be finite"):
+        with pytest.raises(ConfigError, match="dps_scale must be strictly positive"):
             _cfg("dps", dps_scale=bad)
     with pytest.raises(ConfigError):
         _cfg("ding", ding_nz=0)

@@ -138,7 +138,10 @@ def test_pgm_header_whitespace_and_comments(tmp_path_factory, width, height, max
     (b"P5\n4 4\n255\n" + bytes(3), "3 bytes for 4 x 4 pixels"),
     (b"P5\n0 4\n255\n", "0 bytes for 0 x 4 pixels"),
     (b"P5\n2 2\n65535\n" + bytes(8), "16-bit"),
-], ids=["non-integer", "negative", "short", "empty", "16-bit"])
+    # past int()'s 4,300-digit limit, as a value or as leading zeros
+    (b"P5\n" + b"1" * 5000 + b" 2\n255\n" + bytes(4), "a number has too many digits"),
+    (b"P5\n" + b"0" * 5000 + b"2 2\n255\n" + bytes(4), "a number has too many digits"),
+], ids=["non-integer", "negative", "short", "empty", "16-bit", "long-number", "long-zeros"])
 def test_malformed_pgm_is_a_config_error(tmp_path, raw, match):
     path = tmp_path / "bad.pgm"
     path.write_bytes(raw)

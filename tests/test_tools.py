@@ -1,5 +1,7 @@
-"""The committed tools under ``tools/``."""
+"""The committed tools under ``tools/``, and a scan of the package source
+for private names that nothing uses."""
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -144,3 +146,38 @@ def test_uncovered_lists_the_branch_a_test_never_takes(tmp_path, monkeypatch, ca
         "2 statements never ran",
         "pytest exit code 1",
     ]
+
+
+def _unused_private_names(package: Path) -> list[str]:
+    """Each private top-level function, class or assigned name of a module of
+    ``package`` that its module never loads and no module imports or reads
+    as an attribute, as ``module: name``."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    elsewhere = {node.attr if isinstance(node, ast.Attribute) else node.name
+                 for tree in trees.values() for node in ast.walk(tree)
+                 if isinstance(node, (ast.Attribute, ast.alias))}
+    unused = []
+    for module, tree in trees.items():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unused += [f"{module}: {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in loaded | elsewhere]
+    return unused
+
+
+def test_every_private_top_level_name_of_the_package_is_used(tmp_path):
+    assert _unused_private_names(ROOT / "src" / "inpaintlab") == []
+    (tmp_path / "a.py").write_text(
+        "_USED, _SPARE = 1, 2\n_IMPORTED = 3\n\n\ndef _orphan():\n    return _USED\n\n\n"
+        "class _Unused:\n    pass\n")
+    (tmp_path / "b.py").write_text("from .a import _IMPORTED\n")
+    assert _unused_private_names(tmp_path) == ["a.py: _SPARE", "a.py: _orphan", "a.py: _Unused"]
