@@ -84,7 +84,7 @@ SAMPLER_RULES = {
     "gamma": (valid_gamma, "must be strictly positive with a finite square"),
     "dps_scale": _POSITIVE,
     "diffpir_lambda": _POSITIVE,
-    # counts: 0.5 is no count, and for an integer >= 1 is > 0
+    # a count is at least 1, which for an integer is > 0
     "ding_nz": (lambda v: v >= 1, "must be strictly positive"),
     "n_chains": (lambda v: v >= 1, "must be a positive integer"),
     "seed": (lambda v: v >= 0, "must be non-negative"),

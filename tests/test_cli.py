@@ -203,8 +203,8 @@ def test_masklift_rejects_bad_factors(tmp_path, capsys, factors):
 def test_masklift_rejects_a_pgm_header_number_past_the_digit_limit(tmp_path, capsys):
     path = tmp_path / "m.pgm"
     path.write_bytes(b"P5\n" + b"1" * 5000 + b" 2\n255\n" + bytes(4))
-    code = main(["masklift", "--in", str(path), "--factors", "1,1", "--out", str(tmp_path / "l.pgm")])
-    assert code == 2
+    assert main(["masklift", "--in", str(path), "--factors", "1,1",
+                 "--out", str(tmp_path / "l.pgm")]) == 2
     assert _one_config_error(capsys) == (
         f"config error: {path}: malformed PGM header; a number has too many digits")
     assert not (tmp_path / "l.pgm").exists()
@@ -420,15 +420,6 @@ def test_config_file_that_is_not_text_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
     assert _one_config_error(capsys) == (
         f"config error: {cfg}: not a text file (invalid start byte at byte 7)")
-
-
-def test_grid_past_any_array_size_exits_2(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path)
-    cfg.write_text(cfg.read_text().replace("grid.k     = 12", f"grid.k     = {10**30}"))
-    assert main(["run", "--config", str(cfg)]) == 2
-    assert _one_config_error(capsys) == (f"config error: grid.k: its knots need {8 * (10**30 + 1)} "
-                                         f"bytes, more than could be allocated, got '{10**30}'")
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
