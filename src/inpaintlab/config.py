@@ -190,6 +190,16 @@ def _mixture(weights: np.ndarray, means: np.ndarray, covs: np.ndarray) -> Gaussi
         raise ConfigError(f"invalid prior: {exc}") from None
 
 
+def _source(pairs: dict[str, str], first: str, second: str | None, missing: str) -> str:
+    """The one of ``first`` and ``second`` that ``pairs`` gives: each input
+    has one source, as a second would be silently ignored."""
+    if first in pairs and second in pairs:
+        raise ConfigError(f"{first} and {second} are both given; give one of them")
+    if first not in pairs and second not in pairs:
+        raise ConfigError(missing)
+    return first if first in pairs else second
+
+
 def _load_prior_inline(pairs: dict[str, str]) -> GaussianMixture:
     indices = sorted(
         {
@@ -198,8 +208,6 @@ def _load_prior_inline(pairs: dict[str, str]) -> GaussianMixture:
             if key.startswith("prior.component.")
         }
     )
-    if not indices:
-        raise ConfigError("no prior given (prior.csv or prior.component.* keys)")
     if indices != list(range(len(indices))):
         raise ConfigError(f"prior component indices must be 0..{len(indices) - 1}")
     weights, means, covs = [], [], []
@@ -238,7 +246,7 @@ class ExperimentConfig:
     mask: MaskOperator
     x_star: np.ndarray
     gamma: float  # the observation's temperature, whatever a method overrides
-    eta: float
+    eta: float  # the global eta, read by perfbench's tests; each method reads its sampler's
     n_chains: int
     seed: int
     out_dir: Path
@@ -279,47 +287,35 @@ def load_config(path: str | Path) -> ExperimentConfig:
             continue  # its method and value are checked by _sampler_configs
         raise ConfigError(f"unknown config key {key!r}")
 
-    # each input has one source: a second would be silently ignored
     component = next((key for key in pairs if key.startswith("prior.component.")), None)
-    for first, second in (("prior.csv", component), ("mask.inline", "mask.pgm"),
-                          ("xstar.inline", "xstar.dsmp")):
-        if first in pairs and second in pairs:
-            raise ConfigError(f"{first} and {second} are both given; give one of them")
+    prior_key = _source(pairs, "prior.csv", component,
+                        "no prior given (prior.csv or prior.component.* keys)")
+    mask_key = _source(pairs, "mask.inline", "mask.pgm", "no mask given (mask.inline or mask.pgm)")
+    xstar_key = _source(pairs, "xstar.inline", "xstar.dsmp",
+                        "no reference given (xstar.inline or xstar.dsmp)")
 
-    if "prior.csv" in pairs:
-        prior = _load_prior_csv(base / pairs["prior.csv"])
-    else:
-        prior = _load_prior_inline(pairs)
+    prior = (_load_prior_csv(base / pairs[prior_key]) if prior_key == "prior.csv"
+             else _load_prior_inline(pairs))
     d = prior.dim
 
     sched = Schedule(_read(pairs, "schedule", str, _one_of(SCHEDULE_KINDS), "linear-flow"))
     grid_k = _read(pairs, "grid.k", int, _POSITIVE_INT, 50)
     spacing = _read(pairs, "grid.spacing", str, _one_of(GRID_SPACINGS), "uniform")
 
-    if "mask.inline" in pairs:
-        mask_vals = _floats("mask.inline", pairs["mask.inline"])
-        if not np.all(np.isin(mask_vals, (0, 1))):
-            raise ConfigError(f"mask.inline: entries must be 0 or 1, got {pairs['mask.inline']!r}")
-    elif "mask.pgm" in pairs:
-        mask_vals = read_pgm_mask(base / pairs["mask.pgm"]).grid.reshape(-1)
-    else:
-        raise ConfigError("no mask given (mask.inline or mask.pgm)")
+    mask_vals = (_floats(mask_key, pairs[mask_key]) if mask_key == "mask.inline"
+                 else read_pgm_mask(base / pairs[mask_key]).grid.reshape(-1))
+    if not np.all(np.isin(mask_vals, (0, 1))):  # a PGM mask reads as 0 and 1 only
+        raise ConfigError(f"{mask_key}: entries must be 0 or 1, got {pairs[mask_key]!r}")
     if mask_vals.size != d:
-        key = "mask.inline" if "mask.inline" in pairs else "mask.pgm"
-        raise ConfigError(f"{key}: mask has {mask_vals.size} entries, prior dimension is {d}")
+        raise ConfigError(f"{mask_key}: mask has {mask_vals.size} entries, prior dimension is {d}")
     mask = MaskOperator(mask_vals)
 
-    if "xstar.inline" in pairs:
-        x_star = _floats("xstar.inline", pairs["xstar.inline"])
-    elif "xstar.dsmp" in pairs:
-        x_star = read_samples(base / pairs["xstar.dsmp"])[:1].reshape(-1)  # the first row
-    else:
-        raise ConfigError("no reference given (xstar.inline or xstar.dsmp)")
-    key = "xstar.inline" if "xstar.inline" in pairs else "xstar.dsmp"
+    x_star = (_floats(xstar_key, pairs[xstar_key]) if xstar_key == "xstar.inline"
+              else read_samples(base / pairs[xstar_key])[:1].reshape(-1))  # the first row
     if x_star.size != d:
-        raise ConfigError(f"{key}: x_star has {x_star.size} entries, prior dimension is {d}")
+        raise ConfigError(f"{xstar_key}: x_star has {x_star.size} entries, prior dimension is {d}")
     if not np.all(np.isfinite(x_star)):  # only a .dsmp row can hold one
-        raise ConfigError(f"{key}: x_star must be finite, got {x_star}")
+        raise ConfigError(f"{xstar_key}: x_star must be finite, got {x_star}")
 
     if "methods" not in pairs:
         raise ConfigError("no methods listed")
