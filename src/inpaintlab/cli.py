@@ -46,7 +46,7 @@ from .io import (
     write_samples,
 )
 from .masklift import PixelMask, leakage_report, lift_mask
-from .metrics import cpsnr, sliced_w2, valid_peak
+from .metrics import cpsnr, projection_bytes, sliced_w2, valid_peak
 from .oracle import exact_posterior
 from .problem import InpaintingProblem, MaskOperator
 from .schedule import Schedule
@@ -271,6 +271,10 @@ def _cmd_metrics(args) -> int:
     if args.metric == "sw2":
         if args.projections < 1 or args.seed < 0:
             raise ConfigError("--projections must be at least 1 and --seed at least 0")
+        nbytes = projection_bytes(args.projections, a.shape[1])
+        if nbytes > sys.maxsize:  # numpy sizes no array past it
+            raise ConfigError(f"--projections: its directions and results need {nbytes} bytes, "
+                              f"more than could be allocated, got {args.projections}")
         value = sliced_w2(a, b, args.projections, args.seed)
     else:
         if not valid_peak(args.peak):

@@ -36,11 +36,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .bridge import BLOCK
 from .errors import ConfigError
 from .gmm import GaussianMixture
 from .guidance import METHODS, SAMPLER_RULES, SamplerConfig
 from .io import DSMP_LIMIT, read_pgm_mask, read_samples
-from .metrics import valid_peak
+from .metrics import projection_bytes, valid_peak
 from .problem import InpaintingProblem, MaskOperator, make_observation
 from .schedule import GRID_SPACINGS, SCHEDULE_KINDS, Schedule, TimeGrid, make_grid
 
@@ -126,6 +127,13 @@ def _one_of(names: tuple[str, ...]) -> tuple:
     return (lambda v: v in names, f"must be one of {', '.join(names)}")
 
 
+def _too_large(pairs: dict[str, str], key: str, what: str, nbytes: int) -> ConfigError:
+    """The error for a ``key`` whose ``what`` needs ``nbytes``: numpy sizes
+    no array past sys.maxsize bytes, and memory may run out before that."""
+    return ConfigError(f"{key}: {what} need {nbytes} bytes, more than could be allocated, "
+                       f"got {pairs[key]!r}")
+
+
 # the sampler knobs: config key -> (SamplerConfig field, kind, the field's rule);
 # an unset knob keeps the field's default
 _SAMPLER_KEYS = {key: (field, kind, SAMPLER_RULES.get(field)) for key, field, kind in (
@@ -135,12 +143,14 @@ _SAMPLER_KEYS = {key: (field, kind, SAMPLER_RULES.get(field)) for key, field, ki
 
 
 def _sampler_configs(
-    pairs: dict[str, str], methods: list[str], grid: TimeGrid, seed: int, n_chains: int
+    pairs: dict[str, str], methods: list[str], grid: TimeGrid, seed: int, n_chains: int,
+    draw_bytes: int,
 ) -> dict[str, SamplerConfig]:
     """One SamplerConfig per method, each knob from ``method.<m>.<key>`` or else ``<key>``.
 
     Every knob key given must meet its knob's rule, whether or not a listed
-    method reads it, and an error names that key.
+    method reads it, and an error names that key; a ding_nz also bounds the
+    largest array of ding's step, ``draw_bytes`` per proposal draw.
     """
     values = {}
     for key in pairs:
@@ -150,6 +160,8 @@ def _sampler_configs(
         if m is not None and m not in METHODS:
             raise ConfigError(f"{key}: unknown method {m!r}; expected one of {METHODS}")
         value = values[key] = _read(pairs, key, *_SAMPLER_KEYS[knob][1:])
+        if knob == "ding_nz" and value * draw_bytes > sys.maxsize:
+            raise _too_large(pairs, key, "its proposals", value * draw_bytes)
         # a global eta reaches ding when ding is listed and does not override it
         if knob == "eta" and value == 0.0 and (
             m == "ding" or m is None and "ding" in methods and "method.ding.eta" not in pairs
@@ -341,20 +353,23 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if record_trajectories and traj_rows >= DSMP_LIMIT:
         raise ConfigError(f"trajectories: (grid.k + 1) * n_chains = {traj_rows} must be below "
                           "2**32, the rows a .dsmp file holds")
-    # built once every count is checked: its knots take 8 * (grid.k + 1) bytes,
-    # and numpy sizes no array past sys.maxsize bytes
+    # built once every count is checked: its knots take 8 * (grid.k + 1) bytes
     try:
         if 8 * (grid_k + 1) > sys.maxsize:
             raise MemoryError
         grid = make_grid(grid_k, spacing)
     except MemoryError:
-        raise ConfigError(f"grid.k: its knots need {8 * (grid_k + 1)} bytes, more than could "
-                          f"be allocated, got {pairs['grid.k']!r}") from None
-    return ExperimentConfig(
+        raise _too_large(pairs, "grid.k", "its knots", 8 * (grid_k + 1)) from None
+    # ding's largest arrays per proposal draw: the (ceil(n / BLOCK) * BLOCK,
+    # ding_nz, d) draw of ChainStreams.take, and the (K, d, n * ding_nz)
+    # products and (d + 1, n * ding_nz) rows of GMMDenoiser._scratch
+    draw_bytes = 8 * max(-(-n_chains // BLOCK) * BLOCK * d, prior.n_components * d * n_chains,
+                         (d + 1) * n_chains)
+    cfg = ExperimentConfig(
         prior=prior,
         sched=sched,
         grid=grid,
-        samplers=_sampler_configs(pairs, methods, grid, seed, n_chains),
+        samplers=_sampler_configs(pairs, methods, grid, seed, n_chains, draw_bytes),
         mask=mask,
         x_star=x_star,
         # gamma and eta, like every sampler knob, are checked by _sampler_configs
@@ -372,3 +387,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         record_trajectories=record_trajectories,
         oracle_n=oracle_n,
     )
+    if projection_bytes(cfg.sw2_projections, d) > sys.maxsize:
+        raise _too_large(pairs, "sw2.projections", "its directions and results",
+                         projection_bytes(cfg.sw2_projections, d))
+    return cfg

@@ -180,7 +180,7 @@ class GaussianMixture:
         if np.any(w <= 0):
             raise ValueError("all mixture weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within 1e-12")
+            raise ValueError(f"weights sum to {float(w.sum())}, expected 1 within 1e-12")
         if mu.ndim != 2 or mu.shape[0] != w.size:
             raise ValueError("means must have shape (n_components, d)")
 

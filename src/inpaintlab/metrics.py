@@ -58,6 +58,11 @@ def _quantiles(sorted_vals: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return np.interp(qs, (np.arange(n) + 0.5) / n, sorted_vals)
 
 
+def projection_bytes(n_projections: int, d: int) -> int:
+    """The bytes of ``sliced_w2``'s directions and per-direction results."""
+    return 8 * (d + 1) * n_projections
+
+
 def sliced_w2(a: np.ndarray, b: np.ndarray, n_projections: int = 128, seed: int = 0) -> float:
     """Sliced Wasserstein-2 distance between two (n, d) sample matrices.
 

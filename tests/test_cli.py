@@ -334,12 +334,17 @@ def test_metrics_cpsnr_writes_its_row_to_out(tmp_path, capsys):
     (["metrics", "--a", "{tmp}/a.dsmp", "--b", "{tmp}/c.dsmp"], "--a, --b have d = 2, 3"),
     (["metrics", "--a", "{tmp}/a.dsmp", "--b", "{tmp}/a.dsmp", "--projections", "0"],
      "--projections must be at least 1 and --seed at least 0"),
+    # (d + 1) * 8 bytes per projection at d = 2, past numpy's largest array
+    (["metrics", "--a", "{tmp}/a.dsmp", "--b", "{tmp}/a.dsmp", "--projections", str(10**30)],
+     f"--projections: its directions and results need {24 * 10**30} bytes, more than could be "
+     f"allocated, got {10**30}"),
     (["metrics", "--a", "{tmp}/a.dsmp", "--b", "{tmp}/a.dsmp", "--metric", "cpsnr"],
      "cpsnr needs --mask"),
     (["metrics", "--a", "{tmp}/a.dsmp", "--b", "{tmp}/a.dsmp", "--metric", "cpsnr",
       "--mask", "{tmp}/zero.pgm"], "--mask observes no coordinate"),
 ], ids=["oracle-seed", "masklift-factor-count", "metrics-empty", "metrics-dimensions",
-        "metrics-projections", "cpsnr-no-mask", "cpsnr-unobserved-mask"])
+        "metrics-projections", "metrics-projections-past-numpy", "cpsnr-no-mask",
+        "cpsnr-unobserved-mask"])
 def test_subcommand_argument_errors_exit_2(tmp_path, capsys, args, message):
     rng = np.random.default_rng(0)
     write_samples(tmp_path / "a.dsmp", rng.standard_normal((4, 2)))
@@ -426,6 +431,10 @@ def test_config_file_that_is_not_text_exits_2(tmp_path, capsys):
     "key, value",
     [
         pytest.param("sw2.projections", "0", id="sw2.projections"),
+        # numpy could size no array they need: the run would write oracle_0.dsmp and
+        # the results.csv header, then exit 1 with a ValueError traceback
+        pytest.param("sw2.projections", str(10**30), id="sw2.projections-past-numpy"),
+        pytest.param("ding_nz", str(10**21), id="ding_nz-past-numpy"),
         pytest.param("cpsnr.peak", "0", id="cpsnr.peak"),
         pytest.param("sw2.seed", "-1", id="sw2.seed"),
         pytest.param("cpsnr.peak", "inf", id="cpsnr.peak-inf"),

@@ -443,6 +443,28 @@ def _set(key, value, message, *, id):
     return _case((key,), [f"{key} = {value}"], message, id=id)
 
 
+# numpy sizes no array past sys.maxsize bytes.  Per unit of its key, ding's
+# step holds the largest of the (64 * ceil(n / 64), ding_nz, d) proposal draw
+# and the denoiser's (K, d, n * ding_nz) products and (d + 1, n * ding_nz)
+# rows, and sliced_w2 holds (d + 1) * 8 bytes per projection; d = 2 in each
+# (drop, add, files, key, what, bytes per unit, id)
+_SIZES = [
+    ((), [], {}, "ding_nz", "its proposals", 8 * 64 * 2, "ding_nz-draw"),  # n = 8, K = 2
+    (("n_chains",), ["n_chains = 64"], {}, "method.ding.ding_nz", "its proposals",
+     8 * 2 * 2 * 64, "ding_nz-products"),  # n = 64, K = 2
+    (("prior.component", "n_chains"), ["prior.csv = prior.csv", "n_chains = 64"],
+     {"prior.csv": "1, 0, 0, 1, 1\n"}, "ding_nz", "its proposals", 8 * 3 * 64,
+     "ding_nz-rows"),  # n = 64, K = 1
+    ((), [], {}, "sw2.projections", "its directions and results", 8 * 3, "sw2.projections"),
+]
+
+
+def _past_numpy(drop, add, files, key, what, unit, value, *, id):
+    return _case(drop + (key,), add + [f"{key} = {value}"], f"{key}: {what} need "
+                 f"{value * unit} bytes, more than could be allocated, got '{value}'", files,
+                 id=id)
+
+
 @pytest.mark.parametrize("drop, add, files, message", [
     # parse_flat
     _case((), ["= 1"], "line 20: empty key", id="empty-key"),
@@ -476,6 +498,8 @@ def _set(key, value, message, *, id):
          id="csv-binary"),
     _csv("0.5, 1, 1\n0.5, 1, -1\n", "invalid prior: diagonal covariances must be strictly "
          "positive", id="csv-variance"),
+    _csv("0.5, 1, 1\n0.25, 1, 1\n", "invalid prior: weights sum to 0.75, expected 1 within 1e-12",
+         id="csv-weight-sum"),
     _case(("prior",), [], "no prior given (prior.csv or prior.component.* keys)", id="no-prior"),
     _case(("prior.component.1",), _COMPONENT_2, "prior component indices must be 0..1",
           id="component-gap"),
@@ -532,6 +556,10 @@ def _set(key, value, message, *, id):
     _set("oracle.n", "0", "oracle.n: must be strictly positive, got '0'", id="oracle.n"),
     _set("sw2.projections", "0", "sw2.projections: must be strictly positive, got '0'",
          id="sw2.projections"),
+    *(_past_numpy(*size, sys.maxsize // size[-1] + 1, id=f"{id}-past-numpy")
+      for *size, id in _SIZES),
+    _past_numpy(*_SIZES[0][:-1], 10**21, id="ding_nz-10**21"),
+    _past_numpy(*_SIZES[-1][:-1], 10**30, id="sw2.projections-10**30"),
     _set("sw2.seed", "-1", "sw2.seed: must be non-negative, got '-1'", id="sw2.seed"),
     _set("cpsnr.peak", "nan", "cpsnr.peak: expected a finite number, got 'nan'",
          id="cpsnr.peak-non-finite"),
@@ -560,10 +588,22 @@ def _set(key, value, message, *, id):
          id="final_replacement"),
 ])
 def test_config_input_checks(tmp_path, drop, add, files, message):
+    with pytest.raises(ConfigError) as info:
+        _load(tmp_path, drop, add, files)
+    assert str(info.value) == message.replace("<dir>", str(tmp_path))
+
+
+def _load(tmp_path, drop, add, files):
     lines = [line for line in BASIC.splitlines() if not line.startswith(drop)]
     for name, content in files.items():
         path = tmp_path / name
         path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
-    with pytest.raises(ConfigError) as info:
-        load_config(_write(tmp_path, "\n".join(lines + add) + "\n"))
-    assert str(info.value) == message.replace("<dir>", str(tmp_path))
+    return load_config(_write(tmp_path, "\n".join(lines + add) + "\n"))
+
+
+@pytest.mark.parametrize("drop, add, files, key, what, unit",
+                         [size[:-1] for size in _SIZES], ids=[size[-1] for size in _SIZES])
+def test_sizes_up_to_the_largest_numpy_array_load(tmp_path, drop, add, files, key, what, unit):
+    # one below each past-numpy case of test_config_input_checks; loading allocates none of it
+    cfg = _load(tmp_path, drop + (key,), add + [f"{key} = {sys.maxsize // unit}"], files)
+    assert sys.maxsize // unit in (cfg.sw2_projections, cfg.sampler_config("ding").ding_nz)
