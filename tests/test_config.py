@@ -601,9 +601,9 @@ def _load(tmp_path, drop, add, files):
     return load_config(_write(tmp_path, "\n".join(lines + add) + "\n"))
 
 
-@pytest.mark.parametrize("drop, add, files, key, what, unit",
-                         [size[:-1] for size in _SIZES], ids=[size[-1] for size in _SIZES])
-def test_sizes_up_to_the_largest_numpy_array_load(tmp_path, drop, add, files, key, what, unit):
+@pytest.mark.parametrize("drop, add, files, key, unit", [(*size[:4], size[5]) for size in _SIZES],
+                         ids=[size[-1] for size in _SIZES])
+def test_sizes_up_to_the_largest_numpy_array_load(tmp_path, drop, add, files, key, unit):
     # one below each past-numpy case of test_config_input_checks; loading allocates none of it
     cfg = _load(tmp_path, drop + (key,), add + [f"{key} = {sys.maxsize // unit}"], files)
     assert sys.maxsize // unit in (cfg.sw2_projections, cfg.sampler_config("ding").ding_nz)
