@@ -3,8 +3,8 @@
 Five ways of biasing the reverse transitions toward the conditional law
 of the clean sample given the observation:
 
-- ``blended``: replay the noised reference on the observed support after
-  every unconditional step.
+- ``blended``: replay the noised observation y on the observed support
+  after every unconditional step.
 - ``dps``: gradient correction of the denoiser output through the
   denoiser Jacobian, using the likelihood evaluated at the point estimate;
   the correction needs only the vector-Jacobian product J^T g.
@@ -138,16 +138,14 @@ def step_blended(
     cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
-    """Unconditional step, then the noised reference replayed on the support."""
-    if problem.x_star is None:
-        raise ValueError("blended requires the reference x_star on the problem")
+    """Unconditional step, then the noised observation replayed on the support."""
     x_s = sample_transition(*transition_params(sched, cfg.eta, x_t, ev.xhat0, s, t), rng)
     if problem.mask.observed_count == 0:
         return x_s
     alpha_s, sigma_s = eval_schedule(sched, s)
     eps = standard_normal(rng, x_s.shape)
     idx = problem.mask.observed_idx
-    x_s[..., idx] = alpha_s * problem.x_star[idx] + sigma_s * eps[..., idx]
+    x_s[..., idx] = alpha_s * problem.y[idx] + sigma_s * eps[..., idx]
     return x_s
 
 

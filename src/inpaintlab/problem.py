@@ -1,7 +1,10 @@
 """Inpainting problem: mask operator, observation, Gaussian consistency term.
 
 The observation is y = m * x_star on the coordinates the binary mask
-keeps (1 = observed / preserved), inducing
+keeps (1 = observed / preserved), plus gamma-scaled noise there when
+asked for.  ``make_observation`` is the one reader of the reference
+x_star; the problem it returns holds y alone, so no sampler can read the
+hidden answer.  The observation induces
 
     log l(y | x0) = -||y - m * x0||^2 / (2 gamma^2)
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bridge import RngLike, standard_normal
+from .bridge import standard_normal
 
 
 def valid_gamma(gamma: float) -> bool:
@@ -59,13 +62,11 @@ class MaskOperator:
 @dataclass(frozen=True, eq=False)
 class InpaintingProblem:
     """The observation ``y`` through ``mask`` at consistency temperature
-    ``gamma``, zero off the observed coordinates, and the observed signal
-    ``x_star`` when known, for the metrics that compare against it."""
+    ``gamma``, zero off the observed coordinates."""
 
     mask: MaskOperator
     y: np.ndarray
     gamma: float
-    x_star: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -79,18 +80,13 @@ class InpaintingProblem:
             raise ValueError("y must be finite")
         if np.any(y[self.mask.m == 0] != 0):
             raise ValueError("y must be zero on unobserved coordinates")
-        if self.x_star is not None:
-            x_star = np.asarray(self.x_star, dtype=float)
-            if not np.all(np.isfinite(x_star)):
-                raise ValueError("x_star must be finite")
-            object.__setattr__(self, "x_star", x_star)
 
 
 def make_observation(
     x_star: np.ndarray,
     mask: MaskOperator,
     gamma: float,
-    rng: RngLike | None = None,
+    rng: np.random.Generator | None = None,
     noisy: bool = False,
 ) -> InpaintingProblem:
     """Observe x_star through the mask.
@@ -111,7 +107,7 @@ def make_observation(
         if rng is None:
             raise ValueError("noisy observation requires an rng")
         y = y + gamma * mask.m * standard_normal(rng, x_star.shape)
-    return InpaintingProblem(mask=mask, y=y, gamma=gamma, x_star=x_star)
+    return InpaintingProblem(mask=mask, y=y, gamma=gamma)
 
 
 def log_likelihood(problem: InpaintingProblem, x0: np.ndarray) -> np.ndarray:

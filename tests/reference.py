@@ -194,7 +194,7 @@ def step_blended(x_t, ev, s, t, problem, sched, denoiser, cfg, rng):
         return x_s
     alpha_s, sigma_s = eval_schedule(sched, s)
     eps = standard_normal(rng, x_s.shape)
-    replay = alpha_s * problem.x_star + sigma_s * eps
+    replay = alpha_s * problem.y + sigma_s * eps
     return np.where(problem.mask.m == 1, replay, x_s)
 
 

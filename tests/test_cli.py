@@ -1,4 +1,5 @@
 import csv
+import math
 import subprocess
 import sys
 
@@ -603,6 +604,16 @@ def test_every_config_key_names_itself_in_its_error(tmp_path, capsys, monkeypatc
     line = _one_config_error(capsys)
     assert line.startswith(f"config error: {key}: "), line
     assert [path.name for path in tmp_path.iterdir()] == [cfg.name]  # nothing written
+
+
+def test_blended_reads_the_noisy_observation_in_a_run(tmp_path, capsys):
+    # replaying the hidden reference would end every chain on it: cpsnr = inf
+    cfg = _quickstart(tmp_path, gamma="0.5", observation__noisy="on", methods="blended",
+                      n_chains="20", grid__k="5")
+    assert main(["run", "--config", str(cfg)]) == 0
+    rows = _read_rows(tmp_path / "out" / "results.csv")
+    assert [r[0] for r in rows[1:]] == ["blended"]
+    assert math.isfinite(float(rows[1][6]))
 
 
 def test_all_zero_mask_prints_one_warning_line(tmp_path):

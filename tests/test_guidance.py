@@ -117,22 +117,12 @@ def test_blended_observed_exact_at_s_zero(mixture_setup):
         x_t, den.evaluate(x_t, 0.1), 0.0, 0.1, problem, LIN, den, _cfg("blended"),
         np.random.default_rng(0),
     )
-    assert x_s[0] == problem.x_star[0]  # alpha_0 = 1, sigma_0 = 0
-
-
-def test_blended_requires_reference(mixture_setup):
-    _, den, _ = mixture_setup
-    prob = InpaintingProblem(MaskOperator([1, 0]), np.array([1.0, 0.0]), 0.2)
-    with pytest.raises(ValueError):
-        step_blended(np.zeros(2), den.evaluate(np.zeros(2), 0.5), 0.2, 0.5, prob, LIN, den,
-                     _cfg("blended"), np.random.default_rng(0))
+    assert x_s[0] == problem.y[0]  # alpha_0 = 1, sigma_0 = 0
 
 
 def test_blended_empty_mask_is_unconditional_step(mixture_setup):
     _, den, _ = mixture_setup
-    prob = InpaintingProblem(
-        MaskOperator([0, 0]), np.zeros(2), 0.2, x_star=np.array([1.7, -0.4])
-    )
+    prob = InpaintingProblem(MaskOperator([0, 0]), np.zeros(2), 0.2)
     cfg = _cfg("blended")
     x_t = np.array([0.3, -0.2])
     ev = den.evaluate(x_t, 0.5)
@@ -152,6 +142,20 @@ def test_blended_full_mask_reproduces_reference():
     cfg = _cfg("blended", grid=make_grid(100), n_chains=3, final_replacement=False)
     samples = run_conditional(problem, den, LIN, cfg)
     np.testing.assert_array_equal(samples, np.tile(x_star, (3, 1)))
+
+
+def test_blended_replays_the_noisy_observation_not_the_reference():
+    # the problem holds y alone: with observation noise the observed
+    # coordinates end on y, never on the hidden x_star it was drawn from
+    prior = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
+    den = GMMDenoiser(prior, LIN)
+    x_star = np.array([0.9, -1.3])
+    problem = make_observation(x_star, MaskOperator([1, 0]), 0.5, np.random.default_rng(0),
+                               noisy=True)
+    cfg = _cfg("blended", grid=make_grid(20), n_chains=3, final_replacement=False)
+    observed = run_conditional(problem, den, LIN, cfg)[:, 0]
+    assert observed.tobytes() == np.full(3, problem.y[0]).tobytes()
+    assert np.all(observed != x_star[0])
 
 
 # ---------------------------------------------------------------------------
@@ -803,9 +807,7 @@ def test_no_method_forms_a_jacobian_matrix(method, mixture_setup, monkeypatch):
 
 def test_mask_off_chains_bit_identical_to_unconditional(mixture_setup):
     prior, den, _ = mixture_setup
-    prob = InpaintingProblem(
-        MaskOperator([0, 0]), np.zeros(2), 0.2, x_star=np.array([1.7, -0.4])
-    )
+    prob = InpaintingProblem(MaskOperator([0, 0]), np.zeros(2), 0.2)
     grid = make_grid(15)
     for method in ("blended", "ddnm", "diffpir"):
         cfg = _cfg(method, grid=grid, n_chains=4, final_replacement=False)

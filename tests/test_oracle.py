@@ -346,7 +346,7 @@ def test_posterior_denoiser_empty_mask_is_denoiser(mixed_prior):
 def test_posterior_denoiser_collapses_to_reference():
     prior = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
     x_star = np.array([0.8, -0.3])
-    prob = InpaintingProblem(MaskOperator([1, 1]), x_star.copy(), 1e-6, x_star=x_star)
+    prob = InpaintingProblem(MaskOperator([1, 1]), x_star.copy(), 1e-6)
     out = exact_posterior_denoiser(prob, prior, LIN, np.array([0.2, 0.2]), 0.5)
     np.testing.assert_allclose(out, x_star, atol=1e-4)
 

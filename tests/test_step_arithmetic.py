@@ -126,8 +126,7 @@ def test_transition_gives_the_bytes_of_the_out_of_place_form(case, eta):
 
 def _arrays(x_t, ev, problem):
     """Every array a step reads, by name."""
-    arrays = {"x_t": x_t, "ev.xhat0": ev.xhat0, "y": problem.y, "x_star": problem.x_star,
-              "mask": problem.mask.m}
+    arrays = {"x_t": x_t, "ev.xhat0": ev.xhat0, "y": problem.y, "mask": problem.mask.m}
     for f in dataclasses.fields(ev):
         value = getattr(ev, f.name)
         if isinstance(value, np.ndarray):
