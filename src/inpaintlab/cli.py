@@ -12,8 +12,9 @@ Subcommands:
 - ``masklift``: lift a pixel mask to a latent grid and report leakage.
 - ``metrics``: score two sample files.
 
-Exit codes: 0 success, 2 config error (a ``ConfigError``, or argparse
-usage), 3 I/O error, 4 numeric failure; any other exception is a bug.
+Exit codes: 0 success, 2 config error (a ``ConfigError``, argparse usage,
+or a ``MemoryError``: sizes the machine cannot hold), 3 I/O error, 4
+numeric failure; any other exception is a bug.
 A warning (an all-zero mask) is one ``warning:`` line on stderr.
 """
 
@@ -152,9 +153,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 continue
             runtime_ms = (time.perf_counter() - start) * 1000.0
             sw2 = sliced_w2(samples, oracle_samples, cfg.sw2_projections, cfg.sw2_seed)
-            context = float(
-                np.mean(cpsnr(samples, cfg.x_star, cfg.mask, cfg.cpsnr_peak))
-            ) if cfg.mask.observed_count else math.inf
+            with np.errstate(invalid="ignore"):  # chains at +inf and -inf mean to nan
+                context = float(
+                    np.mean(cpsnr(samples, cfg.x_star, cfg.mask, cfg.cpsnr_peak))
+                ) if cfg.mask.observed_count else math.inf
             row = ResultRow(
                 method=method,
                 K=cfg.grid.num_steps,
@@ -287,7 +289,8 @@ def _cmd_metrics(args) -> int:
             raise ConfigError(f"--mask has {mask.dim} entries; --a, --b have d = {a.shape[1]}")
         if not mask.observed_count:
             raise ConfigError("--mask observes no coordinate")
-        value = float(np.mean(cpsnr(a, b[0], mask, args.peak)))
+        with np.errstate(invalid="ignore"):  # rows at +inf and -inf mean to nan
+            value = float(np.mean(cpsnr(a, b[0], mask, args.peak)))
     line = f"{args.metric},{value!r},{a.shape[0]},{args.seed}\n"
     header = "metric,value,n,seed\n"
     if args.out:
@@ -344,6 +347,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size numpy can shape but the machine cannot hold
+        print("config error: the configured sizes need more memory than could be allocated"
+              + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -261,6 +261,22 @@ def test_metrics_subcommand(tmp_path, capsys):
     assert float(value) > 0
 
 
+def test_cpsnr_of_chains_at_both_infinities_reads_nan_without_a_warning(tmp_path, capsys,
+                                                                        monkeypatch):
+    # row 0 matches the reference (+inf), row 1's mse overflows (-inf)
+    write_samples(tmp_path / "a.dsmp", np.array([[1.0, 2.0], [1e300, 0.0]]))
+    write_samples(tmp_path / "b.dsmp", np.array([[1.0, 5.0]]))
+    write_pgm_mask(tmp_path / "m.pgm", PixelMask(np.array([[1, 0]], dtype=np.uint8)))
+    assert main(["metrics", "--a", str(tmp_path / "a.dsmp"), "--b", str(tmp_path / "b.dsmp"),
+                 "--metric", "cpsnr", "--mask", str(tmp_path / "m.pgm")]) == 0
+    assert capsys.readouterr() == ("metric,value,n,seed\ncpsnr,nan,2,0\n", "")
+    # run_experiment averages its chains the same way
+    monkeypatch.setattr("inpaintlab.cli.cpsnr", lambda *args: np.array([np.inf, -np.inf]))
+    assert main(["run", "--config", str(_write_cfg(tmp_path))]) == 0
+    assert capsys.readouterr().err == ""
+    assert [r[6] for r in _read_rows(tmp_path / "out" / "results.csv")[1:]] == ["nan", "nan"]
+
+
 def test_oracle_writes_full_posterior_covariances(tmp_path, capsys):
     # a full-covariance prior gives a full posterior: d*d covariance columns,
     # each entry the repr of the exact posterior's
@@ -418,6 +434,29 @@ def test_grid_whose_knots_cannot_be_allocated_exits_2(tmp_path, capsys, monkeypa
     assert _one_config_error(capsys) == ("config error: grid.k: its knots need 8000000008 bytes, "
                                          "more than could be allocated, got '1000000000'")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, target", [
+    ("run", "inpaintlab.cli.run_conditional"),
+    ("oracle", "inpaintlab.cli.exact_posterior"),
+])
+def test_allocation_failure_is_one_config_error_line(tmp_path, capsys, monkeypatch, command,
+                                                     target):
+    # a size that numpy can shape but the machine cannot hold; nothing is allocated here
+    text = "Unable to allocate 1.82 PiB for an array with shape (128, 1000000000000, 2)"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(target, no_memory)
+    args = [command, "--config", str(_write_cfg(tmp_path))]
+    if command == "oracle":
+        args += ["--out", str(tmp_path / "post.csv")]
+    assert main(args) == 2
+    assert _one_config_error(capsys) == ("config error: the configured sizes need more memory "
+                                         f"than could be allocated: {text}")
+    if command == "run":  # the outputs written before the failure stay
+        assert (tmp_path / "out" / "oracle_5.dsmp").exists()
 
 
 def test_config_file_that_is_not_text_exits_2(tmp_path, capsys):
