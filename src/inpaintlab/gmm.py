@@ -99,9 +99,10 @@ from .schedule import Schedule, eval_schedule
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def logsumexp(a, axis=None, keepdims: bool = False):
-    """log(sum(exp(a))) over ``axis``, stable for large magnitudes.
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the component axis 0, kept, stable for large magnitudes.
 
+    ``a`` is a float array; the result has shape ``(1, *a.shape[1:])``.
     The entries equal to the max are split out of the sum; the rest are
     summed shifted by the max, and that sum is divided by the count of
     maxima, so the result is log1p(s) + log(count) + max.  Where that is
@@ -112,7 +113,8 @@ def logsumexp(a, axis=None, keepdims: bool = False):
     exp(a - max) is taken once, in place, and the maxima are zeroed by
     subtracting the mask (exp(0) is exactly 1).  Where the max is not
     finite the result is not finite either, and the direct form replaces
-    it.
+    it.  s is +0, positive or NaN, and the count is at least 1 wherever s
+    is not NaN, so s / count is +0 where s is.
 
     When every reduced slice has a finite max that occurs exactly once,
     which is the rule for continuous inputs, the result is log1p(s) + max
@@ -123,29 +125,25 @@ def logsumexp(a, axis=None, keepdims: bool = False):
     a finite max is finite.  Ties, NaN and infinite maxima take the
     general path.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    axis = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(axis=axis, keepdims=True)
+        a_max = a.max(axis=0, keepdims=True)
         is_max = a == a_max
         e = np.subtract(a, a_max)
         np.exp(e, out=e)
         np.subtract(e, is_max, out=e)
-        s = e.sum(axis=axis, keepdims=True)
+        s = e.sum(axis=0, keepdims=True)
         if np.count_nonzero(is_max) == s.size and np.isfinite(a_max).all():
             out = np.log1p(s, out=s)
             out += a_max
         else:
-            m = np.count_nonzero(is_max, axis=axis, keepdims=True).astype(float)
-            out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m)
+            m = np.count_nonzero(is_max, axis=0, keepdims=True).astype(float)
+            out = np.log1p(s / m) + np.log(m)
             out += a_max
             finite = np.isfinite(out)
             if not finite.all():
-                direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
+                direct = np.log(np.exp(a).sum(axis=0, keepdims=True))
                 out = np.where(finite, out, direct)
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
-    return out[()] if out.ndim == 0 else out
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,10 +402,6 @@ class ConditionalMixture(Evaluation):
         return _per_point(self.log_resp_cols, self.x.shape[:-1])
 
     @property
-    def resp(self) -> np.ndarray:
-        return np.exp(self.log_resp)
-
-    @property
     def log_marginal(self) -> np.ndarray:
         """log p_t(x), shaped like the points: (...), a numpy scalar for one point."""
         return _per_point(self.log_marginal_cols, self.x.shape[:-1])[0]
@@ -512,7 +506,7 @@ def component_posterior(
     u = np.matmul(_whitening(centers, c, evecs), xa, out=prods)
     log_resp = _whitened_logpdf(u, c)
     log_resp += prior.log_weights[:, None]
-    log_marginal = logsumexp(log_resp, axis=0, keepdims=True)
+    log_marginal = logsumexp(log_resp)
     log_resp -= log_marginal
 
     # m_k = A_k x + (mu_k - alpha A_k mu_k), written over the whitened offsets u

@@ -182,7 +182,7 @@ def _condition(
     post_cov[:, :, obs] = problem.gamma**2 * gain  # = C[:, obs] - G C[obs, obs], exactly
     post_cov[:, obs, :] = np.swapaxes(post_cov[:, :, obs], -1, -2)
     logw = log_resp + log_ev
-    norm = logsumexp(logw, axis=0, keepdims=True)
+    norm = logsumexp(logw)
     offset = 0.5 * obs.size * (_LOG_2PI + 2.0 * np.log(problem.gamma))
     return PosteriorGivenState(logw - norm, norm[0] + offset, post_means,
                                0.5 * (post_cov + np.swapaxes(post_cov, -1, -2)))
@@ -253,7 +253,7 @@ def exact_guidance_grad(
     ev_grad = cond.slope_products(lifted)
 
     logw = cond.log_resp + log_ev
-    resp = np.exp(logw - logsumexp(logw, axis=0, keepdims=True))
+    resp = np.exp(logw - logsumexp(logw))
     return _mixture_mean(resp, cond.centred_scores() + ev_grad)
 
 

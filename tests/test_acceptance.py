@@ -200,7 +200,7 @@ def test_a3_oracle_consistency():
     t = 0.5
     cond = component_posterior(prior, LIN, x, t)
     n = 1_000_000
-    comp = rng.choice(3, size=n, p=cond.resp)
+    comp = rng.choice(3, size=n, p=np.exp(cond.log_resp))
     means = cond.component_means()
     draws = means[comp, :] + np.sqrt(cond.cov_evals[comp]) * rng.standard_normal((n, 3))
     lik = np.exp(log_likelihood(problem, draws))
