@@ -732,6 +732,33 @@ def test_numeric_failure_leaves_no_partial_trajectory(tmp_path):
     assert proc.stderr.splitlines()[0].startswith("numeric failure: dps at step k=21")
 
 
+def test_failing_method_deletes_its_trajectory_in_process(tmp_path, capsys, monkeypatch):
+    # the same cleanup as above, run in this process: dps is forced to fail
+    # halfway down the grid, after streaming 27 of its 51 knots
+    from inpaintlab import guidance
+    from inpaintlab.errors import NumericError
+
+    step_dps = guidance.step_dps
+
+    def failing_halfway(x, ev, s, t, *rest):
+        if t < 0.5:
+            raise NumericError("forced")
+        return step_dps(x, ev, s, t, *rest)
+
+    monkeypatch.setattr(guidance, "step_dps", failing_halfway)
+    cfg = _quickstart(tmp_path, trajectories="on", n_chains="40")
+    assert main(["run", "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "numeric failure: dps at step k=24 (t=0.48 -> s=0.46): forced"
+    ]
+    out = tmp_path / "out"
+    assert not list(out.glob("dps_0*.dsmp"))
+    others = ["ding", "ddnm", "diffpir", "blended"]
+    assert [r[0] for r in _read_rows(out / "results.csv")[1:]] == others
+    for method in others:
+        assert read_samples(out / f"{method}_0_trajectories.dsmp").shape == (51 * 40, 4)
+
+
 def test_numeric_failure_of_one_method_keeps_the_others(tmp_path):
     proc = _run_diverging_quickstart(tmp_path, "dps, ding")
     assert proc.returncode == 4, proc.stderr
