@@ -41,10 +41,12 @@ are copied, so the samples keep their bits (an exact zero may change
 sign).  The exception is an estimate that is not finite on the support:
 ddnm projects it onto y where (1 - m) * inf gave NaN.
 
-Per-step randomness is drawn in a fixed order so that seeds are
-comparable across methods: first the proposal noise (the transition
-sample, or the z draws for ding), then any method-specific draw (the
-blend noise for blended, the conjugate draw for ding).  blended skips its
+Per-step randomness is drawn from each method's own streams
+(``METHOD_CODES``) in a fixed order: first the proposal noise (the
+transition sample, or the z draws for ding), then any method-specific
+draw (the blend noise for blended, the conjugate draw for ding).  So each
+method consumes its streams the same way whatever eta is, and a test can
+hand two steps the same designed noise.  blended skips its
 blend draw when the mask observes nothing, which makes blended, ddnm and
 diffpir chains bit-identical to the unconditional chain on an empty mask.
 """
