@@ -373,8 +373,9 @@ def test_logsumexp_equals_scipy_bit_for_bit(recwarn):
     from inpaintlab.gmm import logsumexp
 
     a = _logsumexp_inputs()
-    # the rows keep their ties, infinities and NaN in the columns of the transpose
-    cases = [a, a.T] + [row for row in a]
+    # each row is reduced alone and as a column of the transpose, so its
+    # ties, infinities and NaN stay under reduction
+    cases = [a, a.T, *a]
     # the (K, n) log-responsibilities of the benchmark workloads, reduced
     # over K, first with one maximum per column and then with ties in some
     # columns; and no points at all
