@@ -277,9 +277,10 @@ class ExperimentConfig:
         return self.samplers[method]
 
     def problem(self, rng: np.random.Generator | None = None) -> InpaintingProblem:
-        return make_observation(
-            self.x_star, self.mask, self.gamma, rng=rng, noisy=self.noisy_observation
-        )
+        """The observation of the reference; ``rng`` draws its noise when
+        ``observation.noisy`` is on and is ignored otherwise."""
+        rng = rng if self.noisy_observation else None
+        return make_observation(self.x_star, self.mask, self.gamma, rng)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -22,7 +22,8 @@ Every method is one ``step_<method>``, all with the same signature and
 no second route to its law (noise of zeros returns the transition mean);
 each reads its knobs, eta included, from its ``SamplerConfig`` alone.  The
 driver evaluates the denoiser once per state and hands that ``Evaluation``
-ev, with the estimate ev.xhat0, to the step.  dps (with ``denoiser.vjp``
+ev, with the estimate ev.xhat0 and the time ev.t of the state, to the
+step, which reads t from it alone.  dps (with ``denoiser.vjp``
 of ev), ddnm and diffpir correct the estimate and sample the transition
 ``bridge.transition_params`` builds from it at ``cfg.eta``; blended and
 ding build it from ev.xhat0 as is and add a draw after it.  ding also
@@ -133,7 +134,6 @@ def step_blended(
     x_t: np.ndarray,
     ev: Evaluation,
     s: float,
-    t: float,
     problem: InpaintingProblem,
     sched: Schedule,
     denoiser: Denoiser,
@@ -141,7 +141,7 @@ def step_blended(
     rng: RngLike,
 ) -> np.ndarray:
     """Unconditional step, then the noised observation replayed on the support."""
-    x_s = sample_transition(*transition_params(sched, cfg.eta, x_t, ev.xhat0, s, t), rng)
+    x_s = sample_transition(*transition_params(sched, cfg.eta, x_t, ev.xhat0, s, ev.t), rng)
     if problem.mask.observed_count == 0:
         return x_s
     alpha_s, sigma_s = eval_schedule(sched, s)
@@ -160,7 +160,6 @@ def step_dps(
     x_t: np.ndarray,
     ev: Evaluation,
     s: float,
-    t: float,
     problem: InpaintingProblem,
     sched: Schedule,
     denoiser: Denoiser,
@@ -183,11 +182,11 @@ def step_dps(
     resid[..., idx] = problem.y[idx] - xhat0[..., idx]
     grad = denoiser.vjp(ev, resid)
     grad /= cfg.gamma**2
-    alpha_t, sigma_t = eval_schedule(sched, t)
+    alpha_t, sigma_t = eval_schedule(sched, ev.t)
     alpha_eval, sigma_eval = (alpha_t, sigma_t) if alpha_t > 0 else eval_schedule(sched, s)
     grad *= cfg.dps_scale * (sigma_eval**2 / alpha_eval)
     corrected = np.add(xhat0, grad, out=grad)
-    return sample_transition(*transition_params(sched, cfg.eta, x_t, corrected, s, t), rng)
+    return sample_transition(*transition_params(sched, cfg.eta, x_t, corrected, s, ev.t), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +224,6 @@ def step_ding(
     x_t: np.ndarray,
     ev: Evaluation,
     s: float,
-    t: float,
     problem: InpaintingProblem,
     sched: Schedule,
     denoiser: Denoiser,
@@ -241,7 +239,7 @@ def step_ding(
     the model: no differentiation anywhere.  Only the ``xhat0`` of ev and of
     the proposal's evaluation is read, never ``denoiser.vjp``.
     """
-    mean, std = transition_params(sched, cfg.eta, x_t, ev.xhat0, s, t)
+    mean, std = transition_params(sched, cfg.eta, x_t, ev.xhat0, s, ev.t)
     nz = cfg.ding_nz
     eps = standard_normal(rng, np.shape(x_t)[:-1] + (nz, np.shape(x_t)[-1]))
     if std == 0.0:
@@ -274,7 +272,6 @@ def step_ddnm(
     x_t: np.ndarray,
     ev: Evaluation,
     s: float,
-    t: float,
     problem: InpaintingProblem,
     sched: Schedule,
     denoiser: Denoiser,
@@ -291,7 +288,7 @@ def step_ddnm(
     projected = np.array(ev.xhat0, dtype=float)
     idx = problem.mask.observed_idx
     projected[..., idx] = problem.y[idx]
-    return sample_transition(*transition_params(sched, cfg.eta, x_t, projected, s, t), rng)
+    return sample_transition(*transition_params(sched, cfg.eta, x_t, projected, s, ev.t), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +300,6 @@ def step_diffpir(
     x_t: np.ndarray,
     ev: Evaluation,
     s: float,
-    t: float,
     problem: InpaintingProblem,
     sched: Schedule,
     denoiser: Denoiser,
@@ -318,7 +314,7 @@ def step_diffpir(
     this laboratory's calibration, not taken from any reference setup.
     """
     xhat0 = ev.xhat0
-    alpha_t, sigma_t = eval_schedule(sched, t)
+    alpha_t, sigma_t = eval_schedule(sched, ev.t)
     if sigma_t > 0:
         rho_t = cfg.diffpir_lambda * alpha_t**2 / sigma_t**2
         idx = problem.mask.observed_idx
@@ -326,7 +322,7 @@ def step_diffpir(
         xhat0[..., idx] = (problem.y[idx] / cfg.gamma**2 + rho_t * xhat0[..., idx]) / (
             1.0 / cfg.gamma**2 + rho_t
         )
-    return sample_transition(*transition_params(sched, cfg.eta, x_t, xhat0, s, t), rng)
+    return sample_transition(*transition_params(sched, cfg.eta, x_t, xhat0, s, ev.t), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +347,13 @@ def run_conditional(
     terminal states.
 
     Chains start at x ~ N(0, I), walk the grid backward through
-    ``step_<method>``, each step handed ev = ``denoiser.evaluate(x, t)``,
-    the one evaluation of its starting state, and (with final_replacement
-    on) have their observed coordinates overwritten by y at the end.
+    ``step_<method>``, each step from t to s handed ev =
+    ``denoiser.evaluate(x, t)``, the one evaluation of its starting state,
+    whose ev.t is the step's t, and (with final_replacement on) have their
+    observed coordinates overwritten by y at the end.  ``sched`` must be
+    the schedule the denoiser was built with: the steps read the
+    transition coefficients from ``sched`` and the estimate from the
+    denoiser, and nothing checks that the two agree.
     Deterministic given (seed, config); chain j's draws depend only on
     (seed, method, j), so the first rows of a larger run equal a smaller
     one, a one-chain run included.  ``on_step``, when given, is called as
@@ -380,7 +380,7 @@ def run_conditional(
                 ev = denoiser.evaluate(x, t)
                 if on_step is not None:
                     on_step(x, ev)
-                x = step(x, ev, s, t, problem, sched, denoiser, cfg, rngs)
+                x = step(x, ev, s, problem, sched, denoiser, cfg, rngs)
                 del ev  # freed before the next step evaluates its own posterior
             except NumericError as exc:
                 raise NumericError(

@@ -2,7 +2,7 @@
 
 The observation is y = m * x_star on the coordinates the binary mask
 keeps (1 = observed / preserved), plus gamma-scaled noise there when
-asked for.  ``make_observation`` is the one reader of the reference
+``make_observation`` is given a generator to draw it from.  ``make_observation`` is the one reader of the reference
 x_star; the problem it returns holds y alone, so no sampler can read the
 hidden answer.  The observation induces
 
@@ -87,13 +87,12 @@ def make_observation(
     mask: MaskOperator,
     gamma: float,
     rng: np.random.Generator | None = None,
-    noisy: bool = False,
 ) -> InpaintingProblem:
     """Observe x_star through the mask.
 
-    Noiseless by default (gamma is a consistency temperature, not a
-    measured noise level); with ``noisy`` set, gamma-scaled Gaussian noise
-    is added on the observed coordinates only.
+    Noiseless without ``rng`` (gamma is a consistency temperature, not a
+    measured noise level); given ``rng``, gamma-scaled Gaussian noise drawn
+    from it is added on the observed coordinates only.
     """
     if not valid_gamma(gamma):  # before the noise draw: inf * 0 warns
         raise ValueError(f"gamma must be strictly positive with a finite square, got {gamma!r}")
@@ -103,9 +102,7 @@ def make_observation(
     if mask.observed_count == 0:
         warnings.warn("all-zero mask: posterior equals the prior", stacklevel=2)
     y = mask.m * x_star
-    if noisy:
-        if rng is None:
-            raise ValueError("noisy observation requires an rng")
+    if rng is not None:
         y = y + gamma * mask.m * standard_normal(rng, x_star.shape)
     return InpaintingProblem(mask=mask, y=y, gamma=gamma)
 

@@ -188,8 +188,8 @@ def sample(mean, std, rng):
     return mean + std * eps
 
 
-def step_blended(x_t, ev, s, t, problem, sched, denoiser, cfg, rng):
-    x_s = sample(*transition(sched, cfg.eta, x_t, ev.xhat0, s, t), rng)
+def step_blended(x_t, ev, s, problem, sched, denoiser, cfg, rng):
+    x_s = sample(*transition(sched, cfg.eta, x_t, ev.xhat0, s, ev.t), rng)
     if problem.mask.observed_count == 0:
         return x_s
     alpha_s, sigma_s = eval_schedule(sched, s)
@@ -198,19 +198,19 @@ def step_blended(x_t, ev, s, t, problem, sched, denoiser, cfg, rng):
     return np.where(problem.mask.m == 1, replay, x_s)
 
 
-def step_dps(x_t, ev, s, t, problem, sched, denoiser, cfg, rng):
+def step_dps(x_t, ev, s, problem, sched, denoiser, cfg, rng):
     xhat0 = ev.xhat0
     m = problem.mask.m
     resid = m * (problem.y - m * xhat0)
     grad = denoiser.vjp(ev, resid) / cfg.gamma**2
-    alpha_t, sigma_t = eval_schedule(sched, t)
+    alpha_t, sigma_t = eval_schedule(sched, ev.t)
     alpha_eval, sigma_eval = (alpha_t, sigma_t) if alpha_t > 0 else eval_schedule(sched, s)
     corrected = xhat0 + cfg.dps_scale * (sigma_eval**2 / alpha_eval) * grad
-    return sample(*transition(sched, cfg.eta, x_t, corrected, s, t), rng)
+    return sample(*transition(sched, cfg.eta, x_t, corrected, s, ev.t), rng)
 
 
-def step_ding(x_t, ev, s, t, problem, sched, denoiser, cfg, rng):
-    mean, eta_s = transition(sched, cfg.eta, x_t, ev.xhat0, s, t)
+def step_ding(x_t, ev, s, problem, sched, denoiser, cfg, rng):
+    mean, eta_s = transition(sched, cfg.eta, x_t, ev.xhat0, s, ev.t)
     nz = cfg.ding_nz
     eps = standard_normal(rng, np.shape(x_t)[:-1] + (nz, np.shape(x_t)[-1]))
     if eta_s == 0.0:
@@ -228,17 +228,17 @@ def step_ding(x_t, ev, s, t, problem, sched, denoiser, cfg, rng):
     return out_mean + out_std * standard_normal(rng, np.shape(x_t))
 
 
-def step_ddnm(x_t, ev, s, t, problem, sched, denoiser, cfg, rng):
+def step_ddnm(x_t, ev, s, problem, sched, denoiser, cfg, rng):
     m = problem.mask.m
     projected = m * problem.y + (1.0 - m) * ev.xhat0
-    return sample(*transition(sched, cfg.eta, x_t, projected, s, t), rng)
+    return sample(*transition(sched, cfg.eta, x_t, projected, s, ev.t), rng)
 
 
-def step_diffpir(x_t, ev, s, t, problem, sched, denoiser, cfg, rng):
+def step_diffpir(x_t, ev, s, problem, sched, denoiser, cfg, rng):
     xhat0 = ev.xhat0
-    alpha_t, sigma_t = eval_schedule(sched, t)
+    alpha_t, sigma_t = eval_schedule(sched, ev.t)
     if sigma_t > 0:
         rho_t = cfg.diffpir_lambda * alpha_t**2 / sigma_t**2
         pulled = (problem.y / cfg.gamma**2 + rho_t * xhat0) / (1.0 / cfg.gamma**2 + rho_t)
         xhat0 = np.where(problem.mask.m == 1, pulled, xhat0)
-    return sample(*transition(sched, cfg.eta, x_t, xhat0, s, t), rng)
+    return sample(*transition(sched, cfg.eta, x_t, xhat0, s, ev.t), rng)

@@ -740,10 +740,10 @@ def test_failing_method_deletes_its_trajectory_in_process(tmp_path, capsys, monk
 
     step_dps = guidance.step_dps
 
-    def failing_halfway(x, ev, s, t, *rest):
-        if t < 0.5:
+    def failing_halfway(x, ev, *rest):
+        if ev.t < 0.5:
             raise NumericError("forced")
-        return step_dps(x, ev, s, t, *rest)
+        return step_dps(x, ev, *rest)
 
     monkeypatch.setattr(guidance, "step_dps", failing_halfway)
     cfg = _quickstart(tmp_path, trajectories="on", n_chains="40")

@@ -70,12 +70,12 @@ def _cfg(method, **kw):
     return SamplerConfig(method=method, **defaults)
 
 
-def _law(step, x_t, ev, s, t, problem, den, cfg):
+def _law(step, x_t, ev, s, problem, den, cfg):
     """(mean, std) of a step's transition from the (n, d) batch x_t, read
     from the shipped step: its output at zero noise, and at unit noise less
     that."""
-    mean = step(x_t, ev, s, t, problem, LIN, den, cfg, reference.DesignedNoise(len(x_t), 0.0))
-    unit = step(x_t, ev, s, t, problem, LIN, den, cfg, reference.DesignedNoise(len(x_t), 1.0))
+    mean = step(x_t, ev, s, problem, LIN, den, cfg, reference.DesignedNoise(len(x_t), 0.0))
+    unit = step(x_t, ev, s, problem, LIN, den, cfg, reference.DesignedNoise(len(x_t), 1.0))
     return mean, unit - mean
 
 
@@ -114,7 +114,7 @@ def test_blended_observed_exact_at_s_zero(mixture_setup):
     _, den, problem = mixture_setup
     x_t = np.array([0.5, 0.5])
     x_s = step_blended(
-        x_t, den.evaluate(x_t, 0.1), 0.0, 0.1, problem, LIN, den, _cfg("blended"),
+        x_t, den.evaluate(x_t, 0.1), 0.0, problem, LIN, den, _cfg("blended"),
         np.random.default_rng(0),
     )
     assert x_s[0] == problem.y[0]  # alpha_0 = 1, sigma_0 = 0
@@ -126,7 +126,7 @@ def test_blended_empty_mask_is_unconditional_step(mixture_setup):
     cfg = _cfg("blended")
     x_t = np.array([0.3, -0.2])
     ev = den.evaluate(x_t, 0.5)
-    got = step_blended(x_t, ev, 0.2, 0.5, prob, LIN, den, cfg, np.random.default_rng(5))
+    got = step_blended(x_t, ev, 0.2, prob, LIN, den, cfg, np.random.default_rng(5))
     want = sample_transition(
         *transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.2, 0.5), np.random.default_rng(5)
     )
@@ -150,8 +150,7 @@ def test_blended_replays_the_noisy_observation_not_the_reference():
     prior = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
     den = GMMDenoiser(prior, LIN)
     x_star = np.array([0.9, -1.3])
-    problem = make_observation(x_star, MaskOperator([1, 0]), 0.5, np.random.default_rng(0),
-                               noisy=True)
+    problem = make_observation(x_star, MaskOperator([1, 0]), 0.5, np.random.default_rng(0))
     cfg = _cfg("blended", grid=make_grid(20), n_chains=3, final_replacement=False)
     observed = run_conditional(problem, den, LIN, cfg)[:, 0]
     assert observed.tobytes() == np.full(3, problem.y[0]).tobytes()
@@ -168,7 +167,7 @@ def test_dps_flat_likelihood_reduces_to_unconditional(mixture_setup):
     x_t = np.array([[0.4, -1.0]])
     cfg = _cfg("dps", gamma=1e6)
     ev = den.evaluate(x_t, 0.6)
-    mean, std = _law(step_dps, x_t, ev, 0.3, 0.6, problem, den, cfg)
+    mean, std = _law(step_dps, x_t, ev, 0.3, problem, den, cfg)
     plain_mean, plain_std = transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.3, 0.6)
     assert np.max(np.abs(mean - plain_mean)) <= 1e-6 * np.linalg.norm(plain_mean) + 1e-9
     np.testing.assert_allclose(std, plain_std, rtol=1e-12)
@@ -180,7 +179,7 @@ def test_dps_zero_residual_leaves_denoiser(gaussian_denoiser):
     cfg = _cfg("dps", gamma=1.0, dps_scale=1.0)
     x_t = np.array([[1.0]])
     ev = gaussian_denoiser.evaluate(x_t, 0.5)
-    mean, _ = _law(step_dps, x_t, ev, 0.25, 0.5, problem, gaussian_denoiser, cfg)
+    mean, _ = _law(step_dps, x_t, ev, 0.25, problem, gaussian_denoiser, cfg)
     plain_mean, plain_std = transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.25, 0.5)
     np.testing.assert_allclose(mean, plain_mean, atol=1e-14)
 
@@ -191,7 +190,7 @@ def test_dps_correction_matches_closed_form(gaussian_denoiser):
     cfg = _cfg("dps", eta=0.0, gamma=1.0, dps_scale=0.5)
     x_t = np.array([[1.0]])
     s, t = 0.25, 0.5
-    mean, std = _law(step_dps, x_t, gaussian_denoiser.evaluate(x_t, t), s, t, problem,
+    mean, std = _law(step_dps, x_t, gaussian_denoiser.evaluate(x_t, t), s, problem,
                      gaussian_denoiser, cfg)
     alpha_t, sigma_t = eval_schedule(LIN, t)
     xhat0 = 1.0  # alpha x/(alpha^2+sigma^2)
@@ -208,7 +207,7 @@ def test_dps_requires_jacobian(mixture_setup):
     den = ZeroNoiseDenoiser()
     x_t = np.zeros((1, 2))
     with pytest.raises(NotImplementedError):
-        step_dps(x_t, den.evaluate(x_t, 0.5), 0.2, 0.5, problem, LIN, den, _cfg("dps"),
+        step_dps(x_t, den.evaluate(x_t, 0.5), 0.2, problem, LIN, den, _cfg("dps"),
                  reference.DesignedNoise(1))
 
 
@@ -231,7 +230,7 @@ def test_dps_vjp_matches_the_jacobian_einsum(prior):
         alpha_t, sigma_t = eval_schedule(LIN, t)
         corrected = ev.xhat0 + cfg.dps_scale * (sigma_t**2 / alpha_t) * grad
         want_mean, want_std = transition_params(LIN, cfg.eta, x_t, corrected, s, t)
-        mean, std = _law(step_dps, x_t, ev, s, t, problem, den, cfg)
+        mean, std = _law(step_dps, x_t, ev, s, problem, den, cfg)
         np.testing.assert_allclose(mean, want_mean, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(std, want_std, rtol=1e-12)
 
@@ -241,7 +240,7 @@ def test_dps_t1_uses_interior_scale(mixture_setup):
     _, den, problem = mixture_setup
     cfg = _cfg("dps")
     x_t = np.array([[0.2, 0.1]])
-    mean, _ = _law(step_dps, x_t, den.evaluate(x_t, 1.0), 0.9, 1.0, problem, den, cfg)
+    mean, _ = _law(step_dps, x_t, den.evaluate(x_t, 1.0), 0.9, problem, den, cfg)
     assert np.all(np.isfinite(mean))
 
 
@@ -291,7 +290,7 @@ def test_ding_unobserved_coordinate_keeps_prior(mixture_setup):
     cfg = _cfg("ding")
     x_t = np.array([0.4, -0.1])
     ev = den.evaluate(x_t, 0.6)
-    got = step_ding(x_t, ev, 0.3, 0.6, problem, LIN, den, cfg, np.random.default_rng(2))
+    got = step_ding(x_t, ev, 0.3, problem, LIN, den, cfg, np.random.default_rng(2))
     mean, std = transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.3, 0.6)
     rng = np.random.default_rng(2)
     rng.standard_normal((1, 2))  # the proposal draw
@@ -328,7 +327,7 @@ def test_ding_step_conjugacy_monte_carlo():
     cfg = _cfg("ding", eta=1.0, gamma=0.5, n_chains=1)
     n = 200_000
     x_t = np.ones((n, 1))
-    draws = step_ding(x_t, den.evaluate(x_t, 1.0), 0.5, 1.0, problem, LIN, den, cfg,
+    draws = step_ding(x_t, den.evaluate(x_t, 1.0), 0.5, problem, LIN, den, cfg,
                       np.random.default_rng(3))
     assert abs(draws.mean() - 0.4) < 4 * np.sqrt(0.05 / n)
     assert abs(draws.var() - 0.05) < 4 * 0.05 * np.sqrt(2.0 / n)
@@ -341,7 +340,7 @@ def test_ding_deterministic_when_eta_zero(mixture_setup):
     cfg = _cfg("ding")
     x_t = np.array([0.4, -0.1])
     ev = den.evaluate(x_t, 0.6)
-    got = step_ding(x_t, ev, 0.0, 0.6, problem, LIN, den, cfg, np.random.default_rng(0))
+    got = step_ding(x_t, ev, 0.0, problem, LIN, den, cfg, np.random.default_rng(0))
     want, _ = transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.0, 0.6)
     np.testing.assert_array_equal(got, want)
 
@@ -356,7 +355,7 @@ def test_ding_never_touches_jacobian(mixture_setup):
 def test_ding_nz_averaging_runs(mixture_setup):
     _, den, problem = mixture_setup
     cfg = _cfg("ding", ding_nz=4)
-    out = step_ding(np.zeros(2), den.evaluate(np.zeros(2), 0.6), 0.3, 0.6, problem, LIN, den,
+    out = step_ding(np.zeros(2), den.evaluate(np.zeros(2), 0.6), 0.3, problem, LIN, den,
                     cfg, np.random.default_rng(1))
     assert out.shape == (2,)
     assert np.all(np.isfinite(out))
@@ -372,7 +371,7 @@ def test_ddnm_projects_observed_coordinates(mixture_setup):
     x_t = np.array([[0.7, 0.7]])
     s, t = 0.25, 0.5
     ev = den.evaluate(x_t, t)
-    mean, std = _law(step_ddnm, x_t, ev, s, t, problem, den, _cfg("ddnm", eta=0.0))
+    mean, std = _law(step_ddnm, x_t, ev, s, problem, den, _cfg("ddnm", eta=0.0))
     # reconstruct x0_hat' from the transition mean and check the observed entry
     alpha_t, sigma_t = eval_schedule(LIN, t)
     alpha_s, beta_s = eval_schedule(LIN, s)  # beta_s = sigma_s at eta = 0
@@ -389,7 +388,7 @@ def test_ddnm_empty_mask_is_unconditional(mixture_setup):
     cfg = _cfg("ddnm")
     x_t = np.array([[0.3, -0.2]])
     ev = den.evaluate(x_t, 0.5)
-    mean, _ = _law(step_ddnm, x_t, ev, 0.2, 0.5, prob, den, cfg)
+    mean, _ = _law(step_ddnm, x_t, ev, 0.2, prob, den, cfg)
     want_mean, _ = transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.2, 0.5)
     np.testing.assert_array_equal(mean, want_mean)
 
@@ -401,7 +400,7 @@ def test_ddnm_ignores_gamma(mixture_setup):
     outs = []
     for gamma in (0.01, 1.0, 100.0):
         prob = InpaintingProblem(MaskOperator([1, 0]), np.array([1.7, 0.0]), gamma)
-        outs.append(_law(step_ddnm, x_t, ev, 0.2, 0.5, prob, den, _cfg("ddnm"))[0])
+        outs.append(_law(step_ddnm, x_t, ev, 0.2, prob, den, _cfg("ddnm"))[0])
     np.testing.assert_array_equal(outs[0], outs[1])
     np.testing.assert_array_equal(outs[1], outs[2])
 
@@ -416,7 +415,7 @@ def test_diffpir_proximal_worked_example():
     problem = InpaintingProblem(MaskOperator([1]), np.array([2.0]), 1.0)
     cfg = _cfg("diffpir", eta=1.0, gamma=1.0, diffpir_lambda=1.0)
     ev = Evaluation(0.5, np.array([[0.0]]))
-    mean, _ = _law(step_diffpir, np.array([[1.0]]), ev, 0.25, 0.5, problem, None, cfg)
+    mean, _ = _law(step_diffpir, np.array([[1.0]]), ev, 0.25, problem, None, cfg)
     alpha_s, _ = eval_schedule(LIN, 0.25)
     np.testing.assert_allclose(mean, [[alpha_s * 1.0]])
 
@@ -426,7 +425,7 @@ def test_diffpir_infinite_lambda_keeps_denoiser(mixture_setup):
     x_t = np.array([[0.4, -1.0]])
     cfg = _cfg("diffpir", diffpir_lambda=1e12)
     ev = den.evaluate(x_t, 0.6)
-    mean, _ = _law(step_diffpir, x_t, ev, 0.3, 0.6, problem, den, cfg)
+    mean, _ = _law(step_diffpir, x_t, ev, 0.3, problem, den, cfg)
     plain_mean, plain_std = transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.3, 0.6)
     np.testing.assert_allclose(mean, plain_mean, atol=1e-9)
 
@@ -437,7 +436,7 @@ def test_diffpir_small_gamma_pins_observed(mixture_setup):
     s, t = 0.3, 0.6
     cfg = _cfg("diffpir", eta=0.0, gamma=1e-6)
     ev = den.evaluate(x_t, t)
-    mean, _ = _law(step_diffpir, x_t, ev, s, t, problem, den, cfg)
+    mean, _ = _law(step_diffpir, x_t, ev, s, problem, den, cfg)
     alpha_t, sigma_t = eval_schedule(LIN, t)
     alpha_s, beta_s = eval_schedule(LIN, s)  # beta_s = sigma_s at eta = 0
     xhat0 = ev.xhat0.copy()
@@ -451,7 +450,7 @@ def test_diffpir_flat_likelihood_reduces_to_unconditional(mixture_setup):
     x_t = np.array([[0.4, -1.0]])
     cfg = _cfg("diffpir", gamma=1e6)
     ev = den.evaluate(x_t, 0.6)
-    mean, std = _law(step_diffpir, x_t, ev, 0.3, 0.6, problem, den, cfg)
+    mean, std = _law(step_diffpir, x_t, ev, 0.3, problem, den, cfg)
     plain_mean, plain_std = transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.3, 0.6)
     assert np.max(np.abs(mean - plain_mean)) <= 1e-6 * np.linalg.norm(plain_mean) + 1e-9
     np.testing.assert_allclose(std, plain_std, rtol=1e-12)
@@ -650,7 +649,7 @@ def test_run_conditional_calls_the_module_step(method, mixture_setup, monkeypatc
     calls = []
 
     def counting(*args):
-        calls.append(args[2:4])
+        calls.append((args[2], args[1].t))
         return original(*args)
 
     monkeypatch.setattr(guidance, f"step_{method}", counting)

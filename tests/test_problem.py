@@ -51,7 +51,7 @@ def test_gamma_must_be_positive():
 def test_gamma_must_be_finite(gamma):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="finite"):
-        make_observation(np.array([1.0, 2.0]), MaskOperator([1, 0]), gamma, rng=rng, noisy=True)
+        make_observation(np.array([1.0, 2.0]), MaskOperator([1, 0]), gamma, rng=rng)
     with pytest.raises(ValueError, match="finite"):
         InpaintingProblem(MaskOperator([1, 0]), np.array([1.0, 0.0]), gamma)
 
@@ -70,7 +70,7 @@ def test_gamma_must_have_a_finite_square():
     mask, x, y = MaskOperator([1, 0]), np.array([1.0, 2.0]), np.array([1.0, 0.0])
     for gamma in (ABOVE_ROOT_MAX, 1e300, np.float64(1e300)):
         with pytest.raises(ValueError, match="finite square"):
-            make_observation(x, mask, gamma, rng=rng, noisy=True)
+            make_observation(x, mask, gamma, rng=rng)
         with pytest.raises(ValueError, match="finite square"):
             InpaintingProblem(mask, y, gamma)
     for gamma in (ROOT_MAX, 1e-200):
@@ -88,7 +88,7 @@ def test_noisy_observation_touches_observed_only():
     rng = np.random.default_rng(0)
     x = np.zeros(6)
     mask = MaskOperator([1, 1, 1, 0, 0, 0])
-    prob = make_observation(x, mask, 0.5, rng=rng, noisy=True)
+    prob = make_observation(x, mask, 0.5, rng=rng)
     assert np.all(prob.y[3:] == 0.0)
     assert np.any(prob.y[:3] != 0.0)
 
@@ -162,10 +162,8 @@ def _nan_loglik():
 @pytest.mark.parametrize("call, message", [
     (lambda: InpaintingProblem(MaskOperator([1, 0]), np.zeros(3), 0.5),
      "observation and mask dimensions differ"),
-    (lambda: make_observation(np.zeros(2), MaskOperator([1, 0]), 0.5, noisy=True),
-     "noisy observation requires an rng"),
     (_nan_loglik, "x0 must be finite"),
-], ids=["dimensions", "noisy-without-rng", "non-finite-x0"])
+], ids=["dimensions", "non-finite-x0"])
 def test_problem_input_checks(call, message):
     with pytest.raises(ValueError) as info:
         call()

@@ -100,8 +100,8 @@ def test_steps_give_the_bytes_of_the_out_of_place_form(method, case):
     for s, t in STEPS:
         x_t = _state(prior, n)
         ev = den.evaluate(x_t, t)
-        want = old(x_t, ev, s, t, problem, LIN, den, cfg, _rng(cfg, n))
-        got = new(x_t, ev, s, t, problem, LIN, den, cfg, _rng(cfg, n))
+        want = old(x_t, ev, s, problem, LIN, den, cfg, _rng(cfg, n))
+        got = new(x_t, ev, s, problem, LIN, den, cfg, _rng(cfg, n))
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), (s, t)
 
@@ -151,7 +151,7 @@ def test_steps_do_not_write_into_their_inputs(method, case):
         ev = den.evaluate(x_t, t)
         arrays = _arrays(x_t, ev, problem)
         before = {name: value.tobytes() for name, value in arrays.items()}
-        out = getattr(guidance, f"step_{method}")(x_t, ev, s, t, problem, LIN, den, cfg,
+        out = getattr(guidance, f"step_{method}")(x_t, ev, s, problem, LIN, den, cfg,
                                                   _rng(cfg, n))
         _assert_untouched(before, arrays)
         assert not any(np.shares_memory(out, value) for value in arrays.values())
