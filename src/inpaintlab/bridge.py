@@ -121,13 +121,17 @@ def transition_params(
     xhat1 = noise_from_x0(x_t, xhat0, *eval_schedule(sched, t))
     xhat1 *= beta_s
     np.add(mean, xhat1, out=mean)
-    if not np.isfinite(mean).all():
-        finite = np.isfinite(mean).all(axis=-1)  # one entry per chain
-        bad = finite.size - np.count_nonzero(finite)
-        raise NumericError(
-            f"transition mean must be finite: {bad} of {finite.size} chains non-finite"
-        )
+    check_chains_finite(mean, "transition mean")
     return mean, eta * sigma_s
+
+
+def check_chains_finite(a: np.ndarray, what: str) -> None:
+    """Raise NumericError, naming ``what`` and how many of the chains (rows)
+    of ``a`` hold a non-finite value, unless every entry is finite."""
+    if not np.isfinite(a).all():
+        finite = np.isfinite(a).all(axis=-1)  # one entry per chain
+        bad = finite.size - np.count_nonzero(finite)
+        raise NumericError(f"{what} must be finite: {bad} of {finite.size} chains non-finite")
 
 
 def sample_transition(mean: np.ndarray, std: float, rng: RngLike) -> np.ndarray:

@@ -62,6 +62,7 @@ import numpy as np
 from .bridge import (
     ChainStreams,
     RngLike,
+    check_chains_finite,
     sample_transition,
     standard_normal,
     transition_params,
@@ -363,8 +364,9 @@ def run_conditional(
     evaluates and allocates nothing for the hook, and t = 0 is the returned
     samples.  The steps, each with its hook call, run under one numpy error
     state that ignores floating-point warnings, the caller's restored on
-    return; a non-finite transition raises NumericError naming the method
-    and step.
+    return.  A non-finite transition mean, or a step that leaves a chain
+    non-finite, raises NumericError naming the method, the step that made
+    it and the number of chains affected.
     """
     # read from the module at each run, so a patched step_<method> is the one called
     step = globals()[f"step_{cfg.method}"]
@@ -382,6 +384,7 @@ def run_conditional(
                     on_step(x, ev)
                 x = step(x, ev, s, problem, sched, denoiser, cfg, rngs)
                 del ev  # freed before the next step evaluates its own posterior
+                check_chains_finite(x, "new state")
             except NumericError as exc:
                 raise NumericError(
                     f"{cfg.method} at step k={k} (t={t:g} -> s={s:g}): {exc}"

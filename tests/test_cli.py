@@ -707,6 +707,21 @@ def test_exit_code_numeric_failure_names_method_and_step(tmp_path):
     ]
 
 
+def test_numeric_failure_names_the_step_that_left_a_chain_non_finite(tmp_path):
+    # at gamma = 1e154 ding's conjugate update at k=15 leaves one chain
+    # non-finite; the failure is that step's, not the next evaluation's
+    cfg = _quickstart(tmp_path, gamma="1e154")
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "inpaintlab.cli", "run", "--config", str(cfg)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "numeric failure: ding at step k=15 (t=0.3 -> s=0.28): "
+        "new state must be finite: 1 of 1000 chains non-finite"
+    ]
+
+
 @pytest.mark.parametrize("line", [
     "n_chains = 4294967296", "oracle.n = 4294967296", "trajectories = on\nn_chains = 330382100",
 ])

@@ -706,6 +706,25 @@ def test_on_step_is_handed_each_steps_own_state_and_evaluation(method, mixture_s
         run_conditional(problem, den, LIN, cfg, on_step=failing)
 
 
+def test_a_step_that_leaves_a_chain_non_finite_is_named(mixture_setup, monkeypatch):
+    # the state a step returns is checked before the next step evaluates it
+    _, den, problem = mixture_setup
+    original = guidance.step_ddnm
+
+    def spoiling(x, ev, *rest):
+        x_s = original(x, ev, *rest)
+        if ev.t == cfg.grid.knots[3]:
+            x_s[1, 0] = np.nan
+        return x_s
+
+    monkeypatch.setattr(guidance, "step_ddnm", spoiling)
+    cfg = _cfg("ddnm", grid=make_grid(5), n_chains=3)
+    with pytest.raises(NumericError) as info:
+        run_conditional(problem, den, LIN, cfg)
+    assert str(info.value) == ("ddnm at step k=3 (t=0.6 -> s=0.4): "
+                               "new state must be finite: 1 of 3 chains non-finite")
+
+
 def _traced_peak(run):
     tracemalloc.start()
     try:
