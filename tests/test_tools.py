@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 SAME_OUTPUTS = ROOT / "tools" / "same_outputs.py"
 CODE_LINES = ROOT / "tools" / "code_lines.py"
@@ -46,6 +48,27 @@ def test_same_outputs_passes_a_tree_against_itself_and_names_a_corrupted_output(
     out = capsys.readouterr().out
     assert "DIFFERS quickstart-traj seed 1: ding_1_trajectories.dsmp: sha256 differs" in out
     assert out.count("DIFFERS") == 1 and out.splitlines()[-1] == "differences: 1"
+
+
+def test_same_outputs_runs_the_off_benchmark_quickstart_case(tmp_path):
+    from inpaintlab.config import load_config
+
+    # the case's config turns on what no benchmark workload runs
+    path = tmp_path / "exp.cfg"
+    path.write_text(_load(SAME_OUTPUTS).config_text("quickstart-noisy", 1))
+    cfg = load_config(path)
+    assert cfg.noisy_observation and cfg.gamma == 0.5 and cfg.seed == 1
+    assert cfg.sched.kind == "trig-vp" and cfg.out_dir == Path("out")
+    assert not np.allclose(np.diff(cfg.grid.knots), cfg.grid.knots[1])  # not uniform
+    assert (cfg.oracle_n, cfg.n_chains) == (700, 1000)
+    assert cfg.problem(np.random.default_rng(0)).y[0] != cfg.x_star[0]
+    proc = subprocess.run([sys.executable, str(SAME_OUTPUTS), str(ROOT / "src"),
+                           "quickstart-noisy"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"quickstart-noisy seed {seed}: 6 .dsmp files, exit code 0, stderr empty: identical"
+        for seed in (0, 1)
+    ] + ["identical"]
 
 
 def test_same_outputs_rejects_a_tree_without_the_package(tmp_path):

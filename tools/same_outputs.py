@@ -1,14 +1,18 @@
 """Check that two source trees give the same ``inpaintlab run`` outputs.
 
-    python tools/same_outputs.py PARENT_SRC [WORKLOAD ...]
+    python tools/same_outputs.py PARENT_SRC [CASE ...]
 
 PARENT_SRC is the ``src`` directory of the tree to compare against (for
 example a ``git archive`` of the parent commit); the other tree is this
-checkout's ``src``.  For each workload of ``perfbench/workloads.py``
-(default: all of them) at config seeds 0 and 1, the config is written once
-and ``python -W error -m inpaintlab.cli run`` runs it in a fresh directory
-per tree, with that tree's ``src`` alone on ``PYTHONPATH`` and no bytecode
-written.  The two runs must agree in:
+checkout's ``src``.  The cases are the workloads of
+``perfbench/workloads.py`` and ``quickstart-noisy``, the shipped quickstart
+with a noisy observation at gamma = 0.5, the trig-vp schedule, the
+quadratic grid and an oracle of 700 draws against 1000 chains: paths that
+no workload runs.  For each case (default: all of them) at config seeds 0
+and 1, the config is written once and ``python -W error -m inpaintlab.cli
+run`` runs it in a fresh directory per tree, with that tree's ``src``
+alone on ``PYTHONPATH`` and no bytecode written.  The two runs must agree
+in:
 
 - the set of files written;
 - the SHA-256 of every ``.dsmp`` file (method, oracle and trajectory
@@ -37,6 +41,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1)
 UNTIMED = "runtime_ms"
+OFF_BENCHMARK = {
+    "quickstart-noisy": {
+        "observation.noisy": "on", "gamma": "0.5", "schedule": "trig-vp",
+        "grid.spacing": "quadratic", "oracle.n": "700",
+    },
+}
 
 
 def _load_workloads():
@@ -54,6 +64,16 @@ def _load_workloads():
 
 
 workloads = _load_workloads()
+CASES = (*workloads.WORKLOADS, *OFF_BENCHMARK)
+
+
+def config_text(case: str, seed: int) -> str:
+    """The config of ``case`` at config seed ``seed``, writing to ``out``."""
+    if case in OFF_BENCHMARK:
+        text = (ROOT / "configs" / "quickstart.cfg").read_text()
+        values = {**OFF_BENCHMARK[case], "seed": str(seed), "out_dir": "out"}
+        return workloads.override(text, values)
+    return workloads.config_text(case, ROOT, seed, "out")
 
 
 def _env(src: Path) -> dict[str, str]:
@@ -118,12 +138,12 @@ def differences(parent: Path, change: Path) -> list[str]:
 
 
 def compare(parent_src: Path, change_src: Path, names: list[str], work: Path) -> list[str]:
-    """Run every workload at every seed in both trees; return the differences,
-    each prefixed by its workload and seed."""
+    """Run every case at every seed in both trees; return the differences,
+    each prefixed by its case and seed."""
     found = []
     for name in names:
         for seed in SEEDS:
-            config = workloads.config_text(name, ROOT, seed, "out")
+            config = config_text(name, seed)
             case = f"{name} seed {seed}"
             runs = {}
             for tree, src in (("parent", parent_src), ("change", change_src)):
@@ -144,13 +164,13 @@ def compare(parent_src: Path, change_src: Path, names: list[str], work: Path) ->
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path, help="src directory of the tree to compare with")
-    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
-                        help=f"any of {', '.join(workloads.WORKLOADS)} (default: all)")
+    parser.add_argument("cases", nargs="*", metavar="CASE",
+                        help=f"any of {', '.join(CASES)} (default: all)")
     args = parser.parse_args(argv)
-    unknown = sorted(set(args.workloads) - set(workloads.WORKLOADS))
+    unknown = sorted(set(args.cases) - set(CASES))
     if unknown:
-        parser.error(f"unknown workloads {', '.join(unknown)}")
-    names = args.workloads or list(workloads.WORKLOADS)
+        parser.error(f"unknown cases {', '.join(unknown)}")
+    names = args.cases or list(CASES)
     trees = (args.parent_src.resolve(), ROOT / "src")
     for src in trees:
         if package_dir(src) != src / "inpaintlab":
