@@ -2,9 +2,10 @@
 
 The observation is y = m * x_star on the coordinates the binary mask
 keeps (1 = observed / preserved), plus gamma-scaled noise there when
-``make_observation`` is given a generator to draw it from.  ``make_observation`` is the one reader of the reference
-x_star; the problem it returns holds y alone, so no sampler can read the
-hidden answer.  The observation induces
+``make_observation`` is given a generator to draw it from.
+``make_observation`` is the one reader of the reference x_star; the
+problem it returns holds y alone, so no sampler can read the hidden
+answer.  The observation induces
 
     log l(y | x0) = -||y - m * x0||^2 / (2 gamma^2)
 

@@ -230,6 +230,14 @@ def test_run_time_values_loaded(tmp_path):
     assert load_config(_write(tmp_path, BASIC)).oracle_n is None
 
 
+def test_problem_draws_from_its_rng_only_when_observation_noisy_is_on(tmp_path):
+    off = load_config(_write(tmp_path, BASIC)).problem(np.random.default_rng(0))
+    np.testing.assert_array_equal(off.y, [1.5, 0.0])
+    on = load_config(_write(tmp_path, BASIC + "observation.noisy = on\n"))
+    assert on.problem(np.random.default_rng(0)).y[0] != 1.5
+    np.testing.assert_array_equal(on.problem().y, [1.5, 0.0])
+
+
 @pytest.mark.parametrize("key, value", [
     ("prior.component.0.weight", "half"),
     ("prior.component.1.mean", "-2, minus two"),
