@@ -146,7 +146,6 @@ def sample_transition(mean: np.ndarray, std: float, rng: RngLike) -> np.ndarray:
 
 def run_unconditional(
     denoiser: Denoiser,
-    sched: Schedule,
     grid: TimeGrid,
     eta: float,
     rng: RngLike,
@@ -156,8 +155,9 @@ def run_unconditional(
     down the grid.
 
     Returns the (n_chains, d) array of terminal states at t = 0, with d
-    read from ``denoiser.dim``.  Chains are advanced as one batch, with
-    per-chain substreams when ``rng`` is a ``ChainStreams``.
+    read from ``denoiser.dim`` and the schedule from ``denoiser.sched``.
+    Chains are advanced as one batch, with per-chain substreams when
+    ``rng`` is a ``ChainStreams``.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be positive")
@@ -166,6 +166,6 @@ def run_unconditional(
     for k in range(grid.num_steps, 0, -1):
         s, t = knots[k - 1], knots[k]
         xhat0 = denoiser.evaluate(x, t).xhat0
-        x = sample_transition(*transition_params(sched, eta, x, xhat0, s, t), rng)
+        x = sample_transition(*transition_params(denoiser.sched, eta, x, xhat0, s, t), rng)
     return x
 

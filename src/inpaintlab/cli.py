@@ -50,7 +50,6 @@ from .masklift import PixelMask, leakage_report, lift_mask
 from .metrics import cpsnr, projection_bytes, sliced_w2, valid_peak
 from .oracle import exact_posterior
 from .problem import InpaintingProblem, MaskOperator
-from .schedule import Schedule
 
 
 class ResultRow(NamedTuple):
@@ -71,7 +70,6 @@ def _write_trajectories(
     path: Path,
     problem: InpaintingProblem,
     denoiser: Denoiser,
-    sched: Schedule,
     scfg: SamplerConfig,
 ) -> np.ndarray:
     """Run ``run_conditional`` with the trajectory streamed to ``path`` as
@@ -88,7 +86,7 @@ def _write_trajectories(
             # each block is a fresh C-contiguous (n, 2d) array; astype copies
             # it only where float64 is not little-endian
             samples = run_conditional(
-                problem, denoiser, sched, scfg,
+                problem, denoiser, denoiser.sched, scfg,
                 on_step=lambda x, ev: fh.write(np.hstack((x, ev.xhat0)).astype("<f8", copy=False)),
             )
             fh.write(np.hstack((samples, samples)).astype("<f8", copy=False))
@@ -144,7 +142,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 if cfg.record_trajectories:
                     samples = _write_trajectories(
                         cfg.out_dir / f"{method}_{cfg.seed}_trajectories.dsmp",
-                        problem, denoiser, cfg.sched, scfg,
+                        problem, denoiser, scfg,
                     )
                 else:
                     samples = run_conditional(problem, denoiser, cfg.sched, scfg)

@@ -556,8 +556,11 @@ class Denoiser(ABC):
     mixture prior is E[X1 | X_t = x] exactly.  ``vjp`` applies the
     transpose of the estimate's Jacobian at an evaluation to one vector per
     point; only dps calls it, and a denoiser that cannot form it keeps the
-    base ``vjp``, which raises NotImplementedError.  ``run_unconditional``
-    also reads the point dimension ``dim``.
+    base ``vjp``, which raises NotImplementedError.  A denoiser also
+    carries two attributes: ``dim``, the point dimension, and ``sched``,
+    the ``Schedule`` it was built for.  The samplers read both from it:
+    every step and ``run_unconditional`` take alpha_t and sigma_t from
+    ``sched``, and no sampler takes a schedule of its own.
     """
 
     @abstractmethod

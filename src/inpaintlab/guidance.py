@@ -23,7 +23,8 @@ no second route to its law (noise of zeros returns the transition mean);
 each reads its knobs, eta included, from its ``SamplerConfig`` alone.  The
 driver evaluates the denoiser once per state and hands that ``Evaluation``
 ev, with the estimate ev.xhat0 and the time ev.t of the state, to the
-step, which reads t from it alone.  dps (with ``denoiser.vjp``
+step, which reads t from it alone and the schedule from
+``denoiser.sched``, the one the denoiser was built for.  dps (with ``denoiser.vjp``
 of ev), ddnm and diffpir correct the estimate and sample the transition
 ``bridge.transition_params`` builds from it at ``cfg.eta``; blended and
 ding build it from ev.xhat0 as is and add a draw after it.  ding also
@@ -136,12 +137,12 @@ def step_blended(
     ev: Evaluation,
     s: float,
     problem: InpaintingProblem,
-    sched: Schedule,
     denoiser: Denoiser,
     cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
     """Unconditional step, then the noised observation replayed on the support."""
+    sched = denoiser.sched
     x_s = sample_transition(*transition_params(sched, cfg.eta, x_t, ev.xhat0, s, ev.t), rng)
     if problem.mask.observed_count == 0:
         return x_s
@@ -162,7 +163,6 @@ def step_dps(
     ev: Evaluation,
     s: float,
     problem: InpaintingProblem,
-    sched: Schedule,
     denoiser: Denoiser,
     cfg: SamplerConfig,
     rng: RngLike,
@@ -183,6 +183,7 @@ def step_dps(
     resid[..., idx] = problem.y[idx] - xhat0[..., idx]
     grad = denoiser.vjp(ev, resid)
     grad /= cfg.gamma**2
+    sched = denoiser.sched
     alpha_t, sigma_t = eval_schedule(sched, ev.t)
     alpha_eval, sigma_eval = (alpha_t, sigma_t) if alpha_t > 0 else eval_schedule(sched, s)
     grad *= cfg.dps_scale * (sigma_eval**2 / alpha_eval)
@@ -226,7 +227,6 @@ def step_ding(
     ev: Evaluation,
     s: float,
     problem: InpaintingProblem,
-    sched: Schedule,
     denoiser: Denoiser,
     cfg: SamplerConfig,
     rng: RngLike,
@@ -240,14 +240,14 @@ def step_ding(
     the model: no differentiation anywhere.  Only the ``xhat0`` of ev and of
     the proposal's evaluation is read, never ``denoiser.vjp``.
     """
-    mean, std = transition_params(sched, cfg.eta, x_t, ev.xhat0, s, ev.t)
+    mean, std = transition_params(denoiser.sched, cfg.eta, x_t, ev.xhat0, s, ev.t)
     nz = cfg.ding_nz
     eps = standard_normal(rng, np.shape(x_t)[:-1] + (nz, np.shape(x_t)[-1]))
     if std == 0.0:
         return mean
     eps *= std
     z = np.add(mean[..., None, :], eps, out=eps)
-    alpha_s, sigma_s = eval_schedule(sched, s)
+    alpha_s, sigma_s = eval_schedule(denoiser.sched, s)
     # the mean over the nz draws, as ``np.mean`` forms it: one sum, then one division
     e = np.add.reduce(noise_from_x0(z, denoiser.evaluate(z, s).xhat0, alpha_s, sigma_s), axis=-2)
     e /= nz
@@ -274,7 +274,6 @@ def step_ddnm(
     ev: Evaluation,
     s: float,
     problem: InpaintingProblem,
-    sched: Schedule,
     denoiser: Denoiser,
     cfg: SamplerConfig,
     rng: RngLike,
@@ -289,7 +288,8 @@ def step_ddnm(
     projected = np.array(ev.xhat0, dtype=float)
     idx = problem.mask.observed_idx
     projected[..., idx] = problem.y[idx]
-    return sample_transition(*transition_params(sched, cfg.eta, x_t, projected, s, ev.t), rng)
+    mean, std = transition_params(denoiser.sched, cfg.eta, x_t, projected, s, ev.t)
+    return sample_transition(mean, std, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +302,6 @@ def step_diffpir(
     ev: Evaluation,
     s: float,
     problem: InpaintingProblem,
-    sched: Schedule,
     denoiser: Denoiser,
     cfg: SamplerConfig,
     rng: RngLike,
@@ -315,7 +314,7 @@ def step_diffpir(
     this laboratory's calibration, not taken from any reference setup.
     """
     xhat0 = ev.xhat0
-    alpha_t, sigma_t = eval_schedule(sched, ev.t)
+    alpha_t, sigma_t = eval_schedule(denoiser.sched, ev.t)
     if sigma_t > 0:
         rho_t = cfg.diffpir_lambda * alpha_t**2 / sigma_t**2
         idx = problem.mask.observed_idx
@@ -323,7 +322,7 @@ def step_diffpir(
         xhat0[..., idx] = (problem.y[idx] / cfg.gamma**2 + rho_t * xhat0[..., idx]) / (
             1.0 / cfg.gamma**2 + rho_t
         )
-    return sample_transition(*transition_params(sched, cfg.eta, x_t, xhat0, s, ev.t), rng)
+    return sample_transition(*transition_params(denoiser.sched, cfg.eta, x_t, xhat0, s, ev.t), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +350,11 @@ def run_conditional(
     ``step_<method>``, each step from t to s handed ev =
     ``denoiser.evaluate(x, t)``, the one evaluation of its starting state,
     whose ev.t is the step's t, and (with final_replacement on) have their
-    observed coordinates overwritten by y at the end.  ``sched`` must be
-    the schedule the denoiser was built with: the steps read the
-    transition coefficients from ``sched`` and the estimate from the
-    denoiser, and nothing checks that the two agree.
+    observed coordinates overwritten by y at the end.  The steps read the
+    schedule and the point dimension from the denoiser alone.  ``sched``
+    is checked against ``denoiser.sched`` and otherwise unused; it leaves
+    with ROADMAP item 1.  A ``sched`` that differs from the denoiser's
+    raises ValueError naming both kinds.
     Deterministic given (seed, config); chain j's draws depend only on
     (seed, method, j), so the first rows of a larger run equal a smaller
     one, a one-chain run included.  ``on_step``, when given, is called as
@@ -368,6 +368,8 @@ def run_conditional(
     non-finite, raises NumericError naming the method, the step that made
     it and the number of chains affected.
     """
+    if sched != denoiser.sched:
+        raise ValueError(f"schedule {sched.kind} differs from the denoiser's {denoiser.sched.kind}")
     # read from the module at each run, so a patched step_<method> is the one called
     step = globals()[f"step_{cfg.method}"]
     knots = cfg.grid.knots
@@ -382,7 +384,7 @@ def run_conditional(
                 ev = denoiser.evaluate(x, t)
                 if on_step is not None:
                     on_step(x, ev)
-                x = step(x, ev, s, problem, sched, denoiser, cfg, rngs)
+                x = step(x, ev, s, problem, denoiser, cfg, rngs)
                 del ev  # freed before the next step evaluates its own posterior
                 check_chains_finite(x, "new state")
             except NumericError as exc:

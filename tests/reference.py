@@ -188,7 +188,8 @@ def sample(mean, std, rng):
     return mean + std * eps
 
 
-def step_blended(x_t, ev, s, problem, sched, denoiser, cfg, rng):
+def step_blended(x_t, ev, s, problem, denoiser, cfg, rng):
+    sched = denoiser.sched
     x_s = sample(*transition(sched, cfg.eta, x_t, ev.xhat0, s, ev.t), rng)
     if problem.mask.observed_count == 0:
         return x_s
@@ -198,7 +199,8 @@ def step_blended(x_t, ev, s, problem, sched, denoiser, cfg, rng):
     return np.where(problem.mask.m == 1, replay, x_s)
 
 
-def step_dps(x_t, ev, s, problem, sched, denoiser, cfg, rng):
+def step_dps(x_t, ev, s, problem, denoiser, cfg, rng):
+    sched = denoiser.sched
     xhat0 = ev.xhat0
     m = problem.mask.m
     resid = m * (problem.y - m * xhat0)
@@ -209,7 +211,8 @@ def step_dps(x_t, ev, s, problem, sched, denoiser, cfg, rng):
     return sample(*transition(sched, cfg.eta, x_t, corrected, s, ev.t), rng)
 
 
-def step_ding(x_t, ev, s, problem, sched, denoiser, cfg, rng):
+def step_ding(x_t, ev, s, problem, denoiser, cfg, rng):
+    sched = denoiser.sched
     mean, eta_s = transition(sched, cfg.eta, x_t, ev.xhat0, s, ev.t)
     nz = cfg.ding_nz
     eps = standard_normal(rng, np.shape(x_t)[:-1] + (nz, np.shape(x_t)[-1]))
@@ -228,13 +231,14 @@ def step_ding(x_t, ev, s, problem, sched, denoiser, cfg, rng):
     return out_mean + out_std * standard_normal(rng, np.shape(x_t))
 
 
-def step_ddnm(x_t, ev, s, problem, sched, denoiser, cfg, rng):
+def step_ddnm(x_t, ev, s, problem, denoiser, cfg, rng):
     m = problem.mask.m
     projected = m * problem.y + (1.0 - m) * ev.xhat0
-    return sample(*transition(sched, cfg.eta, x_t, projected, s, ev.t), rng)
+    return sample(*transition(denoiser.sched, cfg.eta, x_t, projected, s, ev.t), rng)
 
 
-def step_diffpir(x_t, ev, s, problem, sched, denoiser, cfg, rng):
+def step_diffpir(x_t, ev, s, problem, denoiser, cfg, rng):
+    sched = denoiser.sched
     xhat0 = ev.xhat0
     alpha_t, sigma_t = eval_schedule(sched, ev.t)
     if sigma_t > 0:

@@ -241,6 +241,10 @@ class EstimatesOnly(Denoiser):
     def dim(self):
         return self.inner.dim
 
+    @property
+    def sched(self):
+        return self.inner.sched
+
     def evaluate(self, x, t):
         ev = self.inner.evaluate(x, t)
         return Evaluation(ev.t, ev.xhat0)
@@ -388,9 +392,7 @@ def test_a6_unconditional_marginals(eta):
     assert abs(v_k - {0.0: 0.9746, 1.0: 0.4824}[eta]) < 1e-4
     law = GaussianMixture([1.0], [mu], [v_k * np.ones(d)])
     denoiser = GMMDenoiser(prior, LIN)
-    term = run_unconditional(
-        denoiser, LIN, make_grid(num_steps), eta, np.random.default_rng(13), n,
-    )
+    term = run_unconditional(denoiser, make_grid(num_steps), eta, np.random.default_rng(13), n)
     mean_tol = 4 * math.sqrt(d / n)
     targets = {"law": law, "prior": prior} if eta == 0.0 else {"law": law}
     errs = {name: moment_diff(term, ref) for name, ref in targets.items()}

@@ -187,7 +187,7 @@ def test_exact_posterior_draws_reproduce_path_marginals(eta):
 def test_unconditional_single_gaussian_mean():
     mu = np.array([0.7, -0.3])
     den = GMMDenoiser(GaussianMixture([1.0], [mu], [[1.0, 1.0]]), LIN)
-    term = run_unconditional(den, LIN, make_grid(100), 1.0, np.random.default_rng(3), 2000)
+    term = run_unconditional(den, make_grid(100), 1.0, np.random.default_rng(3), 2000)
     assert np.linalg.norm(term.mean(axis=0) - mu) < 4 * np.sqrt(2 / 2000)
 
 
@@ -195,7 +195,7 @@ def test_unconditional_one_step_is_denoiser_output():
     den = GMMDenoiser(GaussianMixture([1.0], [[0.5]], [[1.0]]), LIN)
     grid = make_grid(1)
     rng1 = np.random.default_rng(7)
-    term = run_unconditional(den, LIN, grid, 0.8, rng1, 5)
+    term = run_unconditional(den, grid, 0.8, rng1, 5)
     rng2 = np.random.default_rng(7)
     x1 = rng2.standard_normal((5, 1))
     np.testing.assert_allclose(term, den.evaluate(x1, 1.0).xhat0)
@@ -204,14 +204,14 @@ def test_unconditional_one_step_is_denoiser_output():
 def test_unconditional_needs_positive_chains():
     den = GMMDenoiser(GaussianMixture([1.0], [[0.0]], [[1.0]]), LIN)
     with pytest.raises(ValueError):
-        run_unconditional(den, LIN, make_grid(10), 0.5, np.random.default_rng(0), 0)
+        run_unconditional(den, make_grid(10), 0.5, np.random.default_rng(0), 0)
 
 
 def test_eta_zero_chain_deterministic_given_start():
     den = GMMDenoiser(GaussianMixture([0.5, 0.5], [[2.0], [-2.0]], [[1.0], [1.0]]), LIN)
     grid = make_grid(50)
-    a = run_unconditional(den, LIN, grid, 0.0, np.random.default_rng(9), 8)
-    b = run_unconditional(den, LIN, grid, 0.0, np.random.default_rng(9), 8)
+    a = run_unconditional(den, grid, 0.0, np.random.default_rng(9), 8)
+    b = run_unconditional(den, grid, 0.0, np.random.default_rng(9), 8)
     np.testing.assert_array_equal(a, b)
 
 
@@ -242,11 +242,11 @@ def test_per_chain_substreams_match_shared_order():
     # rows of a two-block run equal a one-block run
     den = GMMDenoiser(GaussianMixture([1.0], [[0.0]], [[1.0]]), LIN)
     grid = make_grid(20)
-    full = run_unconditional(den, LIN, grid, 0.7, _streams(70, 123), 70)
-    want = run_unconditional(den, LIN, grid, 0.7, BlockReference(123, 0, 70), 70)
+    full = run_unconditional(den, grid, 0.7, _streams(70, 123), 70)
+    want = run_unconditional(den, grid, 0.7, BlockReference(123, 0, 70), 70)
     np.testing.assert_array_equal(full, want)
     for n in (1, 6, 64):
-        solo = run_unconditional(den, LIN, grid, 0.7, _streams(n, 123), n)
+        solo = run_unconditional(den, grid, 0.7, _streams(n, 123), n)
         np.testing.assert_array_equal(full[:n], solo)
 
 

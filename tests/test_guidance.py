@@ -42,11 +42,17 @@ LIN = Schedule("linear-flow")
 
 
 class ZeroNoiseDenoiser(Denoiser):
-    """x0_hat = x / alpha_t (0 at t = 1), so the tied noise estimate is 0
-    everywhere; keeps the base vjp, which raises."""
+    """x0_hat = x / alpha_t (0 at t = 1) of ``dim``-dimensional points on the
+    linear flow, so the tied noise estimate is 0 everywhere; keeps the base
+    vjp, which raises."""
+
+    sched = LIN
+
+    def __init__(self, dim):
+        self.dim = dim
 
     def evaluate(self, x, t):
-        alpha_t, _ = eval_schedule(LIN, t)
+        alpha_t, _ = eval_schedule(self.sched, t)
         return Evaluation(t, x / alpha_t if alpha_t > 0 else np.zeros_like(x))
 
 
@@ -74,8 +80,8 @@ def _law(step, x_t, ev, s, problem, den, cfg):
     """(mean, std) of a step's transition from the (n, d) batch x_t, read
     from the shipped step: its output at zero noise, and at unit noise less
     that."""
-    mean = step(x_t, ev, s, problem, LIN, den, cfg, reference.DesignedNoise(len(x_t), 0.0))
-    unit = step(x_t, ev, s, problem, LIN, den, cfg, reference.DesignedNoise(len(x_t), 1.0))
+    mean = step(x_t, ev, s, problem, den, cfg, reference.DesignedNoise(len(x_t), 0.0))
+    unit = step(x_t, ev, s, problem, den, cfg, reference.DesignedNoise(len(x_t), 1.0))
     return mean, unit - mean
 
 
@@ -114,7 +120,7 @@ def test_blended_observed_exact_at_s_zero(mixture_setup):
     _, den, problem = mixture_setup
     x_t = np.array([0.5, 0.5])
     x_s = step_blended(
-        x_t, den.evaluate(x_t, 0.1), 0.0, problem, LIN, den, _cfg("blended"),
+        x_t, den.evaluate(x_t, 0.1), 0.0, problem, den, _cfg("blended"),
         np.random.default_rng(0),
     )
     assert x_s[0] == problem.y[0]  # alpha_0 = 1, sigma_0 = 0
@@ -126,7 +132,7 @@ def test_blended_empty_mask_is_unconditional_step(mixture_setup):
     cfg = _cfg("blended")
     x_t = np.array([0.3, -0.2])
     ev = den.evaluate(x_t, 0.5)
-    got = step_blended(x_t, ev, 0.2, prob, LIN, den, cfg, np.random.default_rng(5))
+    got = step_blended(x_t, ev, 0.2, prob, den, cfg, np.random.default_rng(5))
     want = sample_transition(
         *transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.2, 0.5), np.random.default_rng(5)
     )
@@ -204,10 +210,10 @@ def test_dps_correction_matches_closed_form(gaussian_denoiser):
 
 def test_dps_requires_jacobian(mixture_setup):
     _, _, problem = mixture_setup
-    den = ZeroNoiseDenoiser()
+    den = ZeroNoiseDenoiser(2)
     x_t = np.zeros((1, 2))
     with pytest.raises(NotImplementedError):
-        step_dps(x_t, den.evaluate(x_t, 0.5), 0.2, problem, LIN, den, _cfg("dps"),
+        step_dps(x_t, den.evaluate(x_t, 0.5), 0.2, problem, den, _cfg("dps"),
                  reference.DesignedNoise(1))
 
 
@@ -290,7 +296,7 @@ def test_ding_unobserved_coordinate_keeps_prior(mixture_setup):
     cfg = _cfg("ding")
     x_t = np.array([0.4, -0.1])
     ev = den.evaluate(x_t, 0.6)
-    got = step_ding(x_t, ev, 0.3, problem, LIN, den, cfg, np.random.default_rng(2))
+    got = step_ding(x_t, ev, 0.3, problem, den, cfg, np.random.default_rng(2))
     mean, std = transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.3, 0.6)
     rng = np.random.default_rng(2)
     rng.standard_normal((1, 2))  # the proposal draw
@@ -323,11 +329,11 @@ def test_ding_step_conjugacy_monte_carlo():
     # the step's observed-coordinate law must match the closed-form product of
     # prior and pseudo-observation
     problem = InpaintingProblem(MaskOperator([1]), np.array([1.0]), 0.5)
-    den = ZeroNoiseDenoiser()
+    den = ZeroNoiseDenoiser(1)
     cfg = _cfg("ding", eta=1.0, gamma=0.5, n_chains=1)
     n = 200_000
     x_t = np.ones((n, 1))
-    draws = step_ding(x_t, den.evaluate(x_t, 1.0), 0.5, problem, LIN, den, cfg,
+    draws = step_ding(x_t, den.evaluate(x_t, 1.0), 0.5, problem, den, cfg,
                       np.random.default_rng(3))
     assert abs(draws.mean() - 0.4) < 4 * np.sqrt(0.05 / n)
     assert abs(draws.var() - 0.05) < 4 * 0.05 * np.sqrt(2.0 / n)
@@ -340,7 +346,7 @@ def test_ding_deterministic_when_eta_zero(mixture_setup):
     cfg = _cfg("ding")
     x_t = np.array([0.4, -0.1])
     ev = den.evaluate(x_t, 0.6)
-    got = step_ding(x_t, ev, 0.0, problem, LIN, den, cfg, np.random.default_rng(0))
+    got = step_ding(x_t, ev, 0.0, problem, den, cfg, np.random.default_rng(0))
     want, _ = transition_params(LIN, cfg.eta, x_t, ev.xhat0, 0.0, 0.6)
     np.testing.assert_array_equal(got, want)
 
@@ -355,7 +361,7 @@ def test_ding_never_touches_jacobian(mixture_setup):
 def test_ding_nz_averaging_runs(mixture_setup):
     _, den, problem = mixture_setup
     cfg = _cfg("ding", ding_nz=4)
-    out = step_ding(np.zeros(2), den.evaluate(np.zeros(2), 0.6), 0.3, problem, LIN, den,
+    out = step_ding(np.zeros(2), den.evaluate(np.zeros(2), 0.6), 0.3, problem, den,
                     cfg, np.random.default_rng(1))
     assert out.shape == (2,)
     assert np.all(np.isfinite(out))
@@ -415,7 +421,8 @@ def test_diffpir_proximal_worked_example():
     problem = InpaintingProblem(MaskOperator([1]), np.array([2.0]), 1.0)
     cfg = _cfg("diffpir", eta=1.0, gamma=1.0, diffpir_lambda=1.0)
     ev = Evaluation(0.5, np.array([[0.0]]))
-    mean, _ = _law(step_diffpir, np.array([[1.0]]), ev, 0.25, problem, None, cfg)
+    # the step reads only the schedule of its denoiser, whose estimate ev already holds
+    mean, _ = _law(step_diffpir, np.array([[1.0]]), ev, 0.25, problem, ZeroNoiseDenoiser(1), cfg)
     alpha_s, _ = eval_schedule(LIN, 0.25)
     np.testing.assert_allclose(mean, [[alpha_s * 1.0]])
 
@@ -476,6 +483,19 @@ def test_run_conditional_deterministic(mixture_setup):
     a = run_conditional(problem, den, LIN, cfg)
     b = run_conditional(problem, den, LIN, cfg)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("den_kind, run_kind", [("trig-vp", "linear-flow"),
+                                                ("linear-flow", "trig-vp")])
+def test_run_conditional_rejects_a_schedule_other_than_its_denoisers(den_kind, run_kind,
+                                                                     mixture_setup):
+    # the steps read the denoiser's schedule; a second one that differs
+    # would be ignored, so it is refused before any chain is drawn
+    prior, _, problem = mixture_setup
+    den = GMMDenoiser(prior, Schedule(den_kind))
+    with pytest.raises(ValueError, match=f"^schedule {run_kind} differs from the "
+                                         f"denoiser's {den_kind}$"):
+        run_conditional(problem, den, Schedule(run_kind), _cfg("ding"))
 
 
 def test_run_conditional_restores_the_numpy_error_state():
@@ -744,12 +764,12 @@ def test_trajectory_record_holds_one_block(method, k, mixture_setup, tmp_path):
     cfg = _cfg(method, grid=make_grid(k), n_chains=2000)
     block = cfg.n_chains * 2 * problem.mask.dim * 8
     path = tmp_path / "t.dsmp"
-    _write_trajectories(path, problem, den, LIN, cfg)  # warm caches before tracing
+    _write_trajectories(path, problem, den, cfg)  # warm caches before tracing
     plain = _traced_peak(lambda: run_conditional(problem, den, LIN, cfg))
     hooked = _traced_peak(lambda: run_conditional(problem, den, LIN, cfg,
                                                   on_step=lambda x, ev: None))
     assert abs(hooked - plain) < 1024
-    written = _traced_peak(lambda: _write_trajectories(path, problem, den, LIN, cfg))
+    written = _traced_peak(lambda: _write_trajectories(path, problem, den, cfg))
     # open() buffers a file by its block size, or 8 KiB where that is unknown
     assert written - plain < block + max(path.stat().st_blksize, io.DEFAULT_BUFFER_SIZE)
     assert path.stat().st_size == 13 + (k + 1) * block
@@ -831,7 +851,7 @@ def test_mask_off_chains_bit_identical_to_unconditional(mixture_setup):
         cfg = _cfg(method, grid=grid, n_chains=4, final_replacement=False)
         samples = run_conditional(prob, den, LIN, cfg)
         rngs = chain_rngs(cfg.seed, method, 4)
-        plain = run_unconditional(den, LIN, grid, cfg.eta, rngs, 4)
+        plain = run_unconditional(den, grid, cfg.eta, rngs, 4)
         np.testing.assert_array_equal(samples, plain)
 
 

@@ -30,6 +30,7 @@ from inpaintlab import (
 from inpaintlab import guidance
 from inpaintlab.gmm import Evaluation
 from inpaintlab.guidance import chain_rngs
+from inpaintlab.schedule import SCHEDULE_KINDS
 
 LIN = Schedule("linear-flow")
 
@@ -86,37 +87,52 @@ def _state(prior, n, seed=0):
     return 2.0 * rng.standard_normal(shape)
 
 
+def _under_each_schedule(params):
+    """Each parameter tuple once per schedule kind, the schedule last; the
+    linear-flow run keeps the tuple's bare id, the other kinds append theirs."""
+    return [
+        pytest.param(*p, kind, id="-".join(map(str, p)) + ("" if kind == LIN.kind else f"-{kind}"))
+        for kind in SCHEDULE_KINDS for p in params
+    ]
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")  # the empty mask warns
 @pytest.mark.parametrize(
-    "method, case",
-    [(m, c) for m in METHODS for c in CASES if m == "ding" or "ding_nz" not in CASES[c][2]],
+    "method, case, kind",
+    _under_each_schedule(
+        [(m, c) for m in METHODS for c in CASES if m == "ding" or "ding_nz" not in CASES[c][2]]
+    ),
 )
-def test_steps_give_the_bytes_of_the_out_of_place_form(method, case):
+def test_steps_give_the_bytes_of_the_out_of_place_form(method, case, kind):
+    # the steps take no schedule: each reads the one its denoiser was built with
     build, n, knobs = CASES[case]
     prior, problem = build()
-    den = GMMDenoiser(prior, LIN)
+    den = GMMDenoiser(prior, Schedule(kind))
     cfg = _cfg(method, n, **knobs)
     new, old = getattr(guidance, f"step_{method}"), getattr(reference, f"step_{method}")
     for s, t in STEPS:
         x_t = _state(prior, n)
         ev = den.evaluate(x_t, t)
-        want = old(x_t, ev, s, problem, LIN, den, cfg, _rng(cfg, n))
-        got = new(x_t, ev, s, problem, LIN, den, cfg, _rng(cfg, n))
+        want = old(x_t, ev, s, problem, den, cfg, _rng(cfg, n))
+        got = new(x_t, ev, s, problem, den, cfg, _rng(cfg, n))
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), (s, t)
 
 
-@pytest.mark.parametrize("case", ["gmm8", "full12", "point"])
-@pytest.mark.parametrize("eta", [0.0, 0.8, 1.0])
-def test_transition_gives_the_bytes_of_the_out_of_place_form(case, eta):
+@pytest.mark.parametrize(
+    "eta, case, kind",
+    _under_each_schedule([(eta, c) for eta in (0.0, 0.8, 1.0) for c in ("full12", "gmm8", "point")]),
+)
+def test_transition_gives_the_bytes_of_the_out_of_place_form(eta, case, kind):
     build, n, _ = CASES[case]
     prior, _ = build()
-    den = GMMDenoiser(prior, LIN)
+    sched = Schedule(kind)
+    den = GMMDenoiser(prior, sched)
     for s, t in STEPS:
         x_t = _state(prior, n)
         xhat0 = den.evaluate(x_t, t).xhat0
-        want_mean, want_std = reference.transition(LIN, eta, x_t, xhat0, s, t)
-        mean, std = transition_params(LIN, eta, x_t, xhat0, s, t)
+        want_mean, want_std = reference.transition(sched, eta, x_t, xhat0, s, t)
+        mean, std = transition_params(sched, eta, x_t, xhat0, s, t)
         assert mean.tobytes() == want_mean.tobytes()
         assert std == want_std
         want = reference.sample(want_mean, want_std, _rng(_cfg("ddnm", n), n))
@@ -151,8 +167,7 @@ def test_steps_do_not_write_into_their_inputs(method, case):
         ev = den.evaluate(x_t, t)
         arrays = _arrays(x_t, ev, problem)
         before = {name: value.tobytes() for name, value in arrays.items()}
-        out = getattr(guidance, f"step_{method}")(x_t, ev, s, problem, LIN, den, cfg,
-                                                  _rng(cfg, n))
+        out = getattr(guidance, f"step_{method}")(x_t, ev, s, problem, den, cfg, _rng(cfg, n))
         _assert_untouched(before, arrays)
         assert not any(np.shares_memory(out, value) for value in arrays.values())
 
@@ -173,8 +188,10 @@ def test_transition_does_not_write_into_its_inputs():
 
 
 class SpikedDenoiser(Denoiser):
-    """x0_hat = x / 2, with +inf in column ``col`` of the first ``bad``
-    chains; its vjp is the identity map."""
+    """x0_hat = x / 2 of 4-dimensional points on the linear flow, with +inf
+    in column ``col`` of the first ``bad`` chains; its vjp is the identity map."""
+
+    dim, sched = 4, LIN
 
     def __init__(self, col, bad):
         self.col, self.bad = col, bad
