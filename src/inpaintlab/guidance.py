@@ -353,8 +353,9 @@ def run_conditional(
     observed coordinates overwritten by y at the end.  The steps read the
     schedule and the point dimension from the denoiser alone.  ``sched``
     is checked against ``denoiser.sched`` and otherwise unused; it leaves
-    with ROADMAP item 1.  A ``sched`` that differs from the denoiser's
-    raises ValueError naming both kinds.
+    with ROADMAP item 1.  A ``sched`` that differs from the denoiser's, or
+    a problem whose dimension differs from ``denoiser.dim``, raises
+    ValueError naming both.
     Deterministic given (seed, config); chain j's draws depend only on
     (seed, method, j), so the first rows of a larger run equal a smaller
     one, a one-chain run included.  ``on_step``, when given, is called as
@@ -370,10 +371,12 @@ def run_conditional(
     """
     if sched != denoiser.sched:
         raise ValueError(f"schedule {sched.kind} differs from the denoiser's {denoiser.sched.kind}")
+    n, d = cfg.n_chains, problem.mask.dim
+    if d != denoiser.dim:
+        raise ValueError(f"problem dimension {d} differs from the denoiser's {denoiser.dim}")
     # read from the module at each run, so a patched step_<method> is the one called
     step = globals()[f"step_{cfg.method}"]
     knots = cfg.grid.knots
-    n, d = cfg.n_chains, problem.mask.dim
     rngs = chain_rngs(cfg.seed, cfg.method, n)
     x = standard_normal(rngs, (n, d))
 

@@ -25,7 +25,9 @@ One routine, ``_condition``, conditions a mixture on the observation:
 ``posterior_given_state`` on the mixture of X0 given the noisy state from
 one ``component_posterior``.  It reweights each component by its
 evidence, takes the log-likelihood as their log-sum-exp, and leaves the
-mixture as it is under an empty mask.  The evidence comes from
+mixture as it is under an empty mask.  It is also where the oracle first
+reads the problem, so it checks there that the problem's dimension is the
+prior's and raises ValueError naming both.  The evidence comes from
 ``_observed_evidence``, which works in the log domain on the observed
 sub-coordinates only, so every factored S = C[obs, obs] + gamma^2 I stays
 positive definite even at small gamma.  Its Cholesky factors L and solved
@@ -99,10 +101,10 @@ def exact_posterior(problem: InpaintingProblem, prior: GaussianMixture) -> Gauss
     gamma so small that rounding leaves a posterior covariance not positive
     definite, by the rule of ``GaussianMixture``, raises NumericError.
     """
-    if problem.mask.observed_idx.size == 0:
-        return prior
     with np.errstate(all="ignore"):
         post = _condition(problem, prior.log_weights, prior.means, prior.covariance_matrices())
+    if problem.mask.observed_idx.size == 0:
+        return prior
     weights = np.exp(post.log_weights)
     keep = weights > 0
     if not keep.any():
@@ -169,8 +171,12 @@ def _condition(
     Each component is conditioned in the gain form of the module docstring
     and reweighted by its evidence, whose log-sum-exp gives the
     log-likelihood.  An empty mask leaves the mixture as it is, with a
-    log-likelihood of exactly 0.
+    log-likelihood of exactly 0.  A problem whose dimension differs from
+    the mixture's raises ValueError naming both.
     """
+    d = means.shape[-1]
+    if problem.mask.dim != d:
+        raise ValueError(f"problem dimension {problem.mask.dim} differs from the prior's {d}")
     obs = problem.mask.observed_idx
     if obs.size == 0:
         return PosteriorGivenState(log_resp, np.zeros(log_resp.shape[1:]), means, cov)

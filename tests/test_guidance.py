@@ -498,6 +498,15 @@ def test_run_conditional_rejects_a_schedule_other_than_its_denoisers(den_kind, r
         run_conditional(problem, den, Schedule(run_kind), _cfg("ding"))
 
 
+def test_run_conditional_rejects_a_problem_of_another_dimension(mixture_setup):
+    # a 3-dimensional observation of the 2-dimensional prior: named before
+    # any chain is drawn, not a broadcast error from inside a step
+    _, den, _ = mixture_setup
+    problem = make_observation([1.5, 2.4, 0.3], MaskOperator([1, 0, 1]), 0.1)
+    with pytest.raises(ValueError, match="^problem dimension 3 differs from the denoiser's 2$"):
+        run_conditional(problem, den, LIN, _cfg("ddnm", n_chains=5))
+
+
 def test_run_conditional_restores_the_numpy_error_state():
     # the steps run under one error state that ignores everything; the
     # caller's state holds after a normal run and after one that raises

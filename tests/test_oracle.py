@@ -85,6 +85,19 @@ def test_posterior_empty_mask_is_prior(mixed_prior):
     np.testing.assert_array_equal(post.covariances, mixed_prior.covariances)
 
 
+@pytest.mark.parametrize("mask", [[1, 0, 1, 1], [0, 0, 0, 0], [1, 0]])
+def test_oracle_rejects_a_problem_of_another_dimension(mixed_prior, mask):
+    # the prior has d = 3; the check sits where the oracle first reads the
+    # problem, so an empty mask, and a smaller problem that would index
+    # without error, are refused too
+    prob = InpaintingProblem(MaskOperator(mask), np.zeros(len(mask)), 0.5)
+    want = f"^problem dimension {len(mask)} differs from the prior's 3$"
+    with pytest.raises(ValueError, match=want):
+        exact_posterior(prob, mixed_prior)
+    with pytest.raises(ValueError, match=want):
+        posterior_given_state(prob, mixed_prior, LIN, np.zeros(3), 0.5)
+
+
 @pytest.mark.parametrize("which", ["mixed", "random"])
 def test_posterior_matches_precision_form_reference(mixed_prior, masked_problem, which):
     if which == "mixed":
