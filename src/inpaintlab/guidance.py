@@ -23,11 +23,12 @@ no second route to its law (noise of zeros returns the transition mean);
 each reads its knobs, eta included, from its ``SamplerConfig`` alone.  The
 driver evaluates the denoiser once per state and hands that ``Evaluation``
 ev, with the estimate ev.xhat0 and the time ev.t of the state, to the
-step, which reads t from it alone and the schedule from
-``denoiser.sched``, the one the denoiser was built for.  dps (with ``denoiser.vjp``
-of ev), ddnm and diffpir correct the estimate and sample the transition
-``bridge.transition_params`` builds from it at ``cfg.eta``; blended and
-ding build it from ev.xhat0 as is and add a draw after it.  ding also
+step, which reads t from it alone; the schedule it reads from
+``denoiser.sched``, the one the denoiser was built for.  dps (with
+``denoiser.vjp`` of ev), ddnm and diffpir correct the estimate and
+sample the transition ``bridge.transition_params`` builds from it at
+``cfg.eta``; blended and ding build it from ev.xhat0 as is and add a
+draw after it.  ding also
 evaluates its proposal, and reads only that evaluation's estimate: of the
 denoiser's two calls, ``evaluate`` and ``vjp``, only dps calls ``vjp``, so
 every other method runs on a denoiser whose evaluations hold the estimate
