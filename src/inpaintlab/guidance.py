@@ -20,19 +20,19 @@ of the clean sample given the observation:
 
 Every method is one ``step_<method>``, all with the same signature and
 no second route to its law (noise of zeros returns the transition mean);
-each reads its knobs, eta included, from its ``SamplerConfig`` alone.  The
-driver evaluates the denoiser once per state and hands that ``Evaluation``
-ev, with the estimate ev.xhat0 and the time ev.t of the state, to the
-step, which reads t from it alone; the schedule it reads from
-``denoiser.sched``, the one the denoiser was built for.  dps (with
+each reads its knobs, eta included, from its ``SamplerConfig`` alone.
+``run_conditional`` evaluates the denoiser once per state and hands that
+``Evaluation`` ev, with the estimate ev.xhat0 and the time ev.t of the
+state, to the step, which reads t from it alone; the schedule it reads
+from ``denoiser.sched``, the one the denoiser was built for.  dps (with
 ``denoiser.vjp`` of ev), ddnm and diffpir correct the estimate and
 sample the transition ``bridge.transition_params`` builds from it at
-``cfg.eta``; blended and ding build it from ev.xhat0 as is and add a
-draw after it.  ding also
-evaluates its proposal, and reads only that evaluation's estimate: of the
-denoiser's two calls, ``evaluate`` and ``vjp``, only dps calls ``vjp``, so
-every other method runs on a denoiser whose evaluations hold the estimate
-alone.
+``cfg.eta``; blended and ding build it from ev.xhat0 as is.  blended
+samples it and writes its replay over the observed columns of the
+sample; ding adds a draw after it, and also evaluates its proposal, and
+reads only that evaluation's estimate: of the denoiser's two calls,
+``evaluate`` and ``vjp``, only dps calls ``vjp``, so every other method
+runs on a denoiser whose evaluations hold the estimate alone.
 
 Every correction the mask confines (blended's replay, dps's residual,
 ddnm's projection, diffpir's proximal pull, ding's pseudo-observation and
@@ -45,13 +45,14 @@ sign).  The exception is an estimate that is not finite on the support:
 ddnm projects it onto y where (1 - m) * inf gave NaN.
 
 Per-step randomness is drawn from each method's own streams
-(``METHOD_CODES``) in a fixed order: first the proposal noise (the
-transition sample, or the z draws for ding), then any method-specific
-draw (the blend noise for blended, the conjugate draw for ding).  So each
-method consumes its streams the same way whatever eta is, and a test can
-hand two steps the same designed noise.  blended skips its
-blend draw when the mask observes nothing, which makes blended, ddnm and
-diffpir chains bit-identical to the unconditional chain on an empty mask.
+(``METHOD_CODES``) in a fixed order.  Every method but ding draws one
+(n, d) standard normal per step, its transition sample; blended's replay
+reads the observed columns of that same draw.  ding draws its (n, nz, d)
+proposal noise, then, except at s = 0, its (n, d) conjugate draw.  So
+each method consumes its streams the same way whatever eta and the mask
+are, and a test can hand two steps the same designed noise.  On an empty
+mask blended, ddnm and diffpir correct nothing, so their chains are
+bit-identical to the unconditional chain, with no branch on the mask.
 """
 
 from __future__ import annotations
@@ -142,15 +143,23 @@ def step_blended(
     cfg: SamplerConfig,
     rng: RngLike,
 ) -> np.ndarray:
-    """Unconditional step, then the noised observation replayed on the support."""
-    sched = denoiser.sched
-    x_s = sample_transition(*transition_params(sched, cfg.eta, x_t, ev.xhat0, s, ev.t), rng)
-    if problem.mask.observed_count == 0:
-        return x_s
-    alpha_s, sigma_s = eval_schedule(sched, s)
-    eps = standard_normal(rng, x_s.shape)
+    """Unconditional step, then the noised observation replayed on the support.
+
+    One standard normal draw eps serves both: its observed columns give
+    the replay alpha_s * y + sigma_s * eps, its other columns the
+    transition sample mean + std * eps, formed as ``sample_transition``
+    forms it.  The columns of a draw are independent, so the two stay
+    independent.  On an empty mask the replay is empty and the step is
+    the unconditional transition, bit for bit, with no branch.
+    """
+    mean, std = transition_params(denoiser.sched, cfg.eta, x_t, ev.xhat0, s, ev.t)
+    eps = standard_normal(rng, mean.shape)
+    alpha_s, sigma_s = eval_schedule(denoiser.sched, s)
     idx = problem.mask.observed_idx
-    x_s[..., idx] = alpha_s * problem.y[idx] + sigma_s * eps[..., idx]
+    replay = alpha_s * problem.y[idx] + sigma_s * eps[..., idx]
+    eps *= std
+    x_s = np.add(mean, eps, out=eps)
+    x_s[..., idx] = replay
     return x_s
 
 

@@ -25,9 +25,11 @@ One routine, ``_condition``, conditions a mixture on the observation:
 ``posterior_given_state`` on the mixture of X0 given the noisy state from
 one ``component_posterior``.  It reweights each component by its
 evidence, takes the log-likelihood as their log-sum-exp, and leaves the
-mixture as it is under an empty mask.  It is also where the oracle first
-reads the problem, so it checks there that the problem's dimension is the
-prior's and raises ValueError naming both.  The evidence comes from
+mixture as it is under an empty mask.  It and ``exact_guidance_grad``,
+which reads the evidence without it, are where the oracle first reads
+the problem, so each checks there, through ``_check_dimension`` and ahead
+of its empty-mask shortcut, that the problem's dimension is the prior's,
+and raises ValueError naming both.  The evidence comes from
 ``_observed_evidence``, which works in the log domain on the observed
 sub-coordinates only, so every factored S = C[obs, obs] + gamma^2 I stays
 positive definite even at small gamma.  Its Cholesky factors L and solved
@@ -159,6 +161,13 @@ def _observed_evidence(
     return -0.5 * (quad + logdet + obs.size * _LOG_2PI), chol, solved
 
 
+def _check_dimension(problem: InpaintingProblem, d: int) -> None:
+    """Raise ValueError naming both dimensions unless the problem's is d,
+    the prior's."""
+    if problem.mask.dim != d:
+        raise ValueError(f"problem dimension {problem.mask.dim} differs from the prior's {d}")
+
+
 def _condition(
     problem: InpaintingProblem,
     log_resp: np.ndarray,
@@ -174,9 +183,7 @@ def _condition(
     log-likelihood of exactly 0.  A problem whose dimension differs from
     the mixture's raises ValueError naming both.
     """
-    d = means.shape[-1]
-    if problem.mask.dim != d:
-        raise ValueError(f"problem dimension {problem.mask.dim} differs from the prior's {d}")
+    _check_dimension(problem, means.shape[-1])
     obs = problem.mask.observed_idx
     if obs.size == 0:
         return PosteriorGivenState(log_resp, np.zeros(log_resp.shape[1:]), means, cov)
@@ -243,8 +250,11 @@ def exact_guidance_grad(
     conditional means, in closed form; the test suite checks it against
     central finite differences of ``exact_intermediate_loglik``, and,
     scaled by sigma_t^2 / alpha_t, against ``exact_posterior_denoiser``
-    minus the prior denoiser.
+    minus the prior denoiser.  An empty mask gives zeros; a problem whose
+    dimension differs from the prior's raises ValueError naming both, the
+    empty mask included.
     """
+    _check_dimension(problem, prior.dim)
     x_t = np.asarray(x_t, dtype=float)
     obs = problem.mask.observed_idx
     if obs.size == 0:

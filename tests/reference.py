@@ -190,13 +190,10 @@ def sample(mean, std, rng):
 
 def step_blended(x_t, ev, s, problem, denoiser, cfg, rng):
     sched = denoiser.sched
-    x_s = sample(*transition(sched, cfg.eta, x_t, ev.xhat0, s, ev.t), rng)
-    if problem.mask.observed_count == 0:
-        return x_s
+    mean, std = transition(sched, cfg.eta, x_t, ev.xhat0, s, ev.t)
+    eps = standard_normal(rng, mean.shape)
     alpha_s, sigma_s = eval_schedule(sched, s)
-    eps = standard_normal(rng, x_s.shape)
-    replay = alpha_s * problem.y + sigma_s * eps
-    return np.where(problem.mask.m == 1, replay, x_s)
+    return np.where(problem.mask.m == 1, alpha_s * problem.y + sigma_s * eps, mean + std * eps)
 
 
 def step_dps(x_t, ev, s, problem, denoiser, cfg, rng):

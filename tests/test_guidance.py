@@ -163,6 +163,30 @@ def test_blended_replays_the_noisy_observation_not_the_reference():
     assert np.all(observed != x_star[0])
 
 
+def test_blended_step_law_per_column():
+    # one step from one state over n chains: the observed columns are
+    # N(alpha_s y, sigma_s^2), the others the transition's N(mean, std^2),
+    # and the two are uncorrelated; each bound is five standard errors at n
+    prior = GaussianMixture([0.3, 0.7], [[1.0, -1.0, 0.5, 2.0], [-2.0, 0.5, 1.5, -1.0]],
+                            [[1.0, 0.5, 2.0, 0.8], [0.6, 1.5, 0.4, 1.2]])
+    den = GMMDenoiser(prior, LIN)
+    problem = make_observation(np.array([0.8, -1.1, 1.9, 0.3]), MaskOperator([1, 0, 1, 0]), 0.2)
+    n, s, t = 20_000, 0.4, 0.5
+    cfg = _cfg("blended", n_chains=n)
+    x_t = np.tile([0.7, -0.3, 1.2, 0.1], (n, 1))
+    ev = den.evaluate(x_t, t)
+    x_s = step_blended(x_t, ev, s, problem, den, cfg, chain_rngs(cfg.seed, "blended", n))
+    mean, std = transition_params(LIN, cfg.eta, x_t, ev.xhat0, s, t)
+    assert std > 0 and np.all(mean == mean[0])
+    alpha_s, sigma_s = eval_schedule(LIN, s)
+    observed = problem.mask.m == 1
+    z = (x_s - np.where(observed, alpha_s * problem.y, mean[0])) / np.where(observed, sigma_s, std)
+    assert np.all(np.abs(z.mean(axis=0)) < 5 / math.sqrt(n))
+    assert np.all(np.abs(z.var(axis=0) - 1.0) < 5 * math.sqrt(2 / n))
+    corr = np.corrcoef(z, rowvar=False)[np.ix_(observed, ~observed)]
+    assert np.all(np.abs(corr) < 5 / math.sqrt(n))
+
+
 # ---------------------------------------------------------------------------
 # dps
 # ---------------------------------------------------------------------------
@@ -862,6 +886,37 @@ def test_mask_off_chains_bit_identical_to_unconditional(mixture_setup):
         rngs = chain_rngs(cfg.seed, method, 4)
         plain = run_unconditional(den, grid, cfg.eta, rngs, 4)
         np.testing.assert_array_equal(samples, plain)
+
+
+class RecordingStreams:
+    """A chain stream that records the shape of every ``take``."""
+
+    def __init__(self, streams):
+        self.streams, self.shapes = streams, []
+
+    def __len__(self):
+        return len(self.streams)
+
+    def take(self, shape):
+        self.shapes.append(tuple(shape))
+        return self.streams.take(shape)
+
+
+@pytest.mark.parametrize("s, t", [(0.4, 0.5), (0.0, 0.1)])
+@pytest.mark.parametrize("method", METHODS)
+def test_each_step_draws_in_the_stated_order(method, s, t, mixture_setup):
+    # one (n, d) draw per step, except ding: its (n, nz, d) proposal noise,
+    # then its (n, d) conjugate draw, which s = 0 does not take
+    _, den, problem = mixture_setup
+    n, d, nz = 5, 2, 3
+    cfg = _cfg(method, n_chains=n, ding_nz=nz)
+    rng = RecordingStreams(chain_rngs(cfg.seed, method, n))
+    x_t = np.random.default_rng(1).standard_normal((n, d))
+    getattr(guidance, f"step_{method}")(x_t, den.evaluate(x_t, t), s, problem, den, cfg, rng)
+    if method == "ding":
+        assert rng.shapes == ([(n, nz, d), (n, d)] if s > 0 else [(n, nz, d)])
+    else:
+        assert rng.shapes == [(n, d)]
 
 
 def test_method_streams_do_not_collide():

@@ -98,6 +98,19 @@ def test_oracle_rejects_a_problem_of_another_dimension(mixed_prior, mask):
         posterior_given_state(prob, mixed_prior, LIN, np.zeros(3), 0.5)
 
 
+@pytest.mark.parametrize("mask", [[1, 0, 1], [1], [0, 0, 0]])
+def test_guidance_grad_rejects_a_problem_of_another_dimension(mask):
+    # the README prior has d = 2; the gradient reads the evidence without
+    # _condition, so it checks ahead of its own empty-mask shortcut: a
+    # larger problem, a smaller one that would index without error, and an
+    # empty mask that would return zeros are refused alike
+    prior = GaussianMixture([0.5, 0.5], [[2.0, 2.0], [-2.0, -2.0]], [[1.0, 1.0], [1.0, 1.0]])
+    prob = InpaintingProblem(MaskOperator(mask), np.array(mask, dtype=float), 0.1)
+    want = f"^problem dimension {len(mask)} differs from the prior's 2$"
+    with pytest.raises(ValueError, match=want):
+        exact_guidance_grad(prob, prior, LIN, np.zeros(2), 0.5)
+
+
 @pytest.mark.parametrize("which", ["mixed", "random"])
 def test_posterior_matches_precision_form_reference(mixed_prior, masked_problem, which):
     if which == "mixed":
